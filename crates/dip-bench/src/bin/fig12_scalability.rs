@@ -19,7 +19,7 @@
 //! [`BenchReport`] for the `bench_check` CI gate.
 
 use dip_bench::{fmt_ratio, print_table, vlm_batch, BenchReport, ExperimentScale, MetricKind};
-use dip_core::{monolithic_ilp_search, PlanRequest, PlannerConfig, PlanningSession};
+use dip_core::{monolithic_ilp_search, PlanRequest, PlanTier, PlannerConfig, PlanningSession};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{separated_placement, ParallelConfig, StageGraphBuilder, SubMicrobatchPlan};
 use dip_sim::ClusterSpec;
@@ -220,7 +220,7 @@ fn main() {
             let dip_time = outcome.plan.stats.planning_time;
             // Re-planning the same shape is served from the plan cache.
             let repeat = session.plan(&request).unwrap();
-            assert!(repeat.cache_hit);
+            assert_eq!(repeat.tier, PlanTier::Exact);
 
             // Monolithic exact ILP over the same stage graph.
             let placement = separated_placement(&spec, parallel, &BTreeMap::new());

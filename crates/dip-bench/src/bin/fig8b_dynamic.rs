@@ -18,7 +18,7 @@
 //! fuzzy-served plans and a cross-worker bit-identity witness.
 
 use dip_bench::{fmt_s, print_table, BenchReport, ExperimentScale, MetricKind};
-use dip_core::{PlanRequest, PlannerConfig, PlanningSession, SessionStats};
+use dip_core::{PlanRequest, PlanTier, PlannerConfig, PlanningSession, SessionStats};
 use dip_data::{BatchGenerator, DatasetMix, DynamicWorkloadController, ImageBoundSchedule};
 use dip_models::zoo;
 use dip_pipeline::baselines::{
@@ -94,6 +94,8 @@ fn main() {
             *sum += value;
         }
         dip_times.push(full.metrics.iteration_time_s);
+        let full_cached = full_plan.tier == PlanTier::Exact;
+        let no_opt_cached = no_opt_plan.tier == PlanTier::Exact;
         rows.push(vec![
             iteration.iteration.to_string(),
             format!("{avg_images:.1}"),
@@ -105,9 +107,9 @@ fn main() {
             format!(
                 "{:.1}{}",
                 full_plan.plan.stats.planning_time.as_secs_f64() * 1e3,
-                if full_plan.cache_hit { " (cached)" } else { "" }
+                if full_cached { " (cached)" } else { "" }
             ),
-            if no_opt_plan.cache_hit { "hit" } else { "miss" }.to_string(),
+            if no_opt_cached { "hit" } else { "miss" }.to_string(),
         ]);
     }
     print_table(

@@ -30,14 +30,12 @@
 //! [`ElasticConfig::delta_budget`]), so a fixed seed yields a bit-identical
 //! recovery sequence at any worker count on any machine.
 
-use crate::error::{DipError, ResultExt};
-use crate::ordering::{ordering_from_priorities, search_ordering, OrderingSearchConfig};
-use crate::planner::{request_modalities, DipPlan, DipPlanner, PlanTier, PlannerStats};
+use crate::error::DipError;
+use crate::planner::{heaviest, DipPlan, DipPlanner, Reuse};
 use dip_models::{BatchWorkload, ModuleId};
 use dip_pipeline::{
-    capacity_aware_separated_placement, dual_queue, full_restore_cost,
-    latency_balanced_separated_placement, migration_cost, separated_placement, DualQueueConfig,
-    MigrationCost, Placement, PlacementMode, RankOrders, StageGraph, StageGraphBuilder,
+    capacity_aware_separated_placement, full_restore_cost, latency_balanced_separated_placement,
+    migration_cost, separated_placement, MigrationCost, Placement, PlacementMode,
 };
 use dip_sim::{ClusterTopology, TopologyDelta};
 use serde::{Deserialize, Serialize};
@@ -114,7 +112,7 @@ pub struct CandidateReport {
 #[derive(Debug, Clone)]
 pub struct ElasticOutcome {
     /// The winning plan, ready to deploy on the new topology
-    /// (`stats.tier == `[`PlanTier::Elastic`], except on the unchanged
+    /// (`stats.tier == `[`crate::PlanTier::Elastic`], except on the unchanged
     /// fast path, which returns the old plan byte-identical).
     pub plan: DipPlan,
     /// State movement the winning plan pays.
@@ -133,18 +131,10 @@ pub struct ElasticOutcome {
     pub candidates: Vec<CandidateReport>,
 }
 
-/// One candidate evaluated: the searched plan pieces plus its report.
+/// One candidate evaluated: its plan plus its report.
 struct Evaluated {
     report: CandidateReport,
-    placement: Placement,
-    graph: StageGraph,
-    orders: RankOrders,
-    priorities: Vec<i64>,
-    evaluations: u64,
-    worker_evaluations: Vec<u64>,
-    pruned: u64,
-    search_cpu_time: Duration,
-    build_cpu_time: Duration,
+    plan: DipPlan,
 }
 
 impl DipPlanner<'_> {
@@ -167,9 +157,11 @@ impl DipPlanner<'_> {
     /// # Errors
     ///
     /// Returns [`DipError::InvalidRequest`] when the old plan is
-    /// structurally incompatible with the request (parallel configuration,
-    /// stated old topology, modality set or microbatch count), and
-    /// otherwise propagates stage-graph construction failures.
+    /// structurally incompatible with the request, with the message naming
+    /// the mismatched field — parallel configuration, topology fingerprint
+    /// (against the stated old topology), modality set, microbatch count or
+    /// segment count — and otherwise propagates stage-graph construction
+    /// failures.
     pub fn replan_elastic(
         &self,
         microbatches: &[BatchWorkload],
@@ -177,42 +169,8 @@ impl DipPlanner<'_> {
         old_topology: &ClusterTopology,
         config: &ElasticConfig,
     ) -> Result<ElasticOutcome, DipError> {
-        if microbatches.is_empty() {
-            return Err(DipError::invalid_request(
-                "cannot plan an iteration with zero microbatches",
-            ));
-        }
-        if old_plan.placement.parallel != self.parallel {
-            return Err(DipError::invalid_request(format!(
-                "old plan parallel configuration {} does not match the \
-                 planner parallel configuration {}",
-                old_plan.placement.parallel, self.parallel
-            )));
-        }
         let old_fingerprint = old_topology.fingerprint();
-        if old_plan.topology_fingerprint != old_fingerprint {
-            return Err(DipError::invalid_request(format!(
-                "old plan topology fingerprint {:#018x} does not match the \
-                 stated old topology fingerprint {:#018x}",
-                old_plan.topology_fingerprint, old_fingerprint
-            )));
-        }
-        let modalities = request_modalities(microbatches);
-        if old_plan.modalities != modalities {
-            return Err(DipError::invalid_request(format!(
-                "old plan modality set {:?} does not match the request \
-                 modality set {:?}",
-                old_plan.modalities, modalities
-            )));
-        }
-        if old_plan.sub_microbatches.num_microbatches() != microbatches.len() {
-            return Err(DipError::invalid_request(format!(
-                "old plan microbatch count {} does not match the request \
-                 microbatch count {}",
-                old_plan.sub_microbatches.num_microbatches(),
-                microbatches.len()
-            )));
-        }
+        self.check_anchor(microbatches, old_plan, old_fingerprint)?;
 
         let tp = self.parallel.tp;
         let new_fingerprint = self.topology.fingerprint();
@@ -252,14 +210,7 @@ impl DipPlanner<'_> {
         }
         let planning_virtual_s: f64 = evaluated
             .iter()
-            .map(|e| {
-                self.config
-                    .search
-                    .eval_cost
-                    .seconds(e.graph.len() as u64)
-                    .max(0.0)
-                    * e.evaluations as f64
-            })
+            .map(|e| self.virtual_planning_s(&e.plan))
             .sum();
 
         // First strictly-better candidate wins; ties keep the earlier one
@@ -279,38 +230,25 @@ impl DipPlanner<'_> {
             }
         }
         let reports: Vec<CandidateReport> = evaluated.iter().map(|e| e.report.clone()).collect();
-        let total_evaluations: u64 = evaluated.iter().map(|e| e.evaluations).sum();
-        let total_pruned: u64 = evaluated.iter().map(|e| e.pruned).sum();
-        let search_cpu_time = evaluated.iter().map(|e| e.search_cpu_time).sum();
-        let build_cpu_time = evaluated.iter().map(|e| e.build_cpu_time).sum();
-        let winner = evaluated.swap_remove(best);
-
-        let plan = DipPlan {
-            graph: winner.graph,
-            orders: winner.orders,
-            segment_priorities: winner.priorities,
-            memory_plan: old_plan.memory_plan.clone(),
-            sub_microbatches: old_plan.sub_microbatches.clone(),
-            placement: winner.placement,
-            modalities,
-            topology_fingerprint: new_fingerprint,
-            stats: PlannerStats {
-                planning_time: start.elapsed(),
-                graph_build_cpu_time: build_cpu_time,
-                search_cpu_time,
-                search_evaluations: total_evaluations,
-                search_worker_evaluations: winner.worker_evaluations,
-                search_pruned_evaluations: total_pruned,
-                planned_time_s: winner.report.planned_time_s,
-                warm_started: true,
-                tier: PlanTier::Elastic,
-                ..PlannerStats::default()
-            },
-        };
+        let Evaluated { report, mut plan } = evaluated.swap_remove(best);
+        // The replan's bill covers every candidate; the worker split and the
+        // planned time stay the winner's own.
+        let stats = &mut plan.stats;
+        stats.planning_time = start.elapsed();
+        for other in evaluated.iter().map(|e| &e.plan.stats) {
+            stats.partition_time += other.partition_time;
+            stats.graph_build_time += other.graph_build_time;
+            stats.graph_build_cpu_time += other.graph_build_cpu_time;
+            stats.search_time += other.search_time;
+            stats.search_cpu_time += other.search_cpu_time;
+            stats.memopt_time += other.memopt_time;
+            stats.search_evaluations += other.search_evaluations;
+            stats.search_pruned_evaluations += other.search_pruned_evaluations;
+        }
         Ok(ElasticOutcome {
-            migration: winner.report.migration,
-            candidate: winner.report.candidate,
-            objective: winner.report.objective,
+            migration: report.migration,
+            candidate: report.candidate,
+            objective: report.objective,
             plan,
             delta,
             planning_virtual_s,
@@ -325,15 +263,19 @@ impl DipPlanner<'_> {
     /// path's equivalent is
     /// [`ElasticOutcome::planning_virtual_s`]` + migration.transfer_time_s`.
     pub fn cold_recovery_time_s(&self, cold_plan: &DipPlan) -> f64 {
-        let planning = self
+        let restore = full_restore_cost(self.spec, &cold_plan.placement, &self.topology);
+        self.virtual_planning_s(cold_plan) + restore.transfer_time_s
+    }
+
+    /// The virtual planning time of `plan`'s search: its evaluations priced
+    /// on the calibrated evaluation cost model at the plan's graph size.
+    fn virtual_planning_s(&self, plan: &DipPlan) -> f64 {
+        let per_evaluation = self
             .config
             .search
             .eval_cost
-            .seconds(cold_plan.graph.len() as u64)
-            .max(0.0)
-            * cold_plan.stats.search_evaluations as f64;
-        let restore = full_restore_cost(self.spec, &cold_plan.placement, &self.topology);
-        planning + restore.transfer_time_s
+            .seconds(plan.graph.len() as u64);
+        per_evaluation.max(0.0) * plan.stats.search_evaluations as f64
     }
 
     /// Builds the deterministic candidate list: Stay, one single-module
@@ -400,11 +342,7 @@ impl DipPlanner<'_> {
                 &self.topology,
             ),
             PlacementMode::LatencyBalanced => {
-                let representative = microbatches
-                    .iter()
-                    .max_by(|a, b| a.total_tokens().cmp(&b.total_tokens()))
-                    .cloned()
-                    .unwrap_or_default();
+                let representative = heaviest(microbatches).cloned().unwrap_or_default();
                 latency_balanced_separated_placement(
                     self.spec,
                     self.parallel,
@@ -429,9 +367,10 @@ impl DipPlanner<'_> {
         Some(rebalanced)
     }
 
-    /// Prices one candidate: migration cost, one stage-graph expansion
-    /// repriced under the old memory plan, and a seeded ordering search
-    /// under the elastic delta budget.
+    /// Prices one candidate: migration cost, then the elastic reuse policy
+    /// of the planning pipeline — one stage-graph expansion repriced under
+    /// the old memory plan and a seeded ordering search under the elastic
+    /// delta budget.
     fn evaluate_candidate(
         &self,
         microbatches: &[BatchWorkload],
@@ -448,56 +387,15 @@ impl DipPlanner<'_> {
             &self.topology,
             delta,
         );
-        let builder = StageGraphBuilder::new_on(self.spec, &placement, &self.topology)
-            .with_efficiency(self.config.efficiency)
-            .with_workers(self.config.search.workers.max(1));
-        let prepared = builder
-            .prepare(microbatches, &old_plan.sub_microbatches)
-            .planning_context("building stage graph for elastic replan")?;
-        let (mut graph, build_stats) = builder.build_prepared(&prepared);
-        graph.reprice(&old_plan.memory_plan);
-
-        let budget = self.activation_budget(&graph.static_memory);
-        let base_queue = DualQueueConfig {
-            memory_limit: Some(budget),
-            ..DualQueueConfig::default()
-        };
-        let delta_config = OrderingSearchConfig {
-            time_budget: config.delta_budget,
-            dual_queue: base_queue.clone(),
-            seed_ordering: Some(ordering_from_priorities(&old_plan.segment_priorities)),
-            ..self.config.search.clone()
-        };
-        let quota = delta_config.evaluation_quota(graph.len());
-        let num_segments = placement.segments.len();
-        let (priorities, orders, evaluations, worker_evaluations, pruned, cpu_time, planned) =
-            if self.config.enable_search && quota > 0 {
-                let result = search_ordering(&graph, num_segments, &delta_config);
-                (
-                    result.segment_priorities,
-                    result.orders,
-                    result.evaluations,
-                    result.worker_evaluations,
-                    result.pruned_evaluations,
-                    result.cpu_time,
-                    result.best_time_s,
-                )
-            } else {
-                let queue = DualQueueConfig {
-                    segment_priorities: old_plan.segment_priorities.clone(),
-                    ..base_queue
-                };
-                let (orders, makespan) = dual_queue::schedule(&graph, &queue);
-                (
-                    old_plan.segment_priorities.clone(),
-                    orders,
-                    1,
-                    Vec::new(),
-                    0,
-                    Duration::ZERO,
-                    makespan,
-                )
-            };
+        let plan = self.plan_with(
+            microbatches,
+            Reuse::Elastic {
+                anchor: old_plan,
+                placement,
+                budget: config.delta_budget,
+            },
+        )?;
+        let planned = plan.stats.planned_time_s;
         let objective = if config.migration_weight.is_infinite() {
             if migration.transfer_time_s > 0.0 {
                 f64::INFINITY
@@ -514,15 +412,7 @@ impl DipPlanner<'_> {
                 planned_time_s: planned,
                 objective,
             },
-            placement,
-            graph,
-            orders,
-            priorities,
-            evaluations,
-            worker_evaluations,
-            pruned,
-            search_cpu_time: cpu_time,
-            build_cpu_time: build_stats.cpu_time,
+            plan,
         })
     }
 }

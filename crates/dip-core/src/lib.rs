@@ -45,7 +45,7 @@
 //! otherwise:
 //!
 //! ```
-//! use dip_core::{PlanRequest, PlanningSession, PlannerConfig};
+//! use dip_core::{PlanRequest, PlanTier, PlanningSession, PlannerConfig};
 //! use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 //! use dip_pipeline::ParallelConfig;
 //! use dip_sim::ClusterSpec;
@@ -62,7 +62,8 @@
 //! assert!(execution.metrics.iteration_time_s > 0.0);
 //! // A second iteration with the same shape is served from the plan cache.
 //! let (repeat, _) = session.plan_and_simulate(&request).unwrap();
-//! assert!(repeat.cache_hit && !outcome.cache_hit);
+//! assert_eq!(outcome.tier, PlanTier::Cold);
+//! assert_eq!(repeat.tier, PlanTier::Exact);
 //! ```
 //!
 //! Single-shot planning remains available through [`DipPlanner`].

@@ -143,8 +143,8 @@ pub enum PlanTier {
     /// Served from the exact-signature plan cache without re-planning.
     Exact,
     /// Delta-replanned from an in-bucket neighbour's cached plan (the
-    /// neighbour's partition and memory plan are reused; only a tiny
-    /// seeded ordering search runs).
+    /// neighbour's placement, splits and memory plan are reused; only a
+    /// tiny seeded ordering search runs).
     Fuzzy,
     /// Elastically replanned across a cluster-topology change
     /// ([`DipPlanner::replan_elastic`]): the old plan's sub-microbatch
@@ -206,10 +206,6 @@ pub struct PlannerStats {
     pub search_worker_evaluations: Vec<u64>,
     /// The searcher's own estimate of the planned iteration time (seconds).
     pub planned_time_s: f64,
-    /// True when the plan was served from a [`crate::PlanningSession`]
-    /// cache instead of being computed (equivalent to
-    /// `tier == PlanTier::Exact`).
-    pub cache_hit: bool,
     /// True when the schedule search was warm-started from a previous
     /// iteration's best ordering.
     pub warm_started: bool,
@@ -247,6 +243,62 @@ pub struct DipPlan {
     pub topology_fingerprint: u64,
     /// Planner statistics.
     pub stats: PlannerStats,
+}
+
+/// Rejects a request with no microbatches: there is nothing to plan.
+pub(crate) fn require_microbatches(microbatches: &[BatchWorkload]) -> Result<(), DipError> {
+    if microbatches.is_empty() {
+        return Err(DipError::invalid_request(
+            "cannot plan an iteration with zero microbatches",
+        ));
+    }
+    Ok(())
+}
+
+/// The heaviest microbatch (most tokens; the last of equals), the
+/// representative workload of offline placement decisions.
+pub(crate) fn heaviest<'b>(
+    microbatches: impl IntoIterator<Item = &'b BatchWorkload>,
+) -> Option<&'b BatchWorkload> {
+    microbatches.into_iter().max_by_key(|b| b.total_tokens())
+}
+
+/// What a plan takes from an earlier plan — the one axis along which the
+/// cold, fuzzy and elastic tiers differ. Everything else is the single
+/// pipeline of [`DipPlanner::plan_with`].
+pub(crate) enum Reuse<'p> {
+    /// Adopts nothing: the full-budget search, warm-started from `seed`
+    /// when given, then the memory ILP, reprice and re-interleave.
+    Cold {
+        /// Warm-start ordering (normally a previous plan's best ordering).
+        seed: Option<&'p [usize]>,
+    },
+    /// Adopts the anchor's placement, splits and memory plan, reprices
+    /// before the search, and searches under
+    /// [`OrderingSearchConfig::delta_budget`] seeded from the anchor's
+    /// priorities.
+    Fuzzy(&'p DipPlan),
+    /// The fuzzy policy over a candidate placement, under the elastic
+    /// replanner's delta budget.
+    Elastic {
+        /// The plan running before the topology change.
+        anchor: &'p DipPlan,
+        /// The candidate placement on the new topology.
+        placement: Placement,
+        /// Virtual-time search budget ([`crate::ElasticConfig::delta_budget`]).
+        budget: Duration,
+    },
+}
+
+impl Reuse<'_> {
+    /// The tier a plan under this policy is reported as.
+    fn tier(&self) -> PlanTier {
+        match self {
+            Self::Cold { .. } => PlanTier::Cold,
+            Self::Fuzzy(_) => PlanTier::Fuzzy,
+            Self::Elastic { .. } => PlanTier::Elastic,
+        }
+    }
 }
 
 /// The sorted union of modalities across a request's microbatches.
@@ -441,13 +493,9 @@ impl<'a> DipPlanner<'a> {
         &self,
         microbatches: &[BatchWorkload],
     ) -> Result<PartitionerOutput, DipError> {
-        // Use the heaviest microbatch of the first iteration as the
+        // The heaviest microbatch of the first iteration is the
         // representative workload.
-        let representative = microbatches
-            .iter()
-            .max_by(|a, b| a.total_tokens().cmp(&b.total_tokens()))
-            .cloned()
-            .unwrap_or_default();
+        let representative = heaviest(microbatches).cloned().unwrap_or_default();
         self.offline_partition_if_absent(&representative)
     }
 
@@ -459,182 +507,18 @@ impl<'a> DipPlanner<'a> {
     /// Returns [`DipError`] wrapping failures from partitioning, stage-graph
     /// construction or memory optimisation.
     pub fn plan_iteration(&self, microbatches: &[BatchWorkload]) -> Result<DipPlan, DipError> {
-        self.plan_iteration_seeded(microbatches, None)
-    }
-
-    /// Like [`DipPlanner::plan_iteration`], but warm-starts the schedule
-    /// search from `seed_ordering` (normally the best ordering of a previous
-    /// iteration with a similar shape; see
-    /// [`crate::ordering_from_priorities`]). The [`crate::PlanningSession`]
-    /// layer uses this on every cache miss after the first plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DipError`] wrapping failures from partitioning, stage-graph
-    /// construction or memory optimisation.
-    pub fn plan_iteration_seeded(
-        &self,
-        microbatches: &[BatchWorkload],
-        seed_ordering: Option<&[usize]>,
-    ) -> Result<DipPlan, DipError> {
-        if microbatches.is_empty() {
-            return Err(DipError::invalid_request(
-                "cannot plan an iteration with zero microbatches",
-            ));
-        }
-        let start = Instant::now();
-        let partition = self.ensure_partition(microbatches)?;
-        let sub_plan = self
-            .partitioner()
-            .sub_microbatch_plan(&partition, microbatches);
-        let partition_time = start.elapsed();
-
-        // The plan's one full stage-graph expansion: workloads are split
-        // once (`prepare`), the blocks priced and wired in parallel on this
-        // plan's CPU-thread share. The memory plan chosen later is applied
-        // by an in-place reprice, never a rebuild.
-        let build_start = Instant::now();
-        let builder = StageGraphBuilder::new_on(self.spec, &partition.placement, &self.topology)
-            .with_efficiency(self.config.efficiency)
-            .with_workers(self.config.search.workers.max(1));
-        let prepared = builder
-            .prepare(microbatches, &sub_plan)
-            .planning_context("building stage graph")?;
-        let (graph, build_stats) = builder.build_prepared(&prepared);
-        let graph_build_time = build_start.elapsed();
-        let graph_build_cpu_time = build_stats.cpu_time;
-
-        let budget: Vec<u64> = self.activation_budget(&graph.static_memory);
-        let base_queue = DualQueueConfig {
-            memory_limit: Some(budget.clone()),
-            ..DualQueueConfig::default()
-        };
-
-        // Phase ①+②: segment reordering + stage interleaving.
-        let search_start = Instant::now();
-        let warm_started = self.config.enable_search && seed_ordering.is_some();
-        let (
-            priorities,
-            orders,
-            evaluations,
-            worker_evaluations,
-            pruned,
-            search_cpu_time,
-            planned_time,
-        ) = if self.config.enable_search {
-            let search_config = OrderingSearchConfig {
-                dual_queue: base_queue.clone(),
-                seed_ordering: seed_ordering.map(<[usize]>::to_vec),
-                ..self.config.search.clone()
-            };
-            let OrderingResult {
-                segment_priorities,
-                best_time_s,
-                evaluations,
-                worker_evaluations,
-                pruned_evaluations,
-                cpu_time,
-                orders,
-                ..
-            } = search_ordering(&graph, partition.placement.segments.len(), &search_config);
-            (
-                segment_priorities,
-                orders,
-                evaluations,
-                worker_evaluations,
-                pruned_evaluations,
-                cpu_time,
-                best_time_s,
-            )
-        } else {
-            let (orders, makespan) = dual_queue::schedule(&graph, &base_queue);
-            (
-                vec![0; partition.placement.segments.len()],
-                orders,
-                1,
-                Vec::new(),
-                0,
-                Duration::ZERO,
-                makespan,
-            )
-        };
-        let search_time = search_start.elapsed();
-
-        // Phase ③: per-layer memory optimisation — the per-rank ILPs run
-        // on this plan's CPU-thread share (`search.workers`, the same
-        // budget the search phase just released) — then reprice the graph
-        // in place with the chosen strategies and re-interleave with the
-        // same priorities. The reprice is bit-identical to a full rebuild
-        // (memory strategies only retime stages; dependencies and lags are
-        // untouched) at a fraction of the cost.
-        let memopt_start = Instant::now();
-        let (graph, orders, memory_plan, memopt_cpu_time, planned_time) =
-            if self.config.enable_memory_opt {
-                let memopt = optimize_memory_detailed(
-                    &graph,
-                    &orders,
-                    &budget,
-                    &self.config.memory,
-                    self.config.search.workers.max(1),
-                )?;
-                let memory_plan = memopt.plan;
-                let mut graph = graph;
-                graph.reprice(&memory_plan);
-                let queue = DualQueueConfig {
-                    segment_priorities: priorities.clone(),
-                    ..base_queue
-                };
-                let (orders, makespan) = dual_queue::schedule(&graph, &queue);
-                (graph, orders, memory_plan, memopt.cpu_time, makespan)
-            } else {
-                (
-                    graph,
-                    orders,
-                    MemoryPlan::new(),
-                    Duration::ZERO,
-                    planned_time,
-                )
-            };
-        let memopt_time = memopt_start.elapsed();
-
-        Ok(DipPlan {
-            graph,
-            orders,
-            segment_priorities: priorities,
-            memory_plan,
-            sub_microbatches: sub_plan,
-            placement: partition.placement,
-            modalities: request_modalities(microbatches),
-            topology_fingerprint: self.topology.fingerprint(),
-            stats: PlannerStats {
-                planning_time: start.elapsed(),
-                partition_time,
-                graph_build_time,
-                graph_build_cpu_time,
-                search_time,
-                search_cpu_time,
-                memopt_time,
-                memopt_cpu_time,
-                search_evaluations: evaluations,
-                search_worker_evaluations: worker_evaluations,
-                search_pruned_evaluations: pruned,
-                planned_time_s: planned_time,
-                cache_hit: false,
-                warm_started,
-                tier: PlanTier::Cold,
-            },
-        })
+        self.plan_with(microbatches, Reuse::Cold { seed: None })
     }
 
     /// Delta-replans one iteration from a cached neighbour's plan — the
     /// fuzzy tier of the [`crate::PlanningSession`] three-tier lookup. The
-    /// anchor's sub-microbatch splits and per-stage-pair memory strategies
-    /// are adopted as-is; the stage graph is expanded once for the *new*
-    /// workloads (so every stage is priced against the real shape) and
-    /// repriced in place under the adopted strategies; then only a tiny
-    /// ordering search runs, seeded from the anchor's best ordering and
-    /// budgeted by [`OrderingSearchConfig::delta_budget`] — no full MCTS
-    /// budget and no memory ILP. With a zero delta budget (or one too
+    /// anchor's placement, sub-microbatch splits and per-stage-pair memory
+    /// strategies are adopted as-is; the stage graph is expanded once for
+    /// the *new* workloads (so every stage is priced against the real
+    /// shape) and repriced in place under the adopted strategies; then only
+    /// a tiny ordering search runs, seeded from the anchor's best ordering
+    /// and budgeted by [`OrderingSearchConfig::delta_budget`] — no full
+    /// MCTS budget and no memory ILP. With a zero delta budget (or one too
     /// small to buy a single evaluation) the anchor's ordering is adopted
     /// verbatim: one deterministic interleave pass, no search at all.
     ///
@@ -646,169 +530,266 @@ impl<'a> DipPlanner<'a> {
     ///
     /// Returns [`DipError::InvalidRequest`] when the anchor is
     /// structurally incompatible with the request, with the message naming
-    /// the mismatched field — topology fingerprint, modality set,
-    /// microbatch count or segment count (callers fall back to a cold
-    /// plan) — and otherwise propagates stage-graph construction failures.
+    /// the mismatched field — parallel configuration, topology fingerprint,
+    /// modality set, microbatch count or segment count (callers fall back
+    /// to a cold plan) — and otherwise propagates stage-graph construction
+    /// failures.
     pub fn plan_iteration_delta(
         &self,
         microbatches: &[BatchWorkload],
         anchor: &DipPlan,
     ) -> Result<DipPlan, DipError> {
-        if microbatches.is_empty() {
-            return Err(DipError::invalid_request(
-                "cannot plan an iteration with zero microbatches",
-            ));
-        }
-        let fingerprint = self.topology.fingerprint();
-        if anchor.topology_fingerprint != fingerprint {
-            return Err(DipError::invalid_request(format!(
-                "anchor topology fingerprint {:#018x} does not match the \
-                 planner topology fingerprint {:#018x}",
-                anchor.topology_fingerprint, fingerprint
-            )));
-        }
+        self.check_anchor(microbatches, anchor, self.topology.fingerprint())?;
+        self.plan_with(microbatches, Reuse::Fuzzy(anchor))
+    }
+
+    /// The one compatibility check of every anchored replan: `anchor` can
+    /// seed a plan of `microbatches` only if it was planned for this
+    /// planner's parallel configuration, on the topology whose fingerprint
+    /// is `planned_on`, for the request's modality set and microbatch
+    /// count, and if its splits and priorities cover its own placement's
+    /// segments. Each mismatch is its own arm, and the
+    /// [`DipError::InvalidRequest`] message names the field.
+    pub(crate) fn check_anchor(
+        &self,
+        microbatches: &[BatchWorkload],
+        anchor: &DipPlan,
+        planned_on: u64,
+    ) -> Result<(), DipError> {
+        require_microbatches(microbatches)?;
         let modalities = request_modalities(microbatches);
-        if anchor.modalities != modalities {
-            return Err(DipError::invalid_request(format!(
+        let segments = anchor.placement.segments.len();
+        let mismatch = if anchor.placement.parallel != self.parallel {
+            format!(
+                "anchor parallel configuration {} does not match the planner \
+                 parallel configuration {}",
+                anchor.placement.parallel, self.parallel
+            )
+        } else if anchor.topology_fingerprint != planned_on {
+            format!(
+                "anchor topology fingerprint {:#018x} does not match the \
+                 expected topology fingerprint {planned_on:#018x}",
+                anchor.topology_fingerprint
+            )
+        } else if anchor.modalities != modalities {
+            format!(
                 "anchor modality set {:?} does not match the request \
-                 modality set {:?}",
-                anchor.modalities, modalities
-            )));
-        }
-        let start = Instant::now();
-        let sub_plan = anchor.sub_microbatches.clone();
-        if sub_plan.num_microbatches() != microbatches.len() {
-            return Err(DipError::invalid_request(format!(
+                 modality set {modalities:?}",
+                anchor.modalities
+            )
+        } else if anchor.sub_microbatches.num_microbatches() != microbatches.len() {
+            format!(
                 "anchor microbatch count {} does not match the request \
                  microbatch count {}",
-                sub_plan.num_microbatches(),
+                anchor.sub_microbatches.num_microbatches(),
                 microbatches.len()
-            )));
-        }
-        let partition = self.ensure_partition(microbatches)?;
-        let num_segments = partition.placement.segments.len();
-        if sub_plan.num_segments() != num_segments
-            || anchor.segment_priorities.len() != num_segments
+            )
+        } else if anchor.sub_microbatches.num_segments() != segments
+            || anchor.segment_priorities.len() != segments
         {
-            return Err(DipError::invalid_request(format!(
+            format!(
                 "anchor segment count {} ({} priorities) does not match the \
-                 partition segment count {}",
-                sub_plan.num_segments(),
-                anchor.segment_priorities.len(),
-                num_segments
-            )));
-        }
+                 placement segment count {segments}",
+                anchor.sub_microbatches.num_segments(),
+                anchor.segment_priorities.len()
+            )
+        } else {
+            return Ok(());
+        };
+        Err(DipError::invalid_request(mismatch))
+    }
+
+    /// The one planning pipeline behind every tier: placement and splits
+    /// (planned, or adopted from the anchor), one stage-graph expansion,
+    /// the reprice under an adopted memory plan, the activation budget, the
+    /// ordering step and — cold plans only — the memory ILP with its
+    /// reprice and re-interleave. `reuse` decides what comes from an
+    /// earlier plan; callers with an anchor run [`DipPlanner::check_anchor`]
+    /// first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DipError`] wrapping failures from partitioning, stage-graph
+    /// construction or memory optimisation.
+    pub(crate) fn plan_with(
+        &self,
+        microbatches: &[BatchWorkload],
+        reuse: Reuse<'_>,
+    ) -> Result<DipPlan, DipError> {
+        require_microbatches(microbatches)?;
+        let start = Instant::now();
+        let tier = reuse.tier();
+        let (anchor, placement, sub_plan, mut search) = match reuse {
+            Reuse::Cold { seed } => {
+                let partition = self.ensure_partition(microbatches)?;
+                let sub_plan = self
+                    .partitioner()
+                    .sub_microbatch_plan(&partition, microbatches);
+                let search = OrderingSearchConfig {
+                    seed_ordering: seed.map(<[usize]>::to_vec),
+                    ..self.config.search.clone()
+                };
+                (None, partition.placement, sub_plan, search)
+            }
+            Reuse::Fuzzy(anchor) => (
+                Some(anchor),
+                anchor.placement.clone(),
+                anchor.sub_microbatches.clone(),
+                self.delta_search(anchor, self.config.search.delta_budget),
+            ),
+            Reuse::Elastic {
+                anchor,
+                placement,
+                budget,
+            } => (
+                Some(anchor),
+                placement,
+                anchor.sub_microbatches.clone(),
+                self.delta_search(anchor, budget),
+            ),
+        };
         let partition_time = start.elapsed();
 
-        // One stage-graph expansion for the new shape. Reusing the anchor's
-        // sub-microbatch table keeps the stage-pair indexing aligned with
-        // the anchor's memory plan, so the strategies transfer one-to-one.
+        // The plan's one full stage-graph expansion: workloads are split
+        // once (`prepare`), the blocks priced and wired in parallel on this
+        // plan's CPU-thread share. Memory plans are applied by an in-place
+        // reprice, never a rebuild. An adopted sub-microbatch table keeps
+        // the stage-pair indexing aligned with the anchor's memory plan, so
+        // its strategies transfer one-to-one.
         let build_start = Instant::now();
-        let builder = StageGraphBuilder::new_on(self.spec, &partition.placement, &self.topology)
+        let builder = StageGraphBuilder::new_on(self.spec, &placement, &self.topology)
             .with_efficiency(self.config.efficiency)
             .with_workers(self.config.search.workers.max(1));
         let prepared = builder
             .prepare(microbatches, &sub_plan)
-            .planning_context("building stage graph for delta replan")?;
+            .planning_context("building stage graph")?;
         let (mut graph, build_stats) = builder.build_prepared(&prepared);
         let graph_build_time = build_start.elapsed();
 
-        // Adopt the anchor's memory strategies by repricing in place
-        // *before* scheduling, so the delta search sees final timings.
-        let memopt_start = Instant::now();
-        let memory_plan = anchor.memory_plan.clone();
-        graph.reprice(&memory_plan);
-        let memopt_time = memopt_start.elapsed();
+        // An adopted memory plan is applied *before* scheduling, so the
+        // delta search sees final timings.
+        let reprice_start = Instant::now();
+        if let Some(anchor) = anchor {
+            graph.reprice(&anchor.memory_plan);
+        }
+        let reprice_time = reprice_start.elapsed();
 
         let budget: Vec<u64> = self.activation_budget(&graph.static_memory);
-        let base_queue = DualQueueConfig {
-            memory_limit: Some(budget),
+        search.dual_queue = DualQueueConfig {
+            memory_limit: Some(budget.clone()),
             ..DualQueueConfig::default()
         };
 
+        // Phase ①+②: segment reordering + stage interleaving.
         let search_start = Instant::now();
-        let delta_config = OrderingSearchConfig {
-            time_budget: self.config.search.delta_budget,
-            dual_queue: base_queue.clone(),
-            seed_ordering: Some(ordering_from_priorities(&anchor.segment_priorities)),
-            ..self.config.search.clone()
-        };
-        let quota = delta_config.evaluation_quota(graph.len());
-        let (
-            priorities,
-            orders,
-            evaluations,
-            worker_evaluations,
-            pruned,
-            search_cpu_time,
-            planned_time,
-        ) = if self.config.enable_search && quota > 0 {
-            let OrderingResult {
-                segment_priorities,
-                best_time_s,
-                evaluations,
-                worker_evaluations,
-                pruned_evaluations,
-                cpu_time,
-                orders,
-                ..
-            } = search_ordering(&graph, num_segments, &delta_config);
-            (
-                segment_priorities,
-                orders,
-                evaluations,
-                worker_evaluations,
-                pruned_evaluations,
-                cpu_time,
-                best_time_s,
-            )
-        } else {
-            // Zero (or sub-evaluation) delta budget: serve the
-            // anchor's ordering verbatim.
-            let queue = DualQueueConfig {
-                segment_priorities: anchor.segment_priorities.clone(),
-                ..base_queue
-            };
-            let (orders, makespan) = dual_queue::schedule(&graph, &queue);
-            (
-                anchor.segment_priorities.clone(),
-                orders,
-                1,
-                Vec::new(),
-                0,
-                Duration::ZERO,
-                makespan,
-            )
-        };
+        let warm_started =
+            anchor.is_some() || (self.config.enable_search && search.seed_ordering.is_some());
+        let mut ordering = self.order(&graph, placement.segments.len(), &search, anchor);
         let search_time = search_start.elapsed();
+
+        // Phase ③ (cold plans): per-layer memory optimisation — the
+        // per-rank ILPs run on this plan's CPU-thread share (`search.workers`,
+        // the same budget the search phase just released) — then reprice
+        // the graph in place with the chosen strategies and re-interleave
+        // with the same priorities. The reprice is bit-identical to a full
+        // rebuild (memory strategies only retime stages; dependencies and
+        // lags are untouched) at a fraction of the cost.
+        let memopt_start = Instant::now();
+        let (memory_plan, memopt_cpu_time) = match anchor {
+            Some(anchor) => (anchor.memory_plan.clone(), Duration::ZERO),
+            None if self.config.enable_memory_opt => {
+                let memopt = optimize_memory_detailed(
+                    &graph,
+                    &ordering.orders,
+                    &budget,
+                    &self.config.memory,
+                    self.config.search.workers.max(1),
+                )?;
+                graph.reprice(&memopt.plan);
+                let queue = DualQueueConfig {
+                    segment_priorities: ordering.segment_priorities.clone(),
+                    ..search.dual_queue
+                };
+                (ordering.orders, ordering.best_time_s) = dual_queue::schedule(&graph, &queue);
+                (memopt.plan, memopt.cpu_time)
+            }
+            None => (MemoryPlan::new(), Duration::ZERO),
+        };
+        let memopt_time = reprice_time + memopt_start.elapsed();
 
         Ok(DipPlan {
             graph,
-            orders,
-            segment_priorities: priorities,
+            orders: ordering.orders,
+            segment_priorities: ordering.segment_priorities,
             memory_plan,
             sub_microbatches: sub_plan,
-            placement: partition.placement,
-            modalities,
-            topology_fingerprint: fingerprint,
+            placement,
+            modalities: request_modalities(microbatches),
+            topology_fingerprint: self.topology.fingerprint(),
             stats: PlannerStats {
                 planning_time: start.elapsed(),
                 partition_time,
                 graph_build_time,
                 graph_build_cpu_time: build_stats.cpu_time,
                 search_time,
-                search_cpu_time,
+                search_cpu_time: ordering.cpu_time,
                 memopt_time,
-                memopt_cpu_time: Duration::ZERO,
-                search_evaluations: evaluations,
-                search_worker_evaluations: worker_evaluations,
-                search_pruned_evaluations: pruned,
-                planned_time_s: planned_time,
-                cache_hit: false,
-                warm_started: true,
-                tier: PlanTier::Fuzzy,
+                memopt_cpu_time,
+                search_evaluations: ordering.evaluations,
+                search_pruned_evaluations: ordering.pruned_evaluations,
+                search_worker_evaluations: ordering.worker_evaluations,
+                planned_time_s: ordering.best_time_s,
+                warm_started,
+                tier,
             },
         })
+    }
+
+    /// The search configuration of an anchored replan: `time_budget` of
+    /// virtual time, seeded from the anchor's best ordering.
+    fn delta_search(&self, anchor: &DipPlan, time_budget: Duration) -> OrderingSearchConfig {
+        OrderingSearchConfig {
+            time_budget,
+            seed_ordering: Some(ordering_from_priorities(&anchor.segment_priorities)),
+            ..self.config.search.clone()
+        }
+    }
+
+    /// Phase ①+②: searches a segment ordering under `search`, or schedules
+    /// one ordering verbatim when search is disabled — or, for anchored
+    /// plans, when the budget buys no evaluation. The verbatim ordering
+    /// gives every segment priority zero on a cold plan and adopts the
+    /// anchor's priorities otherwise.
+    fn order(
+        &self,
+        graph: &StageGraph,
+        num_segments: usize,
+        search: &OrderingSearchConfig,
+        anchor: Option<&DipPlan>,
+    ) -> OrderingResult {
+        if self.config.enable_search
+            && (anchor.is_none() || search.evaluation_quota(graph.len()) > 0)
+        {
+            return search_ordering(graph, num_segments, search);
+        }
+        let segment_priorities =
+            anchor.map_or_else(|| vec![0; num_segments], |a| a.segment_priorities.clone());
+        let queue = DualQueueConfig {
+            segment_priorities: segment_priorities.clone(),
+            ..search.dual_queue.clone()
+        };
+        let (orders, best_time_s) = dual_queue::schedule(graph, &queue);
+        OrderingResult {
+            segment_priorities,
+            best_time_s,
+            evaluations: 1,
+            worker_evaluations: Vec::new(),
+            pruned_evaluations: 0,
+            evaluation_quota: 0,
+            cpu_time: Duration::ZERO,
+            progress: Vec::new(),
+            orders,
+        }
     }
 
     /// Simulates the deployment of a plan (workflow step ④), returning the

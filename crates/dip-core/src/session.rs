@@ -20,7 +20,7 @@
 //! * with [`SessionConfig::bucketing`] enabled, exact misses fall through
 //!   to a **fuzzy tier**: the request's quantised [`CanonicalSignature`]
 //!   is looked up in a bucket-keyed anchor cache, and an in-bucket
-//!   neighbour's plan is **delta-replanned** — the neighbour's
+//!   neighbour's plan is **delta-replanned** — the neighbour's placement,
 //!   sub-microbatch splits and memory plan are adopted, the stage graph is
 //!   expanded once for the real shape and repriced in place, and only a
 //!   tiny ordering search seeded from the neighbour's best ordering runs
@@ -56,7 +56,7 @@
 //! # Example
 //!
 //! ```
-//! use dip_core::{PlanRequest, PlanningSession, PlannerConfig};
+//! use dip_core::{PlanRequest, PlanTier, PlanningSession, PlannerConfig};
 //! use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 //! use dip_pipeline::ParallelConfig;
 //! use dip_sim::ClusterSpec;
@@ -74,13 +74,17 @@
 //!     .with(Modality::Image, ModalityWorkload::new(1690, 10))]);
 //! let first = session.plan(&request).unwrap();
 //! let second = session.plan(&request).unwrap();
-//! assert!(!first.cache_hit && second.cache_hit);
+//! assert_eq!(first.tier, PlanTier::Cold);
+//! assert_eq!(second.tier, PlanTier::Exact);
 //! assert_eq!(first.plan.orders, second.plan.orders);
 //! ```
 
 use crate::error::DipError;
 use crate::ordering::ordering_from_priorities;
-use crate::planner::{DipPlan, DipPlanner, PlanTier, PlannerConfig};
+use crate::planner::{
+    heaviest, require_microbatches, DipPlan, DipPlanner, PlanTier, PlannerConfig, PlannerStats,
+    Reuse,
+};
 use dip_models::{BatchWorkload, BucketingConfig, CanonicalSignature, LmmSpec};
 use dip_pipeline::{ExecutionOutcome, ParallelConfig};
 use dip_sim::ClusterSpec;
@@ -184,9 +188,6 @@ pub struct PlanOutcome {
     pub plan: DipPlan,
     /// The request's workload signature.
     pub signature: WorkloadSignature,
-    /// True when the plan was served verbatim from the session's exact
-    /// cache (equivalent to `tier == PlanTier::Exact`).
-    pub cache_hit: bool,
     /// Which tier of the three-tier lookup served this request.
     pub tier: PlanTier,
 }
@@ -702,11 +703,7 @@ impl<'a> PlanningSession<'a> {
     /// Returns [`DipError::InvalidRequest`] for an empty request, otherwise
     /// propagates the planner's [`DipError`].
     pub fn plan(&self, request: &PlanRequest) -> Result<PlanOutcome, DipError> {
-        if request.microbatches().is_empty() {
-            return Err(DipError::invalid_request(
-                "cannot plan an iteration with zero microbatches",
-            ));
-        }
+        require_microbatches(request.microbatches())?;
         let start = Instant::now();
         let signature = request.signature();
         let key = signature.with_topology(self.topology_fingerprint).as_u64();
@@ -759,18 +756,25 @@ impl<'a> PlanningSession<'a> {
         }
 
         // Fuzzy tier: an in-bucket anchor serves the request by delta
-        // replanning. A structurally incompatible anchor (different
-        // segment or microbatch count can share a bucket only across
-        // placement changes) falls through to a cold plan.
+        // replanning. Only an anchor the shared compatibility check rejects
+        // falls through to a cold plan; a delta replan that fails past the
+        // check is a failed request, booked as a miss.
         let fuzzy_key = self.fuzzy_key(request);
-        if let Some(fuzzy_key) = fuzzy_key {
-            if let Some(anchor) = self.fuzzy.write().get(fuzzy_key) {
-                if let Ok(plan) = self
-                    .planner
-                    .plan_iteration_delta(request.microbatches(), &anchor)
-                {
-                    return Ok(self.finish_fuzzy(plan, signature, key, start));
-                }
+        let anchor = fuzzy_key.and_then(|fuzzy_key| self.fuzzy.write().get(fuzzy_key));
+        if let Some(anchor) = anchor {
+            let microbatches = request.microbatches();
+            if self
+                .planner
+                .check_anchor(microbatches, &anchor, self.topology_fingerprint)
+                .is_ok()
+            {
+                return match self.planner.plan_with(microbatches, Reuse::Fuzzy(&anchor)) {
+                    Ok(plan) => Ok(self.finish_fuzzy(plan, signature, key, start)),
+                    Err(err) => {
+                        self.book_failure();
+                        Err(err)
+                    }
+                };
             }
         }
         self.plan_fresh(request, signature, key, fuzzy_key, start)
@@ -792,7 +796,6 @@ impl<'a> PlanningSession<'a> {
         let mut plan = DipPlan::clone(&cached);
         // The plan is identical to the cached original; only the
         // bookkeeping reflects the (near-zero) cost of serving it.
-        plan.stats.cache_hit = true;
         plan.stats.tier = PlanTier::Exact;
         plan.stats.planning_time = start.elapsed();
         plan.stats.partition_time = Duration::ZERO;
@@ -809,7 +812,6 @@ impl<'a> PlanningSession<'a> {
         Some(PlanOutcome {
             plan,
             signature,
-            cache_hit: true,
             tier: PlanTier::Exact,
         })
     }
@@ -834,33 +836,53 @@ impl<'a> PlanningSession<'a> {
             .cache
             .write()
             .insert(key, plan.clone(), self.config.cache_capacity);
-
-        let mut stats = self.stats.lock();
-        stats.requests += 1;
-        stats.fuzzy_hits += 1;
-        // A delta search always evaluates the identity and the anchor's
-        // seed ordering (2+ evaluations); the verbatim zero-budget path
-        // performs exactly one interleave pass.
-        if plan.stats.search_evaluations > 1 {
-            stats.delta_replans += 1;
-        }
-        stats.evictions += evicted;
-        stats.planning_time += plan.stats.planning_time;
-        stats.fuzzy_plan_time += plan.stats.planning_time;
-        stats.partition_time += plan.stats.partition_time;
-        stats.graph_build_time += plan.stats.graph_build_time;
-        stats.graph_build_cpu_time += plan.stats.graph_build_cpu_time;
-        stats.search_time += plan.stats.search_time;
-        stats.search_cpu_time += plan.stats.search_cpu_time;
-        stats.memopt_time += plan.stats.memopt_time;
-        drop(stats);
-
+        self.book_planned(&plan.stats, evicted);
         PlanOutcome {
             plan,
             signature,
-            cache_hit: false,
             tier: PlanTier::Fuzzy,
         }
+    }
+
+    /// Books a freshly planned request (fuzzy or cold, by `plan.tier`) and
+    /// the cache evictions its insertion caused: the tier counter, the
+    /// per-tier latency split and the per-phase totals.
+    fn book_planned(&self, plan: &PlannerStats, evicted: u64) {
+        let mut stats = self.stats.lock();
+        stats.requests += 1;
+        stats.evictions += evicted;
+        if plan.tier == PlanTier::Fuzzy {
+            stats.fuzzy_hits += 1;
+            // A delta search always evaluates the identity and the
+            // anchor's seed ordering (2+ evaluations); the verbatim
+            // zero-budget path performs exactly one interleave pass.
+            if plan.search_evaluations > 1 {
+                stats.delta_replans += 1;
+            }
+            stats.fuzzy_plan_time += plan.planning_time;
+        } else {
+            stats.cache_misses += 1;
+            if plan.warm_started {
+                stats.warm_started_plans += 1;
+            }
+            stats.cold_plan_time += plan.planning_time;
+        }
+        stats.planning_time += plan.planning_time;
+        stats.partition_time += plan.partition_time;
+        stats.graph_build_time += plan.graph_build_time;
+        stats.graph_build_cpu_time += plan.graph_build_cpu_time;
+        stats.search_time += plan.search_time;
+        stats.search_cpu_time += plan.search_cpu_time;
+        stats.memopt_time += plan.memopt_time;
+        stats.memopt_cpu_time += plan.memopt_cpu_time;
+    }
+
+    /// Books a request whose plan failed as a miss, keeping
+    /// `requests == exact_hits + fuzzy_hits + cache_misses` exact.
+    fn book_failure(&self) {
+        let mut stats = self.stats.lock();
+        stats.requests += 1;
+        stats.cache_misses += 1;
     }
 
     /// Runs the planner for a fresh signature and caches the result; when
@@ -879,18 +901,16 @@ impl<'a> PlanningSession<'a> {
         } else {
             None
         };
-        let planned = self
-            .planner
-            .plan_iteration_seeded(request.microbatches(), seed.as_deref());
+        let planned = self.planner.plan_with(
+            request.microbatches(),
+            Reuse::Cold {
+                seed: seed.as_deref(),
+            },
+        );
         let plan = match planned {
             Ok(plan) => plan,
             Err(err) => {
-                // A failed fresh plan still counts as a miss, keeping
-                // `requests == exact_hits + fuzzy_hits + cache_misses`
-                // exact.
-                let mut stats = self.stats.lock();
-                stats.requests += 1;
-                stats.cache_misses += 1;
+                self.book_failure();
                 return Err(err);
             }
         };
@@ -915,28 +935,10 @@ impl<'a> PlanningSession<'a> {
             }
         }
 
-        let mut stats = self.stats.lock();
-        stats.requests += 1;
-        stats.cache_misses += 1;
-        stats.evictions += evicted;
-        if plan.stats.warm_started {
-            stats.warm_started_plans += 1;
-        }
-        stats.planning_time += plan.stats.planning_time;
-        stats.cold_plan_time += plan.stats.planning_time;
-        stats.partition_time += plan.stats.partition_time;
-        stats.graph_build_time += plan.stats.graph_build_time;
-        stats.graph_build_cpu_time += plan.stats.graph_build_cpu_time;
-        stats.search_time += plan.stats.search_time;
-        stats.search_cpu_time += plan.stats.search_cpu_time;
-        stats.memopt_time += plan.stats.memopt_time;
-        stats.memopt_cpu_time += plan.stats.memopt_cpu_time;
-        drop(stats);
-
+        self.book_planned(&plan.stats, evicted);
         Ok(PlanOutcome {
             plan,
             signature,
-            cache_hit: false,
             tier: PlanTier::Cold,
         })
     }
@@ -978,11 +980,7 @@ impl<'a> PlanningSession<'a> {
     /// [`PlanningSession::offline_partition`] first to choose the
     /// representative yourself.)
     pub fn plan_many(&self, requests: &[PlanRequest]) -> Vec<Result<PlanOutcome, DipError>> {
-        let representative = requests
-            .iter()
-            .flat_map(|r| r.microbatches())
-            .max_by_key(|b| b.total_tokens())
-            .cloned();
+        let representative = heaviest(requests.iter().flat_map(|r| r.microbatches())).cloned();
         if let Some(representative) = representative {
             // Compute-if-absent under a single lock hold: concurrent
             // plan_many/plan calls on a fresh session pin exactly one
@@ -1204,9 +1202,9 @@ mod tests {
 
         let first = session.plan(&req).unwrap();
         let second = session.plan(&req).unwrap();
-        assert!(!first.cache_hit);
-        assert!(second.cache_hit);
-        assert!(second.plan.stats.cache_hit);
+        assert_ne!(first.tier, PlanTier::Exact);
+        assert_eq!(second.tier, PlanTier::Exact);
+        assert_eq!(second.plan.stats.tier, PlanTier::Exact);
         assert_eq!(first.signature, second.signature);
         assert_eq!(first.plan.orders, second.plan.orders);
         assert_eq!(
@@ -1281,11 +1279,19 @@ mod tests {
         let a = request(&[8, 32]);
         let b = request(&[40, 4]);
 
-        assert!(!session.plan(&a).unwrap().cache_hit);
-        assert!(session.plan(&a).unwrap().cache_hit);
-        assert!(!session.plan(&b).unwrap().cache_hit, "b evicts a");
+        assert_ne!(session.plan(&a).unwrap().tier, PlanTier::Exact);
+        assert_eq!(session.plan(&a).unwrap().tier, PlanTier::Exact);
+        assert_ne!(
+            session.plan(&b).unwrap().tier,
+            PlanTier::Exact,
+            "b evicts a"
+        );
         assert_eq!(session.cached_plans(), 1);
-        assert!(!session.plan(&a).unwrap().cache_hit, "a was evicted");
+        assert_ne!(
+            session.plan(&a).unwrap().tier,
+            PlanTier::Exact,
+            "a was evicted"
+        );
         assert_eq!(session.stats().evictions, 2);
     }
 
@@ -1304,7 +1310,7 @@ mod tests {
         session.clear();
         assert_eq!(session.cached_plans(), 0);
         let third = session.plan(&request(&[40, 4])).unwrap();
-        assert!(!third.cache_hit);
+        assert_ne!(third.tier, PlanTier::Exact);
         assert!(!third.plan.stats.warm_started, "clear() resets the seed");
     }
 
@@ -1314,15 +1320,15 @@ mod tests {
         let cluster = ClusterSpec::h800_cluster(2);
         let mut session = session(&spec, &cluster, SessionConfig::default());
         let req = request(&[10, 40]);
-        assert!(!session.plan(&req).unwrap().cache_hit);
-        assert!(session.plan(&req).unwrap().cache_hit);
+        assert_ne!(session.plan(&req).unwrap().tier, PlanTier::Exact);
+        assert_eq!(session.plan(&req).unwrap().tier, PlanTier::Exact);
 
         // Re-running the offline phase changes the placement; plans cached
         // against the old placement must not be served.
         session.offline_partition(&vlm_batch(48)).unwrap();
         assert_eq!(session.cached_plans(), 0);
         let outcome = session.plan(&req).unwrap();
-        assert!(!outcome.cache_hit);
+        assert_ne!(outcome.tier, PlanTier::Exact);
         assert!(!outcome.plan.stats.warm_started, "seed was dropped too");
     }
 
@@ -1342,8 +1348,8 @@ mod tests {
         let cluster = ClusterSpec::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::cold());
         let req = request(&[8, 32]);
-        assert!(!session.plan(&req).unwrap().cache_hit);
-        assert!(!session.plan(&req).unwrap().cache_hit);
+        assert_ne!(session.plan(&req).unwrap().tier, PlanTier::Exact);
+        assert_ne!(session.plan(&req).unwrap().tier, PlanTier::Exact);
         assert_eq!(session.cached_plans(), 0);
     }
 
@@ -1412,7 +1418,6 @@ mod tests {
 
         let fuzzy = session.plan(&neighbour).unwrap();
         assert_eq!(fuzzy.tier, PlanTier::Fuzzy);
-        assert!(!fuzzy.cache_hit, "a fuzzy hit is not an exact hit");
         assert_eq!(fuzzy.plan.stats.tier, PlanTier::Fuzzy);
         // The delta path reuses the anchor's memory plan and splits and
         // never runs the memory ILP.
@@ -1440,7 +1445,7 @@ mod tests {
         // identical request is now an exact hit.
         let repeat = session.plan(&neighbour).unwrap();
         assert_eq!(repeat.tier, PlanTier::Exact);
-        assert!(repeat.cache_hit);
+        assert_eq!(repeat.tier, PlanTier::Exact);
         assert_eq!(repeat.plan.orders, fuzzy.plan.orders);
         // The bucket's anchor is still the original cold plan.
         assert_eq!(session.fuzzy_anchors(), 1);
@@ -1480,20 +1485,32 @@ mod tests {
     fn incompatible_anchor_falls_back_to_a_cold_plan() {
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
-        // Bucket the microbatch *token* dimension so wide that two requests
-        // with different microbatch counts still differ (count is always
-        // exact), but craft a same-bucket pair whose anchor is fine — then
-        // check the structural guard directly on the planner.
         let session = session(&spec, &cluster, SessionConfig::fuzzy());
-        let cold = session.plan(&request(&[8, 32])).unwrap();
-        // A request with a different microbatch count can never reuse the
-        // anchor's splits; the planner rejects it and the session would
-        // plan cold.
+        let base = request(&[8, 32]);
+        let neighbour = PlanRequest::new(vec![vlm_batch_jittered(8, 7), vlm_batch_jittered(32, 3)]);
+        session.plan(&base).unwrap();
+
+        // Corrupt the bucket's anchor so the shared compatibility check
+        // rejects it: one priority short of its placement's segments.
+        let fuzzy_key = session.fuzzy_key(&neighbour).unwrap();
+        let mut anchor = DipPlan::clone(&session.fuzzy.write().get(fuzzy_key).unwrap());
+        anchor.segment_priorities.pop();
         let err = session
             .planner()
-            .plan_iteration_delta(request(&[8, 32, 4]).microbatches(), &cold.plan)
+            .plan_iteration_delta(neighbour.microbatches(), &anchor)
             .unwrap_err();
         assert!(matches!(err, DipError::InvalidRequest(_)));
+        assert!(err.to_string().contains("segment count"), "{err}");
+        session.fuzzy.write().insert(fuzzy_key, anchor, 64);
+
+        // The rejected anchor is skipped: the request is planned cold and
+        // booked as a miss, not a fuzzy hit.
+        let outcome = session.plan(&neighbour).unwrap();
+        assert_eq!(outcome.tier, PlanTier::Cold);
+        let stats = session.stats();
+        assert_eq!(stats.requests, 2);
+        assert_eq!(stats.cache_misses, 2);
+        assert_eq!(stats.fuzzy_hits, 0);
     }
 
     #[test]
@@ -1549,7 +1566,7 @@ mod tests {
         session.plan(&req).unwrap();
         let before = session.cache_lock_acquisitions();
         let outcome = session.plan(&req).unwrap();
-        assert!(outcome.cache_hit);
+        assert_eq!(outcome.tier, PlanTier::Exact);
         assert_eq!(
             session.cache_lock_acquisitions() - before,
             1,
@@ -1602,7 +1619,7 @@ mod tests {
             stats.requests,
             stats.exact_hits + stats.fuzzy_hits + stats.cache_misses
         );
-        assert!(parallel.plan(&requests[0]).unwrap().cache_hit);
+        assert_eq!(parallel.plan(&requests[0]).unwrap().tier, PlanTier::Exact);
     }
 
     #[test]

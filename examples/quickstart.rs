@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
+use dip_core::{PlanRequest, PlanTier, PlannerConfig, PlanningSession};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::baselines::{simulate_megatron, BaselineContext};
 use dip_pipeline::ParallelConfig;
@@ -79,9 +79,10 @@ fn main() {
     let (repeat, _) = session
         .plan_and_simulate(&request)
         .expect("cached planning");
+    let cached = repeat.tier == PlanTier::Exact;
     println!(
         "repeated shape: cache {} in {:.3} ms (session hit rate {:.0}%)",
-        if repeat.cache_hit { "hit" } else { "miss" },
+        if cached { "hit" } else { "miss" },
         repeat.plan.stats.planning_time.as_secs_f64() * 1e3,
         session.stats().hit_rate() * 100.0
     );

@@ -4,11 +4,14 @@
 //! replan stays within bounded simulated regret of a cold replan (while
 //! beating its recovery bill), and a fixed seed + failure schedule replays
 //! a bit-identical recovery sequence at any worker count — plus regression
-//! tests pinning the named `InvalidRequest` guard arms of
-//! `plan_iteration_delta`.
+//! tests pinning the named `InvalidRequest` arms of the anchor
+//! compatibility check shared by `plan_iteration_delta` and
+//! `replan_elastic`.
 
 use dip_bench::vlm_batch;
-use dip_core::{DipPlan, DipPlanner, ElasticCandidate, ElasticConfig, PlanTier, PlannerConfig};
+use dip_core::{
+    DipError, DipPlan, DipPlanner, ElasticCandidate, ElasticConfig, PlanTier, PlannerConfig,
+};
 use dip_data::FailureSchedule;
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::ParallelConfig;
@@ -309,9 +312,10 @@ fn recovery_sequence_is_bit_identical_across_worker_counts() {
 }
 
 // ---------------------------------------------------------------------------
-// Structural-guard regression tests: every `InvalidRequest` mismatch arm of
-// `plan_iteration_delta` fires on the matching malformed request and names
-// the mismatched field.
+// Structural-guard regression tests: the `InvalidRequest` mismatch arms of
+// `plan_iteration_delta` name the mismatched field, and every arm of the
+// shared anchor compatibility check fires through both anchored entry
+// points (`plan_iteration_delta` and `replan_elastic`).
 // ---------------------------------------------------------------------------
 
 fn text_batch(tokens: u64) -> BatchWorkload {
@@ -378,4 +382,76 @@ fn delta_guard_names_the_topology_fingerprint_mismatch() {
         err.to_string().contains("topology fingerprint"),
         "error must name the topology fingerprint: {err}"
     );
+}
+
+/// Breaks one field of an anchored request: the anchor plan, the request's
+/// microbatches, or both.
+type BreakRequest = fn(&mut DipPlan, &mut Vec<BatchWorkload>);
+
+#[test]
+fn anchor_guard_names_every_mismatched_field_on_both_entry_points() {
+    let spec = zoo::vlm_s();
+    let old_topology = ClusterTopology::mixed_h800_h20(1, 1);
+    let config = time_budgeted_config(2, 40, 3);
+    let planner = DipPlanner::on_topology(&spec, parallel(), old_topology.clone(), config.clone());
+    let new_planner = DipPlanner::on_topology(
+        &spec,
+        parallel(),
+        ClusterTopology::mixed_h800_h20(2, 0),
+        config,
+    );
+    let batches = vec![vlm_batch(8), vlm_batch(24)];
+    let anchor = planner.plan_iteration(&batches).unwrap();
+    let elastic = ElasticConfig::default();
+
+    // The intact request passes the check on both entry points.
+    planner.plan_iteration_delta(&batches, &anchor).unwrap();
+    new_planner
+        .replan_elastic(&batches, &anchor, &old_topology, &elastic)
+        .unwrap();
+
+    let arms: [(&str, BreakRequest); 5] = [
+        ("parallel configuration", |anchor, _| {
+            anchor.placement.parallel = ParallelConfig::new(2, 8, 1);
+        }),
+        ("topology fingerprint", |anchor, _| {
+            anchor.topology_fingerprint ^= 1;
+        }),
+        ("modality set", |_, batches| {
+            *batches = vec![text_batch(4096), text_batch(8192)];
+        }),
+        ("microbatch count", |_, batches| batches.push(vlm_batch(40))),
+        ("segment count", |anchor, _| {
+            anchor.segment_priorities.pop();
+        }),
+    ];
+    for (field, break_request) in arms {
+        let mut bad_anchor = anchor.clone();
+        let mut bad_batches = batches.clone();
+        break_request(&mut bad_anchor, &mut bad_batches);
+        let errors = [
+            (
+                "plan_iteration_delta",
+                planner
+                    .plan_iteration_delta(&bad_batches, &bad_anchor)
+                    .unwrap_err(),
+            ),
+            (
+                "replan_elastic",
+                new_planner
+                    .replan_elastic(&bad_batches, &bad_anchor, &old_topology, &elastic)
+                    .unwrap_err(),
+            ),
+        ];
+        for (entry, err) in errors {
+            assert!(
+                matches!(err, DipError::InvalidRequest(_)),
+                "{entry}: a broken {field} must be an invalid request: {err}"
+            );
+            assert!(
+                err.to_string().contains(field),
+                "{entry}: the error must name the {field}: {err}"
+            );
+        }
+    }
 }

@@ -4,7 +4,9 @@
 //! versus cold planning, and cached plans simulate to identical iteration
 //! times.
 
-use dip_core::{PlanRequest, PlannerConfig, PlanningSession, SessionConfig, WorkloadSignature};
+use dip_core::{
+    PlanRequest, PlanTier, PlannerConfig, PlanningSession, SessionConfig, WorkloadSignature,
+};
 use dip_data::{BatchGenerator, DatasetMix, DynamicWorkloadController, ImageBoundSchedule};
 use dip_models::zoo;
 use dip_pipeline::ParallelConfig;
@@ -50,11 +52,19 @@ fn second_pass_over_a_replayed_trace_is_served_from_the_cache() {
     for (i, request) in requests.iter().enumerate() {
         let (outcome, execution) = session.plan_and_simulate(request).unwrap();
         if i < 4 {
-            assert!(!outcome.cache_hit, "pass 1 iteration {i} must be a miss");
+            assert_ne!(
+                outcome.tier,
+                PlanTier::Exact,
+                "pass 1 iteration {i} must be a miss"
+            );
             first_pass.push((outcome.signature, execution.metrics.iteration_time_s));
         } else {
             let (signature, time) = first_pass[i - 4];
-            assert!(outcome.cache_hit, "pass 2 iteration {i} must hit the cache");
+            assert_eq!(
+                outcome.tier,
+                PlanTier::Exact,
+                "pass 2 iteration {i} must hit the cache"
+            );
             assert_eq!(outcome.signature, signature);
             // Identical plans simulate to identical iteration times.
             assert!(
@@ -124,7 +134,11 @@ fn shared_session_serves_eight_threads_with_exact_totals() {
 
     let shapes: Vec<PlanRequest> = replayed_requests(3, 1);
     for request in &shapes {
-        assert!(!session.plan(request).unwrap().cache_hit, "pre-warm miss");
+        assert_ne!(
+            session.plan(request).unwrap().tier,
+            PlanTier::Exact,
+            "pre-warm miss"
+        );
     }
 
     const THREADS: usize = 8;
@@ -137,7 +151,7 @@ fn shared_session_serves_eight_threads_with_exact_totals() {
                 for i in 0..ROUNDS {
                     let request = &shapes[(t + i) % shapes.len()];
                     let outcome = session.plan(request).unwrap();
-                    assert!(outcome.cache_hit, "thread {t} round {i} missed");
+                    assert_eq!(outcome.tier, PlanTier::Exact, "thread {t} round {i} missed");
                     assert_eq!(outcome.signature, request.signature());
                 }
             });
@@ -164,7 +178,7 @@ fn shared_session_serves_eight_threads_with_exact_totals() {
 #[test]
 fn fuzzy_tier_totals_partition_requests_under_contention() {
     use dip_bench::vlm_batch_jittered;
-    use dip_core::{BucketingConfig, PlanTier};
+    use dip_core::BucketingConfig;
 
     let spec = zoo::vlm_s();
     let cluster = ClusterSpec::h800_cluster(2);
@@ -206,7 +220,6 @@ fn fuzzy_tier_totals_partition_requests_under_contention() {
                     ]);
                     let outcome = session.plan(&request).unwrap();
                     assert_eq!(outcome.tier, PlanTier::Fuzzy, "thread {t} round {i}");
-                    assert!(!outcome.cache_hit, "a fuzzy hit is not an exact hit");
                 }
             });
         }
@@ -259,7 +272,7 @@ fn plan_many_plans_a_trace_concurrently_in_request_order() {
     assert!(stats.cache_misses >= 4);
     assert_eq!(session.cached_plans(), 4);
     for request in &requests {
-        assert!(session.plan(request).unwrap().cache_hit);
+        assert_eq!(session.plan(request).unwrap().tier, PlanTier::Exact);
     }
 }
 

@@ -72,7 +72,7 @@ proptest! {
         let a = via_spec.plan(&request).unwrap();
         let b = via_topology.plan(&request).unwrap();
         prop_assert_eq!(a.signature, b.signature);
-        prop_assert_eq!(a.cache_hit, b.cache_hit);
+        prop_assert_eq!(a.tier, b.tier);
         assert_plans_bit_identical(&a.plan, &b.plan);
         // Both paths key their caches identically, too.
         prop_assert_eq!(via_spec.cache_key(&request), via_topology.cache_key(&request));
