@@ -1,16 +1,21 @@
-//! Fig. 11: best-schedule quality versus elapsed search time for MCTS (DIP),
+//! Fig. 11: best-schedule quality versus search budget for MCTS (DIP),
 //! DFS and random exploration on the VLM-L setup — plus a warm-started MCTS
 //! row showing the effect of seeding the search with a previous iteration's
 //! best ordering (the planning-session layer does this automatically on
-//! every cache miss).
+//! every cache miss). The budget axis is virtual time: a progress point's
+//! stream-local evaluation index, so the quality columns are the same on
+//! any machine.
 //!
 //! Beyond quality, the table doubles as the evaluation-kernel throughput
-//! bench: the evaluations/sec and mean-kernel-wall-per-evaluation columns
-//! measure the zero-allocation workspace interleaver the search workers
-//! run, and the exported `search.kernel_identity` flag asserts the
-//! fixed-seed search result is bit-identical to a fresh allocating
-//! `schedule()` pass over the winning priorities (workspace reuse must
-//! never change a plan).
+//! bench. Evaluations/sec counts quota-accounted evaluations, memo hits
+//! included. The memo hit ratio is the share of completed evaluations the
+//! search's pass memo served without a pass, `1 − distinct / (evaluations
+//! − pruned)`. The kernel wall per pass divides the summed stream time by
+//! the distinct orderings, the passes the workers actually completed. The
+//! exported `search.kernel_identity` flag asserts the fixed-seed search
+//! result is bit-identical to a fresh allocating `schedule()` pass over the
+//! winning priorities (neither workspace reuse nor the memo may change a
+//! plan).
 
 use dip_bench::{print_table, vlm_batches_from_datasets, BenchReport, ExperimentScale, MetricKind};
 use dip_core::{
@@ -92,24 +97,27 @@ fn main() {
         kernel_identity &= check_orders == result.orders
             && check_makespan.to_bits() == result.best_time_s.to_bits();
 
-        let best_within = |cutoff: Duration| {
+        let best_within = |evaluations: u64| {
             result
                 .progress
                 .iter()
-                .filter(|p| p.elapsed <= cutoff)
+                .filter(|p| p.evaluation <= evaluations)
                 .map(|p| p.best_time_s)
                 .fold(f64::INFINITY, f64::min)
         };
-        // The incumbent before meaningful exploration: identity plus (for
-        // warm runs) the seeded ordering, both evaluated within the first
-        // few milliseconds.
-        let start_incumbent = best_within(Duration::from_millis(scale.search_ms / 20));
-        let halfway = best_within(Duration::from_millis(scale.search_ms / 2));
+        // The incumbent before exploration: identity plus (for warm runs)
+        // the seeded ordering, both evaluated before the streams start.
+        let start_incumbent = best_within(0);
+        let halfway = best_within(result.evaluation_quota / 2);
         // Kernel throughput: evaluations over the search's wall time, and
-        // the mean kernel wall per evaluation from the summed per-stream
-        // task time (what one evaluation costs a worker, amortised).
+        // the mean kernel wall per completed pass from the summed
+        // per-stream task time (memo hits run no pass, so dividing by
+        // evaluations would understate what one pass costs a worker).
         let evals_per_sec = result.evaluations as f64 / wall.as_secs_f64().max(1e-9);
-        let eval_wall_us = result.cpu_time.as_secs_f64() / (result.evaluations.max(1) as f64) * 1e6;
+        let eval_wall_us =
+            result.cpu_time.as_secs_f64() / (result.distinct_orderings.max(1) as f64) * 1e6;
+        let completed = result.evaluations - result.pruned_evaluations;
+        let memo_hit_ratio = 1.0 - result.distinct_orderings as f64 / completed.max(1) as f64;
         rows.push(vec![
             name.to_string(),
             format!("{:.3}", result.best_time_s),
@@ -117,6 +125,8 @@ fn main() {
             format!("{:.3}", start_incumbent),
             result.evaluations.to_string(),
             result.pruned_evaluations.to_string(),
+            result.distinct_orderings.to_string(),
+            format!("{memo_hit_ratio:.2}"),
             result.progress.len().to_string(),
             format!("{evals_per_sec:.0}"),
             format!("{eval_wall_us:.1}"),
@@ -141,6 +151,12 @@ fn main() {
             result.pruned_evaluations as f64,
         );
         report.push(
+            format!("search.{key}.distinct_orderings"),
+            MetricKind::Determinism,
+            "count",
+            result.distinct_orderings as f64,
+        );
+        report.push(
             format!("search.{key}.evals_per_sec"),
             MetricKind::Info,
             "1/s",
@@ -163,9 +179,11 @@ fn main() {
             "Start incumbent (s)",
             "Evaluations",
             "Pruned",
+            "Distinct",
+            "Memo hit ratio",
             "Improvements",
             "Evals/s",
-            "Kernel wall/eval (µs)",
+            "Kernel wall/pass (µs)",
         ],
         &rows,
     );

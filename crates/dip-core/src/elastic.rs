@@ -244,6 +244,7 @@ impl DipPlanner<'_> {
             stats.memopt_time += other.memopt_time;
             stats.search_evaluations += other.search_evaluations;
             stats.search_pruned_evaluations += other.search_pruned_evaluations;
+            stats.search_distinct_orderings += other.search_distinct_orderings;
         }
         Ok(ElasticOutcome {
             migration: report.migration,

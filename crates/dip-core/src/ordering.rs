@@ -35,16 +35,29 @@
 //! faster one it finishes early. Re-calibrate the cost model via
 //! [`dip_sim::CostModel::fit`] to tighten the correspondence — the plan
 //! only changes if the *quota* changes, never with the machine.)
+//!
+//! A quota counts **evaluations**, not interleave passes. Each
+//! [`search_ordering`] call owns a pass memo, shared by all of its streams,
+//! that maps a segment ordering to the makespan of its completed pass; an
+//! ordering evaluated again (by the same stream or another one) is a
+//! lookup that returns exactly what the pass would have returned, and it
+//! still counts in full against the stream's quota (and as pruned when it
+//! loses to the stream's cutoff). So the memo changes neither which
+//! orderings are explored nor which plan wins — only how many passes run,
+//! which [`OrderingResult::distinct_orderings`] reports. The memo lives
+//! for one search only, because the graph and the [`DualQueueConfig`] are
+//! fixed only within one call. [`OrderingSearchConfig::eval_cost`] and
+//! [`calibrate_eval_cost`] price a *real* pass; calibration never goes
+//! through the memo.
 
-use dip_pipeline::{
-    dual_queue, DualQueueConfig, RankOrders, ScheduleWorkspace, StageGraph, StageId,
-};
+use dip_pipeline::{dual_queue, DualQueueConfig, RankOrders, ScheduleWorkspace, StageGraph};
 use dip_sim::{CostModel, CostSample};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Which exploration strategy drives the ordering search.
@@ -83,11 +96,14 @@ pub struct OrderingSearchConfig {
     /// neighbour's ordering is adopted verbatim (one deterministic
     /// interleave pass, no search).
     pub delta_budget: Duration,
-    /// Calibrated cost model of one ordering evaluation (one dual-queue
-    /// interleave pass), per stage-graph item: the virtual clock rate that
-    /// converts [`Self::time_budget`] into an evaluation quota. Calibrate
-    /// it with [`calibrate_eval_cost`]; the default is the paper's
-    /// reference-CPU model.
+    /// Calibrated cost model of one ordering evaluation, priced as one
+    /// *real* dual-queue interleave pass per stage-graph item: the virtual
+    /// clock rate that converts [`Self::time_budget`] into an evaluation
+    /// quota. Memo hits are not cheaper in virtual time — they count in
+    /// full against the quota — so the budget buys the same evaluations
+    /// whether or not they repeat. Calibrate it with
+    /// [`calibrate_eval_cost`]; the default is the paper's reference-CPU
+    /// model.
     pub eval_cost: CostModel,
     /// Number of independent root-parallel search streams. The stream
     /// count — not the thread count — determines which orderings get
@@ -120,8 +136,9 @@ pub struct OrderingSearchConfig {
     /// cross-worker bit-identity is preserved. MCTS ignores this knob: its
     /// backpropagation needs the true rollout value even when it is worse
     /// than the incumbent (an aborted pass yields no value to credit the
-    /// tree path with, which would change how the tree grows). Disable
-    /// only to measure the pruning win itself.
+    /// tree path with, which would change how the tree grows). A memo hit
+    /// over the cutoff counts as pruned, exactly like the aborted pass it
+    /// stands in for. Disable only to measure the pruning win itself.
     pub prune_bounded_evaluations: bool,
     /// RNG seed. Stream `s` derives its RNG from `seed` and `s`; stream 0
     /// uses exactly the single-stream RNG.
@@ -181,6 +198,10 @@ impl OrderingSearchConfig {
 /// that aligns the virtual clock with the machine it runs on, exactly as
 /// the simulator's efficiency factors are aligned with measured kernels
 /// (§6.1 / Fig. 13).
+///
+/// Every sample is a full interleave pass, never a lookup in a search's
+/// pass memo: a quota charges a memo hit the price of a real pass, so the
+/// model must price real passes.
 ///
 /// This is an **offline** utility: it times real evaluations, so its output
 /// varies with the machine — feed the fitted model into
@@ -251,8 +272,16 @@ fn is_permutation(ordering: &[usize], num_segments: usize) -> bool {
 /// A point on the best-score-versus-time curve (Fig. 11).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SearchProgressPoint {
-    /// Elapsed search time when the improvement was found.
+    /// Elapsed search time when the improvement was found (wall clock,
+    /// informational).
     pub elapsed: Duration,
+    /// The stream-local evaluation count at which the improvement was
+    /// found, counting the improving evaluation itself; 0 for the
+    /// incumbents evaluated before the streams start (identity and warm
+    /// seed). Streams advance in lockstep in virtual time, so this is the
+    /// deterministic convergence index: the same seed yields the same
+    /// points at any worker count.
+    pub evaluation: u64,
     /// Best simulated iteration time found so far, in seconds.
     pub best_time_s: f64,
 }
@@ -265,6 +294,9 @@ pub struct OrderingResult {
     /// Best simulated iteration time found, in seconds.
     pub best_time_s: f64,
     /// Number of orderings evaluated (all streams plus the incumbents).
+    /// Memo hits count in full, so this is the quota-accounted work, not
+    /// the number of interleave passes run (see
+    /// [`Self::distinct_orderings`]).
     pub evaluations: u64,
     /// Orderings evaluated by each search stream, in stream-index order.
     /// Empty when the search was skipped (single-segment graphs).
@@ -273,9 +305,17 @@ pub struct OrderingResult {
     /// (see [`OrderingSearchConfig::prune_bounded_evaluations`]). Pruned
     /// evaluations still count against every quota, so this is a pure
     /// wall-clock win: `pruned_evaluations / evaluations` is the fraction
-    /// of interleave passes the search did not have to finish. Always 0
-    /// for MCTS, whose rollouts are never bounded.
+    /// of interleave passes the search did not have to finish. A memo hit
+    /// over the stream's cutoff counts here too. Always 0 for MCTS, whose
+    /// rollouts are never bounded.
     pub pruned_evaluations: u64,
+    /// Distinct segment orderings whose interleave pass completed during
+    /// this search: the final size of the search's pass memo (identity and
+    /// warm seed included). Every other completed evaluation was a memo
+    /// lookup, so `evaluations - pruned_evaluations - distinct_orderings`
+    /// passes were saved. Deterministic for a fixed seed at any worker
+    /// count, and never above `evaluations`.
+    pub distinct_orderings: u64,
     /// The deterministic per-stream evaluation quota the search ran under
     /// (0 when the search was skipped).
     pub evaluation_quota: u64,
@@ -287,9 +327,11 @@ pub struct OrderingResult {
     /// scaling there.
     pub cpu_time: Duration,
     /// Progress curve (monotonically decreasing best time, merged across
-    /// streams).
+    /// streams in [`SearchProgressPoint::evaluation`] order, so it is the
+    /// same at any worker count).
     pub progress: Vec<SearchProgressPoint>,
-    /// The per-rank orders realising the best time.
+    /// The per-rank orders realising the best time (one re-interleave of
+    /// [`Self::segment_priorities`] after the streams finish).
     pub orders: RankOrders,
 }
 
@@ -331,42 +373,50 @@ impl EvalContext {
 }
 
 /// Evaluates one ordering through the reusable workspace, returning the
-/// estimated iteration time; the per-rank orders are left in `ctx.ws` and
-/// the priorities in [`EvalContext::priorities`].
+/// estimated iteration time; the per-rank orders are left in `ctx.ws`.
+/// Always a real pass: [`calibrate_eval_cost`] times this.
 fn evaluate_into(graph: &StageGraph, ordering: &[usize], ctx: &mut EvalContext) -> f64 {
     ctx.set_ordering(ordering);
     dual_queue::schedule_into(graph, &ctx.config, &mut ctx.ws)
 }
 
-/// Like [`evaluate_into`] but aborts (returning `None`) as soon as the
-/// partial schedule provably exceeds `cutoff` — see
-/// [`dip_pipeline::schedule_bounded`] for why the bound is exact.
-fn evaluate_bounded(
-    graph: &StageGraph,
-    ordering: &[usize],
-    ctx: &mut EvalContext,
-    cutoff: f64,
-) -> Option<f64> {
-    ctx.set_ordering(ordering);
-    dual_queue::schedule_bounded(graph, &ctx.config, &mut ctx.ws, cutoff)
-}
+/// One search's pass memo: segment ordering → makespan of its completed
+/// interleave pass. Shared by every stream of one [`search_ordering`] call
+/// and dropped with it (the graph and dual-queue config are fixed only
+/// within a call). It holds makespans only, never orders.
+type PassMemo = Mutex<HashMap<Vec<usize>, f64>>;
 
-/// Evaluates one ordering with fresh allocations: the cold-path convenience
-/// used for the identity/warm incumbents (once per search, not per stream).
+/// Evaluates one ordering under `cutoff` — the single path every search
+/// evaluation takes. Writes the ordering's priorities into `ctx`, then
+/// looks the ordering up in `memo`: a hit returns `Some(m)` when
+/// `m <= cutoff` and `None` otherwise, which is exactly what
+/// [`dip_pipeline::schedule_bounded`] returns for that ordering (the bound
+/// is exact, see there). A miss runs the bounded pass and memoises only a
+/// completed result. `ctx.ws` holds orders only after a miss, so callers
+/// keep priorities, never orders.
 fn evaluate(
     graph: &StageGraph,
     ordering: &[usize],
-    base: &DualQueueConfig,
-) -> (f64, RankOrders, Vec<i64>) {
-    let mut ctx = EvalContext::new(base);
-    let makespan = evaluate_into(graph, ordering, &mut ctx);
-    let mut orders = RankOrders { orders: Vec::new() };
-    ctx.ws.write_orders_into(&mut orders);
-    (
-        makespan,
-        orders,
-        std::mem::take(&mut ctx.config.segment_priorities),
-    )
+    ctx: &mut EvalContext,
+    memo: &PassMemo,
+    cutoff: f64,
+) -> Option<f64> {
+    ctx.set_ordering(ordering);
+    let hit = memo
+        .lock()
+        .expect("a search stream panicked holding the pass memo")
+        .get(ordering)
+        .copied();
+    if let Some(makespan) = hit {
+        return (makespan <= cutoff).then_some(makespan);
+    }
+    let result = dual_queue::schedule_bounded(graph, &ctx.config, &mut ctx.ws, cutoff);
+    if let Some(makespan) = result {
+        memo.lock()
+            .expect("a search stream panicked holding the pass memo")
+            .insert(ordering.to_vec(), makespan);
+    }
+    result
 }
 
 /// One stream's private best-so-far state plus its bookkeeping. Streams
@@ -375,7 +425,6 @@ fn evaluate(
 struct WorkerOutcome {
     time_s: f64,
     priorities: Vec<i64>,
-    orders: RankOrders,
     progress: Vec<SearchProgressPoint>,
     evaluations: u64,
     /// How many of `evaluations` the cutoff bound aborted early. Pruned
@@ -391,7 +440,6 @@ impl WorkerOutcome {
         Self {
             time_s: incumbent.time_s,
             priorities: incumbent.priorities.clone(),
-            orders: incumbent.orders.clone(),
             progress: Vec::new(),
             evaluations: 0,
             pruned: 0,
@@ -399,30 +447,22 @@ impl WorkerOutcome {
         }
     }
 
+    /// Records `(time_s, priorities)` found at stream-local `evaluation`
+    /// when it strictly improves on this stream's best.
     fn record_if_better(
         &mut self,
         start: Instant,
+        evaluation: u64,
         time_s: f64,
         priorities: &[i64],
-        orders: &[Vec<StageId>],
     ) {
         if time_s < self.time_s {
             self.time_s = time_s;
             self.priorities.clear();
             self.priorities.extend_from_slice(priorities);
-            // Copy the orders reusing the incumbent's allocations: records
-            // are rare (strict improvements only) but there is no reason to
-            // reallocate what is already shaped right.
-            self.orders.orders.truncate(orders.len());
-            while self.orders.orders.len() < orders.len() {
-                self.orders.orders.push(Vec::new());
-            }
-            for (dst, src) in self.orders.orders.iter_mut().zip(orders) {
-                dst.clear();
-                dst.extend_from_slice(src);
-            }
             self.progress.push(SearchProgressPoint {
                 elapsed: start.elapsed(),
+                evaluation,
                 best_time_s: time_s,
             });
         }
@@ -444,14 +484,17 @@ pub fn search_ordering(
 ) -> OrderingResult {
     let start = Instant::now();
     let quota = config.evaluation_quota(graph.len());
+    let memo = PassMemo::default();
+    let mut ctx = EvalContext::new(&config.dual_queue);
     let identity: Vec<usize> = (0..num_segments).collect();
-    let (t0, o0, p0) = evaluate(graph, &identity, &config.dual_queue);
+    let t0 = evaluate(graph, &identity, &mut ctx, &memo, f64::INFINITY)
+        .expect("an infinite cutoff never aborts");
     let mut incumbent = WorkerOutcome {
         time_s: t0,
-        priorities: p0,
-        orders: o0,
+        priorities: ctx.priorities().to_vec(),
         progress: vec![SearchProgressPoint {
             elapsed: start.elapsed(),
+            evaluation: 0,
             best_time_s: t0,
         }],
         evaluations: 1,
@@ -467,9 +510,10 @@ pub fn search_ordering(
         .filter(|seed| is_permutation(seed, num_segments));
     let mut warm_time = None;
     if let Some(seed) = warm {
-        let (t, o, p) = evaluate(graph, seed, &config.dual_queue);
+        let t = evaluate(graph, seed, &mut ctx, &memo, f64::INFINITY)
+            .expect("an infinite cutoff never aborts");
         incumbent.evaluations += 1;
-        incumbent.record_if_better(start, t, &p, &o.orders);
+        incumbent.record_if_better(start, 0, t, ctx.priorities());
         warm_time = Some(t);
     }
 
@@ -485,6 +529,7 @@ pub fn search_ordering(
                         config,
                         quota,
                         warm.zip(warm_time),
+                        &memo,
                         &mut local,
                         start,
                         stream,
@@ -500,6 +545,7 @@ pub fn search_ordering(
                         num_segments,
                         config,
                         quota,
+                        &memo,
                         &mut local,
                         start,
                         stream,
@@ -512,14 +558,28 @@ pub fn search_ordering(
                 // as a single stream regardless of the configured count.
                 let dfs_start = Instant::now();
                 let mut local = WorkerOutcome::starting_from(&incumbent);
-                dfs_search(graph, num_segments, config, quota, &mut local, start);
+                dfs_search(graph, num_segments, config, quota, &memo, &mut local, start);
                 local.cpu = dfs_start.elapsed();
                 outcomes = vec![local];
             }
         }
     }
 
-    merge_outcomes(incumbent, outcomes, quota)
+    // Every completed evaluation's ordering is in the memo exactly once,
+    // and which evaluations complete does not depend on which stream ran
+    // first, so the final size is deterministic.
+    let distinct_orderings = memo
+        .into_inner()
+        .expect("a search stream panicked holding the pass memo")
+        .len() as u64;
+    merge_outcomes(
+        graph,
+        &config.dual_queue,
+        incumbent,
+        outcomes,
+        quota,
+        distinct_orderings,
+    )
 }
 
 /// Executes the configured number of independent search streams on
@@ -545,18 +605,22 @@ where
 /// Streams are visited in index order and only a *strictly* better time
 /// replaces the current best, so ties resolve to the lowest stream index —
 /// the stable tie-break that keeps fixed-seed searches deterministic.
+/// Streams keep only `(time, priorities)`, so the winner's orders come
+/// from one re-interleave of its priorities under `base`.
 fn merge_outcomes(
+    graph: &StageGraph,
+    base: &DualQueueConfig,
     incumbent: WorkerOutcome,
     outcomes: Vec<WorkerOutcome>,
     quota: u64,
+    distinct_orderings: u64,
 ) -> OrderingResult {
     let mut evaluations = incumbent.evaluations;
     let mut worker_evaluations = Vec::with_capacity(outcomes.len());
     let mut pruned_evaluations = 0u64;
-    let mut progress = incumbent.progress.clone();
+    let mut progress = incumbent.progress;
     let mut best_time = incumbent.time_s;
     let mut best_priorities = incumbent.priorities;
-    let mut best_orders = incumbent.orders;
     let mut cpu_time = Duration::ZERO;
     for outcome in &outcomes {
         evaluations += outcome.evaluations;
@@ -567,16 +631,15 @@ fn merge_outcomes(
         if outcome.time_s < best_time {
             best_time = outcome.time_s;
             best_priorities = outcome.priorities.clone();
-            best_orders = outcome.orders.clone();
         }
     }
-    // Merge the per-worker curves into one monotone best-so-far curve.
+    // Merge the per-stream curves into one monotone best-so-far curve in
+    // virtual-time order (stream-local evaluation index), never wall-clock
+    // order, so the curve does not depend on how streams were scheduled.
     progress.sort_by(|a, b| {
-        a.elapsed.cmp(&b.elapsed).then(
-            a.best_time_s
-                .partial_cmp(&b.best_time_s)
-                .unwrap_or(std::cmp::Ordering::Equal),
-        )
+        a.evaluation
+            .cmp(&b.evaluation)
+            .then(a.best_time_s.total_cmp(&b.best_time_s))
     });
     let mut merged = Vec::with_capacity(progress.len());
     let mut current = f64::INFINITY;
@@ -586,16 +649,27 @@ fn merge_outcomes(
             merged.push(point);
         }
     }
-    OrderingResult {
+    let queue = DualQueueConfig {
         segment_priorities: best_priorities,
+        ..base.clone()
+    };
+    let (orders, makespan) = dual_queue::schedule(graph, &queue);
+    debug_assert_eq!(
+        makespan.to_bits(),
+        best_time.to_bits(),
+        "the winner re-interleaves to its searched makespan"
+    );
+    OrderingResult {
+        segment_priorities: queue.segment_priorities,
         best_time_s: best_time,
         evaluations,
         worker_evaluations,
         pruned_evaluations,
+        distinct_orderings,
         evaluation_quota: if outcomes.is_empty() { 0 } else { quota },
         cpu_time,
         progress: merged,
-        orders: best_orders,
+        orders,
     }
 }
 
@@ -614,6 +688,7 @@ fn random_worker(
     num_segments: usize,
     config: &OrderingSearchConfig,
     quota: u64,
+    memo: &PassMemo,
     local: &mut WorkerOutcome,
     start: Instant,
     stream: usize,
@@ -632,17 +707,12 @@ fn random_worker(
         } else {
             f64::INFINITY
         };
-        match evaluate_bounded(graph, &ordering, &mut ctx, cutoff) {
-            Some(t) => {
-                local.evaluations += 1;
-                local.record_if_better(start, t, ctx.priorities(), ctx.ws.orders());
-            }
-            None => {
-                // Provably worse than the incumbent: counts against the
-                // quota exactly like a finished evaluation.
-                local.evaluations += 1;
-                local.pruned += 1;
-            }
+        // A pruned evaluation (provably worse than the incumbent) counts
+        // against the quota exactly like a finished one.
+        local.evaluations += 1;
+        match evaluate(graph, &ordering, &mut ctx, memo, cutoff) {
+            Some(t) => local.record_if_better(start, local.evaluations, t, ctx.priorities()),
+            None => local.pruned += 1,
         }
     }
 }
@@ -656,6 +726,7 @@ fn dfs_search(
     num_segments: usize,
     config: &OrderingSearchConfig,
     quota: u64,
+    memo: &PassMemo,
     local: &mut WorkerOutcome,
     start: Instant,
 ) {
@@ -666,6 +737,7 @@ fn dfs_search(
         graph: &StageGraph,
         config: &OrderingSearchConfig,
         quota: u64,
+        memo: &PassMemo,
         local: &mut WorkerOutcome,
         ctx: &mut EvalContext,
         start: Instant,
@@ -685,8 +757,8 @@ fn dfs_search(
                 f64::INFINITY
             };
             local.evaluations += 1;
-            match evaluate_bounded(graph, prefix, ctx, cutoff) {
-                Some(t) => local.record_if_better(start, t, ctx.priorities(), ctx.ws.orders()),
+            match evaluate(graph, prefix, ctx, memo, cutoff) {
+                Some(t) => local.record_if_better(start, local.evaluations, t, ctx.priorities()),
                 None => local.pruned += 1,
             }
             return;
@@ -694,7 +766,9 @@ fn dfs_search(
         for i in 0..remaining.len() {
             let seg = remaining.remove(i);
             prefix.push(seg);
-            recurse(graph, config, quota, local, ctx, start, prefix, remaining);
+            recurse(
+                graph, config, quota, memo, local, ctx, start, prefix, remaining,
+            );
             prefix.pop();
             remaining.insert(i, seg);
         }
@@ -706,6 +780,7 @@ fn dfs_search(
         graph,
         config,
         quota,
+        memo,
         local,
         &mut ctx,
         start,
@@ -786,6 +861,7 @@ fn mcts_worker(
     config: &OrderingSearchConfig,
     quota: u64,
     warm: Option<(&[usize], f64)>,
+    memo: &PassMemo,
     local: &mut WorkerOutcome,
     start: Instant,
     stream: usize,
@@ -868,10 +944,12 @@ fn mcts_worker(
             // Deliberately unbounded: backpropagation must credit the tree
             // path with the rollout's *true* time even when it is worse
             // than the incumbent — a cutoff-aborted rollout would yield no
-            // value and change how the tree grows.
-            let t = evaluate_into(graph, &ordering, &mut ctx);
+            // value and change how the tree grows. A repeated rollout is a
+            // memo lookup of that same true time.
+            let t = evaluate(graph, &ordering, &mut ctx, memo, f64::INFINITY)
+                .expect("an infinite cutoff never aborts");
             local.evaluations += 1;
-            local.record_if_better(start, t, ctx.priorities(), ctx.ws.orders());
+            local.record_if_better(start, local.evaluations, t, ctx.priorities());
             local_best = local_best.min(t);
         }
 
@@ -945,7 +1023,11 @@ mod tests {
     fn search_improves_or_matches_the_identity_ordering() {
         let (graph, n) = vlm_graph(6);
         let identity: Vec<usize> = (0..n).collect();
-        let (identity_time, _, _) = evaluate(&graph, &identity, &DualQueueConfig::default());
+        let identity_time = evaluate_into(
+            &graph,
+            &identity,
+            &mut EvalContext::new(&DualQueueConfig::default()),
+        );
         for strategy in [
             SearchStrategy::Mcts,
             SearchStrategy::Random,
@@ -996,7 +1078,11 @@ mod tests {
         // Cold search finds some best ordering.
         let cold = search_ordering(&graph, n, &quick_config(SearchStrategy::Mcts));
         let seed = ordering_from_priorities(&cold.segment_priorities);
-        let (seed_time, _, _) = evaluate(&graph, &seed, &DualQueueConfig::default());
+        let seed_time = evaluate_into(
+            &graph,
+            &seed,
+            &mut EvalContext::new(&DualQueueConfig::default()),
+        );
         // Warm search with zero exploration budget still holds the incumbent.
         let config = OrderingSearchConfig {
             time_budget: Duration::ZERO,
@@ -1089,6 +1175,28 @@ mod tests {
                 "{workers} workers"
             );
         }
+    }
+
+    /// The convergence index is deterministic: the merged progress curve's
+    /// `(evaluation, best time bits)` points do not depend on how many
+    /// threads ran the streams, nor on which stream hit the memo first.
+    #[test]
+    fn progress_points_are_identical_across_worker_counts() {
+        let (graph, n) = vlm_graph(4);
+        let points = |workers: usize| {
+            let result = search_ordering(&graph, n, &bounded_config(workers, 30));
+            let mut points: Vec<(u64, u64)> = result
+                .progress
+                .iter()
+                .map(|p| (p.evaluation, p.best_time_s.to_bits()))
+                .collect();
+            points.sort_unstable();
+            (points, result.distinct_orderings)
+        };
+        let (reference, distinct) = points(1);
+        assert_eq!(reference[0].0, 0, "the identity incumbent comes first");
+        assert!(reference.len() > 1, "the streams improved on the incumbent");
+        assert_eq!(points(4), (reference, distinct));
     }
 
     #[test]

@@ -200,6 +200,10 @@ pub struct PlannerStats {
     /// evaluations still count against every quota, so this is a pure
     /// wall-clock saving at an unchanged plan.
     pub search_pruned_evaluations: u64,
+    /// Distinct segment orderings whose interleave pass the searcher
+    /// actually completed (see [`crate::OrderingResult::distinct_orderings`]):
+    /// the rest of `search_evaluations` were memo lookups or pruned passes.
+    pub search_distinct_orderings: u64,
     /// Schedule candidates evaluated by each parallel search worker, in
     /// worker-index order (empty when the search was skipped or the graph
     /// has a single segment).
@@ -737,6 +741,7 @@ impl<'a> DipPlanner<'a> {
                 memopt_cpu_time,
                 search_evaluations: ordering.evaluations,
                 search_pruned_evaluations: ordering.pruned_evaluations,
+                search_distinct_orderings: ordering.distinct_orderings,
                 search_worker_evaluations: ordering.worker_evaluations,
                 planned_time_s: ordering.best_time_s,
                 warm_started,
@@ -785,6 +790,7 @@ impl<'a> DipPlanner<'a> {
             evaluations: 1,
             worker_evaluations: Vec::new(),
             pruned_evaluations: 0,
+            distinct_orderings: 1,
             evaluation_quota: 0,
             cpu_time: Duration::ZERO,
             progress: Vec::new(),

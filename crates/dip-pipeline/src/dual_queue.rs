@@ -143,23 +143,10 @@ impl ScheduleWorkspace {
 
     /// The per-rank execution orders produced by the most recent
     /// [`schedule_into`] / [`schedule_bounded`] pass (empty before the
-    /// first pass; partial after an aborted bounded pass).
+    /// first pass; partial after an aborted bounded pass or on a graph
+    /// with an unsatisfiable dependency).
     pub fn orders(&self) -> &[Vec<StageId>] {
         &self.orders
-    }
-
-    /// Copies the most recent pass's per-rank orders into `out`, reusing
-    /// `out`'s existing allocations (no allocation when `out` has already
-    /// held orders of the same shape).
-    pub fn write_orders_into(&self, out: &mut RankOrders) {
-        out.orders.truncate(self.orders.len());
-        while out.orders.len() < self.orders.len() {
-            out.orders.push(Vec::new());
-        }
-        for (dst, src) in out.orders.iter_mut().zip(&self.orders) {
-            dst.clear();
-            dst.extend_from_slice(src);
-        }
     }
 
     /// Clear-don't-drop reset for a graph of `n` items over `num_ranks`
@@ -265,6 +252,11 @@ pub fn schedule(graph: &StageGraph, config: &DualQueueConfig) -> (RankOrders, f6
 /// Bit-identical to [`schedule`] (the wrapper delegates here), but performs
 /// zero heap allocations once the workspace has warmed up on the graph's
 /// shape.
+///
+/// A graph with an unsatisfiable dependency (never built by
+/// [`crate::StageGraphBuilder`]) cannot be fully scheduled: the pass trips
+/// a debug assertion and, in release builds, reports an infinite makespan
+/// over the partial orders, so no search ever selects it.
 pub fn schedule_into(
     graph: &StageGraph,
     config: &DualQueueConfig,
@@ -363,9 +355,17 @@ fn schedule_core(
             }
         }
         let Some((start, rank, id, _relaxed)) = best else {
-            // Nothing is ready anywhere: the graph has unsatisfiable
-            // dependencies (should be impossible for a well-formed graph).
-            break;
+            // Nothing is ready anywhere although stages remain: the graph
+            // has an unsatisfiable dependency (impossible for a
+            // builder-made graph). A partial schedule has no makespan, so
+            // the pass reports an infinite one — it loses to every
+            // complete pass, and a bounded pass aborts as on any loss.
+            debug_assert!(
+                scheduled_count == n,
+                "unsatisfiable dependency: {} of {n} stages never became ready",
+                n - scheduled_count
+            );
+            return (f64::INFINITY <= cutoff).then_some(f64::INFINITY);
         };
 
         // Dequeue the chosen entry. Both the policy pick and the relaxed
@@ -722,20 +722,19 @@ mod tests {
     }
 
     #[test]
-    fn write_orders_into_reuses_allocations() {
-        let graph = lm_graph(4, 4);
+    #[cfg_attr(debug_assertions, should_panic(expected = "unsatisfiable dependency"))]
+    fn unsatisfiable_dependency_reports_an_infinite_makespan() {
+        let mut graph = lm_graph(3, 2);
+        graph.add_self_dependency(StageId(0));
+        let config = DualQueueConfig::default();
         let mut ws = ScheduleWorkspace::new();
-        schedule_into(&graph, &DualQueueConfig::default(), &mut ws);
-        let mut out = RankOrders { orders: Vec::new() };
-        ws.write_orders_into(&mut out);
-        assert_eq!(out.orders.as_slice(), ws.orders());
-        // A second write into the now-shaped target must not reallocate.
-        let caps: Vec<usize> = out.orders.iter().map(Vec::capacity).collect();
-        ws.write_orders_into(&mut out);
-        assert_eq!(out.orders.as_slice(), ws.orders());
-        assert_eq!(
-            caps,
-            out.orders.iter().map(Vec::capacity).collect::<Vec<_>>()
-        );
+        // Release builds: the partial pass is reported, never a finite
+        // makespan of the stages that did run.
+        assert!(schedule_into(&graph, &config, &mut ws).is_infinite());
+        assert!(ws.orders().iter().map(Vec::len).sum::<usize>() < graph.len());
+        assert!(schedule_bounded(&graph, &config, &mut ws, 1e9).is_none());
+        let (orders, makespan) = schedule(&graph, &config);
+        assert!(makespan.is_infinite());
+        assert!(orders.num_stages() < graph.len());
     }
 }

@@ -312,6 +312,24 @@ impl StageGraph {
     }
 }
 
+#[cfg(test)]
+impl StageGraph {
+    /// Makes item `id` depend on itself — a cycle no schedule can satisfy,
+    /// which the builder never produces. Both CSR slabs stay each other's
+    /// transpose.
+    pub(crate) fn add_self_dependency(&mut self, id: StageId) {
+        let arena = &mut self.arena;
+        arena.deps.insert(arena.dep_offsets[id.0 + 1], (id, 0.0));
+        for offset in &mut arena.dep_offsets[id.0 + 1..] {
+            *offset += 1;
+        }
+        arena.rdeps.insert(arena.rdep_offsets[id.0 + 1], (id, 0.0));
+        for offset in &mut arena.rdep_offsets[id.0 + 1..] {
+            *offset += 1;
+        }
+    }
+}
+
 /// Cost accounting of one stage-graph build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GraphBuildStats {

@@ -7,8 +7,12 @@
 //! dirtied on a differently-shaped graph before each comparison, because
 //! "reused scratch state leaks into the next evaluation" is exactly the
 //! bug class these properties exist to catch.
+//!
+//! The same holds for the ordering search's per-search pass memo: an
+//! ordering evaluated again is served from the memo, and the result must be
+//! exactly what a fresh pass over the winning priorities produces.
 
-use dip_core::ordering::{search_ordering, OrderingSearchConfig, SearchStrategy};
+use dip_core::ordering::{search_ordering, OrderingResult, OrderingSearchConfig, SearchStrategy};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{
     balanced_param_placement, dual_queue, DualQueueConfig, ParallelConfig, ScheduleWorkspace,
@@ -36,12 +40,13 @@ fn lm_graph(microbatches: usize, pp: usize, vpp: usize, tokens: u64) -> (StageGr
 
 /// A multimodal (text + image) graph with a split backbone — the richer
 /// dependency structure (modality bridges, loss-boundary edges) the
-/// search actually operates on.
-fn vlm_graph(microbatches: usize, images: u64) -> (StageGraph, usize) {
+/// search actually operates on. The encoder and adapter get one segment
+/// each, the backbone `backbone_segments`.
+fn vlm_graph(microbatches: usize, images: u64, backbone_segments: usize) -> (StageGraph, usize) {
     let spec = zoo::vlm_s();
     let parallel = ParallelConfig::new(4, 4, 1);
     let mut k = BTreeMap::new();
-    k.insert(spec.backbone_id().unwrap(), 2usize);
+    k.insert(spec.backbone_id().unwrap(), backbone_segments);
     let placement = dip_pipeline::separated_placement(&spec, parallel, &k);
     let cluster = ClusterSpec::h800_cluster(2);
     let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
@@ -102,7 +107,7 @@ proptest! {
         images in 1u64..20,
         p0 in 0u64..11,
     ) {
-        let (graph, n) = vlm_graph(microbatches, images);
+        let (graph, n) = vlm_graph(microbatches, images, 2);
         let mut priorities = vec![0i64; n];
         priorities[0] = p0 as i64 - 5;
         let config = DualQueueConfig {
@@ -146,7 +151,7 @@ fn search_config(strategy: SearchStrategy, workers: usize, prune: bool) -> Order
 /// optimisation, never a behaviour change.
 #[test]
 fn pruned_search_returns_the_same_best_plan_as_unpruned() {
-    let (graph, n) = vlm_graph(3, 10);
+    let (graph, n) = vlm_graph(3, 10, 2);
     let mut total_pruned = 0u64;
     for strategy in [SearchStrategy::Random, SearchStrategy::Dfs] {
         let reference = search_ordering(&graph, n, &search_config(strategy, 1, false));
@@ -154,8 +159,15 @@ fn pruned_search_returns_the_same_best_plan_as_unpruned() {
             reference.pruned_evaluations, 0,
             "{strategy:?}: unpruned search prunes nothing"
         );
+        let single = search_ordering(&graph, n, &search_config(strategy, 1, true));
         for workers in [1usize, 2, 4, 8] {
             let pruned = search_ordering(&graph, n, &search_config(strategy, workers, true));
+            // Memo hits over the cutoff count as pruned, so the pruned
+            // count does not depend on which stream evaluated first.
+            assert_eq!(
+                pruned.pruned_evaluations, single.pruned_evaluations,
+                "{strategy:?}/{workers} workers"
+            );
             assert_eq!(
                 pruned.segment_priorities, reference.segment_priorities,
                 "{strategy:?}/{workers} workers"
@@ -185,7 +197,7 @@ fn pruned_search_returns_the_same_best_plan_as_unpruned() {
 /// the knob must be a no-op there and the pruned counter must stay zero.
 #[test]
 fn mcts_is_unaffected_by_the_pruning_knob() {
-    let (graph, n) = vlm_graph(3, 10);
+    let (graph, n) = vlm_graph(3, 10, 2);
     let with_knob = search_ordering(&graph, n, &search_config(SearchStrategy::Mcts, 2, true));
     let without = search_ordering(&graph, n, &search_config(SearchStrategy::Mcts, 2, false));
     assert_eq!(with_knob.pruned_evaluations, 0);
@@ -196,4 +208,79 @@ fn mcts_is_unaffected_by_the_pruning_knob() {
         with_knob.best_time_s.to_bits(),
         without.best_time_s.to_bits()
     );
+}
+
+/// Checks a search result against one fresh allocating pass over its own
+/// winning priorities: a memo-served best time must carry the exact bits
+/// of a real pass, and the orders must be that pass's orders.
+fn assert_matches_a_fresh_pass(graph: &StageGraph, result: &OrderingResult, label: &str) {
+    let queue = DualQueueConfig {
+        segment_priorities: result.segment_priorities.clone(),
+        ..DualQueueConfig::default()
+    };
+    let (orders, makespan) = dual_queue::schedule(graph, &queue);
+    assert_eq!(result.best_time_s.to_bits(), makespan.to_bits(), "{label}");
+    assert_eq!(result.orders, orders, "{label}");
+    assert!(
+        result.distinct_orderings <= result.evaluations,
+        "{label}: {} distinct of {} evaluations",
+        result.distinct_orderings,
+        result.evaluations
+    );
+}
+
+/// The pass memo is exact on every strategy (MCTS, pruned random, pruned
+/// DFS) at 1 and 4 workers, and its final size is a deterministic count.
+#[test]
+fn memoised_search_matches_a_fresh_pass_at_every_worker_count() {
+    let (graph, n) = vlm_graph(3, 10, 2);
+    for strategy in [
+        SearchStrategy::Mcts,
+        SearchStrategy::Random,
+        SearchStrategy::Dfs,
+    ] {
+        let reference = search_ordering(&graph, n, &search_config(strategy, 1, true));
+        assert_matches_a_fresh_pass(&graph, &reference, &format!("{strategy:?}/1 worker"));
+        let parallel = search_ordering(&graph, n, &search_config(strategy, 4, true));
+        assert_matches_a_fresh_pass(&graph, &parallel, &format!("{strategy:?}/4 workers"));
+        assert_eq!(
+            parallel.distinct_orderings, reference.distinct_orderings,
+            "{strategy:?}"
+        );
+        assert_eq!(parallel.evaluations, reference.evaluations, "{strategy:?}");
+        assert_eq!(
+            parallel.best_time_s.to_bits(),
+            reference.best_time_s.to_bits(),
+            "{strategy:?}"
+        );
+    }
+    // Unpruned DFS repeats exactly one ordering: its first leaf is the
+    // identity the incumbent already memoised, every later leaf is new.
+    let dfs = search_ordering(&graph, n, &search_config(SearchStrategy::Dfs, 1, false));
+    assert_eq!(dfs.distinct_orderings, dfs.evaluations - 1);
+}
+
+/// On a 6-segment graph (720 orderings) the MCTS streams revisit
+/// orderings, so the memo is actually hit: fewer distinct orderings than
+/// evaluations, at either worker count, with the same count at both.
+#[test]
+fn mcts_memo_is_hit_on_a_six_segment_graph() {
+    let (graph, n) = vlm_graph(12, 10, 4);
+    assert_eq!(n, 6);
+    let config = |workers| OrderingSearchConfig {
+        max_evaluations: Some(120),
+        ..search_config(SearchStrategy::Mcts, workers, true)
+    };
+    let reference = search_ordering(&graph, n, &config(1));
+    assert!(
+        reference.distinct_orderings < reference.evaluations,
+        "{} distinct of {} evaluations: the memo was never hit",
+        reference.distinct_orderings,
+        reference.evaluations
+    );
+    assert_matches_a_fresh_pass(&graph, &reference, "MCTS/1 worker");
+    let parallel = search_ordering(&graph, n, &config(4));
+    assert_matches_a_fresh_pass(&graph, &parallel, "MCTS/4 workers");
+    assert_eq!(parallel.distinct_orderings, reference.distinct_orderings);
+    assert_eq!(parallel.segment_priorities, reference.segment_priorities);
 }
