@@ -8,10 +8,14 @@
 //!
 //! Beyond quality, the table doubles as the evaluation-kernel throughput
 //! bench. Evaluations/sec counts quota-accounted evaluations, memo hits
-//! included. The memo hit ratio is the share of completed evaluations the
-//! search's pass memo served without a pass, `1 − distinct / (evaluations
-//! − pruned)`. The kernel wall per pass divides the summed stream time by
-//! the distinct orderings, the passes the workers actually completed. The
+//! included. The memo hit ratio is the share of evaluations the search's
+//! pass memo (exact map or decision witness) answered without a pass,
+//! `1 − passes / evaluations`; passes include the ones the cutoff aborted,
+//! so pruned evaluations count as hits only when the memo answered them.
+//! The kernel wall per pass divides the summed stream time by the
+//! interleave passes the streams actually ran. The pass count can vary
+//! with thread timing when several workers share the memo, so it is
+//! reported as info, never gated. The
 //! exported `search.kernel_identity` flag asserts the fixed-seed search
 //! result is bit-identical to a fresh allocating `schedule()` pass over the
 //! winning priorities (neither workspace reuse nor the memo may change a
@@ -110,14 +114,14 @@ fn main() {
         let start_incumbent = best_within(0);
         let halfway = best_within(result.evaluation_quota / 2);
         // Kernel throughput: evaluations over the search's wall time, and
-        // the mean kernel wall per completed pass from the summed
-        // per-stream task time (memo hits run no pass, so dividing by
-        // evaluations would understate what one pass costs a worker).
+        // the mean kernel wall per pass from the summed per-stream task
+        // time (memo hits run no pass, so dividing by evaluations would
+        // understate what one pass costs a worker).
         let evals_per_sec = result.evaluations as f64 / wall.as_secs_f64().max(1e-9);
         let eval_wall_us =
-            result.cpu_time.as_secs_f64() / (result.distinct_orderings.max(1) as f64) * 1e6;
-        let completed = result.evaluations - result.pruned_evaluations;
-        let memo_hit_ratio = 1.0 - result.distinct_orderings as f64 / completed.max(1) as f64;
+            result.cpu_time.as_secs_f64() / (result.interleave_passes.max(1) as f64) * 1e6;
+        let memo_hit_ratio =
+            1.0 - result.interleave_passes as f64 / result.evaluations.max(1) as f64;
         rows.push(vec![
             name.to_string(),
             format!("{:.3}", result.best_time_s),
@@ -126,6 +130,7 @@ fn main() {
             result.evaluations.to_string(),
             result.pruned_evaluations.to_string(),
             result.distinct_orderings.to_string(),
+            result.interleave_passes.to_string(),
             format!("{memo_hit_ratio:.2}"),
             result.progress.len().to_string(),
             format!("{evals_per_sec:.0}"),
@@ -157,6 +162,12 @@ fn main() {
             result.distinct_orderings as f64,
         );
         report.push(
+            format!("search.{key}.interleave_passes"),
+            MetricKind::Info,
+            "count",
+            result.interleave_passes as f64,
+        );
+        report.push(
             format!("search.{key}.evals_per_sec"),
             MetricKind::Info,
             "1/s",
@@ -180,6 +191,7 @@ fn main() {
             "Evaluations",
             "Pruned",
             "Distinct",
+            "Passes",
             "Memo hit ratio",
             "Improvements",
             "Evals/s",

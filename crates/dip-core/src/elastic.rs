@@ -245,6 +245,7 @@ impl DipPlanner<'_> {
             stats.search_evaluations += other.search_evaluations;
             stats.search_pruned_evaluations += other.search_pruned_evaluations;
             stats.search_distinct_orderings += other.search_distinct_orderings;
+            stats.search_interleave_passes += other.search_interleave_passes;
         }
         Ok(ElasticOutcome {
             migration: report.migration,

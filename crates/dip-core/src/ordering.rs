@@ -38,17 +38,22 @@
 //!
 //! A quota counts **evaluations**, not interleave passes. Each
 //! [`search_ordering`] call owns a pass memo, shared by all of its streams,
-//! that maps a segment ordering to the makespan of its completed pass; an
-//! ordering evaluated again (by the same stream or another one) is a
-//! lookup that returns exactly what the pass would have returned, and it
-//! still counts in full against the stream's quota (and as pruned when it
-//! loses to the stream's cutoff). So the memo changes neither which
-//! orderings are explored nor which plan wins — only how many passes run,
-//! which [`OrderingResult::distinct_orderings`] reports. The memo lives
-//! for one search only, because the graph and the [`DualQueueConfig`] are
-//! fixed only within one call. [`OrderingSearchConfig::eval_cost`] and
-//! [`calibrate_eval_cost`] price a *real* pass; calibration never goes
-//! through the memo.
+//! with two tables. The exact map sends a segment ordering to the makespan
+//! of its completed evaluation. The witness list keeps, for every
+//! completed pass, its decision witness (see [`dip_pipeline::dual_queue`])
+//! and makespan: an ordering that ranks every segment above the segments
+//! it outranked in that pass reproduces the pass bit for bit. An ordering
+//! the exact map or a covering witness answers is a lookup that returns
+//! exactly what the pass would have returned, and it still counts in full
+//! against the stream's quota (and as pruned when it loses to the stream's
+//! cutoff) — witness hits included. So the memo changes neither which
+//! orderings are explored nor which plan wins, only how many passes run:
+//! [`OrderingResult::interleave_passes`] counts them, and
+//! [`OrderingResult::distinct_orderings`] the orderings whose evaluation
+//! completed. The memo's scope is one search, because the graph and the
+//! [`DualQueueConfig`] are fixed only within one call.
+//! [`OrderingSearchConfig::eval_cost`] and [`calibrate_eval_cost`] price a
+//! *real* pass; calibration never goes through the memo.
 
 use dip_pipeline::{dual_queue, DualQueueConfig, RankOrders, ScheduleWorkspace, StageGraph};
 use dip_sim::{CostModel, CostSample};
@@ -57,6 +62,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -99,9 +105,9 @@ pub struct OrderingSearchConfig {
     /// Calibrated cost model of one ordering evaluation, priced as one
     /// *real* dual-queue interleave pass per stage-graph item: the virtual
     /// clock rate that converts [`Self::time_budget`] into an evaluation
-    /// quota. Memo hits are not cheaper in virtual time — they count in
-    /// full against the quota — so the budget buys the same evaluations
-    /// whether or not they repeat. Calibrate it with
+    /// quota. Memo hits, exact or witness, are not cheaper in virtual time
+    /// — they count in full against the quota — so the budget buys the
+    /// same evaluations whether or not they repeat. Calibrate it with
     /// [`calibrate_eval_cost`]; the default is the paper's reference-CPU
     /// model.
     pub eval_cost: CostModel,
@@ -294,9 +300,9 @@ pub struct OrderingResult {
     /// Best simulated iteration time found, in seconds.
     pub best_time_s: f64,
     /// Number of orderings evaluated (all streams plus the incumbents).
-    /// Memo hits count in full, so this is the quota-accounted work, not
-    /// the number of interleave passes run (see
-    /// [`Self::distinct_orderings`]).
+    /// A quota counts evaluations, and memo hits — exact or witness —
+    /// count in full, so this is the quota-accounted work, not the number
+    /// of interleave passes run (see [`Self::interleave_passes`]).
     pub evaluations: u64,
     /// Orderings evaluated by each search stream, in stream-index order.
     /// Empty when the search was skipped (single-segment graphs).
@@ -309,13 +315,22 @@ pub struct OrderingResult {
     /// over the stream's cutoff counts here too. Always 0 for MCTS, whose
     /// rollouts are never bounded.
     pub pruned_evaluations: u64,
-    /// Distinct segment orderings whose interleave pass completed during
-    /// this search: the final size of the search's pass memo (identity and
-    /// warm seed included). Every other completed evaluation was a memo
-    /// lookup, so `evaluations - pruned_evaluations - distinct_orderings`
-    /// passes were saved. Deterministic for a fixed seed at any worker
-    /// count, and never above `evaluations`.
+    /// Distinct segment orderings whose evaluation completed during this
+    /// search, by a pass or a witness hit: the final size of the pass
+    /// memo's exact map (identity and warm seed included). Every other
+    /// completed evaluation repeated one of them. Deterministic for a fixed
+    /// seed at any worker count, and never above `evaluations -
+    /// pruned_evaluations`.
     pub distinct_orderings: u64,
+    /// Interleave passes the search actually ran, completed or aborted by
+    /// the cutoff (identity and warm seed included; the winner's final
+    /// re-interleave and [`calibrate_eval_cost`] are not). At most
+    /// `distinct_orderings + pruned_evaluations`; the gap to
+    /// `distinct_orderings` is what decision witnesses answered. Repeats
+    /// exactly at one worker; at more workers it can vary with thread
+    /// timing, as can which stream first runs a shared ordering — the plan
+    /// never varies.
+    pub interleave_passes: u64,
     /// The deterministic per-stream evaluation quota the search ran under
     /// (0 when the search was skipped).
     pub evaluation_quota: u64,
@@ -344,6 +359,9 @@ pub struct OrderingResult {
 struct EvalContext {
     config: DualQueueConfig,
     ws: ScheduleWorkspace,
+    /// The segment pairs the current priorities rank (see [`pair_mask`]),
+    /// reused across witness scans.
+    outranked: Vec<u64>,
 }
 
 impl EvalContext {
@@ -351,6 +369,7 @@ impl EvalContext {
         Self {
             config: base.clone(),
             ws: ScheduleWorkspace::new(),
+            outranked: Vec::new(),
         }
     }
 
@@ -380,20 +399,83 @@ fn evaluate_into(graph: &StageGraph, ordering: &[usize], ctx: &mut EvalContext) 
     dual_queue::schedule_into(graph, &ctx.config, &mut ctx.ws)
 }
 
-/// One search's pass memo: segment ordering → makespan of its completed
-/// interleave pass. Shared by every stream of one [`search_ordering`] call
-/// and dropped with it (the graph and dual-queue config are fixed only
-/// within a call). It holds makespans only, never orders.
-type PassMemo = Mutex<HashMap<Vec<usize>, f64>>;
+/// One search's pass memo, shared by every stream of one
+/// [`search_ordering`] call and dropped with it (the graph and dual-queue
+/// config are fixed only within a call). It holds makespans only, never
+/// orders.
+#[derive(Default)]
+struct PassMemo {
+    tables: Mutex<MemoTables>,
+    /// Interleave passes run through [`evaluate`], aborted ones included.
+    passes: AtomicU64,
+}
+
+#[derive(Default)]
+struct MemoTables {
+    /// Segment ordering → makespan, for every ordering whose evaluation
+    /// completed (by a pass or a witness hit).
+    exact: HashMap<Vec<usize>, f64>,
+    /// One decision witness per completed pass, back to back: the
+    /// [`pair_mask`] of the segment pairs the pass had to rank.
+    witnesses: Vec<u64>,
+    /// The makespan of each witness's pass.
+    witness_makespans: Vec<f64>,
+}
+
+impl PassMemo {
+    fn tables(&self) -> std::sync::MutexGuard<'_, MemoTables> {
+        self.tables
+            .lock()
+            .expect("a search stream panicked holding the pass memo")
+    }
+
+    /// `(distinct orderings, interleave passes)` of the finished search.
+    fn into_counts(self) -> (u64, u64) {
+        let tables = self
+            .tables
+            .into_inner()
+            .expect("a search stream panicked holding the pass memo");
+        (tables.exact.len() as u64, self.passes.into_inner())
+    }
+}
+
+/// Appends to `out` a bitset over the ordered pairs of `num_segments`
+/// segments: bit `s * num_segments + t` is set when `ranked(s, t)`. A
+/// witness scan compares two such masks, so one `u64` covers up to eight
+/// segments.
+fn pair_mask(num_segments: usize, out: &mut Vec<u64>, ranked: impl Fn(usize, usize) -> bool) {
+    let start = out.len();
+    out.resize(start + (num_segments * num_segments).div_ceil(64).max(1), 0);
+    let mask = &mut out[start..];
+    for s in 0..num_segments {
+        for t in 0..num_segments {
+            if ranked(s, t) {
+                let bit = s * num_segments + t;
+                mask[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+    }
+}
+
+/// True when an ordering that ranks the pairs `outranked` ranks every pair
+/// a pass's witness `required` — so it makes that pass's every decision
+/// (see [`dip_pipeline::dual_queue`]).
+fn covers(required: &[u64], outranked: &[u64]) -> bool {
+    required.iter().zip(outranked).all(|(r, o)| r & !o == 0)
+}
 
 /// Evaluates one ordering under `cutoff` — the single path every search
 /// evaluation takes. Writes the ordering's priorities into `ctx`, then
-/// looks the ordering up in `memo`: a hit returns `Some(m)` when
-/// `m <= cutoff` and `None` otherwise, which is exactly what
+/// answers from `memo` when it can: first from the exact map, then from
+/// any completed pass whose decision witness covers the ordering (every
+/// covering witness carries the same makespan bits, so the scan order does
+/// not matter). An answer `m` returns `Some(m)` when `m <= cutoff` and
+/// `None` otherwise, which is exactly what
 /// [`dip_pipeline::schedule_bounded`] returns for that ordering (the bound
-/// is exact, see there). A miss runs the bounded pass and memoises only a
-/// completed result. `ctx.ws` holds orders only after a miss, so callers
-/// keep priorities, never orders.
+/// is exact, see there); a witness answer within the cutoff joins the
+/// exact map as a completed evaluation. Otherwise the bounded pass runs,
+/// and only a completed pass is memoised, in both tables. `ctx.ws` holds
+/// orders only after a pass, so callers keep priorities, never orders.
 fn evaluate(
     graph: &StageGraph,
     ordering: &[usize],
@@ -402,19 +484,40 @@ fn evaluate(
     cutoff: f64,
 ) -> Option<f64> {
     ctx.set_ordering(ordering);
-    let hit = memo
-        .lock()
-        .expect("a search stream panicked holding the pass memo")
-        .get(ordering)
-        .copied();
-    if let Some(makespan) = hit {
-        return (makespan <= cutoff).then_some(makespan);
+    {
+        let mut tables = memo.tables();
+        if let Some(&makespan) = tables.exact.get(ordering) {
+            return (makespan <= cutoff).then_some(makespan);
+        }
+        // Missing priorities count as zero, as in the interleaver.
+        let priorities = &ctx.config.segment_priorities;
+        let priority = |seg: usize| priorities.get(seg).copied().unwrap_or(0);
+        ctx.outranked.clear();
+        pair_mask(graph.num_segments(), &mut ctx.outranked, |s, t| {
+            priority(s) > priority(t)
+        });
+        let witnessed = tables
+            .witnesses
+            .chunks_exact(ctx.outranked.len())
+            .position(|required| covers(required, &ctx.outranked))
+            .map(|pass| tables.witness_makespans[pass]);
+        if let Some(makespan) = witnessed {
+            if makespan <= cutoff {
+                tables.exact.insert(ordering.to_vec(), makespan);
+            }
+            return (makespan <= cutoff).then_some(makespan);
+        }
     }
+    memo.passes.fetch_add(1, AtomicOrdering::Relaxed);
     let result = dual_queue::schedule_bounded(graph, &ctx.config, &mut ctx.ws, cutoff);
     if let Some(makespan) = result {
-        memo.lock()
-            .expect("a search stream panicked holding the pass memo")
-            .insert(ordering.to_vec(), makespan);
+        let witness = ctx.ws.decision_witness();
+        let mut tables = memo.tables();
+        tables.exact.insert(ordering.to_vec(), makespan);
+        pair_mask(graph.num_segments(), &mut tables.witnesses, |s, t| {
+            witness.outranked(s)[t / 64] & (1 << (t % 64)) != 0
+        });
+        tables.witness_makespans.push(makespan);
     }
     result
 }
@@ -565,13 +668,11 @@ pub fn search_ordering(
         }
     }
 
-    // Every completed evaluation's ordering is in the memo exactly once,
-    // and which evaluations complete does not depend on which stream ran
-    // first, so the final size is deterministic.
-    let distinct_orderings = memo
-        .into_inner()
-        .expect("a search stream panicked holding the pass memo")
-        .len() as u64;
+    // Every completed evaluation's ordering is in the exact map once, and
+    // which evaluations complete does not depend on which stream ran first,
+    // so its final size is deterministic. The pass count is not: a stream
+    // may or may not find a covering witness depending on thread timing.
+    let (distinct_orderings, interleave_passes) = memo.into_counts();
     merge_outcomes(
         graph,
         &config.dual_queue,
@@ -579,6 +680,7 @@ pub fn search_ordering(
         outcomes,
         quota,
         distinct_orderings,
+        interleave_passes,
     )
 }
 
@@ -614,6 +716,7 @@ fn merge_outcomes(
     outcomes: Vec<WorkerOutcome>,
     quota: u64,
     distinct_orderings: u64,
+    interleave_passes: u64,
 ) -> OrderingResult {
     let mut evaluations = incumbent.evaluations;
     let mut worker_evaluations = Vec::with_capacity(outcomes.len());
@@ -666,6 +769,7 @@ fn merge_outcomes(
         worker_evaluations,
         pruned_evaluations,
         distinct_orderings,
+        interleave_passes,
         evaluation_quota: if outcomes.is_empty() { 0 } else { quota },
         cpu_time,
         progress: merged,

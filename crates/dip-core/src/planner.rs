@@ -200,10 +200,14 @@ pub struct PlannerStats {
     /// evaluations still count against every quota, so this is a pure
     /// wall-clock saving at an unchanged plan.
     pub search_pruned_evaluations: u64,
-    /// Distinct segment orderings whose interleave pass the searcher
-    /// actually completed (see [`crate::OrderingResult::distinct_orderings`]):
-    /// the rest of `search_evaluations` were memo lookups or pruned passes.
+    /// Distinct segment orderings whose evaluation the searcher completed
+    /// (see [`crate::OrderingResult::distinct_orderings`]): the rest of
+    /// `search_evaluations` repeated one of them or were pruned.
     pub search_distinct_orderings: u64,
+    /// Interleave passes the searcher actually ran (see
+    /// [`crate::OrderingResult::interleave_passes`]): repeats exactly at
+    /// one search worker, may vary with thread timing at more.
+    pub search_interleave_passes: u64,
     /// Schedule candidates evaluated by each parallel search worker, in
     /// worker-index order (empty when the search was skipped or the graph
     /// has a single segment).
@@ -742,6 +746,7 @@ impl<'a> DipPlanner<'a> {
                 search_evaluations: ordering.evaluations,
                 search_pruned_evaluations: ordering.pruned_evaluations,
                 search_distinct_orderings: ordering.distinct_orderings,
+                search_interleave_passes: ordering.interleave_passes,
                 search_worker_evaluations: ordering.worker_evaluations,
                 planned_time_s: ordering.best_time_s,
                 warm_started,
@@ -791,6 +796,7 @@ impl<'a> DipPlanner<'a> {
             worker_evaluations: Vec::new(),
             pruned_evaluations: 0,
             distinct_orderings: 1,
+            interleave_passes: 1,
             evaluation_quota: 0,
             cpu_time: Duration::ZERO,
             progress: Vec::new(),

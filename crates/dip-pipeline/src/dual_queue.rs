@@ -13,6 +13,40 @@
 //! single mixed segment and microbatch-index priorities it reproduces plain
 //! 1F1B; with "encoders before backbone" priorities it reproduces Optimus'
 //! coarse-grained schedule; DIP feeds it MCTS-derived segment priorities.
+//!
+//! # Decision witness
+//!
+//! Segment priorities enter a pass in one place only: reading the top of a
+//! (rank, direction) queue. A queue orders its entries by priority first and
+//! then by microbatch, sub-microbatch, ready time and id, none of which
+//! depends on the priorities, so that top is the best entry of the
+//! highest-priority segment with entries in the queue. Every pass therefore
+//! records a **decision witness** ([`ScheduleWorkspace::decision_witness`]):
+//! for each segment `s`, the set of other segments that had entries in the
+//! same queue while an entry of `s` was its top and was read — by the
+//! per-rank pick or by the relaxed deadlock path.
+//!
+//! The pass records that set when the entry is popped, which costs one
+//! bitset union per step instead of one per read. Nothing is lost: an entry
+//! below the top cannot leave its queue before the top does (only a top is
+//! popped, and keys never change in a queue), so every segment present at
+//! any read of a top is still present when that top is popped — and the
+//! pop follows a read of that very top in the same step, with no push in
+//! between. In a completed pass every queued entry is popped, so the sets
+//! recorded at pops are exactly the sets seen at reads. (When two segments
+//! share a priority the pass may keep a segment listed in a queue after
+//! its last entry left; a larger set only adds constraints.)
+//!
+//! The witness is sound: any priority vector that ranks every segment
+//! strictly above every segment in its set reproduces the pass exactly —
+//! the same per-rank orders and the same makespan bits. By induction over
+//! the steps, the queues hold the same entries in both passes; at each read
+//! the recorded top's segment still outranks every other segment present,
+//! so the read returns the same entry; and everything else a step consults
+//! (ready times, memory, in-flight counts, queue emptiness) never depends on
+//! the priorities. The ordering search uses this to answer a segment
+//! ordering from an earlier pass whenever the two orderings differ only on
+//! segment pairs that pass never had to rank against each other.
 
 use crate::graph::{Direction, StageGraph, StageId};
 use serde::{Deserialize, Serialize};
@@ -133,6 +167,8 @@ pub struct ScheduleWorkspace {
     inflight: Vec<usize>,
     /// Per-rank execution orders of the most recent pass.
     orders: Vec<Vec<StageId>>,
+    /// Decision-witness bookkeeping of the most recent pass.
+    witness: WitnessState,
 }
 
 impl ScheduleWorkspace {
@@ -149,10 +185,20 @@ impl ScheduleWorkspace {
         &self.orders
     }
 
+    /// The decision witness of the most recent pass (see the module docs).
+    /// It vouches for the pass only when the pass completed: after an
+    /// aborted bounded pass it is partial and vouches for nothing.
+    pub fn decision_witness(&self) -> DecisionWitness<'_> {
+        DecisionWitness {
+            words: self.witness.words,
+            bits: &self.witness.outranked,
+        }
+    }
+
     /// Clear-don't-drop reset for a graph of `n` items over `num_ranks`
-    /// ranks: every vector is cleared and refilled in place, every heap
-    /// keeps its buffer.
-    fn reset(&mut self, n: usize, num_ranks: usize) {
+    /// ranks and `num_segments` segments: every vector is cleared and
+    /// refilled in place, every heap keeps its buffer.
+    fn reset(&mut self, n: usize, num_ranks: usize, num_segments: usize) {
         self.remaining_deps.clear();
         self.ready_time.clear();
         self.ready_time.resize(n, 0.0);
@@ -180,6 +226,7 @@ impl ScheduleWorkspace {
         for order in &mut self.orders {
             order.clear();
         }
+        self.witness.reset(num_segments, 2 * num_ranks);
     }
 
     /// The capacity of every owned buffer, in a fixed order — the witness
@@ -198,6 +245,8 @@ impl ScheduleWorkspace {
             self.mem_used.capacity(),
             self.inflight.capacity(),
             self.orders.capacity(),
+            self.witness.present.capacity(),
+            self.witness.outranked.capacity(),
         ];
         sig.extend(self.fwd_queues.iter().map(BinaryHeap::capacity));
         sig.extend(self.bwd_queues.iter().map(BinaryHeap::capacity));
@@ -206,12 +255,95 @@ impl ScheduleWorkspace {
     }
 }
 
+/// The decision witness of one pass, borrowed from its
+/// [`ScheduleWorkspace`]: for each segment, the set of segments it
+/// outranked at a read of a queue top it held (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecisionWitness<'a> {
+    words: usize,
+    bits: &'a [u64],
+}
+
+impl<'a> DecisionWitness<'a> {
+    /// The segments `segment` outranked, as a bitset: segment `t` is bit
+    /// `t % 64` of word `t / 64`. Never contains `segment` itself.
+    pub fn outranked(&self, segment: usize) -> &'a [u64] {
+        &self.bits[segment * self.words..(segment + 1) * self.words]
+    }
+}
+
+/// Decision-witness bookkeeping of one pass: which segments have entries
+/// in each queue, and which segments each segment outranked when one of its
+/// entries was popped as a queue's top. Sized from the graph's segment and
+/// rank counts only, never from the priorities. Queue `2 * rank` is the
+/// rank's forward queue, `2 * rank + 1` its backward queue.
+#[derive(Debug, Clone, Default)]
+struct WitnessState {
+    /// `u64` words per segment bitset.
+    words: usize,
+    /// A superset of the segments with entries in each queue, `words`
+    /// words per queue; exact when no two segments share a priority.
+    present: Vec<u64>,
+    /// Per segment, the segments it outranked, `words` words per segment.
+    outranked: Vec<u64>,
+}
+
+impl WitnessState {
+    fn reset(&mut self, num_segments: usize, num_queues: usize) {
+        self.words = num_segments.div_ceil(64);
+        self.present.clear();
+        self.present.resize(num_queues * self.words, 0);
+        self.outranked.clear();
+        self.outranked.resize(num_segments * self.words, 0);
+    }
+
+    /// Notes an entry of `segment` pushed onto `queue`.
+    fn push(&mut self, queue: usize, segment: usize) {
+        self.present[queue * self.words + segment / 64] |= 1 << (segment % 64);
+    }
+
+    /// Records the pop of an entry of `segment`, the top of `queue`: it
+    /// outranked every other segment with entries in the queue.
+    /// `exhausted` says no entry of `segment` can remain: the queue is
+    /// empty or its new top has a lower priority. (Entries of one segment
+    /// share a priority, so a remaining one would outrank that top. With
+    /// a tie between segments the bit stays set, which only adds
+    /// constraints.) The segment's bit is cleared without a branch: whether
+    /// a segment is exhausted is as good as random to a branch predictor.
+    fn pop(&mut self, queue: usize, segment: usize, exhausted: bool) {
+        let (word, bit) = (segment / 64, 1 << (segment % 64));
+        let cleared = bit & u64::from(exhausted).wrapping_neg();
+        let w = self.words;
+        if w == 1 {
+            // Up to 64 segments, the common case: no slicing in the
+            // interleaver's innermost loop.
+            let present = self.present[queue];
+            self.outranked[segment] |= present & !bit;
+            self.present[queue] = present & !cleared;
+            return;
+        }
+        let present = &mut self.present[queue * w..(queue + 1) * w];
+        let outranked = &mut self.outranked[segment * w..(segment + 1) * w];
+        for (o, p) in outranked.iter_mut().zip(present.iter()) {
+            *o |= p;
+        }
+        outranked[word] &= !bit;
+        present[word] &= !cleared;
+    }
+}
+
+/// The witness index of `rank`'s queue for `direction`.
+fn queue_index(rank: usize, direction: Direction) -> usize {
+    2 * rank + usize::from(direction == Direction::Backward)
+}
+
 /// Enqueues item `idx` on its rank's direction queue.
 fn push_entry(
     graph: &StageGraph,
     priorities: &[i64],
     fwd_queues: &mut [BinaryHeap<QueueEntry>],
     bwd_queues: &mut [BinaryHeap<QueueEntry>],
+    witness: &mut WitnessState,
     ready: &[f64],
     idx: usize,
 ) {
@@ -223,6 +355,7 @@ fn push_entry(
         ready_time: ready[idx],
         id: item.id,
     };
+    witness.push(queue_index(item.rank, item.direction), item.segment);
     match item.direction {
         Direction::Forward => fwd_queues[item.rank].push(entry),
         Direction::Backward => bwd_queues[item.rank].push(entry),
@@ -292,7 +425,7 @@ fn schedule_core(
 ) -> Option<f64> {
     let n = graph.len();
     let num_ranks = graph.num_ranks;
-    ws.reset(n, num_ranks);
+    ws.reset(n, num_ranks, graph.num_segments());
     let priorities = config.segment_priorities.as_slice();
 
     // Dependency bookkeeping: counts from the forward CSR, release edges
@@ -311,6 +444,7 @@ fn schedule_core(
                 priorities,
                 &mut ws.fwd_queues,
                 &mut ws.bwd_queues,
+                &mut ws.witness,
                 &ws.ready_time,
                 idx,
             );
@@ -380,6 +514,11 @@ fn schedule_core(
             .pop()
             .expect("the chosen entry was peeked from this queue");
         debug_assert_eq!(popped.id, id, "the chosen entry is its queue's top");
+        let exhausted = queue
+            .peek()
+            .is_none_or(|top| top.priority < popped.priority);
+        ws.witness
+            .pop(queue_index(rank, item.direction), item.segment, exhausted);
 
         // Execute it.
         let end = start + item.duration;
@@ -419,6 +558,7 @@ fn schedule_core(
                     priorities,
                     &mut ws.fwd_queues,
                     &mut ws.bwd_queues,
+                    &mut ws.witness,
                     &ws.ready_time,
                     d,
                 );
@@ -668,6 +808,30 @@ mod tests {
                 "bounded round {round} allocated"
             );
         }
+    }
+
+    #[test]
+    fn witness_bookkeeping_spans_several_words() {
+        // 70 segments take two words per set, off the one-word fast path.
+        let mut state = WitnessState::default();
+        state.reset(70, 2);
+        for (queue, segment) in [(0, 3), (0, 3), (0, 65), (0, 69), (1, 65)] {
+            state.push(queue, segment);
+        }
+        state.pop(0, 69, true); // outranked 3 and 65
+        state.pop(0, 65, true); // outranked 3
+        state.pop(1, 65, true); // alone in its queue
+        state.pop(0, 3, false); // another entry of 3 remains
+        assert_eq!(state.present, [1 << 3, 0, 0, 0]);
+        state.pop(0, 3, true);
+        assert!(state.present.iter().all(|&word| word == 0));
+        let witness = DecisionWitness {
+            words: state.words,
+            bits: &state.outranked,
+        };
+        assert_eq!(witness.outranked(69), [1 << 3, 1 << 1]);
+        assert_eq!(witness.outranked(65), [1 << 3, 0]);
+        assert_eq!(witness.outranked(3), [0, 0]);
     }
 
     #[test]

@@ -102,10 +102,7 @@ pub fn execute(
                 Direction::Forward => TaskKind::Forward,
                 Direction::Backward => TaskKind::Backward,
             };
-            let mut task = Task::compute(item.rank, item.duration, kind).with_label(format!(
-                "{:?} seg{} mb{}.{} r{}",
-                item.direction, item.segment, item.microbatch, item.sub_microbatch, item.rank
-            ));
+            let mut task = Task::compute(item.rank, item.duration, kind);
             match item.direction {
                 Direction::Forward => {
                     task.mem_at_start = item.activation_bytes as i64;

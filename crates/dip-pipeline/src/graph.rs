@@ -237,6 +237,12 @@ impl StageGraph {
         self.arena.items.is_empty()
     }
 
+    /// Number of pipeline segments the graph covers; every item's
+    /// `segment` is below it.
+    pub fn num_segments(&self) -> usize {
+        self.num_segments
+    }
+
     /// The item with the given id.
     ///
     /// # Panics

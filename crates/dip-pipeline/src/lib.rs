@@ -72,7 +72,8 @@ pub mod placement;
 pub mod strategy;
 
 pub use dual_queue::{
-    schedule_bounded, schedule_into, DualQueueConfig, RankOrders, ScheduleWorkspace,
+    schedule_bounded, schedule_into, DecisionWitness, DualQueueConfig, RankOrders,
+    ScheduleWorkspace,
 };
 pub use executor::{execute, ExecutionOutcome, ExecutorConfig};
 pub use graph::{

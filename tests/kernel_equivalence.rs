@@ -9,14 +9,15 @@
 //! bug class these properties exist to catch.
 //!
 //! The same holds for the ordering search's per-search pass memo: an
-//! ordering evaluated again is served from the memo, and the result must be
-//! exactly what a fresh pass over the winning priorities produces.
+//! ordering evaluated again, or one a completed pass's decision witness
+//! covers, is served from the memo, and the result must be exactly what a
+//! fresh pass over the winning priorities produces.
 
 use dip_core::ordering::{search_ordering, OrderingResult, OrderingSearchConfig, SearchStrategy};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{
-    balanced_param_placement, dual_queue, DualQueueConfig, ParallelConfig, ScheduleWorkspace,
-    StageGraph, StageGraphBuilder, SubMicrobatchPlan,
+    balanced_param_placement, dual_queue, DecisionWitness, DualQueueConfig, ParallelConfig,
+    ScheduleWorkspace, StageGraph, StageGraphBuilder, SubMicrobatchPlan,
 };
 use dip_sim::ClusterSpec;
 use proptest::prelude::*;
@@ -214,6 +215,13 @@ fn mcts_is_unaffected_by_the_pruning_knob() {
 /// winning priorities: a memo-served best time must carry the exact bits
 /// of a real pass, and the orders must be that pass's orders.
 fn assert_matches_a_fresh_pass(graph: &StageGraph, result: &OrderingResult, label: &str) {
+    assert!(
+        result.interleave_passes <= result.distinct_orderings + result.pruned_evaluations,
+        "{label}: {} passes for {} distinct and {} pruned evaluations",
+        result.interleave_passes,
+        result.distinct_orderings,
+        result.pruned_evaluations
+    );
     let queue = DualQueueConfig {
         segment_priorities: result.segment_priorities.clone(),
         ..DualQueueConfig::default()
@@ -222,15 +230,18 @@ fn assert_matches_a_fresh_pass(graph: &StageGraph, result: &OrderingResult, labe
     assert_eq!(result.best_time_s.to_bits(), makespan.to_bits(), "{label}");
     assert_eq!(result.orders, orders, "{label}");
     assert!(
-        result.distinct_orderings <= result.evaluations,
-        "{label}: {} distinct of {} evaluations",
+        result.distinct_orderings <= result.evaluations - result.pruned_evaluations,
+        "{label}: {} distinct of {} completed evaluations",
         result.distinct_orderings,
-        result.evaluations
+        result.evaluations - result.pruned_evaluations
     );
 }
 
 /// The pass memo is exact on every strategy (MCTS, pruned random, pruned
-/// DFS) at 1 and 4 workers, and its final size is a deterministic count.
+/// DFS) at 1 and 4 workers: the plan and every deterministic counter
+/// (evaluations, pruned evaluations, distinct orderings) agree across
+/// worker counts, witness hits included. The pass count repeats at one
+/// worker and never exceeds one pass per distinct or pruned evaluation.
 #[test]
 fn memoised_search_matches_a_fresh_pass_at_every_worker_count() {
     let (graph, n) = vlm_graph(3, 10, 2);
@@ -249,9 +260,23 @@ fn memoised_search_matches_a_fresh_pass_at_every_worker_count() {
         );
         assert_eq!(parallel.evaluations, reference.evaluations, "{strategy:?}");
         assert_eq!(
+            parallel.pruned_evaluations, reference.pruned_evaluations,
+            "{strategy:?}"
+        );
+        assert_eq!(
+            parallel.segment_priorities, reference.segment_priorities,
+            "{strategy:?}"
+        );
+        assert_eq!(parallel.orders, reference.orders, "{strategy:?}");
+        assert_eq!(
             parallel.best_time_s.to_bits(),
             reference.best_time_s.to_bits(),
             "{strategy:?}"
+        );
+        let repeat = search_ordering(&graph, n, &search_config(strategy, 1, true));
+        assert_eq!(
+            repeat.interleave_passes, reference.interleave_passes,
+            "{strategy:?}: the pass count repeats at one worker"
         );
     }
     // Unpruned DFS repeats exactly one ordering: its first leaf is the
@@ -262,7 +287,9 @@ fn memoised_search_matches_a_fresh_pass_at_every_worker_count() {
 
 /// On a 6-segment graph (720 orderings) the MCTS streams revisit
 /// orderings, so the memo is actually hit: fewer distinct orderings than
-/// evaluations, at either worker count, with the same count at both.
+/// evaluations, at either worker count, with the same count at both. The
+/// decision witnesses are hit too: at one worker, fewer passes run than
+/// there are distinct orderings.
 #[test]
 fn mcts_memo_is_hit_on_a_six_segment_graph() {
     let (graph, n) = vlm_graph(12, 10, 4);
@@ -278,9 +305,139 @@ fn mcts_memo_is_hit_on_a_six_segment_graph() {
         reference.distinct_orderings,
         reference.evaluations
     );
+    assert!(
+        reference.interleave_passes < reference.distinct_orderings,
+        "{} passes for {} distinct orderings: no decision witness was hit",
+        reference.interleave_passes,
+        reference.distinct_orderings
+    );
     assert_matches_a_fresh_pass(&graph, &reference, "MCTS/1 worker");
     let parallel = search_ordering(&graph, n, &config(4));
     assert_matches_a_fresh_pass(&graph, &parallel, "MCTS/4 workers");
     assert_eq!(parallel.distinct_orderings, reference.distinct_orderings);
     assert_eq!(parallel.segment_priorities, reference.segment_priorities);
+}
+
+/// Every ordering of `segments` segments, in lexicographic order.
+fn all_orderings(segments: usize) -> Vec<Vec<usize>> {
+    fn extend(prefix: &mut Vec<usize>, segments: usize, out: &mut Vec<Vec<usize>>) {
+        if prefix.len() == segments {
+            out.push(prefix.clone());
+            return;
+        }
+        for seg in 0..segments {
+            if !prefix.contains(&seg) {
+                prefix.push(seg);
+                extend(prefix, segments, out);
+                prefix.pop();
+            }
+        }
+    }
+    let mut out = Vec::new();
+    extend(&mut Vec::new(), segments, &mut out);
+    out
+}
+
+/// The search's priority assignment: position `i` of `ordering` gets
+/// priority `n − i`.
+fn priorities_of(ordering: &[usize]) -> Vec<i64> {
+    let n = ordering.len();
+    let mut priorities = vec![0i64; n];
+    for (pos, &seg) in ordering.iter().enumerate() {
+        priorities[seg] = (n - pos) as i64;
+    }
+    priorities
+}
+
+/// True when `ordering` puts every segment ahead of every segment the
+/// witness says it outranked.
+fn witness_covers(witness: DecisionWitness<'_>, ordering: &[usize]) -> bool {
+    let mut position = vec![0usize; ordering.len()];
+    for (pos, &seg) in ordering.iter().enumerate() {
+        position[seg] = pos;
+    }
+    (0..ordering.len()).all(|s| {
+        let outranked = witness.outranked(s);
+        (0..ordering.len())
+            .all(|t| outranked[t / 64] & (1 << (t % 64)) == 0 || position[s] < position[t])
+    })
+}
+
+/// Decision-witness soundness, exhaustively on the 6-segment VLM-S graph
+/// (tp4 pp4, separated placement, 12 microbatches): for several reference
+/// orderings, every one of the 720 orderings the reference pass's witness
+/// covers reproduces its makespan bits and per-rank orders in a fresh
+/// `schedule`. It runs under the cluster's activation budgets and again
+/// with 1-byte budgets, which send every forward past a rank's first
+/// through the relaxed deadlock path. Covered orderings other than the reference must exist,
+/// or a witness demanding the full order would pass vacuously.
+#[test]
+fn decision_witness_covers_only_orderings_that_reproduce_the_pass() {
+    let (graph, n) = vlm_graph(12, 10, 4);
+    assert_eq!(n, 6);
+    let orderings = all_orderings(n);
+    // The identity plus orderings whose witnesses leave some segment
+    // pairs unranked under the activation budgets.
+    let references = [
+        vec![0, 1, 2, 3, 4, 5],
+        vec![0, 4, 1, 5, 3, 2],
+        vec![1, 5, 4, 3, 0, 2],
+        vec![0, 5, 3, 4, 1, 2],
+        vec![4, 0, 3, 5, 2, 1],
+    ];
+    let usable = ClusterSpec::h800_cluster(2).gpu.usable_memory();
+    let activation_budgets: Vec<u64> = graph
+        .static_memory
+        .iter()
+        .map(|s| usable.saturating_sub(*s))
+        .collect();
+    let budgets = [
+        ("activation budgets", activation_budgets),
+        ("1-byte budgets", vec![1u64; graph.num_ranks]),
+    ];
+    let mut ws = ScheduleWorkspace::new();
+    for (label, budget) in budgets {
+        let memory_limit = Some(budget);
+        let mut others_covered = 0usize;
+        for reference in &references {
+            let base = DualQueueConfig {
+                memory_limit: memory_limit.clone(),
+                ..DualQueueConfig::default()
+            };
+            let config = DualQueueConfig {
+                segment_priorities: priorities_of(reference),
+                ..base.clone()
+            };
+            let makespan = dual_queue::schedule_into(&graph, &config, &mut ws);
+            let orders = ws.orders().to_vec();
+            let witness = ws.decision_witness();
+            assert!(witness_covers(witness, reference), "{label}: {reference:?}");
+            for ordering in &orderings {
+                if !witness_covers(witness, ordering) {
+                    continue;
+                }
+                let (fresh_orders, fresh_makespan) = dual_queue::schedule(
+                    &graph,
+                    &DualQueueConfig {
+                        segment_priorities: priorities_of(ordering),
+                        ..base.clone()
+                    },
+                );
+                assert_eq!(
+                    fresh_makespan.to_bits(),
+                    makespan.to_bits(),
+                    "{label}: {ordering:?} covered by {reference:?}"
+                );
+                assert_eq!(
+                    fresh_orders.orders, orders,
+                    "{label}: {ordering:?} covered by {reference:?}"
+                );
+                others_covered += usize::from(ordering != reference);
+            }
+        }
+        assert!(
+            others_covered > 0,
+            "{label}: no witness covered an ordering besides its own"
+        );
+    }
 }
