@@ -9,13 +9,18 @@
 //! Beyond quality, the table doubles as the evaluation-kernel throughput
 //! bench. Evaluations/sec counts quota-accounted evaluations, memo hits
 //! included. The memo hit ratio is the share of evaluations the search's
-//! pass memo (exact map or decision witness) answered without a pass,
-//! `1 − passes / evaluations`; passes include the ones the cutoff aborted,
-//! so pruned evaluations count as hits only when the memo answered them.
-//! The kernel wall per pass divides the summed stream time by the
-//! interleave passes the streams actually ran. The pass count can vary
-//! with thread timing when several workers share the memo, so it is
-//! reported as info, never gated. The
+//! pass memo (exact map or a decision record covering the ordering whole)
+//! answered without a pass, `1 − passes / evaluations`; passes include the
+//! ones the cutoff aborted, so pruned evaluations count as hits only when
+//! the memo answered them. Every other pass resumes where the ordering
+//! stops agreeing with the best earlier pass: live steps per pass counts
+//! the stages a pass decided, and the replayed share the stages passes
+//! replayed instead. The kernel wall per pass divides the summed stream
+//! time by the interleave passes the streams actually ran. The pass and
+//! step counts can vary with thread timing when several workers share the
+//! memo, so they are reported as info — except for one extra cold MCTS
+//! run at one worker (`mcts_w1`), whose counts repeat exactly and are
+//! gated as determinism metrics: the kernel's work, bit for bit. The
 //! exported `search.kernel_identity` flag asserts the fixed-seed search
 //! result is bit-identical to a fresh allocating `schedule()` pass over the
 //! winning priorities (neither workspace reuse nor the memo may change a
@@ -72,20 +77,36 @@ fn main() {
     let mut seed_ordering: Option<Vec<usize>> = None;
     let mut kernel_identity = true;
     let mut rows = Vec::new();
-    for (name, key, strategy, warm) in [
-        ("DIP (MCTS)", "mcts", SearchStrategy::Mcts, false),
-        ("DIP (MCTS, warm)", "mcts_warm", SearchStrategy::Mcts, true),
-        ("DFS", "dfs", SearchStrategy::Dfs, false),
-        ("Random", "random", SearchStrategy::Random, false),
+    for (name, key, strategy, warm, one_worker) in [
+        ("DIP (MCTS)", "mcts", SearchStrategy::Mcts, false, false),
+        (
+            "DIP (MCTS, 1 worker)",
+            "mcts_w1",
+            SearchStrategy::Mcts,
+            false,
+            true,
+        ),
+        (
+            "DIP (MCTS, warm)",
+            "mcts_warm",
+            SearchStrategy::Mcts,
+            true,
+            false,
+        ),
+        ("DFS", "dfs", SearchStrategy::Dfs, false, false),
+        ("Random", "random", SearchStrategy::Random, false, false),
     ] {
         let mut config = base_config(strategy);
         if warm {
             config.seed_ordering = seed_ordering.clone();
         }
+        if one_worker {
+            config.workers = 1;
+        }
         let wall_start = Instant::now();
         let result = search_ordering(&graph, output.placement.segments.len(), &config);
         let wall = wall_start.elapsed();
-        if strategy == SearchStrategy::Mcts && !warm {
+        if key == "mcts" {
             seed_ordering = Some(ordering_from_priorities(&result.segment_priorities));
         }
 
@@ -122,6 +143,9 @@ fn main() {
             result.cpu_time.as_secs_f64() / (result.interleave_passes.max(1) as f64) * 1e6;
         let memo_hit_ratio =
             1.0 - result.interleave_passes as f64 / result.evaluations.max(1) as f64;
+        let live_per_pass = result.live_steps as f64 / result.interleave_passes.max(1) as f64;
+        let replayed_pct = 100.0 * result.replayed_steps as f64
+            / (result.live_steps + result.replayed_steps).max(1) as f64;
         rows.push(vec![
             name.to_string(),
             format!("{:.3}", result.best_time_s),
@@ -132,6 +156,8 @@ fn main() {
             result.distinct_orderings.to_string(),
             result.interleave_passes.to_string(),
             format!("{memo_hit_ratio:.2}"),
+            format!("{live_per_pass:.0}"),
+            format!("{replayed_pct:.1}"),
             result.progress.len().to_string(),
             format!("{evals_per_sec:.0}"),
             format!("{eval_wall_us:.1}"),
@@ -161,12 +187,24 @@ fn main() {
             "count",
             result.distinct_orderings as f64,
         );
-        report.push(
-            format!("search.{key}.interleave_passes"),
-            MetricKind::Info,
-            "count",
-            result.interleave_passes as f64,
-        );
+        // At one worker the kernel's work repeats exactly.
+        let work_kind = if one_worker {
+            MetricKind::Determinism
+        } else {
+            MetricKind::Info
+        };
+        for (metric, value) in [
+            ("interleave_passes", result.interleave_passes),
+            ("live_steps", result.live_steps),
+            ("replayed_steps", result.replayed_steps),
+        ] {
+            report.push(
+                format!("search.{key}.{metric}"),
+                work_kind,
+                "count",
+                value as f64,
+            );
+        }
         report.push(
             format!("search.{key}.evals_per_sec"),
             MetricKind::Info,
@@ -193,6 +231,8 @@ fn main() {
             "Distinct",
             "Passes",
             "Memo hit ratio",
+            "Live steps/pass",
+            "Replayed %",
             "Improvements",
             "Evals/s",
             "Kernel wall/pass (µs)",

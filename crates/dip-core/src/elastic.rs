@@ -246,6 +246,8 @@ impl DipPlanner<'_> {
             stats.search_pruned_evaluations += other.search_pruned_evaluations;
             stats.search_distinct_orderings += other.search_distinct_orderings;
             stats.search_interleave_passes += other.search_interleave_passes;
+            stats.search_live_steps += other.search_live_steps;
+            stats.search_replayed_steps += other.search_replayed_steps;
         }
         Ok(ElasticOutcome {
             migration: report.migration,

@@ -39,23 +39,36 @@
 //! A quota counts **evaluations**, not interleave passes. Each
 //! [`search_ordering`] call owns a pass memo, shared by all of its streams,
 //! with two tables. The exact map sends a segment ordering to the makespan
-//! of its completed evaluation. The witness list keeps, for every
-//! completed pass, its decision witness (see [`dip_pipeline::dual_queue`])
-//! and makespan: an ordering that ranks every segment above the segments
-//! it outranked in that pass reproduces the pass bit for bit. An ordering
-//! the exact map or a covering witness answers is a lookup that returns
-//! exactly what the pass would have returned, and it still counts in full
-//! against the stream's quota (and as pruned when it loses to the stream's
-//! cutoff) — witness hits included. So the memo changes neither which
-//! orderings are explored nor which plan wins, only how many passes run:
-//! [`OrderingResult::interleave_passes`] counts them, and
+//! of its completed evaluation. The record list keeps, for every completed
+//! pass, its decision record (see [`dip_pipeline::dual_queue`]): its
+//! requirement table, its pop log and requirement events (cut at the
+//! largest finite requirement step, past which nothing is ever replayed)
+//! and its makespan. An evaluation first looks the ordering up in the
+//! exact map, then scans every record for the ordering's largest resume
+//! point `j`. At `j = ∞` the ordering reproduces that pass bit for bit, and
+//! the lookup returns exactly what the pass would have returned. Otherwise
+//! the pass runs resumed at `j`: it replays the recorded pass's first `j`
+//! pops and decides only the rest (`j = 0` is a fresh pass). A resumed pass
+//! is still one pass, bit-identical to a fresh one.
+//!
+//! Every evaluation, a memo hit or not, counts in full against the
+//! stream's quota (and as pruned when it loses to the stream's cutoff). So
+//! the memo changes neither which orderings are explored nor which plan
+//! wins, only how much kernel work runs:
+//! [`OrderingResult::interleave_passes`] counts the passes,
+//! [`OrderingResult::live_steps`] and [`OrderingResult::replayed_steps`]
+//! the steps they decided and replayed, and
 //! [`OrderingResult::distinct_orderings`] the orderings whose evaluation
 //! completed. The memo's scope is one search, because the graph and the
 //! [`DualQueueConfig`] are fixed only within one call.
-//! [`OrderingSearchConfig::eval_cost`] and [`calibrate_eval_cost`] price a
-//! *real* pass; calibration never goes through the memo.
+//! [`OrderingSearchConfig::eval_cost`] and [`calibrate_eval_cost`] price
+//! and time *full* passes: calibration never goes through the memo and
+//! never resumes.
 
-use dip_pipeline::{dual_queue, DualQueueConfig, RankOrders, ScheduleWorkspace, StageGraph};
+use dip_pipeline::{
+    dual_queue, DualQueueConfig, PassPrefix, PassRecord, RankOrders, RequirementEvent,
+    ScheduleWorkspace, StageGraph, NO_REQUIREMENT,
+};
 use dip_sim::{CostModel, CostSample};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -105,9 +118,9 @@ pub struct OrderingSearchConfig {
     /// Calibrated cost model of one ordering evaluation, priced as one
     /// *real* dual-queue interleave pass per stage-graph item: the virtual
     /// clock rate that converts [`Self::time_budget`] into an evaluation
-    /// quota. Memo hits, exact or witness, are not cheaper in virtual time
-    /// — they count in full against the quota — so the budget buys the
-    /// same evaluations whether or not they repeat. Calibrate it with
+    /// quota. Memo hits and resumed passes are not cheaper in virtual
+    /// time — they count in full against the quota — so the budget buys
+    /// the same evaluations whether or not they repeat. Calibrate it with
     /// [`calibrate_eval_cost`]; the default is the paper's reference-CPU
     /// model.
     pub eval_cost: CostModel,
@@ -206,8 +219,8 @@ impl OrderingSearchConfig {
 /// (§6.1 / Fig. 13).
 ///
 /// Every sample is a full interleave pass, never a lookup in a search's
-/// pass memo: a quota charges a memo hit the price of a real pass, so the
-/// model must price real passes.
+/// pass memo nor a resumed pass: a quota charges a memo hit the price of a
+/// full pass, so the model must price full passes.
 ///
 /// This is an **offline** utility: it times real evaluations, so its output
 /// varies with the machine — feed the fitted model into
@@ -300,9 +313,9 @@ pub struct OrderingResult {
     /// Best simulated iteration time found, in seconds.
     pub best_time_s: f64,
     /// Number of orderings evaluated (all streams plus the incumbents).
-    /// A quota counts evaluations, and memo hits — exact or witness —
-    /// count in full, so this is the quota-accounted work, not the number
-    /// of interleave passes run (see [`Self::interleave_passes`]).
+    /// A quota counts evaluations, and memo hits — exact or record — count
+    /// in full, so this is the quota-accounted work, not the number of
+    /// interleave passes run (see [`Self::interleave_passes`]).
     pub evaluations: u64,
     /// Orderings evaluated by each search stream, in stream-index order.
     /// Empty when the search was skipped (single-segment graphs).
@@ -316,21 +329,30 @@ pub struct OrderingResult {
     /// rollouts are never bounded.
     pub pruned_evaluations: u64,
     /// Distinct segment orderings whose evaluation completed during this
-    /// search, by a pass or a witness hit: the final size of the pass
+    /// search, by a pass or a record hit: the final size of the pass
     /// memo's exact map (identity and warm seed included). Every other
     /// completed evaluation repeated one of them. Deterministic for a fixed
     /// seed at any worker count, and never above `evaluations -
     /// pruned_evaluations`.
     pub distinct_orderings: u64,
     /// Interleave passes the search actually ran, completed or aborted by
-    /// the cutoff (identity and warm seed included; the winner's final
-    /// re-interleave and [`calibrate_eval_cost`] are not). At most
-    /// `distinct_orderings + pruned_evaluations`; the gap to
-    /// `distinct_orderings` is what decision witnesses answered. Repeats
+    /// the cutoff, resumed or fresh (identity and warm seed included; the
+    /// winner's final re-interleave and [`calibrate_eval_cost`] are not).
+    /// At most `distinct_orderings + pruned_evaluations`; the gap to
+    /// `distinct_orderings` is what records answered whole. Repeats
     /// exactly at one worker; at more workers it can vary with thread
     /// timing, as can which stream first runs a shared ordering — the plan
-    /// never varies.
+    /// never varies. 1 on the no-search path.
     pub interleave_passes: u64,
+    /// Stages those passes decided live, popping them from the queues:
+    /// the kernel work the search paid for. Same determinism as
+    /// [`Self::interleave_passes`]; `graph.len()` on the no-search path.
+    pub live_steps: u64,
+    /// Stages those passes replayed from an earlier pass's pop log instead
+    /// of deciding them (see [`dip_pipeline::dual_queue`]). A completed
+    /// pass decides or replays every stage once. Same determinism as
+    /// [`Self::interleave_passes`]; 0 on the no-search path.
+    pub replayed_steps: u64,
     /// The deterministic per-stream evaluation quota the search ran under
     /// (0 when the search was skipped).
     pub evaluation_quota: u64,
@@ -359,9 +381,13 @@ pub struct OrderingResult {
 struct EvalContext {
     config: DualQueueConfig,
     ws: ScheduleWorkspace,
-    /// The segment pairs the current priorities rank (see [`pair_mask`]),
-    /// reused across witness scans.
-    outranked: Vec<u64>,
+    /// Requirement-table indices `s * n + t` of the segment pairs the
+    /// current priorities do not rank strictly `s` over `t`.
+    unranked: Vec<u32>,
+    /// The prefix the next pass replays, copied out of the pass memo.
+    prefix_pops: Vec<u32>,
+    /// The requirement events below that prefix.
+    prefix_events: Vec<RequirementEvent>,
 }
 
 impl EvalContext {
@@ -369,7 +395,9 @@ impl EvalContext {
         Self {
             config: base.clone(),
             ws: ScheduleWorkspace::new(),
-            outranked: Vec::new(),
+            unranked: Vec::new(),
+            prefix_pops: Vec::new(),
+            prefix_events: Vec::new(),
         }
     }
 
@@ -393,7 +421,8 @@ impl EvalContext {
 
 /// Evaluates one ordering through the reusable workspace, returning the
 /// estimated iteration time; the per-rank orders are left in `ctx.ws`.
-/// Always a real pass: [`calibrate_eval_cost`] times this.
+/// Always a full pass, never a resumed one: [`calibrate_eval_cost`] times
+/// this.
 fn evaluate_into(graph: &StageGraph, ordering: &[usize], ctx: &mut EvalContext) -> f64 {
     ctx.set_ordering(ordering);
     dual_queue::schedule_into(graph, &ctx.config, &mut ctx.ws)
@@ -401,81 +430,305 @@ fn evaluate_into(graph: &StageGraph, ordering: &[usize], ctx: &mut EvalContext) 
 
 /// One search's pass memo, shared by every stream of one
 /// [`search_ordering`] call and dropped with it (the graph and dual-queue
-/// config are fixed only within a call). It holds makespans only, never
-/// orders.
-#[derive(Default)]
+/// config are fixed only within a call). It holds makespans and decision
+/// records, never orders.
 struct PassMemo {
     tables: Mutex<MemoTables>,
     /// Interleave passes run through [`evaluate`], aborted ones included.
     passes: AtomicU64,
+    /// Steps those passes decided live.
+    live_steps: AtomicU64,
+    /// Steps those passes replayed from an earlier pass.
+    replayed_steps: AtomicU64,
 }
 
-#[derive(Default)]
+/// What a finished search's memo counted.
+struct MemoCounts {
+    distinct_orderings: u64,
+    interleave_passes: u64,
+    live_steps: u64,
+    replayed_steps: u64,
+}
+
 struct MemoTables {
     /// Segment ordering → makespan, for every ordering whose evaluation
-    /// completed (by a pass or a witness hit).
+    /// completed (by a pass or a record hit).
     exact: HashMap<Vec<usize>, f64>,
-    /// One decision witness per completed pass, back to back: the
-    /// [`pair_mask`] of the segment pairs the pass had to rank.
-    witnesses: Vec<u64>,
-    /// The makespan of each witness's pass.
-    witness_makespans: Vec<f64>,
+    /// The decision record of every completed pass.
+    records: PassRecords,
+}
+
+/// The decision records of a search's completed passes, in flat arenas
+/// (one record per pass, in completion order), so storing a record costs
+/// no allocation of its own. A pass resumed at step `j` made the same
+/// first `j` pops, and lowered its requirement steps at them in the same
+/// events, as the pass it resumed from, so its record stores only what
+/// follows step `j` and points at that pass for the rest.
+struct PassRecords {
+    /// Ordered segment pairs per requirement table.
+    pairs: usize,
+    /// Per pass: its makespan, origin and where its own parts end.
+    passes: Vec<StoredPass>,
+    /// The requirement tables, `pairs` entries per pass.
+    requirements: Compact,
+    /// Each pass's own pops, from its resume step up to its horizon (no
+    /// resume replays past the horizon), back to back.
+    pops: Compact,
+    /// Each pass's own requirement events, at pop steps from its resume
+    /// step up to its horizon, back to back.
+    events: Vec<RequirementEvent>,
+}
+
+/// The fixed-size part of a stored record.
+struct StoredPass {
+    makespan: f64,
+    origin: Origin,
+    /// Where the pass's own pops end in [`PassRecords::pops`].
+    pops_end: u32,
+    /// Where the pass's own events end in [`PassRecords::events`].
+    events_end: u32,
+}
+
+/// The start of a stored record: it shares its first `resumed` pops and
+/// the events below them with record `source`.
+#[derive(Clone, Copy)]
+struct Origin {
+    source: u32,
+    resumed: u32,
+}
+
+/// The best an earlier pass offers an ordering.
+enum Resume {
+    /// A pass the ordering reproduces whole (`j = ∞`), by its makespan.
+    Hit(f64),
+    /// The pass with the largest resume point `j`, and `j` (0 when no pass
+    /// agrees on even one step).
+    At(Origin),
+}
+
+impl PassRecords {
+    fn new(graph: &StageGraph) -> Self {
+        Self {
+            pairs: graph.num_segments() * graph.num_segments(),
+            passes: Vec::new(),
+            requirements: Compact::for_graph(graph.len()),
+            pops: Compact::for_graph(graph.len()),
+            events: Vec::new(),
+        }
+    }
+
+    /// Scans every record for the largest resume point of an ordering
+    /// whose unranked pairs are `unranked`. A record's pair loop stops as
+    /// soon as its running minimum is at or below the best point so far,
+    /// and the scan stops at the first record the ordering reproduces
+    /// (every such record carries the same makespan bits).
+    fn best_resume(&self, unranked: &[u32]) -> Resume {
+        let mut best = Origin {
+            source: 0,
+            resumed: 0,
+        };
+        for (pass, stored) in self.passes.iter().enumerate() {
+            let j = self
+                .requirements
+                .min_at(pass * self.pairs, unranked, best.resumed);
+            if j == NO_REQUIREMENT {
+                return Resume::Hit(stored.makespan);
+            }
+            if j > best.resumed {
+                best = Origin {
+                    source: pass as u32,
+                    resumed: j,
+                };
+            }
+        }
+        Resume::At(best)
+    }
+
+    /// Where the own parts of `pass` start: after those of the pass
+    /// before it.
+    fn starts(&self, pass: usize) -> (usize, usize) {
+        pass.checked_sub(1).map_or((0, 0), |prev| {
+            let prev = &self.passes[prev];
+            (prev.pops_end as usize, prev.events_end as usize)
+        })
+    }
+
+    /// Copies the first `origin.resumed` pops of pass `origin.source`, and
+    /// its events below them, into the reused buffers: each pass along the
+    /// chain of passes it resumed from contributes its own part.
+    fn copy_prefix(&self, origin: Origin, pops: &mut Vec<u32>, events: &mut Vec<RequirementEvent>) {
+        pops.clear();
+        pops.resize(origin.resumed as usize, 0);
+        events.clear();
+        let (mut pass, mut end) = (origin.source as usize, origin.resumed as usize);
+        while end > 0 {
+            let stored = &self.passes[pass];
+            let resumed = stored.origin.resumed as usize;
+            if end > resumed {
+                let (pops_start, events_start) = self.starts(pass);
+                self.pops.copy_to(
+                    pops_start..pops_start + end - resumed,
+                    &mut pops[resumed..end],
+                );
+                events.extend(
+                    self.events[events_start..stored.events_end as usize]
+                        .iter()
+                        .take_while(|e| (e.pop_step as usize) < end),
+                );
+            }
+            (pass, end) = (stored.origin.source as usize, end.min(resumed));
+        }
+        // The chain yields later steps first; within a pop, events come in
+        // pair order, so this restores the recorded order exactly.
+        events.sort_unstable_by_key(|e| (e.pop_step, e.pair));
+    }
+
+    /// Stores the record of a completed pass that resumed at `origin`.
+    fn push(&mut self, record: PassRecord<'_>, makespan: f64, origin: Origin) {
+        let horizon = record.horizon();
+        let resumed = origin.resumed as usize;
+        self.requirements.extend(record.requirements());
+        if horizon > resumed {
+            self.pops.extend(&record.pops()[resumed..horizon]);
+        }
+        self.events.extend(
+            record
+                .events()
+                .iter()
+                .filter(|e| (resumed..horizon).contains(&(e.pop_step as usize))),
+        );
+        self.passes.push(StoredPass {
+            makespan,
+            origin,
+            pops_end: self.pops.len() as u32,
+            events_end: self.events.len() as u32,
+        });
+    }
+}
+
+/// Stage ids or requirement steps, two bytes each when every value of the
+/// graph fits (ids and steps stay below its item count), four otherwise.
+/// [`NO_REQUIREMENT`] is stored as the largest value of the width.
+enum Compact {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl Compact {
+    fn for_graph(len: usize) -> Self {
+        if len < usize::from(u16::MAX) {
+            Self::Narrow(Vec::new())
+        } else {
+            Self::Wide(Vec::new())
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Self::Narrow(values) => values.len(),
+            Self::Wide(values) => values.len(),
+        }
+    }
+
+    fn extend(&mut self, values: &[u32]) {
+        match self {
+            Self::Narrow(narrow) => {
+                narrow.extend(values.iter().map(|&v| v.min(u32::from(u16::MAX)) as u16))
+            }
+            Self::Wide(wide) => wide.extend_from_slice(values),
+        }
+    }
+
+    fn copy_to(&self, range: std::ops::Range<usize>, out: &mut [u32]) {
+        match self {
+            Self::Narrow(values) => {
+                for (out, &v) in out.iter_mut().zip(&values[range]) {
+                    *out = widen(v);
+                }
+            }
+            Self::Wide(values) => out.copy_from_slice(&values[range]),
+        }
+    }
+
+    /// The minimum of `values[base + index]` over `indices`, or any value
+    /// at or below `floor` once the running minimum reaches it.
+    fn min_at(&self, base: usize, indices: &[u32], floor: u32) -> u32 {
+        fn scan<T: Copy + Ord>(values: &[T], indices: &[u32], floor: T, none: T) -> T {
+            let mut min = none;
+            for &index in indices {
+                min = min.min(values[index as usize]);
+                if min <= floor {
+                    break;
+                }
+            }
+            min
+        }
+        match self {
+            Self::Narrow(values) => {
+                let floor = floor.min(u32::from(u16::MAX)) as u16;
+                widen(scan(&values[base..], indices, floor, u16::MAX))
+            }
+            Self::Wide(values) => scan(&values[base..], indices, floor, NO_REQUIREMENT),
+        }
+    }
+}
+
+/// A narrow stored value as four bytes.
+fn widen(value: u16) -> u32 {
+    if value == u16::MAX {
+        NO_REQUIREMENT
+    } else {
+        u32::from(value)
+    }
 }
 
 impl PassMemo {
+    fn new(graph: &StageGraph) -> Self {
+        Self {
+            tables: Mutex::new(MemoTables {
+                exact: HashMap::new(),
+                records: PassRecords::new(graph),
+            }),
+            passes: AtomicU64::new(0),
+            live_steps: AtomicU64::new(0),
+            replayed_steps: AtomicU64::new(0),
+        }
+    }
+
     fn tables(&self) -> std::sync::MutexGuard<'_, MemoTables> {
         self.tables
             .lock()
             .expect("a search stream panicked holding the pass memo")
     }
 
-    /// `(distinct orderings, interleave passes)` of the finished search.
-    fn into_counts(self) -> (u64, u64) {
+    /// What the finished search counted.
+    fn into_counts(self) -> MemoCounts {
         let tables = self
             .tables
             .into_inner()
             .expect("a search stream panicked holding the pass memo");
-        (tables.exact.len() as u64, self.passes.into_inner())
-    }
-}
-
-/// Appends to `out` a bitset over the ordered pairs of `num_segments`
-/// segments: bit `s * num_segments + t` is set when `ranked(s, t)`. A
-/// witness scan compares two such masks, so one `u64` covers up to eight
-/// segments.
-fn pair_mask(num_segments: usize, out: &mut Vec<u64>, ranked: impl Fn(usize, usize) -> bool) {
-    let start = out.len();
-    out.resize(start + (num_segments * num_segments).div_ceil(64).max(1), 0);
-    let mask = &mut out[start..];
-    for s in 0..num_segments {
-        for t in 0..num_segments {
-            if ranked(s, t) {
-                let bit = s * num_segments + t;
-                mask[bit / 64] |= 1 << (bit % 64);
-            }
+        MemoCounts {
+            distinct_orderings: tables.exact.len() as u64,
+            interleave_passes: self.passes.into_inner(),
+            live_steps: self.live_steps.into_inner(),
+            replayed_steps: self.replayed_steps.into_inner(),
         }
     }
-}
-
-/// True when an ordering that ranks the pairs `outranked` ranks every pair
-/// a pass's witness `required` — so it makes that pass's every decision
-/// (see [`dip_pipeline::dual_queue`]).
-fn covers(required: &[u64], outranked: &[u64]) -> bool {
-    required.iter().zip(outranked).all(|(r, o)| r & !o == 0)
 }
 
 /// Evaluates one ordering under `cutoff` — the single path every search
 /// evaluation takes. Writes the ordering's priorities into `ctx`, then
 /// answers from `memo` when it can: first from the exact map, then from
-/// any completed pass whose decision witness covers the ordering (every
-/// covering witness carries the same makespan bits, so the scan order does
+/// any completed pass the ordering reproduces whole (resume point `j = ∞`;
+/// every such pass carries the same makespan bits, so the scan order does
 /// not matter). An answer `m` returns `Some(m)` when `m <= cutoff` and
 /// `None` otherwise, which is exactly what
 /// [`dip_pipeline::schedule_bounded`] returns for that ordering (the bound
-/// is exact, see there); a witness answer within the cutoff joins the
-/// exact map as a completed evaluation. Otherwise the bounded pass runs,
-/// and only a completed pass is memoised, in both tables. `ctx.ws` holds
-/// orders only after a pass, so callers keep priorities, never orders.
+/// is exact, see there); a record answer within the cutoff joins the exact
+/// map as a completed evaluation. Otherwise the bounded pass runs, resumed
+/// at the largest resume point any record offers, and only a completed
+/// pass is memoised, in both tables. `ctx.ws` holds orders only after a
+/// pass, so callers keep priorities, never orders.
 fn evaluate(
     graph: &StageGraph,
     ordering: &[usize],
@@ -484,40 +737,42 @@ fn evaluate(
     cutoff: f64,
 ) -> Option<f64> {
     ctx.set_ordering(ordering);
-    {
+    let origin = {
         let mut tables = memo.tables();
         if let Some(&makespan) = tables.exact.get(ordering) {
             return (makespan <= cutoff).then_some(makespan);
         }
-        // Missing priorities count as zero, as in the interleaver.
-        let priorities = &ctx.config.segment_priorities;
-        let priority = |seg: usize| priorities.get(seg).copied().unwrap_or(0);
-        ctx.outranked.clear();
-        pair_mask(graph.num_segments(), &mut ctx.outranked, |s, t| {
-            priority(s) > priority(t)
-        });
-        let witnessed = tables
-            .witnesses
-            .chunks_exact(ctx.outranked.len())
-            .position(|required| covers(required, &ctx.outranked))
-            .map(|pass| tables.witness_makespans[pass]);
-        if let Some(makespan) = witnessed {
-            if makespan <= cutoff {
-                tables.exact.insert(ordering.to_vec(), makespan);
+        dual_queue::unranked_pairs(
+            &ctx.config.segment_priorities,
+            graph.num_segments(),
+            &mut ctx.unranked,
+        );
+        match tables.records.best_resume(&ctx.unranked) {
+            Resume::Hit(makespan) => {
+                if makespan <= cutoff {
+                    tables.exact.insert(ordering.to_vec(), makespan);
+                }
+                return (makespan <= cutoff).then_some(makespan);
             }
-            return (makespan <= cutoff).then_some(makespan);
+            Resume::At(origin) => {
+                tables
+                    .records
+                    .copy_prefix(origin, &mut ctx.prefix_pops, &mut ctx.prefix_events);
+                origin
+            }
         }
-    }
+    };
+    let prefix = PassPrefix::new(&ctx.prefix_pops, &ctx.prefix_events);
+    let result = dual_queue::schedule_resumed(graph, &ctx.config, &mut ctx.ws, cutoff, prefix);
     memo.passes.fetch_add(1, AtomicOrdering::Relaxed);
-    let result = dual_queue::schedule_bounded(graph, &ctx.config, &mut ctx.ws, cutoff);
+    memo.live_steps
+        .fetch_add(ctx.ws.live_steps() as u64, AtomicOrdering::Relaxed);
+    memo.replayed_steps
+        .fetch_add(ctx.ws.replayed_steps() as u64, AtomicOrdering::Relaxed);
     if let Some(makespan) = result {
-        let witness = ctx.ws.decision_witness();
         let mut tables = memo.tables();
         tables.exact.insert(ordering.to_vec(), makespan);
-        pair_mask(graph.num_segments(), &mut tables.witnesses, |s, t| {
-            witness.outranked(s)[t / 64] & (1 << (t % 64)) != 0
-        });
-        tables.witness_makespans.push(makespan);
+        tables.records.push(ctx.ws.record(), makespan, origin);
     }
     result
 }
@@ -587,7 +842,7 @@ pub fn search_ordering(
 ) -> OrderingResult {
     let start = Instant::now();
     let quota = config.evaluation_quota(graph.len());
-    let memo = PassMemo::default();
+    let memo = PassMemo::new(graph);
     let mut ctx = EvalContext::new(&config.dual_queue);
     let identity: Vec<usize> = (0..num_segments).collect();
     let t0 = evaluate(graph, &identity, &mut ctx, &memo, f64::INFINITY)
@@ -670,17 +925,16 @@ pub fn search_ordering(
 
     // Every completed evaluation's ordering is in the exact map once, and
     // which evaluations complete does not depend on which stream ran first,
-    // so its final size is deterministic. The pass count is not: a stream
-    // may or may not find a covering witness depending on thread timing.
-    let (distinct_orderings, interleave_passes) = memo.into_counts();
+    // so its final size is deterministic. The pass and step counts are
+    // not: which records exist when a stream scans depends on thread
+    // timing.
     merge_outcomes(
         graph,
         &config.dual_queue,
         incumbent,
         outcomes,
         quota,
-        distinct_orderings,
-        interleave_passes,
+        memo.into_counts(),
     )
 }
 
@@ -715,8 +969,7 @@ fn merge_outcomes(
     incumbent: WorkerOutcome,
     outcomes: Vec<WorkerOutcome>,
     quota: u64,
-    distinct_orderings: u64,
-    interleave_passes: u64,
+    counts: MemoCounts,
 ) -> OrderingResult {
     let mut evaluations = incumbent.evaluations;
     let mut worker_evaluations = Vec::with_capacity(outcomes.len());
@@ -768,8 +1021,10 @@ fn merge_outcomes(
         evaluations,
         worker_evaluations,
         pruned_evaluations,
-        distinct_orderings,
-        interleave_passes,
+        distinct_orderings: counts.distinct_orderings,
+        interleave_passes: counts.interleave_passes,
+        live_steps: counts.live_steps,
+        replayed_steps: counts.replayed_steps,
         evaluation_quota: if outcomes.is_empty() { 0 } else { quota },
         cpu_time,
         progress: merged,
@@ -1431,6 +1686,61 @@ mod tests {
         // The fitted model converts budgets into finite quotas.
         let quota = model.quota(Duration::from_millis(100), graph.len() as u64);
         assert!(quota > 0 && quota < u64::MAX);
+    }
+
+    /// Every stored record rebuilds, at every resume step up to its
+    /// horizon, exactly the pops and events of a fresh pass over its
+    /// ordering, although resumed passes store only their own part.
+    #[test]
+    fn stored_records_rebuild_every_prefix() {
+        let (graph, n) = vlm_graph(6);
+        let memo = PassMemo::new(&graph);
+        let mut ctx = EvalContext::new(&DualQueueConfig::default());
+        let mut rng = worker_rng(3, 0);
+        let mut ordering: Vec<usize> = (0..n).collect();
+        // The ordering behind each stored record, in storage order.
+        let mut stored = Vec::new();
+        for _ in 0..40 {
+            ordering.shuffle(&mut rng);
+            let passes = memo.passes.load(AtomicOrdering::Relaxed);
+            evaluate(&graph, &ordering, &mut ctx, &memo, f64::INFINITY);
+            if memo.passes.load(AtomicOrdering::Relaxed) > passes {
+                stored.push(ordering.clone());
+            }
+        }
+        let tables = memo.tables();
+        let records = &tables.records;
+        assert!(
+            records.passes.iter().any(|p| p.origin.resumed > 0),
+            "no stored pass resumed"
+        );
+        let (mut fresh, mut pops, mut events) = (
+            EvalContext::new(&DualQueueConfig::default()),
+            Vec::new(),
+            Vec::new(),
+        );
+        for (pass, ordering) in stored.iter().enumerate() {
+            evaluate_into(&graph, ordering, &mut fresh);
+            let record = fresh.ws.record();
+            for steps in 0..=record.horizon() {
+                records.copy_prefix(
+                    Origin {
+                        source: pass as u32,
+                        resumed: steps as u32,
+                    },
+                    &mut pops,
+                    &mut events,
+                );
+                assert_eq!(pops, record.pops()[..steps], "pass {pass}, {steps} steps");
+                let below: Vec<RequirementEvent> = record
+                    .events()
+                    .iter()
+                    .copied()
+                    .filter(|e| (e.pop_step as usize) < steps)
+                    .collect();
+                assert_eq!(events, below, "pass {pass}, {steps} steps");
+            }
+        }
     }
 
     #[test]

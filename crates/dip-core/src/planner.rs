@@ -208,6 +208,14 @@ pub struct PlannerStats {
     /// [`crate::OrderingResult::interleave_passes`]): repeats exactly at
     /// one search worker, may vary with thread timing at more.
     pub search_interleave_passes: u64,
+    /// Stages the searcher's passes decided live (see
+    /// [`crate::OrderingResult::live_steps`]); same determinism as
+    /// `search_interleave_passes`.
+    pub search_live_steps: u64,
+    /// Stages the searcher's passes replayed from earlier passes (see
+    /// [`crate::OrderingResult::replayed_steps`]); same determinism as
+    /// `search_interleave_passes`.
+    pub search_replayed_steps: u64,
     /// Schedule candidates evaluated by each parallel search worker, in
     /// worker-index order (empty when the search was skipped or the graph
     /// has a single segment).
@@ -747,6 +755,8 @@ impl<'a> DipPlanner<'a> {
                 search_pruned_evaluations: ordering.pruned_evaluations,
                 search_distinct_orderings: ordering.distinct_orderings,
                 search_interleave_passes: ordering.interleave_passes,
+                search_live_steps: ordering.live_steps,
+                search_replayed_steps: ordering.replayed_steps,
                 search_worker_evaluations: ordering.worker_evaluations,
                 planned_time_s: ordering.best_time_s,
                 warm_started,
@@ -797,6 +807,8 @@ impl<'a> DipPlanner<'a> {
             pruned_evaluations: 0,
             distinct_orderings: 1,
             interleave_passes: 1,
+            live_steps: graph.len() as u64,
+            replayed_steps: 0,
             evaluation_quota: 0,
             cpu_time: Duration::ZERO,
             progress: Vec::new(),

@@ -14,39 +14,69 @@
 //! 1F1B; with "encoders before backbone" priorities it reproduces Optimus'
 //! coarse-grained schedule; DIP feeds it MCTS-derived segment priorities.
 //!
-//! # Decision witness
+//! # Decision record and prefix resume
 //!
 //! Segment priorities enter a pass in one place only: reading the top of a
 //! (rank, direction) queue. A queue orders its entries by priority first and
 //! then by microbatch, sub-microbatch, ready time and id, none of which
 //! depends on the priorities, so that top is the best entry of the
-//! highest-priority segment with entries in the queue. Every pass therefore
-//! records a **decision witness** ([`ScheduleWorkspace::decision_witness`]):
-//! for each segment `s`, the set of other segments that had entries in the
-//! same queue while an entry of `s` was its top and was read — by the
-//! per-rank pick or by the relaxed deadlock path.
+//! highest-priority segment with entries in the queue. Nothing else a step
+//! consults — ready times, memory, in-flight counts, queue emptiness —
+//! depends on the priorities.
 //!
-//! The pass records that set when the entry is popped, which costs one
-//! bitset union per step instead of one per read. Nothing is lost: an entry
-//! below the top cannot leave its queue before the top does (only a top is
-//! popped, and keys never change in a queue), so every segment present at
-//! any read of a top is still present when that top is popped — and the
-//! pop follows a read of that very top in the same step, with no push in
-//! between. In a completed pass every queued entry is popped, so the sets
-//! recorded at pops are exactly the sets seen at reads. (When two segments
-//! share a priority the pass may keep a segment listed in a queue after
-//! its last entry left; a larger set only adds constraints.)
+//! A pass runs in *steps*, one pop each. The *push step* of a queue entry
+//! is the number of pops completed when it entered its queue; the *pop
+//! step* of a pop is the number completed before it. Every pass leaves a
+//! **decision record** ([`ScheduleWorkspace::record`], a [`PassRecord`]):
 //!
-//! The witness is sound: any priority vector that ranks every segment
-//! strictly above every segment in its set reproduces the pass exactly —
-//! the same per-rank orders and the same makespan bits. By induction over
-//! the steps, the queues hold the same entries in both passes; at each read
-//! the recorded top's segment still outranks every other segment present,
-//! so the read returns the same entry; and everything else a step consults
-//! (ready times, memory, in-flight counts, queue emptiness) never depends on
-//! the priorities. The ordering search uses this to answer a segment
-//! ordering from an earlier pass whenever the two orderings differ only on
-//! segment pairs that pass never had to rank against each other.
+//! - its **pop log**: the stages in the global order it popped them;
+//! - a **requirement step** `R[s][t]` per ordered segment pair: the smallest
+//!   push step of any popped entry of `s` whose queue held an entry of `t`
+//!   at that pop, or none;
+//! - its **requirement events**: one `(pair, pop step, push step)` each
+//!   time a pop lowered some `R[s][t]`, in pop order, so the table as it
+//!   stood before any step can be rebuilt.
+//!
+//! The **resume point** of other priorities against a completed pass is
+//! `j = min R[s][t]` over the pairs they do not rank strictly `s` over `t`
+//! ([`PassRecord::resume_point`]); with no such finite pair, `j = ∞` and
+//! the priorities reproduce the whole pass.
+//!
+//! **Soundness.** Under the new priorities, every step below `j` makes the
+//! same pops as the recorded pass. By induction, suppose the steps before
+//! step `k < j` agreed, so both passes hold the same queue entries at step
+//! `k`. Let a read at step `k` return the top `e`, of segment `s`, of some
+//! queue in the recorded pass. An entry cannot be read as a queue top
+//! before its push step, so `e`'s push step is at most `k`. Every entry
+//! below `e` stays in the queue until `e` leaves (only a top is popped, and
+//! keys never change in a queue), and in a completed pass `e` is popped;
+//! so at that pop the queue holds every segment `t` it held at the read,
+//! and `R[s][t] ≤ push step(e) ≤ k < j`. The new priorities therefore rank
+//! `s` strictly over every such `t`, the read returns `e` under them too,
+//! and since nothing else a step consults depends on priorities, the step
+//! picks and pops the same stage at the same start time.
+//!
+//! The pass records a pop's requirement steps when the entry is popped,
+//! not at every read: by the argument above, the segments present at the
+//! pop include those present at any read of that top. Which segments a
+//! queue holds is a bitset per queue, maintained branch-free: a segment's
+//! bit is cleared when its popped entry leaves the queue empty or under a
+//! lower-priority top. That is exact when no two segments share a priority
+//! (always so in the ordering search); with ties it may keep a bit set,
+//! which only lowers `R`, and a lower `R` only resumes earlier.
+//!
+//! [`schedule_resumed`] turns the record into work saved. Handed the first
+//! `j` pops of a completed pass ([`PassRecord::prefix`]), it replays them
+//! with no heap operation and no per-rank pick: a replayed stage starts at
+//! `max(ready, rank free)`, exactly where the live loop starts a popped
+//! entry, and the cutoff applies to every replayed end, so a bounded pass
+//! aborts exactly where a fresh one would. It then rebuilds the queues
+//! under the new priorities from the entries released but not yet popped
+//! and runs the live loop from step `j`. The prefix's part of the table is
+//! rebuilt from the recorded pass's events (the prefix's queues were that
+//! pass's queues), so a resumed pass leaves exactly the record a fresh pass
+//! would. The ordering search resumes every pass at the largest `j` any
+//! earlier pass of the same search offers.
 
 use crate::graph::{Direction, StageGraph, StageId};
 use serde::{Deserialize, Serialize};
@@ -130,13 +160,32 @@ impl PartialOrd for QueueEntry {
     }
 }
 
-/// Reusable scratch state for [`schedule_into`] / [`schedule_bounded`]:
-/// every heap and vector one interleave pass needs, hoisted out of the call
-/// so a search worker evaluating thousands of orderings performs **zero
-/// heap allocations after warm-up**. The reset is clear-don't-drop —
-/// vectors are `clear()`ed and refilled, heaps keep their buffers — so
-/// capacities only ever grow to the graph's high-water mark and then stay
-/// put (the capacity-stability test below asserts exactly that).
+/// The dependency count of an item that has run.
+const EXECUTED: u32 = u32::MAX;
+
+/// The requirement step of a segment pair no pop constrained (`R = ∞`).
+pub const NO_REQUIREMENT: u32 = u32::MAX;
+
+/// One lowering of a requirement step in a [`PassRecord`]: the pop at
+/// `pop_step` lowered the requirement step of `pair` to `push_step`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequirementEvent {
+    /// The ordered segment pair `(s, t)`, as `s * num_segments + t`.
+    pub pair: u32,
+    /// Pops completed before the pop that lowered it.
+    pub pop_step: u32,
+    /// The pair's new requirement step.
+    pub push_step: u32,
+}
+
+/// Reusable scratch state for [`schedule_into`] / [`schedule_bounded`] /
+/// [`schedule_resumed`]: every heap and vector one interleave pass needs,
+/// hoisted out of the call so a search worker evaluating thousands of
+/// orderings performs **zero heap allocations after warm-up**. The reset
+/// is clear-don't-drop — vectors are `clear()`ed and refilled, heaps keep
+/// their buffers — so capacities only ever grow to the graph's high-water
+/// mark and then stay put (the capacity-stability test below asserts
+/// exactly that).
 ///
 /// A workspace is not tied to one graph: it resizes itself to whatever
 /// graph it is handed. Reusing one workspace across the evaluations of a
@@ -145,14 +194,13 @@ impl PartialOrd for QueueEntry {
 /// allocation traffic that used to dominate the kernel.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleWorkspace {
-    /// Unsatisfied dependency count per item.
-    remaining_deps: Vec<usize>,
+    /// Unsatisfied dependency count per item, `EXECUTED` once the item has
+    /// run: 0 marks exactly the released items not yet popped.
+    remaining_deps: Vec<u32>,
     /// Earliest data-ready time per item (updated as producers finish).
     ready_time: Vec<f64>,
-    /// Finish time per item of the most recent pass.
-    finish_time: Vec<f64>,
-    /// Whether each item has been scheduled in the most recent pass.
-    scheduled: Vec<bool>,
+    /// Push step per released item.
+    push_step: Vec<u32>,
     /// Per-rank forward-stage queues.
     fwd_queues: Vec<BinaryHeap<QueueEntry>>,
     /// Per-rank backward-stage queues.
@@ -167,8 +215,12 @@ pub struct ScheduleWorkspace {
     inflight: Vec<usize>,
     /// Per-rank execution orders of the most recent pass.
     orders: Vec<Vec<StageId>>,
-    /// Decision-witness bookkeeping of the most recent pass.
-    witness: WitnessState,
+    /// Decision record of the most recent pass.
+    record: RecordState,
+    /// Steps the most recent pass replayed from its prefix.
+    replayed_steps: usize,
+    /// Steps the most recent pass popped from its queues.
+    live_steps: usize,
 }
 
 impl ScheduleWorkspace {
@@ -177,35 +229,48 @@ impl ScheduleWorkspace {
         Self::default()
     }
 
-    /// The per-rank execution orders produced by the most recent
-    /// [`schedule_into`] / [`schedule_bounded`] pass (empty before the
-    /// first pass; partial after an aborted bounded pass or on a graph
-    /// with an unsatisfiable dependency).
+    /// The per-rank execution orders produced by the most recent pass
+    /// (empty before the first pass; partial after an aborted bounded pass
+    /// or on a graph with an unsatisfiable dependency).
     pub fn orders(&self) -> &[Vec<StageId>] {
         &self.orders
     }
 
-    /// The decision witness of the most recent pass (see the module docs).
+    /// The decision record of the most recent pass (see the module docs).
     /// It vouches for the pass only when the pass completed: after an
     /// aborted bounded pass it is partial and vouches for nothing.
-    pub fn decision_witness(&self) -> DecisionWitness<'_> {
-        DecisionWitness {
-            words: self.witness.words,
-            bits: &self.witness.outranked,
+    pub fn record(&self) -> PassRecord<'_> {
+        PassRecord {
+            num_segments: self.record.num_segments,
+            requirements: &self.record.requirements,
+            pops: &self.record.pops,
+            events: &self.record.events,
         }
+    }
+
+    /// Steps the most recent pass replayed from its prefix, the aborting
+    /// step included when the cutoff fell inside the prefix.
+    pub fn replayed_steps(&self) -> usize {
+        self.replayed_steps
+    }
+
+    /// Steps the most recent pass decided live, popping from its queues,
+    /// the aborting step included. A completed pass over `n` stages has
+    /// `replayed_steps() + live_steps() == n`.
+    pub fn live_steps(&self) -> usize {
+        self.live_steps
     }
 
     /// Clear-don't-drop reset for a graph of `n` items over `num_ranks`
     /// ranks and `num_segments` segments: every vector is cleared and
     /// refilled in place, every heap keeps its buffer.
     fn reset(&mut self, n: usize, num_ranks: usize, num_segments: usize) {
+        debug_assert!(u32::try_from(n).is_ok(), "stage ids are logged as u32");
         self.remaining_deps.clear();
         self.ready_time.clear();
         self.ready_time.resize(n, 0.0);
-        self.finish_time.clear();
-        self.finish_time.resize(n, 0.0);
-        self.scheduled.clear();
-        self.scheduled.resize(n, false);
+        self.push_step.clear();
+        self.push_step.resize(n, 0);
         self.fwd_queues.resize_with(num_ranks, BinaryHeap::new);
         self.bwd_queues.resize_with(num_ranks, BinaryHeap::new);
         for q in &mut self.fwd_queues {
@@ -226,7 +291,9 @@ impl ScheduleWorkspace {
         for order in &mut self.orders {
             order.clear();
         }
-        self.witness.reset(num_segments, 2 * num_ranks);
+        self.record.reset(n, num_segments, 2 * num_ranks);
+        self.replayed_steps = 0;
+        self.live_steps = 0;
     }
 
     /// The capacity of every owned buffer, in a fixed order — the witness
@@ -236,8 +303,7 @@ impl ScheduleWorkspace {
         let mut sig = vec![
             self.remaining_deps.capacity(),
             self.ready_time.capacity(),
-            self.finish_time.capacity(),
-            self.scheduled.capacity(),
+            self.push_step.capacity(),
             self.fwd_queues.capacity(),
             self.bwd_queues.capacity(),
             self.t_last.capacity(),
@@ -245,8 +311,10 @@ impl ScheduleWorkspace {
             self.mem_used.capacity(),
             self.inflight.capacity(),
             self.orders.capacity(),
-            self.witness.present.capacity(),
-            self.witness.outranked.capacity(),
+            self.record.present.capacity(),
+            self.record.requirements.capacity(),
+            self.record.events.capacity(),
+            self.record.pops.capacity(),
         ];
         sig.extend(self.fwd_queues.iter().map(BinaryHeap::capacity));
         sig.extend(self.bwd_queues.iter().map(BinaryHeap::capacity));
@@ -255,46 +323,197 @@ impl ScheduleWorkspace {
     }
 }
 
-/// The decision witness of one pass, borrowed from its
-/// [`ScheduleWorkspace`]: for each segment, the set of segments it
-/// outranked at a read of a queue top it held (see the module docs).
+/// The decision record of one pass, borrowed from its
+/// [`ScheduleWorkspace`] (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecisionWitness<'a> {
-    words: usize,
-    bits: &'a [u64],
+pub struct PassRecord<'a> {
+    num_segments: usize,
+    requirements: &'a [u32],
+    pops: &'a [u32],
+    events: &'a [RequirementEvent],
 }
 
-impl<'a> DecisionWitness<'a> {
-    /// The segments `segment` outranked, as a bitset: segment `t` is bit
-    /// `t % 64` of word `t / 64`. Never contains `segment` itself.
-    pub fn outranked(&self, segment: usize) -> &'a [u64] {
-        &self.bits[segment * self.words..(segment + 1) * self.words]
+impl<'a> PassRecord<'a> {
+    /// `R[segment][other]`: the smallest push step of any popped entry of
+    /// `segment` whose queue held an entry of `other` at that pop, or
+    /// `None` when no such pop happened.
+    pub fn requirement(&self, segment: usize, other: usize) -> Option<usize> {
+        let r = self.requirements[segment * self.num_segments + other];
+        (r != NO_REQUIREMENT).then_some(r as usize)
+    }
+
+    /// The whole requirement table, row-major (`s * num_segments + t`),
+    /// with [`NO_REQUIREMENT`] where there is none.
+    pub fn requirements(&self) -> &'a [u32] {
+        self.requirements
+    }
+
+    /// The pop log: the popped stage ids, in pop order.
+    pub fn pops(&self) -> &'a [u32] {
+        self.pops
+    }
+
+    /// The requirement events, in pop-step order.
+    pub fn events(&self) -> &'a [RequirementEvent] {
+        self.events
+    }
+
+    /// The largest finite requirement step, 0 when there is none. Every
+    /// finite resume point is at most this, so no resume ever replays the
+    /// pop log, or needs an event, from this step on.
+    pub fn horizon(&self) -> usize {
+        self.requirements
+            .iter()
+            .filter(|&&r| r != NO_REQUIREMENT)
+            .max()
+            .map_or(0, |&r| r as usize)
+    }
+
+    /// The resume point of `priorities` against this pass: the smallest
+    /// requirement step over the segment pairs `(s, t)` they do not rank
+    /// strictly `s` over `t`. `None` means `j = ∞`: the priorities
+    /// reproduce the whole pass. Missing priorities count as zero, as in
+    /// the interleaver.
+    pub fn resume_point(&self, priorities: &[i64]) -> Option<usize> {
+        let mut pairs = Vec::new();
+        unranked_pairs(priorities, self.num_segments, &mut pairs);
+        let j = pairs
+            .iter()
+            .map(|&pair| self.requirements[pair as usize])
+            .fold(NO_REQUIREMENT, u32::min);
+        (j != NO_REQUIREMENT).then_some(j as usize)
+    }
+
+    /// The first `steps` pops of this pass with the events below them,
+    /// for [`schedule_resumed`].
+    ///
+    /// # Panics
+    ///
+    /// When `steps` exceeds the pop log.
+    pub fn prefix(&self, steps: usize) -> PassPrefix<'a> {
+        PassPrefix::new(&self.pops[..steps], self.events)
     }
 }
 
-/// Decision-witness bookkeeping of one pass: which segments have entries
-/// in each queue, and which segments each segment outranked when one of its
-/// entries was popped as a queue's top. Sized from the graph's segment and
-/// rank counts only, never from the priorities. Queue `2 * rank` is the
-/// rank's forward queue, `2 * rank + 1` its backward queue.
+/// Writes into `out` the requirement-table index `s * num_segments + t`
+/// of every ordered segment pair `(s, t)`, `s ≠ t`, that `priorities` do
+/// not rank strictly `s` over `t`: the pairs a resume point minimises
+/// over. Missing priorities count as zero, as in the interleaver.
+pub fn unranked_pairs(priorities: &[i64], num_segments: usize, out: &mut Vec<u32>) {
+    let priority = |seg: usize| priorities.get(seg).copied().unwrap_or(0);
+    out.clear();
+    for s in 0..num_segments {
+        for t in (0..num_segments).filter(|&t| t != s && priority(t) >= priority(s)) {
+            out.push((s * num_segments + t) as u32);
+        }
+    }
+}
+
+/// The steps a [`schedule_resumed`] pass replays instead of deciding: the
+/// first pops of an earlier completed pass over the same graph and
+/// [`DualQueueConfig`] apart from the priorities, with that pass's
+/// requirement events. The empty prefix is a full pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PassPrefix<'a> {
+    pops: &'a [u32],
+    events: &'a [RequirementEvent],
+}
+
+impl<'a> PassPrefix<'a> {
+    /// The empty prefix: a full pass.
+    pub const EMPTY: PassPrefix<'static> = PassPrefix {
+        pops: &[],
+        events: &[],
+    };
+
+    /// The prefix `pops` of a completed pass and that pass's requirement
+    /// events, in pop-step order; events at pop steps past the prefix are
+    /// ignored.
+    pub fn new(pops: &'a [u32], events: &'a [RequirementEvent]) -> Self {
+        Self { pops, events }
+    }
+
+    /// Steps the prefix replays.
+    pub fn len(&self) -> usize {
+        self.pops.len()
+    }
+
+    /// True for the empty prefix.
+    pub fn is_empty(&self) -> bool {
+        self.pops.is_empty()
+    }
+}
+
+/// Decision-record bookkeeping of one pass: which segments have entries in
+/// each queue, the requirement table, its events and the pop log. Sized
+/// from the graph's segment and rank counts only, never from the
+/// priorities. Queue `2 * rank` is the rank's forward queue, `2 * rank + 1`
+/// its backward queue.
 #[derive(Debug, Clone, Default)]
-struct WitnessState {
+struct RecordState {
+    num_segments: usize,
     /// `u64` words per segment bitset.
     words: usize,
     /// A superset of the segments with entries in each queue, `words`
     /// words per queue; exact when no two segments share a priority.
     present: Vec<u64>,
-    /// Per segment, the segments it outranked, `words` words per segment.
-    outranked: Vec<u64>,
+    /// `R[s][t]` at `s * num_segments + t`.
+    requirements: Vec<u32>,
+    /// Every lowering of `requirements`, in pop order.
+    events: Vec<RequirementEvent>,
+    /// Per segment `s`, when sets fit one word: the segments `t` with a
+    /// finite `R[s][t]`, and an upper bound on those steps. A pop of `s`
+    /// whose other segments are all in its set, pushed at or above its
+    /// bound, lowers nothing and is skipped.
+    finite: Vec<u64>,
+    ceiling: Vec<u32>,
+    /// Popped stage ids, in pop order.
+    pops: Vec<u32>,
 }
 
-impl WitnessState {
-    fn reset(&mut self, num_segments: usize, num_queues: usize) {
+impl RecordState {
+    fn reset(&mut self, n: usize, num_segments: usize, num_queues: usize) {
+        self.num_segments = num_segments;
         self.words = num_segments.div_ceil(64);
         self.present.clear();
         self.present.resize(num_queues * self.words, 0);
-        self.outranked.clear();
-        self.outranked.resize(num_segments * self.words, 0);
+        self.requirements.clear();
+        self.requirements
+            .resize(num_segments * num_segments, NO_REQUIREMENT);
+        self.events.clear();
+        self.pops.clear();
+        self.pops.reserve(n);
+        self.finite.clear();
+        self.ceiling.clear();
+        if self.words == 1 {
+            self.finite.resize(num_segments, 0);
+            self.ceiling.resize(num_segments, 0);
+        }
+    }
+
+    /// Applies an event of the pass a resumed pass replays.
+    fn replay(&mut self, event: RequirementEvent) {
+        let pair = event.pair as usize;
+        self.requirements[pair] = event.push_step;
+        self.events.push(event);
+        if self.words == 1 {
+            let (segment, other) = (pair / self.num_segments, pair % self.num_segments);
+            self.finite[segment] |= 1 << other;
+            self.ceiling[segment] = self.ceiling[segment].max(event.push_step);
+        }
+    }
+
+    /// Lowers `R` at `pair` to `push_step` if that is lower, noting the
+    /// event.
+    fn lower(&mut self, pair: usize, push_step: u32, pop_step: u32) {
+        if push_step < self.requirements[pair] {
+            self.requirements[pair] = push_step;
+            self.events.push(RequirementEvent {
+                pair: pair as u32,
+                pop_step,
+                push_step,
+            });
+        }
     }
 
     /// Notes an entry of `segment` pushed onto `queue`.
@@ -302,37 +521,63 @@ impl WitnessState {
         self.present[queue * self.words + segment / 64] |= 1 << (segment % 64);
     }
 
-    /// Records the pop of an entry of `segment`, the top of `queue`: it
-    /// outranked every other segment with entries in the queue.
+    /// Records the pop, at `pop_step`, of an entry of `segment` pushed at
+    /// `push_step`, the top of `queue`: it lowers `R[segment][t]` to
+    /// `push_step` for every other segment `t` with entries in the queue.
     /// `exhausted` says no entry of `segment` can remain: the queue is
     /// empty or its new top has a lower priority. (Entries of one segment
-    /// share a priority, so a remaining one would outrank that top. With
-    /// a tie between segments the bit stays set, which only adds
-    /// constraints.) The segment's bit is cleared without a branch: whether
-    /// a segment is exhausted is as good as random to a branch predictor.
-    fn pop(&mut self, queue: usize, segment: usize, exhausted: bool) {
-        let (word, bit) = (segment / 64, 1 << (segment % 64));
+    /// share a priority, so a remaining one would outrank that top. With a
+    /// tie between segments the bit stays set, which only lowers `R`.) The
+    /// segment's bit is cleared without a branch: whether a segment is
+    /// exhausted is as good as random to a branch predictor.
+    fn pop(
+        &mut self,
+        queue: usize,
+        segment: usize,
+        exhausted: bool,
+        push_step: u32,
+        pop_step: u32,
+    ) {
+        let (own_word, bit) = (segment / 64, 1 << (segment % 64));
         let cleared = bit & u64::from(exhausted).wrapping_neg();
+        let row = segment * self.num_segments;
         let w = self.words;
         if w == 1 {
-            // Up to 64 segments, the common case: no slicing in the
-            // interleaver's innermost loop.
+            // Up to 64 segments, the common case: one word per set, and
+            // most pops lower nothing — every segment present already has
+            // a requirement step at or below this push step.
             let present = self.present[queue];
-            self.outranked[segment] |= present & !bit;
             self.present[queue] = present & !cleared;
+            let mut others = present & !bit;
+            if others & !self.finite[segment] == 0 && push_step >= self.ceiling[segment] {
+                return;
+            }
+            self.finite[segment] |= others;
+            self.ceiling[segment] = self.ceiling[segment].max(push_step);
+            while others != 0 {
+                let pair = row + others.trailing_zeros() as usize;
+                others &= others - 1;
+                self.lower(pair, push_step, pop_step);
+            }
             return;
         }
-        let present = &mut self.present[queue * w..(queue + 1) * w];
-        let outranked = &mut self.outranked[segment * w..(segment + 1) * w];
-        for (o, p) in outranked.iter_mut().zip(present.iter()) {
-            *o |= p;
+        for word in 0..w {
+            let slot = queue * w + word;
+            let mut others = self.present[slot];
+            if word == own_word {
+                others &= !bit;
+                self.present[slot] &= !cleared;
+            }
+            while others != 0 {
+                let pair = row + word * 64 + others.trailing_zeros() as usize;
+                others &= others - 1;
+                self.lower(pair, push_step, pop_step);
+            }
         }
-        outranked[word] &= !bit;
-        present[word] &= !cleared;
     }
 }
 
-/// The witness index of `rank`'s queue for `direction`.
+/// The record index of `rank`'s queue for `direction`.
 fn queue_index(rank: usize, direction: Direction) -> usize {
     2 * rank + usize::from(direction == Direction::Backward)
 }
@@ -343,7 +588,7 @@ fn push_entry(
     priorities: &[i64],
     fwd_queues: &mut [BinaryHeap<QueueEntry>],
     bwd_queues: &mut [BinaryHeap<QueueEntry>],
-    witness: &mut WitnessState,
+    record: &mut RecordState,
     ready: &[f64],
     idx: usize,
 ) {
@@ -355,7 +600,7 @@ fn push_entry(
         ready_time: ready[idx],
         id: item.id,
     };
-    witness.push(queue_index(item.rank, item.direction), item.segment);
+    record.push(queue_index(item.rank, item.direction), item.segment);
     match item.direction {
         Direction::Forward => fwd_queues[item.rank].push(entry),
         Direction::Backward => bwd_queues[item.rank].push(entry),
@@ -368,7 +613,7 @@ fn push_entry(
 /// This is the allocating convenience wrapper around [`schedule_into`]: it
 /// builds a fresh [`ScheduleWorkspace`] per call. Hot paths that evaluate
 /// many orderings (the planner's search workers) hold a workspace and call
-/// [`schedule_into`] / [`schedule_bounded`] directly.
+/// [`schedule_into`] / [`schedule_bounded`] / [`schedule_resumed`] directly.
 pub fn schedule(graph: &StageGraph, config: &DualQueueConfig) -> (RankOrders, f64) {
     let mut ws = ScheduleWorkspace::new();
     let makespan = schedule_into(graph, config, &mut ws);
@@ -395,7 +640,8 @@ pub fn schedule_into(
     config: &DualQueueConfig,
     ws: &mut ScheduleWorkspace,
 ) -> f64 {
-    schedule_core(graph, config, ws, f64::INFINITY).expect("an infinite cutoff never aborts")
+    schedule_core(graph, config, ws, f64::INFINITY, PassPrefix::EMPTY)
+        .expect("an infinite cutoff never aborts")
 }
 
 /// Like [`schedule_into`], but aborts as soon as any scheduled stage's end
@@ -413,15 +659,99 @@ pub fn schedule_bounded(
     ws: &mut ScheduleWorkspace,
     cutoff: f64,
 ) -> Option<f64> {
-    schedule_core(graph, config, ws, cutoff)
+    schedule_core(graph, config, ws, cutoff, PassPrefix::EMPTY)
 }
 
-/// The shared kernel behind [`schedule_into`] and [`schedule_bounded`].
+/// Like [`schedule_bounded`], but replays `prefix` instead of deciding its
+/// steps, then decides the rest live (see the module docs). The result,
+/// the orders and the record left in `ws` are bit-identical to a
+/// [`schedule_bounded`] pass under `config` whenever the prefix is no
+/// longer than the resume point of `config.segment_priorities` against the
+/// pass it came from ([`PassRecord::resume_point`]) and that pass ran on
+/// the same graph under the same config apart from the priorities. A
+/// prefix that breaks this contract yields an arbitrary schedule, and
+/// trips a debug assertion when it replays a stage that is not ready.
+pub fn schedule_resumed(
+    graph: &StageGraph,
+    config: &DualQueueConfig,
+    ws: &mut ScheduleWorkspace,
+    cutoff: f64,
+    prefix: PassPrefix<'_>,
+) -> Option<f64> {
+    schedule_core(graph, config, ws, cutoff, prefix)
+}
+
+/// Executes stage `id` from `start` as the pass's pop at `step`, unless it
+/// would end past `cutoff`: updates the rank state and the pop log, and
+/// releases every dependent this makes ready, with push step `step + 1`.
+/// A live step enqueues them under `priorities` (`Some`); a replayed step
+/// leaves them for the queue rebuild (`None`). Returns the stage's end, or
+/// `None` past the cutoff.
+fn run_stage(
+    graph: &StageGraph,
+    ws: &mut ScheduleWorkspace,
+    id: StageId,
+    start: f64,
+    step: usize,
+    cutoff: f64,
+    priorities: Option<&[i64]>,
+) -> Option<f64> {
+    let item = graph.item(id);
+    let end = start + item.duration;
+    if end > cutoff {
+        // The makespan is a monotone max over stage end times: one end
+        // past the cutoff proves the full schedule would be too. The
+        // workspace holds a partial pass; the next reset wipes it.
+        return None;
+    }
+    let rank = item.rank;
+    debug_assert_eq!(ws.remaining_deps[id.0], 0, "stage not ready or run twice");
+    ws.remaining_deps[id.0] = EXECUTED;
+    ws.t_last[rank] = end;
+    ws.last_dir[rank] = Some(item.direction);
+    ws.orders[rank].push(id);
+    ws.record.pops.push(id.0 as u32);
+    match item.direction {
+        Direction::Forward => {
+            ws.mem_used[rank] = ws.mem_used[rank].saturating_add(item.activation_bytes);
+            ws.inflight[rank] += 1;
+        }
+        Direction::Backward => {
+            ws.mem_used[rank] = ws.mem_used[rank].saturating_sub(item.activation_bytes);
+            ws.inflight[rank] = ws.inflight[rank].saturating_sub(1);
+        }
+    }
+    // Release dependents via the cached reverse CSR.
+    for &(dependent, lag) in graph.dependents_of(id) {
+        let d = dependent.0;
+        ws.ready_time[d] = ws.ready_time[d].max(end + lag);
+        ws.remaining_deps[d] -= 1;
+        if ws.remaining_deps[d] == 0 {
+            ws.push_step[d] = (step + 1) as u32;
+            if let Some(priorities) = priorities {
+                push_entry(
+                    graph,
+                    priorities,
+                    &mut ws.fwd_queues,
+                    &mut ws.bwd_queues,
+                    &mut ws.record,
+                    &ws.ready_time,
+                    d,
+                );
+            }
+        }
+    }
+    Some(end)
+}
+
+/// The shared kernel behind every entry point: replays `prefix`, then
+/// decides the remaining steps live.
 fn schedule_core(
     graph: &StageGraph,
     config: &DualQueueConfig,
     ws: &mut ScheduleWorkspace,
     cutoff: f64,
+    prefix: PassPrefix<'_>,
 ) -> Option<f64> {
     let n = graph.len();
     let num_ranks = graph.num_ranks;
@@ -433,10 +763,35 @@ fn schedule_core(
     // nothing is re-derived per evaluation.
     for (idx, item) in graph.items().iter().enumerate() {
         debug_assert_eq!(item.id.0, idx);
-        ws.remaining_deps.push(graph.deps_of(item.id).len());
+        ws.remaining_deps.push(graph.deps_of(item.id).len() as u32);
     }
 
-    // Seed with stages that have no dependencies.
+    let mut makespan = 0.0f64;
+
+    // Replay the prefix: each step pops the logged stage, which starts
+    // where the live loop would start it. No queue exists yet.
+    for (step, &id) in prefix.pops.iter().enumerate() {
+        let id = StageId(id as usize);
+        debug_assert_eq!(
+            ws.remaining_deps[id.0], 0,
+            "replayed stage {id:?} is not ready at step {step}"
+        );
+        let start = ws.ready_time[id.0].max(ws.t_last[graph.item(id).rank]);
+        ws.replayed_steps += 1;
+        makespan = makespan.max(run_stage(graph, ws, id, start, step, cutoff, None)?);
+    }
+    // The prefix's part of the record, as the source pass built it.
+    let resume = prefix.len();
+    for event in prefix
+        .events
+        .iter()
+        .take_while(|e| (e.pop_step as usize) < resume)
+    {
+        ws.record.replay(*event);
+    }
+    // The queues at the resume step, under these priorities: every entry
+    // released but not yet popped (at step 0, the stages without
+    // dependencies).
     for idx in 0..n {
         if ws.remaining_deps[idx] == 0 {
             push_entry(
@@ -444,17 +799,14 @@ fn schedule_core(
                 priorities,
                 &mut ws.fwd_queues,
                 &mut ws.bwd_queues,
-                &mut ws.witness,
+                &mut ws.record,
                 &ws.ready_time,
                 idx,
             );
         }
     }
 
-    let mut scheduled_count = 0usize;
-    let mut makespan = 0.0f64;
-
-    while scheduled_count < n {
+    for step in resume..n {
         // Pick, for each rank, the stage it would run next under the policy,
         // then execute the one that can start earliest overall.
         let mut best: Option<(f64, usize, StageId, bool)> = None; // (start, rank, id, relaxed)
@@ -495,9 +847,9 @@ fn schedule_core(
             // the pass reports an infinite one — it loses to every
             // complete pass, and a bounded pass aborts as on any loss.
             debug_assert!(
-                scheduled_count == n,
+                step == n,
                 "unsatisfiable dependency: {} of {n} stages never became ready",
-                n - scheduled_count
+                n - step
             );
             return (f64::INFINITY <= cutoff).then_some(f64::INFINITY);
         };
@@ -517,53 +869,24 @@ fn schedule_core(
         let exhausted = queue
             .peek()
             .is_none_or(|top| top.priority < popped.priority);
-        ws.witness
-            .pop(queue_index(rank, item.direction), item.segment, exhausted);
+        ws.record.pop(
+            queue_index(rank, item.direction),
+            item.segment,
+            exhausted,
+            ws.push_step[id.0],
+            step as u32,
+        );
+        ws.live_steps += 1;
 
-        // Execute it.
-        let end = start + item.duration;
-        if end > cutoff {
-            // The makespan is a monotone max over stage end times: one end
-            // past the cutoff proves the full schedule would be too. The
-            // workspace holds a partial pass; the next reset wipes it.
-            return None;
-        }
-        debug_assert!(!ws.scheduled[id.0], "stage scheduled twice");
-        ws.finish_time[id.0] = end;
-        ws.scheduled[id.0] = true;
-        scheduled_count += 1;
-        ws.t_last[rank] = end;
-        ws.last_dir[rank] = Some(item.direction);
-        makespan = makespan.max(end);
-        ws.orders[rank].push(id);
-        match item.direction {
-            Direction::Forward => {
-                ws.mem_used[rank] = ws.mem_used[rank].saturating_add(item.activation_bytes);
-                ws.inflight[rank] += 1;
-            }
-            Direction::Backward => {
-                ws.mem_used[rank] = ws.mem_used[rank].saturating_sub(item.activation_bytes);
-                ws.inflight[rank] = ws.inflight[rank].saturating_sub(1);
-            }
-        }
-
-        // Release dependents via the cached reverse CSR.
-        for &(dependent, lag) in graph.dependents_of(id) {
-            let d = dependent.0;
-            ws.ready_time[d] = ws.ready_time[d].max(end + lag);
-            ws.remaining_deps[d] -= 1;
-            if ws.remaining_deps[d] == 0 {
-                push_entry(
-                    graph,
-                    priorities,
-                    &mut ws.fwd_queues,
-                    &mut ws.bwd_queues,
-                    &mut ws.witness,
-                    &ws.ready_time,
-                    d,
-                );
-            }
-        }
+        makespan = makespan.max(run_stage(
+            graph,
+            ws,
+            id,
+            start,
+            step,
+            cutoff,
+            Some(priorities),
+        )?);
     }
 
     Some(makespan)
@@ -638,9 +961,15 @@ mod tests {
     use dip_sim::ClusterSpec;
 
     fn lm_graph(num_microbatches: usize, pp: usize) -> StageGraph {
+        vpp_graph(num_microbatches, pp, 1)
+    }
+
+    /// A text-only graph with `vpp` segments, each spanning all `pp` ranks,
+    /// so segments compete for every queue.
+    fn vpp_graph(num_microbatches: usize, pp: usize, vpp: usize) -> StageGraph {
         let spec = zoo::lm_7b();
         let parallel = ParallelConfig::new(2, pp, 1);
-        let placement = balanced_param_placement(&spec, parallel, 1);
+        let placement = balanced_param_placement(&spec, parallel, vpp);
         let cluster = ClusterSpec::h800_cluster(1);
         let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
         let batch = BatchWorkload::new().with(Modality::Text, ModalityWorkload::from_tokens(8192));
@@ -782,56 +1111,176 @@ mod tests {
 
     #[test]
     fn workspace_capacities_are_stable_after_warmup() {
-        let graph = lm_graph(8, 4);
-        let mut ws = ScheduleWorkspace::new();
-        // Warm-up pass: buffers grow to the graph's high-water mark.
-        schedule_into(&graph, &DualQueueConfig::default(), &mut ws);
-        let signature = ws.capacity_signature();
-        // Steady state: repeated passes (including under varying priorities
-        // and an aborted bounded pass) must not allocate — every capacity
-        // stays exactly at the warm-up signature.
-        for round in 0..10 {
-            let config = DualQueueConfig {
-                segment_priorities: vec![round as i64, -(round as i64)],
-                ..DualQueueConfig::default()
-            };
-            schedule_into(&graph, &config, &mut ws);
-            assert_eq!(
-                signature,
-                ws.capacity_signature(),
-                "round {round} allocated"
-            );
-            assert!(schedule_bounded(&graph, &config, &mut ws, 1e-9).is_none());
-            assert_eq!(
-                signature,
-                ws.capacity_signature(),
-                "bounded round {round} allocated"
-            );
+        for graph in [lm_graph(8, 4)] {
+            let mut ws = ScheduleWorkspace::new();
+            // Warm-up pass: buffers grow to the graph's high-water mark.
+            schedule_into(&graph, &DualQueueConfig::default(), &mut ws);
+            let signature = ws.capacity_signature();
+            // A separate pass whose record the resumed passes replay.
+            let mut source = ScheduleWorkspace::new();
+            schedule_into(&graph, &DualQueueConfig::default(), &mut source);
+            let record = source.record();
+            // Steady state: repeated passes (including under varying
+            // priorities, an aborted bounded pass and resumed passes, one
+            // of them aborted inside its replay) must not allocate — every
+            // capacity stays exactly at the warm-up signature.
+            for round in 0..10 {
+                let config = DualQueueConfig {
+                    segment_priorities: vec![round as i64, -(round as i64)],
+                    ..DualQueueConfig::default()
+                };
+                schedule_into(&graph, &config, &mut ws);
+                assert_eq!(
+                    signature,
+                    ws.capacity_signature(),
+                    "round {round} allocated"
+                );
+                assert!(schedule_bounded(&graph, &config, &mut ws, 1e-9).is_none());
+                assert_eq!(
+                    signature,
+                    ws.capacity_signature(),
+                    "bounded round {round} allocated"
+                );
+                let resume = record
+                    .resume_point(&config.segment_priorities)
+                    .unwrap_or(graph.len() / 2);
+                let prefix = record.prefix(resume);
+                schedule_resumed(&graph, &config, &mut ws, f64::INFINITY, prefix);
+                assert_eq!(
+                    signature,
+                    ws.capacity_signature(),
+                    "resumed round {round} allocated"
+                );
+                assert!(schedule_resumed(&graph, &config, &mut ws, 1e-9, prefix).is_none());
+                assert_eq!(
+                    signature,
+                    ws.capacity_signature(),
+                    "aborted resumed round {round} allocated"
+                );
+            }
         }
     }
 
     #[test]
-    fn witness_bookkeeping_spans_several_words() {
-        // 70 segments take two words per set, off the one-word fast path.
-        let mut state = WitnessState::default();
-        state.reset(70, 2);
+    fn record_bookkeeping_spans_several_words() {
+        // 70 segments take two words per set, off the one-word layout.
+        let mut state = RecordState::default();
+        state.reset(0, 70, 2);
         for (queue, segment) in [(0, 3), (0, 3), (0, 65), (0, 69), (1, 65)] {
             state.push(queue, segment);
         }
-        state.pop(0, 69, true); // outranked 3 and 65
-        state.pop(0, 65, true); // outranked 3
-        state.pop(1, 65, true); // alone in its queue
-        state.pop(0, 3, false); // another entry of 3 remains
+        state.pop(0, 69, true, 4, 10); // outranked 3 and 65
+        state.pop(0, 65, true, 2, 11); // outranked 3
+        state.pop(1, 65, true, 1, 12); // alone in its queue
+        state.pop(0, 3, false, 0, 13); // another entry of 3 remains
         assert_eq!(state.present, [1 << 3, 0, 0, 0]);
-        state.pop(0, 3, true);
+        state.pop(0, 3, true, 0, 14);
         assert!(state.present.iter().all(|&word| word == 0));
-        let witness = DecisionWitness {
-            words: state.words,
-            bits: &state.outranked,
+        let record = PassRecord {
+            num_segments: 70,
+            requirements: &state.requirements,
+            pops: &state.pops,
+            events: &state.events,
         };
-        assert_eq!(witness.outranked(69), [1 << 3, 1 << 1]);
-        assert_eq!(witness.outranked(65), [1 << 3, 0]);
-        assert_eq!(witness.outranked(3), [0, 0]);
+        assert_eq!(record.requirement(69, 3), Some(4));
+        assert_eq!(record.requirement(69, 65), Some(4));
+        assert_eq!(record.requirement(65, 3), Some(2));
+        assert_eq!(record.requirement(3, 65), None);
+        assert_eq!(record.horizon(), 4);
+        let pairs: Vec<(u32, u32, u32)> = state
+            .events
+            .iter()
+            .map(|e| (e.pair, e.pop_step, e.push_step))
+            .collect();
+        assert_eq!(
+            pairs,
+            [
+                (69 * 70 + 3, 10, 4),
+                (69 * 70 + 65, 10, 4),
+                (65 * 70 + 3, 11, 2)
+            ]
+        );
+        // Ranking 65 over 69 breaks the pass where 69's entry was pushed.
+        let mut priorities = vec![0i64; 70];
+        priorities[69] = 3;
+        priorities[65] = 2;
+        priorities[3] = 1;
+        assert_eq!(record.resume_point(&priorities), None);
+        priorities[65] = 4;
+        assert_eq!(record.resume_point(&priorities), Some(4));
+    }
+
+    #[test]
+    fn requirement_steps_keep_the_smallest_push_step() {
+        // One word: segment 1 popped over segment 0 three times, pushed at
+        // steps 5, 3 and 4 — only the first two pops lower `R[1][0]`.
+        let mut state = RecordState::default();
+        state.reset(0, 2, 1);
+        for (push_step, pop_step) in [(5, 7), (3, 8), (4, 9)] {
+            state.push(0, 0);
+            state.push(0, 1);
+            state.pop(0, 1, true, push_step, pop_step);
+        }
+        assert_eq!(
+            state.requirements,
+            [NO_REQUIREMENT, NO_REQUIREMENT, 3, NO_REQUIREMENT]
+        );
+        let lowered: Vec<(u32, u32)> = state
+            .events
+            .iter()
+            .map(|e| (e.pop_step, e.push_step))
+            .collect();
+        assert_eq!(lowered, [(7, 5), (8, 3)]);
+    }
+
+    #[test]
+    fn resumed_passes_match_fresh_passes() {
+        // Three segments over every rank: every priority permutation,
+        // resumed from every other permutation's pass at its resume point,
+        // reproduces the fresh pass's makespan, orders and record.
+        let graph = vpp_graph(6, 4, 3);
+        let permutations = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let config = |p: &[i64; 3]| DualQueueConfig {
+            segment_priorities: p.to_vec(),
+            ..DualQueueConfig::default()
+        };
+        let (mut source, mut fresh, mut resumed) = (
+            ScheduleWorkspace::new(),
+            ScheduleWorkspace::new(),
+            ScheduleWorkspace::new(),
+        );
+        let mut replayed = 0;
+        for from in &permutations {
+            schedule_into(&graph, &config(from), &mut source);
+            let record = source.record();
+            for to in &permutations {
+                let config = config(to);
+                let makespan = schedule_into(&graph, &config, &mut fresh);
+                let j = record.resume_point(&config.segment_priorities);
+                let steps = j.unwrap_or(graph.len());
+                let result = schedule_resumed(
+                    &graph,
+                    &config,
+                    &mut resumed,
+                    f64::INFINITY,
+                    record.prefix(steps),
+                );
+                assert_eq!(result.map(f64::to_bits), Some(makespan.to_bits()));
+                assert_eq!(resumed.orders(), fresh.orders());
+                assert_eq!(resumed.record(), fresh.record());
+                assert_eq!(resumed.replayed_steps(), steps);
+                assert_eq!(resumed.live_steps(), graph.len() - steps);
+                replayed += steps;
+            }
+        }
+        assert!(replayed > 0, "no pass resumed past step 0");
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub mod placement;
 pub mod strategy;
 
 pub use dual_queue::{
-    schedule_bounded, schedule_into, DecisionWitness, DualQueueConfig, RankOrders,
-    ScheduleWorkspace,
+    schedule_bounded, schedule_into, schedule_resumed, DualQueueConfig, PassPrefix, PassRecord,
+    RankOrders, RequirementEvent, ScheduleWorkspace, NO_REQUIREMENT,
 };
 pub use executor::{execute, ExecutionOutcome, ExecutorConfig};
 pub use graph::{

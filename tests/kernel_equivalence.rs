@@ -9,14 +9,16 @@
 //! bug class these properties exist to catch.
 //!
 //! The same holds for the ordering search's per-search pass memo: an
-//! ordering evaluated again, or one a completed pass's decision witness
-//! covers, is served from the memo, and the result must be exactly what a
-//! fresh pass over the winning priorities produces.
+//! ordering evaluated again, or one a completed pass's decision record
+//! covers whole, is served from the memo, and any other ordering runs a
+//! pass resumed where it stops agreeing with the best earlier pass. The
+//! result must be exactly what a fresh pass over the winning priorities
+//! produces, and a resumed pass must be bit-identical to a fresh one.
 
 use dip_core::ordering::{search_ordering, OrderingResult, OrderingSearchConfig, SearchStrategy};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{
-    balanced_param_placement, dual_queue, DecisionWitness, DualQueueConfig, ParallelConfig,
+    balanced_param_placement, dual_queue, DualQueueConfig, ParallelConfig, PassRecord,
     ScheduleWorkspace, StageGraph, StageGraphBuilder, SubMicrobatchPlan,
 };
 use dip_sim::ClusterSpec;
@@ -240,8 +242,9 @@ fn assert_matches_a_fresh_pass(graph: &StageGraph, result: &OrderingResult, labe
 /// The pass memo is exact on every strategy (MCTS, pruned random, pruned
 /// DFS) at 1 and 4 workers: the plan and every deterministic counter
 /// (evaluations, pruned evaluations, distinct orderings) agree across
-/// worker counts, witness hits included. The pass count repeats at one
-/// worker and never exceeds one pass per distinct or pruned evaluation.
+/// worker counts, record hits and resumed passes included. The pass and
+/// step counts repeat at one worker, and passes never exceed one per
+/// distinct or pruned evaluation.
 #[test]
 fn memoised_search_matches_a_fresh_pass_at_every_worker_count() {
     let (graph, n) = vlm_graph(3, 10, 2);
@@ -275,8 +278,17 @@ fn memoised_search_matches_a_fresh_pass_at_every_worker_count() {
         );
         let repeat = search_ordering(&graph, n, &search_config(strategy, 1, true));
         assert_eq!(
-            repeat.interleave_passes, reference.interleave_passes,
-            "{strategy:?}: the pass count repeats at one worker"
+            (
+                repeat.interleave_passes,
+                repeat.live_steps,
+                repeat.replayed_steps
+            ),
+            (
+                reference.interleave_passes,
+                reference.live_steps,
+                reference.replayed_steps
+            ),
+            "{strategy:?}: the pass and step counts repeat at one worker"
         );
     }
     // Unpruned DFS repeats exactly one ordering: its first leaf is the
@@ -287,9 +299,10 @@ fn memoised_search_matches_a_fresh_pass_at_every_worker_count() {
 
 /// On a 6-segment graph (720 orderings) the MCTS streams revisit
 /// orderings, so the memo is actually hit: fewer distinct orderings than
-/// evaluations, at either worker count, with the same count at both. The
-/// decision witnesses are hit too: at one worker, fewer passes run than
-/// there are distinct orderings.
+/// evaluations, at either worker count, with the same count and plan at
+/// both. The decision records are hit too: at one worker, fewer passes run
+/// than there are distinct orderings, and some passes resume past step 0.
+/// Two one-worker runs do the same kernel work.
 #[test]
 fn mcts_memo_is_hit_on_a_six_segment_graph() {
     let (graph, n) = vlm_graph(12, 10, 4);
@@ -307,15 +320,36 @@ fn mcts_memo_is_hit_on_a_six_segment_graph() {
     );
     assert!(
         reference.interleave_passes < reference.distinct_orderings,
-        "{} passes for {} distinct orderings: no decision witness was hit",
+        "{} passes for {} distinct orderings: no decision record was hit",
         reference.interleave_passes,
         reference.distinct_orderings
+    );
+    assert!(
+        reference.replayed_steps > 0,
+        "no pass resumed past step 0 in {} passes",
+        reference.interleave_passes
     );
     assert_matches_a_fresh_pass(&graph, &reference, "MCTS/1 worker");
     let parallel = search_ordering(&graph, n, &config(4));
     assert_matches_a_fresh_pass(&graph, &parallel, "MCTS/4 workers");
     assert_eq!(parallel.distinct_orderings, reference.distinct_orderings);
     assert_eq!(parallel.segment_priorities, reference.segment_priorities);
+    assert_eq!(parallel.orders, reference.orders);
+    assert_eq!(parallel.evaluations, reference.evaluations);
+    assert_eq!(parallel.pruned_evaluations, reference.pruned_evaluations);
+    let repeat = search_ordering(&graph, n, &config(1));
+    assert_eq!(
+        (
+            repeat.interleave_passes,
+            repeat.live_steps,
+            repeat.replayed_steps
+        ),
+        (
+            reference.interleave_passes,
+            reference.live_steps,
+            reference.replayed_steps
+        )
+    );
 }
 
 /// Every ordering of `segments` segments, in lexicographic order.
@@ -349,71 +383,94 @@ fn priorities_of(ordering: &[usize]) -> Vec<i64> {
     priorities
 }
 
-/// True when `ordering` puts every segment ahead of every segment the
-/// witness says it outranked.
-fn witness_covers(witness: DecisionWitness<'_>, ordering: &[usize]) -> bool {
+/// True when `ordering` puts every segment `s` ahead of every segment `t`
+/// the record has a requirement step for: the pairs the pass had to rank.
+fn record_covers(record: PassRecord<'_>, ordering: &[usize]) -> bool {
     let mut position = vec![0usize; ordering.len()];
     for (pos, &seg) in ordering.iter().enumerate() {
         position[seg] = pos;
     }
     (0..ordering.len()).all(|s| {
-        let outranked = witness.outranked(s);
         (0..ordering.len())
-            .all(|t| outranked[t / 64] & (1 << (t % 64)) == 0 || position[s] < position[t])
+            .all(|t| s == t || record.requirement(s, t).is_none() || position[s] < position[t])
     })
 }
 
-/// Decision-witness soundness, exhaustively on the 6-segment VLM-S graph
-/// (tp4 pp4, separated placement, 12 microbatches): for several reference
-/// orderings, every one of the 720 orderings the reference pass's witness
-/// covers reproduces its makespan bits and per-rank orders in a fresh
-/// `schedule`. It runs under the cluster's activation budgets and again
-/// with 1-byte budgets, which send every forward past a rank's first
-/// through the relaxed deadlock path. Covered orderings other than the reference must exist,
-/// or a witness demanding the full order would pass vacuously.
-#[test]
-fn decision_witness_covers_only_orderings_that_reproduce_the_pass() {
+/// The 6-segment VLM-S graph (tp4 pp4, separated placement, 12
+/// microbatches), and its dual-queue configurations: under the cluster's
+/// activation budgets, and with 1-byte budgets, which send every forward
+/// past a rank's first through the relaxed deadlock path.
+fn six_segment_setup() -> (StageGraph, Vec<(&'static str, DualQueueConfig)>) {
     let (graph, n) = vlm_graph(12, 10, 4);
     assert_eq!(n, 6);
-    let orderings = all_orderings(n);
-    // The identity plus orderings whose witnesses leave some segment
-    // pairs unranked under the activation budgets.
-    let references = [
-        vec![0, 1, 2, 3, 4, 5],
-        vec![0, 4, 1, 5, 3, 2],
-        vec![1, 5, 4, 3, 0, 2],
-        vec![0, 5, 3, 4, 1, 2],
-        vec![4, 0, 3, 5, 2, 1],
-    ];
     let usable = ClusterSpec::h800_cluster(2).gpu.usable_memory();
     let activation_budgets: Vec<u64> = graph
         .static_memory
         .iter()
         .map(|s| usable.saturating_sub(*s))
         .collect();
-    let budgets = [
+    let one_byte = vec![1u64; graph.num_ranks];
+    let configs = [
         ("activation budgets", activation_budgets),
-        ("1-byte budgets", vec![1u64; graph.num_ranks]),
-    ];
-    let mut ws = ScheduleWorkspace::new();
-    for (label, budget) in budgets {
-        let memory_limit = Some(budget);
-        let mut others_covered = 0usize;
-        for reference in &references {
-            let base = DualQueueConfig {
-                memory_limit: memory_limit.clone(),
+        ("1-byte budgets", one_byte),
+    ]
+    .into_iter()
+    .map(|(label, budget)| {
+        (
+            label,
+            DualQueueConfig {
+                memory_limit: Some(budget),
                 ..DualQueueConfig::default()
-            };
+            },
+        )
+    })
+    .collect();
+    (graph, configs)
+}
+
+/// The identity plus orderings whose records leave some segment pairs
+/// unranked under the activation budgets.
+const REFERENCES: [[usize; 6]; 5] = [
+    [0, 1, 2, 3, 4, 5],
+    [0, 4, 1, 5, 3, 2],
+    [1, 5, 4, 3, 0, 2],
+    [0, 5, 3, 4, 1, 2],
+    [4, 0, 3, 5, 2, 1],
+];
+
+/// Whole-pass reuse, exhaustively on the 6-segment VLM-S graph: for
+/// several reference orderings and every one of the 720 orderings, the
+/// resume point against the reference pass is `j = ∞` exactly when the
+/// ordering ranks every pair the record constrains, and every such
+/// ordering reproduces the reference's makespan bits and per-rank orders
+/// in a fresh `schedule`. It runs under activation budgets and 1-byte
+/// budgets. Covered orderings other than the reference must exist, or a
+/// record demanding the full order would pass vacuously.
+#[test]
+fn decision_witness_covers_only_orderings_that_reproduce_the_pass() {
+    let (graph, configs) = six_segment_setup();
+    let orderings = all_orderings(6);
+    let mut ws = ScheduleWorkspace::new();
+    for (label, base) in configs {
+        let mut others_covered = 0usize;
+        for reference in &REFERENCES {
             let config = DualQueueConfig {
                 segment_priorities: priorities_of(reference),
                 ..base.clone()
             };
             let makespan = dual_queue::schedule_into(&graph, &config, &mut ws);
             let orders = ws.orders().to_vec();
-            let witness = ws.decision_witness();
-            assert!(witness_covers(witness, reference), "{label}: {reference:?}");
+            let record = ws.record();
+            assert!(record_covers(record, reference), "{label}: {reference:?}");
             for ordering in &orderings {
-                if !witness_covers(witness, ordering) {
+                let covered = record_covers(record, ordering);
+                let j = record.resume_point(&priorities_of(ordering));
+                assert_eq!(
+                    j.is_none(),
+                    covered,
+                    "{label}: {ordering:?} against {reference:?} resumes at {j:?}"
+                );
+                if !covered {
                     continue;
                 }
                 let (fresh_orders, fresh_makespan) = dual_queue::schedule(
@@ -437,7 +494,102 @@ fn decision_witness_covers_only_orderings_that_reproduce_the_pass() {
         }
         assert!(
             others_covered > 0,
-            "{label}: no witness covered an ordering besides its own"
+            "{label}: no record covered an ordering besides its own"
+        );
+    }
+}
+
+/// Prefix-resume soundness, exhaustively on the 6-segment VLM-S graph: for
+/// every reference pass and each of the 720 orderings with a finite resume
+/// point `j`, the pass resumed at `j` reproduces, bit for bit, a fresh
+/// pass's makespan, per-rank orders, pop log and requirement table. With a
+/// cutoff just below the makespan, or at half of it, the resumed pass
+/// aborts exactly where a fresh bounded pass does. Some `j` must fall
+/// strictly inside the pass, and some abort inside a replayed prefix, or
+/// the property would hold vacuously.
+#[test]
+fn resumed_passes_reproduce_fresh_passes_bit_for_bit() {
+    let (graph, configs) = six_segment_setup();
+    let orderings = all_orderings(6);
+    let (mut source, mut fresh, mut resumed) = (
+        ScheduleWorkspace::new(),
+        ScheduleWorkspace::new(),
+        ScheduleWorkspace::new(),
+    );
+    for (label, base) in configs {
+        let (mut inside, mut aborted_in_replay) = (0usize, 0usize);
+        for reference in &REFERENCES {
+            let config = DualQueueConfig {
+                segment_priorities: priorities_of(reference),
+                ..base.clone()
+            };
+            dual_queue::schedule_into(&graph, &config, &mut source);
+            let record = source.record();
+            for ordering in &orderings {
+                let config = DualQueueConfig {
+                    segment_priorities: priorities_of(ordering),
+                    ..base.clone()
+                };
+                let Some(j) = record.resume_point(&config.segment_priorities) else {
+                    continue;
+                };
+                inside += usize::from(0 < j && j < graph.len());
+                let prefix = record.prefix(j);
+                let makespan = dual_queue::schedule_into(&graph, &config, &mut fresh);
+                // Independently of how the record was built: the fresh
+                // pass pops exactly like the reference below `j`.
+                assert_eq!(
+                    fresh.record().pops()[..j],
+                    record.pops()[..j],
+                    "{label}: {ordering:?} diverges from {reference:?} before step {j}"
+                );
+                let result = dual_queue::schedule_resumed(
+                    &graph,
+                    &config,
+                    &mut resumed,
+                    f64::INFINITY,
+                    prefix,
+                );
+                let what = format!("{label}: {ordering:?} resumed at {j} from {reference:?}");
+                assert_eq!(result.map(f64::to_bits), Some(makespan.to_bits()), "{what}");
+                assert_eq!(resumed.orders(), fresh.orders(), "{what}");
+                assert_eq!(resumed.record().pops(), fresh.record().pops(), "{what}");
+                assert_eq!(
+                    resumed.record().requirements(),
+                    fresh.record().requirements(),
+                    "{what}"
+                );
+                assert_eq!(resumed.record().events(), fresh.record().events(), "{what}");
+                assert_eq!(
+                    (resumed.replayed_steps(), resumed.live_steps()),
+                    (j, graph.len() - j),
+                    "{what}"
+                );
+                // Just below the makespan, and at half of it, which
+                // often aborts inside the replayed prefix.
+                for cutoff in [makespan * (1.0 - 1e-12), makespan * 0.5] {
+                    assert!(
+                        dual_queue::schedule_bounded(&graph, &config, &mut fresh, cutoff).is_none(),
+                        "{what}"
+                    );
+                    assert!(
+                        dual_queue::schedule_resumed(&graph, &config, &mut resumed, cutoff, prefix)
+                            .is_none(),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        resumed.replayed_steps() + resumed.live_steps(),
+                        fresh.live_steps(),
+                        "{what}: aborted at a different step under cutoff {cutoff}"
+                    );
+                    aborted_in_replay += usize::from(resumed.live_steps() == 0);
+                }
+            }
+        }
+        assert!(inside > 0, "{label}: no resume point fell inside a pass");
+        assert!(
+            aborted_in_replay > 0,
+            "{label}: no bounded resumed pass aborted inside its replay"
         );
     }
 }
