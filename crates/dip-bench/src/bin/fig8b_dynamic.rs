@@ -268,6 +268,10 @@ fn zipf_dynamic_traffic(
     let mut latencies: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     let mut max_regret = 0.0f64;
     let mut regret_probes = 0usize;
+    // The graph each signature was last planned with: an exact hit must
+    // hand out that cached storage, not a copy of it.
+    let mut planned_graphs = std::collections::HashMap::<_, dip_pipeline::StageGraph>::new();
+    let mut exact_hits_share_graph = true;
     for request in &stream {
         let start = Instant::now();
         let outcome = session.plan(request).expect("zipf stream plans");
@@ -280,6 +284,13 @@ fn zipf_dynamic_traffic(
             PlanTier::Exact => 2,
         };
         latencies[tier_idx].push(latency_ms);
+        if outcome.tier == PlanTier::Exact {
+            exact_hits_share_graph &= planned_graphs
+                .get(&outcome.signature)
+                .is_some_and(|graph| graph.shares_storage_with(&outcome.plan.graph));
+        } else {
+            planned_graphs.insert(outcome.signature, outcome.plan.graph.clone());
+        }
         if outcome.tier == PlanTier::Fuzzy && regret_probes < MAX_REGRET_PROBES {
             regret_probes += 1;
             let fuzzy_time = session
@@ -357,6 +368,10 @@ fn zipf_dynamic_traffic(
     );
     report.push("zipf.max_regret", MetricKind::Info, "ratio", max_regret);
     report.push_flag("zipf.regret_ok", max_regret <= REGRET_EPSILON);
+    report.push_flag(
+        "zipf.exact_hits_share_graph",
+        !latencies[2].is_empty() && exact_hits_share_graph,
+    );
     let delta_fast = !latencies[1].is_empty()
         && !latencies[0].is_empty()
         && percentile(&latencies[1], 0.99) < percentile(&latencies[0], 0.50);

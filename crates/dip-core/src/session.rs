@@ -316,8 +316,10 @@ impl SessionStats {
 /// one step less).
 #[derive(Debug)]
 struct LruEntry {
-    /// Shared so the hit path can hand out a cheap `Arc` clone under the
-    /// lock and deep-clone the plan outside the critical section.
+    /// Shared so the hit path can hand out a cheap `Arc` handle under the
+    /// lock and clone the plan outside the critical section, and so one
+    /// freshly planned allocation can sit in both the exact and the fuzzy
+    /// table.
     plan: Arc<DipPlan>,
     prev: Option<u64>,
     next: Option<u64>,
@@ -357,7 +359,7 @@ impl LruCache {
     /// The cached plan for `key`, marking it most recently used — lookup
     /// and recency update under one `&mut` borrow, so the hit path needs a
     /// single lock acquisition instead of a read-then-write pair. Returns a
-    /// cheap `Arc` handle so the caller deep-clones outside the lock.
+    /// cheap `Arc` handle so the caller clones the plan outside the lock.
     fn get(&mut self, key: u64) -> Option<Arc<DipPlan>> {
         if self.entries.contains_key(&key) {
             self.unlink(key);
@@ -411,11 +413,10 @@ impl LruCache {
 
     /// Inserts (or replaces) `key`, evicting least-recently-used entries
     /// down to `capacity`; returns how many entries were evicted.
-    fn insert(&mut self, key: u64, plan: DipPlan, capacity: usize) -> u64 {
+    fn insert(&mut self, key: u64, plan: Arc<DipPlan>, capacity: usize) -> u64 {
         if capacity == 0 {
             return 0;
         }
-        let plan = Arc::new(plan);
         if let Some(entry) = self.entries.get_mut(&key) {
             // Re-insertion of a cached key replaces the plan and refreshes
             // recency; it never grows the cache, so nothing is evicted.
@@ -782,8 +783,10 @@ impl<'a> PlanningSession<'a> {
 
     /// The cache hit path: lookup and LRU touch under a single cache-lock
     /// acquisition; the critical section hands out an `Arc` handle, so the
-    /// deep plan clone happens outside the lock and concurrent hits do not
-    /// serialize on it.
+    /// plan clone happens outside the lock and concurrent hits do not
+    /// serialize on it. The clone is shallow where it matters: the stage
+    /// graph's slabs and the memory plan's choices are copy-on-write, so
+    /// the returned plan shares them with the cached one.
     fn try_cached(
         &self,
         key: u64,
@@ -832,13 +835,14 @@ impl<'a> PlanningSession<'a> {
         *self.last_best_ordering.lock() = Some(ordering_from_priorities(&plan.segment_priorities));
         self.cache_lock_acquisitions
             .fetch_add(1, AtomicOrdering::Relaxed);
+        let plan = Arc::new(plan);
         let evicted = self
             .cache
             .write()
-            .insert(key, plan.clone(), self.config.cache_capacity);
+            .insert(key, Arc::clone(&plan), self.config.cache_capacity);
         self.book_planned(&plan.stats, evicted);
         PlanOutcome {
-            plan,
+            plan: Arc::unwrap_or_clone(plan),
             signature,
             tier: PlanTier::Fuzzy,
         }
@@ -887,7 +891,8 @@ impl<'a> PlanningSession<'a> {
 
     /// Runs the planner for a fresh signature and caches the result; when
     /// the fuzzy tier is enabled and the plan's bucket has no anchor yet,
-    /// the new cold plan becomes the bucket's anchor.
+    /// the new cold plan becomes the bucket's anchor. Both tables hold the
+    /// same allocation.
     fn plan_fresh(
         &self,
         request: &PlanRequest,
@@ -916,12 +921,13 @@ impl<'a> PlanningSession<'a> {
         };
 
         *self.last_best_ordering.lock() = Some(ordering_from_priorities(&plan.segment_priorities));
+        let plan = Arc::new(plan);
         let evicted = if self.config.cache_capacity > 0 {
             self.cache_lock_acquisitions
                 .fetch_add(1, AtomicOrdering::Relaxed);
             self.cache
                 .write()
-                .insert(key, plan.clone(), self.config.cache_capacity)
+                .insert(key, Arc::clone(&plan), self.config.cache_capacity)
         } else {
             0
         };
@@ -931,13 +937,13 @@ impl<'a> PlanningSession<'a> {
             // measured against a stable reference.
             let mut fuzzy = self.fuzzy.write();
             if fuzzy.get(fuzzy_key).is_none() {
-                fuzzy.insert(fuzzy_key, plan.clone(), self.config.cache_capacity);
+                fuzzy.insert(fuzzy_key, Arc::clone(&plan), self.config.cache_capacity);
             }
         }
 
         self.book_planned(&plan.stats, evicted);
         Ok(PlanOutcome {
-            plan,
+            plan: Arc::unwrap_or_clone(plan),
             signature,
             tier: PlanTier::Cold,
         })
@@ -1110,13 +1116,13 @@ mod tests {
     fn lru_cache_is_o1_and_keeps_its_invariants() {
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
-        let plan = dummy_plan(&spec, &cluster);
+        let plan = Arc::new(dummy_plan(&spec, &cluster));
         let mut lru = LruCache::default();
         lru.assert_invariants();
 
         // Fill to capacity 3.
         for key in [1u64, 2, 3] {
-            assert_eq!(lru.insert(key, plan.clone(), 3), 0);
+            assert_eq!(lru.insert(key, Arc::clone(&plan), 3), 0);
             lru.assert_invariants();
         }
         assert_eq!(lru.len(), 3);
@@ -1130,7 +1136,7 @@ mod tests {
         assert_eq!(lru.tail, Some(2));
 
         // Inserting a fourth key evicts exactly the least recently used.
-        assert_eq!(lru.insert(4, plan.clone(), 3), 1);
+        assert_eq!(lru.insert(4, Arc::clone(&plan), 3), 1);
         lru.assert_invariants();
         assert_eq!(lru.len(), 3);
         assert!(lru.peek(2).is_none(), "2 was least recently used");
@@ -1139,7 +1145,7 @@ mod tests {
         // Re-inserting a cached key must not duplicate it in the recency
         // list or evict anything (the old VecDeque recency queue kept the
         // stale position and double-counted the key).
-        assert_eq!(lru.insert(3, plan.clone(), 3), 0);
+        assert_eq!(lru.insert(3, Arc::clone(&plan), 3), 0);
         lru.assert_invariants();
         assert_eq!(lru.len(), 3);
         assert_eq!(lru.head, Some(3));
@@ -1160,19 +1166,19 @@ mod tests {
     fn repeated_reinsertion_does_not_skew_evictions() {
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
-        let plan = dummy_plan(&spec, &cluster);
+        let plan = Arc::new(dummy_plan(&spec, &cluster));
         let mut lru = LruCache::default();
         let mut evictions = 0u64;
         // Hammer two keys into a capacity-2 cache: no eviction should ever
         // happen, and the structure must stay exactly two entries.
         for round in 0..10u64 {
-            evictions += lru.insert(round % 2, plan.clone(), 2);
+            evictions += lru.insert(round % 2, Arc::clone(&plan), 2);
             lru.assert_invariants();
         }
         assert_eq!(evictions, 0);
         assert_eq!(lru.len(), 2);
         // A third key evicts exactly one entry.
-        evictions += lru.insert(7, plan.clone(), 2);
+        evictions += lru.insert(7, Arc::clone(&plan), 2);
         assert_eq!(evictions, 1);
         assert_eq!(lru.len(), 2);
         lru.assert_invariants();
@@ -1501,7 +1507,10 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, DipError::InvalidRequest(_)));
         assert!(err.to_string().contains("segment count"), "{err}");
-        session.fuzzy.write().insert(fuzzy_key, anchor, 64);
+        session
+            .fuzzy
+            .write()
+            .insert(fuzzy_key, Arc::new(anchor), 64);
 
         // The rejected anchor is skipped: the request is planned cold and
         // booked as a miss, not a fuzzy hit.

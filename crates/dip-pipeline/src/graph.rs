@@ -30,6 +30,7 @@ use dip_models::{BatchWorkload, LmmSpec, ModalityWorkload, ModuleId, BF16_BYTES}
 use dip_sim::{ClusterSpec, ClusterTopology, EfficiencyModel, StageTiming, TimingModel};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Identifier of a stage execution (a [`WorkItem`]) within a [`StageGraph`].
@@ -139,18 +140,24 @@ impl SubMicrobatchPlan {
 /// (`rdeps` + `rdep_offsets`, behind [`StageGraph::dependents_of`]), and
 /// the cached pre-strategy [`StageTiming`] of every (forward, backward)
 /// stage pair — the state [`StageGraph::reprice`] rewrites durations from.
-/// Compact, cache-friendly and trivially serializable (flat vectors only,
-/// no pointers or trees).
+///
+/// Each slab is a flat, copy-on-write `Arc<[T]>` (no pointers or trees
+/// inside a slab): cloning a graph — as every cached-plan hit does — bumps
+/// six reference counts instead of copying the slabs, and a write
+/// ([`StageGraph::reprice`]) copies only the slab it touches, and only
+/// while another graph still shares it. One `Arc` per slab rather than one
+/// around the whole arena keeps the scheduler's `item(id)` /
+/// `dependents_of(id)` reads a single indirection, exactly as with `Vec`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct StageArena {
     /// Every stage execution, in id order (two per stage pair:
     /// `fwd = 2 * pair`, `bwd = 2 * pair + 1`).
-    items: Vec<WorkItem>,
+    items: Arc<[WorkItem]>,
     /// Flat dependency slab: item `i`'s dependencies are
     /// `deps[dep_offsets[i] .. dep_offsets[i + 1]]`.
-    deps: Vec<(StageId, f64)>,
+    deps: Arc<[(StageId, f64)]>,
     /// CSR offset table, length `items.len() + 1`.
-    dep_offsets: Vec<usize>,
+    dep_offsets: Arc<[usize]>,
     /// Flat **reverse**-dependency slab, the transpose of `deps`: item
     /// `i`'s dependents are `rdeps[rdep_offsets[i] .. rdep_offsets[i + 1]]`
     /// as `(consumer, communication lag)` pairs, each dependent list in
@@ -159,13 +166,13 @@ struct StageArena {
     /// the adjacency per evaluation; [`StageGraph::reprice`] keeps it
     /// valid for free, because durations live on items and lags on edges —
     /// neither side of the transpose ever changes.
-    rdeps: Vec<(StageId, f64)>,
+    rdeps: Arc<[(StageId, f64)]>,
     /// Reverse CSR offset table, length `items.len() + 1`.
-    rdep_offsets: Vec<usize>,
+    rdep_offsets: Arc<[usize]>,
     /// The **pre-strategy** timing of each stage pair (what the hosting
     /// rank's device charges with everything kept resident), in stage-pair
     /// order. [`StageGraph::reprice`] re-applies a [`MemoryPlan`] to these.
-    base_timings: Vec<StageTiming>,
+    base_timings: Arc<[StageTiming]>,
 }
 
 /// The stage graph of one training iteration.
@@ -287,7 +294,7 @@ impl StageGraph {
     /// bound on that rank's busy time.
     pub fn compute_time_per_rank(&self) -> Vec<f64> {
         let mut t = vec![0.0; self.num_ranks];
-        for item in &self.arena.items {
+        for item in self.arena.items.iter() {
             t[item.rank] += item.duration;
         }
         t
@@ -305,16 +312,29 @@ impl StageGraph {
     /// stage's `p2p_bytes` — so the result is **bit-identical to a full
     /// rebuild** with [`StageGraphBuilder::with_memory_plan`] at a fraction
     /// of the cost (no re-pricing, no dependency wiring).
+    ///
+    /// Only the item slab is written; if another graph (a cached plan's
+    /// clone) still shares it, it is copied first, so the other graph is
+    /// never affected.
     pub fn reprice(&mut self, plan: &MemoryPlan) {
+        let items = Arc::make_mut(&mut self.arena.items);
         for pair in 0..self.num_stage_pairs {
             let adjusted = plan.get(pair).apply(&self.arena.base_timings[pair]);
-            let fwd = &mut self.arena.items[2 * pair];
+            let fwd = &mut items[2 * pair];
             fwd.duration = adjusted.fwd_s;
             fwd.activation_bytes = adjusted.activation_bytes;
-            let bwd = &mut self.arena.items[2 * pair + 1];
+            let bwd = &mut items[2 * pair + 1];
             bwd.duration = adjusted.bwd_s;
             bwd.activation_bytes = adjusted.activation_bytes;
         }
+    }
+
+    /// True when this graph and `other` share one item slab — `other` is a
+    /// clone of this graph (or this of `other`) and neither has been
+    /// repriced since. Lets callers check that a cached-plan hit handed out
+    /// the cached storage instead of a copy.
+    pub fn shares_storage_with(&self, other: &StageGraph) -> bool {
+        Arc::ptr_eq(&self.arena.items, &other.arena.items)
     }
 }
 
@@ -324,15 +344,17 @@ impl StageGraph {
     /// which the builder never produces. Both CSR slabs stay each other's
     /// transpose.
     pub(crate) fn add_self_dependency(&mut self, id: StageId) {
+        fn insert_edge(slab: &mut Arc<[(StageId, f64)]>, offsets: &mut Arc<[usize]>, id: StageId) {
+            let mut edges = slab.to_vec();
+            edges.insert(offsets[id.0 + 1], (id, 0.0));
+            *slab = edges.into();
+            for offset in &mut Arc::make_mut(offsets)[id.0 + 1..] {
+                *offset += 1;
+            }
+        }
         let arena = &mut self.arena;
-        arena.deps.insert(arena.dep_offsets[id.0 + 1], (id, 0.0));
-        for offset in &mut arena.dep_offsets[id.0 + 1..] {
-            *offset += 1;
-        }
-        arena.rdeps.insert(arena.rdep_offsets[id.0 + 1], (id, 0.0));
-        for offset in &mut arena.rdep_offsets[id.0 + 1..] {
-            *offset += 1;
-        }
+        insert_edge(&mut arena.deps, &mut arena.dep_offsets, id);
+        insert_edge(&mut arena.rdeps, &mut arena.rdep_offsets, id);
     }
 }
 
@@ -831,12 +853,12 @@ impl<'a> StageGraphBuilder<'a> {
                 model_flops: prepared.model_flops,
                 param_bytes_per_rank,
                 arena: StageArena {
-                    items,
-                    deps,
-                    dep_offsets,
-                    rdeps,
-                    rdep_offsets,
-                    base_timings,
+                    items: items.into(),
+                    deps: deps.into(),
+                    dep_offsets: dep_offsets.into(),
+                    rdeps: rdeps.into(),
+                    rdep_offsets: rdep_offsets.into(),
+                    base_timings: base_timings.into(),
                 },
                 num_segments: segments.len(),
                 num_microbatches: m_count,
@@ -1069,12 +1091,24 @@ mod tests {
             .with_memory_plan(memory_plan.clone())
             .build(&batches, &plan)
             .unwrap();
+        let duration_bits = |g: &StageGraph| -> Vec<u64> {
+            g.items().iter().map(|i| i.duration.to_bits()).collect()
+        };
+        let base_bits = duration_bits(&base);
+        // A clone shares the slabs; repricing it copies the item slab and
+        // leaves the original bit for bit as built.
         let mut repriced = base.clone();
+        assert!(repriced.shares_storage_with(&base));
         repriced.reprice(&memory_plan);
+        assert!(!repriced.shares_storage_with(&base));
         assert_eq!(repriced, rebuilt);
+        assert_eq!(duration_bits(&repriced), duration_bits(&rebuilt));
+        assert_eq!(base, builder.build(&batches, &plan).unwrap());
+        assert_eq!(duration_bits(&base), base_bits);
         // Repricing back to the empty plan restores the original graph.
         repriced.reprice(&MemoryPlan::new());
         assert_eq!(repriced, base);
+        assert_eq!(duration_bits(&repriced), base_bits);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use dip_sim::StageTiming;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Host↔device bandwidth used for activation offloading (PCIe Gen4 x16-ish).
 const OFFLOAD_BANDWIDTH: f64 = 48e9;
@@ -110,9 +111,13 @@ impl Default for MemoryStrategy {
 /// stage-pair identifier the caller uses (DIP keys them by
 /// `(segment, microbatch, sub_microbatch, rank)` encoded as the forward
 /// stage's id).
+///
+/// The choices are copy-on-write: cloning a plan (as every cached-plan hit
+/// does) shares one map, and [`MemoryPlan::set`] copies it first only while
+/// another plan still shares it.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MemoryPlan {
-    choices: BTreeMap<usize, MemoryStrategy>,
+    choices: Arc<BTreeMap<usize, MemoryStrategy>>,
 }
 
 impl MemoryPlan {
@@ -123,7 +128,7 @@ impl MemoryPlan {
 
     /// Sets the strategy for a stage pair.
     pub fn set(&mut self, stage_pair: usize, strategy: MemoryStrategy) {
-        self.choices.insert(stage_pair, strategy);
+        Arc::make_mut(&mut self.choices).insert(stage_pair, strategy);
     }
 
     /// The strategy for a stage pair (defaults to [`MemoryStrategy::NONE`]).
@@ -220,5 +225,21 @@ mod tests {
         assert_eq!(plan.len(), 1);
         let uniform = MemoryPlan::uniform(4, MemoryStrategy::FULL_CHECKPOINT);
         assert_eq!(uniform.len(), 4);
+    }
+
+    #[test]
+    fn set_on_a_clone_leaves_the_original_unchanged() {
+        let original = MemoryPlan::uniform(4, MemoryStrategy::FULL_CHECKPOINT);
+        let mut clone = original.clone();
+        clone.set(1, MemoryStrategy::new(0.5, 0.5));
+        clone.set(9, MemoryStrategy::FULL_CHECKPOINT);
+        assert_eq!(
+            original,
+            MemoryPlan::uniform(4, MemoryStrategy::FULL_CHECKPOINT)
+        );
+        assert_eq!(original.get(1), MemoryStrategy::FULL_CHECKPOINT);
+        assert_eq!(original.len(), 4);
+        assert_eq!(clone.get(1), MemoryStrategy::new(0.5, 0.5));
+        assert_eq!(clone.len(), 5);
     }
 }

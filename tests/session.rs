@@ -293,3 +293,83 @@ fn warm_start_does_not_change_plan_validity_and_helps_the_incumbent() {
     }
     assert_eq!(session.stats().warm_started_plans, 3);
 }
+
+/// Exact hits hand out the cached plan's storage instead of a copy: two
+/// hits of one request share one stage-graph slab with each other and with
+/// the cold plan that filled the cache, and are equal to it in everything
+/// but the per-request bookkeeping.
+#[test]
+fn exact_hits_share_the_cached_graph_and_equal_the_cold_plan() {
+    let spec = zoo::vlm_s();
+    let cluster = ClusterSpec::h800_cluster(2);
+    let parallel = ParallelConfig::new(4, 4, 1);
+    let request = &replayed_requests(1, 1)[0];
+    let session = PlanningSession::new(&spec, parallel, &cluster, planner_config());
+
+    let cold = session.plan(request).unwrap();
+    assert_eq!(cold.tier, PlanTier::Cold);
+    let first = session.plan(request).unwrap();
+    let second = session.plan(request).unwrap();
+    for hit in [&first, &second] {
+        assert_eq!(hit.tier, PlanTier::Exact);
+        assert!(hit.plan.graph.shares_storage_with(&cold.plan.graph));
+        let mut served = hit.plan.clone();
+        served.stats = cold.plan.stats.clone();
+        assert_eq!(served, cold.plan);
+    }
+    assert!(first.plan.graph.shares_storage_with(&second.plan.graph));
+}
+
+/// A fuzzy delta replan builds its own graph and never writes to its
+/// anchor's: replaying the anchor's request afterwards is an exact hit on
+/// the very plan the anchor table holds, with the stage durations and the
+/// planned time bit for bit as first planned.
+#[test]
+fn fuzzy_delta_replan_leaves_its_anchor_untouched() {
+    use dip_bench::vlm_batch_jittered;
+    use dip_core::BucketingConfig;
+
+    let spec = zoo::vlm_s();
+    let cluster = ClusterSpec::h800_cluster(2);
+    let parallel = ParallelConfig::new(4, 4, 1);
+    let session = PlanningSession::with_config(
+        &spec,
+        parallel,
+        &cluster,
+        planner_config(),
+        SessionConfig::fuzzy(),
+    );
+    let bucketing = BucketingConfig::default();
+    let request = |jitter| {
+        PlanRequest::new(vec![
+            vlm_batch_jittered(8, jitter, &bucketing),
+            vlm_batch_jittered(24, jitter, &bucketing),
+        ])
+    };
+    let duration_bits = |plan: &dip_core::DipPlan| -> Vec<u64> {
+        plan.graph
+            .items()
+            .iter()
+            .map(|item| item.duration.to_bits())
+            .collect()
+    };
+
+    let anchor = session.plan(&request(0)).unwrap();
+    assert_eq!(anchor.tier, PlanTier::Cold);
+    let anchor_bits = duration_bits(&anchor.plan);
+    let anchor_time = anchor.plan.stats.planned_time_s.to_bits();
+
+    let delta = session.plan(&request(3)).unwrap();
+    assert_eq!(delta.tier, PlanTier::Fuzzy);
+    assert!(
+        delta.plan.stats.search_evaluations > 1,
+        "a delta search ran"
+    );
+    assert!(!delta.plan.graph.shares_storage_with(&anchor.plan.graph));
+
+    let replay = session.plan(&request(0)).unwrap();
+    assert_eq!(replay.tier, PlanTier::Exact);
+    assert!(replay.plan.graph.shares_storage_with(&anchor.plan.graph));
+    assert_eq!(duration_bits(&replay.plan), anchor_bits);
+    assert_eq!(replay.plan.stats.planned_time_s.to_bits(), anchor_time);
+}
