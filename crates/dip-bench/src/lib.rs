@@ -100,8 +100,9 @@ pub fn vlm_batch(images: u64) -> BatchWorkload {
 
 /// An in-bucket jitter of [`vlm_batch`]: the text-token count moves by up
 /// to `dt` (clamped to the canonical bucket's remaining headroom under
-/// `bucketing`), so the exact workload signature changes while the
-/// canonical signature — and therefore the fuzzy-cache bucket — stays put.
+/// `bucketing`), so the exact signature (under [`BucketingConfig::exact`])
+/// changes while the signature under `bucketing` — and therefore the
+/// fuzzy-cache bucket — stays put.
 pub fn vlm_batch_jittered(images: u64, dt: u64, bucketing: &BucketingConfig) -> BatchWorkload {
     let base = vlm_batch(images);
     let text = base.get(Modality::Text);

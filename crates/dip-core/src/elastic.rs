@@ -33,10 +33,7 @@
 use crate::error::DipError;
 use crate::planner::{heaviest, DipPlan, DipPlanner, Reuse};
 use dip_models::{BatchWorkload, ModuleId};
-use dip_pipeline::{
-    capacity_aware_separated_placement, full_restore_cost, latency_balanced_separated_placement,
-    migration_cost, separated_placement, MigrationCost, Placement, PlacementMode,
-};
+use dip_pipeline::{full_restore_cost, migration_cost, MigrationCost, Placement};
 use dip_sim::{ClusterTopology, TopologyDelta};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -338,26 +335,15 @@ impl DipPlanner<'_> {
         for segment in &old.segments {
             *counts.entry(segment.module?).or_default() += 1;
         }
-        let rebalanced = match self.config.partitioner.placement {
-            PlacementMode::CapacityAware => capacity_aware_separated_placement(
-                self.spec,
-                self.parallel,
-                &counts,
-                &self.topology,
-            ),
-            PlacementMode::LatencyBalanced => {
-                let representative = heaviest(microbatches).cloned().unwrap_or_default();
-                latency_balanced_separated_placement(
-                    self.spec,
-                    self.parallel,
-                    &counts,
-                    &self.topology,
-                    self.config.efficiency,
-                    &representative,
-                )
-            }
-            PlacementMode::RoundRobin => separated_placement(self.spec, self.parallel, &counts),
-        };
+        let empty = BatchWorkload::default();
+        let rebalanced = self.config.partitioner.placement.place(
+            self.spec,
+            self.parallel,
+            &counts,
+            Some(&self.topology),
+            self.config.efficiency,
+            heaviest(microbatches).unwrap_or(&empty),
+        );
         if rebalanced.validate(self.spec).is_err()
             || rebalanced.segments.len() != old.segments.len()
             || rebalanced

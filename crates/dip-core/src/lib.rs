@@ -91,9 +91,7 @@ pub use ordering::{
 };
 pub use partitioner::{ModalityAwarePartitioner, PartitionerConfig, PartitionerOutput};
 pub use planner::{DipPlan, DipPlanner, PlanTier, PlannerConfig, PlannerStats};
-pub use session::{
-    PlanOutcome, PlanRequest, PlanningSession, SessionConfig, SessionStats, WorkloadSignature,
-};
+pub use session::{PlanOutcome, PlanRequest, PlanningSession, SessionConfig, SessionStats};
 
 // Re-exported so session users can configure the fuzzy tier without a
 // direct dip-models dependency.

@@ -193,12 +193,6 @@ impl Default for OrderingSearchConfig {
 }
 
 impl OrderingSearchConfig {
-    /// Returns this configuration warm-started from `ordering`.
-    pub fn with_seed_ordering(mut self, ordering: Vec<usize>) -> Self {
-        self.seed_ordering = Some(ordering);
-        self
-    }
-
     /// The deterministic per-stream evaluation quota of this configuration
     /// for a stage graph of `graph_items` items: the virtual-time budget
     /// divided by the calibrated per-evaluation cost, min-combined with

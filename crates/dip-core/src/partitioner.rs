@@ -9,10 +9,7 @@
 
 use crate::error::{DipError, ResultExt};
 use dip_models::{BatchWorkload, LmmSpec, ModalityWorkload, ModuleId, ModuleRole};
-use dip_pipeline::{
-    capacity_aware_separated_placement, latency_balanced_separated_placement, separated_placement,
-    ParallelConfig, Placement, PlacementMode, SubMicrobatchPlan,
-};
+use dip_pipeline::{ParallelConfig, Placement, PlacementMode, SubMicrobatchPlan};
 use dip_sim::{ClusterTopology, TimingModel};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -201,25 +198,14 @@ impl<'a> ModalityAwarePartitioner<'a> {
     /// configuration leaves layers uncovered).
     pub fn partition(&self, representative: &BatchWorkload) -> Result<PartitionerOutput, DipError> {
         let segment_counts = self.segment_counts(representative);
-        let placement = match (&self.topology, self.config.placement) {
-            (Some(topology), PlacementMode::CapacityAware) => capacity_aware_separated_placement(
-                self.spec,
-                self.parallel,
-                &segment_counts,
-                topology,
-            ),
-            (Some(topology), PlacementMode::LatencyBalanced) => {
-                latency_balanced_separated_placement(
-                    self.spec,
-                    self.parallel,
-                    &segment_counts,
-                    topology,
-                    self.timing.efficiency,
-                    representative,
-                )
-            }
-            _ => separated_placement(self.spec, self.parallel, &segment_counts),
-        };
+        let placement = self.config.placement.place(
+            self.spec,
+            self.parallel,
+            &segment_counts,
+            self.topology.as_ref(),
+            self.timing.efficiency,
+            representative,
+        );
         placement
             .validate(self.spec)
             .planning_context("offline modality-aware partitioning")?;

@@ -6,7 +6,7 @@
 use crate::error::{DipError, ResultExt};
 use crate::memopt::{optimize_memory_detailed, MemoryOptConfig};
 use crate::ordering::{
-    ordering_from_priorities, search_ordering, OrderingResult, OrderingSearchConfig, SearchStrategy,
+    ordering_from_priorities, search_ordering, OrderingResult, OrderingSearchConfig,
 };
 use crate::partitioner::{ModalityAwarePartitioner, PartitionerConfig, PartitionerOutput};
 use dip_models::{BatchWorkload, LmmSpec, Modality};
@@ -95,12 +95,6 @@ impl PlannerConfig {
             enable_memory_opt: false,
             ..Self::fast()
         }
-    }
-
-    /// Selects the ordering-search strategy (MCTS, DFS or random).
-    pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.search.strategy = strategy;
-        self
     }
 
     /// Gives the planner an `n`-thread CPU budget: `n` ordering-search

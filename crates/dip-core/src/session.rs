@@ -7,27 +7,28 @@
 //! the same packed-batch shapes again and again. A [`PlanningSession`]
 //! amortises that repetition the way a JIT caches compiled byte-code:
 //!
-//! * every [`PlanRequest`] is keyed by a canonical [`WorkloadSignature`]
-//!   derived from the per-modality token/sequence counts of its
-//!   microbatches ([`dip_models::BatchWorkload::signature`]); the cache key
-//!   additionally folds in the cluster-topology fingerprint
-//!   ([`WorkloadSignature::with_topology`]), so plans produced for
+//! * every [`PlanRequest`] is keyed by its exact [`CanonicalSignature`]
+//!   (bucketing [`BucketingConfig::exact`]) over the per-modality
+//!   token/sequence counts of its microbatches; the cache key additionally
+//!   folds in the cluster-topology fingerprint
+//!   ([`CanonicalSignature::with_topology`]), so plans produced for
 //!   different clusters never collide;
 //! * plans for already-seen signatures are served from an O(1) LRU cache in
 //!   microseconds instead of re-running the MCTS ordering search and the
 //!   memory ILP (the [`SessionStats`] per-tier counters make the saving
 //!   observable); the hit path takes a single cache-lock acquisition;
 //! * with [`SessionConfig::bucketing`] enabled, exact misses fall through
-//!   to a **fuzzy tier**: the request's quantised [`CanonicalSignature`]
-//!   is looked up in a bucket-keyed anchor cache, and an in-bucket
-//!   neighbour's plan is **delta-replanned** — the neighbour's placement,
-//!   sub-microbatch splits and memory plan are adopted, the stage graph is
-//!   expanded once for the real shape and repriced in place, and only a
-//!   tiny ordering search seeded from the neighbour's best ordering runs
-//!   (budgeted by [`crate::OrderingSearchConfig::delta_budget`]); no full
-//!   MCTS budget and no memory ILP, so fuzzy-hit latency sits orders of
-//!   magnitude below a cold plan while staying within a small simulated
-//!   regret of it (the `fuzzy_replanning` proptests bound it empirically);
+//!   to a **fuzzy tier**: the same signature under the configured (wider)
+//!   bucketing is looked up in a bucket-keyed anchor cache, and an
+//!   in-bucket neighbour's plan is **delta-replanned** — the neighbour's
+//!   placement, sub-microbatch splits and memory plan are adopted, the
+//!   stage graph is expanded once for the real shape and repriced in
+//!   place, and only a tiny ordering search seeded from the neighbour's
+//!   best ordering runs (budgeted by
+//!   [`crate::OrderingSearchConfig::delta_budget`]); no full MCTS budget
+//!   and no memory ILP, so fuzzy-hit latency sits orders of magnitude
+//!   below a cold plan while staying within a small simulated regret of it
+//!   (the `fuzzy_replanning` proptests bound it empirically);
 //! * fresh signatures are planned **single-flight**: threads stampeding on
 //!   the same new shape run the planner exactly once — one leader plans
 //!   while the rest wait and then serve the freshly cached plan as a hit.
@@ -91,58 +92,9 @@ use dip_sim::ClusterSpec;
 use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
-
-/// Canonical signature of one iteration's prefetched workload metadata.
-///
-/// Two requests share a signature exactly when they contain the same
-/// microbatch workloads in the same order; the underlying hash is stable
-/// across processes, so signatures can be logged and compared between runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct WorkloadSignature(u64);
-
-impl WorkloadSignature {
-    /// Computes the signature of an iteration's microbatches.
-    pub fn of(microbatches: &[BatchWorkload]) -> Self {
-        // SplitMix64-style finalisation of each batch signature folded over
-        // the sequence, so microbatch order matters and batches do not
-        // cancel each other out.
-        let mut acc = 0x9E37_79B9_7F4A_7C15u64 ^ (microbatches.len() as u64);
-        for batch in microbatches {
-            let mut z = acc.wrapping_add(batch.signature());
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            acc = z ^ (z >> 31);
-        }
-        Self(acc)
-    }
-
-    /// The raw 64-bit value.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-
-    /// Folds a cluster-topology fingerprint
-    /// ([`dip_sim::ClusterTopology::fingerprint`]) into the signature,
-    /// producing the plan-cache key: the same workload planned for two
-    /// different clusters yields two different keys, so their plans never
-    /// collide in a cache.
-    pub fn with_topology(self, fingerprint: u64) -> Self {
-        let mut z = self.0 ^ fingerprint.rotate_left(32);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Self(z ^ (z >> 31))
-    }
-}
-
-impl fmt::Display for WorkloadSignature {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
 
 /// One iteration's planning request: the prefetched microbatch metadata
 /// (workflow step ① of §3.2).
@@ -162,9 +114,11 @@ impl PlanRequest {
         &self.microbatches
     }
 
-    /// The request's canonical workload signature (the plan-cache key).
-    pub fn signature(&self) -> WorkloadSignature {
-        WorkloadSignature::of(&self.microbatches)
+    /// The request's exact workload signature: equal exactly when the
+    /// microbatch workloads are equal, in the same order. The session's
+    /// plan-cache key is this signature with the topology folded in.
+    pub fn signature(&self) -> CanonicalSignature {
+        CanonicalSignature::of(&self.microbatches, &BucketingConfig::exact())
     }
 }
 
@@ -186,8 +140,8 @@ pub struct PlanOutcome {
     /// The execution plan (freshly computed, delta-replanned from an
     /// in-bucket neighbour, or restored from the cache).
     pub plan: DipPlan,
-    /// The request's workload signature.
-    pub signature: WorkloadSignature,
+    /// The request's exact workload signature ([`PlanRequest::signature`]).
+    pub signature: CanonicalSignature,
     /// Which tier of the three-tier lookup served this request.
     pub tier: PlanTier,
 }
@@ -608,26 +562,33 @@ impl<'a> PlanningSession<'a> {
         &self.in_flight[(key as usize) & (IN_FLIGHT_SHARDS - 1)]
     }
 
-    /// The plan-cache key of a request: its [`WorkloadSignature`] with the
-    /// session's cluster-topology fingerprint folded in, so equal workloads
-    /// planned for different clusters key differently.
+    /// The plan-cache key of a request: its exact signature
+    /// ([`PlanRequest::signature`]) with the session's cluster-topology
+    /// fingerprint folded in, so equal workloads planned for different
+    /// clusters key differently.
     pub fn cache_key(&self, request: &PlanRequest) -> u64 {
-        request
-            .signature()
-            .with_topology(self.topology_fingerprint)
-            .as_u64()
+        self.signed_key(request, &BucketingConfig::exact()).1
     }
 
-    /// The fuzzy-cache key of a request under the session's bucketing
-    /// config: its quantised [`CanonicalSignature`] with the topology
-    /// fingerprint folded in. `None` when the fuzzy tier is disabled.
+    /// The fuzzy-cache key of a request: the same derivation as
+    /// [`PlanningSession::cache_key`] under the session's bucketing config.
+    /// `None` when the fuzzy tier is disabled.
     pub fn fuzzy_key(&self, request: &PlanRequest) -> Option<u64> {
         let bucketing = self.config.bucketing?;
-        Some(
-            CanonicalSignature::of(request.microbatches(), &bucketing)
-                .with_topology(self.topology_fingerprint)
-                .as_u64(),
-        )
+        Some(self.signed_key(request, &bucketing).1)
+    }
+
+    /// The one key derivation behind both cache tiers: the request's
+    /// signature under `bucketing`, and that signature with the topology
+    /// fingerprint folded in.
+    fn signed_key(
+        &self,
+        request: &PlanRequest,
+        bucketing: &BucketingConfig,
+    ) -> (CanonicalSignature, u64) {
+        let signature = CanonicalSignature::of(request.microbatches(), bucketing);
+        let key = signature.with_topology(self.topology_fingerprint);
+        (signature, key.as_u64())
     }
 
     /// The underlying planner, for read access (timing model, partition
@@ -706,8 +667,7 @@ impl<'a> PlanningSession<'a> {
     pub fn plan(&self, request: &PlanRequest) -> Result<PlanOutcome, DipError> {
         require_microbatches(request.microbatches())?;
         let start = Instant::now();
-        let signature = request.signature();
-        let key = signature.with_topology(self.topology_fingerprint).as_u64();
+        let (signature, key) = self.signed_key(request, &BucketingConfig::exact());
 
         if self.config.cache_capacity == 0 {
             // Caching disabled: nothing to deduplicate or anchor against.
@@ -790,7 +750,7 @@ impl<'a> PlanningSession<'a> {
     fn try_cached(
         &self,
         key: u64,
-        signature: WorkloadSignature,
+        signature: CanonicalSignature,
         start: Instant,
     ) -> Option<PlanOutcome> {
         self.cache_lock_acquisitions
@@ -805,7 +765,9 @@ impl<'a> PlanningSession<'a> {
         plan.stats.graph_build_time = Duration::ZERO;
         plan.stats.graph_build_cpu_time = Duration::ZERO;
         plan.stats.search_time = Duration::ZERO;
+        plan.stats.search_cpu_time = Duration::ZERO;
         plan.stats.memopt_time = Duration::ZERO;
+        plan.stats.memopt_cpu_time = Duration::ZERO;
         let mut stats = self.stats.lock();
         stats.requests += 1;
         stats.exact_hits += 1;
@@ -827,7 +789,7 @@ impl<'a> PlanningSession<'a> {
     fn finish_fuzzy(
         &self,
         mut plan: DipPlan,
-        signature: WorkloadSignature,
+        signature: CanonicalSignature,
         key: u64,
         start: Instant,
     ) -> PlanOutcome {
@@ -896,7 +858,7 @@ impl<'a> PlanningSession<'a> {
     fn plan_fresh(
         &self,
         request: &PlanRequest,
-        signature: WorkloadSignature,
+        signature: CanonicalSignature,
         key: u64,
         fuzzy_key: Option<u64>,
         _start: Instant,
@@ -1238,6 +1200,33 @@ mod tests {
         assert_eq!(stats.exact_hits, 1);
         assert_eq!(stats.cache_misses, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exact_hits_report_no_phase_time_but_their_own_lookup() {
+        let spec = zoo::vlm_s();
+        let cluster = ClusterSpec::h800_cluster(2);
+        let session = session(&spec, &cluster, SessionConfig::default());
+        let req = request(&[10, 40, 2, 30]);
+
+        let cold = session.plan(&req).unwrap().plan.stats;
+        assert!(cold.search_cpu_time > Duration::ZERO);
+        assert!(cold.memopt_cpu_time > Duration::ZERO);
+
+        let hit = session.plan(&req).unwrap().plan.stats;
+        assert_eq!(hit.tier, PlanTier::Exact);
+        let phases = [
+            ("partition_time", hit.partition_time),
+            ("graph_build_time", hit.graph_build_time),
+            ("graph_build_cpu_time", hit.graph_build_cpu_time),
+            ("search_time", hit.search_time),
+            ("search_cpu_time", hit.search_cpu_time),
+            ("memopt_time", hit.memopt_time),
+            ("memopt_cpu_time", hit.memopt_cpu_time),
+        ];
+        for (name, duration) in phases {
+            assert_eq!(duration, Duration::ZERO, "exact hit reported {name}");
+        }
     }
 
     #[test]

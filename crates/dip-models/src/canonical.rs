@@ -1,26 +1,38 @@
-//! Canonical (bucketed) workload signatures for fuzzy plan reuse.
+//! Canonical workload signatures: the one workload identity behind both
+//! plan-cache tiers.
 //!
-//! Exact [`BatchWorkload::signature`](crate::BatchWorkload::signature) keys
-//! recognise *identical* shapes only; real dynamic traffic produces
-//! near-identical shapes that differ by a handful of tokens and would miss
-//! an exact-keyed plan cache. A [`CanonicalSignature`] quantises the
-//! sequence-length-like workload dimensions (tokens, sequence counts) into
-//! configurable buckets so that every workload inside a bucket maps to the
-//! same key and a plan computed for one in-bucket shape can be *reused* for
-//! another — the planner layer re-prices the reused plan against the real
-//! shape, so the reuse is bounded-regret rather than approximate.
+//! A [`CanonicalSignature`] quantises the sequence-length-like workload
+//! dimensions (tokens, sequence counts) into configurable buckets before
+//! hashing. Under [`BucketingConfig::exact`] every bucket has width 1, so
+//! the signature separates any two distinct workloads: this is the exact
+//! plan-cache key. Under wider buckets (the fuzzy tier) every workload
+//! inside a bucket maps to the same key, and a plan computed for one
+//! in-bucket shape can be *reused* for another — real dynamic traffic
+//! produces near-identical shapes that differ by a handful of tokens and
+//! would miss an exact-keyed cache. The planner layer re-prices the reused
+//! plan against the real shape, so the reuse is bounded-regret rather than
+//! approximate.
 //!
 //! The microbatch count and modality set are folded exactly by default:
 //! plans are structurally tied to both (the stage graph has one work item
 //! per `(segment, microbatch)` block), so bucketing them would make reuse
 //! structurally unsound rather than merely suboptimal.
 
-use crate::workload::fnv1a_fold;
-use crate::{BatchWorkload, Modality, ModalityWorkload};
+use crate::{BatchWorkload, ModalityWorkload};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
-/// Seed distinguishing canonical signatures from exact workload signatures.
+/// Seed of the signature fold.
 const CANONICAL_SEED: u64 = 0xb0c4_e7ab_u64.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+
+/// Folds one word into the accumulator with the SplitMix64 finaliser, so
+/// the word's order in the sequence matters and words do not cancel.
+fn fold(acc: u64, word: u64) -> u64 {
+    let mut z = acc.wrapping_add(word);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// How aggressively workload dimensions are quantised before hashing.
 ///
@@ -39,18 +51,13 @@ pub struct BucketingConfig {
 }
 
 impl BucketingConfig {
-    /// Exact matching: every bucket has width 1, so the canonical signature
-    /// collides exactly when the exact signature does.
+    /// Exact matching: every bucket has width 1, so two workloads share a
+    /// canonical signature exactly when they are equal.
     pub fn exact() -> Self {
         Self {
             token_bucket: 1,
             sequence_bucket: 1,
         }
-    }
-
-    /// True when no dimension is actually quantised.
-    pub fn is_exact(&self) -> bool {
-        self.token_bucket <= 1 && self.sequence_bucket <= 1
     }
 
     /// Bucket index of a token count under this config.
@@ -91,29 +98,29 @@ impl Default for BucketingConfig {
 /// Two microbatch sequences share a canonical signature exactly when they
 /// have the same microbatch count and, per microbatch, the same non-empty
 /// modality set with every modality's `(token, sequence)` counts falling in
-/// the same [`BucketingConfig`] buckets. The hash is FNV-1a over the bucket
-/// indices, so — like the exact signature — it is stable across processes
-/// and suitable as a persistent cache key.
+/// the same [`BucketingConfig`] buckets. The hash folds the bucket indices
+/// word by word with the SplitMix64 finaliser, so it is stable across
+/// processes and suitable as a persistent cache key; it prints as 16 hex
+/// digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct CanonicalSignature(u64);
 
 impl CanonicalSignature {
     /// Canonical signature of a microbatch sequence under `config`.
     pub fn of(microbatches: &[BatchWorkload], config: &BucketingConfig) -> Self {
-        let mut acc = fnv1a_fold(CANONICAL_SEED, microbatches.len() as u64);
-        acc = fnv1a_fold(acc, config.token_bucket.max(1));
-        acc = fnv1a_fold(acc, config.sequence_bucket.max(1));
+        let mut acc = fold(CANONICAL_SEED, microbatches.len() as u64);
+        acc = fold(acc, config.token_bucket.max(1));
+        acc = fold(acc, config.sequence_bucket.max(1));
         for batch in microbatches {
-            acc = fnv1a_fold(acc, 0x6d6d_6261); // per-microbatch separator
+            // Per-microbatch separator. `BatchWorkload` iterates in
+            // `Modality::ALL` order and never stores an empty workload, so
+            // the fold is canonical.
+            acc = fold(acc, 0x6d6d_6261);
             for (modality, workload) in batch.iter() {
-                let index = Modality::ALL
-                    .iter()
-                    .position(|m| *m == modality)
-                    .expect("modality listed in Modality::ALL") as u64;
                 let (token_bin, sequence_bin) = config.bucket_of(&workload);
-                acc = fnv1a_fold(acc, index);
-                acc = fnv1a_fold(acc, token_bin);
-                acc = fnv1a_fold(acc, sequence_bin);
+                acc = fold(acc, modality as u64);
+                acc = fold(acc, token_bin);
+                acc = fold(acc, sequence_bin);
             }
         }
         Self(acc)
@@ -122,7 +129,7 @@ impl CanonicalSignature {
     /// Folds a topology fingerprint into the signature, so plans for the
     /// same bucketed shape on different clusters never alias.
     pub fn with_topology(self, fingerprint: u64) -> Self {
-        Self(fnv1a_fold(self.0, fingerprint))
+        Self(fold(self.0, fingerprint))
     }
 
     /// The raw 64-bit key.
@@ -131,9 +138,16 @@ impl CanonicalSignature {
     }
 }
 
+impl fmt::Display for CanonicalSignature {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:016x}", self.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Modality;
     use proptest::prelude::*;
 
     fn text(tokens: u64, sequences: u64) -> BatchWorkload {
@@ -143,12 +157,34 @@ mod tests {
     #[test]
     fn exact_config_matches_exact_equality() {
         let config = BucketingConfig::exact();
-        assert!(config.is_exact());
-        let a = CanonicalSignature::of(&[text(1000, 2)], &config);
-        let b = CanonicalSignature::of(&[text(1000, 2)], &config);
-        let c = CanonicalSignature::of(&[text(1001, 2)], &config);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        let key = |batch: BatchWorkload| CanonicalSignature::of(&[batch], &config);
+        let base = key(text(1000, 2));
+        assert_eq!(key(text(1000, 2)), base);
+        assert_ne!(key(text(1001, 2)), base);
+        assert_ne!(key(text(999, 2)), base);
+        assert_ne!(key(text(1000, 3)), base);
+        assert_ne!(key(text(1000, 1)), base);
+        let image = BatchWorkload::new().with(Modality::Image, ModalityWorkload::new(1000, 2));
+        assert_ne!(key(image), base);
+        assert_ne!(key(text(10, 1)), key(text(1, 10)));
+        // Empty workloads are never stored, so setting one leaves the key.
+        let with_empty = text(1000, 2).with(Modality::Video, ModalityWorkload::from_tokens(0));
+        assert_eq!(key(with_empty), base);
+    }
+
+    #[test]
+    fn exact_signature_is_stable_across_processes() {
+        // A literal, so any change to the fold shows up here rather than
+        // as silent misses against signatures logged by an older build.
+        let batch = BatchWorkload::new()
+            .with(Modality::Text, ModalityWorkload::new(100, 2))
+            .with(Modality::Image, ModalityWorkload::new(338, 2));
+        let signature = CanonicalSignature::of(&[batch], &BucketingConfig::exact());
+        assert_eq!(signature.as_u64(), 0xa276_49e7_4c25_e2ba);
+        assert_eq!(
+            signature.to_string(),
+            format!("{:016x}", signature.as_u64())
+        );
     }
 
     #[test]
@@ -225,6 +261,46 @@ mod tests {
             let same_bucket = config.token_bin(tokens_a) == config.token_bin(tokens_b)
                 && config.sequence_bin(seqs_a) == config.sequence_bin(seqs_b);
             prop_assert_eq!(a == b, same_bucket);
+        }
+
+        /// The signature must not depend on the order in which modalities
+        /// are inserted into a batch: the plan cache keys on it, so any
+        /// iteration-order sensitivity would turn equal workloads into
+        /// spurious cache misses.
+        #[test]
+        fn signature_is_stable_under_modality_insertion_order(
+            entries in prop::collection::vec(
+                (0usize..Modality::ALL.len(), 1u64..100_000, 1u64..64),
+                1..6,
+            ),
+            rotation in 0usize..6,
+        ) {
+            let entries: Vec<(Modality, ModalityWorkload)> = entries
+                .into_iter()
+                .map(|(m, tokens, seqs)| {
+                    (Modality::ALL[m], ModalityWorkload::new(tokens, seqs))
+                })
+                .collect();
+
+            // Insertion in the generated order (later duplicates accumulate
+            // via `add`, matching `FromIterator`).
+            let forward: BatchWorkload = entries.iter().copied().collect();
+            // Reversed and rotated orders accumulate per-modality in a
+            // different sequence but reach the same totals.
+            let reversed: BatchWorkload = entries.iter().rev().copied().collect();
+            let rotation = rotation % entries.len();
+            let rotated: BatchWorkload = entries[rotation..]
+                .iter()
+                .chain(&entries[..rotation])
+                .copied()
+                .collect();
+
+            let key = |batch: BatchWorkload| {
+                CanonicalSignature::of(&[batch], &BucketingConfig::exact())
+            };
+            let forward = key(forward);
+            prop_assert_eq!(forward, key(reversed));
+            prop_assert_eq!(forward, key(rotated));
         }
     }
 }

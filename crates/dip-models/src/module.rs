@@ -130,13 +130,6 @@ impl ModalityModule {
             _ => 0,
         }
     }
-
-    /// The per-layer forward FLOPs of a "representative" (median-position)
-    /// layer, used for quick load estimates.
-    pub fn representative_layer_fwd_flops(&self, workload: &ModalityWorkload) -> f64 {
-        let idx = self.layers.len() / 2;
-        self.layers[idx].fwd_flops(workload)
-    }
 }
 
 #[cfg(test)]

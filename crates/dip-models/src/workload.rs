@@ -2,21 +2,6 @@ use crate::Modality;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Seed of the FNV-1a hash used for workload signatures.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// Multiplier of the FNV-1a hash used for workload signatures.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds one word into an FNV-1a accumulator.
-pub(crate) fn fnv1a_fold(acc: u64, word: u64) -> u64 {
-    let mut acc = acc;
-    for byte in word.to_le_bytes() {
-        acc ^= u64::from(byte);
-        acc = acc.wrapping_mul(FNV_PRIME);
-    }
-    acc
-}
-
 /// The amount of work a single modality module must process for one
 /// microbatch (or sub-microbatch).
 ///
@@ -80,13 +65,6 @@ impl ModalityWorkload {
             tokens: self.tokens + other.tokens,
             sequences: self.sequences + other.sequences,
         }
-    }
-
-    /// A canonical signature of this workload: stable across processes and
-    /// runs, equal exactly when `tokens` and `sequences` are equal. Used by
-    /// the planning-session plan cache to recognise repeated shapes.
-    pub fn signature(&self) -> u64 {
-        fnv1a_fold(fnv1a_fold(FNV_OFFSET, self.tokens), self.sequences)
     }
 }
 
@@ -164,31 +142,6 @@ impl BatchWorkload {
             self.add(m, w);
         }
     }
-
-    /// A canonical signature of this batch workload.
-    ///
-    /// Two batches have equal signatures exactly when they carry the same
-    /// non-empty per-modality token and sequence counts (the `BTreeMap`
-    /// iteration order makes the fold canonical, and empty workloads are
-    /// never stored). The hash is FNV-1a over the modality index and the
-    /// per-modality counts, so it is stable across processes — suitable as
-    /// a plan-cache key that outlives a single run.
-    pub fn signature(&self) -> u64 {
-        let mut acc = fnv1a_fold(
-            0x5ee0_5eed_0000_0000 ^ FNV_OFFSET,
-            self.per_modality.len() as u64,
-        );
-        for (modality, workload) in &self.per_modality {
-            let index = Modality::ALL
-                .iter()
-                .position(|m| m == modality)
-                .expect("modality listed in Modality::ALL") as u64;
-            acc = fnv1a_fold(acc, index);
-            acc = fnv1a_fold(acc, workload.tokens);
-            acc = fnv1a_fold(acc, workload.sequences);
-        }
-        acc
-    }
 }
 
 impl FromIterator<(Modality, ModalityWorkload)> for BatchWorkload {
@@ -204,7 +157,6 @@ impl FromIterator<(Modality, ModalityWorkload)> for BatchWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn split_preserves_totals() {
@@ -251,89 +203,10 @@ mod tests {
     }
 
     #[test]
-    fn signatures_are_stable_and_order_insensitive() {
-        let a = BatchWorkload::new()
-            .with(Modality::Text, ModalityWorkload::new(100, 2))
-            .with(Modality::Image, ModalityWorkload::new(338, 2));
-        let b = BatchWorkload::new()
-            .with(Modality::Image, ModalityWorkload::new(338, 2))
-            .with(Modality::Text, ModalityWorkload::new(100, 2));
-        assert_eq!(a.signature(), b.signature());
-        // Known constant: guards cross-process stability of the hash.
-        assert_eq!(
-            BatchWorkload::new()
-                .with(Modality::Text, ModalityWorkload::new(1, 1))
-                .signature(),
-            BatchWorkload::new()
-                .with(Modality::Text, ModalityWorkload::new(1, 1))
-                .signature()
-        );
-    }
-
-    #[test]
-    fn signatures_distinguish_different_shapes() {
-        let base = BatchWorkload::new().with(Modality::Text, ModalityWorkload::new(100, 2));
-        let more_tokens = BatchWorkload::new().with(Modality::Text, ModalityWorkload::new(101, 2));
-        let more_seqs = BatchWorkload::new().with(Modality::Text, ModalityWorkload::new(100, 3));
-        let other_modality =
-            BatchWorkload::new().with(Modality::Image, ModalityWorkload::new(100, 2));
-        assert_ne!(base.signature(), more_tokens.signature());
-        assert_ne!(base.signature(), more_seqs.signature());
-        assert_ne!(base.signature(), other_modality.signature());
-        assert_ne!(
-            ModalityWorkload::new(10, 1).signature(),
-            ModalityWorkload::new(1, 10).signature()
-        );
-        // Empty workloads are dropped, so setting one never changes the key.
-        let with_empty = base
-            .clone()
-            .with(Modality::Video, ModalityWorkload::from_tokens(0));
-        assert_eq!(base.signature(), with_empty.signature());
-    }
-
-    #[test]
     fn merge_combines_batches() {
         let a = BatchWorkload::new().with(Modality::Text, ModalityWorkload::from_tokens(10));
         let mut b = BatchWorkload::new().with(Modality::Image, ModalityWorkload::from_tokens(20));
         b.merge(&a);
         assert_eq!(b.total_tokens(), 30);
-    }
-
-    proptest! {
-        /// The canonical signature must not depend on the order in which
-        /// modalities are inserted into the per-modality map — the plan
-        /// cache keys on it, so any iteration-order sensitivity would turn
-        /// equal workloads into spurious cache misses.
-        #[test]
-        fn signature_is_stable_under_modality_insertion_order(
-            entries in prop::collection::vec(
-                (0usize..Modality::ALL.len(), 1u64..100_000, 1u64..64),
-                1..6,
-            ),
-            rotation in 0usize..6,
-        ) {
-            let entries: Vec<(Modality, ModalityWorkload)> = entries
-                .into_iter()
-                .map(|(m, tokens, seqs)| {
-                    (Modality::ALL[m], ModalityWorkload::new(tokens, seqs))
-                })
-                .collect();
-
-            // Insertion in the generated order (later duplicates accumulate
-            // via `add`, matching `FromIterator`).
-            let forward: BatchWorkload = entries.iter().copied().collect();
-            // Reversed and rotated orders accumulate per-modality in a
-            // different sequence but reach the same totals.
-            let reversed: BatchWorkload = entries.iter().rev().copied().collect();
-            let rotation = rotation % entries.len().max(1);
-            let rotated: BatchWorkload = entries[rotation..]
-                .iter()
-                .chain(&entries[..rotation])
-                .copied()
-                .collect();
-
-            prop_assert_eq!(forward.signature(), reversed.signature());
-            prop_assert_eq!(forward.signature(), rotated.signature());
-        }
     }
 }

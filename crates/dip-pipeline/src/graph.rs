@@ -635,21 +635,6 @@ impl<'a> StageGraphBuilder<'a> {
         Ok(self.build_prepared(&prepared).0)
     }
 
-    /// Like [`StageGraphBuilder::build`], but also reports the build's CPU
-    /// accounting (summed per-block task wall time).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StageGraphBuilder::build`].
-    pub fn build_detailed(
-        &self,
-        microbatches: &[BatchWorkload],
-        plan: &SubMicrobatchPlan,
-    ) -> Result<(StageGraph, GraphBuildStats), PipelineError> {
-        let prepared = self.prepare(microbatches, plan)?;
-        Ok(self.build_prepared(&prepared))
-    }
-
     /// Expands a validated [`PreparedWorkloads`] into a stage graph: phase A
     /// prices every `(segment, microbatch)` block's items, phase B gathers
     /// every item's dependencies, both block-parallel with a deterministic

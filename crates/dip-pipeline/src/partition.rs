@@ -63,6 +63,41 @@ pub enum PlacementMode {
     LatencyBalanced,
 }
 
+impl PlacementMode {
+    /// The separated placement this mode selects, with `K_i` segments per
+    /// module from `segments_per_module`: the one mapping from a mode onto
+    /// [`separated_placement`], [`capacity_aware_separated_placement`] and
+    /// [`latency_balanced_separated_placement`]. Without a topology every
+    /// mode falls back to the equal split; `efficiency` and
+    /// `representative` only price [`PlacementMode::LatencyBalanced`].
+    pub fn place(
+        self,
+        spec: &LmmSpec,
+        parallel: ParallelConfig,
+        segments_per_module: &BTreeMap<ModuleId, usize>,
+        topology: Option<&ClusterTopology>,
+        efficiency: EfficiencyModel,
+        representative: &BatchWorkload,
+    ) -> Placement {
+        match (topology, self) {
+            (Some(topology), PlacementMode::CapacityAware) => {
+                capacity_aware_separated_placement(spec, parallel, segments_per_module, topology)
+            }
+            (Some(topology), PlacementMode::LatencyBalanced) => {
+                latency_balanced_separated_placement(
+                    spec,
+                    parallel,
+                    segments_per_module,
+                    topology,
+                    efficiency,
+                    representative,
+                )
+            }
+            _ => separated_placement(spec, parallel, segments_per_module),
+        }
+    }
+}
+
 /// A single model layer in the global (cross-module) execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct GlobalLayer {

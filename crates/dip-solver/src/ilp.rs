@@ -60,16 +60,6 @@ impl GroupChoiceProblem {
         self.groups.len() - 1
     }
 
-    /// Number of groups (decision positions).
-    pub fn num_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Number of binary variables in the flattened formulation.
-    pub fn num_variables(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
-    }
-
     /// Evaluates the objective of a selection (one index per group).
     ///
     /// # Panics

@@ -1,14 +1,11 @@
 //! Optimisation substrate for the DIP reproduction.
 //!
-//! DIP's per-layer memory optimisation (§5.3 of the paper) relies on two
-//! combinatorial solvers:
-//!
-//! * a **multiple-choice knapsack** ([`mckp`]) used offline to pick the most
-//!   time-efficient memory-strategy candidate within each memory bucket, and
-//! * a small **group-choice ILP** ([`ilp`]) solved online per pipeline rank:
-//!   select exactly one candidate per stage pair, minimising total latency
-//!   subject to peak-memory constraints, with a greedy warm start, an
-//!   optimality-gap early exit and a wall-clock time limit.
+//! DIP's per-layer memory optimisation (§5.3 of the paper) solves a small
+//! **group-choice ILP** ([`ilp`]) online per pipeline rank: select exactly
+//! one memory-strategy candidate per stage pair (the candidates come from a
+//! fixed strategy ladder), minimising total latency subject to peak-memory
+//! constraints, with a greedy warm start, an optimality-gap early exit and a
+//! wall-clock time limit.
 //!
 //! The same branch-and-bound engine doubles as the stand-in for the
 //! commercial solvers (Gurobi/Z3) used by the paper's monolithic-ILP
@@ -19,7 +16,5 @@
 #![warn(rust_2018_idioms)]
 
 pub mod ilp;
-pub mod mckp;
 
 pub use ilp::{Candidate, GroupChoiceProblem, Solution, SolveOptions, SolveStatus};
-pub use mckp::{solve_mckp, MckpItem, MckpSolution};

@@ -6,7 +6,7 @@
 //! * [`models`] — LMM architecture specs, cost model and the model zoo;
 //! * [`data`] — synthetic multimodal datasets, packing and dynamic traces;
 //! * [`sim`] — the operator-level analytical training simulator;
-//! * [`solver`] — MCKP and group-choice ILP solvers;
+//! * [`solver`] — the branch-and-bound group-choice ILP solver;
 //! * [`pipeline`] — placements, stage graphs, interleaving and baselines;
 //! * [`core`] — the DIP planner and the [`core::PlanningSession`] layer;
 //! * [`mod@bench`] — the shared experiment harness.

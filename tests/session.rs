@@ -5,7 +5,7 @@
 //! times.
 
 use dip_core::{
-    PlanRequest, PlanTier, PlannerConfig, PlanningSession, SessionConfig, WorkloadSignature,
+    CanonicalSignature, PlanRequest, PlanTier, PlannerConfig, PlanningSession, SessionConfig,
 };
 use dip_data::{BatchGenerator, DatasetMix, DynamicWorkloadController, ImageBoundSchedule};
 use dip_models::zoo;
@@ -115,7 +115,7 @@ fn plan_cache_cuts_total_planning_time_at_least_2x_on_a_repeated_trace() {
 #[test]
 fn workload_signatures_of_a_replayed_trace_repeat_exactly() {
     let requests = replayed_requests(5, 2);
-    let signatures: Vec<WorkloadSignature> = requests.iter().map(|r| r.signature()).collect();
+    let signatures: Vec<CanonicalSignature> = requests.iter().map(|r| r.signature()).collect();
     assert_eq!(&signatures[..5], &signatures[5..]);
     // Distinct envelope phases produce distinct signatures (the bounds
     // change every iteration of the rise phase).
