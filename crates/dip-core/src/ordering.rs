@@ -414,8 +414,7 @@ impl EvalContext {
 }
 
 /// Evaluates one ordering through the reusable workspace, returning the
-/// estimated iteration time; the per-rank orders are left in `ctx.ws`.
-/// Always a full pass, never a resumed one: [`calibrate_eval_cost`] times
+/// estimated iteration time. Always a full pass, never a resumed one: [`calibrate_eval_cost`] times
 /// this.
 fn evaluate_into(graph: &StageGraph, ordering: &[usize], ctx: &mut EvalContext) -> f64 {
     ctx.set_ordering(ordering);
@@ -721,8 +720,8 @@ impl PassMemo {
 /// is exact, see there); a record answer within the cutoff joins the exact
 /// map as a completed evaluation. Otherwise the bounded pass runs, resumed
 /// at the largest resume point any record offers, and only a completed
-/// pass is memoised, in both tables. `ctx.ws` holds orders only after a
-/// pass, so callers keep priorities, never orders.
+/// pass is memoised, in both tables. `ctx.ws` holds a pop log only after
+/// a pass, so callers keep priorities, never orders.
 fn evaluate(
     graph: &StageGraph,
     ordering: &[usize],

@@ -265,6 +265,24 @@ pub(crate) fn require_microbatches(microbatches: &[BatchWorkload]) -> Result<(),
     Ok(())
 }
 
+/// Rejects a parallel configuration with a zero degree, naming the field:
+/// the pricing, placement and graph code clamp degrees to at least 1, so a
+/// zero would otherwise plan silently as if it were 1.
+pub(crate) fn require_parallel_degrees(parallel: ParallelConfig) -> Result<(), DipError> {
+    let degrees = [
+        ("tp", parallel.tp),
+        ("pp", parallel.pp),
+        ("dp", parallel.dp),
+    ];
+    match degrees.iter().find(|(_, degree)| *degree == 0) {
+        Some((field, _)) => Err(DipError::invalid_request(format!(
+            "parallel configuration {parallel} has {field} = 0; every parallel \
+             degree must be at least 1"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// The heaviest microbatch (most tokens; the last of equals), the
 /// representative workload of offline placement decisions.
 pub(crate) fn heaviest<'b>(
@@ -514,8 +532,10 @@ impl<'a> DipPlanner<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`DipError`] wrapping failures from partitioning, stage-graph
-    /// construction or memory optimisation.
+    /// Returns [`DipError::InvalidRequest`] for an empty request or a
+    /// parallel configuration with a zero degree (the message names the
+    /// field), otherwise [`DipError`] wrapping failures from partitioning,
+    /// stage-graph construction or memory optimisation.
     pub fn plan_iteration(&self, microbatches: &[BatchWorkload]) -> Result<DipPlan, DipError> {
         self.plan_with(microbatches, Reuse::Cold { seed: None })
     }
@@ -567,6 +587,7 @@ impl<'a> DipPlanner<'a> {
         planned_on: u64,
     ) -> Result<(), DipError> {
         require_microbatches(microbatches)?;
+        require_parallel_degrees(self.parallel)?;
         let modalities = request_modalities(microbatches);
         let segments = anchor.placement.segments.len();
         let mismatch = if anchor.placement.parallel != self.parallel {
@@ -619,14 +640,17 @@ impl<'a> DipPlanner<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`DipError`] wrapping failures from partitioning, stage-graph
-    /// construction or memory optimisation.
+    /// Returns [`DipError::InvalidRequest`] for an empty request or a
+    /// parallel configuration with a zero degree, otherwise [`DipError`]
+    /// wrapping failures from partitioning, stage-graph construction or
+    /// memory optimisation.
     pub(crate) fn plan_with(
         &self,
         microbatches: &[BatchWorkload],
         reuse: Reuse<'_>,
     ) -> Result<DipPlan, DipError> {
         require_microbatches(microbatches)?;
+        require_parallel_degrees(self.parallel)?;
         let start = Instant::now();
         let tier = reuse.tier();
         let (anchor, placement, sub_plan, mut search) = match reuse {
@@ -877,6 +901,26 @@ mod tests {
         assert!(plan.stats.graph_build_time > Duration::ZERO);
         assert!(plan.stats.graph_build_cpu_time > Duration::ZERO);
         assert!(planner.partition_output().is_some());
+    }
+
+    #[test]
+    fn zero_parallel_degrees_are_rejected_by_name() {
+        let spec = zoo::vlm_s();
+        let cluster = ClusterSpec::h800_cluster(2);
+        let batches: Vec<BatchWorkload> = [10u64, 40].iter().map(|&i| vlm_batch(i)).collect();
+        for (parallel, field) in [
+            (ParallelConfig::new(0, 4, 1), "tp = 0"),
+            (ParallelConfig::new(4, 0, 1), "pp = 0"),
+            (ParallelConfig::new(4, 4, 0), "dp = 0"),
+        ] {
+            let planner = DipPlanner::new(&spec, parallel, &cluster, PlannerConfig::fast());
+            match planner.plan_iteration(&batches) {
+                Err(DipError::InvalidRequest(message)) => {
+                    assert!(message.contains(field), "{parallel}: {message}")
+                }
+                other => panic!("{parallel}: expected an invalid request, got {other:?}"),
+            }
+        }
     }
 
     #[test]

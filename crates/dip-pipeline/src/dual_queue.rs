@@ -67,7 +67,7 @@
 //!
 //! [`schedule_resumed`] turns the record into work saved. Handed the first
 //! `j` pops of a completed pass ([`PassRecord::prefix`]), it replays them
-//! with no heap operation and no per-rank pick: a replayed stage starts at
+//! with no queue operation and no per-rank pick: a replayed stage starts at
 //! `max(ready, rank free)`, exactly where the live loop starts a popped
 //! entry, and the cutoff applies to every replayed end, so a bounded pass
 //! aborts exactly where a fresh one would. It then rebuilds the queues
@@ -77,10 +77,21 @@
 //! pass's queues), so a resumed pass leaves exactly the record a fresh pass
 //! would. The ordering search resumes every pass at the largest `j` any
 //! earlier pass of the same search offers.
+//!
+//! # Live steps
+//!
+//! A live step picks, per rank, the stage the rank would run next and runs
+//! the pick that starts earliest (the lowest rank on ties). Each queue is a
+//! short vector in ascending entry order, best last: queues hold a handful
+//! of entries, where a binary-search insert beats a heap's sifts, and since
+//! ids are unique the order is total, so every top is the one a heap would
+//! give. A rank's pick reads only its own queues and state, so it is cached
+//! and recomputed only for a rank that ran the previous step or received a
+//! released stage. The per-rank orders are the pop log filtered by rank
+//! ([`ScheduleWorkspace::orders`]); no pass writes them separately.
 
-use crate::graph::{Direction, StageGraph, StageId};
+use crate::graph::{Direction, StageGraph, StageId, WorkItem};
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 
 /// Configuration of the dual-queue interleaver.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -126,29 +137,49 @@ impl RankOrders {
     }
 }
 
+/// One released stage in its (rank, direction) queue: 32 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct QueueEntry {
     priority: i64,
-    microbatch: usize,
-    sub_microbatch: usize,
+    /// Microbatch in the high 32 bits, sub-microbatch in the low 32.
+    position: u64,
     ready_time: f64,
-    id: StageId,
+    id: u32,
+}
+
+impl QueueEntry {
+    fn new(priority: i64, item: &WorkItem, ready_time: f64) -> Self {
+        debug_assert!(
+            u32::try_from(item.microbatch).is_ok() && u32::try_from(item.sub_microbatch).is_ok(),
+            "microbatch indices are packed as u32"
+        );
+        Self {
+            priority,
+            position: (item.microbatch as u64) << 32 | item.sub_microbatch as u64,
+            ready_time,
+            id: item.id.0 as u32,
+        }
+    }
+
+    fn id(&self) -> StageId {
+        StageId(self.id as usize)
+    }
 }
 
 impl Eq for QueueEntry {}
 
 impl Ord for QueueEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap on priority, then earlier microbatch/sub-microbatch first,
-        // then earlier ready time. Ready times are compared with
-        // `f64::total_cmp`, so the order is total by construction — a NaN
-        // (impossible for well-formed graphs, but heap invariants should
-        // never rest on that) sorts deterministically instead of silently
-        // comparing equal to everything.
+        // Higher priority is better, then earlier microbatch/sub-microbatch,
+        // then earlier ready time, then the lower id. Ready times are
+        // compared with `f64::total_cmp`, so the order is total by
+        // construction — a NaN (impossible for well-formed graphs, but
+        // queue invariants should never rest on that) sorts
+        // deterministically instead of silently comparing equal to
+        // everything — and ids are unique, so no two entries tie.
         self.priority
             .cmp(&other.priority)
-            .then(other.microbatch.cmp(&self.microbatch))
-            .then(other.sub_microbatch.cmp(&self.sub_microbatch))
+            .then(other.position.cmp(&self.position))
             .then(other.ready_time.total_cmp(&self.ready_time))
             .then(other.id.cmp(&self.id))
     }
@@ -157,6 +188,32 @@ impl Ord for QueueEntry {
 impl PartialOrd for QueueEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// A (rank, direction) queue: its entries in ascending [`QueueEntry`]
+/// order, so the best entry is the last. Queues hold a handful of entries
+/// (about 3 on average at a pop in the planner's graphs), where a short
+/// memmove on insert is cheaper than a heap's sifts.
+#[derive(Debug, Clone, Default)]
+struct SortedQueue(Vec<QueueEntry>);
+
+impl SortedQueue {
+    fn push(&mut self, entry: QueueEntry) {
+        let at = self.0.partition_point(|e| *e < entry);
+        self.0.insert(at, entry);
+    }
+
+    fn pop(&mut self) -> Option<QueueEntry> {
+        self.0.pop()
+    }
+
+    fn top(&self) -> Option<&QueueEntry> {
+        self.0.last()
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
@@ -179,13 +236,13 @@ pub struct RequirementEvent {
 }
 
 /// Reusable scratch state for [`schedule_into`] / [`schedule_bounded`] /
-/// [`schedule_resumed`]: every heap and vector one interleave pass needs,
+/// [`schedule_resumed`]: every queue and vector one interleave pass needs,
 /// hoisted out of the call so a search worker evaluating thousands of
 /// orderings performs **zero heap allocations after warm-up**. The reset
-/// is clear-don't-drop — vectors are `clear()`ed and refilled, heaps keep
-/// their buffers — so capacities only ever grow to the graph's high-water
-/// mark and then stay put (the capacity-stability test below asserts
-/// exactly that).
+/// is clear-don't-drop — vectors, queues included, are `clear()`ed and
+/// refilled in their buffers — so capacities only ever grow to the graph's
+/// high-water mark and then stay put (the capacity-stability test below
+/// asserts exactly that).
 ///
 /// A workspace is not tied to one graph: it resizes itself to whatever
 /// graph it is handed. Reusing one workspace across the evaluations of a
@@ -201,10 +258,13 @@ pub struct ScheduleWorkspace {
     ready_time: Vec<f64>,
     /// Push step per released item.
     push_step: Vec<u32>,
-    /// Per-rank forward-stage queues.
-    fwd_queues: Vec<BinaryHeap<QueueEntry>>,
-    /// Per-rank backward-stage queues.
-    bwd_queues: Vec<BinaryHeap<QueueEntry>>,
+    /// Per-rank stage queues, at [`queue_index`]: forward, then backward.
+    queues: Vec<SortedQueue>,
+    /// Per-rank cached pick `(start, stage)` of the live loop, valid while
+    /// the rank is not dirty.
+    picks: Vec<Option<(f64, StageId)>>,
+    /// Per-rank: its queues or state changed since its pick was cached.
+    dirty: Vec<bool>,
     /// Per-rank time the rank becomes free.
     t_last: Vec<f64>,
     /// Per-rank direction of the last executed stage.
@@ -213,8 +273,6 @@ pub struct ScheduleWorkspace {
     mem_used: Vec<u64>,
     /// Per-rank in-flight (forward done, backward pending) stage pairs.
     inflight: Vec<usize>,
-    /// Per-rank execution orders of the most recent pass.
-    orders: Vec<Vec<StageId>>,
     /// Decision record of the most recent pass.
     record: RecordState,
     /// Steps the most recent pass replayed from its prefix.
@@ -229,11 +287,17 @@ impl ScheduleWorkspace {
         Self::default()
     }
 
-    /// The per-rank execution orders produced by the most recent pass
-    /// (empty before the first pass; partial after an aborted bounded pass
-    /// or on a graph with an unsatisfiable dependency).
-    pub fn orders(&self) -> &[Vec<StageId>] {
-        &self.orders
+    /// The per-rank execution orders of the most recent pass over `graph`,
+    /// read off its pop log (empty before the first pass; partial after an
+    /// aborted bounded pass or on a graph with an unsatisfiable
+    /// dependency).
+    pub fn orders(&self, graph: &StageGraph) -> RankOrders {
+        let mut orders = vec![Vec::new(); graph.num_ranks];
+        for &id in &self.record.pops {
+            let id = StageId(id as usize);
+            orders[graph.item(id).rank].push(id);
+        }
+        RankOrders { orders }
     }
 
     /// The decision record of the most recent pass (see the module docs).
@@ -263,7 +327,7 @@ impl ScheduleWorkspace {
 
     /// Clear-don't-drop reset for a graph of `n` items over `num_ranks`
     /// ranks and `num_segments` segments: every vector is cleared and
-    /// refilled in place, every heap keeps its buffer.
+    /// refilled in place, every queue keeps its buffer.
     fn reset(&mut self, n: usize, num_ranks: usize, num_segments: usize) {
         debug_assert!(u32::try_from(n).is_ok(), "stage ids are logged as u32");
         self.remaining_deps.clear();
@@ -271,14 +335,14 @@ impl ScheduleWorkspace {
         self.ready_time.resize(n, 0.0);
         self.push_step.clear();
         self.push_step.resize(n, 0);
-        self.fwd_queues.resize_with(num_ranks, BinaryHeap::new);
-        self.bwd_queues.resize_with(num_ranks, BinaryHeap::new);
-        for q in &mut self.fwd_queues {
+        self.queues.resize_with(2 * num_ranks, SortedQueue::default);
+        for q in &mut self.queues {
             q.clear();
         }
-        for q in &mut self.bwd_queues {
-            q.clear();
-        }
+        self.picks.clear();
+        self.picks.resize(num_ranks, None);
+        self.dirty.clear();
+        self.dirty.resize(num_ranks, true);
         self.t_last.clear();
         self.t_last.resize(num_ranks, 0.0);
         self.last_dir.clear();
@@ -287,10 +351,6 @@ impl ScheduleWorkspace {
         self.mem_used.resize(num_ranks, 0);
         self.inflight.clear();
         self.inflight.resize(num_ranks, 0);
-        self.orders.resize_with(num_ranks, Vec::new);
-        for order in &mut self.orders {
-            order.clear();
-        }
         self.record.reset(n, num_segments, 2 * num_ranks);
         self.replayed_steps = 0;
         self.live_steps = 0;
@@ -304,21 +364,19 @@ impl ScheduleWorkspace {
             self.remaining_deps.capacity(),
             self.ready_time.capacity(),
             self.push_step.capacity(),
-            self.fwd_queues.capacity(),
-            self.bwd_queues.capacity(),
+            self.queues.capacity(),
+            self.picks.capacity(),
+            self.dirty.capacity(),
             self.t_last.capacity(),
             self.last_dir.capacity(),
             self.mem_used.capacity(),
             self.inflight.capacity(),
-            self.orders.capacity(),
             self.record.present.capacity(),
             self.record.requirements.capacity(),
             self.record.events.capacity(),
             self.record.pops.capacity(),
         ];
-        sig.extend(self.fwd_queues.iter().map(BinaryHeap::capacity));
-        sig.extend(self.bwd_queues.iter().map(BinaryHeap::capacity));
-        sig.extend(self.orders.iter().map(Vec::capacity));
+        sig.extend(self.queues.iter().map(|q| q.0.capacity()));
         sig
     }
 }
@@ -582,29 +640,15 @@ fn queue_index(rank: usize, direction: Direction) -> usize {
     2 * rank + usize::from(direction == Direction::Backward)
 }
 
-/// Enqueues item `idx` on its rank's direction queue.
-fn push_entry(
-    graph: &StageGraph,
-    priorities: &[i64],
-    fwd_queues: &mut [BinaryHeap<QueueEntry>],
-    bwd_queues: &mut [BinaryHeap<QueueEntry>],
-    record: &mut RecordState,
-    ready: &[f64],
-    idx: usize,
-) {
+/// Enqueues item `idx` on its rank's direction queue under `priorities`,
+/// marking the rank's pick stale.
+fn push_entry(ws: &mut ScheduleWorkspace, graph: &StageGraph, priorities: &[i64], idx: usize) {
     let item = graph.item(StageId(idx));
-    let entry = QueueEntry {
-        priority: priorities.get(item.segment).copied().unwrap_or(0),
-        microbatch: item.microbatch,
-        sub_microbatch: item.sub_microbatch,
-        ready_time: ready[idx],
-        id: item.id,
-    };
-    record.push(queue_index(item.rank, item.direction), item.segment);
-    match item.direction {
-        Direction::Forward => fwd_queues[item.rank].push(entry),
-        Direction::Backward => bwd_queues[item.rank].push(entry),
-    }
+    let priority = priorities.get(item.segment).copied().unwrap_or(0);
+    let queue = queue_index(item.rank, item.direction);
+    ws.record.push(queue, item.segment);
+    ws.queues[queue].push(QueueEntry::new(priority, item, ws.ready_time[idx]));
+    ws.dirty[item.rank] = true;
 }
 
 /// Runs the dual-queue interleaver over a stage graph, returning the per-rank
@@ -617,16 +661,12 @@ fn push_entry(
 pub fn schedule(graph: &StageGraph, config: &DualQueueConfig) -> (RankOrders, f64) {
     let mut ws = ScheduleWorkspace::new();
     let makespan = schedule_into(graph, config, &mut ws);
-    (
-        RankOrders {
-            orders: std::mem::take(&mut ws.orders),
-        },
-        makespan,
-    )
+    (ws.orders(graph), makespan)
 }
 
 /// Runs the dual-queue interleaver using `ws` as scratch state, returning
-/// the makespan; the per-rank orders are left in [`ScheduleWorkspace::orders`].
+/// the makespan; [`ScheduleWorkspace::orders`] reads the per-rank orders off
+/// the pass's pop log.
 /// Bit-identical to [`schedule`] (the wrapper delegates here), but performs
 /// zero heap allocations once the workspace has warmed up on the graph's
 /// shape.
@@ -709,7 +749,7 @@ fn run_stage(
     ws.remaining_deps[id.0] = EXECUTED;
     ws.t_last[rank] = end;
     ws.last_dir[rank] = Some(item.direction);
-    ws.orders[rank].push(id);
+    ws.dirty[rank] = true;
     ws.record.pops.push(id.0 as u32);
     match item.direction {
         Direction::Forward => {
@@ -729,15 +769,7 @@ fn run_stage(
         if ws.remaining_deps[d] == 0 {
             ws.push_step[d] = (step + 1) as u32;
             if let Some(priorities) = priorities {
-                push_entry(
-                    graph,
-                    priorities,
-                    &mut ws.fwd_queues,
-                    &mut ws.bwd_queues,
-                    &mut ws.record,
-                    &ws.ready_time,
-                    d,
-                );
+                push_entry(ws, graph, priorities, d);
             }
         }
     }
@@ -794,37 +826,26 @@ fn schedule_core(
     // dependencies).
     for idx in 0..n {
         if ws.remaining_deps[idx] == 0 {
-            push_entry(
-                graph,
-                priorities,
-                &mut ws.fwd_queues,
-                &mut ws.bwd_queues,
-                &mut ws.record,
-                &ws.ready_time,
-                idx,
-            );
+            push_entry(ws, graph, priorities, idx);
         }
     }
 
     for step in resume..n {
         // Pick, for each rank, the stage it would run next under the policy,
-        // then execute the one that can start earliest overall.
-        let mut best: Option<(f64, usize, StageId, bool)> = None; // (start, rank, id, relaxed)
+        // then execute the one that can start earliest overall, the lowest
+        // rank on ties. A pick reads only its own rank's queues and state,
+        // so it is recomputed only for a dirty rank: one that ran the last
+        // step or was handed a released stage (every rank, at the first
+        // live step).
+        let mut best: Option<(f64, usize, StageId)> = None; // (start, rank, id)
         for rank in 0..num_ranks {
-            let fwd_allowed =
-                forward_allowed(rank, &ws.mem_used, &ws.inflight, config, &ws.fwd_queues);
-            let choice = pick_for_rank(
-                &ws.fwd_queues[rank],
-                &ws.bwd_queues[rank],
-                ws.t_last[rank],
-                ws.last_dir[rank],
-                fwd_allowed,
-                config.one_f_one_b,
-            );
-            if let Some(entry) = choice {
-                let start = entry.ready_time.max(ws.t_last[rank]);
+            if ws.dirty[rank] {
+                ws.dirty[rank] = false;
+                ws.picks[rank] = pick_for_rank(ws, rank, config);
+            }
+            if let Some((start, id)) = ws.picks[rank] {
                 if best.is_none_or(|(s, ..)| start < s) {
-                    best = Some((start, rank, entry.id, false));
+                    best = Some((start, rank, id));
                 }
             }
         }
@@ -832,15 +853,15 @@ fn schedule_core(
         // constraint, relax it for the rank with the earliest-ready forward.
         if best.is_none() {
             for rank in 0..num_ranks {
-                if let Some(entry) = ws.fwd_queues[rank].peek() {
+                if let Some(entry) = ws.queues[queue_index(rank, Direction::Forward)].top() {
                     let start = entry.ready_time.max(ws.t_last[rank]);
                     if best.is_none_or(|(s, ..)| start < s) {
-                        best = Some((start, rank, entry.id, true));
+                        best = Some((start, rank, entry.id()));
                     }
                 }
             }
         }
-        let Some((start, rank, id, _relaxed)) = best else {
+        let Some((start, rank, id)) = best else {
             // Nothing is ready anywhere although stages remain: the graph
             // has an unsatisfiable dependency (impossible for a
             // builder-made graph). A partial schedule has no makespan, so
@@ -855,22 +876,16 @@ fn schedule_core(
         };
 
         // Dequeue the chosen entry. Both the policy pick and the relaxed
-        // fallback select the *peeked top* of one queue, so the chosen
-        // entry is by construction that queue's maximum — pop it directly.
+        // fallback select the *top* of one queue, so the chosen entry is by
+        // construction that queue's best — pop it directly.
         let item = graph.item(id);
-        let queue = match item.direction {
-            Direction::Forward => &mut ws.fwd_queues[rank],
-            Direction::Backward => &mut ws.bwd_queues[rank],
-        };
-        let popped = queue
-            .pop()
-            .expect("the chosen entry was peeked from this queue");
-        debug_assert_eq!(popped.id, id, "the chosen entry is its queue's top");
-        let exhausted = queue
-            .peek()
-            .is_none_or(|top| top.priority < popped.priority);
+        let queue_idx = queue_index(rank, item.direction);
+        let queue = &mut ws.queues[queue_idx];
+        let popped = queue.pop().expect("the chosen entry is this queue's top");
+        debug_assert_eq!(popped.id(), id, "the chosen entry is its queue's top");
+        let exhausted = queue.top().is_none_or(|top| top.priority < popped.priority);
         ws.record.pop(
-            queue_index(rank, item.direction),
+            queue_idx,
             item.segment,
             exhausted,
             ws.push_step[id.0],
@@ -892,24 +907,17 @@ fn schedule_core(
     Some(makespan)
 }
 
-fn forward_allowed(
-    rank: usize,
-    mem_used: &[u64],
-    inflight: &[usize],
-    config: &DualQueueConfig,
-    fwd_queues: &[BinaryHeap<QueueEntry>],
-) -> bool {
-    if fwd_queues[rank].is_empty() {
-        return false;
-    }
+/// Whether `rank`'s forward queue may run now: its in-flight count and
+/// live activation bytes are under their caps.
+fn forward_allowed(ws: &ScheduleWorkspace, rank: usize, config: &DualQueueConfig) -> bool {
     if let Some(cap) = config.max_inflight {
-        if inflight[rank] >= cap {
+        if ws.inflight[rank] >= cap {
             return false;
         }
     }
     if let Some(limits) = &config.memory_limit {
         if let Some(&limit) = limits.get(rank) {
-            if mem_used[rank] >= limit {
+            if ws.mem_used[rank] >= limit {
                 return false;
             }
         }
@@ -917,38 +925,39 @@ fn forward_allowed(
     true
 }
 
+/// The stage `rank` would run next under the policy, with its start time,
+/// or `None` when the rank has nothing it may run.
 fn pick_for_rank(
-    fwd: &BinaryHeap<QueueEntry>,
-    bwd: &BinaryHeap<QueueEntry>,
-    t_last: f64,
-    last_dir: Option<Direction>,
-    fwd_allowed: bool,
-    one_f_one_b: bool,
-) -> Option<QueueEntry> {
-    let f = if fwd_allowed { fwd.peek() } else { None };
-    let b = bwd.peek();
-    match (f, b) {
-        (None, None) => None,
-        (Some(e), None) => Some(*e),
-        (None, Some(e)) => Some(*e),
+    ws: &ScheduleWorkspace,
+    rank: usize,
+    config: &DualQueueConfig,
+) -> Option<(f64, StageId)> {
+    let f = ws.queues[queue_index(rank, Direction::Forward)]
+        .top()
+        .filter(|_| forward_allowed(ws, rank, config));
+    let b = ws.queues[queue_index(rank, Direction::Backward)].top();
+    let t_last = ws.t_last[rank];
+    let entry = match (f, b) {
+        (None, None) => return None,
+        (Some(e), None) | (None, Some(e)) => e,
         (Some(fe), Some(be)) => {
             // When both could already have started (the rank is the
             // bottleneck), alternate forward/backward to bound memory
             // (the 1F1B pattern). Otherwise pick the stage that can start
             // earliest to minimise the bubble.
-            if one_f_one_b && fe.ready_time <= t_last && be.ready_time <= t_last {
-                match last_dir {
-                    Some(Direction::Forward) => Some(*be),
-                    Some(Direction::Backward) => Some(*fe),
-                    None => Some(*fe),
+            if config.one_f_one_b && fe.ready_time <= t_last && be.ready_time <= t_last {
+                match ws.last_dir[rank] {
+                    Some(Direction::Forward) => be,
+                    Some(Direction::Backward) | None => fe,
                 }
             } else if fe.ready_time <= be.ready_time {
-                Some(*fe)
+                fe
             } else {
-                Some(*be)
+                be
             }
         }
-    }
+    };
+    Some((entry.ready_time.max(t_last), entry.id()))
 }
 
 #[cfg(test)]
@@ -1105,7 +1114,7 @@ mod tests {
             let (orders, makespan) = schedule(&graph, &config);
             let ws_makespan = schedule_into(&graph, &config, &mut ws);
             assert_eq!(makespan.to_bits(), ws_makespan.to_bits());
-            assert_eq!(orders.orders.as_slice(), ws.orders());
+            assert_eq!(orders, ws.orders(&graph));
         }
     }
 
@@ -1273,7 +1282,7 @@ mod tests {
                     record.prefix(steps),
                 );
                 assert_eq!(result.map(f64::to_bits), Some(makespan.to_bits()));
-                assert_eq!(resumed.orders(), fresh.orders());
+                assert_eq!(resumed.orders(&graph), fresh.orders(&graph));
                 assert_eq!(resumed.record(), fresh.record());
                 assert_eq!(resumed.replayed_steps(), steps);
                 assert_eq!(resumed.live_steps(), graph.len() - steps);
@@ -1301,7 +1310,7 @@ mod tests {
         let mut ws = ScheduleWorkspace::new();
         let ws_makespan = schedule_into(&graph, &config, &mut ws);
         assert_eq!(makespan.to_bits(), ws_makespan.to_bits());
-        assert_eq!(orders.orders.as_slice(), ws.orders());
+        assert_eq!(orders, ws.orders(&graph));
     }
 
     #[test]
@@ -1310,11 +1319,11 @@ mod tests {
         let config = DualQueueConfig::default();
         let mut ws = ScheduleWorkspace::new();
         let makespan = schedule_into(&graph, &config, &mut ws);
-        let orders: Vec<Vec<StageId>> = ws.orders().to_vec();
+        let orders = ws.orders(&graph);
         let bounded = schedule_bounded(&graph, &config, &mut ws, f64::INFINITY)
             .expect("infinite cutoff never aborts");
         assert_eq!(makespan.to_bits(), bounded.to_bits());
-        assert_eq!(orders.as_slice(), ws.orders());
+        assert_eq!(orders, ws.orders(&graph));
     }
 
     #[test]
@@ -1344,7 +1353,7 @@ mod tests {
         // Release builds: the partial pass is reported, never a finite
         // makespan of the stages that did run.
         assert!(schedule_into(&graph, &config, &mut ws).is_infinite());
-        assert!(ws.orders().iter().map(Vec::len).sum::<usize>() < graph.len());
+        assert!(ws.orders(&graph).num_stages() < graph.len());
         assert!(schedule_bounded(&graph, &config, &mut ws, 1e9).is_none());
         let (orders, makespan) = schedule(&graph, &config);
         assert!(makespan.is_infinite());
