@@ -1169,7 +1169,7 @@ struct MctsTree {
 }
 
 impl MctsTree {
-    fn new(_num_segments: usize) -> Self {
+    fn new() -> Self {
         Self {
             nodes: vec![MctsNode::new()],
         }
@@ -1220,7 +1220,7 @@ fn mcts_worker(
 ) {
     let mut rng = worker_rng(config.seed, stream);
     let mut ctx = EvalContext::new(&config.dual_queue);
-    let mut tree = MctsTree::new(num_segments);
+    let mut tree = MctsTree::new();
     if let Some((seed, time_s)) = warm {
         tree.seed_path(seed, time_s);
     }

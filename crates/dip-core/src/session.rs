@@ -13,7 +13,7 @@
 //!   folds in the cluster-topology fingerprint
 //!   ([`CanonicalSignature::with_topology`]), so plans produced for
 //!   different clusters never collide;
-//! * plans for already-seen signatures are served from an O(1) LRU cache in
+//! * plans for already-seen signatures are served from an LRU cache in
 //!   microseconds instead of re-running the MCTS ordering search and the
 //!   memory ILP (the [`SessionStats`] per-tier counters make the saving
 //!   observable); the hit path takes a single cache-lock acquisition;
@@ -31,10 +31,8 @@
 //!   (the `fuzzy_replanning` proptests bound it empirically);
 //! * fresh signatures are planned **single-flight**: threads stampeding on
 //!   the same new shape run the planner exactly once — one leader plans
-//!   while the rest wait and then serve the freshly cached plan as a hit.
-//!   The in-flight table is sharded with per-key wait slots, so thousands
-//!   of distinct cold keys can stampede concurrently without convoying on
-//!   one lock, and waiters for one key never wake waiters for another;
+//!   while the rest wait on the key's slot in the in-flight table and then
+//!   serve the freshly cached plan as a hit;
 //! * on a cache miss, the ordering search is **warm-started** from the
 //!   previous iteration's best ordering
 //!   ([`crate::ordering_from_priorities`]), so similar-but-not-identical
@@ -42,11 +40,12 @@
 //!
 //! # Thread safety
 //!
-//! [`PlanningSession::plan`] takes `&self`: the plan cache lives behind a
-//! `parking_lot::RwLock` and the statistics/warm-start state behind
-//! mutexes, so one session can be shared across threads (e.g. behind an
-//! `Arc`, or borrowed into scoped threads) and serve cache hits
-//! concurrently. [`PlanningSession::plan_many`] plans a slice of
+//! [`PlanningSession::plan`] takes `&self`: the plan caches, the
+//! statistics and the warm-start state each live behind a mutex, so one
+//! session can be shared across threads (e.g. behind an `Arc`, or borrowed
+//! into scoped threads) and serve cache hits concurrently — a hit holds
+//! the cache lock only for the lookup and clones the plan outside it.
+//! [`PlanningSession::plan_many`] plans a slice of
 //! independent requests through a worker pool sized so that the pool width
 //! times the per-plan search parallelism stays within the
 //! [`PlannerConfig::num_threads`] CPU budget. Operations that invalidate
@@ -89,11 +88,11 @@ use crate::planner::{
 use dip_models::{BatchWorkload, BucketingConfig, CanonicalSignature, LmmSpec};
 use dip_pipeline::{ExecutionOutcome, ParallelConfig};
 use dip_sim::ClusterSpec;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex};
+use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One iteration's planning request: the prefetched microbatch metadata
@@ -265,32 +264,21 @@ impl SessionStats {
     }
 }
 
-/// One entry of the [`LruCache`]: the cached plan plus its position in the
-/// intrusive recency list (`prev` is one step *more* recently used, `next`
-/// one step less).
-#[derive(Debug)]
-struct LruEntry {
-    /// Shared so the hit path can hand out a cheap `Arc` handle under the
-    /// lock and clone the plan outside the critical section, and so one
-    /// freshly planned allocation can sit in both the exact and the fuzzy
-    /// table.
-    plan: Arc<DipPlan>,
-    prev: Option<u64>,
-    next: Option<u64>,
-}
-
-/// An O(1) LRU plan cache: a hash map whose entries double as nodes of an
-/// intrusive doubly-linked recency list. Lookup, touch, insert and eviction
-/// are all O(1) — replacing the previous `VecDeque` recency queue, whose
-/// linear scan on every touch could also hold stale duplicate keys after
-/// re-insertion and skew the eviction count.
+/// The plan cache of one tier, exact LRU by use stamps: every `get` and
+/// `insert` stamps its entry with the next tick of `clock`, and a new key
+/// inserted into a full cache evicts the entry with the smallest stamp.
+/// Stamps are unique and only increase, so the eviction order is exactly
+/// least-recently-used. The eviction scan covers at most `capacity`
+/// entries and runs only after a fresh plan, which costs milliseconds.
 #[derive(Debug, Default)]
 struct LruCache {
-    entries: HashMap<u64, LruEntry>,
-    /// Most recently used key.
-    head: Option<u64>,
-    /// Least recently used key (the eviction candidate).
-    tail: Option<u64>,
+    /// Key → (plan, stamp of its last use). The plan is shared so the hit
+    /// path can hand out a cheap `Arc` handle under the lock and clone the
+    /// plan outside the critical section, and so one freshly planned
+    /// allocation can sit in both the exact and the fuzzy table.
+    entries: HashMap<u64, (Arc<DipPlan>, u64)>,
+    /// The last stamp handed out.
+    clock: u64,
 }
 
 impl LruCache {
@@ -300,124 +288,48 @@ impl LruCache {
 
     fn clear(&mut self) {
         self.entries.clear();
-        self.head = None;
-        self.tail = None;
     }
 
     /// The cached plan for `key`, without updating recency.
     #[cfg(test)]
     fn peek(&self, key: u64) -> Option<&DipPlan> {
-        self.entries.get(&key).map(|e| e.plan.as_ref())
+        self.entries.get(&key).map(|(plan, _)| plan.as_ref())
     }
 
     /// The cached plan for `key`, marking it most recently used — lookup
     /// and recency update under one `&mut` borrow, so the hit path needs a
-    /// single lock acquisition instead of a read-then-write pair. Returns a
-    /// cheap `Arc` handle so the caller clones the plan outside the lock.
+    /// single lock acquisition. Returns a cheap `Arc` handle so the caller
+    /// clones the plan outside the lock.
     fn get(&mut self, key: u64) -> Option<Arc<DipPlan>> {
-        if self.entries.contains_key(&key) {
-            self.unlink(key);
-            self.link_front(key);
-        }
-        self.entries.get(&key).map(|e| Arc::clone(&e.plan))
+        let (plan, stamp) = self.entries.get_mut(&key)?;
+        self.clock += 1;
+        *stamp = self.clock;
+        Some(Arc::clone(plan))
     }
 
-    /// Unlinks `key` from the recency list (the entry stays in the map).
-    fn unlink(&mut self, key: u64) {
-        let (prev, next) = {
-            let entry = &self.entries[&key];
-            (entry.prev, entry.next)
-        };
-        match prev {
-            Some(p) => self.entries.get_mut(&p).expect("linked prev").next = next,
-            None => self.head = next,
-        }
-        match next {
-            Some(n) => self.entries.get_mut(&n).expect("linked next").prev = prev,
-            None => self.tail = prev,
-        }
-    }
-
-    /// Links `key` (already in the map, currently unlinked) as most
-    /// recently used.
-    fn link_front(&mut self, key: u64) {
-        let old_head = self.head;
-        {
-            let entry = self.entries.get_mut(&key).expect("entry to link");
-            entry.prev = None;
-            entry.next = old_head;
-        }
-        if let Some(h) = old_head {
-            self.entries.get_mut(&h).expect("old head").prev = Some(key);
-        }
-        self.head = Some(key);
-        if self.tail.is_none() {
-            self.tail = Some(key);
-        }
-    }
-
-    /// Marks `key` most recently used; a no-op if it is not cached (it may
-    /// have been evicted between a read-locked lookup and this call).
-    fn touch(&mut self, key: u64) {
-        if self.entries.contains_key(&key) {
-            self.unlink(key);
-            self.link_front(key);
-        }
-    }
-
-    /// Inserts (or replaces) `key`, evicting least-recently-used entries
-    /// down to `capacity`; returns how many entries were evicted.
+    /// Inserts (or replaces) `key` as most recently used, evicting
+    /// least-recently-used entries down to `capacity`; returns how many
+    /// entries were evicted. Replacing a cached key never evicts.
     fn insert(&mut self, key: u64, plan: Arc<DipPlan>, capacity: usize) -> u64 {
         if capacity == 0 {
             return 0;
         }
-        if let Some(entry) = self.entries.get_mut(&key) {
-            // Re-insertion of a cached key replaces the plan and refreshes
-            // recency; it never grows the cache, so nothing is evicted.
-            entry.plan = plan;
-            self.touch(key);
-            return 0;
-        }
+        self.clock += 1;
         let mut evicted = 0;
-        while self.entries.len() >= capacity {
-            let Some(oldest) = self.tail else { break };
-            self.unlink(oldest);
-            self.entries.remove(&oldest);
-            evicted += 1;
+        if !self.entries.contains_key(&key) {
+            while self.entries.len() >= capacity {
+                let oldest = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, (_, stamp))| *stamp)
+                    .map(|(&oldest, _)| oldest)
+                    .expect("a full cache has entries");
+                self.entries.remove(&oldest);
+                evicted += 1;
+            }
         }
-        self.entries.insert(
-            key,
-            LruEntry {
-                plan,
-                prev: None,
-                next: None,
-            },
-        );
-        self.link_front(key);
+        self.entries.insert(key, (plan, self.clock));
         evicted
-    }
-
-    /// Checks the map/list size invariants: the recency list visits every
-    /// cached key exactly once, in both directions.
-    #[cfg(test)]
-    fn assert_invariants(&self) {
-        use std::collections::HashSet;
-        let mut seen = HashSet::new();
-        let mut cursor = self.head;
-        let mut prev = None;
-        while let Some(key) = cursor {
-            assert!(seen.insert(key), "duplicate key {key:#x} in recency list");
-            let entry = self.entries.get(&key).expect("listed key is cached");
-            assert_eq!(entry.prev, prev, "broken back-link at {key:#x}");
-            prev = Some(key);
-            cursor = entry.next;
-        }
-        assert_eq!(self.tail, prev, "tail does not end the list");
-        assert_eq!(
-            seen.len(),
-            self.entries.len(),
-            "recency list and map disagree on size"
-        );
     }
 }
 
@@ -434,18 +346,16 @@ pub struct PlanningSession<'a> {
     /// Fingerprint of the planner's cluster topology, folded into every
     /// cache key so plans for different clusters never collide.
     topology_fingerprint: u64,
-    cache: RwLock<LruCache>,
+    cache: Mutex<LruCache>,
     /// Fuzzy anchor cache: canonical (bucketed) key → the bucket's anchor
     /// plan. The *first* cold plan of a bucket becomes its anchor and is
     /// never replaced by delta replans, so in-bucket reuse always measures
     /// one delta step from a cold plan — regret never compounds across a
     /// chain of neighbours.
-    fuzzy: RwLock<LruCache>,
-    /// Sharded single-flight table: cache keys currently being planned,
-    /// each with its own per-key wait slot. Stampeding threads for one key
-    /// sleep on that key's slot only, so distinct cold keys neither convoy
-    /// on a shared lock nor wake each other's waiters.
-    in_flight: Vec<InFlightShard>,
+    fuzzy: Mutex<LruCache>,
+    /// Single-flight table: cache keys currently being planned, each with
+    /// the slot its waiters block on until the key's leader is done.
+    in_flight: InFlightTable,
     /// Number of plan-cache lock acquisitions taken by [`PlanningSession::plan`]
     /// (hit path: exactly one per request).
     cache_lock_acquisitions: AtomicU64,
@@ -453,56 +363,28 @@ pub struct PlanningSession<'a> {
     stats: Mutex<SessionStats>,
 }
 
-/// Number of single-flight shards; a power of two so the shard of a key is
-/// a mask of its low bits. Keys are already uniformly hashed, so 16 shards
-/// cut contention ~16× under a many-key stampede.
-const IN_FLIGHT_SHARDS: usize = 16;
+/// The single-flight table: the lock is held only to insert, clone or
+/// remove a key's slot — never across planning or waiting.
+type InFlightTable = StdMutex<HashMap<u64, Arc<OnceLock<()>>>>;
 
-/// One shard of the single-flight table: the keys in flight on this shard,
-/// each mapped to its waiters' slot. The shard lock is held only for
-/// slot insertion/removal/cloning — never across planning or waiting.
-#[derive(Debug, Default)]
-struct InFlightShard {
-    slots: StdMutex<HashMap<u64, Arc<WaitSlot>>>,
-}
-
-/// The per-key wait slot: waiters for a key sleep on *this* condvar, and
-/// only the key's leader wakes them — a stampede on one key never disturbs
-/// threads planning other keys.
-#[derive(Debug, Default)]
-struct WaitSlot {
-    done: StdMutex<bool>,
-    cv: StdCondvar,
-}
-
-impl WaitSlot {
-    /// Blocks until the key's leader marks the slot done (panic-safe via
-    /// the leader's [`InFlightGuard`]).
-    fn wait(&self) {
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        while !*done {
-            done = self.cv.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Removes the leader's key from its shard and wakes the key's waiters when
-/// the planning leader is done — on success, error or panic alike, so a
-/// failed leader can never strand its waiters.
+/// Removes the leader's key from the in-flight table and releases the
+/// key's waiters when the planning leader is done — on success, error or
+/// panic alike, so a failed leader can never strand its waiters.
 struct InFlightGuard<'s> {
-    shard: &'s InFlightShard,
-    slot: Arc<WaitSlot>,
+    in_flight: &'s InFlightTable,
+    slot: Arc<OnceLock<()>>,
     key: u64,
 }
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        let mut slots = self.shard.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.remove(&self.key);
-        drop(slots);
-        let mut done = self.slot.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = true;
-        self.slot.cv.notify_all();
+        // Remove the key first: a waiter that finds no cached plan after
+        // the release must be able to take the lead with a fresh slot.
+        self.in_flight
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&self.key);
+        let _ = self.slot.set(());
     }
 }
 
@@ -546,20 +428,13 @@ impl<'a> PlanningSession<'a> {
             planner,
             config,
             topology_fingerprint,
-            cache: RwLock::new(LruCache::default()),
-            fuzzy: RwLock::new(LruCache::default()),
-            in_flight: (0..IN_FLIGHT_SHARDS)
-                .map(|_| InFlightShard::default())
-                .collect(),
+            cache: Mutex::new(LruCache::default()),
+            fuzzy: Mutex::new(LruCache::default()),
+            in_flight: InFlightTable::default(),
             cache_lock_acquisitions: AtomicU64::new(0),
             last_best_ordering: Mutex::new(None),
             stats: Mutex::new(SessionStats::default()),
         }
-    }
-
-    /// The single-flight shard responsible for `key`.
-    fn in_flight_shard(&self, key: u64) -> &InFlightShard {
-        &self.in_flight[(key as usize) & (IN_FLIGHT_SHARDS - 1)]
     }
 
     /// The plan-cache key of a request: its exact signature
@@ -631,18 +506,18 @@ impl<'a> PlanningSession<'a> {
 
     /// Number of plans currently cached (exact tier).
     pub fn cached_plans(&self) -> usize {
-        self.cache.read().len()
+        self.cache.lock().len()
     }
 
     /// Number of fuzzy anchor plans currently cached (one per bucket seen).
     pub fn fuzzy_anchors(&self) -> usize {
-        self.fuzzy.read().len()
+        self.fuzzy.lock().len()
     }
 
     /// Drops every cached plan (exact and fuzzy) and the warm-start state.
     pub fn clear(&mut self) {
-        self.cache.write().clear();
-        self.fuzzy.write().clear();
+        self.cache.lock().clear();
+        self.fuzzy.lock().clear();
         *self.last_best_ordering.lock() = None;
     }
 
@@ -653,12 +528,10 @@ impl<'a> PlanningSession<'a> {
     ///
     /// Fresh signatures are planned **single-flight**: when several threads
     /// miss on the same key concurrently, exactly one runs the planner and
-    /// the rest sleep on that key's wait slot until its plan lands in the
-    /// cache, then serve it as a hit — a repeated shape never pays the
-    /// planner twice, even under a cache stampede, and stampedes on
-    /// distinct keys proceed independently through the sharded in-flight
-    /// table. The exact-hit path takes exactly one cache-lock acquisition
-    /// (lookup and LRU touch under one write lock).
+    /// the rest wait on that key's slot until its plan lands in the cache,
+    /// then serve it as a hit — a repeated shape never pays the planner
+    /// twice, even under a cache stampede. The exact-hit path takes exactly
+    /// one cache-lock acquisition (lookup and LRU stamp under one lock).
     ///
     /// # Errors
     ///
@@ -683,17 +556,12 @@ impl<'a> PlanningSession<'a> {
         // freshly cached plan. Fuzzy delta replans run under the same
         // leadership, so a stampeded near-identical shape delta-replans
         // exactly once too.
-        let shard = self.in_flight_shard(key);
         let slot = loop {
             let (slot, leader) = {
-                let mut slots = shard.slots.lock().unwrap_or_else(|e| e.into_inner());
-                match slots.entry(key) {
+                let mut in_flight = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
+                match in_flight.entry(key) {
                     Entry::Occupied(occupied) => (Arc::clone(occupied.get()), false),
-                    Entry::Vacant(vacant) => {
-                        let slot = Arc::new(WaitSlot::default());
-                        vacant.insert(Arc::clone(&slot));
-                        (slot, true)
-                    }
+                    Entry::Vacant(vacant) => (Arc::clone(vacant.insert(Arc::default())), true),
                 }
             };
             if leader {
@@ -707,7 +575,11 @@ impl<'a> PlanningSession<'a> {
             // The leader failed (or its plan was already evicted): try to
             // become the leader ourselves.
         };
-        let _guard = InFlightGuard { shard, slot, key };
+        let _guard = InFlightGuard {
+            in_flight: &self.in_flight,
+            slot,
+            key,
+        };
         // A previous leader may have cached the plan between our initial
         // lookup and the leadership acquisition — re-check so a late
         // arrival never replans a cached signature (this is what makes
@@ -721,7 +593,7 @@ impl<'a> PlanningSession<'a> {
         // falls through to a cold plan; a delta replan that fails past the
         // check is a failed request, booked as a miss.
         let fuzzy_key = self.fuzzy_key(request);
-        let anchor = fuzzy_key.and_then(|fuzzy_key| self.fuzzy.write().get(fuzzy_key));
+        let anchor = fuzzy_key.and_then(|fuzzy_key| self.fuzzy.lock().get(fuzzy_key));
         if let Some(anchor) = anchor {
             let microbatches = request.microbatches();
             if self
@@ -730,7 +602,7 @@ impl<'a> PlanningSession<'a> {
                 .is_ok()
             {
                 return match self.planner.plan_with(microbatches, Reuse::Fuzzy(&anchor)) {
-                    Ok(plan) => Ok(self.finish_fuzzy(plan, signature, key, start)),
+                    Ok(plan) => Ok(self.finish(plan, signature, key, None, start)),
                     Err(err) => {
                         self.book_failure();
                         Err(err)
@@ -755,7 +627,7 @@ impl<'a> PlanningSession<'a> {
     ) -> Option<PlanOutcome> {
         self.cache_lock_acquisitions
             .fetch_add(1, AtomicOrdering::Relaxed);
-        let cached = self.cache.write().get(key)?;
+        let cached = self.cache.lock().get(key)?;
         let mut plan = DipPlan::clone(&cached);
         // The plan is identical to the cached original; only the
         // bookkeeping reflects the (near-zero) cost of serving it.
@@ -779,35 +651,6 @@ impl<'a> PlanningSession<'a> {
             signature,
             tier: PlanTier::Exact,
         })
-    }
-
-    /// Books a successful delta replan: the plan is cached under its exact
-    /// key (tiering the shape up, so the next identical request is an exact
-    /// hit), the warm-start seed advances, and the fuzzy-tier counters and
-    /// latency split are updated. The bucket's anchor is deliberately left
-    /// untouched — every delta replan stays one step from a cold plan.
-    fn finish_fuzzy(
-        &self,
-        mut plan: DipPlan,
-        signature: CanonicalSignature,
-        key: u64,
-        start: Instant,
-    ) -> PlanOutcome {
-        plan.stats.planning_time = start.elapsed();
-        *self.last_best_ordering.lock() = Some(ordering_from_priorities(&plan.segment_priorities));
-        self.cache_lock_acquisitions
-            .fetch_add(1, AtomicOrdering::Relaxed);
-        let plan = Arc::new(plan);
-        let evicted = self
-            .cache
-            .write()
-            .insert(key, Arc::clone(&plan), self.config.cache_capacity);
-        self.book_planned(&plan.stats, evicted);
-        PlanOutcome {
-            plan: Arc::unwrap_or_clone(plan),
-            signature,
-            tier: PlanTier::Fuzzy,
-        }
     }
 
     /// Books a freshly planned request (fuzzy or cold, by `plan.tier`) and
@@ -851,17 +694,15 @@ impl<'a> PlanningSession<'a> {
         stats.cache_misses += 1;
     }
 
-    /// Runs the planner for a fresh signature and caches the result; when
-    /// the fuzzy tier is enabled and the plan's bucket has no anchor yet,
-    /// the new cold plan becomes the bucket's anchor. Both tables hold the
-    /// same allocation.
+    /// Runs the planner for a fresh signature from the warm-start seed and
+    /// finishes the cold plan, anchoring its bucket under `fuzzy_key`.
     fn plan_fresh(
         &self,
         request: &PlanRequest,
         signature: CanonicalSignature,
         key: u64,
         fuzzy_key: Option<u64>,
-        _start: Instant,
+        start: Instant,
     ) -> Result<PlanOutcome, DipError> {
         let seed = if self.config.warm_start {
             self.last_best_ordering.lock().clone()
@@ -874,41 +715,58 @@ impl<'a> PlanningSession<'a> {
                 seed: seed.as_deref(),
             },
         );
-        let plan = match planned {
-            Ok(plan) => plan,
+        match planned {
+            Ok(plan) => Ok(self.finish(plan, signature, key, fuzzy_key, start)),
             Err(err) => {
                 self.book_failure();
-                return Err(err);
+                Err(err)
             }
-        };
+        }
+    }
 
+    /// Finishes a freshly planned request, cold or fuzzy (by
+    /// `plan.stats.tier`): stamps its planning time from `start`, advances
+    /// the warm-start seed, caches the plan under its exact key (so a
+    /// delta-replanned shape tiers up to an exact hit) and books it. A cold
+    /// plan passes its bucket's `anchor_key` and becomes the bucket's anchor
+    /// if it has none; both tables then hold the same allocation. A delta
+    /// replan passes `None`, leaving its anchor untouched, so every delta
+    /// replan stays one step from a cold plan.
+    fn finish(
+        &self,
+        mut plan: DipPlan,
+        signature: CanonicalSignature,
+        key: u64,
+        anchor_key: Option<u64>,
+        start: Instant,
+    ) -> PlanOutcome {
+        plan.stats.planning_time = start.elapsed();
         *self.last_best_ordering.lock() = Some(ordering_from_priorities(&plan.segment_priorities));
         let plan = Arc::new(plan);
         let evicted = if self.config.cache_capacity > 0 {
             self.cache_lock_acquisitions
                 .fetch_add(1, AtomicOrdering::Relaxed);
             self.cache
-                .write()
+                .lock()
                 .insert(key, Arc::clone(&plan), self.config.cache_capacity)
         } else {
             0
         };
-        if let Some(fuzzy_key) = fuzzy_key {
+        if let Some(anchor_key) = anchor_key {
             // First cold plan in a bucket wins as the anchor; later cold
             // plans (evictions aside) never replace it, so delta regret is
             // measured against a stable reference.
-            let mut fuzzy = self.fuzzy.write();
-            if fuzzy.get(fuzzy_key).is_none() {
-                fuzzy.insert(fuzzy_key, Arc::clone(&plan), self.config.cache_capacity);
+            let mut fuzzy = self.fuzzy.lock();
+            if fuzzy.get(anchor_key).is_none() {
+                fuzzy.insert(anchor_key, Arc::clone(&plan), self.config.cache_capacity);
             }
         }
-
         self.book_planned(&plan.stats, evicted);
-        Ok(PlanOutcome {
+        PlanOutcome {
+            tier: plan.stats.tier,
             plan: Arc::unwrap_or_clone(plan),
             signature,
-            tier: PlanTier::Cold,
-        })
+        }
     }
 
     /// Cumulative number of plan-cache lock acquisitions taken by
@@ -1075,53 +933,95 @@ mod tests {
     }
 
     #[test]
-    fn lru_cache_is_o1_and_keeps_its_invariants() {
+    fn lru_cache_evicts_the_least_recently_used_entry() {
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
         let plan = Arc::new(dummy_plan(&spec, &cluster));
         let mut lru = LruCache::default();
-        lru.assert_invariants();
 
         // Fill to capacity 3.
         for key in [1u64, 2, 3] {
             assert_eq!(lru.insert(key, Arc::clone(&plan), 3), 0);
-            lru.assert_invariants();
         }
         assert_eq!(lru.len(), 3);
-        assert_eq!(lru.head, Some(3));
-        assert_eq!(lru.tail, Some(1));
 
-        // Touch the LRU entry: it moves to the front, nothing is evicted.
-        lru.touch(1);
-        lru.assert_invariants();
-        assert_eq!(lru.head, Some(1));
-        assert_eq!(lru.tail, Some(2));
+        // Use the LRU entry: it becomes most recent, nothing is evicted.
+        assert!(lru.get(1).is_some());
+        assert_eq!(lru.len(), 3);
 
         // Inserting a fourth key evicts exactly the least recently used.
         assert_eq!(lru.insert(4, Arc::clone(&plan), 3), 1);
-        lru.assert_invariants();
         assert_eq!(lru.len(), 3);
         assert!(lru.peek(2).is_none(), "2 was least recently used");
         assert!(lru.peek(1).is_some() && lru.peek(3).is_some() && lru.peek(4).is_some());
 
-        // Re-inserting a cached key must not duplicate it in the recency
-        // list or evict anything (the old VecDeque recency queue kept the
-        // stale position and double-counted the key).
+        // Re-inserting a cached key neither grows the cache nor evicts, and
+        // makes it most recent: the next new key evicts 1, not 3.
         assert_eq!(lru.insert(3, Arc::clone(&plan), 3), 0);
-        lru.assert_invariants();
         assert_eq!(lru.len(), 3);
-        assert_eq!(lru.head, Some(3));
+        assert_eq!(lru.insert(5, Arc::clone(&plan), 3), 1);
+        assert!(lru.peek(1).is_none() && lru.peek(3).is_some());
 
-        // Touching an absent key is a no-op.
-        lru.touch(99);
-        lru.assert_invariants();
+        // Looking up an absent key is a miss that changes nothing.
+        assert!(lru.get(99).is_none());
         assert_eq!(lru.len(), 3);
 
         lru.clear();
-        lru.assert_invariants();
         assert_eq!(lru.len(), 0);
-        assert_eq!(lru.head, None);
-        assert_eq!(lru.tail, None);
+    }
+
+    #[test]
+    fn lru_cache_matches_a_reference_recency_list() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let spec = zoo::vlm_s();
+        let cluster = ClusterSpec::h800_cluster(2);
+        let plan = Arc::new(dummy_plan(&spec, &cluster));
+        const KEYS: u64 = 8;
+        let mut rng = StdRng::seed_from_u64(0x1a2b);
+        for capacity in 1..=4usize {
+            let mut lru = LruCache::default();
+            // The reference: keys in recency order, least recent first.
+            let mut model: Vec<u64> = Vec::new();
+            let (mut evictions, mut model_evictions) = (0u64, 0u64);
+            for step in 0..500 {
+                let key = rng.gen_range(0..KEYS);
+                let position = model.iter().position(|&k| k == key);
+                if rng.gen_bool(0.5) {
+                    let hit = lru.get(key).is_some();
+                    assert_eq!(hit, position.is_some(), "capacity {capacity}, step {step}");
+                    if let Some(position) = position {
+                        model.remove(position);
+                        model.push(key);
+                    }
+                } else {
+                    evictions += lru.insert(key, Arc::clone(&plan), capacity);
+                    if let Some(position) = position {
+                        model.remove(position);
+                    } else {
+                        while model.len() >= capacity {
+                            model.remove(0);
+                            model_evictions += 1;
+                        }
+                    }
+                    model.push(key);
+                }
+                assert_eq!(
+                    evictions, model_evictions,
+                    "capacity {capacity}, step {step}"
+                );
+                assert_eq!(lru.len(), model.len());
+                for k in 0..KEYS {
+                    assert_eq!(
+                        lru.peek(k).is_some(),
+                        model.contains(&k),
+                        "key {k}, capacity {capacity}, step {step}"
+                    );
+                }
+            }
+            assert!(evictions > 0, "capacity {capacity} never evicted");
+        }
     }
 
     #[test]
@@ -1135,7 +1035,6 @@ mod tests {
         // happen, and the structure must stay exactly two entries.
         for round in 0..10u64 {
             evictions += lru.insert(round % 2, Arc::clone(&plan), 2);
-            lru.assert_invariants();
         }
         assert_eq!(evictions, 0);
         assert_eq!(lru.len(), 2);
@@ -1143,7 +1042,6 @@ mod tests {
         evictions += lru.insert(7, Arc::clone(&plan), 2);
         assert_eq!(evictions, 1);
         assert_eq!(lru.len(), 2);
-        lru.assert_invariants();
     }
 
     #[test]
@@ -1488,7 +1386,7 @@ mod tests {
         // Corrupt the bucket's anchor so the shared compatibility check
         // rejects it: one priority short of its placement's segments.
         let fuzzy_key = session.fuzzy_key(&neighbour).unwrap();
-        let mut anchor = DipPlan::clone(&session.fuzzy.write().get(fuzzy_key).unwrap());
+        let mut anchor = DipPlan::clone(&session.fuzzy.lock().get(fuzzy_key).unwrap());
         anchor.segment_priorities.pop();
         let err = session
             .planner()
@@ -1496,10 +1394,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, DipError::InvalidRequest(_)));
         assert!(err.to_string().contains("segment count"), "{err}");
-        session
-            .fuzzy
-            .write()
-            .insert(fuzzy_key, Arc::new(anchor), 64);
+        session.fuzzy.lock().insert(fuzzy_key, Arc::new(anchor), 64);
 
         // The rejected anchor is skipped: the request is planned cold and
         // booked as a miss, not a fuzzy hit.
@@ -1512,7 +1407,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_single_flight_plans_each_stampeded_key_once() {
+    fn single_flight_plans_each_stampeded_key_once() {
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::default());
@@ -1522,8 +1417,8 @@ mod tests {
             .offline_partition_if_absent(&vlm_batch(40))
             .unwrap();
         // Two distinct cold keys, four threads stampeding each: the
-        // sharded in-flight table must plan each key exactly once, and a
-        // stampede on one key must not serialize or wake the other's.
+        // in-flight table must plan each key exactly once, and a stampede
+        // on one key must not block the other's leader.
         let keys = [request(&[8, 32]), request(&[40, 4])];
         const THREADS_PER_KEY: usize = 4;
         let barrier = std::sync::Barrier::new(keys.len() * THREADS_PER_KEY);
