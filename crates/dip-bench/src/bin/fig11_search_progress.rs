@@ -140,21 +140,22 @@ fn main() {
         // understate what one pass costs a worker).
         let evals_per_sec = result.evaluations as f64 / wall.as_secs_f64().max(1e-9);
         let eval_wall_us =
-            result.cpu_time.as_secs_f64() / (result.interleave_passes.max(1) as f64) * 1e6;
+            result.cpu_time.as_secs_f64() / (result.work.interleave_passes.max(1) as f64) * 1e6;
         let memo_hit_ratio =
-            1.0 - result.interleave_passes as f64 / result.evaluations.max(1) as f64;
-        let live_per_pass = result.live_steps as f64 / result.interleave_passes.max(1) as f64;
-        let replayed_pct = 100.0 * result.replayed_steps as f64
-            / (result.live_steps + result.replayed_steps).max(1) as f64;
+            1.0 - result.work.interleave_passes as f64 / result.evaluations.max(1) as f64;
+        let live_per_pass =
+            result.work.live_steps as f64 / result.work.interleave_passes.max(1) as f64;
+        let replayed_pct = 100.0 * result.work.replayed_steps as f64
+            / (result.work.live_steps + result.work.replayed_steps).max(1) as f64;
         rows.push(vec![
             name.to_string(),
             format!("{:.3}", result.best_time_s),
             format!("{:.3}", halfway),
             format!("{:.3}", start_incumbent),
             result.evaluations.to_string(),
-            result.pruned_evaluations.to_string(),
-            result.distinct_orderings.to_string(),
-            result.interleave_passes.to_string(),
+            result.work.pruned_evaluations.to_string(),
+            result.work.distinct_orderings.to_string(),
+            result.work.interleave_passes.to_string(),
             format!("{memo_hit_ratio:.2}"),
             format!("{live_per_pass:.0}"),
             format!("{replayed_pct:.1}"),
@@ -179,13 +180,13 @@ fn main() {
             format!("search.{key}.pruned_evaluations"),
             MetricKind::Determinism,
             "count",
-            result.pruned_evaluations as f64,
+            result.work.pruned_evaluations as f64,
         );
         report.push(
             format!("search.{key}.distinct_orderings"),
             MetricKind::Determinism,
             "count",
-            result.distinct_orderings as f64,
+            result.work.distinct_orderings as f64,
         );
         // At one worker the kernel's work repeats exactly.
         let work_kind = if one_worker {
@@ -194,9 +195,9 @@ fn main() {
             MetricKind::Info
         };
         for (metric, value) in [
-            ("interleave_passes", result.interleave_passes),
-            ("live_steps", result.live_steps),
-            ("replayed_steps", result.replayed_steps),
+            ("interleave_passes", result.work.interleave_passes),
+            ("live_steps", result.work.live_steps),
+            ("replayed_steps", result.work.replayed_steps),
         ] {
             report.push(
                 format!("search.{key}.{metric}"),

@@ -67,15 +67,15 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
         let (outcome, execution) = session.plan_and_simulate(&request).unwrap();
         let stats = &outcome.plan.stats;
         let wall = stats.planning_time.as_secs_f64();
-        let build_wall = stats.graph_build_time.as_secs_f64();
-        let memopt_wall = stats.memopt_time.as_secs_f64();
+        let build_wall = stats.phases.graph_build.as_secs_f64();
+        let memopt_wall = stats.phases.memopt.as_secs_f64();
         let memopt_share = memopt_wall / wall.max(f64::MIN_POSITIVE);
-        let build_ratio = stats.graph_build_cpu_time.as_secs_f64()
-            / stats.graph_build_time.as_secs_f64().max(1e-12);
+        let build_ratio = stats.phases.graph_build_cpu.as_secs_f64()
+            / stats.phases.graph_build.as_secs_f64().max(1e-12);
         let search_ratio =
-            stats.search_cpu_time.as_secs_f64() / stats.search_time.as_secs_f64().max(1e-12);
+            stats.phases.search_cpu.as_secs_f64() / stats.phases.search.as_secs_f64().max(1e-12);
         let memopt_ratio =
-            stats.memopt_cpu_time.as_secs_f64() / stats.memopt_time.as_secs_f64().max(1e-12);
+            stats.phases.memopt_cpu.as_secs_f64() / stats.phases.memopt.as_secs_f64().max(1e-12);
         let single = *single_thread.get_or_insert(wall);
         iteration_bits.push(execution.metrics.iteration_time_s.to_bits());
         rows.push(vec![

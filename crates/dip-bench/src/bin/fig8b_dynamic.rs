@@ -35,11 +35,11 @@ fn print_session_stats(name: &str, stats: &SessionStats) {
         stats.exact_hits,
         stats.cache_misses,
         stats.hit_rate() * 100.0,
-        stats.planning_time.as_secs_f64() * 1e3,
-        stats.partition_time.as_secs_f64() * 1e3,
-        stats.graph_build_time.as_secs_f64() * 1e3,
-        stats.search_time.as_secs_f64() * 1e3,
-        stats.memopt_time.as_secs_f64() * 1e3,
+        stats.planning_time().as_secs_f64() * 1e3,
+        stats.phases.partition.as_secs_f64() * 1e3,
+        stats.phases.graph_build.as_secs_f64() * 1e3,
+        stats.phases.search.as_secs_f64() * 1e3,
+        stats.phases.memopt.as_secs_f64() * 1e3,
     );
 }
 
@@ -170,13 +170,13 @@ fn main() {
         "envelope.dip.planning_wall_s",
         MetricKind::Info,
         "s",
-        stats.planning_time.as_secs_f64(),
+        stats.planning_time().as_secs_f64(),
     );
     report.push(
         "envelope.dip.graph_build_wall_s",
         MetricKind::Info,
         "s",
-        stats.graph_build_time.as_secs_f64(),
+        stats.phases.graph_build.as_secs_f64(),
     );
 
     batch_planning_scaling(

@@ -233,18 +233,9 @@ impl DipPlanner<'_> {
         let stats = &mut plan.stats;
         stats.planning_time = start.elapsed();
         for other in evaluated.iter().map(|e| &e.plan.stats) {
-            stats.partition_time += other.partition_time;
-            stats.graph_build_time += other.graph_build_time;
-            stats.graph_build_cpu_time += other.graph_build_cpu_time;
-            stats.search_time += other.search_time;
-            stats.search_cpu_time += other.search_cpu_time;
-            stats.memopt_time += other.memopt_time;
+            stats.phases += other.phases;
             stats.search_evaluations += other.search_evaluations;
-            stats.search_pruned_evaluations += other.search_pruned_evaluations;
-            stats.search_distinct_orderings += other.search_distinct_orderings;
-            stats.search_interleave_passes += other.search_interleave_passes;
-            stats.search_live_steps += other.search_live_steps;
-            stats.search_replayed_steps += other.search_replayed_steps;
+            stats.search_work += other.search_work;
         }
         Ok(ElasticOutcome {
             migration: report.migration,

@@ -76,7 +76,6 @@ pub mod error;
 pub mod memopt;
 pub mod monolithic;
 pub mod ordering;
-mod par;
 pub mod partitioner;
 pub mod planner;
 pub mod session;
@@ -87,10 +86,10 @@ pub use memopt::{optimize_memory, optimize_memory_detailed, MemoryOptConfig, Mem
 pub use monolithic::{monolithic_ilp_search, MonolithicResult};
 pub use ordering::{
     calibrate_eval_cost, ordering_from_priorities, search_ordering, OrderingResult,
-    OrderingSearchConfig, SearchProgressPoint, SearchStrategy,
+    OrderingSearchConfig, SearchProgressPoint, SearchStrategy, SearchWork,
 };
 pub use partitioner::{ModalityAwarePartitioner, PartitionerConfig, PartitionerOutput};
-pub use planner::{DipPlan, DipPlanner, PlanTier, PlannerConfig, PlannerStats};
+pub use planner::{DipPlan, DipPlanner, PhaseTimes, PlanTier, PlannerConfig, PlannerStats};
 pub use session::{PlanOutcome, PlanRequest, PlanningSession, SessionConfig, SessionStats};
 
 // Re-exported so session users can configure the fuzzy tier without a

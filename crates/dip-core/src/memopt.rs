@@ -22,6 +22,7 @@
 //! any machine, at any thread count.
 
 use crate::error::DipError;
+use dip_pipeline::par::parallel_map_indexed;
 use dip_pipeline::{Direction, MemoryPlan, MemoryStrategy, RankOrders, StageGraph};
 use dip_sim::{CostModel, StageTiming};
 use dip_solver::{Candidate, GroupChoiceProblem, SolveOptions};
@@ -72,11 +73,9 @@ impl MemoryOptConfig {
 pub struct MemoryOptOutcome {
     /// The chosen per-stage-pair strategies.
     pub plan: MemoryPlan,
-    /// Wall time each rank's subproblem took to solve, in rank order.
-    pub rank_cpu: Vec<Duration>,
-    /// Summed per-rank solve wall time (the sum of `rank_cpu`; equals CPU
-    /// time on unloaded cores). Compared with the caller's wall-clock
-    /// measurement this exposes the parallel speedup of the phase.
+    /// Summed per-rank solve wall time (equals CPU time on unloaded
+    /// cores). Compared with the caller's wall-clock measurement this
+    /// exposes the parallel speedup of the phase.
     pub cpu_time: Duration,
 }
 
@@ -108,7 +107,7 @@ type RankSelections = Vec<(usize, MemoryStrategy)>;
 
 /// Like [`optimize_memory`], but dispatches the independent per-rank ILP
 /// subproblems across up to `threads` scoped worker threads and reports
-/// the per-rank CPU split. The per-rank selections are merged in rank
+/// their summed solve time. The per-rank selections are merged in rank
 /// order — exactly the order the serial loop applies them — and every
 /// solve is node-budgeted rather than clocked, so the result is
 /// **byte-identical to the serial path** at any thread count.
@@ -140,7 +139,7 @@ pub fn optimize_memory_detailed(
     // cannot influence the per-rank results, which are pure functions of
     // the rank index.
     let per_rank: Vec<(RankSelections, Duration)> =
-        crate::par::parallel_map_indexed(num_ranks, threads, |rank| {
+        parallel_map_indexed(num_ranks, threads, |rank| {
             let start = Instant::now();
             let selections = solve_rank(
                 graph,
@@ -157,20 +156,14 @@ pub fn optimize_memory_detailed(
     // the exact order the serial loop would have written them, so the
     // parallel path produces a byte-identical plan.
     let mut plan = MemoryPlan::new();
-    let mut rank_cpu = Vec::with_capacity(num_ranks);
     let mut cpu_time = Duration::ZERO;
     for (selections, cpu) in per_rank {
         for (stage_pair, strategy) in selections {
             plan.set(stage_pair, strategy);
         }
         cpu_time += cpu;
-        rank_cpu.push(cpu);
     }
-    Ok(MemoryOptOutcome {
-        plan,
-        rank_cpu,
-        cpu_time,
-    })
+    Ok(MemoryOptOutcome { plan, cpu_time })
 }
 
 /// Solves one rank's group-choice ILP, returning the chosen strategy per
@@ -483,16 +476,12 @@ mod tests {
             let parallel =
                 optimize_memory_detailed(&graph, &orders, &budget, &config, threads).unwrap();
             assert_eq!(parallel.plan, serial.plan, "{threads} threads");
-            assert_eq!(parallel.rank_cpu.len(), serial.rank_cpu.len());
         }
         // The wrapper returns the same plan as the detailed path.
         assert_eq!(
             optimize_memory(&graph, &orders, &budget, &config).unwrap(),
             serial.plan
         );
-        // CPU accounting covers every rank and sums consistently.
-        assert_eq!(serial.rank_cpu.len(), orders.orders.len());
-        assert_eq!(serial.rank_cpu.iter().sum::<Duration>(), serial.cpu_time);
     }
 
     proptest::proptest! {

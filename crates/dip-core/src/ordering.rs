@@ -55,16 +55,17 @@
 //! stream's quota (and as pruned when it loses to the stream's cutoff). So
 //! the memo changes neither which orderings are explored nor which plan
 //! wins, only how much kernel work runs:
-//! [`OrderingResult::interleave_passes`] counts the passes,
-//! [`OrderingResult::live_steps`] and [`OrderingResult::replayed_steps`]
-//! the steps they decided and replayed, and
-//! [`OrderingResult::distinct_orderings`] the orderings whose evaluation
-//! completed. The memo's scope is one search, because the graph and the
-//! [`DualQueueConfig`] are fixed only within one call.
+//! [`SearchWork::interleave_passes`] counts the passes,
+//! [`SearchWork::live_steps`] and [`SearchWork::replayed_steps`] the steps
+//! they decided and replayed, and [`SearchWork::distinct_orderings`] the
+//! orderings whose evaluation completed. The memo's scope is one search,
+//! because the graph and the [`DualQueueConfig`] are fixed only within one
+//! call.
 //! [`OrderingSearchConfig::eval_cost`] and [`calibrate_eval_cost`] price
 //! and time *full* passes: calibration never goes through the memo and
 //! never resumes.
 
+use dip_pipeline::par::parallel_map_indexed;
 use dip_pipeline::{
     dual_queue, DualQueueConfig, PassPrefix, PassRecord, RankOrders, RequirementEvent,
     ScheduleWorkspace, StageGraph, NO_REQUIREMENT,
@@ -75,6 +76,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -299,30 +301,20 @@ pub struct SearchProgressPoint {
     pub best_time_s: f64,
 }
 
-/// The outcome of an ordering search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OrderingResult {
-    /// Priority per placement segment (higher = scheduled earlier).
-    pub segment_priorities: Vec<i64>,
-    /// Best simulated iteration time found, in seconds.
-    pub best_time_s: f64,
-    /// Number of orderings evaluated (all streams plus the incumbents).
-    /// A quota counts evaluations, and memo hits — exact or record — count
-    /// in full, so this is the quota-accounted work, not the number of
-    /// interleave passes run (see [`Self::interleave_passes`]).
-    pub evaluations: u64,
-    /// Orderings evaluated by each search stream, in stream-index order.
-    /// Empty when the search was skipped (single-segment graphs).
-    pub worker_evaluations: Vec<u64>,
-    /// How many of `evaluations` were cut short by the incumbent bound
-    /// (see [`OrderingSearchConfig::prune_bounded_evaluations`]). Pruned
+/// The kernel work behind an ordering search's evaluations: what its
+/// quota bought, as opposed to what the quota counted
+/// ([`OrderingResult::evaluations`]). Sums over searches with `+=`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct SearchWork {
+    /// How many evaluations were cut short by the incumbent bound (see
+    /// [`OrderingSearchConfig::prune_bounded_evaluations`]). Pruned
     /// evaluations still count against every quota, so this is a pure
     /// wall-clock win: `pruned_evaluations / evaluations` is the fraction
     /// of interleave passes the search did not have to finish. A memo hit
     /// over the stream's cutoff counts here too. Always 0 for MCTS, whose
     /// rollouts are never bounded.
     pub pruned_evaluations: u64,
-    /// Distinct segment orderings whose evaluation completed during this
+    /// Distinct segment orderings whose evaluation completed during the
     /// search, by a pass or a record hit: the final size of the pass
     /// memo's exact map (identity and warm seed included). Every other
     /// completed evaluation repeated one of them. Deterministic for a fixed
@@ -340,13 +332,43 @@ pub struct OrderingResult {
     pub interleave_passes: u64,
     /// Stages those passes decided live, popping them from the queues:
     /// the kernel work the search paid for. Same determinism as
-    /// [`Self::interleave_passes`]; `graph.len()` on the no-search path.
+    /// `interleave_passes`; `graph.len()` on the no-search path.
     pub live_steps: u64,
     /// Stages those passes replayed from an earlier pass's pop log instead
     /// of deciding them (see [`dip_pipeline::dual_queue`]). A completed
     /// pass decides or replays every stage once. Same determinism as
-    /// [`Self::interleave_passes`]; 0 on the no-search path.
+    /// `interleave_passes`; 0 on the no-search path.
     pub replayed_steps: u64,
+}
+
+impl AddAssign for SearchWork {
+    fn add_assign(&mut self, other: Self) {
+        self.pruned_evaluations += other.pruned_evaluations;
+        self.distinct_orderings += other.distinct_orderings;
+        self.interleave_passes += other.interleave_passes;
+        self.live_steps += other.live_steps;
+        self.replayed_steps += other.replayed_steps;
+    }
+}
+
+/// The outcome of an ordering search.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct OrderingResult {
+    /// Priority per placement segment (higher = scheduled earlier).
+    pub segment_priorities: Vec<i64>,
+    /// Best simulated iteration time found, in seconds.
+    pub best_time_s: f64,
+    /// Number of orderings evaluated (all streams plus the incumbents).
+    /// A quota counts evaluations, and memo hits — exact or record — count
+    /// in full, so this is the quota-accounted work, not the number of
+    /// interleave passes run (see [`Self::work`]).
+    pub evaluations: u64,
+    /// Orderings evaluated by each search stream, in stream-index order.
+    /// Empty when the search was skipped (single-segment graphs).
+    pub worker_evaluations: Vec<u64>,
+    /// The kernel work the evaluations took: pruned evaluations, distinct
+    /// orderings, interleave passes and their live and replayed steps.
+    pub work: SearchWork,
     /// The deterministic per-stream evaluation quota the search ran under
     /// (0 when the search was skipped).
     pub evaluation_quota: u64,
@@ -433,14 +455,6 @@ struct PassMemo {
     live_steps: AtomicU64,
     /// Steps those passes replayed from an earlier pass.
     replayed_steps: AtomicU64,
-}
-
-/// What a finished search's memo counted.
-struct MemoCounts {
-    distinct_orderings: u64,
-    interleave_passes: u64,
-    live_steps: u64,
-    replayed_steps: u64,
 }
 
 struct MemoTables {
@@ -694,17 +708,19 @@ impl PassMemo {
             .expect("a search stream panicked holding the pass memo")
     }
 
-    /// What the finished search counted.
-    fn into_counts(self) -> MemoCounts {
+    /// The work the finished search counted; `pruned_evaluations` is the
+    /// streams' to fill.
+    fn into_work(self) -> SearchWork {
         let tables = self
             .tables
             .into_inner()
             .expect("a search stream panicked holding the pass memo");
-        MemoCounts {
+        SearchWork {
             distinct_orderings: tables.exact.len() as u64,
             interleave_passes: self.passes.into_inner(),
             live_steps: self.live_steps.into_inner(),
             replayed_steps: self.replayed_steps.into_inner(),
+            ..SearchWork::default()
         }
     }
 }
@@ -927,7 +943,7 @@ pub fn search_ordering(
         incumbent,
         outcomes,
         quota,
-        memo.into_counts(),
+        memo.into_work(),
     )
 }
 
@@ -941,7 +957,7 @@ where
     F: Fn(usize) -> WorkerOutcome + Sync + Send,
 {
     let streams = config.streams.max(1);
-    crate::par::parallel_map_indexed(streams, config.workers, |stream| {
+    parallel_map_indexed(streams, config.workers, |stream| {
         let task_start = Instant::now();
         let mut outcome = work(stream);
         outcome.cpu = task_start.elapsed();
@@ -962,11 +978,10 @@ fn merge_outcomes(
     incumbent: WorkerOutcome,
     outcomes: Vec<WorkerOutcome>,
     quota: u64,
-    counts: MemoCounts,
+    mut work: SearchWork,
 ) -> OrderingResult {
     let mut evaluations = incumbent.evaluations;
     let mut worker_evaluations = Vec::with_capacity(outcomes.len());
-    let mut pruned_evaluations = 0u64;
     let mut progress = incumbent.progress;
     let mut best_time = incumbent.time_s;
     let mut best_priorities = incumbent.priorities;
@@ -974,7 +989,7 @@ fn merge_outcomes(
     for outcome in &outcomes {
         evaluations += outcome.evaluations;
         worker_evaluations.push(outcome.evaluations);
-        pruned_evaluations += outcome.pruned;
+        work.pruned_evaluations += outcome.pruned;
         progress.extend(outcome.progress.iter().copied());
         cpu_time += outcome.cpu;
         if outcome.time_s < best_time {
@@ -1013,11 +1028,7 @@ fn merge_outcomes(
         best_time_s: best_time,
         evaluations,
         worker_evaluations,
-        pruned_evaluations,
-        distinct_orderings: counts.distinct_orderings,
-        interleave_passes: counts.interleave_passes,
-        live_steps: counts.live_steps,
-        replayed_steps: counts.replayed_steps,
+        work,
         evaluation_quota: if outcomes.is_empty() { 0 } else { quota },
         cpu_time,
         progress: merged,
@@ -1543,7 +1554,7 @@ mod tests {
                 .map(|p| (p.evaluation, p.best_time_s.to_bits()))
                 .collect();
             points.sort_unstable();
-            (points, result.distinct_orderings)
+            (points, result.work.distinct_orderings)
         };
         let (reference, distinct) = points(1);
         assert_eq!(reference[0].0, 0, "the identity incumbent comes first");

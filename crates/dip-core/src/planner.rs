@@ -6,7 +6,7 @@
 use crate::error::{DipError, ResultExt};
 use crate::memopt::{optimize_memory_detailed, MemoryOptConfig};
 use crate::ordering::{
-    ordering_from_priorities, search_ordering, OrderingResult, OrderingSearchConfig,
+    ordering_from_priorities, search_ordering, OrderingResult, OrderingSearchConfig, SearchWork,
 };
 use crate::partitioner::{ModalityAwarePartitioner, PartitionerConfig, PartitionerOutput};
 use dip_models::{BatchWorkload, LmmSpec, Modality};
@@ -20,6 +20,7 @@ use dip_sim::{
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::ops::AddAssign;
 use std::time::{Duration, Instant};
 
 /// Configuration of the DIP planner.
@@ -148,71 +149,68 @@ pub enum PlanTier {
     Elastic,
 }
 
+/// Wall time per planning phase (§3.2). A plan's phases are its own; a
+/// session or an elastic replan sums them over plans with `+=`.
+///
+/// Each `*_cpu` field sums the phase's parallel task wall times (each
+/// task's elapsed time, added up). On unloaded cores that equals CPU time,
+/// so `cpu / wall` is the phase's parallel speedup: it approaches the
+/// worker count when the phase scales on dedicated cores, and overstates
+/// it when workers oversubscribe the machine (a descheduled task's wait is
+/// included).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct PhaseTimes {
+    /// The partitioning phase: sub-microbatch planning, plus the offline
+    /// partition on the first iteration.
+    pub partition: Duration,
+    /// The stage-graph construction phase: the one full block-parallel
+    /// expansion per plan (workload splitting, stage pricing and
+    /// dependency wiring). Applying a memory plan is an in-place
+    /// [`StageGraph::reprice`], counted under `memopt`.
+    pub graph_build: Duration,
+    /// Summed per-block task wall time of the stage-graph build.
+    pub graph_build_cpu: Duration,
+    /// The schedule-search phase (§5.1–5.2).
+    pub search: Duration,
+    /// Summed per-stream task wall time of the search (see
+    /// [`crate::OrderingResult::cpu_time`]).
+    pub search_cpu: Duration,
+    /// The memory-optimisation phase (§5.3): the reprice under the chosen
+    /// (or adopted) strategies, the per-rank ILPs and the re-interleave.
+    pub memopt: Duration,
+    /// Summed per-rank ILP solve wall time: `memopt_cpu / memopt` shows how
+    /// much of the phase the rank-parallel decomposition overlaps.
+    pub memopt_cpu: Duration,
+}
+
+impl AddAssign for PhaseTimes {
+    fn add_assign(&mut self, other: Self) {
+        self.partition += other.partition;
+        self.graph_build += other.graph_build;
+        self.graph_build_cpu += other.graph_build_cpu;
+        self.search += other.search;
+        self.search_cpu += other.search_cpu;
+        self.memopt += other.memopt;
+        self.memopt_cpu += other.memopt_cpu;
+    }
+}
+
 /// Statistics of one planning invocation.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct PlannerStats {
     /// Wall-clock time spent planning (all phases).
     pub planning_time: Duration,
-    /// Wall-clock time of the partitioning phase (sub-microbatch planning;
-    /// includes the offline partition on the first iteration). Stage-graph
-    /// construction is accounted separately in `graph_build_time`.
-    pub partition_time: Duration,
-    /// Wall-clock time of the stage-graph construction phase: the one full
-    /// block-parallel expansion per plan (workload splitting, stage pricing
-    /// and dependency wiring). The later memory-plan application is an
-    /// in-place [`StageGraph::reprice`] counted under `memopt_time`.
-    pub graph_build_time: Duration,
-    /// Summed per-block task wall time of the stage-graph build (same
-    /// semantics as `search_cpu_time`): `graph_build_cpu_time /
-    /// graph_build_time` exposes the build's parallel speedup across the
-    /// `workers` knob.
-    pub graph_build_cpu_time: Duration,
-    /// Wall-clock time of the schedule-search phase (§5.1–5.2).
-    pub search_time: Duration,
-    /// Summed per-stream task wall time of the search phase (see
-    /// [`crate::OrderingResult::cpu_time`] for the exact semantics).
-    /// `search_cpu_time / search_time` exposes the phase's parallel
-    /// speedup — it approaches the worker count when the root-parallel
-    /// search scales on dedicated cores, and overstates it when workers
-    /// oversubscribe the machine.
-    pub search_cpu_time: Duration,
-    /// Wall-clock time of the memory-optimisation phase (§5.3), including
-    /// the in-place reprice under the chosen strategies and the
-    /// re-interleave.
-    pub memopt_time: Duration,
-    /// Summed per-rank solve wall time of the memory-optimisation phase
-    /// (same semantics as `search_cpu_time`). `memopt_cpu_time /
-    /// memopt_time` exposes how much of the phase the rank-parallel
-    /// decomposition overlaps — the Amdahl lift of parallelising the
-    /// former serial tail.
-    pub memopt_cpu_time: Duration,
-    /// Number of schedule candidates evaluated by the searcher.
+    /// Wall time per phase. All zero on an exact cache hit, which ran none.
+    pub phases: PhaseTimes,
+    /// Number of schedule candidates evaluated by the searcher (see
+    /// [`crate::OrderingResult::evaluations`]); 0 on an exact cache hit.
     pub search_evaluations: u64,
-    /// How many of `search_evaluations` the incumbent cutoff bound aborted
-    /// early (random/DFS strategies only — see
-    /// [`OrderingSearchConfig::prune_bounded_evaluations`]). Pruned
-    /// evaluations still count against every quota, so this is a pure
-    /// wall-clock saving at an unchanged plan.
-    pub search_pruned_evaluations: u64,
-    /// Distinct segment orderings whose evaluation the searcher completed
-    /// (see [`crate::OrderingResult::distinct_orderings`]): the rest of
-    /// `search_evaluations` repeated one of them or were pruned.
-    pub search_distinct_orderings: u64,
-    /// Interleave passes the searcher actually ran (see
-    /// [`crate::OrderingResult::interleave_passes`]): repeats exactly at
-    /// one search worker, may vary with thread timing at more.
-    pub search_interleave_passes: u64,
-    /// Stages the searcher's passes decided live (see
-    /// [`crate::OrderingResult::live_steps`]); same determinism as
-    /// `search_interleave_passes`.
-    pub search_live_steps: u64,
-    /// Stages the searcher's passes replayed from earlier passes (see
-    /// [`crate::OrderingResult::replayed_steps`]); same determinism as
-    /// `search_interleave_passes`.
-    pub search_replayed_steps: u64,
+    /// The kernel work behind `search_evaluations` (see
+    /// [`crate::OrderingResult::work`]); zero on an exact cache hit.
+    pub search_work: SearchWork,
     /// Schedule candidates evaluated by each parallel search worker, in
-    /// worker-index order (empty when the search was skipped or the graph
-    /// has a single segment).
+    /// worker-index order (empty when the search was skipped, the graph
+    /// has a single segment, or the plan is an exact cache hit).
     pub search_worker_evaluations: Vec<u64>,
     /// The searcher's own estimate of the planned iteration time (seconds).
     pub planned_time_s: f64,
@@ -682,7 +680,7 @@ impl<'a> DipPlanner<'a> {
                 self.delta_search(anchor, budget),
             ),
         };
-        let partition_time = start.elapsed();
+        let partition = start.elapsed();
 
         // The plan's one full stage-graph expansion: workloads are split
         // once (`prepare`), the blocks priced and wired in parallel on this
@@ -698,7 +696,7 @@ impl<'a> DipPlanner<'a> {
             .prepare(microbatches, &sub_plan)
             .planning_context("building stage graph")?;
         let (mut graph, build_stats) = builder.build_prepared(&prepared);
-        let graph_build_time = build_start.elapsed();
+        let graph_build = build_start.elapsed();
 
         // An adopted memory plan is applied *before* scheduling, so the
         // delta search sees final timings.
@@ -729,7 +727,7 @@ impl<'a> DipPlanner<'a> {
         // rebuild (memory strategies only retime stages; dependencies and
         // lags are untouched) at a fraction of the cost.
         let memopt_start = Instant::now();
-        let (memory_plan, memopt_cpu_time) = match anchor {
+        let (memory_plan, memopt_cpu) = match anchor {
             Some(anchor) => (anchor.memory_plan.clone(), Duration::ZERO),
             None if self.config.enable_memory_opt => {
                 let memopt = optimize_memory_detailed(
@@ -762,19 +760,17 @@ impl<'a> DipPlanner<'a> {
             topology_fingerprint: self.topology.fingerprint(),
             stats: PlannerStats {
                 planning_time: start.elapsed(),
-                partition_time,
-                graph_build_time,
-                graph_build_cpu_time: build_stats.cpu_time,
-                search_time,
-                search_cpu_time: ordering.cpu_time,
-                memopt_time,
-                memopt_cpu_time,
+                phases: PhaseTimes {
+                    partition,
+                    graph_build,
+                    graph_build_cpu: build_stats.cpu_time,
+                    search: search_time,
+                    search_cpu: ordering.cpu_time,
+                    memopt: memopt_time,
+                    memopt_cpu,
+                },
                 search_evaluations: ordering.evaluations,
-                search_pruned_evaluations: ordering.pruned_evaluations,
-                search_distinct_orderings: ordering.distinct_orderings,
-                search_interleave_passes: ordering.interleave_passes,
-                search_live_steps: ordering.live_steps,
-                search_replayed_steps: ordering.replayed_steps,
+                search_work: ordering.work,
                 search_worker_evaluations: ordering.worker_evaluations,
                 planned_time_s: ordering.best_time_s,
                 warm_started,
@@ -822,11 +818,12 @@ impl<'a> DipPlanner<'a> {
             best_time_s,
             evaluations: 1,
             worker_evaluations: Vec::new(),
-            pruned_evaluations: 0,
-            distinct_orderings: 1,
-            interleave_passes: 1,
-            live_steps: graph.len() as u64,
-            replayed_steps: 0,
+            work: SearchWork {
+                distinct_orderings: 1,
+                interleave_passes: 1,
+                live_steps: graph.len() as u64,
+                ..SearchWork::default()
+            },
             evaluation_quota: 0,
             cpu_time: Duration::ZERO,
             progress: Vec::new(),
@@ -898,8 +895,8 @@ mod tests {
         assert!(outcome.metrics.mfu > 0.0);
         assert!(plan.stats.planning_time > Duration::ZERO);
         assert_eq!(plan.orders.num_stages(), plan.graph.len());
-        assert!(plan.stats.graph_build_time > Duration::ZERO);
-        assert!(plan.stats.graph_build_cpu_time > Duration::ZERO);
+        assert!(plan.stats.phases.graph_build > Duration::ZERO);
+        assert!(plan.stats.phases.graph_build_cpu > Duration::ZERO);
         assert!(planner.partition_output().is_some());
     }
 

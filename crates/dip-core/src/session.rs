@@ -80,18 +80,19 @@
 //! ```
 
 use crate::error::DipError;
-use crate::ordering::ordering_from_priorities;
+use crate::ordering::{ordering_from_priorities, SearchWork};
 use crate::planner::{
-    heaviest, require_microbatches, DipPlan, DipPlanner, PlanTier, PlannerConfig, PlannerStats,
-    Reuse,
+    heaviest, require_microbatches, DipPlan, DipPlanner, PhaseTimes, PlanTier, PlannerConfig,
+    PlannerStats, Reuse,
 };
 use dip_models::{BatchWorkload, BucketingConfig, CanonicalSignature, LmmSpec};
+use dip_pipeline::par::parallel_map_indexed;
 use dip_pipeline::{ExecutionOutcome, ParallelConfig};
 use dip_sim::ClusterSpec;
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -220,9 +221,6 @@ pub struct SessionStats {
     pub warm_started_plans: u64,
     /// Cached plans evicted by the LRU policy.
     pub evictions: u64,
-    /// Cumulative wall-clock planning time (cache hits contribute only the
-    /// lookup cost).
-    pub planning_time: Duration,
     /// Planning wall time spent serving exact hits (pure lookup cost) —
     /// the per-tier latency split, summed per tier.
     pub exact_hit_time: Duration,
@@ -231,28 +229,18 @@ pub struct SessionStats {
     pub fuzzy_plan_time: Duration,
     /// Planning wall time spent on cold plans (the full pipeline).
     pub cold_plan_time: Duration,
-    /// Cumulative partitioning (sub-microbatch planning) time of fresh
-    /// plans.
-    pub partition_time: Duration,
-    /// Cumulative stage-graph construction time of fresh plans (see
-    /// [`crate::PlannerStats::graph_build_time`]).
-    pub graph_build_time: Duration,
-    /// Cumulative CPU time inside the parallel graph-build blocks of fresh
-    /// plans (see [`crate::PlannerStats::graph_build_cpu_time`]).
-    pub graph_build_cpu_time: Duration,
-    /// Cumulative schedule-search time of fresh plans.
-    pub search_time: Duration,
-    /// Cumulative CPU time inside the parallel search streams of fresh
-    /// plans (see [`crate::PlannerStats::search_cpu_time`]).
-    pub search_cpu_time: Duration,
-    /// Cumulative memory-optimisation time of fresh plans.
-    pub memopt_time: Duration,
-    /// Cumulative CPU time inside the per-rank memory-ILP solves of fresh
-    /// plans (see [`crate::PlannerStats::memopt_cpu_time`]).
-    pub memopt_cpu_time: Duration,
+    /// The summed phase times of every served plan; exact hits ran no
+    /// phase and add nothing.
+    pub phases: PhaseTimes,
 }
 
 impl SessionStats {
+    /// Cumulative wall-clock planning time over all tiers (exact hits
+    /// contribute only their lookup cost).
+    pub fn planning_time(&self) -> Duration {
+        self.exact_hit_time + self.fuzzy_plan_time + self.cold_plan_time
+    }
+
     /// Fraction of requests served without a cold plan (exact plus fuzzy
     /// hits).
     pub fn hit_rate(&self) -> f64 {
@@ -630,20 +618,17 @@ impl<'a> PlanningSession<'a> {
         let cached = self.cache.lock().get(key)?;
         let mut plan = DipPlan::clone(&cached);
         // The plan is identical to the cached original; only the
-        // bookkeeping reflects the (near-zero) cost of serving it.
+        // bookkeeping reflects the (near-zero) cost of serving it: no
+        // phase ran and no search work was done.
         plan.stats.tier = PlanTier::Exact;
         plan.stats.planning_time = start.elapsed();
-        plan.stats.partition_time = Duration::ZERO;
-        plan.stats.graph_build_time = Duration::ZERO;
-        plan.stats.graph_build_cpu_time = Duration::ZERO;
-        plan.stats.search_time = Duration::ZERO;
-        plan.stats.search_cpu_time = Duration::ZERO;
-        plan.stats.memopt_time = Duration::ZERO;
-        plan.stats.memopt_cpu_time = Duration::ZERO;
+        plan.stats.phases = PhaseTimes::default();
+        plan.stats.search_evaluations = 0;
+        plan.stats.search_work = SearchWork::default();
+        plan.stats.search_worker_evaluations = Vec::new();
         let mut stats = self.stats.lock();
         stats.requests += 1;
         stats.exact_hits += 1;
-        stats.planning_time += plan.stats.planning_time;
         stats.exact_hit_time += plan.stats.planning_time;
         drop(stats);
         Some(PlanOutcome {
@@ -676,14 +661,7 @@ impl<'a> PlanningSession<'a> {
             }
             stats.cold_plan_time += plan.planning_time;
         }
-        stats.planning_time += plan.planning_time;
-        stats.partition_time += plan.partition_time;
-        stats.graph_build_time += plan.graph_build_time;
-        stats.graph_build_cpu_time += plan.graph_build_cpu_time;
-        stats.search_time += plan.search_time;
-        stats.search_cpu_time += plan.search_cpu_time;
-        stats.memopt_time += plan.memopt_time;
-        stats.memopt_cpu_time += plan.memopt_cpu_time;
+        stats.phases += plan.phases;
     }
 
     /// Books a request whose plan failed as a miss, keeping
@@ -816,46 +794,15 @@ impl<'a> PlanningSession<'a> {
             }
         }
         let config = self.planner.config();
-        let threads = (config.num_threads.max(1) / config.search.workers.max(1))
-            .max(1)
-            .min(requests.len().max(1));
-        let plan_caught = |request: &PlanRequest| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.plan(request)))
+        let threads = config.num_threads.max(1) / config.search.workers.max(1);
+        parallel_map_indexed(requests.len(), threads, |i| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.plan(&requests[i])))
                 .unwrap_or_else(|_| {
                     Err(DipError::concurrency(
                         "planner worker panicked while planning a request",
                     ))
                 })
-        };
-        if threads <= 1 || requests.len() <= 1 {
-            return requests.iter().map(plan_caught).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<PlanOutcome, DipError>>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                    let Some(request) = requests.get(i) else {
-                        break;
-                    };
-                    *slots[i].lock() = Some(plan_caught(request));
-                });
-            }
         })
-        .expect("plan_many scope failed");
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner().unwrap_or_else(|| {
-                    Err(DipError::concurrency(format!(
-                        "no worker reported a result for request {i}"
-                    )))
-                })
-            })
-            .collect()
     }
 
     /// Simulates the deployment of a plan (delegates to the planner).
@@ -1108,23 +1055,53 @@ mod tests {
         let req = request(&[10, 40, 2, 30]);
 
         let cold = session.plan(&req).unwrap().plan.stats;
-        assert!(cold.search_cpu_time > Duration::ZERO);
-        assert!(cold.memopt_cpu_time > Duration::ZERO);
+        assert!(cold.phases.search_cpu > Duration::ZERO);
+        assert!(cold.phases.memopt_cpu > Duration::ZERO);
+        assert!(cold.search_evaluations > 1);
+        assert!(cold.search_work.interleave_passes > 0);
+        assert!(!cold.search_worker_evaluations.is_empty());
 
         let hit = session.plan(&req).unwrap().plan.stats;
         assert_eq!(hit.tier, PlanTier::Exact);
-        let phases = [
-            ("partition_time", hit.partition_time),
-            ("graph_build_time", hit.graph_build_time),
-            ("graph_build_cpu_time", hit.graph_build_cpu_time),
-            ("search_time", hit.search_time),
-            ("search_cpu_time", hit.search_cpu_time),
-            ("memopt_time", hit.memopt_time),
-            ("memopt_cpu_time", hit.memopt_cpu_time),
-        ];
-        for (name, duration) in phases {
-            assert_eq!(duration, Duration::ZERO, "exact hit reported {name}");
+        assert_eq!(
+            hit.phases,
+            PhaseTimes::default(),
+            "an exact hit ran no phase"
+        );
+        // Nor did it search: the cold plan's search is not the hit's.
+        assert_eq!(hit.search_evaluations, 0);
+        assert_eq!(hit.search_work, SearchWork::default());
+        assert!(hit.search_worker_evaluations.is_empty());
+        // The plan is the cold plan, so it is still warm-started or not.
+        assert_eq!(hit.warm_started, cold.warm_started);
+    }
+
+    #[test]
+    fn session_totals_are_the_sums_of_the_served_plans() {
+        let spec = zoo::vlm_s();
+        let cluster = ClusterSpec::h800_cluster(2);
+        let session = session(&spec, &cluster, SessionConfig::fuzzy());
+        let base = request(&[8, 32]);
+        let neighbour = PlanRequest::new(vec![vlm_batch_jittered(8, 7), vlm_batch_jittered(32, 3)]);
+        let other = request(&[40, 4]);
+        let trace = [&base, &neighbour, &base, &other, &neighbour, &other];
+
+        let mut tiers = Vec::new();
+        let mut phases = PhaseTimes::default();
+        let mut planning_time = Duration::ZERO;
+        for req in trace {
+            let outcome = session.plan(req).unwrap();
+            tiers.push(outcome.tier);
+            phases += outcome.plan.stats.phases;
+            planning_time += outcome.plan.stats.planning_time;
         }
+        use PlanTier::{Cold, Exact, Fuzzy};
+        assert_eq!(tiers, [Cold, Fuzzy, Exact, Cold, Exact, Exact]);
+
+        let stats = session.stats();
+        assert_eq!(stats.phases, phases);
+        assert!(stats.phases.search > Duration::ZERO);
+        assert_eq!(stats.planning_time(), planning_time);
     }
 
     #[test]
@@ -1316,7 +1293,7 @@ mod tests {
         // never runs the memory ILP.
         assert_eq!(fuzzy.plan.memory_plan, cold.plan.memory_plan);
         assert_eq!(fuzzy.plan.sub_microbatches, cold.plan.sub_microbatches);
-        assert_eq!(fuzzy.plan.stats.memopt_cpu_time, Duration::ZERO);
+        assert_eq!(fuzzy.plan.stats.phases.memopt_cpu, Duration::ZERO);
         assert!(fuzzy.plan.stats.warm_started);
         // The delta plan is priced against the *real* shape, not the
         // anchor's: the graph timings differ.

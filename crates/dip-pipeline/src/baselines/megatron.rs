@@ -40,7 +40,6 @@ pub fn simulate_megatron(
         // 1F1B warm-up bound: at most `pp` in-flight microbatches per rank.
         max_inflight: Some(ctx.parallel.pp),
         memory_limit: Some(ctx.activation_budget(&graph.static_memory)),
-        ..DualQueueConfig::default()
     };
     let (orders, _) = schedule(&graph, &config);
     execute(

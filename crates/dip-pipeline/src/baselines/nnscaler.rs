@@ -53,7 +53,6 @@ pub fn simulate_nnscaler(
         segment_priorities: vec![0; placement.segments.len()],
         max_inflight: Some(ctx.parallel.pp),
         memory_limit: Some(ctx.activation_budget(&graph.static_memory)),
-        ..DualQueueConfig::default()
     };
     let (orders, _) = schedule(&graph, &config);
     execute(

@@ -68,7 +68,6 @@ pub fn simulate_optimus(
         segment_priorities,
         memory_limit: Some(ctx.activation_budget(&graph.static_memory)),
         max_inflight: None,
-        ..DualQueueConfig::default()
     };
     let (orders, _) = schedule(&graph, &config);
     execute(

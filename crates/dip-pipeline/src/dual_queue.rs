@@ -94,7 +94,7 @@ use crate::graph::{Direction, StageGraph, StageId, WorkItem};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the dual-queue interleaver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct DualQueueConfig {
     /// Scheduling priority per pipeline segment (higher = scheduled earlier
     /// when several stages are ready). Missing entries default to zero, in
@@ -106,21 +106,6 @@ pub struct DualQueueConfig {
     /// Cap on the number of in-flight (forward executed, backward not yet)
     /// stage pairs per rank. Megatron-style 1F1B uses the pipeline depth.
     pub max_inflight: Option<usize>,
-    /// Whether to alternate forward/backward when both are available
-    /// (the 1F1B pattern). Disabling it yields an all-forward-first
-    /// (GPipe-like) order.
-    pub one_f_one_b: bool,
-}
-
-impl Default for DualQueueConfig {
-    fn default() -> Self {
-        Self {
-            segment_priorities: Vec::new(),
-            memory_limit: None,
-            max_inflight: None,
-            one_f_one_b: true,
-        }
-    }
 }
 
 /// The per-rank stage execution orders produced by a scheduler.
@@ -945,7 +930,7 @@ fn pick_for_rank(
             // bottleneck), alternate forward/backward to bound memory
             // (the 1F1B pattern). Otherwise pick the stage that can start
             // earliest to minimise the bubble.
-            if config.one_f_one_b && fe.ready_time <= t_last && be.ready_time <= t_last {
+            if fe.ready_time <= t_last && be.ready_time <= t_last {
                 match ws.last_dir[rank] {
                     Some(Direction::Forward) => be,
                     Some(Direction::Backward) | None => fe,
@@ -1015,7 +1000,7 @@ mod tests {
     }
 
     #[test]
-    fn one_f_one_b_keeps_fewer_activations_in_flight_than_all_forward() {
+    fn max_inflight_caps_activations_in_flight() {
         let graph = lm_graph(8, 4);
         let inflight_peak = |orders: &RankOrders| -> usize {
             let mut peak = 0usize;
@@ -1033,22 +1018,14 @@ mod tests {
             }
             peak
         };
-        let (ofb, _) = schedule(
+        let (orders, _) = schedule(
             &graph,
             &DualQueueConfig {
                 max_inflight: Some(4),
                 ..DualQueueConfig::default()
             },
         );
-        let (gpipe, _) = schedule(
-            &graph,
-            &DualQueueConfig {
-                one_f_one_b: false,
-                ..DualQueueConfig::default()
-            },
-        );
-        assert!(inflight_peak(&ofb) <= 4);
-        assert!(inflight_peak(&ofb) <= inflight_peak(&gpipe));
+        assert!(inflight_peak(&orders) <= 4);
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn main() {
         "planner: {} plans ({} warm-started), search {:.0} ms, memory opt {:.0} ms",
         stats.requests,
         stats.warm_started_plans,
-        stats.search_time.as_secs_f64() * 1e3,
-        stats.memopt_time.as_secs_f64() * 1e3,
+        stats.phases.search.as_secs_f64() * 1e3,
+        stats.phases.memopt.as_secs_f64() * 1e3,
     );
 }

@@ -159,7 +159,7 @@ fn pruned_search_returns_the_same_best_plan_as_unpruned() {
     for strategy in [SearchStrategy::Random, SearchStrategy::Dfs] {
         let reference = search_ordering(&graph, n, &search_config(strategy, 1, false));
         assert_eq!(
-            reference.pruned_evaluations, 0,
+            reference.work.pruned_evaluations, 0,
             "{strategy:?}: unpruned search prunes nothing"
         );
         let single = search_ordering(&graph, n, &search_config(strategy, 1, true));
@@ -168,7 +168,7 @@ fn pruned_search_returns_the_same_best_plan_as_unpruned() {
             // Memo hits over the cutoff count as pruned, so the pruned
             // count does not depend on which stream evaluated first.
             assert_eq!(
-                pruned.pruned_evaluations, single.pruned_evaluations,
+                pruned.work.pruned_evaluations, single.work.pruned_evaluations,
                 "{strategy:?}/{workers} workers"
             );
             assert_eq!(
@@ -188,7 +188,7 @@ fn pruned_search_returns_the_same_best_plan_as_unpruned() {
             // exploration accounting is identical too.
             assert_eq!(pruned.evaluations, reference.evaluations);
             assert_eq!(pruned.worker_evaluations, reference.worker_evaluations);
-            total_pruned += pruned.pruned_evaluations;
+            total_pruned += pruned.work.pruned_evaluations;
         }
     }
     // The property is only meaningful if the bound actually fired: with
@@ -203,8 +203,8 @@ fn mcts_is_unaffected_by_the_pruning_knob() {
     let (graph, n) = vlm_graph(3, 10, 2);
     let with_knob = search_ordering(&graph, n, &search_config(SearchStrategy::Mcts, 2, true));
     let without = search_ordering(&graph, n, &search_config(SearchStrategy::Mcts, 2, false));
-    assert_eq!(with_knob.pruned_evaluations, 0);
-    assert_eq!(without.pruned_evaluations, 0);
+    assert_eq!(with_knob.work.pruned_evaluations, 0);
+    assert_eq!(without.work.pruned_evaluations, 0);
     assert_eq!(with_knob.segment_priorities, without.segment_priorities);
     assert_eq!(with_knob.orders, without.orders);
     assert_eq!(
@@ -218,11 +218,12 @@ fn mcts_is_unaffected_by_the_pruning_knob() {
 /// of a real pass, and the orders must be that pass's orders.
 fn assert_matches_a_fresh_pass(graph: &StageGraph, result: &OrderingResult, label: &str) {
     assert!(
-        result.interleave_passes <= result.distinct_orderings + result.pruned_evaluations,
+        result.work.interleave_passes
+            <= result.work.distinct_orderings + result.work.pruned_evaluations,
         "{label}: {} passes for {} distinct and {} pruned evaluations",
-        result.interleave_passes,
-        result.distinct_orderings,
-        result.pruned_evaluations
+        result.work.interleave_passes,
+        result.work.distinct_orderings,
+        result.work.pruned_evaluations
     );
     let queue = DualQueueConfig {
         segment_priorities: result.segment_priorities.clone(),
@@ -232,10 +233,10 @@ fn assert_matches_a_fresh_pass(graph: &StageGraph, result: &OrderingResult, labe
     assert_eq!(result.best_time_s.to_bits(), makespan.to_bits(), "{label}");
     assert_eq!(result.orders, orders, "{label}");
     assert!(
-        result.distinct_orderings <= result.evaluations - result.pruned_evaluations,
+        result.work.distinct_orderings <= result.evaluations - result.work.pruned_evaluations,
         "{label}: {} distinct of {} completed evaluations",
-        result.distinct_orderings,
-        result.evaluations - result.pruned_evaluations
+        result.work.distinct_orderings,
+        result.evaluations - result.work.pruned_evaluations
     );
 }
 
@@ -258,12 +259,12 @@ fn memoised_search_matches_a_fresh_pass_at_every_worker_count() {
         let parallel = search_ordering(&graph, n, &search_config(strategy, 4, true));
         assert_matches_a_fresh_pass(&graph, &parallel, &format!("{strategy:?}/4 workers"));
         assert_eq!(
-            parallel.distinct_orderings, reference.distinct_orderings,
+            parallel.work.distinct_orderings, reference.work.distinct_orderings,
             "{strategy:?}"
         );
         assert_eq!(parallel.evaluations, reference.evaluations, "{strategy:?}");
         assert_eq!(
-            parallel.pruned_evaluations, reference.pruned_evaluations,
+            parallel.work.pruned_evaluations, reference.work.pruned_evaluations,
             "{strategy:?}"
         );
         assert_eq!(
@@ -279,14 +280,14 @@ fn memoised_search_matches_a_fresh_pass_at_every_worker_count() {
         let repeat = search_ordering(&graph, n, &search_config(strategy, 1, true));
         assert_eq!(
             (
-                repeat.interleave_passes,
-                repeat.live_steps,
-                repeat.replayed_steps
+                repeat.work.interleave_passes,
+                repeat.work.live_steps,
+                repeat.work.replayed_steps
             ),
             (
-                reference.interleave_passes,
-                reference.live_steps,
-                reference.replayed_steps
+                reference.work.interleave_passes,
+                reference.work.live_steps,
+                reference.work.replayed_steps
             ),
             "{strategy:?}: the pass and step counts repeat at one worker"
         );
@@ -294,7 +295,7 @@ fn memoised_search_matches_a_fresh_pass_at_every_worker_count() {
     // Unpruned DFS repeats exactly one ordering: its first leaf is the
     // identity the incumbent already memoised, every later leaf is new.
     let dfs = search_ordering(&graph, n, &search_config(SearchStrategy::Dfs, 1, false));
-    assert_eq!(dfs.distinct_orderings, dfs.evaluations - 1);
+    assert_eq!(dfs.work.distinct_orderings, dfs.evaluations - 1);
 }
 
 /// On a 6-segment graph (720 orderings) the MCTS streams revisit
@@ -313,41 +314,47 @@ fn mcts_memo_is_hit_on_a_six_segment_graph() {
     };
     let reference = search_ordering(&graph, n, &config(1));
     assert!(
-        reference.distinct_orderings < reference.evaluations,
+        reference.work.distinct_orderings < reference.evaluations,
         "{} distinct of {} evaluations: the memo was never hit",
-        reference.distinct_orderings,
+        reference.work.distinct_orderings,
         reference.evaluations
     );
     assert!(
-        reference.interleave_passes < reference.distinct_orderings,
+        reference.work.interleave_passes < reference.work.distinct_orderings,
         "{} passes for {} distinct orderings: no decision record was hit",
-        reference.interleave_passes,
-        reference.distinct_orderings
+        reference.work.interleave_passes,
+        reference.work.distinct_orderings
     );
     assert!(
-        reference.replayed_steps > 0,
+        reference.work.replayed_steps > 0,
         "no pass resumed past step 0 in {} passes",
-        reference.interleave_passes
+        reference.work.interleave_passes
     );
     assert_matches_a_fresh_pass(&graph, &reference, "MCTS/1 worker");
     let parallel = search_ordering(&graph, n, &config(4));
     assert_matches_a_fresh_pass(&graph, &parallel, "MCTS/4 workers");
-    assert_eq!(parallel.distinct_orderings, reference.distinct_orderings);
+    assert_eq!(
+        parallel.work.distinct_orderings,
+        reference.work.distinct_orderings
+    );
     assert_eq!(parallel.segment_priorities, reference.segment_priorities);
     assert_eq!(parallel.orders, reference.orders);
     assert_eq!(parallel.evaluations, reference.evaluations);
-    assert_eq!(parallel.pruned_evaluations, reference.pruned_evaluations);
+    assert_eq!(
+        parallel.work.pruned_evaluations,
+        reference.work.pruned_evaluations
+    );
     let repeat = search_ordering(&graph, n, &config(1));
     assert_eq!(
         (
-            repeat.interleave_passes,
-            repeat.live_steps,
-            repeat.replayed_steps
+            repeat.work.interleave_passes,
+            repeat.work.live_steps,
+            repeat.work.replayed_steps
         ),
         (
-            reference.interleave_passes,
-            reference.live_steps,
-            reference.replayed_steps
+            reference.work.interleave_passes,
+            reference.work.live_steps,
+            reference.work.replayed_steps
         )
     );
 }
