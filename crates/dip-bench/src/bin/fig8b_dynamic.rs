@@ -12,8 +12,9 @@
 //!
 //! The `zipf.*` section stresses the *fuzzy* tier instead: a seeded
 //! Zipfian stream over a skewed shape population keeps producing fresh
-//! exact signatures inside hot canonical buckets, so delta replanning —
-//! not the exact cache — has to absorb the traffic. It reports per-tier
+//! exact signatures inside hot canonical buckets, so the fuzzy tier's
+//! reprice plus one interleave pass — not the exact cache — has to absorb
+//! the traffic. It reports per-tier
 //! planning-latency percentiles, the simulated-regret envelope of
 //! fuzzy-served plans and a cross-worker bit-identity witness.
 
@@ -202,7 +203,7 @@ fn percentile(values: &[f64], q: f64) -> f64 {
 
 /// Zipfian dynamic traffic over a skewed shape population: hot base shapes
 /// keep arriving as fresh in-bucket jitter variants, so the exact tier
-/// alone cannot absorb them — the fuzzy tier's delta replanning must. The
+/// alone cannot absorb them — the fuzzy tier must. The
 /// section reports per-tier planning-latency percentiles, the
 /// simulated-regret envelope of the fuzzy-served plans against fresh cold
 /// plans, and a cross-worker bit-identity witness; CI gates the tier
@@ -350,14 +351,15 @@ fn zipf_dynamic_traffic(
         &rows,
     );
     println!(
-        "zipf: {} delta replans | max simulated regret of fuzzy-served plans {:.3}% (bound {:.0}%)",
-        stats.delta_replans,
+        "zipf: {} fuzzy hits, one interleave pass each | max simulated regret of fuzzy-served \
+         plans {:.3}% (bound {:.0}%)",
+        stats.fuzzy_hits,
         max_regret * 100.0,
         REGRET_EPSILON * 100.0
     );
     println!(
-        "Expected shape: fuzzy-tier p99 sits well below cold p50 — delta replanning skips the \
-         partitioner and the memory ILP and searches under the tiny delta budget."
+        "Expected shape: fuzzy-tier p99 sits well below cold p50 — a fuzzy hit skips the \
+         partitioner, the ordering search and the memory ILP: one reprice, one interleave pass."
     );
 
     report.push(

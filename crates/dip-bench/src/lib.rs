@@ -131,9 +131,9 @@ fn zipf_base_images(rank: usize, m: usize) -> u64 {
 /// successive visits to a rank rotate through `variants` in-bucket jitter
 /// variants of that base. Hot ranks therefore keep producing *fresh exact
 /// signatures inside one canonical bucket* — the traffic pattern the fuzzy
-/// tier's delta replanning targets — while revisits of a (rank, variant)
-/// pair repeat the exact signature and hit the exact tier. The stream is a
-/// pure function of its arguments: the same seed replays bit-identically.
+/// tier targets — while revisits of a (rank, variant) pair repeat the exact
+/// signature and hit the exact tier. The stream is a pure function of its
+/// arguments: the same seed replays bit-identically.
 pub fn zipf_request_stream(
     length: usize,
     hot: usize,

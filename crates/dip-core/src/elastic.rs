@@ -25,10 +25,10 @@
 //! * **Rebalance** — re-run placement for all modules: the best steady-state
 //!   plan, and the most state moved.
 //!
-//! Every candidate search is budgeted in *virtual time*
-//! ([`crate::OrderingSearchConfig::delta_budget`]-style, via
-//! [`ElasticConfig::delta_budget`]), so a fixed seed yields a bit-identical
-//! recovery sequence at any worker count on any machine.
+//! Each candidate runs a small ordering search seeded from the old plan's
+//! ordering, budgeted in *virtual time* by [`ElasticConfig::delta_budget`]
+//! on the calibrated evaluation cost model, so a fixed seed yields a
+//! bit-identical recovery sequence at any worker count on any machine.
 
 use crate::error::DipError;
 use crate::planner::{heaviest, DipPlan, DipPlanner, Reuse};
@@ -49,10 +49,11 @@ pub struct ElasticConfig {
     /// never moves a byte that could legally stay (candidates are compared
     /// by transfer time first, iteration time second).
     pub migration_weight: f64,
-    /// Virtual-time search budget per candidate, riding the same calibrated
-    /// cost model as [`crate::OrderingSearchConfig::delta_budget`]: results
-    /// are bit-identical at any worker count. Zero adopts the old ordering
-    /// verbatim.
+    /// Virtual-time search budget per candidate, converted into an
+    /// evaluation quota by the same calibrated cost model as
+    /// [`crate::OrderingSearchConfig::time_budget`]: results are
+    /// bit-identical at any worker count. Zero adopts the old ordering
+    /// verbatim: one interleave pass per candidate, no search.
     pub delta_budget: Duration,
 }
 

@@ -21,13 +21,14 @@
 //!   partition microbatches, search a schedule (in parallel on CPU workers),
 //!   optimise memory and deploy the plan, per training iteration;
 //! * [`session`] — the thread-safe planning-session layer: a three-tier
-//!   plan lookup (exact signature hit → fuzzy bucketed hit served by delta
-//!   replanning → cold plan) over concurrent O(1) LRU caches, with the
-//!   cluster-topology fingerprint folded into every cache key,
-//!   single-flight planning through a sharded per-key in-flight table (a
-//!   stampeded fresh shape runs the planner exactly once), warm-started
-//!   search across iterations, and a [`PlanningSession::plan_many`] worker
-//!   pool for planning independent requests concurrently;
+//!   plan lookup (exact signature hit → fuzzy bucketed hit served by a
+//!   reprice plus one interleave pass → cold plan) over concurrent O(1)
+//!   LRU caches, with the cluster-topology fingerprint folded into every
+//!   cache key, single-flight planning through a sharded per-key in-flight
+//!   table (a stampeded fresh shape runs the planner exactly once),
+//!   warm-started search across iterations, and a
+//!   [`PlanningSession::plan_many`] worker pool for planning independent
+//!   requests concurrently;
 //! * [`elastic`] — the elastic scenario layer: topology changes (failures,
 //!   grow/shrink events) are replanned incrementally from the old plan via
 //!   [`DipPlanner::replan_elastic`], trading simulated iteration time

@@ -107,15 +107,10 @@ pub struct OrderingSearchConfig {
     /// stream**, min-combined with the virtual-time quota. Handy for
     /// benchmarks that want to fix the total search work exactly.
     pub max_evaluations: Option<u64>,
-    /// **Virtual-time** budget of a *delta replan*: the tiny ordering
-    /// search a [`crate::PlanningSession`] runs on a fuzzy cache hit,
-    /// seeded from the cached neighbour's best ordering (the full
-    /// [`Self::time_budget`] is reserved for cold plans). Like
-    /// `time_budget` it is converted into a deterministic per-stream
-    /// evaluation quota, so delta replans are bit-identical on any machine
-    /// at any worker count. A zero budget degrades gracefully: the
-    /// neighbour's ordering is adopted verbatim (one deterministic
-    /// interleave pass, no search).
+    /// Inert: the planner never reads it. A fuzzy cache hit adopts its
+    /// neighbour's ordering verbatim and runs no search at any budget.
+    /// Defaults to zero and is kept only because the planner benchmark
+    /// reads it.
     pub delta_budget: Duration,
     /// Calibrated cost model of one ordering evaluation, priced as one
     /// *real* dual-queue interleave pass per stage-graph item: the virtual
@@ -179,7 +174,7 @@ impl Default for OrderingSearchConfig {
             strategy: SearchStrategy::Mcts,
             time_budget: Duration::from_millis(500),
             max_evaluations: None,
-            delta_budget: Duration::from_millis(5),
+            delta_budget: Duration::ZERO,
             eval_cost: CostModel::REFERENCE_EVALUATION,
             streams: 4,
             workers: 4,

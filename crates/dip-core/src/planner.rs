@@ -126,7 +126,7 @@ impl PlannerConfig {
 }
 
 /// Which tier of the planning-session's three-tier lookup produced a plan:
-/// exact cache hit, fuzzy hit (delta replan from an in-bucket neighbour) or
+/// exact cache hit, fuzzy hit (replanned from an in-bucket neighbour) or
 /// cold (planned from scratch). Single-shot [`DipPlanner`] plans are
 /// [`PlanTier::Cold`]; [`DipPlanner::replan_elastic`] plans are
 /// [`PlanTier::Elastic`].
@@ -137,9 +137,9 @@ pub enum PlanTier {
     Cold,
     /// Served from the exact-signature plan cache without re-planning.
     Exact,
-    /// Delta-replanned from an in-bucket neighbour's cached plan (the
-    /// neighbour's placement, splits and memory plan are reused; only a
-    /// tiny seeded ordering search runs).
+    /// Replanned from an in-bucket neighbour's cached plan: the
+    /// neighbour's placement, splits, memory plan and ordering are reused,
+    /// and one interleave pass schedules the repriced graph. No search runs.
     Fuzzy,
     /// Elastically replanned across a cluster-topology change
     /// ([`DipPlanner::replan_elastic`]): the old plan's sub-microbatch
@@ -214,13 +214,14 @@ pub struct PlannerStats {
     pub search_worker_evaluations: Vec<u64>,
     /// The searcher's own estimate of the planned iteration time (seconds).
     pub planned_time_s: f64,
-    /// True when the schedule search was warm-started from a previous
-    /// iteration's best ordering.
+    /// True when the schedule search ran and was warm-started from a seed
+    /// ordering (a previous iteration's best, or an elastic replan's old
+    /// ordering). False when no search ran, as on every fuzzy hit.
     pub warm_started: bool,
     /// The lookup tier that produced this plan — the per-tier latency
     /// split: `planning_time` under [`PlanTier::Exact`] is pure cache
     /// lookup, under [`PlanTier::Fuzzy`] one graph expansion + reprice +
-    /// delta search, under [`PlanTier::Cold`] the full pipeline.
+    /// one interleave pass, under [`PlanTier::Cold`] the full pipeline.
     pub tier: PlanTier,
 }
 
@@ -299,13 +300,12 @@ pub(crate) enum Reuse<'p> {
         /// Warm-start ordering (normally a previous plan's best ordering).
         seed: Option<&'p [usize]>,
     },
-    /// Adopts the anchor's placement, splits and memory plan, reprices
-    /// before the search, and searches under
-    /// [`OrderingSearchConfig::delta_budget`] seeded from the anchor's
-    /// priorities.
+    /// Adopts the anchor's placement, splits, memory plan and segment
+    /// priorities, reprices, and runs one interleave pass: no search.
     Fuzzy(&'p DipPlan),
-    /// The fuzzy policy over a candidate placement, under the elastic
-    /// replanner's delta budget.
+    /// Adopts the anchor's splits and memory plan over a candidate
+    /// placement, reprices, and searches under the elastic replanner's
+    /// delta budget, seeded from the anchor's priorities.
     Elastic {
         /// The plan running before the topology change.
         anchor: &'p DipPlan,
@@ -538,21 +538,14 @@ impl<'a> DipPlanner<'a> {
         self.plan_with(microbatches, Reuse::Cold { seed: None })
     }
 
-    /// Delta-replans one iteration from a cached neighbour's plan — the
-    /// fuzzy tier of the [`crate::PlanningSession`] three-tier lookup. The
-    /// anchor's placement, sub-microbatch splits and per-stage-pair memory
-    /// strategies are adopted as-is; the stage graph is expanded once for
-    /// the *new* workloads (so every stage is priced against the real
-    /// shape) and repriced in place under the adopted strategies; then only
-    /// a tiny ordering search runs, seeded from the anchor's best ordering
-    /// and budgeted by [`OrderingSearchConfig::delta_budget`] — no full
-    /// MCTS budget and no memory ILP. With a zero delta budget (or one too
-    /// small to buy a single evaluation) the anchor's ordering is adopted
-    /// verbatim: one deterministic interleave pass, no search at all.
-    ///
-    /// Like every search in this crate the delta budget is virtual time,
-    /// so a fixed seed yields a bit-identical delta plan at any worker
-    /// count on any machine.
+    /// Replans one iteration from a cached neighbour's plan — the fuzzy
+    /// tier of the [`crate::PlanningSession`] three-tier lookup. The
+    /// anchor's placement, sub-microbatch splits, per-stage-pair memory
+    /// strategies and segment priorities are adopted as-is; the stage graph
+    /// is expanded once for the *new* workloads (so every stage is priced
+    /// against the real shape) and repriced in place under the adopted
+    /// strategies; then one deterministic interleave pass schedules it under
+    /// the anchor's priorities. No ordering search and no memory ILP run.
     ///
     /// # Errors
     ///
@@ -651,34 +644,32 @@ impl<'a> DipPlanner<'a> {
         require_parallel_degrees(self.parallel)?;
         let start = Instant::now();
         let tier = reuse.tier();
-        let (anchor, placement, sub_plan, mut search) = match reuse {
+        // The ordering search's budget and seed, or `None` to serve one
+        // ordering verbatim.
+        let (anchor, placement, sub_plan, search) = match reuse {
             Reuse::Cold { seed } => {
                 let partition = self.ensure_partition(microbatches)?;
                 let sub_plan = self
                     .partitioner()
                     .sub_microbatch_plan(&partition, microbatches);
-                let search = OrderingSearchConfig {
-                    seed_ordering: seed.map(<[usize]>::to_vec),
-                    ..self.config.search.clone()
-                };
-                (None, partition.placement, sub_plan, search)
+                let search = (self.config.search.time_budget, seed.map(<[usize]>::to_vec));
+                (None, partition.placement, sub_plan, Some(search))
             }
             Reuse::Fuzzy(anchor) => (
                 Some(anchor),
                 anchor.placement.clone(),
                 anchor.sub_microbatches.clone(),
-                self.delta_search(anchor, self.config.search.delta_budget),
+                None,
             ),
             Reuse::Elastic {
                 anchor,
                 placement,
                 budget,
-            } => (
-                Some(anchor),
-                placement,
-                anchor.sub_microbatches.clone(),
-                self.delta_search(anchor, budget),
-            ),
+            } => {
+                let seed = Some(ordering_from_priorities(&anchor.segment_priorities));
+                let sub_plan = anchor.sub_microbatches.clone();
+                (Some(anchor), placement, sub_plan, Some((budget, seed)))
+            }
         };
         let partition = start.elapsed();
 
@@ -699,7 +690,7 @@ impl<'a> DipPlanner<'a> {
         let graph_build = build_start.elapsed();
 
         // An adopted memory plan is applied *before* scheduling, so the
-        // delta search sees final timings.
+        // ordering step sees final timings.
         let reprice_start = Instant::now();
         if let Some(anchor) = anchor {
             graph.reprice(&anchor.memory_plan);
@@ -707,16 +698,29 @@ impl<'a> DipPlanner<'a> {
         let reprice_time = reprice_start.elapsed();
 
         let budget: Vec<u64> = self.activation_budget(&graph.static_memory);
-        search.dual_queue = DualQueueConfig {
+        let queue = DualQueueConfig {
             memory_limit: Some(budget.clone()),
             ..DualQueueConfig::default()
         };
+        // No search runs with search disabled, nor on an anchored plan whose
+        // budget buys no evaluation.
+        let search = search
+            .map(|(time_budget, seed_ordering)| OrderingSearchConfig {
+                time_budget,
+                seed_ordering,
+                dual_queue: queue.clone(),
+                ..self.config.search.clone()
+            })
+            .filter(|search| {
+                self.config.enable_search
+                    && (anchor.is_none() || search.evaluation_quota(graph.len()) > 0)
+            });
 
         // Phase ①+②: segment reordering + stage interleaving.
         let search_start = Instant::now();
-        let warm_started =
-            anchor.is_some() || (self.config.enable_search && search.seed_ordering.is_some());
-        let mut ordering = self.order(&graph, placement.segments.len(), &search, anchor);
+        let warm_started = search.as_ref().is_some_and(|s| s.seed_ordering.is_some());
+        let segments = placement.segments.len();
+        let mut ordering = Self::order(&graph, segments, search.as_ref(), &queue, anchor);
         let search_time = search_start.elapsed();
 
         // Phase ③ (cold plans): per-layer memory optimisation — the
@@ -740,7 +744,7 @@ impl<'a> DipPlanner<'a> {
                 graph.reprice(&memopt.plan);
                 let queue = DualQueueConfig {
                     segment_priorities: ordering.segment_priorities.clone(),
-                    ..search.dual_queue
+                    ..queue
                 };
                 (ordering.orders, ordering.best_time_s) = dual_queue::schedule(&graph, &queue);
                 (memopt.plan, memopt.cpu_time)
@@ -779,38 +783,25 @@ impl<'a> DipPlanner<'a> {
         })
     }
 
-    /// The search configuration of an anchored replan: `time_budget` of
-    /// virtual time, seeded from the anchor's best ordering.
-    fn delta_search(&self, anchor: &DipPlan, time_budget: Duration) -> OrderingSearchConfig {
-        OrderingSearchConfig {
-            time_budget,
-            seed_ordering: Some(ordering_from_priorities(&anchor.segment_priorities)),
-            ..self.config.search.clone()
-        }
-    }
-
-    /// Phase ①+②: searches a segment ordering under `search`, or schedules
-    /// one ordering verbatim when search is disabled — or, for anchored
-    /// plans, when the budget buys no evaluation. The verbatim ordering
-    /// gives every segment priority zero on a cold plan and adopts the
-    /// anchor's priorities otherwise.
+    /// Phase ①+②: searches a segment ordering under `search`, or, without
+    /// one, schedules a verbatim ordering in one deterministic interleave
+    /// pass under `queue`: the anchor's priorities on an anchored plan
+    /// (every fuzzy hit), priority zero for every segment on a cold one.
     fn order(
-        &self,
         graph: &StageGraph,
         num_segments: usize,
-        search: &OrderingSearchConfig,
+        search: Option<&OrderingSearchConfig>,
+        queue: &DualQueueConfig,
         anchor: Option<&DipPlan>,
     ) -> OrderingResult {
-        if self.config.enable_search
-            && (anchor.is_none() || search.evaluation_quota(graph.len()) > 0)
-        {
+        if let Some(search) = search {
             return search_ordering(graph, num_segments, search);
         }
         let segment_priorities =
             anchor.map_or_else(|| vec![0; num_segments], |a| a.segment_priorities.clone());
         let queue = DualQueueConfig {
             segment_priorities: segment_priorities.clone(),
-            ..search.dual_queue.clone()
+            ..queue.clone()
         };
         let (orders, best_time_s) = dual_queue::schedule(graph, &queue);
         OrderingResult {

@@ -20,15 +20,14 @@
 //! * with [`SessionConfig::bucketing`] enabled, exact misses fall through
 //!   to a **fuzzy tier**: the same signature under the configured (wider)
 //!   bucketing is looked up in a bucket-keyed anchor cache, and an
-//!   in-bucket neighbour's plan is **delta-replanned** — the neighbour's
-//!   placement, sub-microbatch splits and memory plan are adopted, the
-//!   stage graph is expanded once for the real shape and repriced in
-//!   place, and only a tiny ordering search seeded from the neighbour's
-//!   best ordering runs (budgeted by
-//!   [`crate::OrderingSearchConfig::delta_budget`]); no full MCTS budget
-//!   and no memory ILP, so fuzzy-hit latency sits orders of magnitude
-//!   below a cold plan while staying within a small simulated regret of it
-//!   (the `fuzzy_replanning` proptests bound it empirically);
+//!   in-bucket neighbour's plan is **repriced** — the neighbour's
+//!   placement, sub-microbatch splits, memory plan and segment priorities
+//!   are adopted, the stage graph is expanded once for the real shape and
+//!   repriced in place, and one interleave pass schedules it under the
+//!   neighbour's ordering; no ordering search and no memory ILP, so
+//!   fuzzy-hit latency sits orders of magnitude below a cold plan while
+//!   staying within a small simulated regret of it (the `fuzzy_replanning`
+//!   proptests bound it empirically);
 //! * fresh signatures are planned **single-flight**: threads stampeding on
 //!   the same new shape run the planner exactly once — one leader plans
 //!   while the rest wait on the key's slot in the in-flight table and then
@@ -204,20 +203,19 @@ pub struct SessionStats {
     /// Requests answered verbatim from the exact-signature plan cache.
     pub exact_hits: u64,
     /// Requests answered by the fuzzy tier: an in-bucket neighbour's plan
-    /// was reused via delta replanning (or served verbatim under a zero
-    /// delta budget). A fuzzy hit is **not** a miss — the tier totals
-    /// satisfy `exact_hits + fuzzy_hits + cache_misses == requests`.
+    /// was repriced for the request and its ordering adopted verbatim. A
+    /// fuzzy hit is **not** a miss — the tier totals satisfy
+    /// `exact_hits + fuzzy_hits + cache_misses == requests`.
     pub fuzzy_hits: u64,
-    /// Fuzzy hits that actually re-ran the seeded ordering search (the
-    /// remainder adopted the neighbour's ordering verbatim because the
-    /// delta budget bought no evaluations).
+    /// Always zero: fuzzy hits run no ordering search. Kept only because
+    /// the planner benchmark reads it.
     pub delta_replans: u64,
     /// Requests that required a cold plan (including requests whose cold
     /// plan failed, so `requests == exact_hits + fuzzy_hits + cache_misses`
     /// always holds).
     pub cache_misses: u64,
-    /// Cold plans whose search was warm-started (delta replans are seeded
-    /// by construction and tracked under `delta_replans` instead).
+    /// Cold plans whose search was warm-started (fuzzy hits run no search
+    /// and are never counted here).
     pub warm_started_plans: u64,
     /// Cached plans evicted by the LRU policy.
     pub evictions: u64,
@@ -225,7 +223,7 @@ pub struct SessionStats {
     /// the per-tier latency split, summed per tier.
     pub exact_hit_time: Duration,
     /// Planning wall time spent serving fuzzy hits (graph expansion +
-    /// reprice + delta search).
+    /// reprice + one interleave pass).
     pub fuzzy_plan_time: Duration,
     /// Planning wall time spent on cold plans (the full pipeline).
     pub cold_plan_time: Duration,
@@ -647,12 +645,6 @@ impl<'a> PlanningSession<'a> {
         stats.evictions += evicted;
         if plan.tier == PlanTier::Fuzzy {
             stats.fuzzy_hits += 1;
-            // A delta search always evaluates the identity and the
-            // anchor's seed ordering (2+ evaluations); the verbatim
-            // zero-budget path performs exactly one interleave pass.
-            if plan.search_evaluations > 1 {
-                stats.delta_replans += 1;
-            }
             stats.fuzzy_plan_time += plan.planning_time;
         } else {
             stats.cache_misses += 1;
@@ -833,6 +825,7 @@ impl<'a> PlanningSession<'a> {
 mod tests {
     use super::*;
     use dip_models::{zoo, Modality, ModalityWorkload};
+    use dip_pipeline::{dual_queue, DualQueueConfig};
     use std::time::Duration;
 
     fn vlm_batch(images: u64) -> BatchWorkload {
@@ -1269,7 +1262,7 @@ mod tests {
     }
 
     #[test]
-    fn fuzzy_hit_delta_replans_without_memory_ilp() {
+    fn fuzzy_hit_adopts_the_anchor_in_one_pass_without_memory_ilp() {
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::fuzzy());
@@ -1289,14 +1282,28 @@ mod tests {
         let fuzzy = session.plan(&neighbour).unwrap();
         assert_eq!(fuzzy.tier, PlanTier::Fuzzy);
         assert_eq!(fuzzy.plan.stats.tier, PlanTier::Fuzzy);
-        // The delta path reuses the anchor's memory plan and splits and
-        // never runs the memory ILP.
+        // The fuzzy tier adopts the anchor's ordering, memory plan and
+        // splits verbatim and never runs the memory ILP.
+        assert_eq!(fuzzy.plan.segment_priorities, cold.plan.segment_priorities);
         assert_eq!(fuzzy.plan.memory_plan, cold.plan.memory_plan);
         assert_eq!(fuzzy.plan.sub_microbatches, cold.plan.sub_microbatches);
         assert_eq!(fuzzy.plan.stats.phases.memopt_cpu, Duration::ZERO);
-        assert!(fuzzy.plan.stats.warm_started);
-        // The delta plan is priced against the *real* shape, not the
-        // anchor's: the graph timings differ.
+        assert!(!fuzzy.plan.stats.warm_started, "no search ran");
+        // One interleave pass over the repriced graph, and nothing else.
+        let graph = &fuzzy.plan.graph;
+        assert_eq!(fuzzy.plan.stats.search_evaluations, 1);
+        assert_eq!(fuzzy.plan.stats.search_work.interleave_passes, 1);
+        assert_eq!(fuzzy.plan.stats.search_work.live_steps, graph.len() as u64);
+        let queue = DualQueueConfig {
+            memory_limit: Some(session.planner().activation_budget(&graph.static_memory)),
+            segment_priorities: cold.plan.segment_priorities.clone(),
+            ..DualQueueConfig::default()
+        };
+        let (orders, time_s) = dual_queue::schedule(graph, &queue);
+        assert_eq!(fuzzy.plan.orders, orders);
+        assert_eq!(fuzzy.plan.stats.planned_time_s.to_bits(), time_s.to_bits());
+        // The plan is priced against the *real* shape, not the anchor's:
+        // the graph timings differ.
         assert!(session.simulate(&fuzzy.plan).is_ok());
 
         let stats = session.stats();
@@ -1304,51 +1311,20 @@ mod tests {
         assert_eq!(stats.cache_misses, 1, "a fuzzy hit is not a miss");
         assert_eq!(stats.fuzzy_hits, 1);
         assert_eq!(stats.exact_hits, 0);
-        assert_eq!(stats.delta_replans, 1, "the default delta budget searches");
+        assert_eq!(stats.delta_replans, 0, "fuzzy hits run no search");
         assert!(stats.fuzzy_plan_time > Duration::ZERO);
         assert_eq!(
             stats.requests,
             stats.exact_hits + stats.fuzzy_hits + stats.cache_misses
         );
 
-        // Tier-up: the delta plan was cached under its exact key, so the
+        // Tier-up: the fuzzy plan was cached under its exact key, so the
         // identical request is now an exact hit.
         let repeat = session.plan(&neighbour).unwrap();
-        assert_eq!(repeat.tier, PlanTier::Exact);
         assert_eq!(repeat.tier, PlanTier::Exact);
         assert_eq!(repeat.plan.orders, fuzzy.plan.orders);
         // The bucket's anchor is still the original cold plan.
         assert_eq!(session.fuzzy_anchors(), 1);
-    }
-
-    #[test]
-    fn zero_delta_budget_serves_the_anchor_verbatim() {
-        let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
-        let mut planner_config = PlannerConfig::fast();
-        planner_config.search.delta_budget = Duration::ZERO;
-        let session = PlanningSession::with_config(
-            &spec,
-            ParallelConfig::new(4, 4, 1),
-            &cluster,
-            planner_config,
-            SessionConfig::fuzzy(),
-        );
-        let base = request(&[8, 32]);
-        let neighbour = PlanRequest::new(vec![vlm_batch_jittered(8, 5), vlm_batch_jittered(32, 9)]);
-
-        let cold = session.plan(&base).unwrap();
-        let fuzzy = session.plan(&neighbour).unwrap();
-        assert_eq!(fuzzy.tier, PlanTier::Fuzzy);
-        // Degrades gracefully: the neighbour's ordering is adopted
-        // verbatim — same priorities, memory plan and splits; only the
-        // graph is re-priced for the real shape.
-        assert_eq!(fuzzy.plan.segment_priorities, cold.plan.segment_priorities);
-        assert_eq!(fuzzy.plan.memory_plan, cold.plan.memory_plan);
-        assert_eq!(fuzzy.plan.sub_microbatches, cold.plan.sub_microbatches);
-        let stats = session.stats();
-        assert_eq!(stats.fuzzy_hits, 1);
-        assert_eq!(stats.delta_replans, 0, "no search ran under a zero budget");
     }
 
     #[test]

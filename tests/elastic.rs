@@ -455,3 +455,28 @@ fn anchor_guard_names_every_mismatched_field_on_both_entry_points() {
         }
     }
 }
+
+/// A zero-budget elastic replan runs no search: its one candidate (uniform
+/// clusters rebalance to the old boundaries) adopts the old ordering in one
+/// interleave pass, so the plan is not reported as warm-started.
+#[test]
+fn zero_budget_elastic_replan_reports_no_search() {
+    let spec = zoo::vlm_s();
+    let old_topology = ClusterTopology::mixed_h800_h20(2, 0);
+    let config = time_budgeted_config(2, 40, 3);
+    let batches = vec![vlm_batch(8), vlm_batch(24)];
+    let planner = DipPlanner::on_topology(&spec, parallel(), old_topology.clone(), config.clone());
+    let old_plan = planner.plan_iteration(&batches).unwrap();
+    let new_topology = ClusterTopology::mixed_h800_h20(1, 0);
+    let zero_budget = ElasticConfig {
+        delta_budget: Duration::ZERO,
+        ..ElasticConfig::default()
+    };
+    let outcome = DipPlanner::on_topology(&spec, parallel(), new_topology, config)
+        .replan_elastic(&batches, &old_plan, &old_topology, &zero_budget)
+        .unwrap();
+    assert_eq!(outcome.candidates.len(), 1);
+    assert_eq!(outcome.plan.segment_priorities, old_plan.segment_priorities);
+    assert_eq!(outcome.plan.stats.search_evaluations, 1);
+    assert!(!outcome.plan.stats.warm_started, "no search ran");
+}
