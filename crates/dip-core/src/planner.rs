@@ -168,7 +168,11 @@ pub struct PhaseTimes {
     /// dependency wiring). Applying a memory plan is an in-place
     /// [`StageGraph::reprice`], counted under `memopt`.
     pub graph_build: Duration,
-    /// Summed per-block task wall time of the stage-graph build.
+    /// CPU time of the stage-graph build: the serial `prepare` (workload
+    /// splitting), the summed per-block task wall time of the parallel
+    /// pricing and wiring phases, and the build's serial sections (link
+    /// table, merges, transpose, static-memory sums, slab copies). See
+    /// [`dip_pipeline::GraphBuildStats::cpu_time`].
     pub graph_build_cpu: Duration,
     /// The schedule-search phase (§5.1–5.2).
     pub search: Duration,
@@ -683,9 +687,11 @@ impl<'a> DipPlanner<'a> {
         let builder = StageGraphBuilder::new_on(self.spec, &placement, &self.topology)
             .with_efficiency(self.config.efficiency)
             .with_workers(self.config.search.workers.max(1));
+        let prepare_start = Instant::now();
         let prepared = builder
             .prepare(microbatches, &sub_plan)
             .planning_context("building stage graph")?;
+        let prepare_time = prepare_start.elapsed();
         let (mut graph, build_stats) = builder.build_prepared(&prepared);
         let graph_build = build_start.elapsed();
 
@@ -767,7 +773,7 @@ impl<'a> DipPlanner<'a> {
                 phases: PhaseTimes {
                     partition,
                     graph_build,
-                    graph_build_cpu: build_stats.cpu_time,
+                    graph_build_cpu: prepare_time + build_stats.cpu_time,
                     search: search_time,
                     search_cpu: ordering.cpu_time,
                     memopt: memopt_time,
@@ -867,6 +873,40 @@ mod tests {
                 ModalityWorkload::new(8192 - images * 169, 1),
             )
             .with(Modality::Image, ModalityWorkload::new(images * 169, images))
+    }
+
+    /// At one worker the graph build is serial, so its CPU time — which
+    /// counts `prepare`, the merges, the transpose and the slab copies
+    /// besides the block tasks — can never exceed its wall time, and must
+    /// cover nearly all of it: the wall time outside the CPU accounting is
+    /// only the builder's construction and the fork-join bookkeeping.
+    #[test]
+    fn one_worker_graph_build_cpu_time_covers_its_wall_time() {
+        let spec = zoo::vlm_s();
+        let cluster = ClusterSpec::h800_cluster(2);
+        let planner = DipPlanner::new(
+            &spec,
+            ParallelConfig::new(4, 4, 1),
+            &cluster,
+            PlannerConfig::fast().with_num_threads(1),
+        );
+        let batches: Vec<BatchWorkload> =
+            [10u64, 40, 2, 30].iter().map(|&i| vlm_batch(i)).collect();
+        let anchor = planner.plan_iteration(&batches).unwrap();
+        let mut best_ratio = 0.0f64;
+        for _ in 0..5 {
+            let plan = planner.plan_iteration_delta(&batches, &anchor).unwrap();
+            let phases = plan.stats.phases;
+            assert!(
+                phases.graph_build_cpu <= phases.graph_build,
+                "cpu {:?} > wall {:?}",
+                phases.graph_build_cpu,
+                phases.graph_build
+            );
+            best_ratio = best_ratio
+                .max(phases.graph_build_cpu.as_secs_f64() / phases.graph_build.as_secs_f64());
+        }
+        assert!(best_ratio >= 0.8, "best cpu / wall ratio {best_ratio}");
     }
 
     #[test]

@@ -79,6 +79,16 @@ impl ModalityModule {
     /// Analytical per-GPU cost of a contiguous slice of layers
     /// (`range` indexes into [`Self::layers`]).
     ///
+    /// Modules are mostly runs of identical blocks (a ViT-5B encoder chunk
+    /// at `pp = 4` holds about 16 equal transformer layers), so the cost is
+    /// computed once per run of equal consecutive [`LayerSpec`]s and that
+    /// one value is added once per layer of the run, in layer order. This
+    /// is bit-exact against pricing every layer: a layer's cost is a pure
+    /// function of its spec, the workload and `tp`, so equal specs yield
+    /// bit-equal costs, and the sum performs the same additions in the same
+    /// order. A run is never priced as `run length × cost`, whose rounding
+    /// differs.
+    ///
     /// # Panics
     ///
     /// Panics if `range` is out of bounds.
@@ -89,34 +99,44 @@ impl ModalityModule {
         tp: usize,
     ) -> LayerCost {
         let tp = tp.max(1) as f64;
-        let layers = &self.layers[range];
         let mut total = LayerCost::default();
-        for layer in layers {
-            let params = layer.param_count() as f64 / tp;
-            let param_bytes = (params * BF16_BYTES as f64) as u64;
-            let fwd = layer.fwd_flops(workload) / tp;
-            let bwd = layer.bwd_flops(workload) / tp;
-            let act = (layer.activation_bytes(workload) as f64 / tp) as u64;
-            let fwd_mem = (layer.fwd_mem_bytes(workload) as f64 / tp) as u64;
-            // Megatron-style TP: two all-reduces (attention out-proj and MLP
-            // down-proj) of the full hidden activation per layer per pass.
-            let tp_comm = if tp > 1.0 {
-                self.tp_allreduce_bytes(layer, workload)
-            } else {
-                0
+        let mut run: Option<(&LayerSpec, LayerCost)> = None;
+        for layer in &self.layers[range] {
+            let cost = match run {
+                Some((spec, cost)) if spec == layer => cost,
+                _ => {
+                    let cost = self.layer_cost(layer, workload, tp);
+                    run = Some((layer, cost));
+                    cost
+                }
             };
-            total += LayerCost {
-                fwd_flops: fwd,
-                bwd_flops: bwd,
-                param_bytes,
-                grad_bytes: param_bytes,
-                optimizer_bytes: (params * crate::ADAM_STATE_BYTES_PER_PARAM as f64) as u64,
-                activation_bytes: act,
-                fwd_mem_bytes: fwd_mem,
-                tp_comm_bytes: tp_comm,
-            };
+            total += cost;
         }
         total
+    }
+
+    /// The per-GPU cost of one layer over `workload` at tensor-parallel
+    /// degree `tp` (already clamped to at least 1).
+    fn layer_cost(&self, layer: &LayerSpec, workload: &ModalityWorkload, tp: f64) -> LayerCost {
+        let params = layer.param_count() as f64 / tp;
+        let param_bytes = (params * BF16_BYTES as f64) as u64;
+        // Megatron-style TP: two all-reduces (attention out-proj and MLP
+        // down-proj) of the full hidden activation per layer per pass.
+        let tp_comm_bytes = if tp > 1.0 {
+            self.tp_allreduce_bytes(layer, workload)
+        } else {
+            0
+        };
+        LayerCost {
+            fwd_flops: layer.fwd_flops(workload) / tp,
+            bwd_flops: layer.bwd_flops(workload) / tp,
+            param_bytes,
+            grad_bytes: param_bytes,
+            optimizer_bytes: (params * crate::ADAM_STATE_BYTES_PER_PARAM as f64) as u64,
+            activation_bytes: (layer.activation_bytes(workload) as f64 / tp) as u64,
+            fwd_mem_bytes: (layer.fwd_mem_bytes(workload) as f64 / tp) as u64,
+            tp_comm_bytes,
+        }
     }
 
     fn tp_allreduce_bytes(&self, layer: &LayerSpec, workload: &ModalityWorkload) -> u64 {
@@ -135,7 +155,11 @@ impl ModalityModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TransformerKind, TransformerLayer};
+    use crate::{
+        AdapterLayer, EmbeddingLayer, LmHeadLayer, PatchEmbedLayer, TransformerKind,
+        TransformerLayer,
+    };
+    use proptest::prelude::*;
 
     fn small_module() -> ModalityModule {
         let layer = LayerSpec::Transformer(
@@ -188,5 +212,111 @@ mod tests {
         let per_layer = m.layers()[0].param_count();
         assert_eq!(m.param_count(), 4 * per_layer);
         assert!(m.param_billions() > 0.0);
+    }
+
+    /// A small pool of layers: two transformer blocks that differ only in
+    /// their width, and one layer of each other kind.
+    fn layer_pool() -> [LayerSpec; 6] {
+        let block = |embed_dim| {
+            LayerSpec::Transformer(
+                TransformerLayer::new(embed_dim, 4 * embed_dim, 16, 8, TransformerKind::CausalLm)
+                    .unwrap(),
+            )
+        };
+        [
+            block(1024),
+            block(2048),
+            LayerSpec::Adapter(AdapterLayer {
+                in_dim: 1024,
+                out_dim: 2048,
+                hidden_dim: 2048,
+            }),
+            LayerSpec::LmHead(LmHeadLayer {
+                vocab_size: 32000,
+                embed_dim: 1024,
+            }),
+            LayerSpec::PatchEmbed(PatchEmbedLayer {
+                embed_dim: 1024,
+                patch_size: 14,
+                in_channels: 3,
+            }),
+            LayerSpec::Embedding(EmbeddingLayer {
+                vocab_size: 32000,
+                embed_dim: 1024,
+            }),
+        ]
+    }
+
+    /// Every field of a cost as bits, so `f64`s compare exactly.
+    fn cost_bits(cost: &LayerCost) -> [u64; 8] {
+        [
+            cost.fwd_flops.to_bits(),
+            cost.bwd_flops.to_bits(),
+            cost.param_bytes,
+            cost.grad_bytes,
+            cost.optimizer_bytes,
+            cost.activation_bytes,
+            cost.fwd_mem_bytes,
+            cost.tp_comm_bytes,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Run reuse in `cost_of_layers` is bit-exact: over random modules
+        /// built from runs of pooled layers (so runs, alternations such as
+        /// A B A, and single layers all occur), random sub-ranges including
+        /// empty ones, and random workloads including zero tokens, it
+        /// equals a naive loop that prices and adds every layer on its own.
+        #[test]
+        fn run_reuse_equals_a_naive_per_layer_loop(
+            runs in prop::collection::vec((0usize..6, 1usize..5), 1..10),
+            bounds in (0usize..64, 0usize..64),
+            workload in (0u64..40_000, 0u64..9, 0u8..4),
+            tp_index in 0usize..4,
+        ) {
+            let pool = layer_pool();
+            let layers: Vec<LayerSpec> = runs
+                .iter()
+                .flat_map(|&(layer, length)| std::iter::repeat_n(pool[layer], length))
+                .collect();
+            let module =
+                ModalityModule::new("pool", Modality::Text, ModuleRole::Backbone, layers).unwrap();
+            let len = module.num_layers();
+            let start = bounds.0 % (len + 1);
+            let end = start + bounds.1 % (len + 1 - start);
+            let (tokens, sequences, zero) = workload;
+            let wl = ModalityWorkload::new(if zero == 0 { 0 } else { tokens }, sequences);
+            let tp = [1usize, 2, 4, 8][tp_index];
+
+            let div = tp as f64;
+            let mut naive = LayerCost::default();
+            for layer in &module.layers()[start..end] {
+                let params = layer.param_count() as f64 / div;
+                let param_bytes = (params * BF16_BYTES as f64) as u64;
+                naive += LayerCost {
+                    fwd_flops: layer.fwd_flops(&wl) / div,
+                    bwd_flops: layer.bwd_flops(&wl) / div,
+                    param_bytes,
+                    grad_bytes: param_bytes,
+                    optimizer_bytes: (params * crate::ADAM_STATE_BYTES_PER_PARAM as f64) as u64,
+                    activation_bytes: (layer.activation_bytes(&wl) as f64 / div) as u64,
+                    fwd_mem_bytes: (layer.fwd_mem_bytes(&wl) as f64 / div) as u64,
+                    tp_comm_bytes: if tp > 1 { module.tp_allreduce_bytes(layer, &wl) } else { 0 },
+                };
+            }
+            let reused = module.cost_of_layers(start..end, &wl, tp);
+            prop_assert_eq!(
+                cost_bits(&reused),
+                cost_bits(&naive),
+                "layers {}..{} of {:?}, {:?}, tp {}",
+                start,
+                end,
+                runs,
+                wl,
+                tp
+            );
+        }
     }
 }

@@ -361,10 +361,16 @@ impl StageGraph {
 /// Cost accounting of one stage-graph build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GraphBuildStats {
-    /// Summed per-block task wall time across both build phases (item
-    /// expansion and dependency wiring). Divided by the caller's wall-clock
-    /// measurement this exposes the build's parallel speedup, with the same
-    /// semantics as the planner's `search_cpu_time` / `memopt_cpu_time`.
+    /// CPU time of the build: the summed wall time of the per-block tasks
+    /// of both parallel phases (item pricing and dependency wiring), plus
+    /// the wall time of every serial section of
+    /// [`StageGraphBuilder::build_prepared`] (resolving the rank timing
+    /// models and link table, the index-order merges, the reverse-CSR
+    /// transpose, the per-rank static-memory and parameter sums, and the
+    /// copies into the arena's slabs). At one worker it is at most the
+    /// build's wall time; divided by that wall time it is the build's
+    /// parallel speedup, with the same semantics as the planner's other
+    /// `*_cpu` phase times.
     pub cpu_time: Duration,
 }
 
@@ -495,21 +501,42 @@ impl<'a> StageGraphBuilder<'a> {
         self
     }
 
-    /// The timing model pricing stages of pipeline rank `rank`.
-    fn rank_timing(&self, rank: usize, tp: usize) -> TimingModel {
-        self.timing_override
-            .unwrap_or_else(|| self.topology.rank_timing(rank, tp, self.efficiency))
-    }
-
-    /// Communication lag of `bytes` flowing over the `from → to` rank edge,
-    /// charged at the link the topology exposes for that pair.
-    fn edge_lag(&self, bytes: u64, from: usize, to: usize, tp: usize) -> f64 {
-        match self.timing_override {
-            Some(t) => t.p2p_latency(bytes, self.topology.ranks_share_node(from, to, tp)),
-            None => self
-                .rank_timing(from, tp)
-                .p2p_latency_at(bytes, self.topology.link_bandwidth(from, to, tp)),
-        }
+    /// The timing model pricing each pipeline rank's stages, and a
+    /// `pp × pp` link table whose `from * pp + to` entry holds the timing
+    /// model and link bandwidth that charge a transfer over the `from → to`
+    /// rank edge. Resolved once per build: every stage of rank `r` reads
+    /// `timings[r]`, and every edge prices its lag as
+    /// `timing.p2p_latency_at(bytes, bandwidth)` from its table entry.
+    ///
+    /// Under a [`StageGraphBuilder::with_timing`] override every rank and
+    /// every edge uses the override's device, and the topology only selects
+    /// NVLink or the network; otherwise each rank is priced on its own
+    /// device and each edge at [`ClusterTopology::link_bandwidth`],
+    /// charged by the sending rank's model.
+    fn rank_models(&self, pp: usize, tp: usize) -> (Vec<TimingModel>, Vec<(TimingModel, f64)>) {
+        let timings: Vec<TimingModel> = (0..pp)
+            .map(|rank| {
+                self.timing_override
+                    .unwrap_or_else(|| self.topology.rank_timing(rank, tp, self.efficiency))
+            })
+            .collect();
+        let links = (0..pp * pp)
+            .map(|edge| {
+                let (from, to) = (edge / pp, edge % pp);
+                let timing = timings[from];
+                // The override arm picks the link as `TimingModel::p2p_latency`
+                // does, on the override's device.
+                let bandwidth = match self.timing_override {
+                    Some(t) if self.topology.ranks_share_node(from, to, tp) => {
+                        t.gpu.nvlink_bandwidth
+                    }
+                    Some(t) => t.gpu.net_bandwidth,
+                    None => self.topology.link_bandwidth(from, to, tp),
+                };
+                (timing, bandwidth)
+            })
+            .collect();
+        (timings, links)
     }
 
     /// Validates the inputs and splits the per-microbatch workloads once:
@@ -636,10 +663,17 @@ impl<'a> StageGraphBuilder<'a> {
     }
 
     /// Expands a validated [`PreparedWorkloads`] into a stage graph: phase A
-    /// prices every `(segment, microbatch)` block's items, phase B gathers
+    /// prices every `(segment, microbatch)` block's items, phase B wires
     /// every item's dependencies, both block-parallel with a deterministic
-    /// index-order merge into the flat arena.
+    /// index-order merge into the flat arena. The per-rank timing models
+    /// and the rank-pair link table are resolved once per build, before
+    /// either phase.
     pub fn build_prepared(&self, prepared: &PreparedWorkloads) -> (StageGraph, GraphBuildStats) {
+        let build_start = Instant::now();
+        // Wall time spent inside the two parallel phases, and the summed
+        // wall time of their block tasks; the rest of the build is serial.
+        let mut parallel_wall = Duration::ZERO;
+        let mut task_time = Duration::ZERO;
         let parallel = self.placement.parallel;
         let pp = parallel.pp;
         let tp = parallel.tp;
@@ -647,14 +681,21 @@ impl<'a> StageGraphBuilder<'a> {
         let m_count = prepared.num_microbatches;
         let num_blocks = segments.len() * m_count;
         let num_stage_pairs = *prepared.pair_offsets.last().expect("offset table");
+        let (timings, links) = self.rank_models(pp, tp);
+        let lag = |bytes: u64, from: usize, to: usize| -> f64 {
+            let (timing, bandwidth) = &links[from * pp + to];
+            timing.p2p_latency_at(bytes, *bandwidth)
+        };
 
         // Phase A: price every block's items. Each block's item ids are
         // arithmetic (`fwd = 2 * pair`, `bwd = 2 * pair + 1`, pairs
         // contiguous per block), so blocks build globally-correct items
         // independently; the merge is plain index-order concatenation.
+        let phase_start = Instant::now();
         let priced = parallel_map_indexed(num_blocks, self.workers, |block| {
             let task_start = Instant::now();
             let s = block / m_count;
+            let m = block % m_count;
             let segment = &segments[s];
             let pair_base = prepared.pair_offsets[block];
             let splits = prepared.block_splits[block];
@@ -668,10 +709,9 @@ impl<'a> StageGraphBuilder<'a> {
                         .map(|w| w.tokens)
                         .unwrap_or(0);
                     let p2p_bytes = out_tokens * chunk.output_dim(self.spec) as u64 * BF16_BYTES;
-                    let base = self.rank_timing(r, tp).stage_timing(&cost, p2p_bytes);
+                    let base = timings[r].stage_timing(&cost, p2p_bytes);
                     let stage_pair = pair_base + j * pp + r;
                     let adjusted = self.memory_plan.get(stage_pair).apply(&base);
-                    let m = block % m_count;
                     items.push(WorkItem {
                         id: StageId(2 * stage_pair),
                         segment: s,
@@ -701,97 +741,95 @@ impl<'a> StageGraphBuilder<'a> {
             }
             (items, bases, task_start.elapsed())
         });
+        parallel_wall += phase_start.elapsed();
 
-        let mut cpu_time = Duration::ZERO;
         let mut items: Vec<WorkItem> = Vec::with_capacity(2 * num_stage_pairs);
         let mut base_timings: Vec<StageTiming> = Vec::with_capacity(num_stage_pairs);
         for (block_items, bases, cpu) in priced {
             items.extend(block_items);
             base_timings.extend(bases);
-            cpu_time += cpu;
+            task_time += cpu;
         }
 
-        // Phase B: gather every item's dependencies. Each dependency is a
+        // Phase B: wire every item's dependencies. Each dependency is a
         // pure function of the item's coordinate plus the producer's
         // `p2p_bytes` (available after phase A), so blocks wire themselves
-        // independently too. Per-item dependency order matches the former
-        // serial wiring: a backward's own forward first, then the chain
-        // edges in sub-microbatch order.
+        // independently too. A block appends its items' edges, in item-id
+        // order, to one flat list and records each item's end offset in it.
+        // Per-item dependency order: a backward's own forward first, then
+        // the chain edges in sub-microbatch order.
         let fwd_id = |s: usize, m: usize, j: usize, r: usize| -> usize {
             2 * (prepared.pair_offsets[s * m_count + m] + j * pp + r)
         };
         let last_segment = segments.len() - 1;
+        let phase_start = Instant::now();
         let wired = parallel_map_indexed(num_blocks, self.workers, |block| {
             let task_start = Instant::now();
             let s = block / m_count;
             let m = block % m_count;
             let splits = prepared.block_splits[block];
-            let mut deps: Vec<Vec<(StageId, f64)>> = Vec::with_capacity(2 * splits * pp);
+            let mut edges: Vec<(StageId, f64)> = Vec::with_capacity(3 * splits * pp);
+            let mut ends: Vec<usize> = Vec::with_capacity(2 * splits * pp);
             for j in 0..splits {
                 for r in 0..pp {
                     let fwd = fwd_id(s, m, j, r);
                     // Forward chain within the segment.
-                    let mut fwd_deps = Vec::new();
                     if r > 0 {
                         let prev = fwd_id(s, m, j, r - 1);
-                        let lag = self.edge_lag(items[prev].p2p_bytes, r - 1, r, tp);
-                        fwd_deps.push((StageId(prev), lag));
+                        edges.push((StageId(prev), lag(items[prev].p2p_bytes, r - 1, r)));
                     } else if s > 0 {
                         // First rank depends on the previous segment's last
                         // rank; the edge wraps from rank pp-1 back to rank 0.
                         if prepared.same_module_as_prev[s] {
                             let prev = fwd_id(s - 1, m, j, pp - 1);
-                            let lag = self.edge_lag(items[prev].p2p_bytes, pp - 1, 0, tp);
-                            fwd_deps.push((StageId(prev), lag));
+                            edges.push((StageId(prev), lag(items[prev].p2p_bytes, pp - 1, 0)));
                         } else {
                             // Cross-module boundary: wait for every
                             // sub-microbatch of the producer segment.
                             for jp in 0..prepared.block_splits[(s - 1) * m_count + m] {
                                 let prev = fwd_id(s - 1, m, jp, pp - 1);
-                                let lag = self.edge_lag(items[prev].p2p_bytes, pp - 1, 0, tp);
-                                fwd_deps.push((StageId(prev), lag));
+                                edges.push((StageId(prev), lag(items[prev].p2p_bytes, pp - 1, 0)));
                             }
                         }
                     }
+                    ends.push(edges.len());
                     // Backward chain within the segment (reverse rank order).
-                    let mut bwd_deps = vec![(StageId(fwd), 0.0)];
+                    edges.push((StageId(fwd), 0.0));
                     if r < pp - 1 {
                         let next_bwd = fwd_id(s, m, j, r + 1) + 1;
-                        let lag = self.edge_lag(items[fwd].p2p_bytes, r + 1, r, tp);
-                        bwd_deps.push((StageId(next_bwd), lag));
+                        edges.push((StageId(next_bwd), lag(items[fwd].p2p_bytes, r + 1, r)));
                     } else if s == last_segment {
                         // Loss boundary: backward of the last stage follows
                         // its own forward after the loss computation.
-                        bwd_deps.push((StageId(fwd), self.loss_latency));
+                        edges.push((StageId(fwd), self.loss_latency));
                     } else if prepared.same_module_as_prev[s + 1] {
                         let next_bwd = fwd_id(s + 1, m, j, 0) + 1;
-                        let lag = self.edge_lag(items[fwd].p2p_bytes, 0, pp - 1, tp);
-                        bwd_deps.push((StageId(next_bwd), lag));
+                        edges.push((StageId(next_bwd), lag(items[fwd].p2p_bytes, 0, pp - 1)));
                     } else {
+                        let bwd_lag = lag(items[fwd].p2p_bytes, 0, pp - 1);
                         for jn in 0..prepared.block_splits[(s + 1) * m_count + m] {
-                            let next_bwd = fwd_id(s + 1, m, jn, 0) + 1;
-                            let lag = self.edge_lag(items[fwd].p2p_bytes, 0, pp - 1, tp);
-                            bwd_deps.push((StageId(next_bwd), lag));
+                            edges.push((StageId(fwd_id(s + 1, m, jn, 0) + 1), bwd_lag));
                         }
                     }
-                    deps.push(fwd_deps);
-                    deps.push(bwd_deps);
+                    ends.push(edges.len());
                 }
             }
-            (deps, task_start.elapsed())
+            (edges, ends, task_start.elapsed())
         });
+        parallel_wall += phase_start.elapsed();
 
         // Index-order merge into the CSR slab: block order × in-block order
-        // equals item-id order, so offsets are a running concatenation.
-        let mut deps: Vec<(StageId, f64)> = Vec::new();
+        // equals item-id order, so the slab is the blocks' edge lists
+        // concatenated and each offset is its block's base plus its end.
+        let mut deps: Vec<(StageId, f64)> =
+            Vec::with_capacity(wired.iter().map(|(edges, _, _)| edges.len()).sum());
         let mut dep_offsets: Vec<usize> = Vec::with_capacity(items.len() + 1);
         dep_offsets.push(0);
-        for (block_deps, cpu) in wired {
-            for item_deps in block_deps {
-                deps.extend(item_deps);
-                dep_offsets.push(deps.len());
-            }
-            cpu_time += cpu;
+        for (edges, ends, cpu) in wired {
+            let base = deps.len();
+            dep_offsets.extend(ends.into_iter().map(|end| base + end));
+            deps.extend(edges);
+            task_time += cpu;
         }
 
         // Transpose the forward CSR into the cached reverse CSR (producer →
@@ -800,7 +838,6 @@ impl<'a> StageGraphBuilder<'a> {
         // are visited in ascending id order, so every dependent list comes
         // out id-sorted — deterministic, and byte-identical at any worker
         // count because it only reads the already-merged forward slab.
-        let transpose_start = Instant::now();
         let mut rdep_offsets = vec![0usize; items.len() + 1];
         for &(producer, _) in &deps {
             rdep_offsets[producer.0 + 1] += 1;
@@ -816,7 +853,6 @@ impl<'a> StageGraphBuilder<'a> {
                 cursor[producer.0] += 1;
             }
         }
-        cpu_time += transpose_start.elapsed();
 
         let static_memory = self.placement.static_memory_per_rank(self.spec);
         let param_bytes_per_rank: Vec<u64> = {
@@ -829,6 +865,15 @@ impl<'a> StageGraphBuilder<'a> {
             }
             per_rank
         };
+        let arena = StageArena {
+            items: items.into(),
+            deps: deps.into(),
+            dep_offsets: dep_offsets.into(),
+            rdeps: rdeps.into(),
+            rdep_offsets: rdep_offsets.into(),
+            base_timings: base_timings.into(),
+        };
+        let cpu_time = task_time + build_start.elapsed().saturating_sub(parallel_wall);
 
         (
             StageGraph {
@@ -837,14 +882,7 @@ impl<'a> StageGraphBuilder<'a> {
                 static_memory,
                 model_flops: prepared.model_flops,
                 param_bytes_per_rank,
-                arena: StageArena {
-                    items: items.into(),
-                    deps: deps.into(),
-                    dep_offsets: dep_offsets.into(),
-                    rdeps: rdeps.into(),
-                    rdep_offsets: rdep_offsets.into(),
-                    base_timings: base_timings.into(),
-                },
+                arena,
                 num_segments: segments.len(),
                 num_microbatches: m_count,
                 block_splits: prepared.block_splits.clone(),
