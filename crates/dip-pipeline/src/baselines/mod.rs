@@ -35,10 +35,6 @@ pub struct BaselineContext<'a> {
     /// The reference timing model (efficiency factors; stage pricing uses
     /// each rank's own device).
     pub timing: TimingModel,
-    /// Worker threads for the block-parallel stage-graph build (see
-    /// [`crate::StageGraphBuilder::with_workers`]); the built graph is
-    /// byte-identical at any count.
-    pub workers: usize,
 }
 
 impl<'a> BaselineContext<'a> {
@@ -60,7 +56,6 @@ impl<'a> BaselineContext<'a> {
             parallel,
             topology,
             timing,
-            workers: 1,
         }
     }
 
@@ -70,12 +65,6 @@ impl<'a> BaselineContext<'a> {
     /// baseline (no stage graph) uses it in full.
     pub fn with_timing(mut self, timing: TimingModel) -> Self {
         self.timing = timing;
-        self
-    }
-
-    /// Sets the worker-thread count for the stage-graph build.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
         self
     }
 

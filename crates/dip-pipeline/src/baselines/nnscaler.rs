@@ -44,8 +44,7 @@ pub fn simulate_nnscaler(
 ) -> Result<ExecutionOutcome, PipelineError> {
     placement.validate(ctx.spec)?;
     let builder = StageGraphBuilder::new_on(ctx.spec, placement, &ctx.topology)
-        .with_efficiency(ctx.timing.efficiency)
-        .with_workers(ctx.workers);
+        .with_efficiency(ctx.timing.efficiency);
     let plan = SubMicrobatchPlan::uniform(placement.segments.len(), microbatches.len());
     let graph = builder.build(microbatches, &plan)?;
 

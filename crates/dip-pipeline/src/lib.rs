@@ -24,9 +24,9 @@
 //!   the DIP planner (which feeds it MCTS-derived segment priorities);
 //! * [`executor`] — turns a stage graph plus per-rank orders into
 //!   [`dip_sim::SimEngine`] tasks and reports iteration metrics;
-//! * [`par`] — the deterministic fork-join helper behind the stage-graph
-//!   builder's block-parallel expansion (and, one layer up, the planner's
-//!   parallel search and memory-ILP phases);
+//! * [`par`] — the deterministic fork-join helper behind the planner's
+//!   parallel search, memory-ILP and batch-planning phases (one layer up,
+//!   in `dip-core`);
 //! * [`baselines`] — end-to-end baseline systems: Megatron-LM (1F1B and
 //!   interleaved VPP), nnScaler*, Optimus coarse-grained scheduling, and an
 //!   analytical FSDP/ZeRO-3 model.

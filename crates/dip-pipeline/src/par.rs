@@ -1,8 +1,7 @@
 //! Deterministic fork-join helper shared by the parallel phases of the
-//! planning stack: the stage-graph builder's block-parallel expansion (this
-//! crate), and — one layer up, in `dip-core` — the root-parallel ordering
-//! search, the per-rank memory-ILP solves and the session's batch-planning
-//! pool.
+//! planning stack, all one layer up in `dip-core`: the root-parallel
+//! ordering search, the per-rank memory-ILP solves and the session's
+//! batch-planning pool.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};

@@ -14,7 +14,7 @@ use dip_pipeline::{
     dual_queue, separated_placement, DualQueueConfig, MemoryPlan, MemoryStrategy, ParallelConfig,
     StageGraphBuilder, SubMicrobatchPlan,
 };
-use dip_sim::{ClusterSpec, ClusterTopology};
+use dip_sim::ClusterSpec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -73,9 +73,9 @@ proptest! {
     /// Fixed seed + time budget ⇒ the same plan at 1, 2, 4 and 8 workers
     /// and across repeated runs, for arbitrary workload shapes and
     /// budgets. This is the tentpole guarantee: wall clocks are out of the
-    /// planning loop entirely. The `workers` knob now drives every parallel
-    /// phase — the block-parallel stage-graph build included — so this
-    /// covers the graph-build axis end to end.
+    /// planning loop entirely. The `workers` knob drives every parallel
+    /// phase (the search streams and the per-rank memory ILPs), so this
+    /// covers both end to end.
     #[test]
     fn time_budgeted_plans_are_bit_identical_across_worker_counts(
         images_a in 0u64..49,
@@ -193,45 +193,6 @@ proptest! {
             optimize_memory_detailed(&plan.graph, &plan.orders, &budget, &config, threads)
                 .unwrap();
         prop_assert_eq!(serial.plan, wide.plan);
-    }
-
-    /// The block-parallel stage-graph build is byte-identical to the serial
-    /// build at 1/2/4/8 workers over random workloads, sub-microbatch splits
-    /// and (homogeneous or mixed) topologies — items, dependencies and every
-    /// float, the same guarantee the planner's `workers` knob rests on.
-    #[test]
-    fn parallel_graph_build_is_byte_identical_to_serial(
-        images in 0u64..49,
-        microbatches in 1usize..6,
-        encoder_splits in 1usize..5,
-        mixed in 0usize..2,
-    ) {
-        let spec = zoo::vlm_s();
-        let parallel = ParallelConfig::new(4, 4, 1);
-        let topology = if mixed == 1 {
-            ClusterTopology::mixed_h800_h20(1, 1)
-        } else {
-            ClusterSpec::h800_cluster(2).topology()
-        };
-        let mut k = BTreeMap::new();
-        k.insert(spec.backbone_id().unwrap(), 2usize);
-        let placement = separated_placement(&spec, parallel, &k);
-        let batches: Vec<BatchWorkload> =
-            (0..microbatches).map(|i| vlm_batch(images + i as u64)).collect();
-        let mut plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
-        for m in 0..batches.len() {
-            plan.set(0, m, encoder_splits);
-        }
-        let build = |workers: usize| {
-            StageGraphBuilder::new_on(&spec, &placement, &topology)
-                .with_workers(workers)
-                .build(&batches, &plan)
-                .expect("builds")
-        };
-        let serial = build(1);
-        for workers in [2usize, 4, 8] {
-            prop_assert_eq!(&serial, &build(workers), "{} workers", workers);
-        }
     }
 
     /// `StageGraph::reprice` is bit-identical to rebuilding the graph with

@@ -1,10 +1,9 @@
 //! The stage-graph builder's output, pinned. Every item field, every
 //! forward and reverse dependency entry and the graph's per-rank sums of
 //! four representative builds fold into one `u64` that must equal a
-//! recorded literal, at one worker and at four. The other graph properties
-//! compare the builder with itself (parallel ≡ serial, reprice ≡ rebuild),
-//! so a drift shared by every build path would pass them all; this test
-//! fails on any change to any bit of any graph below.
+//! recorded literal. The other graph properties compare the builder with
+//! itself (reprice ≡ rebuild), so a drift shared by both paths would pass
+//! them; this test fails on any change to any bit of any graph below.
 //!
 //! The four builds cover each arm of the builder:
 //! - VLM-S, modality-separated, with split encoder blocks (cross-module
@@ -92,8 +91,8 @@ fn separated(spec: &LmmSpec, parallel: ParallelConfig, backbone_segments: usize)
     separated_placement(spec, parallel, &k)
 }
 
-/// Builds one graph per case at `workers` threads and folds them all.
-fn all_builds_digest(workers: usize) -> u64 {
+/// Builds one graph per case and folds them all.
+fn all_builds_digest() -> u64 {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
 
     // VLM-S, separated, encoder blocks split 3 / 1 / 2 ways.
@@ -104,7 +103,6 @@ fn all_builds_digest(workers: usize) -> u64 {
     plan.set(0, 0, 3);
     plan.set(0, 2, 2);
     let graph = StageGraphBuilder::new(&vlm, &placement, &ClusterSpec::h800_cluster(2))
-        .with_workers(workers)
         .build(&batches, &plan)
         .expect("VLM-S builds");
     digest = graph_digest(&graph, digest);
@@ -116,7 +114,6 @@ fn all_builds_digest(workers: usize) -> u64 {
     let mut plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
     plan.set(0, 0, 2);
     let graph = StageGraphBuilder::new_on(&t2v, &placement, &ClusterTopology::mixed_h800_h20(2, 1))
-        .with_workers(workers)
         .build(&batches, &plan)
         .expect("T2V-S builds");
     digest = graph_digest(&graph, digest);
@@ -131,7 +128,6 @@ fn all_builds_digest(workers: usize) -> u64 {
     );
     let graph = StageGraphBuilder::new(&vlm, &placement, &ClusterSpec::h800_cluster(2))
         .with_timing(timing)
-        .with_workers(workers)
         .build(&batches, &plan)
         .expect("override builds");
     digest = graph_digest(&graph, digest);
@@ -148,7 +144,6 @@ fn all_builds_digest(workers: usize) -> u64 {
     }
     let graph = StageGraphBuilder::new(&vlm, &placement, &ClusterSpec::h800_cluster(2))
         .with_memory_plan(memory_plan)
-        .with_workers(workers)
         .build(&batches, &plan)
         .expect("balanced builds");
     graph_digest(&graph, digest)
@@ -156,11 +151,6 @@ fn all_builds_digest(workers: usize) -> u64 {
 
 #[test]
 fn graph_builds_match_the_pinned_digest() {
-    for workers in [1usize, 4] {
-        let digest = all_builds_digest(workers);
-        assert_eq!(
-            digest, 0xe871_f386_88ea_209c,
-            "graph digest {digest:#018x} at {workers} workers"
-        );
-    }
+    let digest = all_builds_digest();
+    assert_eq!(digest, 0xe871_f386_88ea_209c, "graph digest {digest:#018x}");
 }
