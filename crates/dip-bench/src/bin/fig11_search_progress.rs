@@ -1,10 +1,9 @@
 //! Fig. 11: best-schedule quality versus search budget for MCTS (DIP),
 //! DFS and random exploration on the VLM-L setup — plus a warm-started MCTS
-//! row showing the effect of seeding the search with a previous iteration's
-//! best ordering (the planning-session layer does this automatically on
-//! every cache miss). The budget axis is virtual time: a progress point's
-//! stream-local evaluation index, so the quality columns are the same on
-//! any machine.
+//! row showing the effect of seeding the search with a known good ordering
+//! (as an elastic replan seeds its search from the plan it replaces). The
+//! budget axis is virtual time: a progress point's stream-local evaluation
+//! index, so the quality columns are the same on any machine.
 //!
 //! Beyond quality, the table doubles as the evaluation-kernel throughput
 //! bench. Evaluations/sec counts quota-accounted evaluations, memo hits
@@ -50,7 +49,7 @@ fn main() {
         .partition(&dip_bench::vlm_batch(24))
         .expect("offline partitioning");
     let plan = partitioner.sub_microbatch_plan(&output, &batches);
-    let builder = StageGraphBuilder::new(&spec, &output.placement, &cluster).with_timing(timing);
+    let builder = StageGraphBuilder::new(&spec, &output.placement, &cluster);
     let graph = builder.build(&batches, &plan).unwrap();
     let budget: Vec<u64> = graph
         .static_memory
@@ -73,7 +72,7 @@ fn main() {
     let mut report = BenchReport::from_env("fig11_search_progress");
 
     // Cold MCTS first; its best ordering then seeds the warm-started run,
-    // mimicking two consecutive planner iterations with similar shapes.
+    // as an elastic replan seeds its search from its anchor.
     let mut seed_ordering: Option<Vec<usize>> = None;
     let mut kernel_identity = true;
     let mut rows = Vec::new();
@@ -241,7 +240,7 @@ fn main() {
         &rows,
     );
     println!("Expected shape (paper): MCTS reaches near-optimal schedules fastest; DFS and random lag behind.");
-    println!("Expected shape (session layer): the warm-started run's start incumbent already equals the cold run's best, so it only has to improve from there.");
+    println!("Expected shape (seeded search): the warm-started run's start incumbent already equals the cold run's best, so it only has to improve from there.");
     println!(
         "Kernel identity (workspace search result == allocating re-interleave): {}",
         if kernel_identity { "OK" } else { "MISMATCH" }

@@ -60,11 +60,18 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
         config.search.time_budget = Duration::from_secs(3600);
         config.search.streams = STREAMS;
         config.search.max_evaluations = Some(total_evaluations.div_ceil(STREAMS as u64));
-        let mut session = PlanningSession::new(&spec, parallel, &cluster, config);
-        session
-            .offline_partition(&vlm_batch(24))
-            .expect("offline partitioning");
-        let (outcome, execution) = session.plan_and_simulate(&request).unwrap();
+        let new_session = || {
+            let mut session = PlanningSession::new(&spec, parallel, &cluster, config.clone());
+            session
+                .offline_partition(&vlm_batch(24))
+                .expect("offline partitioning");
+            session
+        };
+        // An untimed plan in a throwaway session first, so every width is
+        // timed on warm caches and allocator, not only the widths after the
+        // first.
+        new_session().plan(&request).unwrap();
+        let (outcome, execution) = new_session().plan_and_simulate(&request).unwrap();
         let stats = &outcome.plan.stats;
         let wall = stats.planning_time.as_secs_f64();
         let build_wall = stats.phases.graph_build.as_secs_f64();
@@ -170,8 +177,8 @@ fn main() {
     ] {
         let cluster = ClusterSpec::h800_cluster(2);
         let parallel = ParallelConfig::new(4, 4, 1);
-        // One session per model: later microbatch counts warm-start their
-        // search from the previous count's best ordering.
+        // One session per model; every microbatch count is a fresh
+        // signature, planned cold.
         let session = PlanningSession::new(&spec, parallel, &cluster, {
             let mut c = PlannerConfig::default().with_num_threads(scale.workers);
             c.search.time_budget = Duration::from_millis(scale.search_ms);

@@ -32,7 +32,7 @@ fn main() {
         let mut out = output.clone();
         out.sub_microbatch_sizes.insert(encoder_id, sub_size);
         let plan = partitioner.sub_microbatch_plan(&out, &batches);
-        let builder = StageGraphBuilder::new(&spec, &out.placement, &cluster).with_timing(timing);
+        let builder = StageGraphBuilder::new(&spec, &out.placement, &cluster);
         let graph = builder.build(&batches, &plan).unwrap();
         let budget: Vec<u64> = graph
             .static_memory

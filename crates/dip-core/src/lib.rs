@@ -25,8 +25,7 @@
 //!   reprice plus one interleave pass → cold plan) over concurrent O(1)
 //!   LRU caches, with the cluster-topology fingerprint folded into every
 //!   cache key, single-flight planning through a sharded per-key in-flight
-//!   table (a stampeded fresh shape runs the planner exactly once),
-//!   warm-started search across iterations, and a
+//!   table (a stampeded fresh shape runs the planner exactly once), and a
 //!   [`PlanningSession::plan_many`] worker pool for planning independent
 //!   requests concurrently;
 //! * [`elastic`] — the elastic scenario layer: topology changes (failures,
@@ -42,8 +41,7 @@
 //! # Example
 //!
 //! Multi-iteration planning goes through a [`PlanningSession`], which caches
-//! plans for repeated workload shapes and warm-starts the schedule search
-//! otherwise:
+//! plans for repeated workload shapes:
 //!
 //! ```
 //! use dip_core::{PlanRequest, PlanTier, PlanningSession, PlannerConfig};

@@ -160,8 +160,8 @@ pub struct OrderingSearchConfig {
     /// uses exactly the single-stream RNG.
     pub seed: u64,
     /// Warm start: a segment ordering to evaluate before exploring, normally
-    /// the previous iteration's best (see
-    /// [`ordering_from_priorities`]). MCTS additionally seeds every stream's
+    /// the elastic anchor's ordering (see [`ordering_from_priorities`]).
+    /// Cold plans never set it. MCTS additionally seeds every stream's
     /// tree with this path, so exploration starts around the incumbent
     /// instead of cold-starting. Ignored unless it is a permutation of the
     /// segment indices.
@@ -256,8 +256,8 @@ pub fn calibrate_eval_cost(
 
 /// Converts segment priorities (higher = earlier) back into the ordering
 /// that produced them — the inverse of the search's priority assignment.
-/// Useful for warm-starting the next search from a previous
-/// [`OrderingResult::segment_priorities`].
+/// Elastic replans seed their search from the anchor's
+/// [`OrderingResult::segment_priorities`] this way.
 pub fn ordering_from_priorities(priorities: &[i64]) -> Vec<usize> {
     let mut ordering: Vec<usize> = (0..priorities.len()).collect();
     ordering.sort_by_key(|&seg| std::cmp::Reverse(priorities[seg]));
@@ -864,8 +864,8 @@ pub fn search_ordering(
         cpu: Duration::ZERO,
     };
 
-    // Warm start: evaluate the seeded ordering (typically the previous
-    // iteration's best) so the incumbent is at least as good as last time.
+    // Warm start: evaluate the seeded ordering (typically the elastic
+    // anchor's) so the incumbent is at least as good as the anchor.
     let warm = config
         .seed_ordering
         .as_deref()

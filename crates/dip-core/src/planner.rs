@@ -213,10 +213,6 @@ pub struct PlannerStats {
     pub search_worker_evaluations: Vec<u64>,
     /// The searcher's own estimate of the planned iteration time (seconds).
     pub planned_time_s: f64,
-    /// True when the schedule search ran and was warm-started from a seed
-    /// ordering (a previous iteration's best, or an elastic replan's old
-    /// ordering). False when no search ran, as on every fuzzy hit.
-    pub warm_started: bool,
     /// The lookup tier that produced this plan — the per-tier latency
     /// split: `planning_time` under [`PlanTier::Exact`] is pure cache
     /// lookup, under [`PlanTier::Fuzzy`] one graph expansion + reprice +
@@ -293,12 +289,9 @@ pub(crate) fn heaviest<'b>(
 /// cold, fuzzy and elastic tiers differ. Everything else is the single
 /// pipeline of [`DipPlanner::plan_with`].
 pub(crate) enum Reuse<'p> {
-    /// Adopts nothing: the full-budget search, warm-started from `seed`
-    /// when given, then the memory ILP, reprice and re-interleave.
-    Cold {
-        /// Warm-start ordering (normally a previous plan's best ordering).
-        seed: Option<&'p [usize]>,
-    },
+    /// Adopts nothing: the full-budget unseeded search, then the memory
+    /// ILP, reprice and re-interleave.
+    Cold,
     /// Adopts the anchor's placement, splits, memory plan and segment
     /// priorities, reprices, and runs one interleave pass: no search.
     Fuzzy(&'p DipPlan),
@@ -319,7 +312,7 @@ impl Reuse<'_> {
     /// The tier a plan under this policy is reported as.
     fn tier(&self) -> PlanTier {
         match self {
-            Self::Cold { .. } => PlanTier::Cold,
+            Self::Cold => PlanTier::Cold,
             Self::Fuzzy(_) => PlanTier::Fuzzy,
             Self::Elastic { .. } => PlanTier::Elastic,
         }
@@ -338,8 +331,7 @@ pub(crate) fn request_modalities(microbatches: &[BatchWorkload]) -> Vec<Modality
 /// The DIP training planner.
 ///
 /// Single-shot planning of one iteration; multi-iteration workloads should
-/// go through [`crate::PlanningSession`], which adds plan caching and
-/// warm-started search on top.
+/// go through [`crate::PlanningSession`], which adds plan caching on top.
 ///
 /// ```
 /// use dip_core::{DipPlanner, PlannerConfig};
@@ -534,7 +526,7 @@ impl<'a> DipPlanner<'a> {
     /// field), otherwise [`DipError`] wrapping failures from partitioning,
     /// stage-graph construction or memory optimisation.
     pub fn plan_iteration(&self, microbatches: &[BatchWorkload]) -> Result<DipPlan, DipError> {
-        self.plan_with(microbatches, Reuse::Cold { seed: None })
+        self.plan_with(microbatches, Reuse::Cold)
     }
 
     /// Replans one iteration from a cached neighbour's plan — the fuzzy
@@ -643,16 +635,16 @@ impl<'a> DipPlanner<'a> {
         require_parallel_degrees(self.parallel)?;
         let start = Instant::now();
         let tier = reuse.tier();
-        // The ordering search's budget and seed, or `None` to serve one
-        // ordering verbatim.
+        // The ordering search's budget, or `None` to serve one ordering
+        // verbatim.
         let (anchor, placement, sub_plan, search) = match reuse {
-            Reuse::Cold { seed } => {
+            Reuse::Cold => {
                 let partition = self.ensure_partition(microbatches)?;
                 let sub_plan = self
                     .partitioner()
                     .sub_microbatch_plan(&partition, microbatches);
-                let search = (self.config.search.time_budget, seed.map(<[usize]>::to_vec));
-                (None, partition.placement, sub_plan, Some(search))
+                let budget = self.config.search.time_budget;
+                (None, partition.placement, sub_plan, Some(budget))
             }
             Reuse::Fuzzy(anchor) => (
                 Some(anchor),
@@ -665,9 +657,8 @@ impl<'a> DipPlanner<'a> {
                 placement,
                 budget,
             } => {
-                let seed = Some(ordering_from_priorities(&anchor.segment_priorities));
                 let sub_plan = anchor.sub_microbatches.clone();
-                (Some(anchor), placement, sub_plan, Some((budget, seed)))
+                (Some(anchor), placement, sub_plan, Some(budget))
             }
         };
         let partition = start.elapsed();
@@ -703,9 +694,11 @@ impl<'a> DipPlanner<'a> {
         // No search runs with search disabled, nor on an anchored plan whose
         // budget buys no evaluation.
         let search = search
-            .map(|(time_budget, seed_ordering)| OrderingSearchConfig {
+            .map(|time_budget| OrderingSearchConfig {
                 time_budget,
-                seed_ordering,
+                // Only an anchored search (elastic) is seeded: from the
+                // anchor's ordering. A cold search starts from no plan.
+                seed_ordering: anchor.map(|a| ordering_from_priorities(&a.segment_priorities)),
                 dual_queue: queue.clone(),
                 ..self.config.search.clone()
             })
@@ -716,7 +709,6 @@ impl<'a> DipPlanner<'a> {
 
         // Phase ①+②: segment reordering + stage interleaving.
         let search_start = Instant::now();
-        let warm_started = search.as_ref().is_some_and(|s| s.seed_ordering.is_some());
         let segments = placement.segments.len();
         let mut ordering = Self::order(&graph, segments, search.as_ref(), &queue, anchor);
         let search_time = search_start.elapsed();
@@ -774,7 +766,6 @@ impl<'a> DipPlanner<'a> {
                 search_work: ordering.work,
                 search_worker_evaluations: ordering.worker_evaluations,
                 planned_time_s: ordering.best_time_s,
-                warm_started,
                 tier,
             },
         })

@@ -1,5 +1,4 @@
-//! The planning-session layer: plan caching and warm-started search across
-//! training iterations.
+//! The planning-session layer: plan caching across training iterations.
 //!
 //! The online planner (§3.2) re-plans every iteration, but dynamic
 //! multimodal workloads repeat shapes: the Fig. 8b rise-and-fall envelope
@@ -31,18 +30,19 @@
 //! * fresh signatures are planned **single-flight**: threads stampeding on
 //!   the same new shape run the planner exactly once — one leader plans
 //!   while the rest wait on the key's slot in the in-flight table and then
-//!   serve the freshly cached plan as a hit;
-//! * on a cache miss, the ordering search is **warm-started** from the
-//!   previous iteration's best ordering
-//!   ([`crate::ordering_from_priorities`]), so similar-but-not-identical
-//!   shapes start from a good incumbent instead of cold-starting.
+//!   serve the freshly cached plan as a hit.
+//!
+//! Once the placement is pinned (by [`PlanningSession::offline_partition`]
+//! or by the first request), no plan depends on request history: a cold
+//! plan is a pure function of its request, and a fuzzy plan a pure
+//! function of its request and its anchor.
 //!
 //! # Thread safety
 //!
-//! [`PlanningSession::plan`] takes `&self`: the plan caches, the
-//! statistics and the warm-start state each live behind a mutex, so one
-//! session can be shared across threads (e.g. behind an `Arc`, or borrowed
-//! into scoped threads) and serve cache hits concurrently — a hit holds
+//! [`PlanningSession::plan`] takes `&self`: the plan caches and the
+//! statistics each live behind a mutex, so one session can be shared
+//! across threads (e.g. behind an `Arc`, or borrowed into scoped threads)
+//! and serve cache hits concurrently — a hit holds
 //! the cache lock only for the lookup and clones the plan outside it.
 //! [`PlanningSession::plan_many`] plans a slice of
 //! independent requests through a worker pool sized so that the pool width
@@ -79,7 +79,7 @@
 //! ```
 
 use crate::error::DipError;
-use crate::ordering::{ordering_from_priorities, SearchWork};
+use crate::ordering::SearchWork;
 use crate::planner::{
     heaviest, require_microbatches, DipPlan, DipPlanner, PhaseTimes, PlanTier, PlannerConfig,
     PlannerStats, Reuse,
@@ -152,9 +152,6 @@ pub struct SessionConfig {
     /// The fuzzy anchor cache (when [`SessionConfig::bucketing`] is set)
     /// has the same capacity.
     pub cache_capacity: usize,
-    /// Warm-start the ordering search from the previous iteration's best
-    /// ordering on cache misses.
-    pub warm_start: bool,
     /// Enables the fuzzy tier: exact misses whose quantised
     /// [`CanonicalSignature`] matches a cached anchor are served by delta
     /// replanning instead of a cold plan. `None` (the default) keeps the
@@ -167,20 +164,17 @@ impl Default for SessionConfig {
     fn default() -> Self {
         Self {
             cache_capacity: 64,
-            warm_start: true,
             bucketing: None,
         }
     }
 }
 
 impl SessionConfig {
-    /// A session with caching and warm starts disabled — every request is
-    /// planned from scratch (the pre-session behaviour, useful as a
-    /// baseline).
+    /// A session with caching disabled — every request is planned from
+    /// scratch (the pre-session behaviour, useful as a baseline).
     pub fn cold() -> Self {
         Self {
             cache_capacity: 0,
-            warm_start: false,
             bucketing: None,
         }
     }
@@ -214,9 +208,6 @@ pub struct SessionStats {
     /// plan failed, so `requests == exact_hits + fuzzy_hits + cache_misses`
     /// always holds).
     pub cache_misses: u64,
-    /// Cold plans whose search was warm-started (fuzzy hits run no search
-    /// and are never counted here).
-    pub warm_started_plans: u64,
     /// Cached plans evicted by the LRU policy.
     pub evictions: u64,
     /// Planning wall time spent serving exact hits (pure lookup cost) —
@@ -319,8 +310,8 @@ impl LruCache {
     }
 }
 
-/// A multi-iteration planning session owning a [`DipPlanner`], a plan cache
-/// and the warm-start state (see the [module docs](self)).
+/// A multi-iteration planning session owning a [`DipPlanner`] and its plan
+/// caches (see the [module docs](self)).
 ///
 /// The session is `Sync`: share it by reference (or `Arc`) across threads
 /// and call [`PlanningSession::plan`] / [`PlanningSession::plan_many`]
@@ -345,7 +336,6 @@ pub struct PlanningSession<'a> {
     /// Number of plan-cache lock acquisitions taken by [`PlanningSession::plan`]
     /// (hit path: exactly one per request).
     cache_lock_acquisitions: AtomicU64,
-    last_best_ordering: Mutex<Option<Vec<usize>>>,
     stats: Mutex<SessionStats>,
 }
 
@@ -418,7 +408,6 @@ impl<'a> PlanningSession<'a> {
             fuzzy: Mutex::new(LruCache::default()),
             in_flight: InFlightTable::default(),
             cache_lock_acquisitions: AtomicU64::new(0),
-            last_best_ordering: Mutex::new(None),
             stats: Mutex::new(SessionStats::default()),
         }
     }
@@ -463,8 +452,8 @@ impl<'a> PlanningSession<'a> {
     }
 
     /// Runs (or re-runs) the planner's offline partitioning phase against a
-    /// representative microbatch, dropping every cached plan and the
-    /// warm-start seed: both were produced under the previous placement.
+    /// representative microbatch, dropping every cached plan: each was
+    /// produced under the previous placement.
     /// Takes `&mut self` so no concurrent [`PlanningSession::plan`] can
     /// cache a plan against the old placement while it runs.
     ///
@@ -500,11 +489,10 @@ impl<'a> PlanningSession<'a> {
         self.fuzzy.lock().len()
     }
 
-    /// Drops every cached plan (exact and fuzzy) and the warm-start state.
+    /// Drops every cached plan (exact and fuzzy).
     pub fn clear(&mut self) {
         self.cache.lock().clear();
         self.fuzzy.lock().clear();
-        *self.last_best_ordering.lock() = None;
     }
 
     /// Plans one iteration through the three-tier lookup: exact cache hit
@@ -648,9 +636,6 @@ impl<'a> PlanningSession<'a> {
             stats.fuzzy_plan_time += plan.planning_time;
         } else {
             stats.cache_misses += 1;
-            if plan.warm_started {
-                stats.warm_started_plans += 1;
-            }
             stats.cold_plan_time += plan.planning_time;
         }
         stats.phases += plan.phases;
@@ -664,8 +649,8 @@ impl<'a> PlanningSession<'a> {
         stats.cache_misses += 1;
     }
 
-    /// Runs the planner for a fresh signature from the warm-start seed and
-    /// finishes the cold plan, anchoring its bucket under `fuzzy_key`.
+    /// Runs the planner for a fresh signature and finishes the cold plan,
+    /// anchoring its bucket under `fuzzy_key`.
     fn plan_fresh(
         &self,
         request: &PlanRequest,
@@ -674,18 +659,7 @@ impl<'a> PlanningSession<'a> {
         fuzzy_key: Option<u64>,
         start: Instant,
     ) -> Result<PlanOutcome, DipError> {
-        let seed = if self.config.warm_start {
-            self.last_best_ordering.lock().clone()
-        } else {
-            None
-        };
-        let planned = self.planner.plan_with(
-            request.microbatches(),
-            Reuse::Cold {
-                seed: seed.as_deref(),
-            },
-        );
-        match planned {
+        match self.planner.plan_with(request.microbatches(), Reuse::Cold) {
             Ok(plan) => Ok(self.finish(plan, signature, key, fuzzy_key, start)),
             Err(err) => {
                 self.book_failure();
@@ -695,8 +669,8 @@ impl<'a> PlanningSession<'a> {
     }
 
     /// Finishes a freshly planned request, cold or fuzzy (by
-    /// `plan.stats.tier`): stamps its planning time from `start`, advances
-    /// the warm-start seed, caches the plan under its exact key (so a
+    /// `plan.stats.tier`): stamps its planning time from `start`, caches
+    /// the plan under its exact key (so a
     /// delta-replanned shape tiers up to an exact hit) and books it. A cold
     /// plan passes its bucket's `anchor_key` and becomes the bucket's anchor
     /// if it has none; both tables then hold the same allocation. A delta
@@ -711,7 +685,6 @@ impl<'a> PlanningSession<'a> {
         start: Instant,
     ) -> PlanOutcome {
         plan.stats.planning_time = start.elapsed();
-        *self.last_best_ordering.lock() = Some(ordering_from_priorities(&plan.segment_priorities));
         let plan = Arc::new(plan);
         let evicted = if self.config.cache_capacity > 0 {
             self.cache_lock_acquisitions
@@ -758,12 +731,12 @@ impl<'a> PlanningSession<'a> {
     /// the pool width is `num_threads / search.workers` (at least one) and
     /// total concurrency never multiplies beyond `num_threads`. For a wide
     /// pool, set `search.workers` to 1 and `num_threads` to the core count.
-    /// The pool width never changes the per-plan search configuration;
-    /// plan *content* can still differ from a sequential
-    /// [`PlanningSession::plan`] loop when warm starts are enabled,
-    /// because the warm-start incumbent each fresh plan picks up depends
-    /// on which plan finished last (cache-hit identity for repeated
-    /// signatures is unaffected).
+    /// The pool width never changes the per-plan search configuration, and
+    /// a cold plan is a pure function of its request, so it comes out as a
+    /// sequential [`PlanningSession::plan`] loop would produce it. With the
+    /// fuzzy tier enabled, which in-bucket request's cold plan anchors the
+    /// bucket (and so which requests are served fuzzy) can still depend on
+    /// which plan finishes first.
     ///
     /// A planner panic is confined to its request and reported as
     /// [`DipError::Concurrency`] in that slot instead of tearing down the
@@ -1065,8 +1038,6 @@ mod tests {
         assert_eq!(hit.search_evaluations, 0);
         assert_eq!(hit.search_work, SearchWork::default());
         assert!(hit.search_worker_evaluations.is_empty());
-        // The plan is the cold plan, so it is still warm-started or not.
-        assert_eq!(hit.warm_started, cold.warm_started);
     }
 
     #[test]
@@ -1159,22 +1130,19 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_state_is_tracked_and_clearable() {
+    fn clear_drops_every_cached_plan() {
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
         let mut session = session(&spec, &cluster, SessionConfig::default());
 
-        let first = session.plan(&request(&[8, 32])).unwrap();
-        assert!(!first.plan.stats.warm_started, "nothing to warm-start from");
-        let second = session.plan(&request(&[40, 4])).unwrap();
-        assert!(second.plan.stats.warm_started);
-        assert_eq!(session.stats().warm_started_plans, 1);
+        session.plan(&request(&[8, 32])).unwrap();
+        session.plan(&request(&[40, 4])).unwrap();
+        assert_eq!(session.cached_plans(), 2);
 
         session.clear();
         assert_eq!(session.cached_plans(), 0);
         let third = session.plan(&request(&[40, 4])).unwrap();
         assert_ne!(third.tier, PlanTier::Exact);
-        assert!(!third.plan.stats.warm_started, "clear() resets the seed");
     }
 
     #[test]
@@ -1190,9 +1158,7 @@ mod tests {
         // against the old placement must not be served.
         session.offline_partition(&vlm_batch(48)).unwrap();
         assert_eq!(session.cached_plans(), 0);
-        let outcome = session.plan(&req).unwrap();
-        assert_ne!(outcome.tier, PlanTier::Exact);
-        assert!(!outcome.plan.stats.warm_started, "seed was dropped too");
+        assert_ne!(session.plan(&req).unwrap().tier, PlanTier::Exact);
     }
 
     #[test]
@@ -1288,7 +1254,6 @@ mod tests {
         assert_eq!(fuzzy.plan.memory_plan, cold.plan.memory_plan);
         assert_eq!(fuzzy.plan.sub_microbatches, cold.plan.sub_microbatches);
         assert_eq!(fuzzy.plan.stats.phases.memopt_cpu, Duration::ZERO);
-        assert!(!fuzzy.plan.stats.warm_started, "no search ran");
         // One interleave pass over the repriced graph, and nothing else.
         let graph = &fuzzy.plan.graph;
         assert_eq!(fuzzy.plan.stats.search_evaluations, 1);

@@ -426,8 +426,6 @@ pub struct StageGraphBuilder<'a> {
     placement: &'a Placement,
     topology: ClusterTopology,
     efficiency: EfficiencyModel,
-    /// When set, every rank is priced on this one model (calibration runs).
-    timing_override: Option<TimingModel>,
     memory_plan: MemoryPlan,
     loss_latency: f64,
 }
@@ -448,18 +446,9 @@ impl<'a> StageGraphBuilder<'a> {
             placement,
             topology: topology.clone(),
             efficiency: EfficiencyModel::default(),
-            timing_override: None,
             memory_plan: MemoryPlan::new(),
             loss_latency: 1e-3,
         }
-    }
-
-    /// Prices every rank on one explicit timing model (e.g. an uncalibrated
-    /// or calibrated one), overriding per-device pricing. Link selection
-    /// (NVLink vs network) still follows the topology.
-    pub fn with_timing(mut self, timing: TimingModel) -> Self {
-        self.timing_override = Some(timing);
-        self
     }
 
     /// Sets the efficiency factors applied on every rank's device.
@@ -491,32 +480,17 @@ impl<'a> StageGraphBuilder<'a> {
     /// `timings[r]`, and every edge prices its lag as
     /// `timing.p2p_latency_at(bytes, bandwidth)` from its table entry.
     ///
-    /// Under a [`StageGraphBuilder::with_timing`] override every rank and
-    /// every edge uses the override's device, and the topology only selects
-    /// NVLink or the network; otherwise each rank is priced on its own
-    /// device and each edge at [`ClusterTopology::link_bandwidth`],
-    /// charged by the sending rank's model.
+    /// Each rank is priced on its own device and each edge at
+    /// [`ClusterTopology::link_bandwidth`], charged by the sending rank's
+    /// model.
     fn rank_models(&self, pp: usize, tp: usize) -> (Vec<TimingModel>, Vec<(TimingModel, f64)>) {
         let timings: Vec<TimingModel> = (0..pp)
-            .map(|rank| {
-                self.timing_override
-                    .unwrap_or_else(|| self.topology.rank_timing(rank, tp, self.efficiency))
-            })
+            .map(|rank| self.topology.rank_timing(rank, tp, self.efficiency))
             .collect();
         let links = (0..pp * pp)
             .map(|edge| {
                 let (from, to) = (edge / pp, edge % pp);
-                let timing = timings[from];
-                // The override arm picks the link as `TimingModel::p2p_latency`
-                // does, on the override's device.
-                let bandwidth = match self.timing_override {
-                    Some(t) if self.topology.ranks_share_node(from, to, tp) => {
-                        t.gpu.nvlink_bandwidth
-                    }
-                    Some(t) => t.gpu.net_bandwidth,
-                    None => self.topology.link_bandwidth(from, to, tp),
-                };
-                (timing, bandwidth)
+                (timings[from], self.topology.link_bandwidth(from, to, tp))
             })
             .collect();
         (timings, links)

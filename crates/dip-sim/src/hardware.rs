@@ -150,47 +150,11 @@ impl ClusterSpec {
         (self.cpu_cores_per_node / 2).max(1)
     }
 
-    /// Effective bandwidth between two pipeline-adjacent GPUs, assuming the
-    /// rail-optimised placement the paper describes: adjacent pipeline ranks
-    /// of the same tensor-parallel group sit in the same node when
-    /// `ranks_per_node > 1`, otherwise traffic crosses the network.
-    ///
-    /// This is a coarse whole-cluster classification; per-edge pricing
-    /// should use [`ClusterSpec::link_bandwidth`], which resolves the actual
-    /// node boundary between two ranks.
-    pub fn p2p_bandwidth(&self, same_node: bool) -> f64 {
-        if same_node {
-            self.gpu.nvlink_bandwidth
-        } else {
-            self.gpu.net_bandwidth
-        }
-    }
-
     /// The uniform [`ClusterTopology`] equivalent to this spec. All
     /// topology-aware entry points accept a `&ClusterSpec` through this
     /// conversion and produce identical plans.
     pub fn topology(&self) -> ClusterTopology {
         ClusterTopology::uniform(self)
-    }
-
-    /// Whether pipeline ranks `rank_a` and `rank_b` (tensor-parallel degree
-    /// `tp`) live in the same node, resolving the actual node boundary: rank
-    /// `r` occupies GPUs `r*tp .. (r+1)*tp`, and two ranks share a node
-    /// exactly when their first GPUs fall into the same `gpus_per_node`
-    /// block (indices wrap modulo the cluster size). Delegates to the
-    /// topology-level rank mapping so the two can never drift apart.
-    pub fn same_node(&self, rank_a: usize, rank_b: usize, tp: usize) -> bool {
-        self.topology().ranks_share_node(rank_a, rank_b, tp)
-    }
-
-    /// Effective point-to-point bandwidth between two pipeline ranks: NVLink
-    /// when [`ClusterSpec::same_node`] holds, the inter-node network
-    /// otherwise. Unlike [`ClusterSpec::p2p_bandwidth`], the intra-node vs
-    /// inter-node decision is made per edge, so an edge crossing a node
-    /// boundary is charged at network bandwidth even when most edges of the
-    /// pipeline stay on NVLink.
-    pub fn link_bandwidth(&self, rank_a: usize, rank_b: usize, tp: usize) -> f64 {
-        self.p2p_bandwidth(self.same_node(rank_a, rank_b, tp))
     }
 }
 
@@ -215,7 +179,6 @@ mod tests {
         assert_eq!(c.num_gpus(), 64);
         assert!((c.peak_flops() - 64.0 * 989e12).abs() < 1e9);
         assert_eq!(c.planner_cores(), 64);
-        assert!(c.p2p_bandwidth(true) > c.p2p_bandwidth(false));
     }
 
     #[test]
@@ -223,27 +186,5 @@ mod tests {
         let c = ClusterSpec::h20_cluster(2);
         assert_eq!(c.num_gpus(), 16);
         assert_eq!(c.gpu.mem_capacity, 96 * (1 << 30));
-    }
-
-    #[test]
-    fn link_bandwidth_resolves_the_node_boundary_per_edge() {
-        // 2 nodes × 8 GPUs at TP=4: ranks 0,1 → node 0; ranks 2,3 → node 1.
-        // The legacy whole-cluster heuristic (`tp*2 <= gpus_per_node`) would
-        // have classified *every* adjacent pair as intra-node; the per-edge
-        // query prices the boundary edge (1→2) at network bandwidth.
-        let c = ClusterSpec::h800_cluster(2);
-        assert!(c.same_node(0, 1, 4));
-        assert!(!c.same_node(1, 2, 4));
-        assert!(c.same_node(2, 3, 4));
-        assert_eq!(c.link_bandwidth(0, 1, 4), c.gpu.nvlink_bandwidth);
-        assert_eq!(c.link_bandwidth(1, 2, 4), c.gpu.net_bandwidth);
-        assert_eq!(c.link_bandwidth(2, 3, 4), c.gpu.nvlink_bandwidth);
-        // TP=8: every rank owns a full node, every edge crosses nodes.
-        assert_eq!(c.link_bandwidth(0, 1, 8), c.gpu.net_bandwidth);
-        // Consistent with the topology-level link model.
-        let topo = c.topology();
-        for (a, b) in [(0usize, 1usize), (1, 2), (2, 3), (3, 0)] {
-            assert_eq!(c.link_bandwidth(a, b, 4), topo.link_bandwidth(a, b, 4));
-        }
     }
 }

@@ -481,6 +481,9 @@ mod tests {
         assert_eq!(topo.link_bandwidth(0, 1, tp), gpu.nvlink_bandwidth);
         assert_eq!(topo.link_bandwidth(1, 2, tp), gpu.net_bandwidth);
         assert_eq!(topo.link_bandwidth(2, 3, tp), gpu.nvlink_bandwidth);
+        // TP=8: every rank owns a full node, so every edge crosses nodes.
+        assert!(!topo.ranks_share_node(0, 1, 8));
+        assert_eq!(topo.link_bandwidth(0, 1, 8), gpu.net_bandwidth);
     }
 
     #[test]

@@ -50,9 +50,8 @@ fn main() {
     );
     let stats = session.stats();
     println!(
-        "planner: {} plans ({} warm-started), search {:.0} ms, memory opt {:.0} ms",
+        "planner: {} plans, search {:.0} ms, memory opt {:.0} ms",
         stats.requests,
-        stats.warm_started_plans,
         stats.phases.search.as_secs_f64() * 1e3,
         stats.phases.memopt.as_secs_f64() * 1e3,
     );

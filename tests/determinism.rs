@@ -111,8 +111,8 @@ proptest! {
         assert_plans_bit_identical(&reference, &again, "repeated run");
     }
 
-    /// The session layer preserves the guarantee end to end (warm starts,
-    /// cache keys and all): two sessions over the same request stream
+    /// The session layer preserves the guarantee end to end (cache keys
+    /// and all): two sessions over the same request stream
     /// produce bit-identical plans at different pool widths.
     #[test]
     fn sessions_replay_identically_at_any_width(

@@ -458,7 +458,7 @@ fn anchor_guard_names_every_mismatched_field_on_both_entry_points() {
 
 /// A zero-budget elastic replan runs no search: its one candidate (uniform
 /// clusters rebalance to the old boundaries) adopts the old ordering in one
-/// interleave pass, so the plan is not reported as warm-started.
+/// interleave pass, so the plan reports exactly one evaluation.
 #[test]
 fn zero_budget_elastic_replan_reports_no_search() {
     let spec = zoo::vlm_s();
@@ -478,5 +478,4 @@ fn zero_budget_elastic_replan_reports_no_search() {
     assert_eq!(outcome.candidates.len(), 1);
     assert_eq!(outcome.plan.segment_priorities, old_plan.segment_priorities);
     assert_eq!(outcome.plan.stats.search_evaluations, 1);
-    assert!(!outcome.plan.stats.warm_started, "no search ran");
 }

@@ -276,22 +276,62 @@ fn plan_many_plans_a_trace_concurrently_in_request_order() {
     }
 }
 
+/// A cold plan is a pure function of its request: planning request B after
+/// request A in one session, alone in a fresh session, or next to A in
+/// `plan_many` yields the same plan to the bit.
 #[test]
-fn warm_start_does_not_change_plan_validity_and_helps_the_incumbent() {
+fn cold_plans_do_not_depend_on_request_history() {
     let spec = zoo::vlm_s();
     let cluster = ClusterSpec::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
-    let requests = replayed_requests(4, 1);
+    let requests = replayed_requests(2, 1);
+    let (a, b) = (&requests[0], &requests[1]);
+    assert_ne!(a.signature(), b.signature());
+    // Every session pins the same placement, so only the history differs.
+    let representative = a
+        .microbatches()
+        .iter()
+        .chain(b.microbatches())
+        .max_by_key(|microbatch| microbatch.total_tokens())
+        .unwrap();
+    let fresh_session = || {
+        let mut session = PlanningSession::with_config(
+            &spec,
+            parallel,
+            &cluster,
+            planner_config(),
+            SessionConfig::default(),
+        );
+        session.offline_partition(representative).unwrap();
+        session
+    };
 
-    let session = PlanningSession::new(&spec, parallel, &cluster, planner_config());
-    for (i, request) in requests.iter().enumerate() {
-        let outcome = session.plan(request).unwrap();
-        assert_eq!(outcome.plan.stats.warm_started, i > 0);
-        // Warm-started plans are still complete, valid schedules.
-        assert_eq!(outcome.plan.orders.num_stages(), outcome.plan.graph.len());
-        session.simulate(&outcome.plan).unwrap();
+    let after_a = fresh_session();
+    after_a.plan(a).unwrap();
+    let after_a = after_a.plan(b).unwrap().plan;
+    let alone = fresh_session().plan(b).unwrap().plan;
+    let batched = fresh_session()
+        .plan_many(&[a.clone(), b.clone()])
+        .pop()
+        .unwrap()
+        .unwrap()
+        .plan;
+    for (history, plan) in [("after A", &after_a), ("in plan_many", &batched)] {
+        assert_eq!(plan.orders, alone.orders, "{history}");
+        assert_eq!(
+            plan.segment_priorities, alone.segment_priorities,
+            "{history}"
+        );
+        assert_eq!(
+            plan.stats.planned_time_s.to_bits(),
+            alone.stats.planned_time_s.to_bits(),
+            "{history}"
+        );
+        assert_eq!(
+            plan.stats.search_evaluations, alone.stats.search_evaluations,
+            "{history}"
+        );
     }
-    assert_eq!(session.stats().warm_started_plans, 3);
 }
 
 /// Exact hits hand out the cached plan's storage instead of a copy: two
