@@ -81,7 +81,7 @@ pub mod session;
 
 pub use elastic::{CandidateReport, ElasticCandidate, ElasticConfig, ElasticOutcome};
 pub use error::DipError;
-pub use memopt::{optimize_memory, optimize_memory_detailed, MemoryOptConfig, MemoryOptOutcome};
+pub use memopt::{optimize_memory_detailed, MemoryOptConfig, MemoryOptOutcome};
 pub use monolithic::{monolithic_ilp_search, MonolithicResult};
 pub use ordering::{
     calibrate_eval_cost, ordering_from_priorities, search_ordering, OrderingResult,

@@ -5,8 +5,8 @@
 //! stage pair a memory-saving strategy is chosen from a candidate ladder so
 //! that total latency is minimised while the activation memory alive at any
 //! point of the rank's schedule stays within budget. The per-rank problem is
-//! a group-choice ILP solved with a greedy warm start and a 5% optimality
-//! gap, exactly as the paper describes.
+//! a group-choice ILP solved with a greedy warm start and a fixed 5%
+//! optimality gap, exactly as the paper describes.
 //!
 //! # Parallel, deterministic solves
 //!
@@ -16,8 +16,8 @@
 //! per-plan CPU share so `plan_many` concurrency never multiplies) and
 //! merges the per-rank selections **in rank order**, exactly as the serial
 //! loop would have applied them. Each solve is bounded by a deterministic
-//! branch-and-bound *node* budget derived from the configured (virtual)
-//! time limit via the calibrated per-node cost model — never by a wall
+//! branch-and-bound *node* budget derived from a fixed (virtual) time
+//! limit via the calibrated per-node cost model — never by a wall
 //! clock — so the parallel path is byte-identical to the serial path, on
 //! any machine, at any thread count.
 
@@ -30,21 +30,23 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
+/// Relative optimality gap at which a rank's ILP stops early (§5.3).
+const OPTIMALITY_GAP: f64 = 0.05;
+
+/// **Virtual-time** limit per pipeline rank (§5.3): converted into a
+/// deterministic branch-and-bound node budget via
+/// [`MemoryOptConfig::node_cost`], so the per-rank solve returns the same
+/// selection on any machine (a wall clock never stops it).
+const TIME_LIMIT: Duration = Duration::from_millis(100);
+
 /// Configuration of the memory optimiser.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MemoryOptConfig {
     /// Number of candidate strategies per stage pair (the paper's `S`, e.g. 10).
     pub candidates_per_pair: usize,
-    /// Relative optimality gap allowed for early termination.
-    pub optimality_gap: f64,
-    /// **Virtual-time** limit per pipeline rank: converted into a
-    /// deterministic branch-and-bound node budget via [`Self::node_cost`],
-    /// so the per-rank solve returns the same selection on any machine
-    /// (a wall clock never stops it).
-    pub time_limit: Duration,
     /// Calibrated cost model of one branch-and-bound node, per constraint
-    /// group — the virtual clock rate that converts [`Self::time_limit`]
-    /// into a node budget.
+    /// group — the virtual clock rate that converts the fixed per-rank
+    /// virtual time limit (100 ms) into a node budget.
     pub node_cost: CostModel,
 }
 
@@ -52,8 +54,6 @@ impl Default for MemoryOptConfig {
     fn default() -> Self {
         Self {
             candidates_per_pair: 10,
-            optimality_gap: 0.05,
-            time_limit: Duration::from_millis(100),
             node_cost: CostModel::REFERENCE_ILP_NODE,
         }
     }
@@ -61,10 +61,10 @@ impl Default for MemoryOptConfig {
 
 impl MemoryOptConfig {
     /// The deterministic branch-and-bound node budget for one rank's ILP
-    /// with `groups` stage pairs: the virtual time limit divided by the
-    /// calibrated per-node cost.
+    /// with `groups` stage pairs: the fixed virtual time limit divided by
+    /// the calibrated per-node cost.
     pub fn node_budget(&self, groups: usize) -> u64 {
-        self.node_cost.quota(self.time_limit, groups as u64)
+        self.node_cost.quota(TIME_LIMIT, groups as u64)
     }
 }
 
@@ -79,38 +79,21 @@ pub struct MemoryOptOutcome {
     pub cpu_time: Duration,
 }
 
+/// The selections one rank's subproblem contributes to the merged plan.
+type RankSelections = Vec<(usize, MemoryStrategy)>;
+
 /// Runs per-rank memory optimisation over a stage graph and a fixed
-/// interleaving, returning the chosen [`MemoryPlan`]. Serial convenience
-/// wrapper around [`optimize_memory_detailed`] (one thread).
+/// interleaving, returning the chosen [`MemoryPlan`] and the summed solve
+/// time. The independent per-rank ILP subproblems are dispatched across up
+/// to `threads` scoped worker threads; their selections are merged in rank
+/// order — exactly the order a serial loop applies them — and every solve
+/// is node-budgeted rather than clocked, so the result is
+/// **byte-identical to the serial path** at any thread count.
 ///
 /// `capacity_per_rank` is the activation-memory budget of each rank (GPU
 /// memory minus the static parameter/optimizer footprint). Ranks whose
 /// budget cannot be met even by the most aggressive strategy fall back to
 /// applying that strategy uniformly.
-///
-/// # Errors
-///
-/// Returns [`DipError::Solver`] when the configuration admits no candidate
-/// strategies (`candidates_per_pair == 0`), leaving the group-choice ILP
-/// without a feasible selection.
-pub fn optimize_memory(
-    graph: &StageGraph,
-    orders: &RankOrders,
-    capacity_per_rank: &[u64],
-    config: &MemoryOptConfig,
-) -> Result<MemoryPlan, DipError> {
-    optimize_memory_detailed(graph, orders, capacity_per_rank, config, 1).map(|o| o.plan)
-}
-
-/// The selections one rank's subproblem contributes to the merged plan.
-type RankSelections = Vec<(usize, MemoryStrategy)>;
-
-/// Like [`optimize_memory`], but dispatches the independent per-rank ILP
-/// subproblems across up to `threads` scoped worker threads and reports
-/// their summed solve time. The per-rank selections are merged in rank
-/// order — exactly the order the serial loop applies them — and every
-/// solve is node-budgeted rather than clocked, so the result is
-/// **byte-identical to the serial path** at any thread count.
 ///
 /// `threads` is this plan's CPU budget for the phase; the planner passes
 /// its per-plan search parallelism so a `plan_many` pool of `P` plans
@@ -118,7 +101,9 @@ type RankSelections = Vec<(usize, MemoryStrategy)>;
 ///
 /// # Errors
 ///
-/// Returns [`DipError::Solver`] when `candidates_per_pair == 0`.
+/// Returns [`DipError::Solver`] when the configuration admits no candidate
+/// strategies (`candidates_per_pair == 0`), leaving the group-choice ILP
+/// without a feasible selection.
 pub fn optimize_memory_detailed(
     graph: &StageGraph,
     orders: &RankOrders,
@@ -266,7 +251,7 @@ fn solve_rank(
             // far beyond any realistic node budget as a pure backstop.
             time_limit: Duration::from_secs(3600),
             node_limit: Some(config.node_budget(infos.len())),
-            optimality_gap: config.optimality_gap,
+            optimality_gap: OPTIMALITY_GAP,
             warm_start: true,
         },
     );
@@ -352,13 +337,15 @@ mod tests {
     #[test]
     fn generous_budget_keeps_everything_resident() {
         let (graph, orders) = graph_and_orders(4);
-        let plan = optimize_memory(
+        let plan = optimize_memory_detailed(
             &graph,
             &orders,
             &vec![u64::MAX / 2; graph.num_ranks],
             &MemoryOptConfig::default(),
+            1,
         )
-        .unwrap();
+        .unwrap()
+        .plan;
         for rank in 0..graph.num_ranks {
             for id in &orders.orders[rank] {
                 let item = graph.item(*id);
@@ -378,7 +365,10 @@ mod tests {
             .map(|o| estimated_peak_activation(&graph, o, &none_plan))
             .collect();
         let budget: Vec<u64> = unconstrained.iter().map(|p| p / 4 + 1).collect();
-        let plan = optimize_memory(&graph, &orders, &budget, &MemoryOptConfig::default()).unwrap();
+        let plan =
+            optimize_memory_detailed(&graph, &orders, &budget, &MemoryOptConfig::default(), 1)
+                .unwrap()
+                .plan;
         assert!(!plan.is_empty());
         // The optimised plan must respect the budget (by the optimiser's own
         // accounting) on every rank where a feasible choice exists.
@@ -434,10 +424,13 @@ mod tests {
         };
         let loose_budget: Vec<u64> = unconstrained.iter().map(|p| p * 2).collect();
         let tight_budget: Vec<u64> = unconstrained.iter().map(|p| p / 3 + 1).collect();
-        let loose =
-            optimize_memory(&graph, &orders, &loose_budget, &MemoryOptConfig::default()).unwrap();
-        let tight =
-            optimize_memory(&graph, &orders, &tight_budget, &MemoryOptConfig::default()).unwrap();
+        let config = MemoryOptConfig::default();
+        let loose = optimize_memory_detailed(&graph, &orders, &loose_budget, &config, 1)
+            .unwrap()
+            .plan;
+        let tight = optimize_memory_detailed(&graph, &orders, &tight_budget, &config, 1)
+            .unwrap()
+            .plan;
         assert!(total_latency(&tight) >= total_latency(&loose) - 1e-9);
     }
 
@@ -448,11 +441,12 @@ mod tests {
             candidates_per_pair: 0,
             ..MemoryOptConfig::default()
         };
-        let err = optimize_memory(
+        let err = optimize_memory_detailed(
             &graph,
             &orders,
             &vec![u64::MAX / 2; graph.num_ranks],
             &config,
+            1,
         )
         .unwrap_err();
         assert!(matches!(err, crate::DipError::Solver { .. }));
@@ -477,9 +471,11 @@ mod tests {
                 optimize_memory_detailed(&graph, &orders, &budget, &config, threads).unwrap();
             assert_eq!(parallel.plan, serial.plan, "{threads} threads");
         }
-        // The wrapper returns the same plan as the detailed path.
+        // A second serial run returns the same plan.
         assert_eq!(
-            optimize_memory(&graph, &orders, &budget, &config).unwrap(),
+            optimize_memory_detailed(&graph, &orders, &budget, &config, 1)
+                .unwrap()
+                .plan,
             serial.plan
         );
     }
@@ -514,13 +510,15 @@ mod tests {
     #[test]
     fn impossible_budget_falls_back_to_most_aggressive_strategy() {
         let (graph, orders) = graph_and_orders(4);
-        let plan = optimize_memory(
+        let plan = optimize_memory_detailed(
             &graph,
             &orders,
             &vec![1; graph.num_ranks],
             &MemoryOptConfig::default(),
+            1,
         )
-        .unwrap();
+        .unwrap()
+        .plan;
         let most_aggressive = *MemoryStrategy::ladder(10).last().unwrap();
         let item = graph.item(orders.orders[0][0]);
         assert_eq!(plan.get(item.stage_pair), most_aggressive);

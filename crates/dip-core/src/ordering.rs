@@ -10,6 +10,10 @@
 //! priority and their relative order is fixed; microbatch order is handled by
 //! the interleaver's tie-breaking.
 //!
+//! MCTS selects children by UCB with the paper's fixed weights (`α = 1`,
+//! `β = 0.5`) and runs four random rollouts per expansion; these are
+//! constants, not settings.
+//!
 //! # Parallel search and virtual-time budgets
 //!
 //! The MCTS and random strategies run **root-parallel** over
@@ -132,17 +136,11 @@ pub struct OrderingSearchConfig {
     /// threads just finish the fixed per-stream quotas sooner (capped at
     /// `streams` useful threads).
     pub workers: usize,
-    /// Rollouts performed per MCTS expansion.
-    pub rollouts_per_expansion: usize,
-    /// UCB exploration weight (the paper's `β`).
-    pub ucb_beta: f64,
-    /// Exponent applied to the exploitation term (the paper's `α`).
-    pub ucb_alpha: f64,
     /// Base dual-queue configuration (memory limits etc.); the searched
     /// segment priorities override its `segment_priorities`.
     pub dual_queue: DualQueueConfig,
     /// Whether the random and DFS workers bound each evaluation by their
-    /// stream's incumbent via [`dip_pipeline::schedule_bounded`], aborting
+    /// stream's incumbent via [`dip_pipeline::schedule_resumed`], aborting
     /// an interleave pass the moment any stage end time exceeds the best
     /// time the stream has seen. The bound is exact (the makespan is a
     /// monotone max of stage end times), the incumbent is **per stream**,
@@ -178,9 +176,6 @@ impl Default for OrderingSearchConfig {
             eval_cost: CostModel::REFERENCE_EVALUATION,
             streams: 4,
             workers: 4,
-            rollouts_per_expansion: 4,
-            ucb_beta: 0.5,
-            ucb_alpha: 1.0,
             dual_queue: DualQueueConfig::default(),
             prune_bounded_evaluations: true,
             seed: 0,
@@ -726,10 +721,10 @@ impl PassMemo {
 /// any completed pass the ordering reproduces whole (resume point `j = ∞`;
 /// every such pass carries the same makespan bits, so the scan order does
 /// not matter). An answer `m` returns `Some(m)` when `m <= cutoff` and
-/// `None` otherwise, which is exactly what
-/// [`dip_pipeline::schedule_bounded`] returns for that ordering (the bound
-/// is exact, see there); a record answer within the cutoff joins the exact
-/// map as a completed evaluation. Otherwise the bounded pass runs, resumed
+/// `None` otherwise, which is exactly what a fresh
+/// [`dip_pipeline::schedule_resumed`] pass returns for that ordering (the
+/// bound is exact, see there); a record answer within the cutoff joins the
+/// exact map as a completed evaluation. Otherwise the bounded pass runs, resumed
 /// at the largest resume point any record offers, and only a completed
 /// pass is memoised, in both tables. `ctx.ws` holds a pop log only after
 /// a pass, so callers keep priorities, never orders.
@@ -1210,6 +1205,13 @@ impl MctsTree {
     }
 }
 
+/// Random rollouts per MCTS expansion (§5.1).
+const ROLLOUTS_PER_EXPANSION: usize = 4;
+/// UCB exploration weight, the paper's `β` (§5.1).
+const UCB_BETA: f64 = 0.5;
+/// Exponent on the UCB exploitation term, the paper's `α` (§5.1).
+const UCB_ALPHA: f64 = 1.0;
+
 /// One root-parallel MCTS stream: owns its tree and RNG outright, so the
 /// entire select/expand/rollout/backpropagate loop runs without locks.
 #[allow(clippy::too_many_arguments)]
@@ -1266,12 +1268,12 @@ fn mcts_worker(
                 let child_idx = tree.nodes[node_idx].children[&seg];
                 let child = &tree.nodes[child_idx];
                 let exploit = if child.best_time.is_finite() {
-                    (incumbent / child.best_time).powf(config.ucb_alpha)
+                    (incumbent / child.best_time).powf(UCB_ALPHA)
                 } else {
                     0.5
                 };
-                let explore = config.ucb_beta
-                    * ((parent_visits as f64).ln() / (child.visits.max(1) as f64)).sqrt();
+                let explore =
+                    UCB_BETA * ((parent_visits as f64).ln() / (child.visits.max(1) as f64)).sqrt();
                 let ucb = exploit + explore;
                 if ucb > best_ucb {
                     best_ucb = ucb;
@@ -1289,7 +1291,7 @@ fn mcts_worker(
 
         // --- Rollouts. ---
         let mut local_best = f64::INFINITY;
-        for _ in 0..config.rollouts_per_expansion.max(1) {
+        for _ in 0..ROLLOUTS_PER_EXPANSION {
             if local.budget_exhausted(quota) {
                 break;
             }
@@ -1358,7 +1360,6 @@ mod tests {
             time_budget: Duration::from_millis(50),
             streams: 2,
             workers: 2,
-            rollouts_per_expansion: 2,
             ..OrderingSearchConfig::default()
         }
     }
@@ -1485,7 +1486,6 @@ mod tests {
             max_evaluations: Some(per_stream_evaluations),
             streams: 4,
             workers,
-            rollouts_per_expansion: 2,
             seed: 7,
             ..OrderingSearchConfig::default()
         }
@@ -1629,7 +1629,6 @@ mod tests {
                     max_evaluations: Some(10),
                     streams: 3,
                     workers,
-                    rollouts_per_expansion: 1,
                     ..quick_config(strategy)
                 };
                 let result = search_ordering(&graph, n, &config);

@@ -6,6 +6,9 @@
 //! `K_i = ⌊T_i / T_1⌋`, then builds the separated placement. Online, for each
 //! incoming microbatch, it splits each module's workload into
 //! `M_i = ⌈N_i / B_i⌉` sub-microbatches.
+//!
+//! The efficiency target and the caps on `K_i` (4) and `M_i` (8) are fixed
+//! constants; [`PartitionerConfig`] only selects the placement mode.
 
 use crate::error::{DipError, ResultExt};
 use dip_models::{BatchWorkload, LmmSpec, ModalityWorkload, ModuleId, ModuleRole};
@@ -14,17 +17,18 @@ use dip_sim::{ClusterTopology, TimingModel};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// Fraction of peak GPU efficiency a sub-microbatch must retain (§4).
+const EFFICIENCY_TARGET: f64 = 0.95;
+/// Upper bound on the pipeline segments `K_i` of one module (§4), keeping
+/// the ordering search space and per-stage overheads bounded.
+const MAX_SEGMENTS_PER_MODULE: usize = 4;
+/// Upper bound on the sub-microbatches `M_i` of one module in one
+/// microbatch (§4).
+const MAX_SUB_MICROBATCHES: usize = 8;
+
 /// Configuration of the modality-aware partitioner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PartitionerConfig {
-    /// Target fraction of peak GPU efficiency a sub-microbatch must retain
-    /// (the paper uses 95%).
-    pub efficiency_target: f64,
-    /// Upper bound on the number of pipeline segments per module, to keep the
-    /// schedule search space and per-stage overheads bounded.
-    pub max_segments_per_module: usize,
-    /// Upper bound on sub-microbatches per microbatch per module.
-    pub max_sub_microbatches: usize,
     /// How layers are distributed across the ranks' devices. The default
     /// [`PlacementMode::CapacityAware`] follows per-device spec-sheet
     /// capability on heterogeneous topologies;
@@ -33,17 +37,6 @@ pub struct PartitionerConfig {
     /// counts on the hosting ranks too). Both reduce bit-exactly to
     /// [`PlacementMode::RoundRobin`] on uniform topologies.
     pub placement: PlacementMode,
-}
-
-impl Default for PartitionerConfig {
-    fn default() -> Self {
-        Self {
-            efficiency_target: 0.95,
-            max_segments_per_module: 4,
-            max_sub_microbatches: 8,
-            placement: PlacementMode::default(),
-        }
-    }
 }
 
 /// The offline output of the partitioner.
@@ -120,7 +113,7 @@ impl<'a> ModalityAwarePartitioner<'a> {
         let required = self
             .timing
             .efficiency
-            .work_for_utilisation(self.config.efficiency_target);
+            .work_for_utilisation(EFFICIENCY_TARGET);
         let needed = (required / per_instance_flops).ceil() as u64;
         needed.clamp(1, typical)
     }
@@ -182,7 +175,7 @@ impl<'a> ModalityAwarePartitioner<'a> {
             .fold(f64::INFINITY, f64::min);
         let mut counts = BTreeMap::new();
         for (id, t) in latencies {
-            let k = ((t / t1).floor() as usize).clamp(1, self.config.max_segments_per_module);
+            let k = ((t / t1).floor() as usize).clamp(1, MAX_SEGMENTS_PER_MODULE);
             counts.insert(id, k);
         }
         counts
@@ -280,7 +273,7 @@ impl<'a> ModalityAwarePartitioner<'a> {
                     continue;
                 }
                 let splits = instances.div_ceil(b) as usize;
-                plan.set(s, m, splits.clamp(1, self.config.max_sub_microbatches));
+                plan.set(s, m, splits.clamp(1, MAX_SUB_MICROBATCHES));
             }
         }
         plan
@@ -324,6 +317,26 @@ mod tests {
         // image tokens, so it should receive more pipeline segments.
         assert!(counts[&backbone] > counts[&encoder_id]);
         assert!(counts[&backbone] <= 4);
+    }
+
+    #[test]
+    fn segment_and_split_counts_stop_at_their_caps() {
+        let spec = zoo::vlm_s();
+        let p = partitioner(&spec);
+        // Against a one-image batch the backbone is many times slower than
+        // the encoder, so its raw `⌊T_i / T_1⌋` exceeds the segment cap.
+        let out = p.partition(&vlm_batch(1)).unwrap();
+        let backbone = spec.backbone_id().unwrap();
+        let (encoder_id, _) = spec.encoders().next().unwrap();
+        assert_eq!(out.segment_counts[&backbone], MAX_SEGMENTS_PER_MODULE);
+        // One image per sub-microbatch: a 48-image microbatch asks for 48
+        // encoder splits, which the split cap clamps.
+        assert_eq!(out.sub_microbatch_sizes[&encoder_id], 1);
+        let plan = p.sub_microbatch_plan(&out, &[vlm_batch(48)]);
+        let most = (0..out.placement.segments.len())
+            .map(|s| plan.splits(s, 0))
+            .max();
+        assert_eq!(most, Some(MAX_SUB_MICROBATCHES));
     }
 
     #[test]

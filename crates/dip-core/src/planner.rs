@@ -28,7 +28,11 @@ use std::time::{Duration, Instant};
 pub struct PlannerConfig {
     /// Modality-aware partitioner settings (§4).
     pub partitioner: PartitionerConfig,
-    /// Segment-ordering search settings (§5.1).
+    /// Segment-ordering search settings (§5.1). The planner ignores a
+    /// caller's `seed_ordering` (none on cold plans, the anchor's ordering
+    /// on elastic ones), `dual_queue` (each plan's own memory limits) and,
+    /// on elastic replans, `time_budget` (replaced by
+    /// [`crate::ElasticConfig::delta_budget`]). `delta_budget` is inert.
     pub search: OrderingSearchConfig,
     /// Per-layer memory optimisation settings (§5.3).
     pub memory: MemoryOptConfig,

@@ -220,14 +220,13 @@ pub struct RequirementEvent {
     pub push_step: u32,
 }
 
-/// Reusable scratch state for [`schedule_into`] / [`schedule_bounded`] /
-/// [`schedule_resumed`]: every queue and vector one interleave pass needs,
-/// hoisted out of the call so a search worker evaluating thousands of
-/// orderings performs **zero heap allocations after warm-up**. The reset
-/// is clear-don't-drop — vectors, queues included, are `clear()`ed and
-/// refilled in their buffers — so capacities only ever grow to the graph's
-/// high-water mark and then stay put (the capacity-stability test below
-/// asserts exactly that).
+/// Reusable scratch state for [`schedule_into`] / [`schedule_resumed`]:
+/// every queue and vector one interleave pass needs, hoisted out of the
+/// call so a search worker evaluating thousands of orderings performs
+/// **zero heap allocations after warm-up**. The reset is clear-don't-drop —
+/// vectors, queues included, are `clear()`ed and refilled in their buffers
+/// — so capacities only ever grow to the graph's high-water mark and then
+/// stay put (the capacity-stability test below asserts exactly that).
 ///
 /// A workspace is not tied to one graph: it resizes itself to whatever
 /// graph it is handed. Reusing one workspace across the evaluations of a
@@ -642,7 +641,7 @@ fn push_entry(ws: &mut ScheduleWorkspace, graph: &StageGraph, priorities: &[i64]
 /// This is the allocating convenience wrapper around [`schedule_into`]: it
 /// builds a fresh [`ScheduleWorkspace`] per call. Hot paths that evaluate
 /// many orderings (the planner's search workers) hold a workspace and call
-/// [`schedule_into`] / [`schedule_bounded`] / [`schedule_resumed`] directly.
+/// [`schedule_into`] / [`schedule_resumed`] directly.
 pub fn schedule(graph: &StageGraph, config: &DualQueueConfig) -> (RankOrders, f64) {
     let mut ws = ScheduleWorkspace::new();
     let makespan = schedule_into(graph, config, &mut ws);
@@ -670,32 +669,26 @@ pub fn schedule_into(
 }
 
 /// Like [`schedule_into`], but aborts as soon as any scheduled stage's end
-/// time exceeds `cutoff`, returning `None`. The bound is **exact**, never
-/// heuristic: the makespan is the monotone maximum of all stage end times,
-/// so the first end time past the cutoff proves the final makespan would
-/// exceed it too — `None` means exactly "this ordering's makespan is
-/// `> cutoff`", and `Some(m)` always satisfies `m <= cutoff`. Callers that
-/// only care about better-than-incumbent orderings (the random and DFS
-/// search workers) pass their incumbent as the cutoff and skip the tail of
-/// every losing evaluation.
-pub fn schedule_bounded(
-    graph: &StageGraph,
-    config: &DualQueueConfig,
-    ws: &mut ScheduleWorkspace,
-    cutoff: f64,
-) -> Option<f64> {
-    schedule_core(graph, config, ws, cutoff, PassPrefix::EMPTY)
-}
-
-/// Like [`schedule_bounded`], but replays `prefix` instead of deciding its
-/// steps, then decides the rest live (see the module docs). The result,
-/// the orders and the record left in `ws` are bit-identical to a
-/// [`schedule_bounded`] pass under `config` whenever the prefix is no
-/// longer than the resume point of `config.segment_priorities` against the
-/// pass it came from ([`PassRecord::resume_point`]) and that pass ran on
-/// the same graph under the same config apart from the priorities. A
-/// prefix that breaks this contract yields an arbitrary schedule, and
-/// trips a debug assertion when it replays a stage that is not ready.
+/// time exceeds `cutoff`, returning `None`, and replays `prefix` instead of
+/// deciding its steps, then decides the rest live (see the module docs).
+///
+/// The bound is **exact**, never heuristic: the makespan is the monotone
+/// maximum of all stage end times, so the first end time past the cutoff
+/// proves the final makespan would exceed it too — `None` means exactly
+/// "this ordering's makespan is `> cutoff`", and `Some(m)` always satisfies
+/// `m <= cutoff`. Callers that only care about better-than-incumbent
+/// orderings (the random and DFS search workers) pass their incumbent as
+/// the cutoff and skip the tail of every losing evaluation.
+///
+/// [`PassPrefix::EMPTY`] replays nothing: every step is decided live, a
+/// fresh bounded pass. Otherwise the result, the orders and the record
+/// left in `ws` are bit-identical to a fresh bounded pass under `config`
+/// whenever the prefix is no longer than the resume point of
+/// `config.segment_priorities` against the pass it came from
+/// ([`PassRecord::resume_point`]) and that pass ran on the same graph
+/// under the same config apart from the priorities. A prefix that breaks
+/// this contract yields an arbitrary schedule, and trips a debug assertion
+/// when it replays a stage that is not ready.
 pub fn schedule_resumed(
     graph: &StageGraph,
     config: &DualQueueConfig,
@@ -1121,7 +1114,9 @@ mod tests {
                     ws.capacity_signature(),
                     "round {round} allocated"
                 );
-                assert!(schedule_bounded(&graph, &config, &mut ws, 1e-9).is_none());
+                assert!(
+                    schedule_resumed(&graph, &config, &mut ws, 1e-9, PassPrefix::EMPTY).is_none()
+                );
                 assert_eq!(
                     signature,
                     ws.capacity_signature(),
@@ -1297,7 +1292,7 @@ mod tests {
         let mut ws = ScheduleWorkspace::new();
         let makespan = schedule_into(&graph, &config, &mut ws);
         let orders = ws.orders(&graph);
-        let bounded = schedule_bounded(&graph, &config, &mut ws, f64::INFINITY)
+        let bounded = schedule_resumed(&graph, &config, &mut ws, f64::INFINITY, PassPrefix::EMPTY)
             .expect("infinite cutoff never aborts");
         assert_eq!(makespan.to_bits(), bounded.to_bits());
         assert_eq!(orders, ws.orders(&graph));
@@ -1311,13 +1306,13 @@ mod tests {
         let makespan = schedule_into(&graph, &config, &mut ws);
         // Cutoff exactly at the makespan: the pass completes (end > cutoff
         // is strict) and returns the same bits.
-        let at = schedule_bounded(&graph, &config, &mut ws, makespan)
+        let at = schedule_resumed(&graph, &config, &mut ws, makespan, PassPrefix::EMPTY)
             .expect("cutoff == makespan must complete");
         assert_eq!(at.to_bits(), makespan.to_bits());
         // Cutoff just below: the pass must abort.
         let below = makespan * (1.0 - 1e-12);
         assert!(below < makespan);
-        assert!(schedule_bounded(&graph, &config, &mut ws, below).is_none());
+        assert!(schedule_resumed(&graph, &config, &mut ws, below, PassPrefix::EMPTY).is_none());
     }
 
     #[test]
@@ -1331,7 +1326,7 @@ mod tests {
         // makespan of the stages that did run.
         assert!(schedule_into(&graph, &config, &mut ws).is_infinite());
         assert!(ws.orders(&graph).num_stages() < graph.len());
-        assert!(schedule_bounded(&graph, &config, &mut ws, 1e9).is_none());
+        assert!(schedule_resumed(&graph, &config, &mut ws, 1e9, PassPrefix::EMPTY).is_none());
         let (orders, makespan) = schedule(&graph, &config);
         assert!(makespan.is_infinite());
         assert!(orders.num_stages() < graph.len());

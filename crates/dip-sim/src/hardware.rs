@@ -98,8 +98,9 @@ pub struct ClusterSpec {
     pub num_nodes: usize,
     /// GPUs per node.
     pub gpus_per_node: usize,
-    /// CPU cores per node available for the planner (§6.2: DIP may use at
-    /// most half of them).
+    /// CPU cores per node. Cluster description only: it is folded into the
+    /// topology fingerprint, but the planner does not read it (its CPU
+    /// budget is the planner's own thread count).
     pub cpu_cores_per_node: usize,
 }
 
@@ -144,12 +145,6 @@ impl ClusterSpec {
         self.gpu.peak_flops * self.num_gpus() as f64
     }
 
-    /// CPU cores the planner is allowed to use (at most 50% of each node's
-    /// cores, §6.2).
-    pub fn planner_cores(&self) -> usize {
-        (self.cpu_cores_per_node / 2).max(1)
-    }
-
     /// The uniform [`ClusterTopology`] equivalent to this spec. All
     /// topology-aware entry points accept a `&ClusterSpec` through this
     /// conversion and produce identical plans.
@@ -178,7 +173,6 @@ mod tests {
         let c = ClusterSpec::h800_cluster(8);
         assert_eq!(c.num_gpus(), 64);
         assert!((c.peak_flops() - 64.0 * 989e12).abs() < 1e9);
-        assert_eq!(c.planner_cores(), 64);
     }
 
     #[test]

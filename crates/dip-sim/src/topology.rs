@@ -33,7 +33,9 @@ pub struct NodeSpec {
     pub gpu: GpuSpec,
     /// Number of GPUs in the node.
     pub gpus: usize,
-    /// CPU cores available on the node.
+    /// CPU cores on the node. Cluster description only: it is folded into
+    /// the topology fingerprint, but the planner does not read it (its CPU
+    /// budget is the planner's own thread count).
     pub cpu_cores: usize,
 }
 
@@ -166,16 +168,6 @@ impl ClusterTopology {
     /// of that size occupies), used for MFU.
     pub fn peak_flops_of(&self, num_gpus: usize) -> f64 {
         (0..num_gpus).map(|g| self.gpu(g).peak_flops).sum()
-    }
-
-    /// CPU cores the planner may use: half the cores of the smallest node
-    /// (§6.2 allows at most 50% of each node's cores).
-    pub fn planner_cores(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| (n.cpu_cores / 2).max(1))
-            .min()
-            .unwrap_or(1)
     }
 
     /// The first GPU of pipeline rank `rank`'s tensor-parallel group.
@@ -460,7 +452,6 @@ mod tests {
         assert_eq!(topo.num_nodes(), spec.num_nodes);
         assert!(topo.is_uniform());
         assert!((topo.peak_flops() - spec.peak_flops()).abs() < 1e3);
-        assert_eq!(topo.planner_cores(), spec.planner_cores());
         assert_eq!(topo.reference_device(), spec.gpu);
         for g in 0..topo.num_gpus() {
             assert_eq!(topo.gpu(g), spec.gpu);

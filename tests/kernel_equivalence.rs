@@ -1,6 +1,7 @@
 //! Evaluation-kernel equivalence properties: the reusable-workspace
 //! interleaver (`schedule_into`), its cutoff-bounded variant
-//! (`schedule_bounded`) and the incumbent-pruned search paths must all be
+//! (`schedule_resumed` with an empty prefix) and the incumbent-pruned
+//! search paths must all be
 //! *behaviour-preserving* rewrites of the allocating originals — same
 //! orders, same makespan bits, same best plan — across random workloads,
 //! topologies and priority assignments. The workspace is deliberately
@@ -18,7 +19,7 @@
 use dip_core::ordering::{search_ordering, OrderingResult, OrderingSearchConfig, SearchStrategy};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{
-    balanced_param_placement, dual_queue, DualQueueConfig, ParallelConfig, PassRecord,
+    balanced_param_placement, dual_queue, DualQueueConfig, ParallelConfig, PassPrefix, PassRecord,
     ScheduleWorkspace, StageGraph, StageGraphBuilder, SubMicrobatchPlan,
 };
 use dip_sim::ClusterSpec;
@@ -101,7 +102,7 @@ proptest! {
         prop_assert_eq!(orders, ws.orders(&graph));
     }
 
-    /// `schedule_bounded` with an infinite cutoff is exactly
+    /// A fresh `schedule_resumed` pass with an infinite cutoff is exactly
     /// `schedule_into`, and a cutoff at the true makespan still completes
     /// with the same bits (the abort condition is strictly-greater).
     #[test]
@@ -120,16 +121,17 @@ proptest! {
         let mut ws = ScheduleWorkspace::new();
         let makespan = dual_queue::schedule_into(&graph, &config, &mut ws);
         let orders = ws.orders(&graph);
-        let unbounded = dual_queue::schedule_bounded(&graph, &config, &mut ws, f64::INFINITY);
+        let empty = PassPrefix::EMPTY;
+        let unbounded =
+            dual_queue::schedule_resumed(&graph, &config, &mut ws, f64::INFINITY, empty);
         prop_assert_eq!(unbounded.map(f64::to_bits), Some(makespan.to_bits()));
         prop_assert_eq!(orders, ws.orders(&graph));
-        let at_makespan = dual_queue::schedule_bounded(&graph, &config, &mut ws, makespan);
+        let at_makespan = dual_queue::schedule_resumed(&graph, &config, &mut ws, makespan, empty);
         prop_assert_eq!(at_makespan.map(f64::to_bits), Some(makespan.to_bits()));
         // Just below the makespan the pass must abort.
-        prop_assert!(
-            dual_queue::schedule_bounded(&graph, &config, &mut ws, makespan * (1.0 - 1e-12))
-                .is_none()
-        );
+        let below = makespan * (1.0 - 1e-12);
+        let aborted = dual_queue::schedule_resumed(&graph, &config, &mut ws, below, empty);
+        prop_assert!(aborted.is_none());
     }
 }
 
@@ -575,15 +577,13 @@ fn resumed_passes_reproduce_fresh_passes_bit_for_bit() {
                 // Just below the makespan, and at half of it, which
                 // often aborts inside the replayed prefix.
                 for cutoff in [makespan * (1.0 - 1e-12), makespan * 0.5] {
-                    assert!(
-                        dual_queue::schedule_bounded(&graph, &config, &mut fresh, cutoff).is_none(),
-                        "{what}"
-                    );
-                    assert!(
-                        dual_queue::schedule_resumed(&graph, &config, &mut resumed, cutoff, prefix)
-                            .is_none(),
-                        "{what}"
-                    );
+                    for (ws, prefix) in [(&mut fresh, PassPrefix::EMPTY), (&mut resumed, prefix)] {
+                        assert!(
+                            dual_queue::schedule_resumed(&graph, &config, ws, cutoff, prefix)
+                                .is_none(),
+                            "{what}"
+                        );
+                    }
                     assert_eq!(
                         resumed.replayed_steps() + resumed.live_steps(),
                         fresh.live_steps(),
