@@ -247,9 +247,7 @@ fn solve_rank(
         &problem,
         &SolveOptions {
             // The node budget — not a clock — bounds the solve, keeping it
-            // deterministic on any machine; the wall-clock limit is set
-            // far beyond any realistic node budget as a pure backstop.
-            time_limit: Duration::from_secs(3600),
+            // deterministic on any machine.
             node_limit: Some(config.node_budget(infos.len())),
             optimality_gap: OPTIMALITY_GAP,
             warm_start: true,

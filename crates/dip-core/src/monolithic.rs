@@ -7,25 +7,29 @@
 //! (`p·n·S` variables, `p·n` constraints), with no optimality gap. The paper
 //! solves this formulation with Gurobi/Z3; this reproduction uses the same
 //! in-repo branch-and-bound engine, which exhibits the same exponential
-//! growth in solve time as the number of microbatches increases.
+//! growth in solve effort as the number of microbatches increases.
+//!
+//! The search is bounded by a budget of branch-and-bound nodes, not by a
+//! clock, so its result and node count are the same on any machine.
 
 use dip_pipeline::{dual_queue, Direction, DualQueueConfig, MemoryStrategy, StageGraph};
 use dip_sim::StageTiming;
-use dip_solver::{Candidate, GroupChoiceProblem, SolveOptions, SolveStatus};
+use dip_solver::{Candidate, GroupChoiceProblem, SolveOptions};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// The result of a monolithic-ILP search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MonolithicResult {
-    /// Best simulated iteration time found (seconds); infinite if nothing
-    /// completed before the time limit.
+    /// Best simulated iteration time found (seconds); infinite if no ILP
+    /// found a feasible selection within the node budget.
     pub best_time_s: f64,
-    /// Wall-clock time spent searching.
+    /// Wall-clock time spent searching (reported only; it decides nothing).
     pub search_time: Duration,
-    /// Whether the time limit was hit before the search space was exhausted.
-    pub timed_out: bool,
-    /// Number of (ordering, ILP) subproblems solved to completion.
+    /// Whether the search spent its whole node budget (and so may have
+    /// stopped before trying every ordering).
+    pub budget_exhausted: bool,
+    /// Number of (ordering, ILP) subproblems that yielded a feasible selection.
     pub subproblems_solved: u64,
     /// Branch-and-bound nodes explored across all ILP solves.
     pub ilp_nodes: u64,
@@ -35,27 +39,26 @@ pub struct MonolithicResult {
 /// placement segments and per-rank activation budgets `capacity_per_rank`.
 ///
 /// `candidates_per_pair` is the size of the memory-strategy ladder (the
-/// paper's `S`); `time_limit` bounds the whole search.
+/// paper's `S`); `node_budget` caps the branch-and-bound nodes explored
+/// across the whole search.
 pub fn monolithic_ilp_search(
     graph: &StageGraph,
     num_segments: usize,
     capacity_per_rank: &[u64],
     candidates_per_pair: usize,
-    time_limit: Duration,
+    node_budget: u64,
 ) -> MonolithicResult {
     let start = Instant::now();
     let ladder = MemoryStrategy::ladder(candidates_per_pair);
     let mut best_time = f64::INFINITY;
-    let mut timed_out = false;
     let mut subproblems = 0u64;
     let mut ilp_nodes = 0u64;
 
     let mut orderings = Permutations::new(num_segments.max(1));
-    while let Some(ordering) = orderings.next_permutation() {
-        if start.elapsed() >= time_limit {
-            timed_out = true;
+    while ilp_nodes < node_budget {
+        let Some(ordering) = orderings.next_permutation() else {
             break;
-        }
+        };
         // Fix the interleaving implied by this ordering.
         let n = ordering.len();
         let mut priorities = vec![0i64; n];
@@ -124,23 +127,15 @@ pub fn monolithic_ilp_search(
             problem.add_group(candidates);
         }
 
-        let remaining = time_limit.saturating_sub(start.elapsed());
         let solution = dip_solver::ilp::solve(
             &problem,
             &SolveOptions {
-                time_limit: remaining,
-                // The monolithic baseline is deliberately wall-clock
-                // bounded: demonstrating its blow-up against the clock is
-                // the point of Fig. 12, so it gets no deterministic budget.
-                node_limit: None,
+                node_limit: Some(node_budget.saturating_sub(ilp_nodes)),
                 optimality_gap: 0.0,
                 warm_start: false,
             },
         );
         ilp_nodes += solution.nodes_explored;
-        if solution.status == SolveStatus::TimeLimit {
-            timed_out = true;
-        }
         if solution.is_feasible() {
             subproblems += 1;
             // Estimate the resulting iteration time: the interleaving's
@@ -152,15 +147,12 @@ pub fn monolithic_ilp_search(
             let extra = (solution.objective - baseline_latency).max(0.0);
             best_time = best_time.min(makespan + extra / graph.num_ranks.max(1) as f64);
         }
-        if timed_out {
-            break;
-        }
     }
 
     MonolithicResult {
         best_time_s: best_time,
         search_time: start.elapsed(),
-        timed_out,
+        budget_exhausted: ilp_nodes >= node_budget,
         subproblems_solved: subproblems,
         ilp_nodes,
     }
@@ -254,44 +246,51 @@ mod tests {
         assert_eq!(single.next_permutation(), None);
     }
 
+    /// Searches under a binding activation budget — a quarter of the
+    /// unconstrained peak, as in fig12 — so the ILPs have to branch.
+    fn search(graph: &StageGraph, n: usize, node_budget: u64) -> MonolithicResult {
+        let unconstrained: u64 = graph.items_on_rank(0).map(|i| i.activation_bytes / 2).sum();
+        let capacity = vec![unconstrained / 4; graph.num_ranks];
+        monolithic_ilp_search(graph, n, &capacity, 4, node_budget)
+    }
+
     #[test]
     fn monolithic_search_finds_a_schedule_on_tiny_instances() {
         let (g, n) = graph(2);
-        let result = monolithic_ilp_search(
-            &g,
-            n,
-            &vec![u64::MAX / 4; g.num_ranks],
-            4,
-            Duration::from_secs(5),
-        );
+        let result = search(&g, n, u64::MAX);
+        assert!(!result.budget_exhausted);
         assert!(result.best_time_s.is_finite());
         assert!(result.subproblems_solved >= 1);
     }
 
     #[test]
-    fn monolithic_search_times_out_gracefully() {
+    fn monolithic_search_stops_at_its_node_budget() {
         let (g, n) = graph(6);
-        let result = monolithic_ilp_search(
-            &g,
-            n,
-            &vec![u64::MAX / 4; g.num_ranks],
-            6,
-            Duration::from_millis(20),
-        );
-        assert!(result.timed_out || result.search_time <= Duration::from_millis(200));
+        let budget = 2_000;
+        let result = search(&g, n, budget);
+        assert!(result.budget_exhausted);
+        assert!(result.ilp_nodes >= budget);
+        // The budget is counted, not clocked: a rerun explores exactly the
+        // same nodes and finds the same schedule.
+        let rerun = search(&g, n, budget);
+        assert_eq!(rerun.ilp_nodes, result.ilp_nodes);
+        assert_eq!(rerun.best_time_s.to_bits(), result.best_time_s.to_bits());
     }
 
     #[test]
-    fn search_time_grows_with_microbatch_count() {
-        let budget = Duration::from_secs(3);
+    fn search_effort_grows_with_microbatch_count() {
+        let budget = 200_000;
         let (small, n) = graph(2);
         let (large, _) = graph(6);
-        let t_small =
-            monolithic_ilp_search(&small, n, &vec![u64::MAX / 4; small.num_ranks], 4, budget)
-                .search_time;
-        let t_large =
-            monolithic_ilp_search(&large, n, &vec![u64::MAX / 4; large.num_ranks], 4, budget)
-                .search_time;
-        assert!(t_large >= t_small);
+        let small = search(&small, n, budget);
+        let large = search(&large, n, budget);
+        assert!(!small.budget_exhausted);
+        assert!(large.budget_exhausted);
+        assert!(
+            large.ilp_nodes >= small.ilp_nodes,
+            "{} < {}",
+            large.ilp_nodes,
+            small.ilp_nodes
+        );
     }
 }

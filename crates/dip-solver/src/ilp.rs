@@ -7,11 +7,12 @@
 //! * the objective is the sum of the chosen candidates' costs, minimised.
 //!
 //! The solver supports a greedy warm start, an optimality-gap early exit and
-//! a wall-clock time limit — the three ingredients the paper credits for
-//! bringing per-instance solve time under 10 ms (§5.3 "Optimizations").
+//! a branch-and-bound node budget — the paper's three ingredients for
+//! bringing per-instance solve time under 10 ms (§5.3 "Optimizations"),
+//! with the paper's time limit counted in nodes rather than read from a
+//! clock, so a solve returns the same answer on any machine.
 
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
 
 /// One selectable candidate within a group.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -138,13 +139,11 @@ impl GroupChoiceProblem {
 /// Options controlling the branch-and-bound search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolveOptions {
-    /// Wall-clock limit; the best incumbent found so far is returned when hit.
-    pub time_limit: Duration,
-    /// Deterministic budget on explored branch-and-bound nodes; the best
-    /// incumbent found so far is returned when hit. Unlike `time_limit`,
-    /// a node budget yields the same solution on any machine — the memory
-    /// optimiser derives it from its (virtual) time limit via a calibrated
-    /// per-node cost model so its plans are reproducible.
+    /// Budget on explored branch-and-bound nodes; the best incumbent found
+    /// so far is returned when hit. A node budget yields the same solution
+    /// on any machine — the memory optimiser derives it from its (virtual)
+    /// time limit via a calibrated per-node cost model so its plans are
+    /// reproducible.
     pub node_limit: Option<u64>,
     /// Relative optimality gap that permits early termination (e.g. `0.05`).
     pub optimality_gap: f64,
@@ -155,7 +154,6 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         Self {
-            time_limit: Duration::from_secs(10),
             node_limit: None,
             optimality_gap: 0.0,
             warm_start: true,
@@ -170,33 +168,30 @@ pub enum SolveStatus {
     Optimal,
     /// Stopped early because the incumbent is within the requested gap.
     WithinGap,
-    /// Stopped at the time limit with a feasible incumbent.
-    TimeLimit,
-    /// Stopped at the deterministic node budget with a feasible incumbent.
+    /// Stopped at the node budget, with the best incumbent found so far or
+    /// — when none was found — an empty selection and an infinite objective.
     NodeLimit,
-    /// No feasible selection exists (or none was found before the time limit).
+    /// Proven infeasible: no selection satisfies every constraint.
     Infeasible,
 }
 
 /// A solver result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Solution {
-    /// Chosen candidate index per group (empty when infeasible).
+    /// Chosen candidate index per group (empty when none was found).
     pub selection: Vec<usize>,
-    /// Objective value of the selection (`f64::INFINITY` when infeasible).
+    /// Objective value of the selection (`f64::INFINITY` when none was found).
     pub objective: f64,
     /// Termination reason.
     pub status: SolveStatus,
     /// Number of branch-and-bound nodes explored.
     pub nodes_explored: u64,
-    /// Wall-clock time spent solving.
-    pub elapsed: Duration,
 }
 
 impl Solution {
     /// True if a feasible selection was produced.
     pub fn is_feasible(&self) -> bool {
-        !matches!(self.status, SolveStatus::Infeasible)
+        self.objective.is_finite()
     }
 }
 
@@ -208,18 +203,21 @@ impl Solution {
 /// group's cheapest candidate — admissible because all costs are
 /// non-negative contributions.
 pub fn solve(problem: &GroupChoiceProblem, options: &SolveOptions) -> Solution {
-    let start = Instant::now();
     if problem.groups.is_empty() {
         return Solution {
             selection: Vec::new(),
             objective: 0.0,
             status: SolveStatus::Optimal,
             nodes_explored: 0,
-            elapsed: start.elapsed(),
         };
     }
     if problem.groups.iter().any(Vec::is_empty) {
-        return infeasible(start, 0);
+        return Solution {
+            selection: Vec::new(),
+            objective: f64::INFINITY,
+            status: SolveStatus::Infeasible,
+            nodes_explored: 0,
+        };
     }
 
     // Branch order: groups with the largest cost spread first.
@@ -271,7 +269,6 @@ pub fn solve(problem: &GroupChoiceProblem, options: &SolveOptions) -> Solution {
     let mut nodes = 0u64;
     let mut selection = vec![usize::MAX; problem.groups.len()];
     let mut usage = vec![0.0f64; problem.capacities.len()];
-    let mut timed_out = false;
     let mut node_budget_hit = false;
     let mut gap_exit = false;
 
@@ -286,10 +283,6 @@ pub fn solve(problem: &GroupChoiceProblem, options: &SolveOptions) -> Solution {
     }];
 
     'search: while let Some(frame) = stack.last_mut() {
-        if nodes.is_multiple_of(1024) && start.elapsed() > options.time_limit {
-            timed_out = true;
-            break 'search;
-        }
         if options.node_limit.is_some_and(|cap| nodes >= cap) {
             node_budget_hit = true;
             break 'search;
@@ -365,26 +358,20 @@ pub fn solve(problem: &GroupChoiceProblem, options: &SolveOptions) -> Solution {
         }
     }
 
-    match incumbent {
-        Some(selection) => {
-            let status = if timed_out {
-                SolveStatus::TimeLimit
-            } else if node_budget_hit {
-                SolveStatus::NodeLimit
-            } else if gap_exit {
-                SolveStatus::WithinGap
-            } else {
-                SolveStatus::Optimal
-            };
-            Solution {
-                objective: incumbent_cost,
-                selection,
-                status,
-                nodes_explored: nodes,
-                elapsed: start.elapsed(),
-            }
-        }
-        None => infeasible(start, nodes),
+    let status = if node_budget_hit {
+        SolveStatus::NodeLimit
+    } else if gap_exit {
+        SolveStatus::WithinGap
+    } else if incumbent.is_some() {
+        SolveStatus::Optimal
+    } else {
+        SolveStatus::Infeasible
+    };
+    Solution {
+        selection: incumbent.unwrap_or_default(),
+        objective: incumbent_cost,
+        status,
+        nodes_explored: nodes,
     }
 }
 
@@ -406,16 +393,6 @@ fn undo(
         *u -= cand.weight(k);
     }
     selection[group_idx] = usize::MAX;
-}
-
-fn infeasible(start: Instant, nodes: u64) -> Solution {
-    Solution {
-        selection: Vec::new(),
-        objective: f64::INFINITY,
-        status: SolveStatus::Infeasible,
-        nodes_explored: nodes,
-        elapsed: start.elapsed(),
-    }
 }
 
 #[cfg(test)]
@@ -574,28 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn time_limit_returns_incumbent() {
-        // A large, loose problem; with a zero time budget the solver should
-        // still return the greedy incumbent rather than nothing.
-        let mut p = GroupChoiceProblem::new(vec![1e12]);
-        for i in 0..40 {
-            p.add_group(vec![
-                cand(1.0 + (i % 7) as f64, &[1.0]),
-                cand(2.0, &[0.5]),
-                cand(3.0, &[0.1]),
-            ]);
-        }
-        let sol = solve(
-            &p,
-            &SolveOptions {
-                time_limit: Duration::from_millis(0),
-                ..SolveOptions::default()
-            },
-        );
-        assert!(sol.is_feasible());
-    }
-
-    #[test]
     fn node_limit_returns_incumbent_deterministically() {
         // No warm start, so the incumbent must come from the tree search —
         // a budget of 40 nodes reaches one complete assignment (30 groups)
@@ -634,6 +589,31 @@ mod tests {
         let unbounded = solve(&p, &SolveOptions::default());
         assert_eq!(generous.status, SolveStatus::Optimal);
         assert_eq!(generous.selection, unbounded.selection);
+    }
+
+    #[test]
+    fn node_limit_without_an_incumbent_is_not_infeasibility() {
+        // A feasible problem whose 30 groups need more than 10 nodes to
+        // reach a first complete assignment: without a warm start, the
+        // budget runs out before any incumbent exists. That proves nothing
+        // about feasibility, so the status is `NodeLimit`, not `Infeasible`.
+        let mut p = GroupChoiceProblem::new(vec![1e12]);
+        for _ in 0..30 {
+            p.add_group(vec![cand(1.0, &[1.0]), cand(2.0, &[0.5])]);
+        }
+        let sol = solve(
+            &p,
+            &SolveOptions {
+                node_limit: Some(10),
+                warm_start: false,
+                ..SolveOptions::default()
+            },
+        );
+        assert_eq!(sol.status, SolveStatus::NodeLimit);
+        assert!(!sol.is_feasible());
+        assert!(sol.selection.is_empty());
+        assert!(sol.objective.is_infinite());
+        assert_eq!(sol.nodes_explored, 10);
     }
 
     proptest! {

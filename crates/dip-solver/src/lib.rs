@@ -5,7 +5,8 @@
 //! one memory-strategy candidate per stage pair (the candidates come from a
 //! fixed strategy ladder), minimising total latency subject to peak-memory
 //! constraints, with a greedy warm start, an optimality-gap early exit and a
-//! wall-clock time limit.
+//! branch-and-bound node budget. The solver reads no clock, so a solve is a
+//! pure function of its problem and options.
 //!
 //! The same branch-and-bound engine doubles as the stand-in for the
 //! commercial solvers (Gurobi/Z3) used by the paper's monolithic-ILP

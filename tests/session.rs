@@ -1,8 +1,8 @@
 //! Integration tests of the planning-session layer over dynamic workload
 //! traces: repeated workload signatures are served from the plan cache,
-//! total planning time over a repeated-shape trace drops by at least 2×
-//! versus cold planning, and cached plans simulate to identical iteration
-//! times.
+//! total planning work (search evaluations) over a repeated-shape trace
+//! drops by at least 2× versus cold planning, and cached plans simulate to
+//! identical iteration times.
 
 use dip_core::{
     CanonicalSignature, PlanRequest, PlanTier, PlannerConfig, PlanningSession, SessionConfig,
@@ -89,6 +89,9 @@ fn plan_cache_cuts_total_planning_time_at_least_2x_on_a_repeated_trace() {
     // 3 shapes × 3 passes: 3 misses, 6 hits with the cache enabled.
     let requests = replayed_requests(3, 3);
 
+    // Planning time is measured in search evaluations — the planner's
+    // virtual time, which an exact hit skips — so the claim holds on any
+    // machine; wall time is printed for reference only.
     let total_planning = |session_config: SessionConfig| {
         let session = PlanningSession::with_config(
             &spec,
@@ -97,18 +100,25 @@ fn plan_cache_cuts_total_planning_time_at_least_2x_on_a_repeated_trace() {
             planner_config(),
             session_config,
         );
-        let mut total = Duration::ZERO;
+        let mut evaluations = 0u64;
+        let mut wall = Duration::ZERO;
         for request in &requests {
-            total += session.plan(request).unwrap().plan.stats.planning_time;
+            let stats = session.plan(request).unwrap().plan.stats;
+            evaluations += stats.search_evaluations;
+            wall += stats.planning_time;
         }
-        total
+        (evaluations, wall)
     };
 
-    let cold = total_planning(SessionConfig::cold());
-    let cached = total_planning(SessionConfig::default());
-    assert!(
-        cached * 2 <= cold,
-        "cached planning {cached:?} should be at least 2x faster than cold {cold:?}"
+    let (cold, cold_wall) = total_planning(SessionConfig::cold());
+    let (cached, cached_wall) = total_planning(SessionConfig::default());
+    eprintln!("planning wall: cached {cached_wall:?} vs cold {cold_wall:?}");
+    // 9 cold plans against 3 cold plans plus 6 hits: exactly 3× the work.
+    assert!(cached > 0);
+    assert_eq!(
+        cold,
+        3 * cached,
+        "cached {cached} vs cold {cold} evaluations"
     );
 }
 
