@@ -2,7 +2,7 @@
 //! training for Megatron-LM, Optimus, DIP (non-adaptive) and DIP.
 
 use dip_bench::{print_table, vlm_batches_from_datasets, ExperimentScale};
-use dip_core::{DipPlanner, PlannerConfig};
+use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
 use dip_models::zoo;
 use dip_pipeline::baselines::{simulate_megatron, simulate_optimus, BaselineContext};
 use dip_pipeline::ParallelConfig;
@@ -41,11 +41,12 @@ fn main() {
     rows.push(summarize("Megatron-LM", &megatron.report));
     let optimus = simulate_optimus(&ctx, &batches).unwrap();
     rows.push(summarize("Optimus", &optimus.report));
-    let no_opt = DipPlanner::new(&spec, parallel, &cluster, PlannerConfig::no_opt());
-    let (_, out) = no_opt.plan_and_simulate(&batches).unwrap();
+    let request = PlanRequest::new(batches);
+    let no_opt = PlanningSession::new(&spec, parallel, &cluster, PlannerConfig::no_opt());
+    let (_, out) = no_opt.plan_and_simulate(&request).unwrap();
     rows.push(summarize("DIP (non-adaptive)", &out.report));
-    let dip = DipPlanner::new(&spec, parallel, &cluster, scale.planner_config());
-    let (_, out) = dip.plan_and_simulate(&batches).unwrap();
+    let dip = PlanningSession::new(&spec, parallel, &cluster, scale.planner_config());
+    let (_, out) = dip.plan_and_simulate(&request).unwrap();
     rows.push(summarize("DIP", &out.report));
 
     print_table(

@@ -7,7 +7,7 @@
 //! witness in `bench_check`.
 
 use dip_bench::{print_table, vlm_batches_from_datasets, BenchReport, ExperimentScale, MetricKind};
-use dip_core::{DipPlanner, PlannerConfig};
+use dip_core::{DipPlanner, PlanRequest, PlannerConfig, PlanningSession, SessionConfig};
 use dip_models::{zoo, ModalityWorkload, ModuleRole};
 use dip_pipeline::baselines::{simulate_megatron, BaselineContext};
 use dip_pipeline::ParallelConfig;
@@ -122,22 +122,27 @@ fn artifact_identity_study(report: &mut BenchReport) {
     let spec = zoo::vlm_s();
     let topo = ClusterTopology::mixed_h800_h20(1, 1);
     let parallel = ParallelConfig::new(4, 4, 1);
-    let batches = vlm_batches_from_datasets(2, 64);
+    let request = PlanRequest::new(vlm_batches_from_datasets(2, 64));
+    let session_on = |config: PlannerConfig| {
+        PlanningSession::from_planner(
+            DipPlanner::on_topology(&spec, parallel, topo.clone(), config),
+            SessionConfig::default(),
+        )
+    };
 
-    let plain = DipPlanner::on_topology(&spec, parallel, topo.clone(), PlannerConfig::fast());
+    let plain = session_on(PlannerConfig::fast());
     let registry = CalibrationRegistry::from_artifact(CalibrationArtifact::builtin_for(&topo));
-    let calibrated = DipPlanner::on_topology(
-        &spec,
-        parallel,
-        topo,
-        PlannerConfig::fast().with_calibration(registry),
+    let calibrated = session_on(PlannerConfig::fast().with_calibration(registry));
+    assert_eq!(
+        calibrated.planner().calibration_source(),
+        CalibrationSource::Exact
     );
-    assert_eq!(calibrated.calibration_source(), CalibrationSource::Exact);
 
-    let (plan_a, out_a) = plain.plan_and_simulate(&batches).expect("plain plan");
+    let (plan_a, out_a) = plain.plan_and_simulate(&request).expect("plain plan");
     let (plan_b, out_b) = calibrated
-        .plan_and_simulate(&batches)
+        .plan_and_simulate(&request)
         .expect("calibrated plan");
+    let (plan_a, plan_b) = (plan_a.plan, plan_b.plan);
     let identical = out_a.metrics.iteration_time_s.to_bits()
         == out_b.metrics.iteration_time_s.to_bits()
         && plan_a.segment_priorities == plan_b.segment_priorities

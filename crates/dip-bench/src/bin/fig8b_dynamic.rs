@@ -278,8 +278,8 @@ fn zipf_dynamic_traffic(
         let outcome = session.plan(request).expect("zipf stream plans");
         let latency_ms = start.elapsed().as_secs_f64() * 1e3;
         let tier_idx = match outcome.tier {
-            // The session's three-tier lookup never yields Elastic
-            // (that tier is exclusive to `DipPlanner::replan_elastic`).
+            // The stream never retargets the session, so no request is
+            // served by the elastic tier; it is binned with cold plans.
             PlanTier::Cold | PlanTier::Elastic => 0,
             PlanTier::Fuzzy => 1,
             PlanTier::Exact => 2,

@@ -1,10 +1,12 @@
 //! Elastic replanning under failures: a seeded [`FailureSchedule`] sweeps
 //! node kills, restores and capacity additions over a recorded dynamic
-//! workload trace, and every event is recovered twice — elastically
-//! (`DipPlanner::replan_elastic` at migration weight 0, reusing the running
-//! plan's partition, sub-microbatch table and memory plan, moving only the
-//! optimizer/parameter state the topology change forces) and cold (a fresh
-//! full-budget plan plus a full state restore over the network).
+//! workload trace, and every event is recovered twice — elastically (a
+//! planning session that planned the iteration on the old topology is
+//! retargeted onto the new one at migration weight 0 and plans it again,
+//! reusing the running plan's partition, sub-microbatch table and memory
+//! plan and moving only the optimizer/parameter state the topology change
+//! forces) and cold (a fresh full-budget plan from a cache-less session,
+//! plus a full state restore over the network).
 //!
 //! Reported per event and in aggregate: recovery time (virtual planning
 //! time + state-transfer time), bytes of state moved, and the steady-state
@@ -15,7 +17,10 @@
 //! search-worker counts.
 
 use dip_bench::{fmt_s, print_table, BenchReport, ExperimentScale, MetricKind};
-use dip_core::{DipPlanner, ElasticCandidate, ElasticConfig};
+use dip_core::{
+    DipPlanner, ElasticCandidate, ElasticConfig, PlanRequest, PlanTier, PlanningSession,
+    SessionConfig,
+};
 use dip_data::{
     BatchGenerator, DatasetMix, DynamicWorkloadController, FailureSchedule, ImageBoundSchedule,
 };
@@ -58,31 +63,42 @@ fn sweep(
         ..ElasticConfig::default()
     };
 
+    let session_on = |topology: &ClusterTopology, cache: SessionConfig| {
+        PlanningSession::from_planner(
+            DipPlanner::on_topology(spec, parallel, topology.clone(), config.clone()),
+            cache,
+        )
+    };
+
     let mut topology = base.clone();
     let mut events = Vec::new();
     for (iteration, new_topology) in schedule.topologies() {
-        let batches = &iterations[iteration % iterations.len()];
-        // The plan the training loop is running when the fault hits.
-        let old_planner = DipPlanner::on_topology(spec, parallel, topology.clone(), config.clone());
-        let current = old_planner
-            .plan_iteration(batches)
+        let request = PlanRequest::new(iterations[iteration % iterations.len()].clone());
+        // The plan the training loop is running when the fault hits, then
+        // its elastic replan once the session follows the cluster.
+        let mut session = session_on(&topology, SessionConfig::default());
+        session
+            .plan(&request)
             .expect("pre-fault plan on the old topology");
-
-        let replanner =
-            DipPlanner::on_topology(spec, parallel, new_topology.clone(), config.clone());
-        let outcome = replanner
-            .replan_elastic(batches, &current, &topology, &elastic)
+        session.retarget(new_topology.clone(), elastic);
+        let outcome = session
+            .plan(&request)
             .expect("elastic replan onto the new topology");
-        let cold_plan = replanner
-            .plan_iteration(batches)
-            .expect("cold plan on the new topology");
+        assert_eq!(outcome.tier, PlanTier::Elastic);
+        let report = outcome.elastic.as_ref().expect("elastic report");
 
-        let steady_elastic_s = replanner
+        let cold = session_on(&new_topology, SessionConfig::cold());
+        let cold_plan = cold
+            .plan(&request)
+            .expect("cold plan on the new topology")
+            .plan;
+
+        let steady_elastic_s = session
             .simulate(&outcome.plan)
             .expect("elastic plan simulates")
             .metrics
             .iteration_time_s;
-        let steady_cold_s = replanner
+        let steady_cold_s = cold
             .simulate(&cold_plan)
             .expect("cold plan simulates")
             .metrics
@@ -91,11 +107,11 @@ fn sweep(
             iteration,
             old_gpus: topology.num_gpus(),
             new_gpus: new_topology.num_gpus(),
-            candidate: outcome.candidate,
-            bytes_moved: outcome.migration.bytes_moved,
-            transfer_s: outcome.migration.transfer_time_s,
-            planning_virtual_s: outcome.planning_virtual_s,
-            recovery_cold_s: replanner.cold_recovery_time_s(&cold_plan),
+            candidate: report.candidate,
+            bytes_moved: report.migration.bytes_moved,
+            transfer_s: report.migration.transfer_time_s,
+            planning_virtual_s: report.planning_virtual_s,
+            recovery_cold_s: cold.planner().cold_recovery_time_s(&cold_plan),
             steady_elastic_s,
             steady_cold_s,
             plan_bits: (

@@ -2,7 +2,7 @@
 //! 16× H20 cluster.
 
 use dip_bench::{fmt_ratio, fmt_s, print_table, vlm_batches_from_datasets, ExperimentScale};
-use dip_core::DipPlanner;
+use dip_core::{PlanRequest, PlanningSession};
 use dip_models::zoo;
 use dip_pipeline::baselines::{simulate_fsdp, simulate_megatron, BaselineContext};
 use dip_pipeline::ParallelConfig;
@@ -18,8 +18,9 @@ fn main() {
     let ctx = BaselineContext::new(&spec, parallel, &cluster);
     let fsdp = simulate_fsdp(&ctx, &batches);
     let megatron = simulate_megatron(&ctx, &batches, 1).unwrap().metrics;
-    let planner = DipPlanner::new(&spec, parallel, &cluster, scale.planner_config());
-    let dip = planner.plan_and_simulate(&batches).unwrap().1.metrics;
+    let session = PlanningSession::new(&spec, parallel, &cluster, scale.planner_config());
+    let request = PlanRequest::new(batches.clone());
+    let dip = session.plan_and_simulate(&request).unwrap().1.metrics;
 
     let rows = vec![
         vec![

@@ -3,7 +3,7 @@
 //! memory optimisation, added incrementally on top of Megatron-LM.
 
 use dip_bench::{fmt_s, print_table, vlm_batches_from_datasets, ExperimentScale};
-use dip_core::{DipPlanner, PlannerConfig};
+use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
 use dip_models::zoo;
 use dip_pipeline::baselines::{simulate_megatron, BaselineContext};
 use dip_pipeline::ParallelConfig;
@@ -20,9 +20,10 @@ fn main() {
     let ctx = BaselineContext::new(&spec, parallel, &cluster);
     let megatron = simulate_megatron(&ctx, &batches, 1).unwrap().metrics;
 
+    let request = PlanRequest::new(batches.clone());
     let run = |config: PlannerConfig| {
-        let planner = DipPlanner::new(&spec, parallel, &cluster, config);
-        planner.plan_and_simulate(&batches).unwrap().1.metrics
+        let session = PlanningSession::new(&spec, parallel, &cluster, config);
+        session.plan_and_simulate(&request).unwrap().1.metrics
     };
 
     // + modality-aware partitioner only (no search, no memory optimisation).

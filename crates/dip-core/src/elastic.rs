@@ -3,10 +3,14 @@
 //! A topology change — a rank failure, a spot preemption, a grow or shrink
 //! event — is treated like a JIT deoptimization event: instead of planning
 //! from scratch and implicitly re-materialising *all* optimizer/parameter
-//! state, [`DipPlanner::replan_elastic`] recompiles incrementally from the
-//! old plan. The old plan's sub-microbatch table and per-stage-pair memory
-//! strategies are carried over verbatim; a small, deterministic candidate
-//! set of placements is priced against a two-term objective
+//! state, the planner recompiles incrementally from the old plan. Callers
+//! reach this tier through the session:
+//! [`crate::PlanningSession::retarget`] moves it onto the new topology, and
+//! its next [`crate::PlanningSession::plan`] of a request planned before
+//! the change is an elastic replan. The old plan's sub-microbatch table
+//! and per-stage-pair memory strategies are carried over verbatim; a
+//! small, deterministic candidate set of placements is priced against a
+//! two-term objective
 //!
 //! ```text
 //! objective = simulated_iteration_time + migration_weight · transfer_time
@@ -38,6 +42,7 @@ use dip_sim::{ClusterTopology, TopologyDelta};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 use std::time::{Duration, Instant};
 
 /// Knobs of the elastic replanner.
@@ -106,13 +111,10 @@ pub struct CandidateReport {
     pub objective: f64,
 }
 
-/// The result of [`DipPlanner::replan_elastic`].
-#[derive(Debug, Clone)]
-pub struct ElasticOutcome {
-    /// The winning plan, ready to deploy on the new topology
-    /// (`stats.tier == `[`crate::PlanTier::Elastic`], except on the unchanged
-    /// fast path, which returns the old plan byte-identical).
-    pub plan: DipPlan,
+/// What an elastic replan decided besides its plan. An elastic-tier
+/// [`crate::PlanOutcome`] carries it next to the plan.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ElasticReport {
     /// State movement the winning plan pays.
     pub migration: MigrationCost,
     /// The diff between the old and new topologies.
@@ -129,6 +131,27 @@ pub struct ElasticOutcome {
     pub candidates: Vec<CandidateReport>,
 }
 
+/// The result of [`DipPlanner::replan_elastic`]: the winning plan and its
+/// report. It dereferences to the report, so `outcome.migration` reads the
+/// report's field.
+#[derive(Debug, Clone)]
+pub struct ElasticOutcome {
+    /// The winning plan, ready to deploy on the new topology
+    /// (`stats.tier == `[`crate::PlanTier::Elastic`], except on the unchanged
+    /// fast path, which returns the old plan byte-identical).
+    pub plan: DipPlan,
+    /// The replan's decision: candidate, migration and objective.
+    pub report: ElasticReport,
+}
+
+impl Deref for ElasticOutcome {
+    type Target = ElasticReport;
+
+    fn deref(&self) -> &ElasticReport {
+        &self.report
+    }
+}
+
 /// One candidate evaluated: its plan plus its report.
 struct Evaluated {
     report: CandidateReport,
@@ -136,7 +159,11 @@ struct Evaluated {
 }
 
 impl DipPlanner<'_> {
-    /// Elastically replans one iteration across a topology change.
+    /// Elastically replans one iteration across a topology change. Only
+    /// the planner benchmark calls it directly; everything else plans
+    /// through [`crate::PlanningSession::retarget`] and
+    /// [`crate::PlanningSession::plan`], and it becomes crate-private once
+    /// the benchmark does too.
     ///
     /// `old_plan` is the plan running when the change hit (produced by this
     /// crate on `old_topology`); `self` is a planner constructed on the
@@ -183,12 +210,14 @@ impl DipPlanner<'_> {
             };
             return Ok(ElasticOutcome {
                 plan: old_plan.clone(),
-                migration: MigrationCost::ZERO,
-                delta,
-                candidate: ElasticCandidate::Unchanged,
-                objective: report.objective,
-                planning_virtual_s: 0.0,
-                candidates: vec![report],
+                report: ElasticReport {
+                    migration: MigrationCost::ZERO,
+                    delta,
+                    candidate: ElasticCandidate::Unchanged,
+                    objective: report.objective,
+                    planning_virtual_s: 0.0,
+                    candidates: vec![report],
+                },
             });
         }
 
@@ -239,13 +268,15 @@ impl DipPlanner<'_> {
             stats.search_work += other.search_work;
         }
         Ok(ElasticOutcome {
-            migration: report.migration,
-            candidate: report.candidate,
-            objective: report.objective,
             plan,
-            delta,
-            planning_virtual_s,
-            candidates: reports,
+            report: ElasticReport {
+                migration: report.migration,
+                candidate: report.candidate,
+                objective: report.objective,
+                delta,
+                planning_virtual_s,
+                candidates: reports,
+            },
         })
     }
 
@@ -254,7 +285,7 @@ impl DipPlanner<'_> {
     /// re-materialising every byte of optimizer/parameter state from a
     /// replica or checkpoint store ([`full_restore_cost`]). The elastic
     /// path's equivalent is
-    /// [`ElasticOutcome::planning_virtual_s`]` + migration.transfer_time_s`.
+    /// [`ElasticReport::planning_virtual_s`]` + migration.transfer_time_s`.
     pub fn cold_recovery_time_s(&self, cold_plan: &DipPlan) -> f64 {
         let restore = full_restore_cost(self.spec, &cold_plan.placement, &self.topology);
         self.virtual_planning_s(cold_plan) + restore.transfer_time_s
@@ -396,5 +427,207 @@ impl DipPlanner<'_> {
             },
             plan,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The named `InvalidRequest` arms of the anchor compatibility check,
+    //! exercised on the planner's two anchored entry points themselves
+    //! (`plan_iteration_delta` and `replan_elastic`): a session serves
+    //! neither with a mismatched anchor, so only the planner can show them.
+
+    use super::*;
+    use crate::PlannerConfig;
+    use dip_models::{zoo, Modality, ModalityWorkload};
+    use dip_pipeline::ParallelConfig;
+
+    fn parallel() -> ParallelConfig {
+        ParallelConfig::new(4, 4, 1)
+    }
+
+    fn vlm_batch(images: u64) -> BatchWorkload {
+        BatchWorkload::new()
+            .with(
+                Modality::Text,
+                ModalityWorkload::new(8192 - images * 169, 1),
+            )
+            .with(Modality::Image, ModalityWorkload::new(images * 169, images))
+    }
+
+    fn text_batch(tokens: u64) -> BatchWorkload {
+        BatchWorkload::new().with(Modality::Text, ModalityWorkload::new(tokens, 1))
+    }
+
+    /// A planner configuration with a pure virtual-time budget.
+    fn time_budgeted_config(workers: usize, budget_ms: u64, seed: u64) -> PlannerConfig {
+        let mut config = PlannerConfig::default().with_num_threads(1);
+        config.search.workers = workers;
+        config.search.time_budget = Duration::from_millis(budget_ms);
+        config.search.max_evaluations = None;
+        config.search.streams = 4;
+        config.search.seed = seed;
+        config
+    }
+
+    #[test]
+    fn delta_guard_names_the_microbatch_count_mismatch() {
+        let spec = zoo::vlm_s();
+        let topology = ClusterTopology::mixed_h800_h20(1, 1);
+        let planner =
+            DipPlanner::on_topology(&spec, parallel(), topology, time_budgeted_config(2, 40, 3));
+        let anchor = planner
+            .plan_iteration(&[vlm_batch(8), vlm_batch(24)])
+            .unwrap();
+        let err = planner
+            .plan_iteration_delta(&[vlm_batch(8), vlm_batch(24), vlm_batch(40)], &anchor)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("microbatch count"),
+            "error must name the microbatch count: {err}"
+        );
+    }
+
+    #[test]
+    fn delta_guard_names_the_modality_set_mismatch() {
+        let spec = zoo::vlm_s();
+        let topology = ClusterTopology::mixed_h800_h20(1, 1);
+        let planner =
+            DipPlanner::on_topology(&spec, parallel(), topology, time_budgeted_config(2, 40, 3));
+        let anchor = planner
+            .plan_iteration(&[vlm_batch(8), vlm_batch(24)])
+            .unwrap();
+        let err = planner
+            .plan_iteration_delta(&[text_batch(4096), text_batch(8192)], &anchor)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("modality set"),
+            "error must name the modality set: {err}"
+        );
+    }
+
+    #[test]
+    fn delta_guard_names_the_topology_fingerprint_mismatch() {
+        let spec = zoo::vlm_s();
+        let batches = [vlm_batch(8), vlm_batch(24)];
+        let old_planner = DipPlanner::on_topology(
+            &spec,
+            parallel(),
+            ClusterTopology::mixed_h800_h20(1, 1),
+            time_budgeted_config(2, 40, 3),
+        );
+        let anchor = old_planner.plan_iteration(&batches).unwrap();
+        let other_planner = DipPlanner::on_topology(
+            &spec,
+            parallel(),
+            ClusterTopology::mixed_h800_h20(2, 0),
+            time_budgeted_config(2, 40, 3),
+        );
+        let err = other_planner
+            .plan_iteration_delta(&batches, &anchor)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("topology fingerprint"),
+            "error must name the topology fingerprint: {err}"
+        );
+    }
+
+    /// Breaks one field of an anchored request: the anchor plan, the
+    /// request's microbatches, or both.
+    type BreakRequest = fn(&mut DipPlan, &mut Vec<BatchWorkload>);
+
+    #[test]
+    fn anchor_guard_names_every_mismatched_field_on_both_entry_points() {
+        let spec = zoo::vlm_s();
+        let old_topology = ClusterTopology::mixed_h800_h20(1, 1);
+        let config = time_budgeted_config(2, 40, 3);
+        let planner =
+            DipPlanner::on_topology(&spec, parallel(), old_topology.clone(), config.clone());
+        let new_planner = DipPlanner::on_topology(
+            &spec,
+            parallel(),
+            ClusterTopology::mixed_h800_h20(2, 0),
+            config,
+        );
+        let batches = vec![vlm_batch(8), vlm_batch(24)];
+        let anchor = planner.plan_iteration(&batches).unwrap();
+        let elastic = ElasticConfig::default();
+
+        // The intact request passes the check on both entry points.
+        planner.plan_iteration_delta(&batches, &anchor).unwrap();
+        new_planner
+            .replan_elastic(&batches, &anchor, &old_topology, &elastic)
+            .unwrap();
+
+        let arms: [(&str, BreakRequest); 5] = [
+            ("parallel configuration", |anchor, _| {
+                anchor.placement.parallel = ParallelConfig::new(2, 8, 1);
+            }),
+            ("topology fingerprint", |anchor, _| {
+                anchor.topology_fingerprint ^= 1;
+            }),
+            ("modality set", |_, batches| {
+                *batches = vec![text_batch(4096), text_batch(8192)];
+            }),
+            ("microbatch count", |_, batches| batches.push(vlm_batch(40))),
+            ("segment count", |anchor, _| {
+                anchor.segment_priorities.pop();
+            }),
+        ];
+        for (field, break_request) in arms {
+            let mut bad_anchor = anchor.clone();
+            let mut bad_batches = batches.clone();
+            break_request(&mut bad_anchor, &mut bad_batches);
+            let errors = [
+                (
+                    "plan_iteration_delta",
+                    planner
+                        .plan_iteration_delta(&bad_batches, &bad_anchor)
+                        .unwrap_err(),
+                ),
+                (
+                    "replan_elastic",
+                    new_planner
+                        .replan_elastic(&bad_batches, &bad_anchor, &old_topology, &elastic)
+                        .unwrap_err(),
+                ),
+            ];
+            for (entry, err) in errors {
+                assert!(
+                    matches!(err, DipError::InvalidRequest(_)),
+                    "{entry}: a broken {field} must be an invalid request: {err}"
+                );
+                assert!(
+                    err.to_string().contains(field),
+                    "{entry}: the error must name the {field}: {err}"
+                );
+            }
+        }
+    }
+
+    /// A zero-budget elastic replan runs no search: its one candidate
+    /// (uniform clusters rebalance to the old boundaries) adopts the old
+    /// ordering in one interleave pass, so the plan reports exactly one
+    /// evaluation.
+    #[test]
+    fn zero_budget_elastic_replan_reports_no_search() {
+        let spec = zoo::vlm_s();
+        let old_topology = ClusterTopology::mixed_h800_h20(2, 0);
+        let config = time_budgeted_config(2, 40, 3);
+        let batches = vec![vlm_batch(8), vlm_batch(24)];
+        let planner =
+            DipPlanner::on_topology(&spec, parallel(), old_topology.clone(), config.clone());
+        let old_plan = planner.plan_iteration(&batches).unwrap();
+        let new_topology = ClusterTopology::mixed_h800_h20(1, 0);
+        let zero_budget = ElasticConfig {
+            delta_budget: Duration::ZERO,
+            ..ElasticConfig::default()
+        };
+        let outcome = DipPlanner::on_topology(&spec, parallel(), new_topology, config)
+            .replan_elastic(&batches, &old_plan, &old_topology, &zero_budget)
+            .unwrap();
+        assert_eq!(outcome.candidates.len(), 1);
+        assert_eq!(outcome.plan.segment_priorities, old_plan.segment_priorities);
+        assert_eq!(outcome.plan.stats.search_evaluations, 1);
     }
 }

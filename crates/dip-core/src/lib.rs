@@ -20,17 +20,20 @@
 //! * [`planner`] — the online planning loop (§3.2): prefetch metadata,
 //!   partition microbatches, search a schedule (in parallel on CPU workers),
 //!   optimise memory and deploy the plan, per training iteration;
-//! * [`session`] — the thread-safe planning-session layer: a three-tier
-//!   plan lookup (exact signature hit → fuzzy bucketed hit served by a
-//!   reprice plus one interleave pass → cold plan) over concurrent O(1)
-//!   LRU caches, with the cluster-topology fingerprint folded into every
-//!   cache key, single-flight planning through a sharded per-key in-flight
-//!   table (a stampeded fresh shape runs the planner exactly once), and a
+//! * [`session`] — the thread-safe planning-session layer and the one way
+//!   plans reach callers: a four-tier plan lookup (exact signature hit →
+//!   elastic replan after a topology change → fuzzy bucketed hit served by
+//!   a reprice plus one interleave pass → cold plan) over concurrent LRU
+//!   caches whose hits are checked against the request's microbatches,
+//!   with the cluster-topology fingerprint folded into every cache key,
+//!   single-flight planning through a per-key in-flight table (a stampeded
+//!   fresh shape runs the planner exactly once), and a
 //!   [`PlanningSession::plan_many`] worker pool for planning independent
 //!   requests concurrently;
-//! * [`elastic`] — the elastic scenario layer: topology changes (failures,
-//!   grow/shrink events) are replanned incrementally from the old plan via
-//!   [`DipPlanner::replan_elastic`], trading simulated iteration time
+//! * [`elastic`] — the elastic scenario layer: after
+//!   [`PlanningSession::retarget`] moves a session onto a changed topology
+//!   (failures, grow/shrink events), each request is replanned
+//!   incrementally from its old plan, trading simulated iteration time
 //!   against a migration-cost objective (bytes of optimizer/parameter
 //!   state moved, priced at per-edge link bandwidth);
 //! * [`error`] — the unified [`DipError`] returned by every public planner
@@ -65,7 +68,9 @@
 //! assert_eq!(repeat.tier, PlanTier::Exact);
 //! ```
 //!
-//! Single-shot planning remains available through [`DipPlanner`].
+//! A [`DipPlanner`] holds the model, layout and topology a session plans
+//! on; build one with [`DipPlanner::on_topology`] for a heterogeneous
+//! cluster and wrap it with [`PlanningSession::from_planner`].
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -79,7 +84,9 @@ pub mod partitioner;
 pub mod planner;
 pub mod session;
 
-pub use elastic::{CandidateReport, ElasticCandidate, ElasticConfig, ElasticOutcome};
+pub use elastic::{
+    CandidateReport, ElasticCandidate, ElasticConfig, ElasticOutcome, ElasticReport,
+};
 pub use error::DipError;
 pub use memopt::{optimize_memory_detailed, MemoryOptConfig, MemoryOptOutcome};
 pub use monolithic::{monolithic_ilp_search, MonolithicResult};

@@ -28,10 +28,11 @@ use std::time::{Duration, Instant};
 pub struct PlannerConfig {
     /// Modality-aware partitioner settings (§4).
     pub partitioner: PartitionerConfig,
-    /// Segment-ordering search settings (§5.1). The planner ignores a
-    /// caller's `seed_ordering` (none on cold plans, the anchor's ordering
-    /// on elastic ones), `dual_queue` (each plan's own memory limits) and,
-    /// on elastic replans, `time_budget` (replaced by
+    /// Segment-ordering search settings (§5.1). The planner rejects a set
+    /// `seed_ordering` with [`DipError::InvalidRequest`]: a cold plan
+    /// searches unseeded and an elastic replan seeds from its anchor, so no
+    /// tier could honour it. It ignores `dual_queue` (each plan's own
+    /// memory limits) and, on elastic replans, `time_budget` (replaced by
     /// [`crate::ElasticConfig::delta_budget`]). `delta_budget` is inert.
     pub search: OrderingSearchConfig,
     /// Per-layer memory optimisation settings (§5.3).
@@ -129,11 +130,11 @@ impl PlannerConfig {
     }
 }
 
-/// Which tier of the planning-session's three-tier lookup produced a plan:
-/// exact cache hit, fuzzy hit (replanned from an in-bucket neighbour) or
-/// cold (planned from scratch). Single-shot [`DipPlanner`] plans are
-/// [`PlanTier::Cold`]; [`DipPlanner::replan_elastic`] plans are
-/// [`PlanTier::Elastic`].
+/// Which tier of the planning session's four-tier lookup produced a plan:
+/// exact cache hit, elastic replan (the request's own plan from before a
+/// [`crate::PlanningSession::retarget`], carried onto the new topology),
+/// fuzzy hit (replanned from an in-bucket neighbour) or cold (planned from
+/// scratch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum PlanTier {
     /// Planned from scratch: full ordering search plus memory ILP.
@@ -145,11 +146,11 @@ pub enum PlanTier {
     /// neighbour's placement, splits, memory plan and ordering are reused,
     /// and one interleave pass schedules the repriced graph. No search runs.
     Fuzzy,
-    /// Elastically replanned across a cluster-topology change
-    /// ([`DipPlanner::replan_elastic`]): the old plan's sub-microbatch
-    /// table and memory plan are reused, candidate placements are priced
-    /// against a migration-cost objective, and only a small seeded
-    /// ordering search runs per candidate.
+    /// Elastically replanned across a cluster-topology change (the first
+    /// plan of a request after [`crate::PlanningSession::retarget`]): the
+    /// old plan's sub-microbatch table and memory plan are reused,
+    /// candidate placements are priced against a migration-cost objective,
+    /// and only a small seeded ordering search runs per candidate.
     Elastic,
 }
 
@@ -332,34 +333,12 @@ pub(crate) fn request_modalities(microbatches: &[BatchWorkload]) -> Vec<Modality
     set.into_iter().collect()
 }
 
-/// The DIP training planner.
+/// The DIP training planner: one model, parallel layout and cluster
+/// topology, and the pipeline that plans an iteration on them.
 ///
-/// Single-shot planning of one iteration; multi-iteration workloads should
-/// go through [`crate::PlanningSession`], which adds plan caching on top.
-///
-/// ```
-/// use dip_core::{DipPlanner, PlannerConfig};
-/// use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
-/// use dip_pipeline::ParallelConfig;
-/// use dip_sim::ClusterTopology;
-///
-/// let spec = zoo::vlm_s();
-/// // A heterogeneous cluster: 8 H800s plus 8 H20s. (For uniform clusters,
-/// // `DipPlanner::new` over a `ClusterSpec` is equivalent.)
-/// let topology = ClusterTopology::mixed_h800_h20(1, 1);
-/// let planner = DipPlanner::on_topology(
-///     &spec,
-///     ParallelConfig::new(4, 4, 1),
-///     topology,
-///     PlannerConfig::fast(),
-/// );
-/// let batch = BatchWorkload::new()
-///     .with(Modality::Text, ModalityWorkload::new(6502, 1))
-///     .with(Modality::Image, ModalityWorkload::new(1690, 10));
-/// let (plan, outcome) = planner.plan_and_simulate(&[batch]).unwrap();
-/// assert!(outcome.metrics.iteration_time_s > 0.0);
-/// assert!(plan.graph.critical_rank_time() > 0.0);
-/// ```
+/// Plans reach callers through a [`crate::PlanningSession`], which owns a
+/// planner and serves every tier (exact, elastic, fuzzy and cold); wrap a
+/// planner built here with [`crate::PlanningSession::from_planner`].
 #[derive(Debug)]
 pub struct DipPlanner<'a> {
     pub(crate) spec: &'a LmmSpec,
@@ -521,14 +500,18 @@ impl<'a> DipPlanner<'a> {
     }
 
     /// Plans one training iteration from prefetched microbatch metadata
-    /// (workflow steps ①–③ of §3.2).
+    /// (workflow steps ①–③ of §3.2). Only the planner benchmark calls it
+    /// directly; everything else plans through
+    /// [`crate::PlanningSession::plan`], and it becomes crate-private once
+    /// the benchmark does too.
     ///
     /// # Errors
     ///
-    /// Returns [`DipError::InvalidRequest`] for an empty request or a
-    /// parallel configuration with a zero degree (the message names the
-    /// field), otherwise [`DipError`] wrapping failures from partitioning,
-    /// stage-graph construction or memory optimisation.
+    /// Returns [`DipError::InvalidRequest`] for an empty request, a
+    /// parallel configuration with a zero degree or a set
+    /// `search.seed_ordering` (the message names the field), otherwise
+    /// [`DipError`] wrapping failures from partitioning, stage-graph
+    /// construction or memory optimisation.
     pub fn plan_iteration(&self, microbatches: &[BatchWorkload]) -> Result<DipPlan, DipError> {
         self.plan_with(microbatches, Reuse::Cold)
     }
@@ -541,6 +524,9 @@ impl<'a> DipPlanner<'a> {
     /// against the real shape) and repriced in place under the adopted
     /// strategies; then one deterministic interleave pass schedules it under
     /// the anchor's priorities. No ordering search and no memory ILP run.
+    /// Only the planner benchmark calls it directly; everything else plans
+    /// through [`crate::PlanningSession::plan`], and it becomes
+    /// crate-private once the benchmark does too.
     ///
     /// # Errors
     ///
@@ -626,10 +612,10 @@ impl<'a> DipPlanner<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`DipError::InvalidRequest`] for an empty request or a
-    /// parallel configuration with a zero degree, otherwise [`DipError`]
-    /// wrapping failures from partitioning, stage-graph construction or
-    /// memory optimisation.
+    /// Returns [`DipError::InvalidRequest`] for an empty request, a
+    /// parallel configuration with a zero degree or a set
+    /// `search.seed_ordering`, otherwise [`DipError`] wrapping failures
+    /// from partitioning, stage-graph construction or memory optimisation.
     pub(crate) fn plan_with(
         &self,
         microbatches: &[BatchWorkload],
@@ -637,6 +623,12 @@ impl<'a> DipPlanner<'a> {
     ) -> Result<DipPlan, DipError> {
         require_microbatches(microbatches)?;
         require_parallel_degrees(self.parallel)?;
+        if self.config.search.seed_ordering.is_some() {
+            return Err(DipError::invalid_request(
+                "planner config sets search.seed_ordering, which no planning tier reads: \
+                 cold plans search unseeded and elastic replans seed from their anchor",
+            ));
+        }
         let start = Instant::now();
         let tier = reuse.tier();
         // The ordering search's budget, or `None` to serve one ordering
@@ -830,25 +822,12 @@ impl<'a> DipPlanner<'a> {
         )
         .planning_context("simulating plan deployment")
     }
-
-    /// Convenience: plan and simulate one iteration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DipError`] from planning or simulation.
-    pub fn plan_and_simulate(
-        &self,
-        microbatches: &[BatchWorkload],
-    ) -> Result<(DipPlan, ExecutionOutcome), DipError> {
-        let plan = self.plan_iteration(microbatches)?;
-        let outcome = self.simulate(&plan)?;
-        Ok((plan, outcome))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PlanRequest, PlanningSession};
     use dip_models::{zoo, Modality, ModalityWorkload};
     use dip_pipeline::baselines::{simulate_megatron, BaselineContext};
 
@@ -861,25 +840,59 @@ mod tests {
             .with(Modality::Image, ModalityWorkload::new(images * 169, images))
     }
 
+    /// Plans `batches` as one request through a fresh session on
+    /// `cluster`, and simulates the plan.
+    fn plan_and_simulate(
+        spec: &LmmSpec,
+        parallel: ParallelConfig,
+        cluster: &ClusterSpec,
+        config: PlannerConfig,
+        batches: &[BatchWorkload],
+    ) -> (DipPlan, ExecutionOutcome) {
+        let session = PlanningSession::new(spec, parallel, cluster, config);
+        let (outcome, execution) = session.plan_and_simulate(&batches.into()).unwrap();
+        (outcome.plan, execution)
+    }
+
     #[test]
     fn planner_produces_a_valid_plan_and_simulation() {
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
-        let planner = DipPlanner::new(
+        let session = PlanningSession::new(
             &spec,
             ParallelConfig::new(4, 4, 1),
             &cluster,
             PlannerConfig::fast(),
         );
-        let batches: Vec<BatchWorkload> =
-            [10u64, 40, 2, 30].iter().map(|&i| vlm_batch(i)).collect();
-        let (plan, outcome) = planner.plan_and_simulate(&batches).unwrap();
-        assert!(outcome.metrics.iteration_time_s > 0.0);
-        assert!(outcome.metrics.mfu > 0.0);
+        let request = PlanRequest::new([10u64, 40, 2, 30].iter().map(|&i| vlm_batch(i)).collect());
+        let (outcome, execution) = session.plan_and_simulate(&request).unwrap();
+        let plan = outcome.plan;
+        assert!(execution.metrics.iteration_time_s > 0.0);
+        assert!(execution.metrics.mfu > 0.0);
         assert!(plan.stats.planning_time > Duration::ZERO);
         assert_eq!(plan.orders.num_stages(), plan.graph.len());
         assert!(plan.stats.phases.graph_build > Duration::ZERO);
-        assert!(planner.partition_output().is_some());
+        assert!(session.planner().partition_output().is_some());
+    }
+
+    #[test]
+    fn a_set_seed_ordering_is_rejected_by_name() {
+        let spec = zoo::vlm_s();
+        let cluster = ClusterSpec::h800_cluster(2);
+        let mut config = PlannerConfig::fast();
+        config.search.seed_ordering = Some(vec![1, 0]);
+        let session = PlanningSession::new(&spec, ParallelConfig::new(4, 4, 1), &cluster, config);
+        let request = PlanRequest::new(vec![vlm_batch(10), vlm_batch(40)]);
+        match session.plan(&request) {
+            Err(DipError::InvalidRequest(message)) => {
+                assert!(message.contains("search.seed_ordering"), "{message}")
+            }
+            other => panic!("expected an invalid request, got {other:?}"),
+        }
+        // The failed request is booked, and nothing was cached.
+        let stats = session.stats();
+        assert_eq!((stats.requests, stats.cache_misses), (1, 1));
+        assert_eq!(session.cached_plans(), 0);
     }
 
     #[test]
@@ -926,8 +939,8 @@ mod tests {
         let counts = [2u64, 40, 10, 30, 0, 44, 16, 24, 4, 36, 20, 12];
         let batches: Vec<BatchWorkload> = counts.iter().map(|&i| vlm_batch(i)).collect();
 
-        let planner = DipPlanner::new(&spec, parallel, &cluster, PlannerConfig::fast());
-        let (_, dip) = planner.plan_and_simulate(&batches).unwrap();
+        let (_, dip) =
+            plan_and_simulate(&spec, parallel, &cluster, PlannerConfig::fast(), &batches);
 
         let ctx = BaselineContext::new(&spec, parallel, &cluster);
         let megatron = simulate_megatron(&ctx, &batches, 1).unwrap();
@@ -948,10 +961,10 @@ mod tests {
         let batches: Vec<BatchWorkload> =
             [24u64, 8, 40, 16].iter().map(|&i| vlm_batch(i)).collect();
 
-        let full = DipPlanner::new(&spec, parallel, &cluster, PlannerConfig::fast());
-        let (_, full_outcome) = full.plan_and_simulate(&batches).unwrap();
-        let no_opt = DipPlanner::new(&spec, parallel, &cluster, PlannerConfig::no_opt());
-        let (_, no_opt_outcome) = no_opt.plan_and_simulate(&batches).unwrap();
+        let (_, full_outcome) =
+            plan_and_simulate(&spec, parallel, &cluster, PlannerConfig::fast(), &batches);
+        let (_, no_opt_outcome) =
+            plan_and_simulate(&spec, parallel, &cluster, PlannerConfig::no_opt(), &batches);
 
         assert!(
             full_outcome.metrics.iteration_time_s <= no_opt_outcome.metrics.iteration_time_s * 1.05,
@@ -965,16 +978,16 @@ mod tests {
     fn planner_works_for_t2v_models() {
         let spec = zoo::t2v_s();
         let cluster = ClusterSpec::h800_cluster(2);
-        let planner = DipPlanner::new(
+        let batch = BatchWorkload::new()
+            .with(Modality::Text, ModalityWorkload::new(900, 6))
+            .with(Modality::Video, ModalityWorkload::new(16 * 1560, 4));
+        let (_, outcome) = plan_and_simulate(
             &spec,
             ParallelConfig::new(4, 4, 1),
             &cluster,
             PlannerConfig::fast(),
+            &vec![batch; 4],
         );
-        let batch = BatchWorkload::new()
-            .with(Modality::Text, ModalityWorkload::new(900, 6))
-            .with(Modality::Video, ModalityWorkload::new(16 * 1560, 4));
-        let (_, outcome) = planner.plan_and_simulate(&vec![batch; 4]).unwrap();
         assert!(outcome.metrics.iteration_time_s > 0.0);
     }
 
@@ -982,17 +995,17 @@ mod tests {
     fn peak_memory_stays_within_gpu_capacity() {
         let spec = zoo::vlm_m();
         let cluster = ClusterSpec::h800_cluster(4);
-        let planner = DipPlanner::new(
-            &spec,
-            ParallelConfig::new(8, 4, 1),
-            &cluster,
-            PlannerConfig::fast(),
-        );
         let batches: Vec<BatchWorkload> = [30u64, 45, 20, 40, 10, 48]
             .iter()
             .map(|&i| vlm_batch(i))
             .collect();
-        let (_, outcome) = planner.plan_and_simulate(&batches).unwrap();
+        let (_, outcome) = plan_and_simulate(
+            &spec,
+            ParallelConfig::new(8, 4, 1),
+            &cluster,
+            PlannerConfig::fast(),
+            &batches,
+        );
         assert!(
             outcome.metrics.peak_memory_bytes <= cluster.gpu.mem_capacity as i64,
             "peak {} exceeds capacity {}",

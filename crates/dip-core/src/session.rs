@@ -27,15 +27,42 @@
 //!   fuzzy-hit latency sits orders of magnitude below a cold plan while
 //!   staying within a small simulated regret of it (the `fuzzy_replanning`
 //!   proptests bound it empirically);
+//! * after a cluster-topology change ([`PlanningSession::retarget`]),
+//!   the plans the session had cached on the old topology become **elastic
+//!   anchors**, and a request that was planned before the change is
+//!   replanned from its own running plan: candidate placements on the new
+//!   topology are priced against a migration-cost objective (see
+//!   [`crate::elastic`]);
 //! * fresh signatures are planned **single-flight**: threads stampeding on
 //!   the same new shape run the planner exactly once — one leader plans
 //!   while the rest wait on the key's slot in the in-flight table and then
 //!   serve the freshly cached plan as a hit.
 //!
+//! The tiers are tried in the order exact → elastic → fuzzy → cold. The
+//! elastic tier comes before the fuzzy one because its anchor is the
+//! request's own running plan, and pricing the state that plan would have
+//! to move is what the tier is for. An elastic plan is cached under the
+//! request's exact key on the new topology, so a repeat is an exact hit,
+//! but it never anchors a fuzzy bucket: every fuzzy plan stays one step
+//! from a cold plan.
+//!
+//! # Key checks
+//!
+//! The tables key on 64-bit hashes. The exact cache and the elastic
+//! anchors also store the microbatches each plan was made for, and a hit
+//! whose microbatches differ from the request's is a miss: a hash
+//! collision never serves another request's plan. The in-flight table
+//! needs no check of its own, since a waiter that finds no matching plan
+//! takes the lead and plans. Fuzzy anchors stay hash-keyed: a collision
+//! there only picks an anchor that [`DipPlanner`]'s structural check then
+//! accepts or rejects, and that is repriced against the request's real
+//! shape.
+//!
 //! Once the placement is pinned (by [`PlanningSession::offline_partition`]
 //! or by the first request), no plan depends on request history: a cold
-//! plan is a pure function of its request, and a fuzzy plan a pure
-//! function of its request and its anchor.
+//! plan is a pure function of its request, a fuzzy plan a pure function
+//! of its request and its anchor, and an elastic plan a pure function of
+//! its request, its anchor and the two topologies.
 //!
 //! # Thread safety
 //!
@@ -49,8 +76,9 @@
 //! times the per-plan search parallelism stays within the
 //! [`PlannerConfig::num_threads`] CPU budget. Operations that invalidate
 //! the cache ([`PlanningSession::offline_partition`],
-//! [`PlanningSession::clear`]) take `&mut self`, so the type system rules
-//! out racing them against in-flight planning.
+//! [`PlanningSession::clear`], [`PlanningSession::retarget`]) take
+//! `&mut self`, so the type system rules out racing them against in-flight
+//! planning.
 //!
 //! # Example
 //!
@@ -78,6 +106,7 @@
 //! assert_eq!(first.plan.orders, second.plan.orders);
 //! ```
 
+use crate::elastic::{ElasticCandidate, ElasticConfig, ElasticOutcome, ElasticReport};
 use crate::error::DipError;
 use crate::ordering::SearchWork;
 use crate::planner::{
@@ -87,7 +116,7 @@ use crate::planner::{
 use dip_models::{BatchWorkload, BucketingConfig, CanonicalSignature, LmmSpec};
 use dip_pipeline::par::parallel_map_indexed;
 use dip_pipeline::{ExecutionOutcome, ParallelConfig};
-use dip_sim::ClusterSpec;
+use dip_sim::{ClusterSpec, ClusterTopology};
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -136,13 +165,18 @@ impl From<&[BatchWorkload]> for PlanRequest {
 /// The outcome of planning one request through a [`PlanningSession`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanOutcome {
-    /// The execution plan (freshly computed, delta-replanned from an
-    /// in-bucket neighbour, or restored from the cache).
+    /// The execution plan (freshly computed, elastically replanned from
+    /// the request's plan on the previous topology, delta-replanned from
+    /// an in-bucket neighbour, or restored from the cache).
     pub plan: DipPlan,
     /// The request's exact workload signature ([`PlanRequest::signature`]).
     pub signature: CanonicalSignature,
-    /// Which tier of the three-tier lookup served this request.
+    /// Which tier of the four-tier lookup served this request.
     pub tier: PlanTier,
+    /// What the elastic replan decided (candidate, migration, topology
+    /// delta, objective and every candidate's report); `Some` exactly when
+    /// `tier` is [`PlanTier::Elastic`].
+    pub elastic: Option<ElasticReport>,
 }
 
 /// Configuration of a [`PlanningSession`].
@@ -199,14 +233,19 @@ pub struct SessionStats {
     /// Requests answered by the fuzzy tier: an in-bucket neighbour's plan
     /// was repriced for the request and its ordering adopted verbatim. A
     /// fuzzy hit is **not** a miss — the tier totals satisfy
-    /// `exact_hits + fuzzy_hits + cache_misses == requests`.
+    /// `exact_hits + elastic_plans + fuzzy_hits + cache_misses == requests`.
     pub fuzzy_hits: u64,
+    /// Requests answered by the elastic tier: the request's own plan from
+    /// before the last [`PlanningSession::retarget`] was replanned onto the
+    /// new topology.
+    pub elastic_plans: u64,
     /// Always zero: fuzzy hits run no ordering search. Kept only because
     /// the planner benchmark reads it.
     pub delta_replans: u64,
-    /// Requests that required a cold plan (including requests whose cold
-    /// plan failed, so `requests == exact_hits + fuzzy_hits + cache_misses`
-    /// always holds).
+    /// Requests that required a cold plan, plus every request whose plan
+    /// failed on any tier, so
+    /// `requests == exact_hits + elastic_plans + fuzzy_hits + cache_misses`
+    /// always holds.
     pub cache_misses: u64,
     /// Cached plans evicted by the LRU policy.
     pub evictions: u64,
@@ -216,6 +255,9 @@ pub struct SessionStats {
     /// Planning wall time spent serving fuzzy hits (graph expansion +
     /// reprice + one interleave pass).
     pub fuzzy_plan_time: Duration,
+    /// Planning wall time spent on elastic replans (every candidate's
+    /// graph expansion and seeded search).
+    pub elastic_plan_time: Duration,
     /// Planning wall time spent on cold plans (the full pipeline).
     pub cold_plan_time: Duration,
     /// The summed phase times of every served plan; exact hits ran no
@@ -227,11 +269,11 @@ impl SessionStats {
     /// Cumulative wall-clock planning time over all tiers (exact hits
     /// contribute only their lookup cost).
     pub fn planning_time(&self) -> Duration {
-        self.exact_hit_time + self.fuzzy_plan_time + self.cold_plan_time
+        self.exact_hit_time + self.fuzzy_plan_time + self.elastic_plan_time + self.cold_plan_time
     }
 
-    /// Fraction of requests served without a cold plan (exact plus fuzzy
-    /// hits).
+    /// Fraction of requests served from a cache tier (exact plus fuzzy
+    /// hits); elastic replans are not hits.
     pub fn hit_rate(&self) -> f64 {
         if self.requests == 0 {
             0.0
@@ -239,6 +281,14 @@ impl SessionStats {
             (self.exact_hits + self.fuzzy_hits) as f64 / self.requests as f64
         }
     }
+}
+
+/// A cached plan and the microbatches it was planned for: a hit is served
+/// only when they equal the request's (see the module's key checks).
+#[derive(Debug)]
+struct CachedPlan {
+    microbatches: Vec<BatchWorkload>,
+    plan: DipPlan,
 }
 
 /// The plan cache of one tier, exact LRU by use stamps: every `get` and
@@ -253,7 +303,7 @@ struct LruCache {
     /// path can hand out a cheap `Arc` handle under the lock and clone the
     /// plan outside the critical section, and so one freshly planned
     /// allocation can sit in both the exact and the fuzzy table.
-    entries: HashMap<u64, (Arc<DipPlan>, u64)>,
+    entries: HashMap<u64, (Arc<CachedPlan>, u64)>,
     /// The last stamp handed out.
     clock: u64,
 }
@@ -270,14 +320,14 @@ impl LruCache {
     /// The cached plan for `key`, without updating recency.
     #[cfg(test)]
     fn peek(&self, key: u64) -> Option<&DipPlan> {
-        self.entries.get(&key).map(|(plan, _)| plan.as_ref())
+        self.entries.get(&key).map(|(cached, _)| &cached.plan)
     }
 
     /// The cached plan for `key`, marking it most recently used — lookup
     /// and recency update under one `&mut` borrow, so the hit path needs a
     /// single lock acquisition. Returns a cheap `Arc` handle so the caller
     /// clones the plan outside the lock.
-    fn get(&mut self, key: u64) -> Option<Arc<DipPlan>> {
+    fn get(&mut self, key: u64) -> Option<Arc<CachedPlan>> {
         let (plan, stamp) = self.entries.get_mut(&key)?;
         self.clock += 1;
         *stamp = self.clock;
@@ -287,7 +337,7 @@ impl LruCache {
     /// Inserts (or replaces) `key` as most recently used, evicting
     /// least-recently-used entries down to `capacity`; returns how many
     /// entries were evicted. Replacing a cached key never evicts.
-    fn insert(&mut self, key: u64, plan: Arc<DipPlan>, capacity: usize) -> u64 {
+    fn insert(&mut self, key: u64, plan: Arc<CachedPlan>, capacity: usize) -> u64 {
         if capacity == 0 {
             return 0;
         }
@@ -310,6 +360,16 @@ impl LruCache {
     }
 }
 
+/// Marks a plan served verbatim from an earlier one as `tier`: no phase ran
+/// and no search work was done for this request.
+fn served_verbatim(stats: &mut PlannerStats, tier: PlanTier) {
+    stats.tier = tier;
+    stats.phases = PhaseTimes::default();
+    stats.search_evaluations = 0;
+    stats.search_work = SearchWork::default();
+    stats.search_worker_evaluations = Vec::new();
+}
+
 /// A multi-iteration planning session owning a [`DipPlanner`] and its plan
 /// caches (see the [module docs](self)).
 ///
@@ -330,6 +390,8 @@ pub struct PlanningSession<'a> {
     /// one delta step from a cold plan — regret never compounds across a
     /// chain of neighbours.
     fuzzy: Mutex<LruCache>,
+    /// The elastic tier's anchors, set by [`PlanningSession::retarget`].
+    elastic: Option<ElasticAnchors>,
     /// Single-flight table: cache keys currently being planned, each with
     /// the slot its waiters block on until the key's leader is done.
     in_flight: InFlightTable,
@@ -337,6 +399,19 @@ pub struct PlanningSession<'a> {
     /// (hit path: exactly one per request).
     cache_lock_acquisitions: AtomicU64,
     stats: Mutex<SessionStats>,
+}
+
+/// What [`PlanningSession::retarget`] keeps of the previous topology. It
+/// changes only under `&mut self`, so planning reads it without a lock.
+#[derive(Debug)]
+struct ElasticAnchors {
+    /// The topology the anchors were planned on.
+    old_topology: ClusterTopology,
+    /// The replan settings passed to `retarget`.
+    config: ElasticConfig,
+    /// The old topology's exact-cache plans, keyed by their request's exact
+    /// signature without the topology folded in.
+    plans: HashMap<u64, Arc<CachedPlan>>,
 }
 
 /// The single-flight table: the lock is held only to insert, clone or
@@ -406,6 +481,7 @@ impl<'a> PlanningSession<'a> {
             topology_fingerprint,
             cache: Mutex::new(LruCache::default()),
             fuzzy: Mutex::new(LruCache::default()),
+            elastic: None,
             in_flight: InFlightTable::default(),
             cache_lock_acquisitions: AtomicU64::new(0),
             stats: Mutex::new(SessionStats::default()),
@@ -489,16 +565,76 @@ impl<'a> PlanningSession<'a> {
         self.fuzzy.lock().len()
     }
 
-    /// Drops every cached plan (exact and fuzzy).
+    /// Number of elastic anchors: the plans cached on the topology the last
+    /// [`PlanningSession::retarget`] left (zero before any).
+    #[cfg(test)]
+    fn elastic_anchors(&self) -> usize {
+        self.elastic
+            .as_ref()
+            .map_or(0, |elastic| elastic.plans.len())
+    }
+
+    /// Drops every cached plan: the exact cache, the fuzzy anchors and the
+    /// elastic anchors.
     pub fn clear(&mut self) {
         self.cache.lock().clear();
         self.fuzzy.lock().clear();
+        self.elastic = None;
     }
 
-    /// Plans one iteration through the three-tier lookup: exact cache hit
-    /// → fuzzy hit with delta replanning (when [`SessionConfig::bucketing`]
-    /// is enabled) → cold plan. Takes `&self`; see the [module docs](self)
-    /// on thread safety.
+    /// Moves the session onto a new cluster topology after a failure,
+    /// preemption or scale event, and keeps the plans it had cached as
+    /// elastic anchors.
+    ///
+    /// The new planner is built exactly as [`DipPlanner::on_topology`]
+    /// builds one from this session's model, parallel layout and planner
+    /// configuration; a calibration registry resolves again on the new
+    /// topology. Every plan in the exact cache becomes an elastic anchor,
+    /// keyed by its request's exact signature without the topology folded
+    /// in, and the old topology is kept beside them. The next
+    /// [`PlanningSession::plan`] of such a request replans it elastically
+    /// under `elastic` and books it as [`PlanTier::Elastic`]. The exact
+    /// cache and the fuzzy table start empty, because their plans belong to
+    /// the old topology.
+    ///
+    /// A second `retarget` replaces the anchors with the exact cache of the
+    /// topology it leaves, so an anchor that was not planned again in
+    /// between is dropped. With [`SessionConfig::cache_capacity`] zero
+    /// nothing is cached: there are no anchors, and every later plan is
+    /// cold. `elastic` holds until the next `retarget`.
+    pub fn retarget(&mut self, topology: ClusterTopology, elastic: ElasticConfig) {
+        let planner = DipPlanner::on_topology(
+            self.planner.spec,
+            self.planner.parallel,
+            topology,
+            self.planner.config.clone(),
+        );
+        let old = std::mem::replace(&mut self.planner, planner);
+        self.topology_fingerprint = self.planner.topology().fingerprint();
+        let plans = self
+            .cache
+            .get_mut()
+            .entries
+            .drain()
+            .map(|(_, (cached, _))| {
+                let signature =
+                    CanonicalSignature::of(&cached.microbatches, &BucketingConfig::exact());
+                (signature.as_u64(), cached)
+            })
+            .collect();
+        self.fuzzy.get_mut().clear();
+        self.elastic = Some(ElasticAnchors {
+            old_topology: old.topology,
+            config: elastic,
+            plans,
+        });
+    }
+
+    /// Plans one iteration through the four-tier lookup: exact cache hit →
+    /// elastic replan (after [`PlanningSession::retarget`]) → fuzzy hit
+    /// (when [`SessionConfig::bucketing`] is enabled) → cold plan. Takes
+    /// `&self`; see the [module docs](self) on tier order and thread
+    /// safety.
     ///
     /// Fresh signatures are planned **single-flight**: when several threads
     /// miss on the same key concurrently, exactly one runs the planner and
@@ -510,26 +646,30 @@ impl<'a> PlanningSession<'a> {
     /// # Errors
     ///
     /// Returns [`DipError::InvalidRequest`] for an empty request, otherwise
-    /// propagates the planner's [`DipError`].
+    /// propagates the planner's [`DipError`]. An elastic anchor that fails
+    /// the planner's structural check is an error, not a fall-through: the
+    /// anchor is the request's own plan, so a mismatch is a fault.
     pub fn plan(&self, request: &PlanRequest) -> Result<PlanOutcome, DipError> {
-        require_microbatches(request.microbatches())?;
+        let microbatches = request.microbatches();
+        require_microbatches(microbatches)?;
         let start = Instant::now();
         let (signature, key) = self.signed_key(request, &BucketingConfig::exact());
 
         if self.config.cache_capacity == 0 {
             // Caching disabled: nothing to deduplicate or anchor against.
-            return self.plan_fresh(request, signature, key, None, start);
+            let planned = self.planner.plan_with(microbatches, Reuse::Cold);
+            let planned = planned.map(|plan| (plan, None));
+            return self.finish(request, planned, signature, key, None, start);
         }
 
-        if let Some(outcome) = self.try_cached(key, signature, start) {
+        if let Some(outcome) = self.try_cached(request, key, signature, start) {
             return Ok(outcome);
         }
 
         // Single-flight on the exact key: become the planning leader, or
         // wait on the key's slot for the current leader and serve its
-        // freshly cached plan. Fuzzy delta replans run under the same
-        // leadership, so a stampeded near-identical shape delta-replans
-        // exactly once too.
+        // freshly cached plan. Elastic and fuzzy replans run under the same
+        // leadership, so a stampeded shape replans exactly once too.
         let slot = loop {
             let (slot, leader) = {
                 let mut in_flight = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
@@ -543,11 +683,11 @@ impl<'a> PlanningSession<'a> {
                 break slot;
             }
             slot.wait();
-            if let Some(outcome) = self.try_cached(key, signature, start) {
+            if let Some(outcome) = self.try_cached(request, key, signature, start) {
                 return Ok(outcome);
             }
-            // The leader failed (or its plan was already evicted): try to
-            // become the leader ourselves.
+            // The leader failed, its plan was already evicted, or it
+            // planned a colliding request: try to become the leader.
         };
         let _guard = InFlightGuard {
             in_flight: &self.in_flight,
@@ -558,8 +698,32 @@ impl<'a> PlanningSession<'a> {
         // lookup and the leadership acquisition — re-check so a late
         // arrival never replans a cached signature (this is what makes
         // "exactly one miss per stampeded signature" deterministic).
-        if let Some(outcome) = self.try_cached(key, signature, start) {
+        if let Some(outcome) = self.try_cached(request, key, signature, start) {
             return Ok(outcome);
+        }
+
+        // Elastic tier: the request's own plan on the old topology, with
+        // its microbatches checked, is replanned onto the new one.
+        let elastic = self.elastic.as_ref().and_then(|elastic| {
+            let anchor = elastic.plans.get(&signature.as_u64())?;
+            (anchor.microbatches == microbatches).then_some((elastic, anchor))
+        });
+        if let Some((elastic, anchor)) = elastic {
+            let replanned = self
+                .planner
+                .replan_elastic(
+                    microbatches,
+                    &anchor.plan,
+                    &elastic.old_topology,
+                    &elastic.config,
+                )
+                .map(|ElasticOutcome { mut plan, report }| {
+                    if report.candidate == ElasticCandidate::Unchanged {
+                        served_verbatim(&mut plan.stats, PlanTier::Elastic);
+                    }
+                    (plan, Some(report))
+                });
+            return self.finish(request, replanned, signature, key, None, start);
         }
 
         // Fuzzy tier: an in-bucket anchor serves the request by delta
@@ -567,34 +731,34 @@ impl<'a> PlanningSession<'a> {
         // falls through to a cold plan; a delta replan that fails past the
         // check is a failed request, booked as a miss.
         let fuzzy_key = self.fuzzy_key(request);
-        let anchor = fuzzy_key.and_then(|fuzzy_key| self.fuzzy.lock().get(fuzzy_key));
+        let anchor = fuzzy_key
+            .and_then(|fuzzy_key| self.fuzzy.lock().get(fuzzy_key))
+            .filter(|anchor| {
+                self.planner
+                    .check_anchor(microbatches, &anchor.plan, self.topology_fingerprint)
+                    .is_ok()
+            });
         if let Some(anchor) = anchor {
-            let microbatches = request.microbatches();
-            if self
+            let planned = self
                 .planner
-                .check_anchor(microbatches, &anchor, self.topology_fingerprint)
-                .is_ok()
-            {
-                return match self.planner.plan_with(microbatches, Reuse::Fuzzy(&anchor)) {
-                    Ok(plan) => Ok(self.finish(plan, signature, key, None, start)),
-                    Err(err) => {
-                        self.book_failure();
-                        Err(err)
-                    }
-                };
-            }
+                .plan_with(microbatches, Reuse::Fuzzy(&anchor.plan));
+            let planned = planned.map(|plan| (plan, None));
+            return self.finish(request, planned, signature, key, None, start);
         }
-        self.plan_fresh(request, signature, key, fuzzy_key, start)
+        let planned = self.planner.plan_with(microbatches, Reuse::Cold);
+        let planned = planned.map(|plan| (plan, None));
+        self.finish(request, planned, signature, key, fuzzy_key, start)
     }
 
     /// The cache hit path: lookup and LRU touch under a single cache-lock
     /// acquisition; the critical section hands out an `Arc` handle, so the
-    /// plan clone happens outside the lock and concurrent hits do not
-    /// serialize on it. The clone is shallow where it matters: the stage
-    /// graph's slabs and the memory plan's choices are copy-on-write, so
-    /// the returned plan shares them with the cached one.
+    /// key check and the plan clone happen outside the lock and concurrent
+    /// hits do not serialize on them. The clone is shallow where it
+    /// matters: the stage graph's slabs and the memory plan's choices are
+    /// copy-on-write, so the returned plan shares them with the cached one.
     fn try_cached(
         &self,
+        request: &PlanRequest,
         key: u64,
         signature: CanonicalSignature,
         start: Instant,
@@ -602,16 +766,15 @@ impl<'a> PlanningSession<'a> {
         self.cache_lock_acquisitions
             .fetch_add(1, AtomicOrdering::Relaxed);
         let cached = self.cache.lock().get(key)?;
-        let mut plan = DipPlan::clone(&cached);
+        if cached.microbatches != request.microbatches() {
+            // A key collision: the entry is another request's plan.
+            return None;
+        }
+        let mut plan = cached.plan.clone();
         // The plan is identical to the cached original; only the
-        // bookkeeping reflects the (near-zero) cost of serving it: no
-        // phase ran and no search work was done.
-        plan.stats.tier = PlanTier::Exact;
+        // bookkeeping reflects the (near-zero) cost of serving it.
+        served_verbatim(&mut plan.stats, PlanTier::Exact);
         plan.stats.planning_time = start.elapsed();
-        plan.stats.phases = PhaseTimes::default();
-        plan.stats.search_evaluations = 0;
-        plan.stats.search_work = SearchWork::default();
-        plan.stats.search_worker_evaluations = Vec::new();
         let mut stats = self.stats.lock();
         stats.requests += 1;
         stats.exact_hits += 1;
@@ -621,77 +784,73 @@ impl<'a> PlanningSession<'a> {
             plan,
             signature,
             tier: PlanTier::Exact,
+            elastic: None,
         })
     }
 
-    /// Books a freshly planned request (fuzzy or cold, by `plan.tier`) and
-    /// the cache evictions its insertion caused: the tier counter, the
-    /// per-tier latency split and the per-phase totals.
+    /// Books a freshly planned request (cold, fuzzy or elastic, by
+    /// `plan.tier`) and the cache evictions its insertion caused: the tier
+    /// counter, the per-tier latency split and the per-phase totals.
     fn book_planned(&self, plan: &PlannerStats, evicted: u64) {
         let mut stats = self.stats.lock();
         stats.requests += 1;
         stats.evictions += evicted;
-        if plan.tier == PlanTier::Fuzzy {
-            stats.fuzzy_hits += 1;
-            stats.fuzzy_plan_time += plan.planning_time;
-        } else {
-            stats.cache_misses += 1;
-            stats.cold_plan_time += plan.planning_time;
+        match plan.tier {
+            PlanTier::Fuzzy => {
+                stats.fuzzy_hits += 1;
+                stats.fuzzy_plan_time += plan.planning_time;
+            }
+            PlanTier::Elastic => {
+                stats.elastic_plans += 1;
+                stats.elastic_plan_time += plan.planning_time;
+            }
+            PlanTier::Cold | PlanTier::Exact => {
+                stats.cache_misses += 1;
+                stats.cold_plan_time += plan.planning_time;
+            }
         }
         stats.phases += plan.phases;
     }
 
-    /// Books a request whose plan failed as a miss, keeping
-    /// `requests == exact_hits + fuzzy_hits + cache_misses` exact.
-    fn book_failure(&self) {
-        let mut stats = self.stats.lock();
-        stats.requests += 1;
-        stats.cache_misses += 1;
-    }
-
-    /// Runs the planner for a fresh signature and finishes the cold plan,
-    /// anchoring its bucket under `fuzzy_key`.
-    fn plan_fresh(
-        &self,
-        request: &PlanRequest,
-        signature: CanonicalSignature,
-        key: u64,
-        fuzzy_key: Option<u64>,
-        start: Instant,
-    ) -> Result<PlanOutcome, DipError> {
-        match self.planner.plan_with(request.microbatches(), Reuse::Cold) {
-            Ok(plan) => Ok(self.finish(plan, signature, key, fuzzy_key, start)),
-            Err(err) => {
-                self.book_failure();
-                Err(err)
-            }
-        }
-    }
-
-    /// Finishes a freshly planned request, cold or fuzzy (by
-    /// `plan.stats.tier`): stamps its planning time from `start`, caches
-    /// the plan under its exact key (so a
-    /// delta-replanned shape tiers up to an exact hit) and books it. A cold
-    /// plan passes its bucket's `anchor_key` and becomes the bucket's anchor
-    /// if it has none; both tables then hold the same allocation. A delta
-    /// replan passes `None`, leaving its anchor untouched, so every delta
-    /// replan stays one step from a cold plan.
+    /// Finishes a planned request on any tier but the exact one: a failure
+    /// is booked as a miss, keeping
+    /// `requests == exact_hits + elastic_plans + fuzzy_hits + cache_misses`
+    /// exact. A plan gets its planning time stamped from `start`, is cached
+    /// under its exact key with the request's microbatches (so a replanned
+    /// shape tiers up to an exact hit) and is booked by `plan.stats.tier`.
+    /// A cold plan passes its bucket's `anchor_key` and becomes the
+    /// bucket's anchor if it has none; both tables then hold the same
+    /// allocation. Fuzzy and elastic plans pass `None`, so every fuzzy plan
+    /// stays one step from a cold plan.
     fn finish(
         &self,
-        mut plan: DipPlan,
+        request: &PlanRequest,
+        planned: Result<(DipPlan, Option<ElasticReport>), DipError>,
         signature: CanonicalSignature,
         key: u64,
         anchor_key: Option<u64>,
         start: Instant,
-    ) -> PlanOutcome {
+    ) -> Result<PlanOutcome, DipError> {
+        let (mut plan, elastic) = match planned {
+            Ok(planned) => planned,
+            Err(err) => {
+                let mut stats = self.stats.lock();
+                stats.requests += 1;
+                stats.cache_misses += 1;
+                return Err(err);
+            }
+        };
         plan.stats.planning_time = start.elapsed();
-        let plan = Arc::new(plan);
+        let cached = Arc::new(CachedPlan {
+            microbatches: request.microbatches().to_vec(),
+            plan,
+        });
         let evicted = if self.config.cache_capacity > 0 {
             self.cache_lock_acquisitions
                 .fetch_add(1, AtomicOrdering::Relaxed);
             self.cache
                 .lock()
-                .insert(key, Arc::clone(&plan), self.config.cache_capacity)
+                .insert(key, Arc::clone(&cached), self.config.cache_capacity)
         } else {
             0
         };
@@ -701,15 +860,18 @@ impl<'a> PlanningSession<'a> {
             // measured against a stable reference.
             let mut fuzzy = self.fuzzy.lock();
             if fuzzy.get(anchor_key).is_none() {
-                fuzzy.insert(anchor_key, Arc::clone(&plan), self.config.cache_capacity);
+                fuzzy.insert(anchor_key, Arc::clone(&cached), self.config.cache_capacity);
             }
         }
-        self.book_planned(&plan.stats, evicted);
-        PlanOutcome {
+        self.book_planned(&cached.plan.stats, evicted);
+        let plan =
+            Arc::try_unwrap(cached).map_or_else(|shared| shared.plan.clone(), |own| own.plan);
+        Ok(PlanOutcome {
             tier: plan.stats.tier,
-            plan: Arc::unwrap_or_clone(plan),
+            plan,
             signature,
-        }
+            elastic,
+        })
     }
 
     /// Cumulative number of plan-cache lock acquisitions taken by
@@ -781,6 +943,33 @@ impl<'a> PlanningSession<'a> {
 
     /// Convenience: plan one request and simulate the resulting plan.
     ///
+    /// ```
+    /// use dip_core::{DipPlanner, PlanRequest, PlannerConfig, PlanningSession, SessionConfig};
+    /// use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
+    /// use dip_pipeline::ParallelConfig;
+    /// use dip_sim::ClusterTopology;
+    ///
+    /// let spec = zoo::vlm_s();
+    /// // A heterogeneous cluster: 8 H800s plus 8 H20s. (For uniform clusters,
+    /// // `PlanningSession::new` over a `ClusterSpec` is equivalent.)
+    /// let topology = ClusterTopology::mixed_h800_h20(1, 1);
+    /// let session = PlanningSession::from_planner(
+    ///     DipPlanner::on_topology(
+    ///         &spec,
+    ///         ParallelConfig::new(4, 4, 1),
+    ///         topology,
+    ///         PlannerConfig::fast(),
+    ///     ),
+    ///     SessionConfig::default(),
+    /// );
+    /// let batch = BatchWorkload::new()
+    ///     .with(Modality::Text, ModalityWorkload::new(6502, 1))
+    ///     .with(Modality::Image, ModalityWorkload::new(1690, 10));
+    /// let (outcome, execution) = session.plan_and_simulate(&PlanRequest::new(vec![batch])).unwrap();
+    /// assert!(execution.metrics.iteration_time_s > 0.0);
+    /// assert!(outcome.plan.graph.critical_rank_time() > 0.0);
+    /// ```
+    ///
     /// # Errors
     ///
     /// Propagates [`DipError`] from planning or simulation.
@@ -829,14 +1018,16 @@ mod tests {
     }
 
     /// A stand-in plan for LRU unit tests (never simulated).
-    fn dummy_plan(spec: &LmmSpec, cluster: &ClusterSpec) -> DipPlan {
+    fn dummy_plan(spec: &LmmSpec, cluster: &ClusterSpec) -> Arc<CachedPlan> {
         let planner = DipPlanner::new(
             spec,
             ParallelConfig::new(4, 4, 1),
             cluster,
             PlannerConfig::no_opt(),
         );
-        planner.plan_iteration(&[vlm_batch(4)]).unwrap()
+        let microbatches = vec![vlm_batch(4)];
+        let plan = planner.plan_iteration(&microbatches).unwrap();
+        Arc::new(CachedPlan { microbatches, plan })
     }
 
     #[test]
@@ -849,7 +1040,7 @@ mod tests {
     fn lru_cache_evicts_the_least_recently_used_entry() {
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
-        let plan = Arc::new(dummy_plan(&spec, &cluster));
+        let plan = dummy_plan(&spec, &cluster);
         let mut lru = LruCache::default();
 
         // Fill to capacity 3.
@@ -890,7 +1081,7 @@ mod tests {
 
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
-        let plan = Arc::new(dummy_plan(&spec, &cluster));
+        let plan = dummy_plan(&spec, &cluster);
         const KEYS: u64 = 8;
         let mut rng = StdRng::seed_from_u64(0x1a2b);
         for capacity in 1..=4usize {
@@ -941,7 +1132,7 @@ mod tests {
     fn repeated_reinsertion_does_not_skew_evictions() {
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
-        let plan = Arc::new(dummy_plan(&spec, &cluster));
+        let plan = dummy_plan(&spec, &cluster);
         let mut lru = LruCache::default();
         let mut evictions = 0u64;
         // Hammer two keys into a capacity-2 cache: no eviction should ever
@@ -1309,7 +1500,8 @@ mod tests {
         // Corrupt the bucket's anchor so the shared compatibility check
         // rejects it: one priority short of its placement's segments.
         let fuzzy_key = session.fuzzy_key(&neighbour).unwrap();
-        let mut anchor = DipPlan::clone(&session.fuzzy.lock().get(fuzzy_key).unwrap());
+        let cached = session.fuzzy.lock().get(fuzzy_key).unwrap();
+        let mut anchor = cached.plan.clone();
         anchor.segment_priorities.pop();
         let err = session
             .planner()
@@ -1317,7 +1509,12 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, DipError::InvalidRequest(_)));
         assert!(err.to_string().contains("segment count"), "{err}");
-        session.fuzzy.lock().insert(fuzzy_key, Arc::new(anchor), 64);
+        let microbatches = cached.microbatches.clone();
+        let anchor = Arc::new(CachedPlan {
+            microbatches,
+            plan: anchor,
+        });
+        session.fuzzy.lock().insert(fuzzy_key, anchor, 64);
 
         // The rejected anchor is skipped: the request is planned cold and
         // booked as a miss, not a fuzzy hit.
@@ -1474,5 +1671,253 @@ mod tests {
         let outcomes = session.plan_many(&requests);
         assert!(outcomes[0].is_ok());
         assert!(matches!(outcomes[1], Err(DipError::InvalidRequest(_))));
+    }
+
+    /// Asserts two plans are the same plan, bit for bit.
+    fn assert_same_plan(a: &DipPlan, b: &DipPlan, what: &str) {
+        assert_eq!(a.graph, b.graph, "{what}: stage graphs differ");
+        assert_eq!(a.orders, b.orders, "{what}: rank orders differ");
+        assert_eq!(
+            a.segment_priorities, b.segment_priorities,
+            "{what}: segment priorities differ"
+        );
+        assert_eq!(a.memory_plan, b.memory_plan, "{what}: memory plans differ");
+        assert_eq!(
+            a.sub_microbatches, b.sub_microbatches,
+            "{what}: splits differ"
+        );
+        assert_eq!(a.placement, b.placement, "{what}: placements differ");
+        assert_eq!(a.topology_fingerprint, b.topology_fingerprint, "{what}");
+        assert_eq!(
+            a.stats.planned_time_s.to_bits(),
+            b.stats.planned_time_s.to_bits(),
+            "{what}: planned times differ"
+        );
+    }
+
+    fn assert_tiers_partition_requests(stats: &SessionStats) {
+        assert_eq!(
+            stats.requests,
+            stats.exact_hits + stats.elastic_plans + stats.fuzzy_hits + stats.cache_misses
+        );
+    }
+
+    #[test]
+    fn a_key_collision_is_planned_not_served() {
+        let spec = zoo::vlm_s();
+        let cluster = ClusterSpec::h800_cluster(2);
+        let mut session = session(&spec, &cluster, SessionConfig::default());
+        let a = request(&[8, 32]);
+        let b = request(&[40, 4]);
+        let planned_a = session.plan(&a).unwrap();
+
+        // File a's plan under b's key, as a 64-bit hash collision would.
+        let entry = session.cache.lock().get(session.cache_key(&a)).unwrap();
+        session
+            .cache
+            .lock()
+            .insert(session.cache_key(&b), Arc::clone(&entry), 64);
+        let served = session.plan(&b).unwrap();
+        assert_eq!(served.tier, PlanTier::Cold, "a colliding entry is a miss");
+        assert_ne!(served.plan.graph, planned_a.plan.graph);
+        // b's own plan replaced the colliding entry.
+        assert_eq!(session.plan(&b).unwrap().tier, PlanTier::Exact);
+
+        // The elastic anchors check their microbatches the same way: b's
+        // anchor replaced by a's plan is a miss, and b plans cold.
+        session.retarget(
+            ClusterTopology::mixed_h800_h20(1, 1),
+            ElasticConfig::default(),
+        );
+        assert_eq!(session.elastic_anchors(), 2);
+        let anchors = &mut session.elastic.as_mut().unwrap().plans;
+        anchors.insert(b.signature().as_u64(), entry);
+        assert_eq!(session.plan(&b).unwrap().tier, PlanTier::Cold);
+        assert_eq!(session.plan(&a).unwrap().tier, PlanTier::Elastic);
+        let stats = session.stats();
+        assert_eq!((stats.cache_misses, stats.elastic_plans), (3, 1));
+        assert_tiers_partition_requests(&stats);
+    }
+
+    #[test]
+    fn retargeted_plans_equal_replan_elastic_bit_for_bit() {
+        let spec = zoo::vlm_s();
+        let parallel = ParallelConfig::new(4, 4, 1);
+        let old_topology = ClusterTopology::mixed_h800_h20(1, 1);
+        let new_topology = ClusterTopology::mixed_h800_h20(1, 0);
+        let config = PlannerConfig::fast();
+        let elastic = ElasticConfig::default();
+        let req = request(&[12, 40]);
+
+        // The planner route: a cold plan on the old topology, replanned by
+        // a planner on the new one.
+        let old_planner =
+            DipPlanner::on_topology(&spec, parallel, old_topology.clone(), config.clone());
+        let old_plan = old_planner.plan_iteration(req.microbatches()).unwrap();
+        let direct = DipPlanner::on_topology(&spec, parallel, new_topology.clone(), config.clone())
+            .replan_elastic(req.microbatches(), &old_plan, &old_topology, &elastic)
+            .unwrap();
+
+        // The session route: plan, retarget, plan again, and repeat.
+        let run = || {
+            let mut session = PlanningSession::from_planner(
+                DipPlanner::on_topology(&spec, parallel, old_topology.clone(), config.clone()),
+                SessionConfig::fuzzy(),
+            );
+            let cold = session.plan(&req).unwrap();
+            session.retarget(new_topology.clone(), elastic);
+            assert_eq!(session.elastic_anchors(), 1);
+            assert_eq!((session.cached_plans(), session.fuzzy_anchors()), (0, 0));
+            let replanned = session.plan(&req).unwrap();
+            let repeat = session.plan(&req).unwrap();
+            (session.stats(), [cold, replanned, repeat])
+        };
+        let (stats, [cold, replanned, repeat]) = run();
+        assert_eq!(cold.tier, PlanTier::Cold);
+        assert_same_plan(&cold.plan, &old_plan, "the anchor");
+        assert_eq!(replanned.tier, PlanTier::Elastic);
+        assert_eq!(replanned.plan.stats.tier, PlanTier::Elastic);
+        assert_same_plan(&replanned.plan, &direct.plan, "retarget + plan");
+        assert_eq!(
+            replanned.plan.stats.search_evaluations,
+            direct.plan.stats.search_evaluations
+        );
+        assert_eq!(replanned.elastic.as_ref(), Some(&direct.report));
+        // A repeat is an exact hit on the elastic plan.
+        assert_eq!(repeat.tier, PlanTier::Exact);
+        assert!(repeat.elastic.is_none());
+        assert_same_plan(&repeat.plan, &replanned.plan, "the repeat");
+
+        assert_eq!(stats.requests, 3);
+        assert_eq!(
+            (
+                stats.exact_hits,
+                stats.elastic_plans,
+                stats.fuzzy_hits,
+                stats.cache_misses
+            ),
+            (1, 1, 0, 1)
+        );
+        assert!(stats.elastic_plan_time > Duration::ZERO);
+        assert_tiers_partition_requests(&stats);
+
+        // The same call sequence on a second session yields the same plans.
+        let (again, [cold_again, replanned_again, _]) = run();
+        assert_same_plan(&cold_again.plan, &cold.plan, "second session, cold");
+        assert_same_plan(
+            &replanned_again.plan,
+            &replanned.plan,
+            "second session, elastic",
+        );
+        assert_eq!(replanned_again.elastic, replanned.elastic);
+        assert_eq!(again.elastic_plans, stats.elastic_plans);
+    }
+
+    #[test]
+    fn retarget_builds_the_planner_on_topology_builds() {
+        use dip_sim::{CalibrationArtifact, CalibrationRegistry, CostModel};
+
+        let spec = zoo::vlm_s();
+        let parallel = ParallelConfig::new(4, 4, 1);
+        let old_topology = ClusterTopology::mixed_h800_h20(1, 1);
+        let new_topology = ClusterTopology::mixed_h800_h20(2, 0);
+        // An exact artifact for the old fleet and a different fleet-wide
+        // default, so the two topologies resolve to different settings.
+        let mut on_old = CalibrationArtifact::builtin_for(&old_topology);
+        on_old.eval_cost = CostModel::new(80e-6, 2e-6);
+        let mut fleet = CalibrationArtifact::builtin_defaults();
+        fleet.link_latency_s = 20e-6;
+        let config =
+            PlannerConfig::fast().with_calibration(CalibrationRegistry::new(vec![on_old, fleet]));
+
+        let mut session = PlanningSession::from_planner(
+            DipPlanner::on_topology(&spec, parallel, old_topology, config.clone()),
+            SessionConfig::default(),
+        );
+        let before = session.planner().config().clone();
+        session.retarget(new_topology.clone(), ElasticConfig::default());
+        let direct = DipPlanner::on_topology(&spec, parallel, new_topology, config);
+        assert_eq!(session.planner().config(), direct.config());
+        assert_eq!(session.planner().topology(), direct.topology());
+        assert_eq!(
+            session.planner().calibration_source(),
+            direct.calibration_source()
+        );
+        assert_ne!(
+            session.planner().config(),
+            &before,
+            "the calibration resolved again on the new topology"
+        );
+        assert_eq!(
+            session.cache_key(&request(&[8])),
+            PlanningSession::from_planner(direct, SessionConfig::default())
+                .cache_key(&request(&[8]))
+        );
+    }
+
+    #[test]
+    fn without_a_cache_a_retarget_leaves_no_anchors() {
+        let spec = zoo::vlm_s();
+        let cluster = ClusterSpec::h800_cluster(2);
+        let mut session = session(&spec, &cluster, SessionConfig::cold());
+        let req = request(&[8, 32]);
+        session.plan(&req).unwrap();
+        session.retarget(
+            ClusterTopology::mixed_h800_h20(1, 1),
+            ElasticConfig::default(),
+        );
+        assert_eq!(session.elastic_anchors(), 0);
+        assert_eq!(session.plan(&req).unwrap().tier, PlanTier::Cold);
+        assert_eq!(session.stats().cache_misses, 2);
+    }
+
+    #[test]
+    fn a_second_retarget_anchors_on_the_topology_it_leaves() {
+        let spec = zoo::vlm_s();
+        let cluster = ClusterSpec::h800_cluster(2);
+        let mut session = session(&spec, &cluster, SessionConfig::default());
+        let (a, b) = (request(&[8, 32]), request(&[40, 4]));
+        session.plan(&a).unwrap();
+        session.plan(&b).unwrap();
+        let middle = ClusterTopology::mixed_h800_h20(1, 1);
+        session.retarget(middle.clone(), ElasticConfig::default());
+        assert_eq!(session.elastic_anchors(), 2);
+        // Only a is planned on the middle topology, so only a is anchored
+        // for the next change; b's anchor from the first topology is gone.
+        let on_middle = session.plan(&a).unwrap();
+        assert_eq!(on_middle.tier, PlanTier::Elastic);
+        session.retarget(
+            ClusterTopology::mixed_h800_h20(2, 0),
+            ElasticConfig::default(),
+        );
+        assert_eq!(session.elastic_anchors(), 1);
+        let next = session.plan(&a).unwrap();
+        assert_eq!(next.tier, PlanTier::Elastic);
+        assert_eq!(
+            next.elastic.unwrap().delta,
+            middle.delta_to(session.planner().topology(), 4),
+            "the anchor is the plan on the middle topology"
+        );
+        assert_eq!(session.plan(&b).unwrap().tier, PlanTier::Cold);
+    }
+
+    #[test]
+    fn retargeting_onto_the_same_topology_serves_the_old_plan() {
+        let spec = zoo::vlm_s();
+        let cluster = ClusterSpec::h800_cluster(2);
+        let mut session = session(&spec, &cluster, SessionConfig::default());
+        let req = request(&[8, 32]);
+        let cold = session.plan(&req).unwrap();
+        session.retarget(cluster.topology(), ElasticConfig::default());
+        let same = session.plan(&req).unwrap();
+        assert_eq!(same.tier, PlanTier::Elastic);
+        assert_eq!(same.plan.stats.tier, PlanTier::Elastic);
+        let report = same.elastic.unwrap();
+        assert_eq!(report.candidate, ElasticCandidate::Unchanged);
+        assert_eq!(report.migration.bytes_moved, 0);
+        assert_same_plan(&same.plan, &cold.plan, "unchanged topology");
+        // Nothing was searched for this request.
+        assert_eq!(same.plan.stats.search_evaluations, 0);
+        assert_eq!(same.plan.stats.phases, PhaseTimes::default());
     }
 }

@@ -7,7 +7,9 @@
 //! function of its inputs: the same seed and base topology always produce
 //! the same events and the same sequence of topologies, on any machine.
 //! Both the `fig_elastic` bench bin and the root `tests/elastic.rs` suite
-//! replay schedules through `DipPlanner::replan_elastic`.
+//! replay schedules through a planning session: at each change the session
+//! is retargeted onto the new topology (`PlanningSession::retarget`) and
+//! plans the iteration again, which replans it elastically.
 
 use dip_sim::{ClusterTopology, NodeSpec};
 use rand::rngs::StdRng;

@@ -3,7 +3,7 @@
 //! critical-path lower bound, and DIP's memory optimiser never violates the
 //! GPU budget it was given.
 
-use dip_core::{DipPlanner, PlannerConfig};
+use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::baselines::{simulate_megatron, simulate_optimus, BaselineContext};
 use dip_pipeline::{Direction, ParallelConfig};
@@ -33,9 +33,10 @@ proptest! {
         let spec = zoo::vlm_s();
         let cluster = ClusterSpec::h800_cluster(2);
         let parallel = ParallelConfig::new(4, 4, 1);
-        let planner = DipPlanner::new(&spec, parallel, &cluster, PlannerConfig::no_opt());
-        let batches: Vec<BatchWorkload> = counts.iter().map(|&i| vlm_batch(i)).collect();
-        let (plan, outcome) = planner.plan_and_simulate(&batches).unwrap();
+        let session = PlanningSession::new(&spec, parallel, &cluster, PlannerConfig::no_opt());
+        let request = PlanRequest::new(counts.iter().map(|&i| vlm_batch(i)).collect());
+        let (planned, outcome) = session.plan_and_simulate(&request).unwrap();
+        let plan = planned.plan;
 
         prop_assert_eq!(plan.orders.num_stages(), plan.graph.len());
         // Every stage appears exactly once across ranks.
@@ -87,12 +88,12 @@ fn planning_is_deterministic_for_identical_inputs() {
     let spec = zoo::vlm_s();
     let cluster = ClusterSpec::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
-    let batches: Vec<BatchWorkload> = [8u64, 32, 0, 44].iter().map(|&i| vlm_batch(i)).collect();
+    let request = PlanRequest::new([8u64, 32, 0, 44].iter().map(|&i| vlm_batch(i)).collect());
     // The no-opt planner is deterministic (no time-budgeted search).
     let run = || {
-        let planner = DipPlanner::new(&spec, parallel, &cluster, PlannerConfig::no_opt());
-        let (plan, outcome) = planner.plan_and_simulate(&batches).unwrap();
-        (plan.orders, outcome.metrics.iteration_time_s)
+        let session = PlanningSession::new(&spec, parallel, &cluster, PlannerConfig::no_opt());
+        let (planned, outcome) = session.plan_and_simulate(&request).unwrap();
+        (planned.plan.orders, outcome.metrics.iteration_time_s)
     };
     let (orders_a, time_a) = run();
     let (orders_b, time_b) = run();

@@ -6,7 +6,7 @@
 //! bench-JSON CI gate's determinism metrics rely on.
 
 use dip_core::{
-    optimize_memory_detailed, DipPlan, DipPlanner, MemoryOptConfig, PlanRequest, PlannerConfig,
+    optimize_memory_detailed, DipPlan, MemoryOptConfig, PlanRequest, PlannerConfig,
     PlanningSession, SessionConfig,
 };
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
@@ -87,18 +87,20 @@ proptest! {
         let spec = zoo::vlm_s();
         let parallel = ParallelConfig::new(4, 4, 1);
         let cluster = ClusterSpec::h800_cluster(2);
-        let batches: Vec<BatchWorkload> = (0..microbatches)
-            .map(|i| vlm_batch(if i % 2 == 0 { images_a } else { images_b }))
-            .collect();
+        let request = PlanRequest::new(
+            (0..microbatches)
+                .map(|i| vlm_batch(if i % 2 == 0 { images_a } else { images_b }))
+                .collect(),
+        );
 
         let plan_at = |workers: usize| {
-            let planner = DipPlanner::new(
+            let session = PlanningSession::new(
                 &spec,
                 parallel,
                 &cluster,
                 time_budgeted_config(workers, budget_ms, seed),
             );
-            planner.plan_iteration(&batches).expect("plans")
+            session.plan(&request).expect("plans").plan
         };
 
         let reference = plan_at(1);
@@ -159,15 +161,15 @@ proptest! {
         let spec = zoo::vlm_s();
         let parallel = ParallelConfig::new(4, 4, 1);
         let cluster = ClusterSpec::h800_cluster(2);
-        let planner = DipPlanner::new(
+        let session = PlanningSession::new(
             &spec,
             parallel,
             &cluster,
             time_budgeted_config(1, 5, 3),
         );
-        let batches: Vec<BatchWorkload> =
-            (0..microbatches).map(|i| vlm_batch(images + i as u64)).collect();
-        let plan = planner.plan_iteration(&batches).expect("plans");
+        let request =
+            PlanRequest::new((0..microbatches).map(|i| vlm_batch(images + i as u64)).collect());
+        let plan = session.plan(&request).expect("plans").plan;
 
         // Re-run the memory optimiser over the planned graph and schedule
         // with a random budget tightness, serial versus parallel.
@@ -256,11 +258,18 @@ fn deterministic_counters_are_profile_stable() {
     let spec = zoo::vlm_s();
     let parallel = ParallelConfig::new(4, 4, 1);
     let cluster = ClusterSpec::h800_cluster(2);
-    let planner = DipPlanner::new(&spec, parallel, &cluster, time_budgeted_config(2, 15, 42));
-    let batches = vec![vlm_batch(12), vlm_batch(30), vlm_batch(3)];
-    let a = planner.plan_iteration(&batches).expect("plans");
-    let b = planner.plan_iteration(&batches).expect("plans");
-    assert_plans_bit_identical(&a, &b, "repeated plan_iteration");
+    // Caching off, so the repeat is planned again rather than served.
+    let session = PlanningSession::with_config(
+        &spec,
+        parallel,
+        &cluster,
+        time_budgeted_config(2, 15, 42),
+        SessionConfig::cold(),
+    );
+    let request = PlanRequest::new(vec![vlm_batch(12), vlm_batch(30), vlm_batch(3)]);
+    let a = session.plan(&request).expect("plans").plan;
+    let b = session.plan(&request).expect("plans").plan;
+    assert_plans_bit_identical(&a, &b, "repeated cold plan");
     // The quota is the only stopping rule: every stream either hit it
     // exactly or (DFS-like corner cases aside) stopped at it.
     assert!(a

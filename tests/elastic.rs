@@ -1,19 +1,18 @@
-//! Properties of the elastic scenario layer: replanning onto an unchanged
-//! topology is byte-identical with zero migration, an infinite migration
-//! weight never moves state that could legally stay, a weight-0 elastic
-//! replan stays within bounded simulated regret of a cold replan (while
-//! beating its recovery bill), and a fixed seed + failure schedule replays
-//! a bit-identical recovery sequence at any worker count — plus regression
-//! tests pinning the named `InvalidRequest` arms of the anchor
-//! compatibility check shared by `plan_iteration_delta` and
-//! `replan_elastic`.
+//! Properties of the elastic scenario layer, driven through the planning
+//! session (plan, [`PlanningSession::retarget`], plan again): replanning
+//! onto an unchanged topology is byte-identical with zero migration, an
+//! infinite migration weight never moves state that could legally stay, a
+//! weight-0 elastic replan stays within bounded simulated regret of a cold
+//! replan (while beating its recovery bill), and a fixed seed + failure
+//! schedule replays a bit-identical recovery sequence at any worker count.
 
 use dip_bench::vlm_batch;
 use dip_core::{
-    DipError, DipPlan, DipPlanner, ElasticCandidate, ElasticConfig, PlanTier, PlannerConfig,
+    DipPlan, DipPlanner, ElasticCandidate, ElasticConfig, PlanOutcome, PlanRequest, PlanTier,
+    PlannerConfig, PlanningSession, SessionConfig,
 };
 use dip_data::FailureSchedule;
-use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
+use dip_models::{zoo, LmmSpec};
 use dip_pipeline::ParallelConfig;
 use dip_sim::ClusterTopology;
 use proptest::prelude::*;
@@ -39,6 +38,38 @@ fn time_budgeted_config(workers: usize, budget_ms: u64, seed: u64) -> PlannerCon
     config.search.streams = 4;
     config.search.seed = seed;
     config
+}
+
+/// A session over a planner on `topology`.
+fn session_on(
+    spec: &LmmSpec,
+    topology: ClusterTopology,
+    config: PlannerConfig,
+    session: SessionConfig,
+) -> PlanningSession<'_> {
+    PlanningSession::from_planner(
+        DipPlanner::on_topology(spec, parallel(), topology, config),
+        session,
+    )
+}
+
+/// The running plan of `request` on `old`, and its elastic replan after
+/// the session is retargeted onto `new` under `elastic`. The session is
+/// returned on `new`.
+fn replan_across<'a>(
+    spec: &'a LmmSpec,
+    old: &ClusterTopology,
+    new: &ClusterTopology,
+    config: PlannerConfig,
+    elastic: ElasticConfig,
+    request: &PlanRequest,
+) -> (DipPlan, PlanOutcome, PlanningSession<'a>) {
+    let mut session = session_on(spec, old.clone(), config, SessionConfig::default());
+    let old_plan = session.plan(request).unwrap().plan;
+    session.retarget(new.clone(), elastic);
+    let outcome = session.plan(request).unwrap();
+    assert_eq!(outcome.tier, PlanTier::Elastic);
+    (old_plan, outcome, session)
 }
 
 fn assert_plans_bit_identical(a: &DipPlan, b: &DipPlan, what: &str) {
@@ -79,28 +110,20 @@ proptest! {
     ) {
         let spec = zoo::vlm_s();
         let topology = ClusterTopology::mixed_h800_h20(1, 1);
-        let batches = vec![vlm_batch(images_a), vlm_batch(images_b)];
-        let planner = DipPlanner::on_topology(
+        let request = PlanRequest::new(vec![vlm_batch(images_a), vlm_batch(images_b)]);
+        let (old_plan, outcome, _) = replan_across(
             &spec,
-            parallel(),
-            topology.clone(),
+            &topology,
+            &topology,
             time_budgeted_config(2, 40, seed),
+            ElasticConfig::default(),
+            &request,
         );
-        let old_plan = planner.plan_iteration(&batches).unwrap();
-
-        let replanner = DipPlanner::on_topology(
-            &spec,
-            parallel(),
-            topology.clone(),
-            time_budgeted_config(2, 40, seed),
-        );
-        let outcome = replanner
-            .replan_elastic(&batches, &old_plan, &topology, &ElasticConfig::default())
-            .unwrap();
-        prop_assert_eq!(outcome.candidate, ElasticCandidate::Unchanged);
-        prop_assert_eq!(outcome.migration.bytes_moved, 0);
-        prop_assert_eq!(outcome.migration.transfer_time_s, 0.0);
-        prop_assert!(outcome.delta.is_identity());
+        let report = outcome.elastic.as_ref().unwrap();
+        prop_assert_eq!(report.candidate, ElasticCandidate::Unchanged);
+        prop_assert_eq!(report.migration.bytes_moved, 0);
+        prop_assert_eq!(report.migration.transfer_time_s, 0.0);
+        prop_assert!(report.delta.is_identity());
         assert_plans_bit_identical(&outcome.plan, &old_plan, "unchanged-topology replan");
     }
 
@@ -118,51 +141,28 @@ proptest! {
         let spec = zoo::vlm_s();
         let old_topology = ClusterTopology::mixed_h800_h20(1, 1);
         let new_topology = ClusterTopology::mixed_h800_h20(1, 0);
-        let batches = vec![vlm_batch(images_a), vlm_batch(images_b)];
-        let planner = DipPlanner::on_topology(
-            &spec,
-            parallel(),
-            old_topology.clone(),
-            time_budgeted_config(2, 40, seed),
-        );
-        let old_plan = planner.plan_iteration(&batches).unwrap();
-
-        let replanner = DipPlanner::on_topology(
-            &spec,
-            parallel(),
-            new_topology,
-            time_budgeted_config(2, 40, seed),
-        );
-        let frugal = replanner
-            .replan_elastic(
-                &batches,
-                &old_plan,
-                &old_topology,
-                &ElasticConfig {
-                    migration_weight: f64::INFINITY,
-                    ..ElasticConfig::default()
-                },
-            )
-            .unwrap();
+        let request = PlanRequest::new(vec![vlm_batch(images_a), vlm_batch(images_b)]);
+        let replan = |migration_weight: f64| {
+            let elastic = ElasticConfig {
+                migration_weight,
+                ..ElasticConfig::default()
+            };
+            let config = time_budgeted_config(2, 40, seed);
+            let (_, outcome, _) =
+                replan_across(&spec, &old_topology, &new_topology, config, elastic, &request);
+            outcome
+        };
+        let frugal_outcome = replan(f64::INFINITY);
+        let frugal = frugal_outcome.elastic.as_ref().unwrap();
         prop_assert_eq!(frugal.delta.removed.clone(), vec![2, 3]);
         prop_assert_eq!(
             frugal.migration.bytes_moved,
             frugal.migration.bytes_restored,
             "infinite weight moved surviving state voluntarily"
         );
-        prop_assert_eq!(frugal.plan.stats.tier, PlanTier::Elastic);
+        prop_assert_eq!(frugal_outcome.plan.stats.tier, PlanTier::Elastic);
 
-        let eager = replanner
-            .replan_elastic(
-                &batches,
-                &old_plan,
-                &old_topology,
-                &ElasticConfig {
-                    migration_weight: 0.0,
-                    ..ElasticConfig::default()
-                },
-            )
-            .unwrap();
+        let eager = replan(0.0).elastic.unwrap();
         prop_assert!(
             frugal.migration.transfer_time_s <= eager.migration.transfer_time_s,
             "∞-weight transfer {} exceeds 0-weight transfer {}",
@@ -185,46 +185,32 @@ proptest! {
         let spec = zoo::vlm_s();
         let old_topology = ClusterTopology::mixed_h800_h20(1, 1);
         let new_topology = ClusterTopology::mixed_h800_h20(1, 0);
-        let batches = vec![vlm_batch(images_a), vlm_batch(images_b)];
-        let planner = DipPlanner::on_topology(
+        let request = PlanRequest::new(vec![vlm_batch(images_a), vlm_batch(images_b)]);
+        let (_, outcome, session) = replan_across(
             &spec,
-            parallel(),
-            old_topology.clone(),
+            &old_topology,
+            &new_topology,
             time_budgeted_config(2, 40, seed),
+            ElasticConfig {
+                migration_weight: 0.0,
+                ..ElasticConfig::default()
+            },
+            &request,
         );
-        let old_plan = planner.plan_iteration(&batches).unwrap();
-
-        let replanner = DipPlanner::on_topology(
-            &spec,
-            parallel(),
-            new_topology.clone(),
-            time_budgeted_config(2, 40, seed),
-        );
-        let outcome = replanner
-            .replan_elastic(
-                &batches,
-                &old_plan,
-                &old_topology,
-                &ElasticConfig {
-                    migration_weight: 0.0,
-                    ..ElasticConfig::default()
-                },
-            )
-            .unwrap();
-        let elastic_time = replanner
+        let elastic_time = session
             .simulate(&outcome.plan)
             .unwrap()
             .metrics
             .iteration_time_s;
 
-        let cold_planner = DipPlanner::on_topology(
+        let cold_session = session_on(
             &spec,
-            parallel(),
             new_topology,
             time_budgeted_config(2, 40, seed),
+            SessionConfig::cold(),
         );
-        let cold_plan = cold_planner.plan_iteration(&batches).unwrap();
-        let cold_time = cold_planner
+        let cold_plan = cold_session.plan(&request).unwrap().plan;
+        let cold_time = cold_session
             .simulate(&cold_plan)
             .unwrap()
             .metrics
@@ -236,8 +222,9 @@ proptest! {
             elastic_time / cold_time - 1.0,
         );
 
-        let elastic_recovery = outcome.planning_virtual_s + outcome.migration.transfer_time_s;
-        let cold_recovery = cold_planner.cold_recovery_time_s(&cold_plan);
+        let report = outcome.elastic.unwrap();
+        let elastic_recovery = report.planning_virtual_s + report.migration.transfer_time_s;
+        let cold_recovery = cold_session.planner().cold_recovery_time_s(&cold_plan);
         prop_assert!(
             elastic_recovery < cold_recovery,
             "elastic recovery {elastic_recovery} not below cold recovery {cold_recovery}"
@@ -258,35 +245,25 @@ fn recovery_sequence_is_bit_identical_across_worker_counts() {
         !schedule.topologies().is_empty(),
         "the seeded schedule must produce at least one topology change"
     );
-    let batches = vec![vlm_batch(12), vlm_batch(40)];
+    let request = PlanRequest::new(vec![vlm_batch(12), vlm_batch(40)]);
 
+    // One session follows the cluster: each change retargets it, and the
+    // request's plan on the topology it leaves anchors the next replan.
     let replay = |workers: usize| -> Vec<(ElasticCandidate, u64, DipPlan)> {
-        let mut topology = base.clone();
-        let planner = DipPlanner::on_topology(
+        let mut session = session_on(
             &spec,
-            parallel(),
-            topology.clone(),
+            base.clone(),
             time_budgeted_config(workers, 40, 7),
+            SessionConfig::default(),
         );
-        let mut plan = planner.plan_iteration(&batches).unwrap();
+        session.plan(&request).unwrap();
         let mut sequence = Vec::new();
         for (_, new_topology) in schedule.topologies() {
-            let replanner = DipPlanner::on_topology(
-                &spec,
-                parallel(),
-                new_topology.clone(),
-                time_budgeted_config(workers, 40, 7),
-            );
-            let outcome = replanner
-                .replan_elastic(&batches, &plan, &topology, &ElasticConfig::default())
-                .unwrap();
-            sequence.push((
-                outcome.candidate,
-                outcome.migration.bytes_moved,
-                outcome.plan.clone(),
-            ));
-            plan = outcome.plan;
-            topology = new_topology;
+            session.retarget(new_topology, ElasticConfig::default());
+            let outcome = session.plan(&request).unwrap();
+            assert_eq!(outcome.tier, PlanTier::Elastic);
+            let report = outcome.elastic.unwrap();
+            sequence.push((report.candidate, report.migration.bytes_moved, outcome.plan));
         }
         sequence
     };
@@ -309,173 +286,4 @@ fn recovery_sequence_is_bit_identical_across_worker_counts() {
             assert_plans_bit_identical(plan_a, plan_b, &format!("event {i} at {workers} workers"));
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Structural-guard regression tests: the `InvalidRequest` mismatch arms of
-// `plan_iteration_delta` name the mismatched field, and every arm of the
-// shared anchor compatibility check fires through both anchored entry
-// points (`plan_iteration_delta` and `replan_elastic`).
-// ---------------------------------------------------------------------------
-
-fn text_batch(tokens: u64) -> BatchWorkload {
-    BatchWorkload::new().with(Modality::Text, ModalityWorkload::new(tokens, 1))
-}
-
-#[test]
-fn delta_guard_names_the_microbatch_count_mismatch() {
-    let spec = zoo::vlm_s();
-    let topology = ClusterTopology::mixed_h800_h20(1, 1);
-    let planner =
-        DipPlanner::on_topology(&spec, parallel(), topology, time_budgeted_config(2, 40, 3));
-    let anchor = planner
-        .plan_iteration(&[vlm_batch(8), vlm_batch(24)])
-        .unwrap();
-    let err = planner
-        .plan_iteration_delta(&[vlm_batch(8), vlm_batch(24), vlm_batch(40)], &anchor)
-        .unwrap_err();
-    assert!(
-        err.to_string().contains("microbatch count"),
-        "error must name the microbatch count: {err}"
-    );
-}
-
-#[test]
-fn delta_guard_names_the_modality_set_mismatch() {
-    let spec = zoo::vlm_s();
-    let topology = ClusterTopology::mixed_h800_h20(1, 1);
-    let planner =
-        DipPlanner::on_topology(&spec, parallel(), topology, time_budgeted_config(2, 40, 3));
-    let anchor = planner
-        .plan_iteration(&[vlm_batch(8), vlm_batch(24)])
-        .unwrap();
-    let err = planner
-        .plan_iteration_delta(&[text_batch(4096), text_batch(8192)], &anchor)
-        .unwrap_err();
-    assert!(
-        err.to_string().contains("modality set"),
-        "error must name the modality set: {err}"
-    );
-}
-
-#[test]
-fn delta_guard_names_the_topology_fingerprint_mismatch() {
-    let spec = zoo::vlm_s();
-    let batches = [vlm_batch(8), vlm_batch(24)];
-    let old_planner = DipPlanner::on_topology(
-        &spec,
-        parallel(),
-        ClusterTopology::mixed_h800_h20(1, 1),
-        time_budgeted_config(2, 40, 3),
-    );
-    let anchor = old_planner.plan_iteration(&batches).unwrap();
-    let other_planner = DipPlanner::on_topology(
-        &spec,
-        parallel(),
-        ClusterTopology::mixed_h800_h20(2, 0),
-        time_budgeted_config(2, 40, 3),
-    );
-    let err = other_planner
-        .plan_iteration_delta(&batches, &anchor)
-        .unwrap_err();
-    assert!(
-        err.to_string().contains("topology fingerprint"),
-        "error must name the topology fingerprint: {err}"
-    );
-}
-
-/// Breaks one field of an anchored request: the anchor plan, the request's
-/// microbatches, or both.
-type BreakRequest = fn(&mut DipPlan, &mut Vec<BatchWorkload>);
-
-#[test]
-fn anchor_guard_names_every_mismatched_field_on_both_entry_points() {
-    let spec = zoo::vlm_s();
-    let old_topology = ClusterTopology::mixed_h800_h20(1, 1);
-    let config = time_budgeted_config(2, 40, 3);
-    let planner = DipPlanner::on_topology(&spec, parallel(), old_topology.clone(), config.clone());
-    let new_planner = DipPlanner::on_topology(
-        &spec,
-        parallel(),
-        ClusterTopology::mixed_h800_h20(2, 0),
-        config,
-    );
-    let batches = vec![vlm_batch(8), vlm_batch(24)];
-    let anchor = planner.plan_iteration(&batches).unwrap();
-    let elastic = ElasticConfig::default();
-
-    // The intact request passes the check on both entry points.
-    planner.plan_iteration_delta(&batches, &anchor).unwrap();
-    new_planner
-        .replan_elastic(&batches, &anchor, &old_topology, &elastic)
-        .unwrap();
-
-    let arms: [(&str, BreakRequest); 5] = [
-        ("parallel configuration", |anchor, _| {
-            anchor.placement.parallel = ParallelConfig::new(2, 8, 1);
-        }),
-        ("topology fingerprint", |anchor, _| {
-            anchor.topology_fingerprint ^= 1;
-        }),
-        ("modality set", |_, batches| {
-            *batches = vec![text_batch(4096), text_batch(8192)];
-        }),
-        ("microbatch count", |_, batches| batches.push(vlm_batch(40))),
-        ("segment count", |anchor, _| {
-            anchor.segment_priorities.pop();
-        }),
-    ];
-    for (field, break_request) in arms {
-        let mut bad_anchor = anchor.clone();
-        let mut bad_batches = batches.clone();
-        break_request(&mut bad_anchor, &mut bad_batches);
-        let errors = [
-            (
-                "plan_iteration_delta",
-                planner
-                    .plan_iteration_delta(&bad_batches, &bad_anchor)
-                    .unwrap_err(),
-            ),
-            (
-                "replan_elastic",
-                new_planner
-                    .replan_elastic(&bad_batches, &bad_anchor, &old_topology, &elastic)
-                    .unwrap_err(),
-            ),
-        ];
-        for (entry, err) in errors {
-            assert!(
-                matches!(err, DipError::InvalidRequest(_)),
-                "{entry}: a broken {field} must be an invalid request: {err}"
-            );
-            assert!(
-                err.to_string().contains(field),
-                "{entry}: the error must name the {field}: {err}"
-            );
-        }
-    }
-}
-
-/// A zero-budget elastic replan runs no search: its one candidate (uniform
-/// clusters rebalance to the old boundaries) adopts the old ordering in one
-/// interleave pass, so the plan reports exactly one evaluation.
-#[test]
-fn zero_budget_elastic_replan_reports_no_search() {
-    let spec = zoo::vlm_s();
-    let old_topology = ClusterTopology::mixed_h800_h20(2, 0);
-    let config = time_budgeted_config(2, 40, 3);
-    let batches = vec![vlm_batch(8), vlm_batch(24)];
-    let planner = DipPlanner::on_topology(&spec, parallel(), old_topology.clone(), config.clone());
-    let old_plan = planner.plan_iteration(&batches).unwrap();
-    let new_topology = ClusterTopology::mixed_h800_h20(1, 0);
-    let zero_budget = ElasticConfig {
-        delta_budget: Duration::ZERO,
-        ..ElasticConfig::default()
-    };
-    let outcome = DipPlanner::on_topology(&spec, parallel(), new_topology, config)
-        .replan_elastic(&batches, &old_plan, &old_topology, &zero_budget)
-        .unwrap();
-    assert_eq!(outcome.candidates.len(), 1);
-    assert_eq!(outcome.plan.segment_priorities, old_plan.segment_priorities);
-    assert_eq!(outcome.plan.stats.search_evaluations, 1);
 }

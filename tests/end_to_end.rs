@@ -3,7 +3,7 @@
 //! outperforms the baselines on dynamic multimodal workloads).
 
 use dip_bench::{run_all_systems, vlm_batches_from_datasets, ExperimentScale};
-use dip_core::{DipPlanner, PlannerConfig};
+use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
 use dip_data::{BatchGenerator, DatasetMix, DynamicWorkloadController, ImageBoundSchedule};
 use dip_models::zoo;
 use dip_pipeline::baselines::{simulate_megatron, BaselineContext};
@@ -52,7 +52,7 @@ fn dip_advantage_grows_with_image_count_under_the_fig8b_envelope() {
     let cluster = ClusterSpec::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let ctx = BaselineContext::new(&spec, parallel, &cluster);
-    let planner = DipPlanner::new(&spec, parallel, &cluster, PlannerConfig::fast());
+    let session = PlanningSession::new(&spec, parallel, &cluster, PlannerConfig::fast());
 
     let generator = BatchGenerator::vlm(DatasetMix::vlm_default(), 6, 99);
     let mut controller = DynamicWorkloadController::new(generator, ImageBoundSchedule::fig8b());
@@ -65,7 +65,9 @@ fn dip_advantage_grows_with_image_count_under_the_fig8b_envelope() {
         };
         let batches = iteration.batch.workloads();
         let megatron = simulate_megatron(&ctx, &batches, 1).unwrap().metrics;
-        let (_, dip) = planner.plan_and_simulate(&batches).unwrap();
+        let (_, dip) = session
+            .plan_and_simulate(&PlanRequest::new(batches))
+            .unwrap();
         let gain = megatron.iteration_time_s / dip.metrics.iteration_time_s;
         if iteration.batch.avg_images_per_microbatch() > 15.0 {
             peak_gain = peak_gain.max(gain);
@@ -89,11 +91,13 @@ fn t2v_pipeline_runs_end_to_end_from_dataset_to_metrics() {
     let mut generator = BatchGenerator::t2v(DatasetMix::t2v_default(), 6, 5);
     let batches = generator.next_batch().workloads();
 
-    let planner = DipPlanner::new(&spec, parallel, &cluster, PlannerConfig::fast());
-    let (plan, outcome) = planner.plan_and_simulate(&batches).unwrap();
+    let session = PlanningSession::new(&spec, parallel, &cluster, PlannerConfig::fast());
+    let (planned, outcome) = session
+        .plan_and_simulate(&PlanRequest::new(batches.clone()))
+        .unwrap();
     assert!(outcome.metrics.iteration_time_s > 0.0);
     assert!(outcome.metrics.mfu > 0.0 && outcome.metrics.mfu < 1.0);
-    assert_eq!(plan.orders.num_stages(), plan.graph.len());
+    assert_eq!(planned.plan.orders.num_stages(), planned.plan.graph.len());
 
     let ctx = BaselineContext::new(&spec, parallel, &cluster);
     let megatron = simulate_megatron(&ctx, &batches, 1).unwrap().metrics;
@@ -111,9 +115,9 @@ fn every_table3_setup_plans_and_simulates() {
         } else {
             vlm_batches_from_datasets(4, 31)
         };
-        let planner = DipPlanner::new(&setup.model, parallel, &cluster, PlannerConfig::fast());
-        let (_, outcome) = planner
-            .plan_and_simulate(&batches)
+        let session = PlanningSession::new(&setup.model, parallel, &cluster, PlannerConfig::fast());
+        let (_, outcome) = session
+            .plan_and_simulate(&PlanRequest::new(batches))
             .unwrap_or_else(|e| panic!("{} failed: {e}", setup.name));
         assert!(
             outcome.metrics.iteration_time_s > 0.0,

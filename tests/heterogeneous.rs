@@ -3,8 +3,8 @@
 //! placement against naive round-robin, and per-device memory budgets.
 
 use dip_core::{DipPlanner, PlanRequest, PlanTier, PlannerConfig, PlanningSession, SessionConfig};
-use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
-use dip_pipeline::{ParallelConfig, PlacementMode};
+use dip_models::{zoo, BatchWorkload, LmmSpec, Modality, ModalityWorkload};
+use dip_pipeline::{ExecutionOutcome, ParallelConfig, PlacementMode};
 use dip_sim::ClusterTopology;
 use std::time::Duration;
 
@@ -32,19 +32,32 @@ fn deterministic_config() -> PlannerConfig {
     config
 }
 
+/// Plans `batches()` through a fresh session on `topology` and simulates
+/// the plan.
+fn simulate_on(
+    spec: &LmmSpec,
+    topology: ClusterTopology,
+    config: PlannerConfig,
+) -> ExecutionOutcome {
+    let session = PlanningSession::from_planner(
+        DipPlanner::on_topology(spec, ParallelConfig::new(4, 4, 1), topology, config),
+        SessionConfig::default(),
+    );
+    let (_, execution) = session
+        .plan_and_simulate(&PlanRequest::new(batches()))
+        .unwrap();
+    execution
+}
+
 #[test]
 fn capacity_aware_placement_beats_round_robin_on_the_mixed_cluster() {
     let spec = zoo::vlm_s();
-    let parallel = ParallelConfig::new(4, 4, 1);
     let topology = ClusterTopology::mixed_h800_h20(1, 1);
 
-    let aware = DipPlanner::on_topology(&spec, parallel, topology.clone(), deterministic_config());
+    let aware_outcome = simulate_on(&spec, topology.clone(), deterministic_config());
     let mut round_robin_config = deterministic_config();
     round_robin_config.partitioner.placement = PlacementMode::RoundRobin;
-    let round_robin = DipPlanner::on_topology(&spec, parallel, topology, round_robin_config);
-
-    let (_, aware_outcome) = aware.plan_and_simulate(&batches()).unwrap();
-    let (_, rr_outcome) = round_robin.plan_and_simulate(&batches()).unwrap();
+    let rr_outcome = simulate_on(&spec, topology, round_robin_config);
     assert!(
         aware_outcome.metrics.iteration_time_s < rr_outcome.metrics.iteration_time_s,
         "capacity-aware {} must beat round-robin {} on H800+H20",
@@ -124,11 +137,10 @@ fn mixed_cluster_lands_between_the_uniform_clusters() {
     // H20's 6.7× lower compute dominates, and the mixed cluster sits in
     // between because half its stages still run on H800 silicon.
     let spec = zoo::vlm_s();
-    let parallel = ParallelConfig::new(4, 4, 1);
     let run = |topology: ClusterTopology| {
-        let planner = DipPlanner::on_topology(&spec, parallel, topology, deterministic_config());
-        let (_, outcome) = planner.plan_and_simulate(&batches()).unwrap();
-        outcome.metrics.iteration_time_s
+        simulate_on(&spec, topology, deterministic_config())
+            .metrics
+            .iteration_time_s
     };
     let h800 = run(ClusterTopology::mixed_h800_h20(2, 0));
     let mixed = run(ClusterTopology::mixed_h800_h20(1, 1));

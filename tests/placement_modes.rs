@@ -4,7 +4,7 @@
 //! good as capacity-aware placement end to end on the mixed H800+H20
 //! testbed.
 
-use dip_core::{DipPlanner, PlannerConfig};
+use dip_core::{DipPlanner, PlanRequest, PlannerConfig, PlanningSession, SessionConfig};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{
     capacity_aware_separated_placement, latency_balanced_separated_placement, ModelChunk,
@@ -179,16 +179,21 @@ fn latency_balanced_is_at_least_as_good_as_capacity_aware_on_the_mixed_cluster()
     let spec = zoo::vlm_s();
     let parallel = ParallelConfig::new(4, 4, 1);
     let topology = ClusterTopology::mixed_h800_h20(1, 1);
-    let batches: Vec<BatchWorkload> = [24u64, 8, 40, 2, 32, 16]
-        .iter()
-        .map(|&i| vlm_batch(i))
-        .collect();
+    let request = PlanRequest::new(
+        [24u64, 8, 40, 2, 32, 16]
+            .iter()
+            .map(|&i| vlm_batch(i))
+            .collect(),
+    );
 
     let run = |placement: PlacementMode| {
         let mut config = deterministic_config();
         config.partitioner.placement = placement;
-        let planner = DipPlanner::on_topology(&spec, parallel, topology.clone(), config);
-        let (_, outcome) = planner.plan_and_simulate(&batches).unwrap();
+        let session = PlanningSession::from_planner(
+            DipPlanner::on_topology(&spec, parallel, topology.clone(), config),
+            SessionConfig::default(),
+        );
+        let (_, outcome) = session.plan_and_simulate(&request).unwrap();
         outcome.metrics.iteration_time_s
     };
     let aware = run(PlacementMode::CapacityAware);
