@@ -19,7 +19,9 @@
 //! step counts can vary with thread timing when several workers share the
 //! memo, so they are reported as info — except for one extra cold MCTS
 //! run at one worker (`mcts_w1`), whose counts repeat exactly and are
-//! gated as determinism metrics: the kernel's work, bit for bit. The
+//! gated as determinism metrics: the kernel's work, bit for bit. That run
+//! also gates the winner's re-interleave, which resumes from the memo
+//! record the winner reproduces: its live and replayed steps. The
 //! exported `search.kernel_identity` flag asserts the fixed-seed search
 //! result is bit-identical to a fresh allocating `schedule()` pass over the
 //! winning priorities (neither workspace reuse nor the memo may change a
@@ -204,6 +206,21 @@ fn main() {
                 "count",
                 value as f64,
             );
+        }
+        // The winner's re-interleave, resumed from the memo, is booked
+        // apart from the search's passes; gated on the one-worker run.
+        if one_worker {
+            for (metric, value) in [
+                ("winner_live_steps", result.work.winner_live_steps),
+                ("winner_replayed_steps", result.work.winner_replayed_steps),
+            ] {
+                report.push(
+                    format!("search.{key}.{metric}"),
+                    MetricKind::Determinism,
+                    "count",
+                    value as f64,
+                );
+            }
         }
         report.push(
             format!("search.{key}.evals_per_sec"),

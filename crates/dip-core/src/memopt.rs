@@ -123,8 +123,11 @@ pub fn optimize_memory_detailed(
     // The shared work-stealing fork-join helper: rank → thread assignment
     // cannot influence the per-rank results, which are pure functions of
     // the rank index.
-    let per_rank: Vec<(RankSelections, Duration)> =
-        parallel_map_indexed(num_ranks, threads, |rank| {
+    let per_rank: Vec<(RankSelections, Duration)> = parallel_map_indexed(
+        num_ranks,
+        threads,
+        || (),
+        |_, rank| {
             let start = Instant::now();
             let selections = solve_rank(
                 graph,
@@ -135,7 +138,8 @@ pub fn optimize_memory_detailed(
                 &ladder,
             );
             (selections, start.elapsed())
-        });
+        },
+    );
 
     // Deterministic merge: apply each rank's selections in rank order —
     // the exact order the serial loop would have written them, so the

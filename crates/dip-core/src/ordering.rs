@@ -25,6 +25,12 @@
 //! are merged by best simulated iteration time with a stable tie-break
 //! (the lowest stream index wins ties).
 //!
+//! A search packs its graph once into a [`PassGraph`] that every pass
+//! reads, and each worker thread holds one evaluation context (a
+//! [`ScheduleWorkspace`] and its scratch) for every stream it runs; the
+//! search's own thread holds one more for the incumbents, DFS and the
+//! winner. All of them are dropped with the search.
+//!
 //! Search budgets are **virtual time**, never wall clock: the
 //! [`OrderingSearchConfig::time_budget`] is converted into a deterministic
 //! per-stream evaluation quota through the calibrated per-evaluation cost
@@ -68,10 +74,18 @@
 //! [`OrderingSearchConfig::eval_cost`] and [`calibrate_eval_cost`] price
 //! and time *full* passes: calibration never goes through the memo and
 //! never resumes.
+//!
+//! The streams keep priorities, never orders, so the winner's orders come
+//! from one more pass over its priorities once the streams finish. The
+//! winner's evaluation completed, so some record reproduces it whole: that
+//! pass resumes from the record, replaying every pop the memo stores for it
+//! (up to the record's horizon) and deciding only the rest. Its steps are
+//! booked apart, in [`SearchWork::winner_live_steps`] and
+//! [`SearchWork::winner_replayed_steps`].
 
 use dip_pipeline::par::parallel_map_indexed;
 use dip_pipeline::{
-    dual_queue, DualQueueConfig, PassPrefix, PassRecord, RankOrders, RequirementEvent,
+    dual_queue, DualQueueConfig, PassGraph, PassPrefix, PassRecord, RankOrders, RequirementEvent,
     ScheduleWorkspace, StageGraph, NO_REQUIREMENT,
 };
 use dip_sim::{CostModel, CostSample};
@@ -232,15 +246,16 @@ pub fn calibrate_eval_cost(
     let mut samples = Vec::new();
     let ordering: Vec<usize> = (0..num_segments).collect();
     // Time the steady-state kernel the search workers actually run: one
-    // warmed-up workspace reused across evaluations (the first, allocating
-    // pass is deliberately left out of the samples).
+    // packed view and one warmed-up workspace reused across evaluations
+    // (the first, allocating pass is deliberately left out of the samples).
+    let view = PassGraph::new(graph);
     let mut ctx = EvalContext::new(base);
     if evaluations > 0 {
-        evaluate_into(graph, &ordering, &mut ctx);
+        evaluate_into(&view, &ordering, &mut ctx);
     }
     for _ in 0..evaluations {
         let start = Instant::now();
-        let _ = evaluate_into(graph, &ordering, &mut ctx);
+        let _ = evaluate_into(&view, &ordering, &mut ctx);
         samples.push(CostSample {
             units: graph.len() as u64,
             seconds: start.elapsed().as_secs_f64(),
@@ -313,7 +328,8 @@ pub struct SearchWork {
     pub distinct_orderings: u64,
     /// Interleave passes the search actually ran, completed or aborted by
     /// the cutoff, resumed or fresh (identity and warm seed included; the
-    /// winner's final re-interleave and [`calibrate_eval_cost`] are not).
+    /// winner's final re-interleave, booked in
+    /// [`Self::winner_live_steps`], and [`calibrate_eval_cost`] are not).
     /// At most `distinct_orderings + pruned_evaluations`; the gap to
     /// `distinct_orderings` is what records answered whole. Repeats
     /// exactly at one worker; at more workers it can vary with thread
@@ -329,6 +345,17 @@ pub struct SearchWork {
     /// pass decides or replays every stage once. Same determinism as
     /// `interleave_passes`; 0 on the no-search path.
     pub replayed_steps: u64,
+    /// Stages the winner's re-interleave decided live: the pass that
+    /// writes [`OrderingResult::orders`] after the streams finish,
+    /// resumed from the memo record the winner reproduces (see the module
+    /// docs). It is in none of the counts above. Same determinism as
+    /// `interleave_passes`; 0 on the no-search path, whose one pass is its
+    /// evaluation.
+    pub winner_live_steps: u64,
+    /// Stages the winner's re-interleave replayed from that record;
+    /// `winner_live_steps + winner_replayed_steps` is the graph's item
+    /// count on every search.
+    pub winner_replayed_steps: u64,
 }
 
 impl AddAssign for SearchWork {
@@ -338,6 +365,8 @@ impl AddAssign for SearchWork {
         self.interleave_passes += other.interleave_passes;
         self.live_steps += other.live_steps;
         self.replayed_steps += other.replayed_steps;
+        self.winner_live_steps += other.winner_live_steps;
+        self.winner_replayed_steps += other.winner_replayed_steps;
     }
 }
 
@@ -374,16 +403,20 @@ pub struct OrderingResult {
     /// same at any worker count).
     pub progress: Vec<SearchProgressPoint>,
     /// The per-rank orders realising the best time (one re-interleave of
-    /// [`Self::segment_priorities`] after the streams finish).
+    /// [`Self::segment_priorities`] after the streams finish, resumed from
+    /// the pass memo).
     pub orders: RankOrders,
 }
 
-/// Per-stream evaluation scratch: a reusable [`ScheduleWorkspace`] plus one
+/// Per-thread evaluation scratch: a reusable [`ScheduleWorkspace`] plus one
 /// pre-cloned [`DualQueueConfig`] whose `segment_priorities` vector is
-/// rewritten in place for every ordering. Each search stream owns one, so
-/// an evaluation in the hot loop performs **zero heap allocations** once
-/// the workspace has warmed up on the graph's shape — the base config is
-/// cloned once per stream, not once per evaluation.
+/// rewritten in place for every ordering. Each worker thread of a search
+/// holds one for every stream it runs, and the search's own thread one
+/// more, so an evaluation in the hot loop performs **zero heap
+/// allocations** once the workspace has warmed up on the graph's shape —
+/// the base config is cloned once per thread, not once per evaluation or
+/// stream. Every evaluation rewrites all of it first, so what one stream
+/// leaves behind never reaches the next.
 struct EvalContext {
     config: DualQueueConfig,
     ws: ScheduleWorkspace,
@@ -426,11 +459,18 @@ impl EvalContext {
 }
 
 /// Evaluates one ordering through the reusable workspace, returning the
-/// estimated iteration time. Always a full pass, never a resumed one: [`calibrate_eval_cost`] times
-/// this.
-fn evaluate_into(graph: &StageGraph, ordering: &[usize], ctx: &mut EvalContext) -> f64 {
+/// estimated iteration time. Always a full pass, never a resumed one:
+/// [`calibrate_eval_cost`] times this.
+fn evaluate_into(graph: &PassGraph<'_>, ordering: &[usize], ctx: &mut EvalContext) -> f64 {
     ctx.set_ordering(ordering);
-    dual_queue::schedule_into(graph, &ctx.config, &mut ctx.ws)
+    dual_queue::schedule_resumed(
+        graph,
+        &ctx.config,
+        &mut ctx.ws,
+        f64::INFINITY,
+        PassPrefix::EMPTY,
+    )
+    .expect("an infinite cutoff never aborts")
 }
 
 /// One search's pass memo, shared by every stream of one
@@ -496,8 +536,8 @@ struct Origin {
 
 /// The best an earlier pass offers an ordering.
 enum Resume {
-    /// A pass the ordering reproduces whole (`j = ∞`), by its makespan.
-    Hit(f64),
+    /// The index of a pass the ordering reproduces whole (`j = ∞`).
+    Hit(u32),
     /// The pass with the largest resume point `j`, and `j` (0 when no pass
     /// agrees on even one step).
     At(Origin),
@@ -524,12 +564,12 @@ impl PassRecords {
             source: 0,
             resumed: 0,
         };
-        for (pass, stored) in self.passes.iter().enumerate() {
+        for pass in 0..self.passes.len() {
             let j = self
                 .requirements
                 .min_at(pass * self.pairs, unranked, best.resumed);
             if j == NO_REQUIREMENT {
-                return Resume::Hit(stored.makespan);
+                return Resume::Hit(pass as u32);
             }
             if j > best.resumed {
                 best = Origin {
@@ -539,6 +579,22 @@ impl PassRecords {
             }
         }
         Resume::At(best)
+    }
+
+    /// The makespan of `pass`.
+    fn makespan(&self, pass: u32) -> f64 {
+        self.passes[pass as usize].makespan
+    }
+
+    /// The longest prefix of `pass` the records hold: its resume step and
+    /// its own pops after it, up to its horizon.
+    fn stored_prefix(&self, pass: u32) -> Origin {
+        let stored = &self.passes[pass as usize];
+        let (pops_start, _) = self.starts(pass as usize);
+        Origin {
+            source: pass,
+            resumed: stored.origin.resumed + (stored.pops_end - pops_start as u32),
+        }
     }
 
     /// Where the own parts of `pass` start: after those of the pass
@@ -729,7 +785,7 @@ impl PassMemo {
 /// pass is memoised, in both tables. `ctx.ws` holds a pop log only after
 /// a pass, so callers keep priorities, never orders.
 fn evaluate(
-    graph: &StageGraph,
+    graph: &PassGraph<'_>,
     ordering: &[usize],
     ctx: &mut EvalContext,
     memo: &PassMemo,
@@ -743,11 +799,12 @@ fn evaluate(
         }
         dual_queue::unranked_pairs(
             &ctx.config.segment_priorities,
-            graph.num_segments(),
+            graph.graph().num_segments(),
             &mut ctx.unranked,
         );
         match tables.records.best_resume(&ctx.unranked) {
-            Resume::Hit(makespan) => {
+            Resume::Hit(pass) => {
+                let makespan = tables.records.makespan(pass);
                 if makespan <= cutoff {
                     tables.exact.insert(ordering.to_vec(), makespan);
                 }
@@ -841,10 +898,11 @@ pub fn search_ordering(
 ) -> OrderingResult {
     let start = Instant::now();
     let quota = config.evaluation_quota(graph.len());
+    let view = PassGraph::new(graph);
     let memo = PassMemo::new(graph);
     let mut ctx = EvalContext::new(&config.dual_queue);
     let identity: Vec<usize> = (0..num_segments).collect();
-    let t0 = evaluate(graph, &identity, &mut ctx, &memo, f64::INFINITY)
+    let t0 = evaluate(&view, &identity, &mut ctx, &memo, f64::INFINITY)
         .expect("an infinite cutoff never aborts");
     let mut incumbent = WorkerOutcome {
         time_s: t0,
@@ -867,7 +925,7 @@ pub fn search_ordering(
         .filter(|seed| is_permutation(seed, num_segments));
     let mut warm_time = None;
     if let Some(seed) = warm {
-        let t = evaluate(graph, seed, &mut ctx, &memo, f64::INFINITY)
+        let t = evaluate(&view, seed, &mut ctx, &memo, f64::INFINITY)
             .expect("an infinite cutoff never aborts");
         incumbent.evaluations += 1;
         incumbent.record_if_better(start, 0, t, ctx.priorities());
@@ -876,37 +934,26 @@ pub fn search_ordering(
 
     let mut outcomes: Vec<WorkerOutcome> = Vec::new();
     if num_segments > 1 {
+        let search = Search {
+            graph: &view,
+            num_segments,
+            config,
+            quota,
+            memo: &memo,
+            start,
+        };
         match config.strategy {
             SearchStrategy::Mcts => {
-                outcomes = run_streams(config, |stream| {
+                outcomes = run_streams(config, |ctx, stream| {
                     let mut local = WorkerOutcome::starting_from(&incumbent);
-                    mcts_worker(
-                        graph,
-                        num_segments,
-                        config,
-                        quota,
-                        warm.zip(warm_time),
-                        &memo,
-                        &mut local,
-                        start,
-                        stream,
-                    );
+                    mcts_worker(&search, ctx, warm.zip(warm_time), &mut local, stream);
                     local
                 });
             }
             SearchStrategy::Random => {
-                outcomes = run_streams(config, |stream| {
+                outcomes = run_streams(config, |ctx, stream| {
                     let mut local = WorkerOutcome::starting_from(&incumbent);
-                    random_worker(
-                        graph,
-                        num_segments,
-                        config,
-                        quota,
-                        &memo,
-                        &mut local,
-                        start,
-                        stream,
-                    );
+                    random_worker(&search, ctx, &mut local, stream);
                     local
                 });
             }
@@ -915,44 +962,66 @@ pub fn search_ordering(
                 // as a single stream regardless of the configured count.
                 let dfs_start = Instant::now();
                 let mut local = WorkerOutcome::starting_from(&incumbent);
-                dfs_search(graph, num_segments, config, quota, &memo, &mut local, start);
+                dfs_search(&search, &mut ctx, &mut local);
                 local.cpu = dfs_start.elapsed();
                 outcomes = vec![local];
             }
         }
     }
 
-    // Every completed evaluation's ordering is in the exact map once, and
-    // which evaluations complete does not depend on which stream ran first,
-    // so its final size is deterministic. The pass and step counts are
-    // not: which records exist when a stream scans depends on thread
-    // timing.
-    merge_outcomes(
-        graph,
-        &config.dual_queue,
-        incumbent,
-        outcomes,
-        quota,
-        memo.into_work(),
-    )
+    merge_outcomes(&view, &mut ctx, incumbent, outcomes, quota, memo)
+}
+
+/// What every stream of one search shares: the packed graph, the search's
+/// configuration and quota, its pass memo and its start.
+struct Search<'a> {
+    graph: &'a PassGraph<'a>,
+    num_segments: usize,
+    config: &'a OrderingSearchConfig,
+    quota: u64,
+    memo: &'a PassMemo,
+    start: Instant,
+}
+
+impl Search<'_> {
+    /// Evaluates `ordering` for a stream under `cutoff` (see [`evaluate`]).
+    fn evaluate(&self, ordering: &[usize], ctx: &mut EvalContext, cutoff: f64) -> Option<f64> {
+        evaluate(self.graph, ordering, ctx, self.memo, cutoff)
+    }
+
+    /// The cutoff a random or DFS evaluation runs under: the stream's
+    /// incumbent when bounded evaluations are on.
+    fn cutoff(&self, local: &WorkerOutcome) -> f64 {
+        if self.config.prune_bounded_evaluations {
+            local.time_s
+        } else {
+            f64::INFINITY
+        }
+    }
 }
 
 /// Executes the configured number of independent search streams on
 /// `config.workers` physical threads (via the shared work-stealing
-/// fork-join helper) and returns the outcomes in stream-index order.
-/// Every stream's work is a pure function of its index, so the returned
-/// vector is identical no matter which thread ran which stream.
+/// fork-join helper), each thread with one [`EvalContext`] for every
+/// stream it runs, and returns the outcomes in stream-index order. Every
+/// stream's work is a pure function of its index, so the returned vector
+/// is identical no matter which thread ran which stream.
 fn run_streams<F>(config: &OrderingSearchConfig, work: F) -> Vec<WorkerOutcome>
 where
-    F: Fn(usize) -> WorkerOutcome + Sync + Send,
+    F: Fn(&mut EvalContext, usize) -> WorkerOutcome + Sync + Send,
 {
     let streams = config.streams.max(1);
-    parallel_map_indexed(streams, config.workers, |stream| {
-        let task_start = Instant::now();
-        let mut outcome = work(stream);
-        outcome.cpu = task_start.elapsed();
-        outcome
-    })
+    parallel_map_indexed(
+        streams,
+        config.workers,
+        || EvalContext::new(&config.dual_queue),
+        |ctx, stream| {
+            let task_start = Instant::now();
+            let mut outcome = work(ctx, stream);
+            outcome.cpu = task_start.elapsed();
+            outcome
+        },
+    )
 }
 
 /// Merges the incumbent and every stream outcome into the final result.
@@ -961,14 +1030,15 @@ where
 /// replaces the current best, so ties resolve to the lowest stream index —
 /// the stable tie-break that keeps fixed-seed searches deterministic.
 /// Streams keep only `(time, priorities)`, so the winner's orders come
-/// from one re-interleave of its priorities under `base`.
+/// from one more pass over its priorities through `ctx`, resumed from the
+/// memo record the winner reproduces whole.
 fn merge_outcomes(
-    graph: &StageGraph,
-    base: &DualQueueConfig,
+    graph: &PassGraph<'_>,
+    ctx: &mut EvalContext,
     incumbent: WorkerOutcome,
     outcomes: Vec<WorkerOutcome>,
     quota: u64,
-    mut work: SearchWork,
+    memo: PassMemo,
 ) -> OrderingResult {
     let mut evaluations = incumbent.evaluations;
     let mut worker_evaluations = Vec::with_capacity(outcomes.len());
@@ -976,10 +1046,11 @@ fn merge_outcomes(
     let mut best_time = incumbent.time_s;
     let mut best_priorities = incumbent.priorities;
     let mut cpu_time = Duration::ZERO;
+    let mut pruned = 0;
     for outcome in &outcomes {
         evaluations += outcome.evaluations;
         worker_evaluations.push(outcome.evaluations);
-        work.pruned_evaluations += outcome.pruned;
+        pruned += outcome.pruned;
         progress.extend(outcome.progress.iter().copied());
         cpu_time += outcome.cpu;
         if outcome.time_s < best_time {
@@ -1003,18 +1074,47 @@ fn merge_outcomes(
             merged.push(point);
         }
     }
-    let queue = DualQueueConfig {
-        segment_priorities: best_priorities,
-        ..base.clone()
-    };
-    let (orders, makespan) = dual_queue::schedule(graph, &queue);
+    // The winner's evaluation completed, so a record reproduces it whole;
+    // replay everything the memo stores of that record.
+    ctx.config.segment_priorities = best_priorities;
+    dual_queue::unranked_pairs(
+        &ctx.config.segment_priorities,
+        graph.graph().num_segments(),
+        &mut ctx.unranked,
+    );
+    {
+        let tables = memo.tables();
+        let origin = match tables.records.best_resume(&ctx.unranked) {
+            Resume::Hit(pass) => tables.records.stored_prefix(pass),
+            // Never for a completed winner; a resumed pass is exact anyway.
+            Resume::At(origin) => origin,
+        };
+        tables
+            .records
+            .copy_prefix(origin, &mut ctx.prefix_pops, &mut ctx.prefix_events);
+    }
+    let prefix = PassPrefix::new(&ctx.prefix_pops, &ctx.prefix_events);
+    let makespan =
+        dual_queue::schedule_resumed(graph, &ctx.config, &mut ctx.ws, f64::INFINITY, prefix);
     debug_assert_eq!(
-        makespan.to_bits(),
-        best_time.to_bits(),
+        makespan.map(f64::to_bits),
+        Some(best_time.to_bits()),
         "the winner re-interleaves to its searched makespan"
     );
+    // Every completed evaluation's ordering is in the exact map once, and
+    // which evaluations complete does not depend on which stream ran first,
+    // so its final size is deterministic. The pass and step counts are
+    // not: which records exist when a stream scans depends on thread
+    // timing.
+    let work = SearchWork {
+        pruned_evaluations: pruned,
+        winner_live_steps: ctx.ws.live_steps() as u64,
+        winner_replayed_steps: ctx.ws.replayed_steps() as u64,
+        ..memo.into_work()
+    };
     OrderingResult {
-        segment_priorities: queue.segment_priorities,
+        orders: ctx.ws.orders(graph.graph()),
+        segment_priorities: std::mem::take(&mut ctx.config.segment_priorities),
         best_time_s: best_time,
         evaluations,
         worker_evaluations,
@@ -1022,7 +1122,6 @@ fn merge_outcomes(
         evaluation_quota: if outcomes.is_empty() { 0 } else { quota },
         cpu_time,
         progress: merged,
-        orders,
     }
 }
 
@@ -1035,36 +1134,26 @@ fn worker_rng(seed: u64, stream: usize) -> StdRng {
 // Random exploration
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn random_worker(
-    graph: &StageGraph,
-    num_segments: usize,
-    config: &OrderingSearchConfig,
-    quota: u64,
-    memo: &PassMemo,
+    search: &Search<'_>,
+    ctx: &mut EvalContext,
     local: &mut WorkerOutcome,
-    start: Instant,
     stream: usize,
 ) {
-    let mut rng = worker_rng(config.seed, stream);
-    let mut ctx = EvalContext::new(&config.dual_queue);
-    let mut ordering: Vec<usize> = (0..num_segments).collect();
-    while !local.budget_exhausted(quota) {
+    let mut rng = worker_rng(search.config.seed, stream);
+    let mut ordering: Vec<usize> = (0..search.num_segments).collect();
+    while !local.budget_exhausted(search.quota) {
         ordering.shuffle(&mut rng);
         // Only strictly-better-than-incumbent results matter here, so the
         // evaluation is bounded by this stream's own best time: exact
         // pruning with per-stream incumbents keeps fixed-seed cross-worker
         // bit-identity (streams never observe each other's progress).
-        let cutoff = if config.prune_bounded_evaluations {
-            local.time_s
-        } else {
-            f64::INFINITY
-        };
+        let cutoff = search.cutoff(local);
         // A pruned evaluation (provably worse than the incumbent) counts
         // against the quota exactly like a finished one.
         local.evaluations += 1;
-        match evaluate(graph, &ordering, &mut ctx, memo, cutoff) {
-            Some(t) => local.record_if_better(start, local.evaluations, t, ctx.priorities()),
+        match search.evaluate(&ordering, ctx, cutoff) {
+            Some(t) => local.record_if_better(search.start, local.evaluations, t, ctx.priorities()),
             None => local.pruned += 1,
         }
     }
@@ -1074,44 +1163,29 @@ fn random_worker(
 // DFS enumeration
 // ---------------------------------------------------------------------------
 
-fn dfs_search(
-    graph: &StageGraph,
-    num_segments: usize,
-    config: &OrderingSearchConfig,
-    quota: u64,
-    memo: &PassMemo,
-    local: &mut WorkerOutcome,
-    start: Instant,
-) {
+fn dfs_search(search: &Search<'_>, ctx: &mut EvalContext, local: &mut WorkerOutcome) {
     // Lexicographic enumeration of permutations via recursion with an
     // explicit prefix stack, stopping at the quota.
-    #[allow(clippy::too_many_arguments)]
     fn recurse(
-        graph: &StageGraph,
-        config: &OrderingSearchConfig,
-        quota: u64,
-        memo: &PassMemo,
-        local: &mut WorkerOutcome,
+        search: &Search<'_>,
         ctx: &mut EvalContext,
-        start: Instant,
+        local: &mut WorkerOutcome,
         prefix: &mut Vec<usize>,
         remaining: &mut Vec<usize>,
     ) {
-        if local.budget_exhausted(quota) {
+        if local.budget_exhausted(search.quota) {
             return;
         }
         if remaining.is_empty() {
             // DFS only reports its single best ordering, so (like the
             // random worker) each leaf evaluation is bounded by the
             // incumbent — exact pruning, identical best plan.
-            let cutoff = if config.prune_bounded_evaluations {
-                local.time_s
-            } else {
-                f64::INFINITY
-            };
+            let cutoff = search.cutoff(local);
             local.evaluations += 1;
-            match evaluate(graph, prefix, ctx, memo, cutoff) {
-                Some(t) => local.record_if_better(start, local.evaluations, t, ctx.priorities()),
+            match search.evaluate(prefix, ctx, cutoff) {
+                Some(t) => {
+                    local.record_if_better(search.start, local.evaluations, t, ctx.priorities())
+                }
                 None => local.pruned += 1,
             }
             return;
@@ -1119,27 +1193,14 @@ fn dfs_search(
         for i in 0..remaining.len() {
             let seg = remaining.remove(i);
             prefix.push(seg);
-            recurse(
-                graph, config, quota, memo, local, ctx, start, prefix, remaining,
-            );
+            recurse(search, ctx, local, prefix, remaining);
             prefix.pop();
             remaining.insert(i, seg);
         }
     }
-    let mut ctx = EvalContext::new(&config.dual_queue);
     let mut prefix = Vec::new();
-    let mut remaining: Vec<usize> = (0..num_segments).collect();
-    recurse(
-        graph,
-        config,
-        quota,
-        memo,
-        local,
-        &mut ctx,
-        start,
-        &mut prefix,
-        &mut remaining,
-    );
+    let mut remaining: Vec<usize> = (0..search.num_segments).collect();
+    recurse(search, ctx, local, &mut prefix, &mut remaining);
 }
 
 // ---------------------------------------------------------------------------
@@ -1214,20 +1275,15 @@ const UCB_ALPHA: f64 = 1.0;
 
 /// One root-parallel MCTS stream: owns its tree and RNG outright, so the
 /// entire select/expand/rollout/backpropagate loop runs without locks.
-#[allow(clippy::too_many_arguments)]
 fn mcts_worker(
-    graph: &StageGraph,
-    num_segments: usize,
-    config: &OrderingSearchConfig,
-    quota: u64,
+    search: &Search<'_>,
+    ctx: &mut EvalContext,
     warm: Option<(&[usize], f64)>,
-    memo: &PassMemo,
     local: &mut WorkerOutcome,
-    start: Instant,
     stream: usize,
 ) {
-    let mut rng = worker_rng(config.seed, stream);
-    let mut ctx = EvalContext::new(&config.dual_queue);
+    let (num_segments, quota) = (search.num_segments, search.quota);
+    let mut rng = worker_rng(search.config.seed, stream);
     let mut tree = MctsTree::new();
     if let Some((seed, time_s)) = warm {
         tree.seed_path(seed, time_s);
@@ -1306,10 +1362,11 @@ fn mcts_worker(
             // than the incumbent — a cutoff-aborted rollout would yield no
             // value and change how the tree grows. A repeated rollout is a
             // memo lookup of that same true time.
-            let t = evaluate(graph, &ordering, &mut ctx, memo, f64::INFINITY)
+            let t = search
+                .evaluate(&ordering, ctx, f64::INFINITY)
                 .expect("an infinite cutoff never aborts");
             local.evaluations += 1;
-            local.record_if_better(start, local.evaluations, t, ctx.priorities());
+            local.record_if_better(search.start, local.evaluations, t, ctx.priorities());
             local_best = local_best.min(t);
         }
 
@@ -1383,7 +1440,7 @@ mod tests {
         let (graph, n) = vlm_graph(6);
         let identity: Vec<usize> = (0..n).collect();
         let identity_time = evaluate_into(
-            &graph,
+            &PassGraph::new(&graph),
             &identity,
             &mut EvalContext::new(&DualQueueConfig::default()),
         );
@@ -1438,7 +1495,7 @@ mod tests {
         let cold = search_ordering(&graph, n, &quick_config(SearchStrategy::Mcts));
         let seed = ordering_from_priorities(&cold.segment_priorities);
         let seed_time = evaluate_into(
-            &graph,
+            &PassGraph::new(&graph),
             &seed,
             &mut EvalContext::new(&DualQueueConfig::default()),
         );
@@ -1687,11 +1744,13 @@ mod tests {
     }
 
     /// Every stored record rebuilds, at every resume step up to its
-    /// horizon, exactly the pops and events of a fresh pass over its
-    /// ordering, although resumed passes store only their own part.
+    /// horizon and over its whole stored prefix, exactly the pops and
+    /// events of a fresh pass over its ordering, although resumed passes
+    /// store only their own part.
     #[test]
     fn stored_records_rebuild_every_prefix() {
         let (graph, n) = vlm_graph(6);
+        let view = PassGraph::new(&graph);
         let memo = PassMemo::new(&graph);
         let mut ctx = EvalContext::new(&DualQueueConfig::default());
         let mut rng = worker_rng(3, 0);
@@ -1701,7 +1760,7 @@ mod tests {
         for _ in 0..40 {
             ordering.shuffle(&mut rng);
             let passes = memo.passes.load(AtomicOrdering::Relaxed);
-            evaluate(&graph, &ordering, &mut ctx, &memo, f64::INFINITY);
+            evaluate(&view, &ordering, &mut ctx, &memo, f64::INFINITY);
             if memo.passes.load(AtomicOrdering::Relaxed) > passes {
                 stored.push(ordering.clone());
             }
@@ -1718,8 +1777,14 @@ mod tests {
             Vec::new(),
         );
         for (pass, ordering) in stored.iter().enumerate() {
-            evaluate_into(&graph, ordering, &mut fresh);
+            evaluate_into(&view, ordering, &mut fresh);
             let record = fresh.ws.record();
+            // The winner's re-interleave replays a record's whole stored
+            // prefix: at least up to its horizon, and its own pops.
+            let whole = records.stored_prefix(pass as u32);
+            assert!(whole.resumed as usize >= record.horizon(), "pass {pass}");
+            records.copy_prefix(whole, &mut pops, &mut events);
+            assert_eq!(pops, record.pops()[..whole.resumed as usize], "pass {pass}");
             for steps in 0..=record.horizon() {
                 records.copy_prefix(
                     Origin {

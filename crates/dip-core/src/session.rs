@@ -922,14 +922,19 @@ impl<'a> PlanningSession<'a> {
         }
         let config = self.planner.config();
         let threads = config.num_threads.max(1) / config.search.workers.max(1);
-        parallel_map_indexed(requests.len(), threads, |i| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.plan(&requests[i])))
-                .unwrap_or_else(|_| {
-                    Err(DipError::concurrency(
-                        "planner worker panicked while planning a request",
-                    ))
-                })
-        })
+        parallel_map_indexed(
+            requests.len(),
+            threads,
+            || (),
+            |_, i| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.plan(&requests[i])))
+                    .unwrap_or_else(|_| {
+                        Err(DipError::concurrency(
+                            "planner worker panicked while planning a request",
+                        ))
+                    })
+            },
+        )
     }
 
     /// Simulates the deployment of a plan (delegates to the planner).

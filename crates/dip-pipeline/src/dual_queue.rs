@@ -83,14 +83,38 @@
 //! A live step picks, per rank, the stage the rank would run next and runs
 //! the pick that starts earliest (the lowest rank on ties). Each queue is a
 //! short vector in ascending entry order, best last: queues hold a handful
-//! of entries, where a binary-search insert beats a heap's sifts, and since
-//! ids are unique the order is total, so every top is the one a heap would
-//! give. A rank's pick reads only its own queues and state, so it is cached
-//! and recomputed only for a rank that ran the previous step or received a
-//! released stage. The per-rank orders are the pop log filtered by rank
+//! of entries, where shifting the few worse ones up on insert beats a
+//! heap's sifts, and since ids are unique the order is total, so every top
+//! is the one a heap would give. An entry's priority and position share
+//! one 128-bit key, so most comparisons are one integer compare. A rank's
+//! pick reads only its own queues and state, so it is cached and
+//! recomputed only for a rank that ran the previous step or received a
+//! released stage. Each rank's state — its cached pick (start and id), free
+//! time, live memory, in-flight count and memory cap — is one record, and
+//! the forward caps are resolved into those records once per pass. The
+//! per-rank orders are the pop log filtered by rank
 //! ([`ScheduleWorkspace::orders`]); no pass writes them separately.
+//!
+//! # Packed view
+//!
+//! A pass reads each item's duration, activation bytes, microbatch
+//! position, rank, segment and direction, and each item's dependency
+//! count. A [`PassGraph`] packs exactly that into one 32-byte record per
+//! item (a [`crate::WorkItem`] is 88 bytes) plus a count array, built once
+//! and shared by every pass of a search; [`schedule_resumed`] reads only
+//! the view, and the graph itself only for its reverse CSR.
+//!
+//! The view *borrows* its graph, and nothing is cached by address.
+//! [`StageGraph::reprice`] rewrites the item slab in place when no other
+//! graph shares it, so a graph at the same address can carry other
+//! durations a moment later, and a view looked up by that address would
+//! silently price a pass with stale ones. A borrowed view cannot outlive a
+//! reprice: the borrow checker refuses the `&mut` a reprice needs while a
+//! view lives. Views are dropped with their search.
+//! [`schedule_into`] packs a fresh view per call into buffers its
+//! workspace keeps, so it stays allocation-free after warm-up.
 
-use crate::graph::{Direction, StageGraph, StageId, WorkItem};
+use crate::graph::{Direction, StageGraph, StageId};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the dual-queue interleaver.
@@ -122,32 +146,107 @@ impl RankOrders {
     }
 }
 
+/// What a pass reads of one [`crate::WorkItem`], in 32 bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PassItem {
+    duration: f64,
+    activation_bytes: u64,
+    /// Microbatch in the high 32 bits, sub-microbatch in the low 32: the
+    /// queue key after the priority.
+    position: u64,
+    segment: u32,
+    rank: u16,
+    direction: Direction,
+}
+
+const _: () = assert!(std::mem::size_of::<PassItem>() == 32);
+
+/// A packed, read-only view of a [`StageGraph`] for the passes of one
+/// search: a 32-byte record per item and every item's dependency count,
+/// next to the borrowed graph, whose reverse CSR the passes walk. Build it
+/// once per search and hand it to every [`schedule_resumed`] pass; it
+/// borrows the graph so that no view outlives a [`StageGraph::reprice`]
+/// (see the module docs).
+#[derive(Debug, Clone)]
+pub struct PassGraph<'g> {
+    graph: &'g StageGraph,
+    items: Vec<PassItem>,
+    /// Dependency count per item, from the forward CSR.
+    deps: Vec<u32>,
+}
+
+impl<'g> PassGraph<'g> {
+    /// Packs `graph`.
+    ///
+    /// # Panics
+    ///
+    /// When an item's segment does not fit 32 bits or its rank 16 bits.
+    pub fn new(graph: &'g StageGraph) -> Self {
+        Self::pack(graph, Vec::new(), Vec::new())
+    }
+
+    /// Packs `graph` into `items` and `deps`, whatever they held.
+    fn pack(graph: &'g StageGraph, mut items: Vec<PassItem>, mut deps: Vec<u32>) -> Self {
+        items.clear();
+        items.extend(graph.items().iter().map(|item| {
+            debug_assert!(
+                u32::try_from(item.microbatch).is_ok()
+                    && u32::try_from(item.sub_microbatch).is_ok(),
+                "microbatch indices are packed as u32"
+            );
+            PassItem {
+                duration: item.duration,
+                activation_bytes: item.activation_bytes,
+                position: (item.microbatch as u64) << 32 | item.sub_microbatch as u64,
+                segment: u32::try_from(item.segment).expect("segments are packed as u32"),
+                rank: u16::try_from(item.rank).expect("ranks are packed as u16"),
+                direction: item.direction,
+            }
+        }));
+        deps.clear();
+        deps.extend((0..graph.len()).map(|id| graph.deps_of(StageId(id)).len() as u32));
+        Self { graph, items, deps }
+    }
+
+    /// The graph this view packs.
+    pub fn graph(&self) -> &'g StageGraph {
+        self.graph
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// True when the graph has no items.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+}
+
 /// One released stage in its (rank, direction) queue: 32 bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct QueueEntry {
-    priority: i64,
-    /// Microbatch in the high 32 bits, sub-microbatch in the low 32.
-    position: u64,
+    /// The priority, offset to unsigned, in the high 64 bits and the
+    /// complement of the position in the low 64, so a higher key is better.
+    key: u128,
     ready_time: f64,
     id: u32,
 }
 
 impl QueueEntry {
-    fn new(priority: i64, item: &WorkItem, ready_time: f64) -> Self {
-        debug_assert!(
-            u32::try_from(item.microbatch).is_ok() && u32::try_from(item.sub_microbatch).is_ok(),
-            "microbatch indices are packed as u32"
-        );
+    fn new(priority: i64, position: u64, ready_time: f64, id: usize) -> Self {
+        let priority = (priority as u64) ^ (1 << 63);
         Self {
-            priority,
-            position: (item.microbatch as u64) << 32 | item.sub_microbatch as u64,
+            key: u128::from(priority) << 64 | u128::from(!position),
             ready_time,
-            id: item.id.0 as u32,
+            id: id as u32,
         }
     }
 
-    fn id(&self) -> StageId {
-        StageId(self.id as usize)
+    /// The priority, in the key's order-preserving form.
+    fn priority(&self) -> u64 {
+        (self.key >> 64) as u64
     }
 }
 
@@ -155,18 +254,17 @@ impl Eq for QueueEntry {}
 
 impl Ord for QueueEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Higher priority is better, then earlier microbatch/sub-microbatch,
-        // then earlier ready time, then the lower id. Ready times are
-        // compared with `f64::total_cmp`, so the order is total by
-        // construction — a NaN (impossible for well-formed graphs, but
-        // queue invariants should never rest on that) sorts
+        // Higher priority is better, then earlier microbatch/sub-microbatch
+        // (both in the key), then earlier ready time, then the lower id.
+        // Ready times are compared with `f64::total_cmp`, so the order is
+        // total by construction — a NaN (impossible for well-formed graphs,
+        // but queue invariants should never rest on that) sorts
         // deterministically instead of silently comparing equal to
         // everything — and ids are unique, so no two entries tie.
-        self.priority
-            .cmp(&other.priority)
-            .then(other.position.cmp(&self.position))
-            .then(other.ready_time.total_cmp(&self.ready_time))
-            .then(other.id.cmp(&self.id))
+        self.key
+            .cmp(&other.key)
+            .then_with(|| other.ready_time.total_cmp(&self.ready_time))
+            .then_with(|| other.id.cmp(&self.id))
     }
 }
 
@@ -178,15 +276,21 @@ impl PartialOrd for QueueEntry {
 
 /// A (rank, direction) queue: its entries in ascending [`QueueEntry`]
 /// order, so the best entry is the last. Queues hold a handful of entries
-/// (about 3 on average at a pop in the planner's graphs), where a short
-/// memmove on insert is cheaper than a heap's sifts.
+/// (about 3 on average at a pop in the planner's graphs), where shifting
+/// the worse ones up a slot on insert is cheaper than a heap's sifts.
 #[derive(Debug, Clone, Default)]
 struct SortedQueue(Vec<QueueEntry>);
 
 impl SortedQueue {
     fn push(&mut self, entry: QueueEntry) {
-        let at = self.0.partition_point(|e| *e < entry);
-        self.0.insert(at, entry);
+        // Ids are unique, so the slot is the one a binary search finds.
+        let mut at = self.0.len();
+        self.0.push(entry);
+        while at > 0 && entry < self.0[at - 1] {
+            self.0[at] = self.0[at - 1];
+            at -= 1;
+        }
+        self.0[at] = entry;
     }
 
     fn pop(&mut self) -> Option<QueueEntry> {
@@ -202,8 +306,50 @@ impl SortedQueue {
     }
 }
 
+/// One rank's state during a pass.
+#[derive(Debug, Clone, Copy)]
+struct RankState {
+    /// Start of the cached pick of the live loop, infinite when there is
+    /// none; valid while the rank is not dirty.
+    pick_start: f64,
+    /// Time the rank becomes free.
+    t_last: f64,
+    /// Live activation bytes.
+    mem_used: u64,
+    /// In-flight (forward done, backward pending) stage pairs.
+    inflight: usize,
+    /// Live activation bytes at which the forward queue stops, `u128::MAX`
+    /// without a limit — above every `u64`, so a saturated `mem_used`
+    /// still runs forwards there.
+    mem_limit: u128,
+    /// Stage of the cached pick, `NO_PICK` when there is none.
+    pick_id: u32,
+    /// The rank's queues or state changed since its pick was cached.
+    dirty: bool,
+    /// Direction of the last executed stage.
+    last_dir: Option<Direction>,
+}
+
+impl Default for RankState {
+    fn default() -> Self {
+        Self {
+            pick_start: f64::INFINITY,
+            t_last: 0.0,
+            mem_used: 0,
+            inflight: 0,
+            mem_limit: u128::MAX,
+            pick_id: NO_PICK,
+            dirty: true,
+            last_dir: None,
+        }
+    }
+}
+
 /// The dependency count of an item that has run.
 const EXECUTED: u32 = u32::MAX;
+
+/// The pick id of a rank with nothing it may run.
+const NO_PICK: u32 = u32::MAX;
 
 /// The requirement step of a segment pair no pop constrained (`R = ∞`).
 pub const NO_REQUIREMENT: u32 = u32::MAX;
@@ -229,10 +375,11 @@ pub struct RequirementEvent {
 /// stay put (the capacity-stability test below asserts exactly that).
 ///
 /// A workspace is not tied to one graph: it resizes itself to whatever
-/// graph it is handed. Reusing one workspace across the evaluations of a
-/// single search stream (the intended pattern — see
-/// `dip-core`'s ordering search) is what removes the per-evaluation
-/// allocation traffic that used to dominate the kernel.
+/// graph it is handed, and holds no view of one ([`schedule_into`] keeps
+/// only the buffers of the view it packs per call). The ordering search
+/// gives each of its worker threads one workspace, reused for every pass
+/// of every stream the thread runs (see `dip-core`'s ordering search), and
+/// shares one [`PassGraph`] between them.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleWorkspace {
     /// Unsatisfied dependency count per item, `EXECUTED` once the item has
@@ -244,25 +391,19 @@ pub struct ScheduleWorkspace {
     push_step: Vec<u32>,
     /// Per-rank stage queues, at [`queue_index`]: forward, then backward.
     queues: Vec<SortedQueue>,
-    /// Per-rank cached pick `(start, stage)` of the live loop, valid while
-    /// the rank is not dirty.
-    picks: Vec<Option<(f64, StageId)>>,
-    /// Per-rank: its queues or state changed since its pick was cached.
-    dirty: Vec<bool>,
-    /// Per-rank time the rank becomes free.
-    t_last: Vec<f64>,
-    /// Per-rank direction of the last executed stage.
-    last_dir: Vec<Option<Direction>>,
-    /// Per-rank live activation bytes.
-    mem_used: Vec<u64>,
-    /// Per-rank in-flight (forward done, backward pending) stage pairs.
-    inflight: Vec<usize>,
+    /// Per-rank state of the pass.
+    ranks: Vec<RankState>,
+    /// The in-flight count at which every rank's forward queue stops.
+    inflight_cap: usize,
     /// Decision record of the most recent pass.
     record: RecordState,
     /// Steps the most recent pass replayed from its prefix.
     replayed_steps: usize,
     /// Steps the most recent pass popped from its queues.
     live_steps: usize,
+    /// The buffers of the view [`schedule_into`] packs per call.
+    view_items: Vec<PassItem>,
+    view_deps: Vec<u32>,
 }
 
 impl ScheduleWorkspace {
@@ -309,10 +450,11 @@ impl ScheduleWorkspace {
         self.live_steps
     }
 
-    /// Clear-don't-drop reset for a graph of `n` items over `num_ranks`
-    /// ranks and `num_segments` segments: every vector is cleared and
-    /// refilled in place, every queue keeps its buffer.
-    fn reset(&mut self, n: usize, num_ranks: usize, num_segments: usize) {
+    /// Clear-don't-drop reset for a pass under `config` over a graph of
+    /// `n` items, `num_ranks` ranks and `num_segments` segments: every
+    /// vector is cleared and refilled in place, every queue keeps its
+    /// buffer, and the forward caps are resolved per rank.
+    fn reset(&mut self, n: usize, num_ranks: usize, num_segments: usize, config: &DualQueueConfig) {
         debug_assert!(u32::try_from(n).is_ok(), "stage ids are logged as u32");
         self.remaining_deps.clear();
         self.ready_time.clear();
@@ -323,18 +465,14 @@ impl ScheduleWorkspace {
         for q in &mut self.queues {
             q.clear();
         }
-        self.picks.clear();
-        self.picks.resize(num_ranks, None);
-        self.dirty.clear();
-        self.dirty.resize(num_ranks, true);
-        self.t_last.clear();
-        self.t_last.resize(num_ranks, 0.0);
-        self.last_dir.clear();
-        self.last_dir.resize(num_ranks, None);
-        self.mem_used.clear();
-        self.mem_used.resize(num_ranks, 0);
-        self.inflight.clear();
-        self.inflight.resize(num_ranks, 0);
+        // No pass holds `usize::MAX` stages in flight on one rank.
+        self.inflight_cap = config.max_inflight.unwrap_or(usize::MAX);
+        let limits = config.memory_limit.as_deref().unwrap_or_default();
+        self.ranks.clear();
+        self.ranks.extend((0..num_ranks).map(|rank| RankState {
+            mem_limit: limits.get(rank).map_or(u128::MAX, |&l| u128::from(l)),
+            ..RankState::default()
+        }));
         self.record.reset(n, num_segments, 2 * num_ranks);
         self.replayed_steps = 0;
         self.live_steps = 0;
@@ -349,22 +487,18 @@ impl ScheduleWorkspace {
             self.ready_time.capacity(),
             self.push_step.capacity(),
             self.queues.capacity(),
-            self.picks.capacity(),
-            self.dirty.capacity(),
-            self.t_last.capacity(),
-            self.last_dir.capacity(),
-            self.mem_used.capacity(),
-            self.inflight.capacity(),
+            self.ranks.capacity(),
             self.record.present.capacity(),
             self.record.requirements.capacity(),
             self.record.events.capacity(),
             self.record.pops.capacity(),
+            self.view_items.capacity(),
+            self.view_deps.capacity(),
         ];
         sig.extend(self.queues.iter().map(|q| q.0.capacity()));
         sig
     }
 }
-
 /// The decision record of one pass, borrowed from its
 /// [`ScheduleWorkspace`] (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -625,14 +759,22 @@ fn queue_index(rank: usize, direction: Direction) -> usize {
 }
 
 /// Enqueues item `idx` on its rank's direction queue under `priorities`,
-/// marking the rank's pick stale.
-fn push_entry(ws: &mut ScheduleWorkspace, graph: &StageGraph, priorities: &[i64], idx: usize) {
-    let item = graph.item(StageId(idx));
-    let priority = priorities.get(item.segment).copied().unwrap_or(0);
-    let queue = queue_index(item.rank, item.direction);
-    ws.record.push(queue, item.segment);
-    ws.queues[queue].push(QueueEntry::new(priority, item, ws.ready_time[idx]));
-    ws.dirty[item.rank] = true;
+/// marking the rank's pick stale. (Inlined into the kernel's loops, like
+/// [`run_stage`]: a measured 5–8% of a pass.)
+#[inline(always)]
+fn push_entry(ws: &mut ScheduleWorkspace, graph: &PassGraph<'_>, priorities: &[i64], idx: usize) {
+    let item = &graph.items[idx];
+    let (segment, rank) = (item.segment as usize, usize::from(item.rank));
+    let queue = queue_index(rank, item.direction);
+    ws.record.push(queue, segment);
+    let priority = priorities.get(segment).copied().unwrap_or(0);
+    ws.queues[queue].push(QueueEntry::new(
+        priority,
+        item.position,
+        ws.ready_time[idx],
+        idx,
+    ));
+    ws.ranks[rank].dirty = true;
 }
 
 /// Runs the dual-queue interleaver over a stage graph, returning the per-rank
@@ -640,8 +782,8 @@ fn push_entry(ws: &mut ScheduleWorkspace, graph: &StageGraph, priorities: &[i64]
 ///
 /// This is the allocating convenience wrapper around [`schedule_into`]: it
 /// builds a fresh [`ScheduleWorkspace`] per call. Hot paths that evaluate
-/// many orderings (the planner's search workers) hold a workspace and call
-/// [`schedule_into`] / [`schedule_resumed`] directly.
+/// many orderings (the planner's search workers) hold a workspace and a
+/// [`PassGraph`] and call [`schedule_resumed`] directly.
 pub fn schedule(graph: &StageGraph, config: &DualQueueConfig) -> (RankOrders, f64) {
     let mut ws = ScheduleWorkspace::new();
     let makespan = schedule_into(graph, config, &mut ws);
@@ -653,7 +795,8 @@ pub fn schedule(graph: &StageGraph, config: &DualQueueConfig) -> (RankOrders, f6
 /// the pass's pop log.
 /// Bit-identical to [`schedule`] (the wrapper delegates here), but performs
 /// zero heap allocations once the workspace has warmed up on the graph's
-/// shape.
+/// shape: it packs the graph's [`PassGraph`] into buffers the workspace
+/// keeps, and runs one full [`schedule_resumed`] pass over it.
 ///
 /// A graph with an unsatisfiable dependency (never built by
 /// [`crate::StageGraphBuilder`]) cannot be fully scheduled: the pass trips
@@ -664,13 +807,20 @@ pub fn schedule_into(
     config: &DualQueueConfig,
     ws: &mut ScheduleWorkspace,
 ) -> f64 {
-    schedule_core(graph, config, ws, f64::INFINITY, PassPrefix::EMPTY)
-        .expect("an infinite cutoff never aborts")
+    let view = PassGraph::pack(
+        graph,
+        std::mem::take(&mut ws.view_items),
+        std::mem::take(&mut ws.view_deps),
+    );
+    let makespan = schedule_resumed(&view, config, ws, f64::INFINITY, PassPrefix::EMPTY);
+    (ws.view_items, ws.view_deps) = (view.items, view.deps);
+    makespan.expect("an infinite cutoff never aborts")
 }
 
-/// Like [`schedule_into`], but aborts as soon as any scheduled stage's end
-/// time exceeds `cutoff`, returning `None`, and replays `prefix` instead of
-/// deciding its steps, then decides the rest live (see the module docs).
+/// Like [`schedule_into`] over the graph `graph` packs, but aborts as soon
+/// as any scheduled stage's end time exceeds `cutoff`, returning `None`,
+/// and replays `prefix` instead of deciding its steps, then decides the
+/// rest live (see the module docs).
 ///
 /// The bound is **exact**, never heuristic: the makespan is the monotone
 /// maximum of all stage end times, so the first end time past the cutoff
@@ -690,103 +840,32 @@ pub fn schedule_into(
 /// this contract yields an arbitrary schedule, and trips a debug assertion
 /// when it replays a stage that is not ready.
 pub fn schedule_resumed(
-    graph: &StageGraph,
-    config: &DualQueueConfig,
-    ws: &mut ScheduleWorkspace,
-    cutoff: f64,
-    prefix: PassPrefix<'_>,
-) -> Option<f64> {
-    schedule_core(graph, config, ws, cutoff, prefix)
-}
-
-/// Executes stage `id` from `start` as the pass's pop at `step`, unless it
-/// would end past `cutoff`: updates the rank state and the pop log, and
-/// releases every dependent this makes ready, with push step `step + 1`.
-/// A live step enqueues them under `priorities` (`Some`); a replayed step
-/// leaves them for the queue rebuild (`None`). Returns the stage's end, or
-/// `None` past the cutoff.
-fn run_stage(
-    graph: &StageGraph,
-    ws: &mut ScheduleWorkspace,
-    id: StageId,
-    start: f64,
-    step: usize,
-    cutoff: f64,
-    priorities: Option<&[i64]>,
-) -> Option<f64> {
-    let item = graph.item(id);
-    let end = start + item.duration;
-    if end > cutoff {
-        // The makespan is a monotone max over stage end times: one end
-        // past the cutoff proves the full schedule would be too. The
-        // workspace holds a partial pass; the next reset wipes it.
-        return None;
-    }
-    let rank = item.rank;
-    debug_assert_eq!(ws.remaining_deps[id.0], 0, "stage not ready or run twice");
-    ws.remaining_deps[id.0] = EXECUTED;
-    ws.t_last[rank] = end;
-    ws.last_dir[rank] = Some(item.direction);
-    ws.dirty[rank] = true;
-    ws.record.pops.push(id.0 as u32);
-    match item.direction {
-        Direction::Forward => {
-            ws.mem_used[rank] = ws.mem_used[rank].saturating_add(item.activation_bytes);
-            ws.inflight[rank] += 1;
-        }
-        Direction::Backward => {
-            ws.mem_used[rank] = ws.mem_used[rank].saturating_sub(item.activation_bytes);
-            ws.inflight[rank] = ws.inflight[rank].saturating_sub(1);
-        }
-    }
-    // Release dependents via the cached reverse CSR.
-    for &(dependent, lag) in graph.dependents_of(id) {
-        let d = dependent.0;
-        ws.ready_time[d] = ws.ready_time[d].max(end + lag);
-        ws.remaining_deps[d] -= 1;
-        if ws.remaining_deps[d] == 0 {
-            ws.push_step[d] = (step + 1) as u32;
-            if let Some(priorities) = priorities {
-                push_entry(ws, graph, priorities, d);
-            }
-        }
-    }
-    Some(end)
-}
-
-/// The shared kernel behind every entry point: replays `prefix`, then
-/// decides the remaining steps live.
-fn schedule_core(
-    graph: &StageGraph,
+    graph: &PassGraph<'_>,
     config: &DualQueueConfig,
     ws: &mut ScheduleWorkspace,
     cutoff: f64,
     prefix: PassPrefix<'_>,
 ) -> Option<f64> {
     let n = graph.len();
-    let num_ranks = graph.num_ranks;
-    ws.reset(n, num_ranks, graph.num_segments());
+    let num_ranks = graph.graph.num_ranks;
+    ws.reset(n, num_ranks, graph.graph.num_segments(), config);
     let priorities = config.segment_priorities.as_slice();
-
-    // Dependency bookkeeping: counts from the forward CSR, release edges
-    // from the graph's cached reverse CSR (`StageGraph::dependents_of`) —
-    // nothing is re-derived per evaluation.
-    for (idx, item) in graph.items().iter().enumerate() {
-        debug_assert_eq!(item.id.0, idx);
-        ws.remaining_deps.push(graph.deps_of(item.id).len() as u32);
-    }
+    // Dependency counts from the view; release edges from the graph's
+    // cached reverse CSR (`StageGraph::dependents_of`) — nothing is
+    // re-derived per evaluation.
+    ws.remaining_deps.extend_from_slice(&graph.deps);
 
     let mut makespan = 0.0f64;
 
     // Replay the prefix: each step pops the logged stage, which starts
     // where the live loop would start it. No queue exists yet.
     for (step, &id) in prefix.pops.iter().enumerate() {
-        let id = StageId(id as usize);
+        let id = id as usize;
         debug_assert_eq!(
-            ws.remaining_deps[id.0], 0,
-            "replayed stage {id:?} is not ready at step {step}"
+            ws.remaining_deps[id], 0,
+            "replayed stage {id} is not ready at step {step}"
         );
-        let start = ws.ready_time[id.0].max(ws.t_last[graph.item(id).rank]);
+        let start = ws.ready_time[id].max(ws.ranks[usize::from(graph.items[id].rank)].t_last);
         ws.replayed_steps += 1;
         makespan = makespan.max(run_stage(graph, ws, id, start, step, cutoff, None)?);
     }
@@ -815,58 +894,73 @@ fn schedule_core(
         // so it is recomputed only for a dirty rank: one that ran the last
         // step or was handed a released stage (every rank, at the first
         // live step).
-        let mut best: Option<(f64, usize, StageId)> = None; // (start, rank, id)
+        let mut chosen = usize::MAX;
+        let mut best_start = f64::INFINITY;
         for rank in 0..num_ranks {
-            if ws.dirty[rank] {
-                ws.dirty[rank] = false;
-                ws.picks[rank] = pick_for_rank(ws, rank, config);
+            if ws.ranks[rank].dirty {
+                pick_for_rank(ws, rank);
             }
-            if let Some((start, id)) = ws.picks[rank] {
-                if best.is_none_or(|(s, ..)| start < s) {
-                    best = Some((start, rank, id));
-                }
+            // A rank without a pick starts at infinity and never wins the
+            // compare; the second test takes the first real pick whose
+            // start does not compare below infinity, as the first pick
+            // seen always was taken.
+            let state = &ws.ranks[rank];
+            let start = state.pick_start;
+            if start < best_start || (chosen == usize::MAX && state.pick_id != NO_PICK) {
+                chosen = rank;
+                best_start = start;
             }
         }
-        // Deadlock avoidance: if every rank is blocked by the memory/inflight
-        // constraint, relax it for the rank with the earliest-ready forward.
-        if best.is_none() {
+        let (start, rank, id) = if chosen != usize::MAX {
+            (best_start, chosen, ws.ranks[chosen].pick_id as usize)
+        } else {
+            // Deadlock avoidance: every rank is blocked by the
+            // memory/inflight constraint, so relax it for the rank with the
+            // earliest-ready forward.
+            let mut best: Option<(f64, usize, usize)> = None; // (start, rank, id)
             for rank in 0..num_ranks {
                 if let Some(entry) = ws.queues[queue_index(rank, Direction::Forward)].top() {
-                    let start = entry.ready_time.max(ws.t_last[rank]);
+                    let start = entry.ready_time.max(ws.ranks[rank].t_last);
                     if best.is_none_or(|(s, ..)| start < s) {
-                        best = Some((start, rank, entry.id()));
+                        best = Some((start, rank, entry.id as usize));
                     }
                 }
             }
-        }
-        let Some((start, rank, id)) = best else {
-            // Nothing is ready anywhere although stages remain: the graph
-            // has an unsatisfiable dependency (impossible for a
-            // builder-made graph). A partial schedule has no makespan, so
-            // the pass reports an infinite one — it loses to every
-            // complete pass, and a bounded pass aborts as on any loss.
-            debug_assert!(
-                step == n,
-                "unsatisfiable dependency: {} of {n} stages never became ready",
-                n - step
-            );
-            return (f64::INFINITY <= cutoff).then_some(f64::INFINITY);
+            let Some(best) = best else {
+                // Nothing is ready anywhere although stages remain: the
+                // graph has an unsatisfiable dependency (impossible for a
+                // builder-made graph). A partial schedule has no makespan,
+                // so the pass reports an infinite one — it loses to every
+                // complete pass, and a bounded pass aborts as on any loss.
+                debug_assert!(
+                    step == n,
+                    "unsatisfiable dependency: {} of {n} stages never became ready",
+                    n - step
+                );
+                return (f64::INFINITY <= cutoff).then_some(f64::INFINITY);
+            };
+            best
         };
 
         // Dequeue the chosen entry. Both the policy pick and the relaxed
         // fallback select the *top* of one queue, so the chosen entry is by
         // construction that queue's best — pop it directly.
-        let item = graph.item(id);
+        let item = &graph.items[id];
         let queue_idx = queue_index(rank, item.direction);
         let queue = &mut ws.queues[queue_idx];
         let popped = queue.pop().expect("the chosen entry is this queue's top");
-        debug_assert_eq!(popped.id(), id, "the chosen entry is its queue's top");
-        let exhausted = queue.top().is_none_or(|top| top.priority < popped.priority);
+        debug_assert_eq!(
+            popped.id as usize, id,
+            "the chosen entry is its queue's top"
+        );
+        let exhausted = queue
+            .top()
+            .is_none_or(|top| top.priority() < popped.priority());
         ws.record.pop(
             queue_idx,
-            item.segment,
+            item.segment as usize,
             exhausted,
-            ws.push_step[id.0],
+            ws.push_step[id],
             step as u32,
         );
         ws.live_steps += 1;
@@ -885,46 +979,90 @@ fn schedule_core(
     Some(makespan)
 }
 
-/// Whether `rank`'s forward queue may run now: its in-flight count and
-/// live activation bytes are under their caps.
-fn forward_allowed(ws: &ScheduleWorkspace, rank: usize, config: &DualQueueConfig) -> bool {
-    if let Some(cap) = config.max_inflight {
-        if ws.inflight[rank] >= cap {
-            return false;
+/// Executes stage `id` from `start` as the pass's pop at `step`, unless it
+/// would end past `cutoff`: updates the rank state and the pop log, and
+/// releases every dependent this makes ready, with push step `step + 1`.
+/// A live step enqueues them under `priorities` (`Some`); a replayed step
+/// leaves them for the queue rebuild (`None`). Returns the stage's end, or
+/// `None` past the cutoff.
+#[inline(always)]
+fn run_stage(
+    graph: &PassGraph<'_>,
+    ws: &mut ScheduleWorkspace,
+    id: usize,
+    start: f64,
+    step: usize,
+    cutoff: f64,
+    priorities: Option<&[i64]>,
+) -> Option<f64> {
+    let item = &graph.items[id];
+    let end = start + item.duration;
+    if end > cutoff {
+        // The makespan is a monotone max over stage end times: one end
+        // past the cutoff proves the full schedule would be too. The
+        // workspace holds a partial pass; the next reset wipes it.
+        return None;
+    }
+    let rank = usize::from(item.rank);
+    debug_assert_eq!(ws.remaining_deps[id], 0, "stage not ready or run twice");
+    ws.remaining_deps[id] = EXECUTED;
+    let state = &mut ws.ranks[rank];
+    state.t_last = end;
+    state.last_dir = Some(item.direction);
+    state.dirty = true;
+    ws.record.pops.push(id as u32);
+    match item.direction {
+        Direction::Forward => {
+            state.mem_used = state.mem_used.saturating_add(item.activation_bytes);
+            state.inflight += 1;
+        }
+        Direction::Backward => {
+            state.mem_used = state.mem_used.saturating_sub(item.activation_bytes);
+            state.inflight = state.inflight.saturating_sub(1);
         }
     }
-    if let Some(limits) = &config.memory_limit {
-        if let Some(&limit) = limits.get(rank) {
-            if ws.mem_used[rank] >= limit {
-                return false;
+    // Release dependents via the cached reverse CSR. A ready time only
+    // ever rises; neither side of the compare is NaN for a real graph.
+    for &(dependent, lag) in graph.graph.dependents_of(StageId(id)) {
+        let d = dependent.0;
+        let ready = end + lag;
+        if ready > ws.ready_time[d] {
+            ws.ready_time[d] = ready;
+        }
+        ws.remaining_deps[d] -= 1;
+        if ws.remaining_deps[d] == 0 {
+            ws.push_step[d] = (step + 1) as u32;
+            if let Some(priorities) = priorities {
+                push_entry(ws, graph, priorities, d);
             }
         }
     }
-    true
+    Some(end)
 }
 
-/// The stage `rank` would run next under the policy, with its start time,
-/// or `None` when the rank has nothing it may run.
-fn pick_for_rank(
-    ws: &ScheduleWorkspace,
-    rank: usize,
-    config: &DualQueueConfig,
-) -> Option<(f64, StageId)> {
+/// Caches the stage `rank` would run next under the policy and its start
+/// time, or no pick when the rank has nothing it may run. The rank's
+/// forward queue may run while its in-flight count and live activation
+/// bytes are under their caps.
+fn pick_for_rank(ws: &mut ScheduleWorkspace, rank: usize) {
+    let state = &ws.ranks[rank];
+    let forward_allowed =
+        state.inflight < ws.inflight_cap && u128::from(state.mem_used) < state.mem_limit;
     let f = ws.queues[queue_index(rank, Direction::Forward)]
         .top()
-        .filter(|_| forward_allowed(ws, rank, config));
+        .filter(|_| forward_allowed);
     let b = ws.queues[queue_index(rank, Direction::Backward)].top();
-    let t_last = ws.t_last[rank];
+    let t_last = state.t_last;
     let entry = match (f, b) {
-        (None, None) => return None,
-        (Some(e), None) | (None, Some(e)) => e,
+        (None, None) => None,
+        (Some(e), None) | (None, Some(e)) => Some(e),
         (Some(fe), Some(be)) => {
             // When both could already have started (the rank is the
             // bottleneck), alternate forward/backward to bound memory
             // (the 1F1B pattern). Otherwise pick the stage that can start
             // earliest to minimise the bubble.
-            if fe.ready_time <= t_last && be.ready_time <= t_last {
-                match ws.last_dir[rank] {
+            Some(if fe.ready_time <= t_last && be.ready_time <= t_last {
+                match state.last_dir {
                     Some(Direction::Forward) => be,
                     Some(Direction::Backward) | None => fe,
                 }
@@ -932,10 +1070,14 @@ fn pick_for_rank(
                 fe
             } else {
                 be
-            }
+            })
         }
     };
-    Some((entry.ready_time.max(t_last), entry.id()))
+    let (start, id) = entry.map_or((f64::INFINITY, NO_PICK), |e| {
+        (e.ready_time.max(t_last), e.id)
+    });
+    let state = &mut ws.ranks[rank];
+    (state.pick_start, state.pick_id, state.dirty) = (start, id, false);
 }
 
 #[cfg(test)]
@@ -1091,22 +1233,35 @@ mod tests {
     #[test]
     fn workspace_capacities_are_stable_after_warmup() {
         for graph in [lm_graph(8, 4)] {
+            let view = PassGraph::new(&graph);
             let mut ws = ScheduleWorkspace::new();
-            // Warm-up pass: buffers grow to the graph's high-water mark.
-            schedule_into(&graph, &DualQueueConfig::default(), &mut ws);
+            // Warm-up pass: buffers grow to the graph's high-water mark,
+            // the view buffers `schedule_into` packs into and the per-rank
+            // forward caps included.
+            let capped = DualQueueConfig {
+                memory_limit: Some(vec![1 << 34; graph.num_ranks]),
+                max_inflight: Some(3),
+                ..DualQueueConfig::default()
+            };
+            schedule_into(&graph, &capped, &mut ws);
             let signature = ws.capacity_signature();
             // A separate pass whose record the resumed passes replay.
             let mut source = ScheduleWorkspace::new();
             schedule_into(&graph, &DualQueueConfig::default(), &mut source);
             let record = source.record();
             // Steady state: repeated passes (including under varying
-            // priorities, an aborted bounded pass and resumed passes, one
-            // of them aborted inside its replay) must not allocate — every
-            // capacity stays exactly at the warm-up signature.
+            // priorities and caps, an aborted bounded pass and resumed
+            // passes, one of them aborted inside its replay) must not
+            // allocate — every capacity stays exactly at the warm-up
+            // signature.
             for round in 0..10 {
                 let config = DualQueueConfig {
                     segment_priorities: vec![round as i64, -(round as i64)],
-                    ..DualQueueConfig::default()
+                    ..if round % 2 == 0 {
+                        DualQueueConfig::default()
+                    } else {
+                        capped.clone()
+                    }
                 };
                 schedule_into(&graph, &config, &mut ws);
                 assert_eq!(
@@ -1115,29 +1270,126 @@ mod tests {
                     "round {round} allocated"
                 );
                 assert!(
-                    schedule_resumed(&graph, &config, &mut ws, 1e-9, PassPrefix::EMPTY).is_none()
+                    schedule_resumed(&view, &config, &mut ws, 1e-9, PassPrefix::EMPTY).is_none()
                 );
                 assert_eq!(
                     signature,
                     ws.capacity_signature(),
                     "bounded round {round} allocated"
                 );
+                let config = DualQueueConfig {
+                    memory_limit: None,
+                    max_inflight: None,
+                    ..config
+                };
                 let resume = record
                     .resume_point(&config.segment_priorities)
                     .unwrap_or(graph.len() / 2);
                 let prefix = record.prefix(resume);
-                schedule_resumed(&graph, &config, &mut ws, f64::INFINITY, prefix);
+                schedule_resumed(&view, &config, &mut ws, f64::INFINITY, prefix);
                 assert_eq!(
                     signature,
                     ws.capacity_signature(),
                     "resumed round {round} allocated"
                 );
-                assert!(schedule_resumed(&graph, &config, &mut ws, 1e-9, prefix).is_none());
+                assert!(schedule_resumed(&view, &config, &mut ws, 1e-9, prefix).is_none());
                 assert_eq!(
                     signature,
                     ws.capacity_signature(),
                     "aborted resumed round {round} allocated"
                 );
+            }
+        }
+    }
+
+    /// Every packed record of a [`PassGraph`] carries exactly the fields
+    /// of its `WorkItem`, and every count is the item's dependency
+    /// count, on a VLM-S graph (encoder, adapter and split backbone) and
+    /// a T2V-S graph with uneven sub-microbatch splits.
+    #[test]
+    fn pass_graph_packs_every_item_field() {
+        let vlm = {
+            let spec = zoo::vlm_s();
+            let parallel = ParallelConfig::new(4, 4, 1);
+            let mut k = std::collections::BTreeMap::new();
+            k.insert(spec.backbone_id().unwrap(), 2usize);
+            let placement = crate::separated_placement(&spec, parallel, &k);
+            let cluster = ClusterSpec::h800_cluster(2);
+            let batch = BatchWorkload::new()
+                .with(Modality::Text, ModalityWorkload::new(6502, 1))
+                .with(Modality::Image, ModalityWorkload::new(1690, 10));
+            let plan = SubMicrobatchPlan::uniform(placement.segments.len(), 3);
+            StageGraphBuilder::new(&spec, &placement, &cluster)
+                .build(&vec![batch; 3], &plan)
+                .unwrap()
+        };
+        let t2v = {
+            let spec = zoo::t2v_s();
+            let parallel = ParallelConfig::new(4, 4, 1);
+            let placement =
+                crate::separated_placement(&spec, parallel, &std::collections::BTreeMap::new());
+            let topology = dip_sim::ClusterTopology::mixed_h800_h20(2, 1);
+            let batch = BatchWorkload::new()
+                .with(Modality::Text, ModalityWorkload::new(900, 6))
+                .with(Modality::Video, ModalityWorkload::new(16 * 1560, 4));
+            let mut plan = SubMicrobatchPlan::uniform(placement.segments.len(), 2);
+            plan.set(0, 1, 3);
+            StageGraphBuilder::new_on(&spec, &placement, &topology)
+                .build(&vec![batch; 2], &plan)
+                .unwrap()
+        };
+        for graph in [&vlm, &t2v] {
+            let view = PassGraph::new(graph);
+            assert_eq!(view.len(), graph.len());
+            for (packed, item) in view.items.iter().zip(graph.items()) {
+                assert_eq!(packed.duration.to_bits(), item.duration.to_bits());
+                assert_eq!(packed.activation_bytes, item.activation_bytes);
+                assert_eq!(packed.position >> 32, item.microbatch as u64);
+                assert_eq!(packed.position & 0xffff_ffff, item.sub_microbatch as u64);
+                assert_eq!(packed.segment as usize, item.segment);
+                assert_eq!(usize::from(packed.rank), item.rank);
+                assert_eq!(packed.direction, item.direction);
+                assert_eq!(view.deps[item.id.0] as usize, graph.deps_of(item.id).len());
+            }
+        }
+        assert!(t2v.items().iter().any(|item| item.sub_microbatch > 0));
+    }
+
+    /// Forward caps resolve once per pass into per-rank limits without
+    /// moving the edge a saturated activation count sits on: with no
+    /// limit, or past the limit vector's end, a rank whose live bytes
+    /// saturate at `u64::MAX` still runs forwards, exactly as with no
+    /// memory charged at all; a limit of `u64::MAX` stops them.
+    #[test]
+    fn a_saturated_activation_count_stops_only_a_set_limit() {
+        let graph = lm_graph(6, 2);
+        let mut view = PassGraph::new(&graph);
+        let free = |view: &PassGraph<'_>, config: &DualQueueConfig| {
+            let mut ws = ScheduleWorkspace::new();
+            let makespan =
+                schedule_resumed(view, config, &mut ws, f64::INFINITY, PassPrefix::EMPTY)
+                    .expect("an infinite cutoff never aborts");
+            (makespan.to_bits(), ws.record().pops().to_vec())
+        };
+        for item in &mut view.items {
+            item.activation_bytes = 0;
+        }
+        let uncharged = free(&view, &DualQueueConfig::default());
+        for item in &mut view.items {
+            item.activation_bytes = u64::MAX / 2 + 1;
+        }
+        for memory_limit in [None, Some(vec![]), Some(vec![u64::MAX])] {
+            let config = DualQueueConfig {
+                memory_limit: memory_limit.clone(),
+                ..DualQueueConfig::default()
+            };
+            let saturated = free(&view, &config);
+            if memory_limit.is_some_and(|l| !l.is_empty()) {
+                // Rank 0 saturates after two forwards and then runs a
+                // forward only through the relaxed deadlock path.
+                assert_ne!(saturated, uncharged);
+            } else {
+                assert_eq!(saturated, uncharged);
             }
         }
     }
@@ -1237,6 +1489,7 @@ mod tests {
             ScheduleWorkspace::new(),
             ScheduleWorkspace::new(),
         );
+        let view = PassGraph::new(&graph);
         let mut replayed = 0;
         for from in &permutations {
             schedule_into(&graph, &config(from), &mut source);
@@ -1247,7 +1500,7 @@ mod tests {
                 let j = record.resume_point(&config.segment_priorities);
                 let steps = j.unwrap_or(graph.len());
                 let result = schedule_resumed(
-                    &graph,
+                    &view,
                     &config,
                     &mut resumed,
                     f64::INFINITY,
@@ -1288,11 +1541,12 @@ mod tests {
     #[test]
     fn bounded_with_infinite_cutoff_matches_schedule_into() {
         let graph = lm_graph(5, 4);
+        let view = PassGraph::new(&graph);
         let config = DualQueueConfig::default();
         let mut ws = ScheduleWorkspace::new();
         let makespan = schedule_into(&graph, &config, &mut ws);
         let orders = ws.orders(&graph);
-        let bounded = schedule_resumed(&graph, &config, &mut ws, f64::INFINITY, PassPrefix::EMPTY)
+        let bounded = schedule_resumed(&view, &config, &mut ws, f64::INFINITY, PassPrefix::EMPTY)
             .expect("infinite cutoff never aborts");
         assert_eq!(makespan.to_bits(), bounded.to_bits());
         assert_eq!(orders, ws.orders(&graph));
@@ -1301,18 +1555,19 @@ mod tests {
     #[test]
     fn bound_is_exact_at_the_makespan_boundary() {
         let graph = lm_graph(5, 4);
+        let view = PassGraph::new(&graph);
         let config = DualQueueConfig::default();
         let mut ws = ScheduleWorkspace::new();
         let makespan = schedule_into(&graph, &config, &mut ws);
         // Cutoff exactly at the makespan: the pass completes (end > cutoff
         // is strict) and returns the same bits.
-        let at = schedule_resumed(&graph, &config, &mut ws, makespan, PassPrefix::EMPTY)
+        let at = schedule_resumed(&view, &config, &mut ws, makespan, PassPrefix::EMPTY)
             .expect("cutoff == makespan must complete");
         assert_eq!(at.to_bits(), makespan.to_bits());
         // Cutoff just below: the pass must abort.
         let below = makespan * (1.0 - 1e-12);
         assert!(below < makespan);
-        assert!(schedule_resumed(&graph, &config, &mut ws, below, PassPrefix::EMPTY).is_none());
+        assert!(schedule_resumed(&view, &config, &mut ws, below, PassPrefix::EMPTY).is_none());
     }
 
     #[test]
@@ -1320,13 +1575,14 @@ mod tests {
     fn unsatisfiable_dependency_reports_an_infinite_makespan() {
         let mut graph = lm_graph(3, 2);
         graph.add_self_dependency(StageId(0));
+        let view = PassGraph::new(&graph);
         let config = DualQueueConfig::default();
         let mut ws = ScheduleWorkspace::new();
         // Release builds: the partial pass is reported, never a finite
         // makespan of the stages that did run.
         assert!(schedule_into(&graph, &config, &mut ws).is_infinite());
         assert!(ws.orders(&graph).num_stages() < graph.len());
-        assert!(schedule_resumed(&graph, &config, &mut ws, 1e9, PassPrefix::EMPTY).is_none());
+        assert!(schedule_resumed(&view, &config, &mut ws, 1e9, PassPrefix::EMPTY).is_none());
         let (orders, makespan) = schedule(&graph, &config);
         assert!(makespan.is_infinite());
         assert!(orders.num_stages() < graph.len());

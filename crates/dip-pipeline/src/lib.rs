@@ -72,8 +72,8 @@ pub mod placement;
 pub mod strategy;
 
 pub use dual_queue::{
-    schedule_into, schedule_resumed, DualQueueConfig, PassPrefix, PassRecord, RankOrders,
-    RequirementEvent, ScheduleWorkspace, NO_REQUIREMENT,
+    schedule_into, schedule_resumed, DualQueueConfig, PassGraph, PassPrefix, PassRecord,
+    RankOrders, RequirementEvent, ScheduleWorkspace, NO_REQUIREMENT,
 };
 pub use executor::{execute, ExecutionOutcome, ExecutorConfig};
 pub use graph::{

@@ -266,8 +266,17 @@ pub fn solve(problem: &GroupChoiceProblem, options: &SolveOptions) -> Solution {
         .map(|s| problem.objective(s))
         .unwrap_or(f64::INFINITY);
 
+    // Total prune threshold for the current incumbent (it only moves when
+    // the incumbent does).
+    let mut cutoff = incumbent_cost * (1.0 - options.optimality_gap).max(0.0);
+
     let mut nodes = 0u64;
     let mut selection = vec![usize::MAX; problem.groups.len()];
+    // `prefix[d]`: the summed cost of the candidates chosen at depths
+    // `0..d` on the current path, added in depth order from the value an
+    // empty `f64` sum starts at, so each entry has the bits of summing the
+    // path from scratch.
+    let mut prefix = vec![std::iter::empty::<f64>().sum::<f64>(); problem.groups.len() + 1];
     let mut usage = vec![0.0f64; problem.capacities.len()];
     let mut node_budget_hit = false;
     let mut gap_exit = false;
@@ -294,6 +303,7 @@ pub fn solve(problem: &GroupChoiceProblem, options: &SolveOptions) -> Solution {
             if cost < incumbent_cost {
                 incumbent_cost = cost;
                 incumbent = Some(selection.clone());
+                cutoff = incumbent_cost * (1.0 - options.optimality_gap).max(0.0);
             }
             stack.pop();
             if let Some(parent) = stack.last() {
@@ -314,11 +324,7 @@ pub fn solve(problem: &GroupChoiceProblem, options: &SolveOptions) -> Solution {
             let cand = &group[cand_idx];
 
             // Bound: cost so far + this candidate + cheapest completion.
-            let cost_so_far: f64 = (0..depth)
-                .map(|d| problem.groups[order[d]][selection[order[d]]].cost)
-                .sum();
-            let bound = cost_so_far + cand.cost + suffix_min[depth + 1];
-            let cutoff = incumbent_cost * (1.0 - options.optimality_gap).max(0.0);
+            let bound = prefix[depth] + cand.cost + suffix_min[depth + 1];
             if bound >= cutoff && incumbent_cost.is_finite() {
                 continue;
             }
@@ -330,6 +336,7 @@ pub fn solve(problem: &GroupChoiceProblem, options: &SolveOptions) -> Solution {
             }
             // Take the candidate.
             selection[group_idx] = cand_idx;
+            prefix[depth + 1] = prefix[depth] + cand.cost;
             for (k, u) in usage.iter_mut().enumerate() {
                 *u += cand.weight(k);
             }

@@ -19,8 +19,8 @@
 use dip_core::ordering::{search_ordering, OrderingResult, OrderingSearchConfig, SearchStrategy};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{
-    balanced_param_placement, dual_queue, DualQueueConfig, ParallelConfig, PassPrefix, PassRecord,
-    ScheduleWorkspace, StageGraph, StageGraphBuilder, SubMicrobatchPlan,
+    balanced_param_placement, dual_queue, DualQueueConfig, ParallelConfig, PassGraph, PassPrefix,
+    PassRecord, ScheduleWorkspace, StageGraph, StageGraphBuilder, SubMicrobatchPlan,
 };
 use dip_sim::ClusterSpec;
 use proptest::prelude::*;
@@ -121,16 +121,17 @@ proptest! {
         let mut ws = ScheduleWorkspace::new();
         let makespan = dual_queue::schedule_into(&graph, &config, &mut ws);
         let orders = ws.orders(&graph);
+        let view = PassGraph::new(&graph);
         let empty = PassPrefix::EMPTY;
         let unbounded =
-            dual_queue::schedule_resumed(&graph, &config, &mut ws, f64::INFINITY, empty);
+            dual_queue::schedule_resumed(&view, &config, &mut ws, f64::INFINITY, empty);
         prop_assert_eq!(unbounded.map(f64::to_bits), Some(makespan.to_bits()));
         prop_assert_eq!(orders, ws.orders(&graph));
-        let at_makespan = dual_queue::schedule_resumed(&graph, &config, &mut ws, makespan, empty);
+        let at_makespan = dual_queue::schedule_resumed(&view, &config, &mut ws, makespan, empty);
         prop_assert_eq!(at_makespan.map(f64::to_bits), Some(makespan.to_bits()));
         // Just below the makespan the pass must abort.
         let below = makespan * (1.0 - 1e-12);
-        let aborted = dual_queue::schedule_resumed(&graph, &config, &mut ws, below, empty);
+        let aborted = dual_queue::schedule_resumed(&view, &config, &mut ws, below, empty);
         prop_assert!(aborted.is_none());
     }
 }
@@ -519,6 +520,7 @@ fn decision_witness_covers_only_orderings_that_reproduce_the_pass() {
 #[test]
 fn resumed_passes_reproduce_fresh_passes_bit_for_bit() {
     let (graph, configs) = six_segment_setup();
+    let view = PassGraph::new(&graph);
     let orderings = all_orderings(6);
     let (mut source, mut fresh, mut resumed) = (
         ScheduleWorkspace::new(),
@@ -553,7 +555,7 @@ fn resumed_passes_reproduce_fresh_passes_bit_for_bit() {
                     "{label}: {ordering:?} diverges from {reference:?} before step {j}"
                 );
                 let result = dual_queue::schedule_resumed(
-                    &graph,
+                    &view,
                     &config,
                     &mut resumed,
                     f64::INFINITY,
@@ -579,7 +581,7 @@ fn resumed_passes_reproduce_fresh_passes_bit_for_bit() {
                 for cutoff in [makespan * (1.0 - 1e-12), makespan * 0.5] {
                     for (ws, prefix) in [(&mut fresh, PassPrefix::EMPTY), (&mut resumed, prefix)] {
                         assert!(
-                            dual_queue::schedule_resumed(&graph, &config, ws, cutoff, prefix)
+                            dual_queue::schedule_resumed(&view, &config, ws, cutoff, prefix)
                                 .is_none(),
                             "{what}"
                         );
@@ -648,4 +650,52 @@ fn kernel_output_matches_the_pinned_digest() {
         digest, 0xcdd2_60d9_7dee_687c,
         "kernel digest {digest:#018x}"
     );
+}
+
+/// The search's orders are a fresh allocating `schedule` of the priorities
+/// it returns, rank by rank and pop for pop, on every strategy at 1 and 4
+/// workers, under activation budgets and under 1-byte budgets (the relaxed
+/// deadlock path). The winner's re-interleave resumes from the memo record
+/// the winner reproduces, so it decides or replays each stage once, and on
+/// this graph, whose records reach deep, it replays some.
+#[test]
+fn search_orders_equal_a_fresh_schedule_of_the_returned_priorities() {
+    let (graph, configs) = six_segment_setup();
+    for (label, base) in configs {
+        for strategy in [
+            SearchStrategy::Mcts,
+            SearchStrategy::Random,
+            SearchStrategy::Dfs,
+        ] {
+            for workers in [1usize, 4] {
+                let what = format!("{label}, {strategy:?}, {workers} workers");
+                let config = OrderingSearchConfig {
+                    max_evaluations: Some(40),
+                    dual_queue: base.clone(),
+                    ..search_config(strategy, workers, true)
+                };
+                let result = search_ordering(&graph, 6, &config);
+                let (orders, makespan) = dual_queue::schedule(
+                    &graph,
+                    &DualQueueConfig {
+                        segment_priorities: result.segment_priorities.clone(),
+                        ..base.clone()
+                    },
+                );
+                assert_eq!(result.orders.orders.len(), orders.orders.len(), "{what}");
+                for (rank, (searched, fresh)) in
+                    result.orders.orders.iter().zip(&orders.orders).enumerate()
+                {
+                    assert_eq!(searched, fresh, "{what}: rank {rank}");
+                }
+                assert_eq!(result.best_time_s.to_bits(), makespan.to_bits(), "{what}");
+                let winner = result.work.winner_live_steps + result.work.winner_replayed_steps;
+                assert_eq!(winner, graph.len() as u64, "{what}");
+                assert!(
+                    result.work.winner_replayed_steps > 0,
+                    "{what}: nothing replayed"
+                );
+            }
+        }
+    }
 }
