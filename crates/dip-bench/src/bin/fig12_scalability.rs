@@ -223,6 +223,8 @@ fn main() {
                 },
                 outcome.plan.stats.search_evaluations.to_string(),
                 mono.ilp_nodes.to_string(),
+                outcome.plan.stats.memopt_constraint_entries.to_string(),
+                mono.constraint_entries.to_string(),
             ]);
             let prefix = format!("search.{name}.mb{microbatches}");
             report.push(
@@ -257,6 +259,21 @@ fn main() {
                 "count",
                 mono.ilp_nodes as f64,
             );
+            // Constraint entries each ILP formulation stored: every stage
+            // pair's support once (memopt: summed over ranks; the
+            // baseline: summed over every ordering's ILP).
+            report.push(
+                format!("{prefix}.memopt_constraint_entries"),
+                MetricKind::Determinism,
+                "count",
+                outcome.plan.stats.memopt_constraint_entries as f64,
+            );
+            report.push(
+                format!("{prefix}.monolithic_constraint_entries"),
+                MetricKind::Determinism,
+                "count",
+                mono.constraint_entries as f64,
+            );
         }
     }
     print_table(
@@ -269,6 +286,8 @@ fn main() {
             "Monolithic ILP (s)",
             "DIP evaluations",
             "ILP nodes",
+            "Memopt ILP entries",
+            "Monolithic ILP entries",
         ],
         &rows,
     );

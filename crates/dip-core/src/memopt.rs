@@ -8,6 +8,15 @@
 //! a group-choice ILP solved with a greedy warm start and a fixed 5%
 //! optimality gap, exactly as the paper describes.
 //!
+//! Each rank's ILP has one memory constraint per stage pair, anchored at
+//! the pair's forward position, and a pair loads the constraints anchored
+//! inside its alive interval with the same bytes whichever strategy it
+//! takes. So each group stores that support once and each candidate one
+//! weight (see [`dip_solver::ilp`]): a rank with `P` pairs and an `S`-rung
+//! ladder stores one entry per (pair, anchor inside its interval) instead
+//! of `P × S × P` dense weights. [`MemoryOptOutcome::constraint_entries`]
+//! counts them.
+//!
 //! # Parallel, deterministic solves
 //!
 //! The per-rank subproblems share no state, so
@@ -77,10 +86,14 @@ pub struct MemoryOptOutcome {
     /// cores). Compared with the caller's wall-clock measurement this
     /// exposes the parallel speedup of the phase.
     pub cpu_time: Duration,
+    /// Constraint entries the per-rank ILPs stored, summed over ranks (see
+    /// [`dip_solver::GroupChoiceProblem::constraint_entries`]).
+    pub constraint_entries: u64,
 }
 
-/// The selections one rank's subproblem contributes to the merged plan.
-type RankSelections = Vec<(usize, MemoryStrategy)>;
+/// The selections one rank's subproblem contributes to the merged plan,
+/// and the constraint entries its ILP stored.
+type RankSolve = (Vec<(usize, MemoryStrategy)>, u64);
 
 /// Runs per-rank memory optimisation over a stage graph and a fixed
 /// interleaving, returning the chosen [`MemoryPlan`] and the summed solve
@@ -123,7 +136,7 @@ pub fn optimize_memory_detailed(
     // The shared work-stealing fork-join helper: rank → thread assignment
     // cannot influence the per-rank results, which are pure functions of
     // the rank index.
-    let per_rank: Vec<(RankSelections, Duration)> = parallel_map_indexed(
+    let per_rank: Vec<(RankSolve, Duration)> = parallel_map_indexed(
         num_ranks,
         threads,
         || (),
@@ -146,20 +159,26 @@ pub fn optimize_memory_detailed(
     // parallel path produces a byte-identical plan.
     let mut plan = MemoryPlan::new();
     let mut cpu_time = Duration::ZERO;
-    for (selections, cpu) in per_rank {
+    let mut constraint_entries = 0;
+    for ((selections, entries), cpu) in per_rank {
         for (stage_pair, strategy) in selections {
             plan.set(stage_pair, strategy);
         }
         cpu_time += cpu;
+        constraint_entries += entries;
     }
-    Ok(MemoryOptOutcome { plan, cpu_time })
+    Ok(MemoryOptOutcome {
+        plan,
+        cpu_time,
+        constraint_entries,
+    })
 }
 
 /// Solves one rank's group-choice ILP, returning the chosen strategy per
 /// stage pair hosted on the rank (empty when the rank hosts no complete
-/// pair). Pure function of its inputs: no clock consulted, no shared
-/// state touched — which is what lets ranks solve concurrently yet
-/// reproducibly.
+/// pair) and the constraint entries the ILP stored. Pure function of its
+/// inputs: no clock consulted, no shared state touched — which is what
+/// lets ranks solve concurrently yet reproducibly.
 fn solve_rank(
     graph: &StageGraph,
     order: &[dip_pipeline::StageId],
@@ -167,7 +186,7 @@ fn solve_rank(
     rank: usize,
     config: &MemoryOptConfig,
     ladder: &[MemoryStrategy],
-) -> RankSelections {
+) -> RankSolve {
     let capacity = capacity_per_rank.get(rank).copied().unwrap_or(u64::MAX);
 
     // Collect the stage pairs on this rank with their alive intervals
@@ -213,38 +232,25 @@ fn solve_rank(
         })
         .collect();
     if infos.is_empty() {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
-
-    // Candidate timings per pair.
-    let candidate_timings: Vec<Vec<StageTiming>> = infos
-        .iter()
-        .map(|info| ladder.iter().map(|s| s.apply(&info.base)).collect())
-        .collect();
 
     // One memory constraint per pair, anchored at its forward position:
     // every pair alive at that position contributes its resident bytes.
     let capacities = vec![capacity as f64; infos.len()];
     let mut problem = GroupChoiceProblem::new(capacities);
-    for (i, info) in infos.iter().enumerate() {
-        let candidates: Vec<Candidate> = candidate_timings[i]
+    for info in &infos {
+        let support: Vec<u32> = (0..infos.len() as u32)
+            .filter(|&k| (info.fwd_pos..=info.bwd_pos).contains(&infos[k as usize].fwd_pos))
+            .collect();
+        let candidates: Vec<Candidate> = ladder
             .iter()
-            .map(|t| {
-                let weights: Vec<f64> = infos
-                    .iter()
-                    .map(|anchor| {
-                        let k = anchor.fwd_pos;
-                        if info.fwd_pos <= k && k <= info.bwd_pos {
-                            t.activation_bytes as f64
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-                Candidate::new(t.fwd_s + t.bwd_s, weights)
+            .map(|s| {
+                let t = s.apply(&info.base);
+                Candidate::new(t.fwd_s + t.bwd_s, t.activation_bytes as f64)
             })
             .collect();
-        problem.add_group(candidates);
+        problem.add_group(support, candidates);
     }
 
     let solution = dip_solver::ilp::solve(
@@ -258,7 +264,7 @@ fn solve_rank(
         },
     );
 
-    if solution.is_feasible() {
+    let selections = if solution.is_feasible() {
         infos
             .iter()
             .enumerate()
@@ -271,7 +277,8 @@ fn solve_rank(
             .iter()
             .map(|info| (info.stage_pair, most_aggressive))
             .collect()
-    }
+    };
+    (selections, problem.constraint_entries())
 }
 
 /// Estimated activation peak of one rank's order under a memory plan, using

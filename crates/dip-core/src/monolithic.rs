@@ -33,6 +33,11 @@ pub struct MonolithicResult {
     pub subproblems_solved: u64,
     /// Branch-and-bound nodes explored across all ILP solves.
     pub ilp_nodes: u64,
+    /// Constraint entries stored across all ILPs built (see
+    /// [`dip_solver::GroupChoiceProblem::constraint_entries`]): each stage
+    /// pair's support once, where dense weight rows would hold
+    /// `constraints × candidates` entries per pair.
+    pub constraint_entries: u64,
 }
 
 /// Runs the monolithic baseline over a stage graph with `num_segments`
@@ -53,6 +58,7 @@ pub fn monolithic_ilp_search(
     let mut best_time = f64::INFINITY;
     let mut subproblems = 0u64;
     let mut ilp_nodes = 0u64;
+    let mut constraint_entries = 0u64;
 
     let mut orderings = Permutations::new(num_segments.max(1));
     while ilp_nodes < node_budget {
@@ -73,8 +79,6 @@ pub fn monolithic_ilp_search(
         let (orders, makespan) = dual_queue::schedule(graph, &queue);
 
         // Global exact ILP over every rank's stage pairs at once.
-        let mut problem = GroupChoiceProblem::new(Vec::new());
-        let mut constraint_count = 0usize;
         // Constraints: for every rank, one per stage pair anchored at its
         // forward position.
         let mut pair_intervals: Vec<(usize, usize, usize, StageTiming)> = Vec::new(); // (rank, fwd_pos, bwd_pos, base)
@@ -95,37 +99,35 @@ pub fn monolithic_ilp_search(
                         base.bwd_s = item.duration;
                         if let Some(&f) = fwd_pos.get(&item.stage_pair) {
                             pair_intervals.push((rank, f, pos, bases[&item.stage_pair]));
-                            constraint_count += 1;
                         }
                     }
                 }
             }
         }
-        let mut capacities = vec![0.0f64; constraint_count];
-        for (k, (rank, ..)) in pair_intervals.iter().enumerate() {
-            capacities[k] = capacity_per_rank.get(*rank).copied().unwrap_or(u64::MAX) as f64;
-        }
-        problem.capacities = capacities;
+        let capacities = pair_intervals
+            .iter()
+            .map(|(rank, ..)| capacity_per_rank.get(*rank).copied().unwrap_or(u64::MAX) as f64)
+            .collect();
+        let mut problem = GroupChoiceProblem::new(capacities);
         for (rank, fwd, bwd, base) in &pair_intervals {
+            // The constraints of this rank anchored inside the pair's
+            // alive interval.
+            let support: Vec<u32> = (0..pair_intervals.len() as u32)
+                .filter(|&k| {
+                    let (r2, f2, ..) = &pair_intervals[k as usize];
+                    r2 == rank && (fwd..=bwd).contains(&f2)
+                })
+                .collect();
             let candidates: Vec<Candidate> = ladder
                 .iter()
                 .map(|s| {
                     let t = s.apply(base);
-                    let weights: Vec<f64> = pair_intervals
-                        .iter()
-                        .map(|(r2, f2, _, _)| {
-                            if r2 == rank && fwd <= f2 && f2 <= bwd {
-                                t.activation_bytes as f64
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect();
-                    Candidate::new(t.fwd_s + t.bwd_s, weights)
+                    Candidate::new(t.fwd_s + t.bwd_s, t.activation_bytes as f64)
                 })
                 .collect();
-            problem.add_group(candidates);
+            problem.add_group(support, candidates);
         }
+        constraint_entries += problem.constraint_entries();
 
         let solution = dip_solver::ilp::solve(
             &problem,
@@ -155,6 +157,7 @@ pub fn monolithic_ilp_search(
         budget_exhausted: ilp_nodes >= node_budget,
         subproblems_solved: subproblems,
         ilp_nodes,
+        constraint_entries,
     }
 }
 

@@ -61,6 +61,15 @@
 //! pops and decides only the rest (`j = 0` is a fresh pass). A resumed pass
 //! is still one pass, bit-identical to a fresh one.
 //!
+//! The scan reads the requirement tables in the layout its inner loop
+//! streams: column-major, one column per ordered segment pair holding that
+//! pair's step for every record (two bytes a step when the graph's steps
+//! fit, four otherwise). It folds the columns of the ordering's unranked
+//! pairs into a per-record minimum, branch-free and without a per-record
+//! early stop, then takes the first record holding the largest minimum —
+//! the origin the record-by-record scan it replaced picks, ties included
+//! (a proptest keeps that scan as its reference).
+//!
 //! Every evaluation, a memo hit or not, counts in full against the
 //! stream's quota (and as pruned when it loses to the stream's cutoff). So
 //! the memo changes neither which orderings are explored nor which plan
@@ -495,19 +504,18 @@ struct MemoTables {
     records: PassRecords,
 }
 
-/// The decision records of a search's completed passes, in flat arenas
-/// (one record per pass, in completion order), so storing a record costs
-/// no allocation of its own. A pass resumed at step `j` made the same
-/// first `j` pops, and lowered its requirement steps at them in the same
-/// events, as the pass it resumed from, so its record stores only what
-/// follows step `j` and points at that pass for the rest.
+/// The decision records of a search's completed passes (one record per
+/// pass, in completion order), so storing a record costs no allocation of
+/// its own once the arenas have grown. A pass resumed at step `j` made the
+/// same first `j` pops, and lowered its requirement steps at them in the
+/// same events, as the pass it resumed from, so its record stores only
+/// what follows step `j` and points at that pass for the rest.
 struct PassRecords {
-    /// Ordered segment pairs per requirement table.
-    pairs: usize,
     /// Per pass: its makespan, origin and where its own parts end.
     passes: Vec<StoredPass>,
-    /// The requirement tables, `pairs` entries per pass.
-    requirements: Compact,
+    /// The requirement tables, column-major: one column per ordered
+    /// segment pair, holding that pair's step for every record.
+    requirements: Requirements,
     /// Each pass's own pops, from its resume step up to its horizon (no
     /// resume replays past the horizon), back to back.
     pops: Compact,
@@ -528,13 +536,14 @@ struct StoredPass {
 
 /// The start of a stored record: it shares its first `resumed` pops and
 /// the events below them with record `source`.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Origin {
     source: u32,
     resumed: u32,
 }
 
 /// The best an earlier pass offers an ordering.
+#[derive(Debug, PartialEq, Eq)]
 enum Resume {
     /// The index of a pass the ordering reproduces whole (`j = ∞`).
     Hit(u32),
@@ -545,40 +554,31 @@ enum Resume {
 
 impl PassRecords {
     fn new(graph: &StageGraph) -> Self {
+        let pairs = graph.num_segments() * graph.num_segments();
         Self {
-            pairs: graph.num_segments() * graph.num_segments(),
             passes: Vec::new(),
-            requirements: Compact::for_graph(graph.len()),
+            requirements: Requirements::for_graph(graph.len(), pairs),
             pops: Compact::for_graph(graph.len()),
             events: Vec::new(),
         }
     }
 
-    /// Scans every record for the largest resume point of an ordering
-    /// whose unranked pairs are `unranked`. A record's pair loop stops as
-    /// soon as its running minimum is at or below the best point so far,
-    /// and the scan stops at the first record the ordering reproduces
-    /// (every such record carries the same makespan bits).
-    fn best_resume(&self, unranked: &[u32]) -> Resume {
-        let mut best = Origin {
-            source: 0,
-            resumed: 0,
-        };
-        for pass in 0..self.passes.len() {
-            let j = self
-                .requirements
-                .min_at(pass * self.pairs, unranked, best.resumed);
-            if j == NO_REQUIREMENT {
-                return Resume::Hit(pass as u32);
-            }
-            if j > best.resumed {
-                best = Origin {
-                    source: pass as u32,
-                    resumed: j,
-                };
-            }
+    /// The largest resume point any record offers an ordering whose
+    /// unranked pairs are `unranked`: the first record holding it, and a
+    /// [`Resume::Hit`] when it is `j = ∞` (every record the ordering
+    /// reproduces carries the same makespan bits).
+    fn best_resume(&mut self, unranked: &[u32]) -> Resume {
+        match self.requirements.best(unranked, self.passes.len()) {
+            Some((pass, NO_REQUIREMENT)) => Resume::Hit(pass as u32),
+            Some((pass, resumed)) => Resume::At(Origin {
+                source: pass as u32,
+                resumed,
+            }),
+            None => Resume::At(Origin {
+                source: 0,
+                resumed: 0,
+            }),
         }
-        Resume::At(best)
     }
 
     /// The makespan of `pass`.
@@ -612,44 +612,73 @@ impl PassRecords {
     fn copy_prefix(&self, origin: Origin, pops: &mut Vec<u32>, events: &mut Vec<RequirementEvent>) {
         pops.clear();
         pops.resize(origin.resumed as usize, 0);
-        events.clear();
-        let (mut pass, mut end) = (origin.source as usize, origin.resumed as usize);
-        while end > 0 {
-            let stored = &self.passes[pass];
-            let resumed = stored.origin.resumed as usize;
-            if end > resumed {
-                let (pops_start, events_start) = self.starts(pass);
-                self.pops.copy_to(
-                    pops_start..pops_start + end - resumed,
-                    &mut pops[resumed..end],
-                );
-                events.extend(
-                    self.events[events_start..stored.events_end as usize]
-                        .iter()
-                        .take_while(|e| (e.pop_step as usize) < end),
-                );
-            }
-            (pass, end) = (stored.origin.source as usize, end.min(resumed));
+        let mut total = 0;
+        for (pass, resumed, end) in self.chain(origin) {
+            let (pops_start, _) = self.starts(pass);
+            self.pops.copy_to(
+                pops_start..pops_start + end - resumed,
+                &mut pops[resumed..end],
+            );
+            total += self.own_events_below(pass, end).len();
         }
-        // The chain yields later steps first; within a pop, events come in
-        // pair order, so this restores the recorded order exactly.
-        events.sort_unstable_by_key(|e| (e.pop_step, e.pair));
+        // The chain yields later steps first, and each part's events are in
+        // recorded order, so writing the parts back to front restores the
+        // recorded order exactly.
+        events.clear();
+        let blank = RequirementEvent {
+            pair: 0,
+            pop_step: 0,
+            push_step: 0,
+        };
+        events.resize(total, blank);
+        for (pass, _, end) in self.chain(origin) {
+            let part = self.own_events_below(pass, end);
+            total -= part.len();
+            events[total..total + part.len()].copy_from_slice(part);
+        }
+    }
+
+    /// The passes along the chain that holds the first `origin.resumed`
+    /// pops of pass `origin.source`, latest first, each with the steps
+    /// `resumed..end` its own part contributes.
+    fn chain(&self, origin: Origin) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let (mut pass, mut end) = (origin.source as usize, origin.resumed as usize);
+        std::iter::from_fn(move || {
+            while end > 0 {
+                let stored = &self.passes[pass];
+                let resumed = stored.origin.resumed as usize;
+                let part = (pass, resumed, end);
+                (pass, end) = (stored.origin.source as usize, end.min(resumed));
+                if part.2 > resumed {
+                    return Some(part);
+                }
+            }
+            None
+        })
+    }
+
+    /// The own events of `pass` at pop steps below `end` (they are stored
+    /// in pop-step order).
+    fn own_events_below(&self, pass: usize, end: usize) -> &[RequirementEvent] {
+        let (_, events_start) = self.starts(pass);
+        let own = &self.events[events_start..self.passes[pass].events_end as usize];
+        &own[..own.partition_point(|e| (e.pop_step as usize) < end)]
     }
 
     /// Stores the record of a completed pass that resumed at `origin`.
     fn push(&mut self, record: PassRecord<'_>, makespan: f64, origin: Origin) {
         let horizon = record.horizon();
         let resumed = origin.resumed as usize;
-        self.requirements.extend(record.requirements());
+        self.requirements.push(record.requirements());
         if horizon > resumed {
             self.pops.extend(&record.pops()[resumed..horizon]);
         }
-        self.events.extend(
-            record
-                .events()
-                .iter()
-                .filter(|e| (resumed..horizon).contains(&(e.pop_step as usize))),
-        );
+        // Events come in pop-step order, so those at steps `resumed..horizon`
+        // are one run.
+        let events = record.events();
+        let below = |step: usize| events.partition_point(|e| (e.pop_step as usize) < step);
+        let (lo, hi) = (below(resumed), below(horizon));
+        self.events.extend_from_slice(&events[lo..hi.max(lo)]);
         self.passes.push(StoredPass {
             makespan,
             origin,
@@ -659,9 +688,105 @@ impl PassRecords {
     }
 }
 
-/// Stage ids or requirement steps, two bytes each when every value of the
-/// graph fits (ids and steps stay below its item count), four otherwise.
-/// [`NO_REQUIREMENT`] is stored as the largest value of the width.
+/// Whether every stage id and requirement step of a graph fits in two
+/// bytes (ids and steps stay below its item count), with the largest
+/// two-byte value left free to stand for [`NO_REQUIREMENT`].
+fn fits_narrow(len: usize) -> bool {
+    len < usize::from(u16::MAX)
+}
+
+/// A value as two bytes, [`NO_REQUIREMENT`] as the largest one.
+fn narrow(value: u32) -> u16 {
+    value.min(u32::from(u16::MAX)) as u16
+}
+
+/// A narrow stored value as four bytes.
+fn widen(value: u16) -> u32 {
+    if value == u16::MAX {
+        NO_REQUIREMENT
+    } else {
+        u32::from(value)
+    }
+}
+
+/// The memo's requirement columns, two bytes per step when the graph's
+/// steps fit (see [`fits_narrow`]), four otherwise.
+enum Requirements {
+    Narrow(Columns<u16>),
+    Wide(Columns<u32>),
+}
+
+impl Requirements {
+    fn for_graph(len: usize, pairs: usize) -> Self {
+        if fits_narrow(len) {
+            Self::Narrow(Columns::new(pairs))
+        } else {
+            Self::Wide(Columns::new(pairs))
+        }
+    }
+
+    /// Appends one record's row-major requirement table.
+    fn push(&mut self, table: &[u32]) {
+        match self {
+            Self::Narrow(columns) => columns.push(table.iter().map(|&v| narrow(v))),
+            Self::Wide(columns) => columns.push(table.iter().copied()),
+        }
+    }
+
+    /// The first of the `records` records holding the largest minimum over
+    /// the `pairs` columns, and that minimum; `None` without records.
+    fn best(&mut self, pairs: &[u32], records: usize) -> Option<(usize, u32)> {
+        match self {
+            Self::Narrow(columns) => columns
+                .best(pairs, records, u16::MAX)
+                .map(|(record, j)| (record, widen(j))),
+            Self::Wide(columns) => columns.best(pairs, records, NO_REQUIREMENT),
+        }
+    }
+}
+
+/// Per-record values stored column by column, plus the reused row the
+/// scan folds them into.
+struct Columns<T> {
+    columns: Vec<Vec<T>>,
+    mins: Vec<T>,
+}
+
+impl<T: Copy + Ord> Columns<T> {
+    fn new(pairs: usize) -> Self {
+        Self {
+            columns: (0..pairs).map(|_| Vec::new()).collect(),
+            mins: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, row: impl Iterator<Item = T>) {
+        for (column, value) in self.columns.iter_mut().zip(row) {
+            column.push(value);
+        }
+    }
+
+    /// Takes the elementwise minimum of the `pairs` columns over all
+    /// `records` records, without stopping early, then returns the first
+    /// record holding the maximum of those minima. A record's minimum is
+    /// `none` when `pairs` is empty.
+    fn best(&mut self, pairs: &[u32], records: usize, none: T) -> Option<(usize, T)> {
+        let mins = &mut self.mins;
+        mins.clear();
+        mins.resize(records, none);
+        for &pair in pairs {
+            for (min, &value) in mins.iter_mut().zip(&self.columns[pair as usize][..records]) {
+                *min = (*min).min(value);
+            }
+        }
+        let best = *mins.iter().max()?;
+        let record = mins.iter().position(|&min| min == best)?;
+        Some((record, best))
+    }
+}
+
+/// Stage ids, two bytes each when the graph's ids fit (see
+/// [`fits_narrow`]), four otherwise.
 enum Compact {
     Narrow(Vec<u16>),
     Wide(Vec<u32>),
@@ -669,7 +794,7 @@ enum Compact {
 
 impl Compact {
     fn for_graph(len: usize) -> Self {
-        if len < usize::from(u16::MAX) {
+        if fits_narrow(len) {
             Self::Narrow(Vec::new())
         } else {
             Self::Wide(Vec::new())
@@ -685,9 +810,7 @@ impl Compact {
 
     fn extend(&mut self, values: &[u32]) {
         match self {
-            Self::Narrow(narrow) => {
-                narrow.extend(values.iter().map(|&v| v.min(u32::from(u16::MAX)) as u16))
-            }
+            Self::Narrow(narrow_values) => narrow_values.extend(values.iter().map(|&v| narrow(v))),
             Self::Wide(wide) => wide.extend_from_slice(values),
         }
     }
@@ -701,37 +824,6 @@ impl Compact {
             }
             Self::Wide(values) => out.copy_from_slice(&values[range]),
         }
-    }
-
-    /// The minimum of `values[base + index]` over `indices`, or any value
-    /// at or below `floor` once the running minimum reaches it.
-    fn min_at(&self, base: usize, indices: &[u32], floor: u32) -> u32 {
-        fn scan<T: Copy + Ord>(values: &[T], indices: &[u32], floor: T, none: T) -> T {
-            let mut min = none;
-            for &index in indices {
-                min = min.min(values[index as usize]);
-                if min <= floor {
-                    break;
-                }
-            }
-            min
-        }
-        match self {
-            Self::Narrow(values) => {
-                let floor = floor.min(u32::from(u16::MAX)) as u16;
-                widen(scan(&values[base..], indices, floor, u16::MAX))
-            }
-            Self::Wide(values) => scan(&values[base..], indices, floor, NO_REQUIREMENT),
-        }
-    }
-}
-
-/// A narrow stored value as four bytes.
-fn widen(value: u16) -> u32 {
-    if value == u16::MAX {
-        NO_REQUIREMENT
-    } else {
-        u32::from(value)
     }
 }
 
@@ -1083,7 +1175,7 @@ fn merge_outcomes(
         &mut ctx.unranked,
     );
     {
-        let tables = memo.tables();
+        let mut tables = memo.tables();
         let origin = match tables.records.best_resume(&ctx.unranked) {
             Resume::Hit(pass) => tables.records.stored_prefix(pass),
             // Never for a completed winner; a resumed pass is exact anyway.
@@ -1207,33 +1299,59 @@ fn dfs_search(search: &Search<'_>, ctx: &mut EvalContext, local: &mut WorkerOutc
 // MCTS
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct MctsNode {
-    visits: u64,
-    /// Best (lowest) iteration time observed among descendants.
-    best_time: f64,
-    children: HashMap<usize, usize>,
-}
+/// The child slot of a missing child.
+const NO_CHILD: u32 = u32::MAX;
 
-impl MctsNode {
-    fn new() -> Self {
-        Self {
-            visits: 0,
-            best_time: f64::INFINITY,
-            children: HashMap::new(),
-        }
-    }
-}
-
-#[derive(Debug)]
+/// One stream's search tree, stored densely: node `v`'s child for segment
+/// `s` sits in slot `v * segments + s` of `children` ([`NO_CHILD`] when
+/// missing), and each node's visits and best time sit at its index in two
+/// flat vectors.
 struct MctsTree {
-    nodes: Vec<MctsNode>,
+    segments: usize,
+    children: Vec<u32>,
+    visits: Vec<u64>,
+    /// Best (lowest) iteration time observed among each node's descendants.
+    best_time: Vec<f64>,
 }
 
 impl MctsTree {
-    fn new() -> Self {
-        Self {
-            nodes: vec![MctsNode::new()],
+    fn new(segments: usize) -> Self {
+        let mut tree = Self {
+            segments,
+            children: Vec::new(),
+            visits: Vec::new(),
+            best_time: Vec::new(),
+        };
+        tree.add_node();
+        tree
+    }
+
+    fn add_node(&mut self) -> usize {
+        let node = self.visits.len();
+        self.children
+            .resize(self.children.len() + self.segments, NO_CHILD);
+        self.visits.push(0);
+        self.best_time.push(f64::INFINITY);
+        node
+    }
+
+    /// The child of `node` for `segment`, if it exists.
+    fn child(&self, node: usize, segment: usize) -> Option<usize> {
+        let child = self.children[node * self.segments + segment];
+        (child != NO_CHILD).then_some(child as usize)
+    }
+
+    fn add_child(&mut self, node: usize, segment: usize) -> usize {
+        let child = self.add_node();
+        self.children[node * self.segments + segment] = child as u32;
+        child
+    }
+
+    /// Credits `node` with one visit at `time_s`.
+    fn credit(&mut self, node: usize, time_s: f64) {
+        self.visits[node] += 1;
+        if time_s < self.best_time[node] {
+            self.best_time[node] = time_s;
         }
     }
 
@@ -1242,27 +1360,15 @@ impl MctsTree {
     /// then treats the previous best as an already-explored promising branch
     /// instead of starting from an empty tree.
     fn seed_path(&mut self, ordering: &[usize], time_s: f64) {
-        let mut node_idx = 0usize;
-        for &seg in ordering {
-            self.nodes[node_idx].visits += 1;
-            if time_s < self.nodes[node_idx].best_time {
-                self.nodes[node_idx].best_time = time_s;
-            }
-            let next = match self.nodes[node_idx].children.get(&seg) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = self.nodes.len();
-                    self.nodes.push(MctsNode::new());
-                    self.nodes[node_idx].children.insert(seg, idx);
-                    idx
-                }
+        let mut node = 0usize;
+        for &segment in ordering {
+            self.credit(node, time_s);
+            node = match self.child(node, segment) {
+                Some(child) => child,
+                None => self.add_child(node, segment),
             };
-            node_idx = next;
         }
-        self.nodes[node_idx].visits += 1;
-        if time_s < self.nodes[node_idx].best_time {
-            self.nodes[node_idx].best_time = time_s;
-        }
+        self.credit(node, time_s);
     }
 }
 
@@ -1274,7 +1380,9 @@ const UCB_BETA: f64 = 0.5;
 const UCB_ALPHA: f64 = 1.0;
 
 /// One root-parallel MCTS stream: owns its tree and RNG outright, so the
-/// entire select/expand/rollout/backpropagate loop runs without locks.
+/// entire select/expand/rollout/backpropagate loop runs without locks, and
+/// reuses one set of buffers for every iteration, so after warm-up only a
+/// new tree node allocates.
 fn mcts_worker(
     search: &Search<'_>,
     ctx: &mut EvalContext,
@@ -1282,67 +1390,64 @@ fn mcts_worker(
     local: &mut WorkerOutcome,
     stream: usize,
 ) {
-    let (num_segments, quota) = (search.num_segments, search.quota);
+    let (n, quota) = (search.num_segments, search.quota);
     let mut rng = worker_rng(search.config.seed, stream);
-    let mut tree = MctsTree::new();
+    let mut tree = MctsTree::new(n);
     if let Some((seed, time_s)) = warm {
         tree.seed_path(seed, time_s);
     }
+    let mut path: Vec<usize> = Vec::with_capacity(n + 1);
+    let mut prefix: Vec<usize> = Vec::with_capacity(n);
+    let mut used = vec![false; n];
+    let mut missing: Vec<usize> = Vec::with_capacity(n);
+    let mut ordering: Vec<usize> = Vec::with_capacity(n);
+    let mut rest: Vec<usize> = Vec::with_capacity(n);
     while !local.budget_exhausted(quota) {
         // --- Selection + expansion. ---
-        let mut node_idx = 0usize;
-        let mut path = vec![0usize];
-        let mut prefix: Vec<usize> = Vec::new();
-        let mut used = vec![false; num_segments];
-        loop {
-            if prefix.len() == num_segments {
-                break;
-            }
-            let unused: Vec<usize> = (0..num_segments).filter(|s| !used[*s]).collect();
+        let mut node = 0usize;
+        path.clear();
+        path.push(node);
+        prefix.clear();
+        used.fill(false);
+        while prefix.len() < n {
             // Expand if some child is missing.
-            let missing: Vec<usize> = unused
-                .iter()
-                .copied()
-                .filter(|s| !tree.nodes[node_idx].children.contains_key(s))
-                .collect();
+            missing.clear();
+            missing.extend((0..n).filter(|&s| !used[s] && tree.child(node, s).is_none()));
             if !missing.is_empty() {
                 let pick = missing[rng.gen_range(0..missing.len())];
-                let new_idx = tree.nodes.len();
-                tree.nodes.push(MctsNode::new());
-                tree.nodes[node_idx].children.insert(pick, new_idx);
+                let child = tree.add_child(node, pick);
                 prefix.push(pick);
                 used[pick] = true;
-                path.push(new_idx);
+                path.push(child);
                 break;
             }
-            // UCB selection among existing children.
-            let parent_visits = tree.nodes[node_idx].visits.max(1);
+            // UCB selection among existing children: none is missing.
+            let log_visits = (tree.visits[node].max(1) as f64).ln();
             let incumbent = local.time_s;
             let mut best_child = None;
             let mut best_ucb = f64::NEG_INFINITY;
-            for &seg in &unused {
-                let child_idx = tree.nodes[node_idx].children[&seg];
-                let child = &tree.nodes[child_idx];
-                let exploit = if child.best_time.is_finite() {
-                    (incumbent / child.best_time).powf(UCB_ALPHA)
+            for segment in (0..n).filter(|&s| !used[s]) {
+                let child = tree.children[node * n + segment] as usize;
+                let best_time = tree.best_time[child];
+                let exploit = if best_time.is_finite() {
+                    (incumbent / best_time).powf(UCB_ALPHA)
                 } else {
                     0.5
                 };
-                let explore =
-                    UCB_BETA * ((parent_visits as f64).ln() / (child.visits.max(1) as f64)).sqrt();
+                let explore = UCB_BETA * (log_visits / (tree.visits[child].max(1) as f64)).sqrt();
                 let ucb = exploit + explore;
                 if ucb > best_ucb {
                     best_ucb = ucb;
-                    best_child = Some((seg, child_idx));
+                    best_child = Some((segment, child));
                 }
             }
-            let Some((seg, child_idx)) = best_child else {
+            let Some((segment, child)) = best_child else {
                 break;
             };
-            prefix.push(seg);
-            used[seg] = true;
-            node_idx = child_idx;
-            path.push(child_idx);
+            prefix.push(segment);
+            used[segment] = true;
+            node = child;
+            path.push(child);
         }
 
         // --- Rollouts. ---
@@ -1351,12 +1456,12 @@ fn mcts_worker(
             if local.budget_exhausted(quota) {
                 break;
             }
-            let mut ordering = prefix.clone();
-            let mut rest: Vec<usize> = (0..num_segments)
-                .filter(|s| !ordering.contains(s))
-                .collect();
+            ordering.clear();
+            ordering.extend_from_slice(&prefix);
+            rest.clear();
+            rest.extend((0..n).filter(|&s| !used[s]));
             rest.shuffle(&mut rng);
-            ordering.extend(rest);
+            ordering.extend_from_slice(&rest);
             // Deliberately unbounded: backpropagation must credit the tree
             // path with the rollout's *true* time even when it is worse
             // than the incumbent — a cutoff-aborted rollout would yield no
@@ -1372,12 +1477,8 @@ fn mcts_worker(
 
         // --- Backpropagation. ---
         if local_best.is_finite() {
-            for idx in path {
-                let node = &mut tree.nodes[idx];
-                node.visits += 1;
-                if local_best < node.best_time {
-                    node.best_time = local_best;
-                }
+            for &node in &path {
+                tree.credit(node, local_best);
             }
         }
     }
@@ -1803,6 +1904,100 @@ mod tests {
                     .collect();
                 assert_eq!(events, below, "pass {pass}, {steps} steps");
             }
+        }
+    }
+
+    /// The record-major scan the column-major one replaced: records in
+    /// completion order, each one's pair loop stopping once its running
+    /// minimum is at or below the best point so far, the scan stopping at
+    /// the first record the ordering reproduces.
+    fn record_major_resume(tables: &[Vec<u32>], unranked: &[u32]) -> Resume {
+        let mut best = Origin {
+            source: 0,
+            resumed: 0,
+        };
+        for (pass, table) in tables.iter().enumerate() {
+            let mut j = NO_REQUIREMENT;
+            for &pair in unranked {
+                j = j.min(table[pair as usize]);
+                if j <= best.resumed {
+                    break;
+                }
+            }
+            if j == NO_REQUIREMENT {
+                return Resume::Hit(pass as u32);
+            }
+            if j > best.resumed {
+                best = Origin {
+                    source: pass as u32,
+                    resumed: j,
+                };
+            }
+        }
+        Resume::At(best)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3000))]
+        /// The column-major scan returns exactly the record-major scan's
+        /// `Resume` (variant, record and step) at both storage widths, on
+        /// memos from empty to a few dozen records whose steps come from a
+        /// small set (so equal `j` ties are common), with whole rows of
+        /// "none" and orderings that leave no pair unranked.
+        #[test]
+        fn column_major_resume_matches_the_record_major_scan(
+            shape in (1usize..6, 0u8..2),
+            cells in proptest::prelude::prop::collection::vec(0u8..16, 0..600),
+            priorities in proptest::prelude::prop::collection::vec(0u8..4, 5..6),
+        ) {
+            let (segments, wide) = (shape.0, shape.1 == 1);
+            let pairs = segments * segments;
+            // The graph length fixes the width; steps stay below it.
+            let len = if wide { 100_000 } else { 60_000 };
+            let steps = [0, 1, 2, 2, 5, 5, 9, len as u32 - 1];
+            let tables: Vec<Vec<u32>> = cells
+                .chunks_exact(pairs)
+                .map(|row| {
+                    // A row led by 15 is all "none".
+                    let all_none = row[0] == 15;
+                    row.iter()
+                        .map(|&c| match c {
+                            _ if all_none => NO_REQUIREMENT,
+                            0..=7 => steps[usize::from(c)],
+                            _ => NO_REQUIREMENT,
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut records = PassRecords {
+                passes: Vec::new(),
+                requirements: Requirements::for_graph(len, pairs),
+                pops: Compact::for_graph(len),
+                events: Vec::new(),
+            };
+            proptest::prop_assert_eq!(matches!(records.requirements, Requirements::Wide(_)), wide);
+            for table in &tables {
+                records.requirements.push(table);
+                records.passes.push(StoredPass {
+                    makespan: 0.0,
+                    origin: Origin {
+                        source: 0,
+                        resumed: 0,
+                    },
+                    pops_end: 0,
+                    events_end: 0,
+                });
+            }
+            let priorities: Vec<i64> = priorities[..segments].iter().map(|&p| i64::from(p)).collect();
+            let mut unranked = Vec::new();
+            dual_queue::unranked_pairs(&priorities, segments, &mut unranked);
+            proptest::prop_assert_eq!(
+                records.best_resume(&unranked),
+                record_major_resume(&tables, &unranked),
+                "{} records, unranked {:?}",
+                tables.len(),
+                unranked
+            );
         }
     }
 

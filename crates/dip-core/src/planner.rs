@@ -216,6 +216,10 @@ pub struct PlannerStats {
     /// worker-index order (empty when the search was skipped, the graph
     /// has a single segment, or the plan is an exact cache hit).
     pub search_worker_evaluations: Vec<u64>,
+    /// Constraint entries the memory ILPs stored (see
+    /// [`crate::MemoryOptOutcome::constraint_entries`]); zero when no
+    /// memory ILP ran.
+    pub memopt_constraint_entries: u64,
     /// The searcher's own estimate of the planned iteration time (seconds).
     pub planned_time_s: f64,
     /// The lookup tier that produced this plan — the per-tier latency
@@ -717,8 +721,8 @@ impl<'a> DipPlanner<'a> {
         // rebuild (memory strategies only retime stages; dependencies and
         // lags are untouched) at a fraction of the cost.
         let memopt_start = Instant::now();
-        let (memory_plan, memopt_cpu) = match anchor {
-            Some(anchor) => (anchor.memory_plan.clone(), Duration::ZERO),
+        let (memory_plan, memopt_cpu, memopt_constraint_entries) = match anchor {
+            Some(anchor) => (anchor.memory_plan.clone(), Duration::ZERO, 0),
             None if self.config.enable_memory_opt => {
                 let memopt = optimize_memory_detailed(
                     &graph,
@@ -733,9 +737,9 @@ impl<'a> DipPlanner<'a> {
                     ..queue
                 };
                 (ordering.orders, ordering.best_time_s) = dual_queue::schedule(&graph, &queue);
-                (memopt.plan, memopt.cpu_time)
+                (memopt.plan, memopt.cpu_time, memopt.constraint_entries)
             }
-            None => (MemoryPlan::new(), Duration::ZERO),
+            None => (MemoryPlan::new(), Duration::ZERO, 0),
         };
         let memopt_time = reprice_time + memopt_start.elapsed();
 
@@ -761,6 +765,7 @@ impl<'a> DipPlanner<'a> {
                 search_evaluations: ordering.evaluations,
                 search_work: ordering.work,
                 search_worker_evaluations: ordering.worker_evaluations,
+                memopt_constraint_entries,
                 planned_time_s: ordering.best_time_s,
                 tier,
             },

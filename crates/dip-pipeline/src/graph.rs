@@ -22,7 +22,7 @@
 //! [`StageGraph::reprice`] apply a [`MemoryPlan`] in place, bit-identical
 //! to a full rebuild, so the planner never expands the graph twice.
 
-use crate::placement::{PipelineError, Placement};
+use crate::placement::{PipelineError, Placement, OPTIMIZER_STATE_BYTES_PER_PARAM};
 use crate::strategy::MemoryPlan;
 use dip_models::{BatchWorkload, LmmSpec, ModalityWorkload, ModuleId, BF16_BYTES};
 use dip_sim::{ClusterSpec, ClusterTopology, EfficiencyModel, StageTiming, TimingModel};
@@ -774,17 +774,20 @@ impl<'a> StageGraphBuilder<'a> {
             }
         }
 
-        let static_memory = self.placement.static_memory_per_rank(self.spec);
-        let param_bytes_per_rank: Vec<u64> = {
-            let tp = tp.max(1) as u64;
-            let mut per_rank = vec![0u64; pp];
-            for seg in segments {
-                for (rank, chunk) in seg.chunks.iter().enumerate() {
-                    per_rank[rank] += chunk.param_count(self.spec) * BF16_BYTES / tp;
-                }
+        // Both per-rank byte vectors come from one walk over each chunk's
+        // layers: the static footprint (as
+        // `Placement::static_memory_per_rank` computes it) and the bf16
+        // parameter bytes.
+        let mut static_memory = vec![0u64; pp];
+        let mut param_bytes_per_rank = vec![0u64; pp];
+        let tp = tp.max(1) as u64;
+        for seg in segments {
+            for (rank, chunk) in seg.chunks.iter().enumerate() {
+                let params = chunk.param_count(self.spec);
+                static_memory[rank] += params * OPTIMIZER_STATE_BYTES_PER_PARAM / tp;
+                param_bytes_per_rank[rank] += params * BF16_BYTES / tp;
             }
-            per_rank
-        };
+        }
         let arena = StageArena {
             items: items.into(),
             deps: deps.into(),
