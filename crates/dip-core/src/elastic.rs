@@ -328,7 +328,7 @@ impl DipPlanner<'_> {
             {
                 continue;
             }
-            let mut segments = stay.segments.clone();
+            let mut segments = stay.segments.to_vec();
             for &i in &indices {
                 segments[i] = rebalanced.segments[i].clone();
             }
@@ -336,7 +336,7 @@ impl DipPlanner<'_> {
                 ElasticCandidate::RebalanceModule(module),
                 Placement {
                     parallel: self.parallel,
-                    segments,
+                    segments: segments.into(),
                 },
             );
         }
@@ -355,7 +355,7 @@ impl DipPlanner<'_> {
     ) -> Option<Placement> {
         let old = &old_plan.placement;
         let mut counts: BTreeMap<ModuleId, usize> = BTreeMap::new();
-        for segment in &old.segments {
+        for segment in old.segments.iter() {
             *counts.entry(segment.module?).or_default() += 1;
         }
         let empty = BatchWorkload::default();
@@ -372,7 +372,7 @@ impl DipPlanner<'_> {
             || rebalanced
                 .segments
                 .iter()
-                .zip(&old.segments)
+                .zip(old.segments.iter())
                 .any(|(a, b)| a.module != b.module)
         {
             return None;

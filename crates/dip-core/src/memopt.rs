@@ -15,7 +15,11 @@
 //! weight (see [`dip_solver::ilp`]): a rank with `P` pairs and an `S`-rung
 //! ladder stores one entry per (pair, anchor inside its interval) instead
 //! of `P × S × P` dense weights. [`MemoryOptOutcome::constraint_entries`]
-//! counts them.
+//! counts them. Building the ILP costs about a sort per rank: the pairs
+//! are collected by sorting the rank's stages by stage pair, and each
+//! support is the slice of the pairs sorted by forward position that its
+//! interval spans (two binary searches), put back into constraint order
+//! through a bitset over the rank's pairs.
 //!
 //! # Parallel, deterministic solves
 //!
@@ -131,7 +135,7 @@ pub fn optimize_memory_detailed(
         ));
     }
     let ladder = MemoryStrategy::ladder(config.candidates_per_pair);
-    let num_ranks = orders.orders.len();
+    let num_ranks = orders.num_ranks();
 
     // The shared work-stealing fork-join helper: rank → thread assignment
     // cannot influence the per-rank results, which are pure functions of
@@ -144,7 +148,7 @@ pub fn optimize_memory_detailed(
             let start = Instant::now();
             let selections = solve_rank(
                 graph,
-                &orders.orders[rank],
+                orders.rank(rank),
                 capacity_per_rank,
                 rank,
                 config,
@@ -188,49 +192,7 @@ fn solve_rank(
     ladder: &[MemoryStrategy],
 ) -> RankSolve {
     let capacity = capacity_per_rank.get(rank).copied().unwrap_or(u64::MAX);
-
-    // Collect the stage pairs on this rank with their alive intervals
-    // (positions of the forward and backward stage in the rank's order).
-    #[derive(Debug)]
-    struct PairInfo {
-        stage_pair: usize,
-        base: StageTiming,
-        fwd_pos: usize,
-        bwd_pos: usize,
-    }
-    // (forward position, backward position, accumulated base timing).
-    type PendingPair = (Option<usize>, Option<usize>, Option<StageTiming>);
-    let mut pairs: BTreeMap<usize, PendingPair> = BTreeMap::new();
-    for (pos, id) in order.iter().enumerate() {
-        let item = graph.item(*id);
-        let entry = pairs.entry(item.stage_pair).or_insert((None, None, None));
-        match item.direction {
-            Direction::Forward => {
-                entry.0 = Some(pos);
-                let timing = entry.2.get_or_insert(StageTiming::default());
-                timing.fwd_s = item.duration;
-                timing.activation_bytes = item.activation_bytes;
-                timing.p2p_bytes = item.p2p_bytes;
-            }
-            Direction::Backward => {
-                entry.1 = Some(pos);
-                let timing = entry.2.get_or_insert(StageTiming::default());
-                timing.bwd_s = item.duration;
-                timing.activation_bytes = item.activation_bytes;
-            }
-        }
-    }
-    let infos: Vec<PairInfo> = pairs
-        .into_iter()
-        .filter_map(|(stage_pair, (f, b, t))| {
-            Some(PairInfo {
-                stage_pair,
-                base: t?,
-                fwd_pos: f?,
-                bwd_pos: b?,
-            })
-        })
-        .collect();
+    let infos = rank_pairs(graph, order);
     if infos.is_empty() {
         return (Vec::new(), 0);
     }
@@ -239,10 +201,8 @@ fn solve_rank(
     // every pair alive at that position contributes its resident bytes.
     let capacities = vec![capacity as f64; infos.len()];
     let mut problem = GroupChoiceProblem::new(capacities);
+    let mut anchors = ForwardAnchors::new(&infos);
     for info in &infos {
-        let support: Vec<u32> = (0..infos.len() as u32)
-            .filter(|&k| (info.fwd_pos..=info.bwd_pos).contains(&infos[k as usize].fwd_pos))
-            .collect();
         let candidates: Vec<Candidate> = ladder
             .iter()
             .map(|s| {
@@ -250,7 +210,7 @@ fn solve_rank(
                 Candidate::new(t.fwd_s + t.bwd_s, t.activation_bytes as f64)
             })
             .collect();
-        problem.add_group(support, candidates);
+        problem.add_group(anchors.support(info), candidates);
     }
 
     let solution = dip_solver::ilp::solve(
@@ -279,6 +239,106 @@ fn solve_rank(
             .collect()
     };
     (selections, problem.constraint_entries())
+}
+
+/// A complete stage pair of one rank's order: its pre-strategy timing and
+/// the positions of its forward and backward stage in the order.
+#[derive(Debug, PartialEq)]
+struct PairInfo {
+    stage_pair: usize,
+    base: StageTiming,
+    fwd_pos: usize,
+    bwd_pos: usize,
+}
+
+/// The stage pairs of one rank's order with both stages in it, in
+/// stage-pair order. A pair's timing takes its forward's duration and
+/// output bytes, its backward's duration, and the activation bytes of
+/// whichever of the two runs later; a stage listed twice counts at its
+/// last position.
+fn rank_pairs(graph: &StageGraph, order: &[dip_pipeline::StageId]) -> Vec<PairInfo> {
+    // Every position keyed by its stage pair: sorting the keys groups each
+    // pair's stages, in position order.
+    let mut keyed: Vec<(usize, usize)> = order
+        .iter()
+        .enumerate()
+        .map(|(pos, id)| (graph.item(*id).stage_pair, pos))
+        .collect();
+    keyed.sort_unstable();
+    keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter_map(|run| {
+            let (mut fwd_pos, mut bwd_pos, mut base) = (None, None, StageTiming::default());
+            for &(_, pos) in run {
+                let item = graph.item(order[pos]);
+                base.activation_bytes = item.activation_bytes;
+                match item.direction {
+                    Direction::Forward => {
+                        fwd_pos = Some(pos);
+                        base.fwd_s = item.duration;
+                        base.p2p_bytes = item.p2p_bytes;
+                    }
+                    Direction::Backward => {
+                        bwd_pos = Some(pos);
+                        base.bwd_s = item.duration;
+                    }
+                }
+            }
+            Some(PairInfo {
+                stage_pair: run[0].0,
+                base,
+                fwd_pos: fwd_pos?,
+                bwd_pos: bwd_pos?,
+            })
+        })
+        .collect()
+}
+
+/// The forward positions of a rank's pairs, sorted, each with its pair's
+/// index: the index a constraint support is read from.
+struct ForwardAnchors {
+    sorted: Vec<(usize, u32)>,
+    /// One bit per pair, all clear between calls to
+    /// [`ForwardAnchors::support`].
+    marks: Vec<u64>,
+}
+
+impl ForwardAnchors {
+    fn new(infos: &[PairInfo]) -> Self {
+        let mut sorted: Vec<(usize, u32)> = infos
+            .iter()
+            .enumerate()
+            .map(|(k, info)| (info.fwd_pos, k as u32))
+            .collect();
+        sorted.sort_unstable();
+        Self {
+            sorted,
+            marks: vec![0; infos.len().div_ceil(64)],
+        }
+    }
+
+    /// The constraints `info` loads: the indices of the pairs whose
+    /// forward position lies in `info`'s alive interval, strictly
+    /// increasing. The interval's pairs are a slice of the sorted
+    /// anchors; marking them in a bitset and reading the bits back in
+    /// order puts them in pair order without a sort, and clears the bits.
+    fn support(&mut self, info: &PairInfo) -> Vec<u32> {
+        let lo = self.sorted.partition_point(|&(pos, _)| pos < info.fwd_pos);
+        let hi = self.sorted.partition_point(|&(pos, _)| pos <= info.bwd_pos);
+        let window = &self.sorted[lo..hi.max(lo)];
+        for &(_, k) in window {
+            self.marks[k as usize / 64] |= 1 << (k % 64);
+        }
+        let mut support = Vec::with_capacity(window.len());
+        for (word, marks) in self.marks.iter_mut().enumerate() {
+            let mut bits = std::mem::take(marks);
+            while bits != 0 {
+                support.push((word * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        support
+    }
 }
 
 /// Estimated activation peak of one rank's order under a memory plan, using
@@ -356,7 +416,7 @@ mod tests {
         .unwrap()
         .plan;
         for rank in 0..graph.num_ranks {
-            for id in &orders.orders[rank] {
+            for id in orders.rank(rank) {
                 let item = graph.item(*id);
                 assert_eq!(plan.get(item.stage_pair), MemoryStrategy::NONE);
             }
@@ -369,8 +429,7 @@ mod tests {
         // Measure the unconstrained peak, then demand a quarter of it.
         let none_plan = MemoryPlan::new();
         let unconstrained: Vec<u64> = orders
-            .orders
-            .iter()
+            .ranks()
             .map(|o| estimated_peak_activation(&graph, o, &none_plan))
             .collect();
         let budget: Vec<u64> = unconstrained.iter().map(|p| p / 4 + 1).collect();
@@ -381,7 +440,7 @@ mod tests {
         assert!(!plan.is_empty());
         // The optimised plan must respect the budget (by the optimiser's own
         // accounting) on every rank where a feasible choice exists.
-        for (rank, order) in orders.orders.iter().enumerate() {
+        for (rank, order) in orders.ranks().enumerate() {
             let peak = estimated_peak_activation(&graph, order, &plan);
             let most_aggressive_plan = MemoryPlan::uniform(
                 graph.num_stage_pairs,
@@ -401,8 +460,7 @@ mod tests {
         let (graph, orders) = graph_and_orders(6);
         let none_plan = MemoryPlan::new();
         let unconstrained: Vec<u64> = orders
-            .orders
-            .iter()
+            .ranks()
             .map(|o| estimated_peak_activation(&graph, o, &none_plan))
             .collect();
         let total_latency = |plan: &MemoryPlan| -> f64 {
@@ -467,8 +525,7 @@ mod tests {
         let (graph, orders) = graph_and_orders(8);
         let none_plan = MemoryPlan::new();
         let unconstrained: Vec<u64> = orders
-            .orders
-            .iter()
+            .ranks()
             .map(|o| estimated_peak_activation(&graph, o, &none_plan))
             .collect();
         // A binding budget so the ILP actually has to trade strategies.
@@ -503,8 +560,7 @@ mod tests {
             let (graph, orders) = graph_and_orders(microbatches);
             let none_plan = MemoryPlan::new();
             let budget: Vec<u64> = orders
-                .orders
-                .iter()
+                .ranks()
                 .map(|o| estimated_peak_activation(&graph, o, &none_plan) / divisor + 1)
                 .collect();
             let config = MemoryOptConfig::default();
@@ -513,6 +569,101 @@ mod tests {
             let parallel =
                 optimize_memory_detailed(&graph, &orders, &budget, &config, threads).unwrap();
             proptest::prop_assert_eq!(parallel.plan, serial.plan);
+        }
+    }
+
+    /// `rank_pairs` and `ForwardAnchors::support` as they were first
+    /// written: the pairs collected through a `BTreeMap`, and each support
+    /// scanned from every pair's anchor.
+    fn reference_pairs_and_supports(
+        graph: &StageGraph,
+        order: &[dip_pipeline::StageId],
+    ) -> (Vec<PairInfo>, Vec<Vec<u32>>) {
+        type PendingPair = (Option<usize>, Option<usize>, Option<StageTiming>);
+        let mut pairs: BTreeMap<usize, PendingPair> = BTreeMap::new();
+        for (pos, id) in order.iter().enumerate() {
+            let item = graph.item(*id);
+            let entry = pairs.entry(item.stage_pair).or_insert((None, None, None));
+            match item.direction {
+                Direction::Forward => {
+                    entry.0 = Some(pos);
+                    let timing = entry.2.get_or_insert(StageTiming::default());
+                    timing.fwd_s = item.duration;
+                    timing.activation_bytes = item.activation_bytes;
+                    timing.p2p_bytes = item.p2p_bytes;
+                }
+                Direction::Backward => {
+                    entry.1 = Some(pos);
+                    let timing = entry.2.get_or_insert(StageTiming::default());
+                    timing.bwd_s = item.duration;
+                    timing.activation_bytes = item.activation_bytes;
+                }
+            }
+        }
+        let infos: Vec<PairInfo> = pairs
+            .into_iter()
+            .filter_map(|(stage_pair, (f, b, t))| {
+                Some(PairInfo {
+                    stage_pair,
+                    base: t?,
+                    fwd_pos: f?,
+                    bwd_pos: b?,
+                })
+            })
+            .collect();
+        let supports = infos
+            .iter()
+            .map(|info| {
+                (0..infos.len() as u32)
+                    .filter(|&k| (info.fwd_pos..=info.bwd_pos).contains(&infos[k as usize].fwd_pos))
+                    .collect()
+            })
+            .collect();
+        (infos, supports)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        /// The sorted pair collection and the anchor index give every rank
+        /// the pairs, timings and supports of the map and the full scan —
+        /// on the scheduler's orders, and on orders shuffled so that
+        /// backwards can precede their forwards and stages can be missing
+        /// or listed twice.
+        #[test]
+        fn pairs_and_supports_match_the_map_and_the_scan(
+            microbatches in 1usize..7,
+            shuffle_seed in 0u64..u64::MAX,
+            mangle in 0usize..3,
+        ) {
+            let (graph, orders) = graph_and_orders(microbatches);
+            let mut state = shuffle_seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for order in orders.ranks() {
+                let mut order = order.to_vec();
+                if mangle > 0 {
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, (next() % (i as u64 + 1)) as usize);
+                    }
+                }
+                if mangle > 1 && order.len() > 2 {
+                    let dropped = (next() % order.len() as u64) as usize;
+                    let repeated = order[(next() % order.len() as u64) as usize];
+                    order.remove(dropped);
+                    order.push(repeated);
+                }
+                let (infos, supports) = reference_pairs_and_supports(&graph, &order);
+                let pairs = rank_pairs(&graph, &order);
+                proptest::prop_assert_eq!(&pairs, &infos);
+                let mut anchors = ForwardAnchors::new(&pairs);
+                for (info, support) in pairs.iter().zip(&supports) {
+                    proptest::prop_assert_eq!(&anchors.support(info), support);
+                }
+            }
         }
     }
 
@@ -529,7 +680,7 @@ mod tests {
         .unwrap()
         .plan;
         let most_aggressive = *MemoryStrategy::ladder(10).last().unwrap();
-        let item = graph.item(orders.orders[0][0]);
+        let item = graph.item(orders.rank(0)[0]);
         assert_eq!(plan.get(item.stage_pair), most_aggressive);
     }
 }

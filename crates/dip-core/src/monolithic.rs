@@ -82,7 +82,7 @@ pub fn monolithic_ilp_search(
         // Constraints: for every rank, one per stage pair anchored at its
         // forward position.
         let mut pair_intervals: Vec<(usize, usize, usize, StageTiming)> = Vec::new(); // (rank, fwd_pos, bwd_pos, base)
-        for (rank, order) in orders.orders.iter().enumerate() {
+        for (rank, order) in orders.ranks().enumerate() {
             let mut fwd_pos = std::collections::BTreeMap::new();
             let mut bases: std::collections::BTreeMap<usize, StageTiming> =
                 std::collections::BTreeMap::new();

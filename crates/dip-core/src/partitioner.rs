@@ -346,7 +346,7 @@ mod tests {
         let out = p.partition(&vlm_batch(10)).unwrap();
         out.placement.validate(&spec).unwrap();
         assert!(out.placement.segments.len() >= 3);
-        for seg in &out.placement.segments {
+        for seg in out.placement.segments.iter() {
             assert!(seg.module.is_some());
         }
     }

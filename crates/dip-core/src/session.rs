@@ -108,7 +108,6 @@
 
 use crate::elastic::{ElasticCandidate, ElasticConfig, ElasticOutcome, ElasticReport};
 use crate::error::DipError;
-use crate::ordering::SearchWork;
 use crate::planner::{
     heaviest, require_microbatches, DipPlan, DipPlanner, PhaseTimes, PlanTier, PlannerConfig,
     PlannerStats, Reuse,
@@ -360,14 +359,37 @@ impl LruCache {
     }
 }
 
-/// Marks a plan served verbatim from an earlier one as `tier`: no phase ran
-/// and no search work was done for this request.
-fn served_verbatim(stats: &mut PlannerStats, tier: PlanTier) {
-    stats.tier = tier;
-    stats.phases = PhaseTimes::default();
-    stats.search_evaluations = 0;
-    stats.search_work = SearchWork::default();
-    stats.search_worker_evaluations = Vec::new();
+/// The stats of a plan served verbatim from one with `stats`, as `tier`:
+/// no phase ran and no search work was done for this request, so only the
+/// planning time, the planned time and the ILP's constraint entries carry
+/// over.
+fn served_verbatim(stats: &PlannerStats, tier: PlanTier) -> PlannerStats {
+    PlannerStats {
+        planning_time: stats.planning_time,
+        memopt_constraint_entries: stats.memopt_constraint_entries,
+        planned_time_s: stats.planned_time_s,
+        tier,
+        ..PlannerStats::default()
+    }
+}
+
+/// `plan`, served verbatim as `tier`. Every part but the stats is cloned,
+/// and each shared part — the graph's slabs, the orders, the memory plan,
+/// the sub-microbatch table and the placement's segments — costs a
+/// reference-count bump; only the small plain vectors (segment priorities,
+/// modalities and the graph's per-rank memory) are copied.
+fn serve(plan: &DipPlan, tier: PlanTier) -> DipPlan {
+    DipPlan {
+        graph: plan.graph.clone(),
+        orders: plan.orders.clone(),
+        segment_priorities: plan.segment_priorities.clone(),
+        memory_plan: plan.memory_plan.clone(),
+        sub_microbatches: plan.sub_microbatches.clone(),
+        placement: plan.placement.clone(),
+        modalities: plan.modalities.clone(),
+        topology_fingerprint: plan.topology_fingerprint,
+        stats: served_verbatim(&plan.stats, tier),
+    }
 }
 
 /// A multi-iteration planning session owning a [`DipPlanner`] and its plan
@@ -719,7 +741,7 @@ impl<'a> PlanningSession<'a> {
                 )
                 .map(|ElasticOutcome { mut plan, report }| {
                     if report.candidate == ElasticCandidate::Unchanged {
-                        served_verbatim(&mut plan.stats, PlanTier::Elastic);
+                        plan.stats = served_verbatim(&plan.stats, PlanTier::Elastic);
                     }
                     (plan, Some(report))
                 });
@@ -752,10 +774,11 @@ impl<'a> PlanningSession<'a> {
 
     /// The cache hit path: lookup and LRU touch under a single cache-lock
     /// acquisition; the critical section hands out an `Arc` handle, so the
-    /// key check and the plan clone happen outside the lock and concurrent
-    /// hits do not serialize on them. The clone is shallow where it
-    /// matters: the stage graph's slabs and the memory plan's choices are
-    /// copy-on-write, so the returned plan shares them with the cached one.
+    /// key check and the plan copy happen outside the lock and concurrent
+    /// hits do not serialize on them. The copy ([`serve`]) shares the
+    /// cached plan's graph slabs, orders, memory plan, sub-microbatch table
+    /// and placement segments; it allocates only the segment priorities,
+    /// the modalities and the graph's two per-rank byte vectors.
     fn try_cached(
         &self,
         request: &PlanRequest,
@@ -770,10 +793,9 @@ impl<'a> PlanningSession<'a> {
             // A key collision: the entry is another request's plan.
             return None;
         }
-        let mut plan = cached.plan.clone();
         // The plan is identical to the cached original; only the
         // bookkeeping reflects the (near-zero) cost of serving it.
-        served_verbatim(&mut plan.stats, PlanTier::Exact);
+        let mut plan = serve(&cached.plan, PlanTier::Exact);
         plan.stats.planning_time = start.elapsed();
         let mut stats = self.stats.lock();
         stats.requests += 1;
@@ -991,6 +1013,7 @@ impl<'a> PlanningSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ordering::SearchWork;
     use dip_models::{zoo, Modality, ModalityWorkload};
     use dip_pipeline::{dual_queue, DualQueueConfig};
     use std::time::Duration;

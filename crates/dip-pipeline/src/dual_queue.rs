@@ -87,13 +87,14 @@
 //! heap's sifts, and since ids are unique the order is total, so every top
 //! is the one a heap would give. An entry's priority and position share
 //! one 128-bit key, so most comparisons are one integer compare. A rank's
-//! pick reads only its own queues and state, so it is cached and
+//! pick reads only its own queue tops and state, so it is cached and
 //! recomputed only for a rank that ran the previous step or received a
-//! released stage. Each rank's state — its cached pick (start and id), free
-//! time, live memory, in-flight count and memory cap — is one record, and
-//! the forward caps are resolved into those records once per pass. The
-//! per-rank orders are the pop log filtered by rank
-//! ([`ScheduleWorkspace::orders`]); no pass writes them separately.
+//! released stage that became a queue's top. Each rank's state — its
+//! cached pick (start and id), free time, live memory, in-flight count and
+//! memory cap — is one record, and the forward caps are resolved into
+//! those records once per pass. The per-rank orders are the pop log
+//! grouped by rank ([`ScheduleWorkspace::orders`]); no pass writes them
+//! separately.
 //!
 //! # Packed view
 //!
@@ -116,6 +117,7 @@
 
 use crate::graph::{Direction, StageGraph, StageId};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Configuration of the dual-queue interleaver.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -132,17 +134,103 @@ pub struct DualQueueConfig {
     pub max_inflight: Option<usize>,
 }
 
-/// The per-rank stage execution orders produced by a scheduler.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// The per-rank stage execution orders produced by a scheduler: one flat
+/// slab of stage ids grouped by rank, each rank's stages in the order it
+/// executes them, and the offset at which each rank's run starts.
+///
+/// Both slabs are shared `Arc<[T]>`s, so cloning a set of orders — as every
+/// served cached plan does — bumps two reference counts instead of copying
+/// a vector per rank. Orders are never edited after they are built; build
+/// new ones with [`RankOrders::from_ranks`] instead.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RankOrders {
-    /// `orders[rank]` is the ordered list of stage ids rank `rank` executes.
-    pub orders: Vec<Vec<StageId>>,
+    /// Every scheduled stage, rank 0's run first.
+    stages: Arc<[StageId]>,
+    /// Rank `r`'s run is `stages[offsets[r]..offsets[r + 1]]`; one entry
+    /// per rank plus a trailing `stages.len()`.
+    offsets: Arc<[usize]>,
 }
 
 impl RankOrders {
+    /// Orders from one execution order per rank, in rank order.
+    pub fn from_ranks<R: AsRef<[StageId]>>(ranks: impl IntoIterator<Item = R>) -> Self {
+        let mut stages = Vec::new();
+        let mut offsets = vec![0];
+        for rank in ranks {
+            stages.extend_from_slice(rank.as_ref());
+            offsets.push(stages.len());
+        }
+        Self {
+            stages: stages.into(),
+            offsets: offsets.into(),
+        }
+    }
+
+    /// Groups `pops`, a global stage order, by the rank each stage runs
+    /// on, keeping their order within each rank: one counting pass, one
+    /// placement pass, and one allocation per slab.
+    fn group_by_rank(pops: &[u32], graph: &StageGraph) -> Self {
+        let num_ranks = graph.num_ranks;
+        let mut offsets: Arc<[usize]> = std::iter::repeat_n(0, num_ranks + 1).collect();
+        let mut stages: Arc<[StageId]> = std::iter::repeat_n(StageId(0), pops.len()).collect();
+        let starts = Arc::get_mut(&mut offsets).expect("a fresh slab is unshared");
+        let slots = Arc::get_mut(&mut stages).expect("a fresh slab is unshared");
+        // Count each rank's stages one slot up, so the running sum leaves
+        // rank `r`'s start at `starts[r]`.
+        for &id in pops {
+            starts[graph.item(StageId(id as usize)).rank + 1] += 1;
+        }
+        for r in 1..=num_ranks {
+            starts[r] += starts[r - 1];
+        }
+        // Place each stage at its rank's cursor; each cursor ends at its
+        // rank's end, the next rank's start, so shifting the table up one
+        // slot restores the starts.
+        for &id in pops {
+            let id = StageId(id as usize);
+            let cursor = &mut starts[graph.item(id).rank];
+            slots[*cursor] = id;
+            *cursor += 1;
+        }
+        starts.copy_within(..num_ranks, 1);
+        starts[0] = 0;
+        Self { stages, offsets }
+    }
+
+    /// Number of ranks.
+    pub fn num_ranks(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The stages rank `rank` executes, in execution order.
+    ///
+    /// # Panics
+    ///
+    /// When `rank` is not below [`RankOrders::num_ranks`].
+    pub fn rank(&self, rank: usize) -> &[StageId] {
+        &self.stages[self.offsets[rank]..self.offsets[rank + 1]]
+    }
+
+    /// Every rank's execution order, in rank order.
+    pub fn ranks(&self) -> impl ExactSizeIterator<Item = &[StageId]> + '_ {
+        (0..self.num_ranks()).map(|rank| self.rank(rank))
+    }
+
+    /// Every scheduled stage: rank 0's order, then rank 1's, and so on.
+    pub fn stages(&self) -> &[StageId] {
+        &self.stages
+    }
+
     /// Total number of scheduled stages.
     pub fn num_stages(&self) -> usize {
-        self.orders.iter().map(Vec::len).sum()
+        self.stages.len()
+    }
+
+    /// True when these orders and `other` share their storage: one is a
+    /// clone of the other. Lets callers check that a served plan handed
+    /// out the cached orders instead of a copy.
+    pub fn shares_storage_with(&self, other: &RankOrders) -> bool {
+        Arc::ptr_eq(&self.stages, &other.stages) && Arc::ptr_eq(&self.offsets, &other.offsets)
     }
 }
 
@@ -282,15 +370,18 @@ impl PartialOrd for QueueEntry {
 struct SortedQueue(Vec<QueueEntry>);
 
 impl SortedQueue {
-    fn push(&mut self, entry: QueueEntry) {
+    /// Inserts `entry` in order; true when it is the new top.
+    fn push(&mut self, entry: QueueEntry) -> bool {
         // Ids are unique, so the slot is the one a binary search finds.
-        let mut at = self.0.len();
+        let top = self.0.len();
+        let mut at = top;
         self.0.push(entry);
         while at > 0 && entry < self.0[at - 1] {
             self.0[at] = self.0[at - 1];
             at -= 1;
         }
         self.0[at] = entry;
+        at == top
     }
 
     fn pop(&mut self) -> Option<QueueEntry> {
@@ -417,12 +508,7 @@ impl ScheduleWorkspace {
     /// aborted bounded pass or on a graph with an unsatisfiable
     /// dependency).
     pub fn orders(&self, graph: &StageGraph) -> RankOrders {
-        let mut orders = vec![Vec::new(); graph.num_ranks];
-        for &id in &self.record.pops {
-            let id = StageId(id as usize);
-            orders[graph.item(id).rank].push(id);
-        }
-        RankOrders { orders }
+        RankOrders::group_by_rank(&self.record.pops, graph)
     }
 
     /// The decision record of the most recent pass (see the module docs).
@@ -759,8 +845,10 @@ fn queue_index(rank: usize, direction: Direction) -> usize {
 }
 
 /// Enqueues item `idx` on its rank's direction queue under `priorities`,
-/// marking the rank's pick stale. (Inlined into the kernel's loops, like
-/// [`run_stage`]: a measured 5–8% of a pass.)
+/// marking the rank's pick stale when the item becomes its queue's top: a
+/// pick reads only the tops of the rank's queues and the rank's own state,
+/// so an entry below a top changes no pick. (Inlined into the kernel's
+/// loops, like [`run_stage`]: a measured 5–8% of a pass.)
 #[inline(always)]
 fn push_entry(ws: &mut ScheduleWorkspace, graph: &PassGraph<'_>, priorities: &[i64], idx: usize) {
     let item = &graph.items[idx];
@@ -768,13 +856,13 @@ fn push_entry(ws: &mut ScheduleWorkspace, graph: &PassGraph<'_>, priorities: &[i
     let queue = queue_index(rank, item.direction);
     ws.record.push(queue, segment);
     let priority = priorities.get(segment).copied().unwrap_or(0);
-    ws.queues[queue].push(QueueEntry::new(
+    let top = ws.queues[queue].push(QueueEntry::new(
         priority,
         item.position,
         ws.ready_time[idx],
         idx,
     ));
-    ws.ranks[rank].dirty = true;
+    ws.ranks[rank].dirty |= top;
 }
 
 /// Runs the dual-queue interleaver over a stage graph, returning the per-rank
@@ -890,15 +978,27 @@ pub fn schedule_resumed(
     for step in resume..n {
         // Pick, for each rank, the stage it would run next under the policy,
         // then execute the one that can start earliest overall, the lowest
-        // rank on ties. A pick reads only its own rank's queues and state,
-        // so it is recomputed only for a dirty rank: one that ran the last
-        // step or was handed a released stage (every rank, at the first
-        // live step).
+        // rank on ties. A pick reads only its own rank's queue tops and
+        // state, so it is recomputed only for a dirty rank: one that ran
+        // the last step or was handed a released stage that became a
+        // queue's top (every rank, at the first live step).
         let mut chosen = usize::MAX;
         let mut best_start = f64::INFINITY;
         for rank in 0..num_ranks {
             if ws.ranks[rank].dirty {
                 pick_for_rank(ws, rank);
+            } else {
+                debug_assert_eq!(
+                    {
+                        let state = &ws.ranks[rank];
+                        (state.pick_start.to_bits(), state.pick_id)
+                    },
+                    {
+                        let (start, id) = fresh_pick(ws, rank);
+                        (start.to_bits(), id)
+                    },
+                    "rank {rank}'s cached pick is stale at step {step}"
+                );
             }
             // A rank without a pick starts at infinity and never wins the
             // compare; the second test takes the first real pick whose
@@ -1041,10 +1141,19 @@ fn run_stage(
 }
 
 /// Caches the stage `rank` would run next under the policy and its start
-/// time, or no pick when the rank has nothing it may run. The rank's
-/// forward queue may run while its in-flight count and live activation
-/// bytes are under their caps.
+/// time, or no pick when the rank has nothing it may run.
 fn pick_for_rank(ws: &mut ScheduleWorkspace, rank: usize) {
+    let (start, id) = fresh_pick(ws, rank);
+    let state = &mut ws.ranks[rank];
+    (state.pick_start, state.pick_id, state.dirty) = (start, id, false);
+}
+
+/// The start and id of the stage `rank` would run next under the policy,
+/// `(∞, NO_PICK)` when it has nothing it may run. The rank's forward queue
+/// may run while its in-flight count and live activation bytes are under
+/// their caps.
+#[inline(always)]
+fn fresh_pick(ws: &ScheduleWorkspace, rank: usize) -> (f64, u32) {
     let state = &ws.ranks[rank];
     let forward_allowed =
         state.inflight < ws.inflight_cap && u128::from(state.mem_used) < state.mem_limit;
@@ -1073,11 +1182,9 @@ fn pick_for_rank(ws: &mut ScheduleWorkspace, rank: usize) {
             })
         }
     };
-    let (start, id) = entry.map_or((f64::INFINITY, NO_PICK), |e| {
+    entry.map_or((f64::INFINITY, NO_PICK), |e| {
         (e.ready_time.max(t_last), e.id)
-    });
-    let state = &mut ws.ranks[rank];
-    (state.pick_start, state.pick_id, state.dirty) = (start, id, false);
+    })
 }
 
 #[cfg(test)]
@@ -1114,7 +1221,7 @@ mod tests {
         assert_eq!(orders.num_stages(), graph.len());
         assert!(makespan > 0.0);
         let mut seen = vec![false; graph.len()];
-        for rank_order in &orders.orders {
+        for rank_order in orders.ranks() {
             for id in rank_order {
                 assert!(!seen[id.0], "stage {id:?} scheduled twice");
                 seen[id.0] = true;
@@ -1127,7 +1234,7 @@ mod tests {
     fn stages_land_on_their_own_rank() {
         let graph = lm_graph(4, 4);
         let (orders, _) = schedule(&graph, &DualQueueConfig::default());
-        for (rank, order) in orders.orders.iter().enumerate() {
+        for (rank, order) in orders.ranks().enumerate() {
             for id in order {
                 assert_eq!(graph.item(*id).rank, rank);
             }
@@ -1139,7 +1246,7 @@ mod tests {
         let graph = lm_graph(8, 4);
         let inflight_peak = |orders: &RankOrders| -> usize {
             let mut peak = 0usize;
-            for order in &orders.orders {
+            for order in orders.ranks() {
                 let mut live = 0usize;
                 let mut local_peak = 0usize;
                 for id in order {
@@ -1191,7 +1298,8 @@ mod tests {
         let graph = builder.build(&batches, &plan).unwrap();
 
         let first_pos_of_segment = |orders: &RankOrders, segment: usize| -> usize {
-            orders.orders[0]
+            orders
+                .rank(0)
                 .iter()
                 .position(|id| graph.item(*id).segment == segment)
                 .unwrap_or(usize::MAX)
@@ -1586,5 +1694,90 @@ mod tests {
         let (orders, makespan) = schedule(&graph, &config);
         assert!(makespan.is_infinite());
         assert!(orders.num_stages() < graph.len());
+    }
+
+    /// The per-rank orders as they were read off a pass before the orders
+    /// became one slab: the pop log filtered by rank, one vector per rank.
+    fn filtered_pop_log(ws: &ScheduleWorkspace, graph: &StageGraph) -> Vec<Vec<StageId>> {
+        let mut orders = vec![Vec::new(); graph.num_ranks];
+        for &id in ws.record().pops() {
+            let id = StageId(id as usize);
+            orders[graph.item(id).rank].push(id);
+        }
+        orders
+    }
+
+    #[test]
+    fn rank_orders_equal_the_pop_log_filtered_by_rank() {
+        let configs = [
+            DualQueueConfig::default(),
+            DualQueueConfig {
+                segment_priorities: vec![3, -1, 7],
+                ..DualQueueConfig::default()
+            },
+            DualQueueConfig {
+                memory_limit: Some(vec![1; 4]),
+                max_inflight: Some(2),
+                ..DualQueueConfig::default()
+            },
+        ];
+        let mut ws = ScheduleWorkspace::new();
+        for graph in [lm_graph(6, 4), vpp_graph(5, 4, 3), lm_graph(1, 1)] {
+            let view = PassGraph::new(&graph);
+            for config in &configs {
+                let makespan = schedule_into(&graph, config, &mut ws);
+                let orders = ws.orders(&graph);
+                let expected = filtered_pop_log(&ws, &graph);
+                assert_eq!(orders.num_ranks(), graph.num_ranks);
+                assert_eq!(orders.ranks().collect::<Vec<_>>(), expected);
+                assert_eq!(orders.stages(), expected.concat());
+                assert_eq!(orders.num_stages(), graph.len());
+                // An aborted pass leaves a partial log, grouped the same way.
+                let cutoff = makespan / 2.0;
+                assert!(
+                    schedule_resumed(&view, config, &mut ws, cutoff, PassPrefix::EMPTY).is_none()
+                );
+                let partial = ws.orders(&graph);
+                assert_eq!(
+                    partial.ranks().collect::<Vec<_>>(),
+                    filtered_pop_log(&ws, &graph)
+                );
+                assert!(partial.num_stages() < graph.len());
+            }
+        }
+        // Before any pass: every rank's order is empty.
+        let graph = lm_graph(2, 3);
+        let fresh = ScheduleWorkspace::new().orders(&graph);
+        assert_eq!(fresh.num_ranks(), 3);
+        assert!(fresh.ranks().all(<[StageId]>::is_empty));
+    }
+
+    #[test]
+    fn from_ranks_round_trips() {
+        let ranks = vec![
+            vec![StageId(4), StageId(0), StageId(2)],
+            vec![],
+            vec![StageId(1)],
+            vec![StageId(3), StageId(5)],
+        ];
+        let orders = RankOrders::from_ranks(&ranks);
+        assert_eq!(orders.num_ranks(), 4);
+        assert_eq!(orders.num_stages(), 6);
+        assert_eq!(orders.ranks().collect::<Vec<_>>(), ranks);
+        for (r, rank) in ranks.iter().enumerate() {
+            assert_eq!(orders.rank(r), rank.as_slice());
+        }
+        assert_eq!(RankOrders::from_ranks(orders.ranks()), orders);
+        assert_eq!(
+            RankOrders::from_ranks(Vec::<Vec<StageId>>::new()).num_ranks(),
+            0
+        );
+
+        let graph = lm_graph(4, 4);
+        let (scheduled, _) = schedule(&graph, &DualQueueConfig::default());
+        assert_eq!(RankOrders::from_ranks(scheduled.ranks()), scheduled);
+        // A clone shares the slabs; a rebuilt copy is equal but separate.
+        assert!(scheduled.clone().shares_storage_with(&scheduled));
+        assert!(!RankOrders::from_ranks(scheduled.ranks()).shares_storage_with(&scheduled));
     }
 }

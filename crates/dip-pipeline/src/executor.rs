@@ -57,10 +57,10 @@ pub fn execute(
     timing: &TimingModel,
     config: &ExecutorConfig,
 ) -> Result<ExecutionOutcome, PipelineError> {
-    if orders.orders.len() != graph.num_ranks {
+    if orders.num_ranks() != graph.num_ranks {
         return Err(PipelineError::Simulation(format!(
             "schedule has {} ranks, graph has {}",
-            orders.orders.len(),
+            orders.num_ranks(),
             graph.num_ranks
         )));
     }
@@ -80,42 +80,36 @@ pub fn execute(
     // First pass: assign engine task ids in insertion order (rank by rank,
     // following the schedule order).
     let mut task_id_of_stage = vec![usize::MAX; graph.len()];
-    let mut next_task = 0usize;
-    for rank_order in &orders.orders {
-        for stage in rank_order {
-            if task_id_of_stage[stage.0] != usize::MAX {
-                return Err(PipelineError::Simulation(format!(
-                    "stage {} appears more than once in the schedule",
-                    stage.0
-                )));
-            }
-            task_id_of_stage[stage.0] = next_task;
-            next_task += 1;
+    for (task, stage) in orders.stages().iter().enumerate() {
+        if task_id_of_stage[stage.0] != usize::MAX {
+            return Err(PipelineError::Simulation(format!(
+                "stage {} appears more than once in the schedule",
+                stage.0
+            )));
         }
+        task_id_of_stage[stage.0] = task;
     }
 
     // Second pass: create the tasks with translated dependencies.
-    for rank_order in &orders.orders {
-        for stage in rank_order {
-            let item = graph.item(*stage);
-            let kind = match item.direction {
-                Direction::Forward => TaskKind::Forward,
-                Direction::Backward => TaskKind::Backward,
-            };
-            let mut task = Task::compute(item.rank, item.duration, kind);
-            match item.direction {
-                Direction::Forward => {
-                    task.mem_at_start = item.activation_bytes as i64;
-                }
-                Direction::Backward => {
-                    task.mem_at_end = -(item.activation_bytes as i64);
-                }
+    for stage in orders.stages() {
+        let item = graph.item(*stage);
+        let kind = match item.direction {
+            Direction::Forward => TaskKind::Forward,
+            Direction::Backward => TaskKind::Backward,
+        };
+        let mut task = Task::compute(item.rank, item.duration, kind);
+        match item.direction {
+            Direction::Forward => {
+                task.mem_at_start = item.activation_bytes as i64;
             }
-            for (dep, lag) in graph.deps_of(item.id) {
-                task = task.after(dip_sim::TaskId(task_id_of_stage[dep.0]), *lag);
+            Direction::Backward => {
+                task.mem_at_end = -(item.activation_bytes as i64);
             }
-            engine.add_task(task);
         }
+        for (dep, lag) in graph.deps_of(item.id) {
+            task = task.after(dip_sim::TaskId(task_id_of_stage[dep.0]), *lag);
+        }
+        engine.add_task(task);
     }
 
     // Optimizer step + data-parallel gradient all-reduce at the end of the
@@ -247,8 +241,11 @@ mod tests {
     #[test]
     fn rejects_incomplete_schedules() {
         let (graph, topology, timing, parallel) = setup(2);
-        let (mut orders, _) = schedule(&graph, &DualQueueConfig::default());
-        orders.orders[0].pop();
+        let (orders, _) = schedule(&graph, &DualQueueConfig::default());
+        let orders = RankOrders::from_ranks(orders.ranks().enumerate().map(|(rank, order)| {
+            // Drop rank 0's last stage.
+            &order[..order.len() - usize::from(rank == 0)]
+        }));
         let err = execute(
             &graph,
             &orders,

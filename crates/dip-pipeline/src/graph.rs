@@ -79,34 +79,55 @@ pub struct WorkItem {
 /// DIP's modality-aware partitioner produces per-segment counts
 /// `M_i = ceil(N_i / B_i)` (§4). Consecutive segments of the same module must
 /// use identical counts, because the same sub-microbatches flow through them.
+///
+/// The table is one flat, copy-on-write slab: cloning a plan — as every
+/// served cached plan does — bumps a reference count, and
+/// [`SubMicrobatchPlan::set`] copies the slab first only while another plan
+/// still shares it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SubMicrobatchPlan {
-    /// `splits[segment][microbatch]` = number of sub-microbatches.
-    splits: Vec<Vec<usize>>,
+    /// `splits[segment * num_microbatches + microbatch]` = number of
+    /// sub-microbatches.
+    splits: Arc<[usize]>,
+    num_segments: usize,
+    num_microbatches: usize,
 }
 
 impl SubMicrobatchPlan {
     /// A plan with one sub-microbatch per (segment, microbatch).
     pub fn uniform(num_segments: usize, num_microbatches: usize) -> Self {
         Self {
-            splits: vec![vec![1; num_microbatches]; num_segments],
+            splits: vec![1; num_segments * num_microbatches].into(),
+            num_segments,
+            num_microbatches,
         }
     }
 
-    /// Builds a plan from an explicit table.
+    /// Builds a plan from an explicit table, one row per segment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows differ in length.
     pub fn from_table(splits: Vec<Vec<usize>>) -> Self {
-        Self { splits }
+        let num_microbatches = splits.first().map_or(0, Vec::len);
+        assert!(
+            splits.iter().all(|row| row.len() == num_microbatches),
+            "every segment's row covers the same microbatches"
+        );
+        Self {
+            num_segments: splits.len(),
+            num_microbatches,
+            splits: splits.concat().into(),
+        }
     }
 
     /// Number of sub-microbatches for `(segment, microbatch)`; defaults to 1
     /// outside the table.
     pub fn splits(&self, segment: usize, microbatch: usize) -> usize {
-        self.splits
-            .get(segment)
-            .and_then(|s| s.get(microbatch))
-            .copied()
-            .unwrap_or(1)
-            .max(1)
+        if segment >= self.num_segments || microbatch >= self.num_microbatches {
+            return 1;
+        }
+        self.splits[segment * self.num_microbatches + microbatch].max(1)
     }
 
     /// Sets the number of sub-microbatches for `(segment, microbatch)`.
@@ -115,20 +136,34 @@ impl SubMicrobatchPlan {
     ///
     /// Panics if the indices are outside the plan's table.
     pub fn set(&mut self, segment: usize, microbatch: usize, splits: usize) {
-        self.splits[segment][microbatch] = splits.max(1);
+        assert!(
+            segment < self.num_segments && microbatch < self.num_microbatches,
+            "({segment}, {microbatch}) is outside the {} × {} table",
+            self.num_segments,
+            self.num_microbatches
+        );
+        Arc::make_mut(&mut self.splits)[segment * self.num_microbatches + microbatch] =
+            splits.max(1);
     }
 
     /// Number of segments covered by the plan.
     pub fn num_segments(&self) -> usize {
-        self.splits.len()
+        self.num_segments
     }
 
     /// Number of microbatches covered by the plan (the width of the split
-    /// table; 0 for an empty plan). Plan-reuse paths check this against a
+    /// table). Plan-reuse paths check this against a
     /// new request's microbatch count before adopting a cached plan's
     /// splits.
     pub fn num_microbatches(&self) -> usize {
-        self.splits.first().map_or(0, Vec::len)
+        self.num_microbatches
+    }
+
+    /// True when this plan and `other` share one table: one is a clone of
+    /// the other and neither has been [`set`](SubMicrobatchPlan::set)
+    /// since.
+    pub fn shares_storage_with(&self, other: &SubMicrobatchPlan) -> bool {
+        Arc::ptr_eq(&self.splits, &other.splits)
     }
 }
 
@@ -195,13 +230,15 @@ pub struct StageGraph {
     /// Number of microbatches covered by the graph.
     num_microbatches: usize,
     /// Sub-microbatch count of each `(segment, microbatch)` block,
-    /// row-major (`segment * num_microbatches + microbatch`).
-    block_splits: Vec<usize>,
+    /// row-major (`segment * num_microbatches + microbatch`). Shared, like
+    /// the arena's slabs, with the [`PreparedWorkloads`] it was built from
+    /// and with every clone.
+    block_splits: Arc<[usize]>,
     /// Stage pairs preceding each block (same indexing; one extra trailing
     /// entry = `num_stage_pairs`). `pair(s, m, j, r) = pair_offsets[s * M +
     /// m] + j * pp + r` — the arithmetic index replacing the former
-    /// coordinate tree.
-    pair_offsets: Vec<usize>,
+    /// coordinate tree. Shared like `block_splits`.
+    pair_offsets: Arc<[usize]>,
 }
 
 impl StageGraph {
@@ -326,12 +363,20 @@ impl StageGraph {
         }
     }
 
-    /// True when this graph and `other` share one item slab — `other` is a
+    /// True when this graph and `other` share every slab — `other` is a
     /// clone of this graph (or this of `other`) and neither has been
     /// repriced since. Lets callers check that a cached-plan hit handed out
     /// the cached storage instead of a copy.
     pub fn shares_storage_with(&self, other: &StageGraph) -> bool {
-        Arc::ptr_eq(&self.arena.items, &other.arena.items)
+        let (a, b) = (&self.arena, &other.arena);
+        Arc::ptr_eq(&a.items, &b.items)
+            && Arc::ptr_eq(&a.deps, &b.deps)
+            && Arc::ptr_eq(&a.dep_offsets, &b.dep_offsets)
+            && Arc::ptr_eq(&a.rdeps, &b.rdeps)
+            && Arc::ptr_eq(&a.rdep_offsets, &b.rdep_offsets)
+            && Arc::ptr_eq(&a.base_timings, &b.base_timings)
+            && Arc::ptr_eq(&self.block_splits, &other.block_splits)
+            && Arc::ptr_eq(&self.pair_offsets, &other.pair_offsets)
     }
 }
 
@@ -376,9 +421,9 @@ pub struct GraphBuildStats;
 pub struct PreparedWorkloads {
     num_microbatches: usize,
     /// Sub-microbatch count per `(segment, microbatch)` block, row-major.
-    block_splits: Vec<usize>,
+    block_splits: Arc<[usize]>,
     /// Stage pairs preceding each block (+ trailing total).
-    pair_offsets: Vec<usize>,
+    pair_offsets: Arc<[usize]>,
     /// Per-module workloads of each sub-microbatch of each block.
     sub_workloads: Vec<Vec<BTreeMap<ModuleId, ModalityWorkload>>>,
     /// The module whose workload sizes each `(segment, rank)` chunk's
@@ -593,8 +638,8 @@ impl<'a> StageGraphBuilder<'a> {
 
         Ok(PreparedWorkloads {
             num_microbatches,
-            block_splits,
-            pair_offsets,
+            block_splits: block_splits.into(),
+            pair_offsets: pair_offsets.into(),
             sub_workloads,
             output_module,
             same_module_as_prev,
@@ -781,7 +826,7 @@ impl<'a> StageGraphBuilder<'a> {
         let mut static_memory = vec![0u64; pp];
         let mut param_bytes_per_rank = vec![0u64; pp];
         let tp = tp.max(1) as u64;
-        for seg in segments {
+        for seg in segments.iter() {
             for (rank, chunk) in seg.chunks.iter().enumerate() {
                 let params = chunk.param_count(self.spec);
                 static_memory[rank] += params * OPTIMIZER_STATE_BYTES_PER_PARAM / tp;
@@ -807,8 +852,8 @@ impl<'a> StageGraphBuilder<'a> {
                 arena,
                 num_segments: segments.len(),
                 num_microbatches: m_count,
-                block_splits: prepared.block_splits.clone(),
-                pair_offsets: prepared.pair_offsets.clone(),
+                block_splits: Arc::clone(&prepared.block_splits),
+                pair_offsets: Arc::clone(&prepared.pair_offsets),
             },
             GraphBuildStats,
         )

@@ -56,7 +56,7 @@ impl MigrationCost {
 /// hosting it.
 fn layer_hosts(placement: &Placement) -> BTreeMap<(ModuleId, usize), usize> {
     let mut hosts = BTreeMap::new();
-    for segment in &placement.segments {
+    for segment in placement.segments.iter() {
         for (rank, chunk) in segment.chunks.iter().enumerate() {
             for piece in &chunk.pieces {
                 for layer in piece.layers.clone() {
@@ -106,7 +106,7 @@ pub fn migration_cost(
     let mut restore_bytes: BTreeMap<usize, u64> = BTreeMap::new();
     let mut bytes_moved = 0u64;
     let mut bytes_restored = 0u64;
-    for segment in &new.segments {
+    for segment in new.segments.iter() {
         for (rank, chunk) in segment.chunks.iter().enumerate() {
             for piece in &chunk.pieces {
                 for layer in piece.layers.clone() {

@@ -231,7 +231,10 @@ fn placement_from_boundaries(
         };
         segments.push(Segment { chunks, module });
     }
-    Placement { parallel, segments }
+    Placement {
+        parallel,
+        segments: segments.into(),
+    }
 }
 
 /// Megatron-LM's default placement: contiguous layer groups with
@@ -390,7 +393,10 @@ pub fn latency_balanced_separated_placement(
         let bounds = min_max_rank_aware_split(&latencies, &param_counts, &budgets, pp, k, tp);
         segments.extend(segments_from_bounds(id, &bounds, pp, k));
     }
-    Placement { parallel, segments }
+    Placement {
+        parallel,
+        segments: segments.into(),
+    }
 }
 
 /// Assembles the `k` segments of one module from its `pp * k + 1` chunk
@@ -497,7 +503,10 @@ fn separated_placement_weighted(
         }
         segments.extend(segments_from_bounds(id, &bounds, pp, k));
     }
-    Placement { parallel, segments }
+    Placement {
+        parallel,
+        segments: segments.into(),
+    }
 }
 
 #[cfg(test)]
@@ -601,7 +610,7 @@ mod tests {
         // ViT: 1 segment, adapter: 1, backbone: 2 → 4 segments.
         assert_eq!(placement.segments.len(), 4);
         assert_eq!(placement.segments_of_module(backbone).len(), 2);
-        for seg in &placement.segments {
+        for seg in placement.segments.iter() {
             assert!(seg.module.is_some());
             assert_eq!(seg.chunks.len(), 4);
         }

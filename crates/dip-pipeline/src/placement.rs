@@ -5,6 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Bytes of persistent optimizer state per model parameter: bf16 weight +
 /// bf16 gradient + fp32 master weight + two fp32 Adam moments. Shared by
@@ -240,14 +241,23 @@ impl Segment {
 pub struct Placement {
     /// The parallelism configuration.
     pub parallel: ParallelConfig,
-    /// Pipeline segments in forward execution order.
-    pub segments: Vec<Segment>,
+    /// Pipeline segments in forward execution order, in a shared slab:
+    /// cloning a placement — as every served cached plan does — bumps a
+    /// reference count. To edit one, edit a `to_vec()` copy and convert it
+    /// back with `into()`.
+    pub segments: Arc<[Segment]>,
 }
 
 impl Placement {
     /// Number of pipeline ranks.
     pub fn num_ranks(&self) -> usize {
         self.parallel.pp
+    }
+
+    /// True when this placement and `other` share one segment slab: one is
+    /// a clone of the other.
+    pub fn shares_storage_with(&self, other: &Placement) -> bool {
+        Arc::ptr_eq(&self.segments, &other.segments)
     }
 
     /// Validates that every segment has one chunk per rank and that every
@@ -265,7 +275,7 @@ impl Placement {
         }
         for (id, module) in spec.iter() {
             let mut covered = vec![0usize; module.num_layers()];
-            for seg in &self.segments {
+            for seg in self.segments.iter() {
                 for chunk in &seg.chunks {
                     for piece in &chunk.pieces {
                         if piece.module == id {
@@ -295,7 +305,7 @@ impl Placement {
     pub fn static_memory_per_rank(&self, spec: &LmmSpec) -> Vec<u64> {
         let tp = self.parallel.tp.max(1) as u64;
         let mut per_rank = vec![0u64; self.parallel.pp];
-        for seg in &self.segments {
+        for seg in self.segments.iter() {
             for (rank, chunk) in seg.chunks.iter().enumerate() {
                 let params = chunk.param_count(spec);
                 let bytes = params * OPTIMIZER_STATE_BYTES_PER_PARAM;
@@ -376,7 +386,8 @@ mod tests {
                     ModelChunk::single(module, layers / 2..layers),
                 ],
                 module: Some(module),
-            }],
+            }]
+            .into(),
         };
         assert!(good.validate(&spec).is_ok());
         assert_eq!(good.total_params(&spec), spec.param_count());
@@ -390,7 +401,8 @@ mod tests {
                     ModelChunk::single(module, 4..8),
                 ],
                 module: Some(module),
-            }],
+            }]
+            .into(),
         };
         assert!(matches!(
             missing.validate(&spec),
@@ -403,7 +415,8 @@ mod tests {
             segments: vec![Segment {
                 chunks: vec![ModelChunk::single(module, 0..layers)],
                 module: Some(module),
-            }],
+            }]
+            .into(),
         };
         assert!(matches!(
             malformed.validate(&spec),
@@ -424,7 +437,8 @@ mod tests {
                     ModelChunk::single(module, layers / 2..layers),
                 ],
                 module: Some(module),
-            }],
+            }]
+            .into(),
         };
         let tp1 = make(1).static_memory_per_rank(&spec);
         let tp4 = make(4).static_memory_per_rank(&spec);

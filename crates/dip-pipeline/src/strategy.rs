@@ -149,6 +149,12 @@ impl MemoryPlan {
         self.choices.is_empty()
     }
 
+    /// True when this plan and `other` share one map: one is a clone of
+    /// the other and neither has been [`set`](MemoryPlan::set) since.
+    pub fn shares_storage_with(&self, other: &MemoryPlan) -> bool {
+        Arc::ptr_eq(&self.choices, &other.choices)
+    }
+
     /// A plan applying the same strategy to `stage_pairs` stage pairs.
     pub fn uniform(stage_pairs: usize, strategy: MemoryStrategy) -> Self {
         let mut plan = Self::new();

@@ -41,7 +41,7 @@ proptest! {
         prop_assert_eq!(plan.orders.num_stages(), plan.graph.len());
         // Every stage appears exactly once across ranks.
         let mut seen = vec![false; plan.graph.len()];
-        for order in &plan.orders.orders {
+        for order in plan.orders.ranks() {
             for id in order {
                 prop_assert!(!seen[id.0]);
                 seen[id.0] = true;

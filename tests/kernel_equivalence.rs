@@ -682,9 +682,9 @@ fn search_orders_equal_a_fresh_schedule_of_the_returned_priorities() {
                         ..base.clone()
                     },
                 );
-                assert_eq!(result.orders.orders.len(), orders.orders.len(), "{what}");
+                assert_eq!(result.orders.num_ranks(), orders.num_ranks(), "{what}");
                 for (rank, (searched, fresh)) in
-                    result.orders.orders.iter().zip(&orders.orders).enumerate()
+                    result.orders.ranks().zip(orders.ranks()).enumerate()
                 {
                     assert_eq!(searched, fresh, "{what}: rank {rank}");
                 }
