@@ -30,8 +30,8 @@ use dip_pipeline::{
     separated_placement, DualQueueConfig, ParallelConfig, StageGraphBuilder, SubMicrobatchPlan,
 };
 use dip_sim::{
-    CalibrationArtifact, ClusterSpec, CostModel, EcmDeviceParams, EfficiencyModel, GpuGeneration,
-    GpuSpec,
+    CalibrationArtifact, ClusterTopology, CostModel, EcmDeviceParams, EfficiencyModel,
+    GpuGeneration, GpuSpec,
 };
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -126,8 +126,8 @@ fn fit_eval_cost() -> (Option<CostModel>, u64) {
     let mut k = BTreeMap::new();
     k.insert(spec.backbone_id().expect("VLM-S has a backbone"), 2usize);
     let placement = separated_placement(&spec, parallel, &k);
-    let cluster = ClusterSpec::h800_cluster(2);
-    let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+    let cluster = ClusterTopology::h800_cluster(2);
+    let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
     let batch = BatchWorkload::new()
         .with(Modality::Text, ModalityWorkload::new(6502, 1))
         .with(Modality::Image, ModalityWorkload::new(1690, 10));

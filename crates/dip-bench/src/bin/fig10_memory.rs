@@ -6,7 +6,7 @@ use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
 use dip_models::zoo;
 use dip_pipeline::baselines::{simulate_megatron, simulate_optimus, BaselineContext};
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 
 fn summarize(name: &str, report: &dip_sim::EngineReport) -> Vec<String> {
     let rank0 = &report.ranks[0];
@@ -31,7 +31,7 @@ fn summarize(name: &str, report: &dip_sim::EngineReport) -> Vec<String> {
 fn main() {
     let scale = ExperimentScale::from_env();
     let spec = zoo::vlm_m();
-    let cluster = ClusterSpec::h800_cluster(4);
+    let cluster = ClusterTopology::h800_cluster(4);
     let parallel = ParallelConfig::new(8, 4, 1);
     let ctx = BaselineContext::new(&spec, parallel, &cluster);
     let batches = vlm_batches_from_datasets(scale.microbatches, 77);

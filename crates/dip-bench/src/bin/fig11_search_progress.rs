@@ -34,15 +34,15 @@ use dip_core::{
 };
 use dip_models::zoo;
 use dip_pipeline::{dual_queue, DualQueueConfig, ParallelConfig, StageGraphBuilder};
-use dip_sim::{ClusterSpec, EfficiencyModel, TimingModel};
+use dip_sim::{ClusterTopology, EfficiencyModel, TimingModel};
 use std::time::{Duration, Instant};
 
 fn main() {
     let scale = ExperimentScale::from_env();
     let spec = zoo::vlm_l();
-    let cluster = ClusterSpec::h800_cluster(8);
+    let cluster = ClusterTopology::h800_cluster(8);
     let parallel = ParallelConfig::new(8, 8, 1);
-    let timing = TimingModel::new(cluster.gpu, EfficiencyModel::default());
+    let timing = TimingModel::new(cluster.reference_device(), EfficiencyModel::default());
     let batches = vlm_batches_from_datasets(scale.microbatches, 42);
 
     let partitioner =
@@ -51,13 +51,9 @@ fn main() {
         .partition(&dip_bench::vlm_batch(24))
         .expect("offline partitioning");
     let plan = partitioner.sub_microbatch_plan(&output, &batches);
-    let builder = StageGraphBuilder::new(&spec, &output.placement, &cluster);
+    let builder = StageGraphBuilder::new_on(&spec, &output.placement, &cluster);
     let graph = builder.build(&batches, &plan).unwrap();
-    let budget: Vec<u64> = graph
-        .static_memory
-        .iter()
-        .map(|s| cluster.gpu.usable_memory().saturating_sub(*s))
-        .collect();
+    let budget = cluster.activation_budget(&graph.static_memory, parallel.tp);
 
     let base_queue = DualQueueConfig {
         memory_limit: Some(budget.clone()),

@@ -24,7 +24,7 @@ use dip_bench::{fmt_ratio, print_table, vlm_batch, BenchReport, ExperimentScale,
 use dip_core::{monolithic_ilp_search, PlanRequest, PlanTier, PlannerConfig, PlanningSession};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{separated_placement, ParallelConfig, StageGraphBuilder, SubMicrobatchPlan};
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -42,7 +42,7 @@ fn t2v_batch() -> BatchWorkload {
 fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
     const STREAMS: usize = 8;
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let microbatches = scale.microbatches.max(8);
     let request = PlanRequest::new(vec![vlm_batch(24); microbatches]);
@@ -178,7 +178,7 @@ fn main() {
         ("VLM-S", zoo::vlm_s(), vlm_batch(24)),
         ("T2V-S", zoo::t2v_s(), t2v_batch()),
     ] {
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let parallel = ParallelConfig::new(4, 4, 1);
         // One session per model; every microbatch count is a fresh
         // signature, planned cold.
@@ -199,7 +199,7 @@ fn main() {
 
             // Monolithic exact ILP over the same stage graph.
             let placement = separated_placement(&spec, parallel, &BTreeMap::new());
-            let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+            let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
             let uniform = SubMicrobatchPlan::uniform(placement.segments.len(), microbatches);
             let graph = builder.build(request.microbatches(), &uniform).unwrap();
             // Give the monolithic formulation the same *binding* memory

@@ -7,14 +7,14 @@
 //! witness in `bench_check`.
 
 use dip_bench::{print_table, vlm_batches_from_datasets, BenchReport, ExperimentScale, MetricKind};
-use dip_core::{DipPlanner, PlanRequest, PlannerConfig, PlanningSession, SessionConfig};
+use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
 use dip_models::{zoo, ModalityWorkload, ModuleRole};
 use dip_pipeline::baselines::{simulate_megatron, BaselineContext};
 use dip_pipeline::ParallelConfig;
 use dip_sim::calibration::{calibrate, mean_accuracy, CalibrationSample};
 use dip_sim::{
-    CalibrationArtifact, CalibrationRegistry, CalibrationSource, ClusterSpec, ClusterTopology,
-    EfficiencyModel, GpuGeneration, GpuSpec, RooflineBound, TimingModel,
+    CalibrationArtifact, CalibrationRegistry, CalibrationSource, ClusterTopology, EfficiencyModel,
+    GpuGeneration, GpuSpec, RooflineBound, TimingModel,
 };
 
 /// The roofline study: price a compute-bound transformer layer and a
@@ -123,12 +123,7 @@ fn artifact_identity_study(report: &mut BenchReport) {
     let topo = ClusterTopology::mixed_h800_h20(1, 1);
     let parallel = ParallelConfig::new(4, 4, 1);
     let request = PlanRequest::new(vlm_batches_from_datasets(2, 64));
-    let session_on = |config: PlannerConfig| {
-        PlanningSession::from_planner(
-            DipPlanner::on_topology(&spec, parallel, topo.clone(), config),
-            SessionConfig::default(),
-        )
-    };
+    let session_on = |config: PlannerConfig| PlanningSession::new(&spec, parallel, &topo, config);
 
     let plain = session_on(PlannerConfig::fast());
     let registry = CalibrationRegistry::from_artifact(CalibrationArtifact::builtin_for(&topo));
@@ -170,7 +165,7 @@ fn artifact_identity_study(report: &mut BenchReport) {
 fn main() {
     let scale = ExperimentScale::from_env();
     let spec = zoo::vlm_m();
-    let cluster = ClusterSpec::h800_cluster(8);
+    let cluster = ClusterTopology::h800_cluster(8);
     let batches = vlm_batches_from_datasets(scale.microbatches, 64);
 
     // "Real" executions: the reference (calibrated, default) efficiency model.
@@ -191,7 +186,7 @@ fn main() {
 
     let run = |parallel: ParallelConfig, eff: EfficiencyModel| -> Option<f64> {
         let ctx = BaselineContext::new(&spec, parallel, &cluster)
-            .with_timing(TimingModel::new(cluster.gpu, eff));
+            .with_timing(TimingModel::new(cluster.reference_device(), eff));
         simulate_megatron(&ctx, &batches, 1)
             .ok()
             .map(|o| o.metrics.iteration_time_s)
@@ -210,8 +205,8 @@ fn main() {
             predicted_s: sim,
             measured_s: real,
         });
-        let mfu_real =
-            total_model_flops * parallel.dp as f64 / (real * cluster.gpu.peak_flops * 64.0);
+        let mfu_real = total_model_flops * parallel.dp as f64
+            / (real * cluster.reference_device().peak_flops * 64.0);
         if best.is_none() || mfu_real > best.unwrap().1 {
             best = Some((*parallel, mfu_real));
         }

@@ -7,14 +7,14 @@ use dip_bench::{
 };
 use dip_models::zoo;
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 
 fn main() {
     let scale = ExperimentScale::from_env();
     let mut rows = Vec::new();
     for setup in zoo::table6_setups() {
         let parallel = ParallelConfig::new(setup.tp, setup.pp, setup.dp);
-        let cluster = ClusterSpec::h100_cluster(setup.num_gpus() / 8);
+        let cluster = ClusterTopology::h100_cluster(setup.num_gpus() / 8);
         let is_t2v = setup.name.starts_with("T2V");
         let batches = if is_t2v {
             t2v_batches_from_datasets(scale.microbatches, 14)

@@ -8,14 +8,14 @@ use dip_bench::{
 };
 use dip_models::zoo;
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 
 fn main() {
     let scale = ExperimentScale::from_env();
     let mut rows = Vec::new();
     for setup in zoo::table3_setups() {
         let parallel = ParallelConfig::new(setup.tp, setup.pp, setup.dp);
-        let cluster = ClusterSpec::h800_cluster((setup.num_gpus() / 8).max(1));
+        let cluster = ClusterTopology::h800_cluster((setup.num_gpus() / 8).max(1));
         let is_t2v = setup.name.starts_with("T2V");
         // Average over several iterations of freshly drawn data.
         let mut sums: Vec<(String, f64)> = Vec::new();

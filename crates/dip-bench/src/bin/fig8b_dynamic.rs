@@ -26,7 +26,7 @@ use dip_pipeline::baselines::{
     nnscaler_static_plan, simulate_megatron, simulate_nnscaler, simulate_optimus, BaselineContext,
 };
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 
 fn print_session_stats(name: &str, stats: &SessionStats) {
     println!(
@@ -47,7 +47,7 @@ fn print_session_stats(name: &str, stats: &SessionStats) {
 fn main() {
     let scale = ExperimentScale::from_env();
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let ctx = BaselineContext::new(&spec, parallel, &cluster);
 
@@ -211,7 +211,7 @@ fn percentile(values: &[f64], q: f64) -> f64 {
 fn zipf_dynamic_traffic(
     spec: &dip_models::LmmSpec,
     parallel: ParallelConfig,
-    cluster: &ClusterSpec,
+    cluster: &ClusterTopology,
     representative: &dip_models::BatchWorkload,
     report: &mut BenchReport,
 ) {
@@ -432,7 +432,7 @@ fn zipf_dynamic_traffic(
 fn batch_planning_scaling(
     spec: &dip_models::LmmSpec,
     parallel: ParallelConfig,
-    cluster: &ClusterSpec,
+    cluster: &ClusterTopology,
     trace: &dip_data::WorkloadTrace,
     representative: &dip_models::BatchWorkload,
     report: &mut BenchReport,

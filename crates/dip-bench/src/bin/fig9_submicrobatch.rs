@@ -7,14 +7,14 @@ use dip_models::zoo;
 use dip_pipeline::{
     dual_queue, execute, DualQueueConfig, ExecutorConfig, ParallelConfig, StageGraphBuilder,
 };
-use dip_sim::{ClusterSpec, EfficiencyModel, TimingModel};
+use dip_sim::{ClusterTopology, EfficiencyModel, TimingModel};
 
 fn main() {
     let scale = ExperimentScale::from_env();
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
-    let timing = TimingModel::new(cluster.gpu, EfficiencyModel::default());
+    let timing = TimingModel::new(cluster.reference_device(), EfficiencyModel::default());
     let batches = vlm_batches_from_datasets(scale.microbatches, 55);
 
     let partitioner =
@@ -32,13 +32,9 @@ fn main() {
         let mut out = output.clone();
         out.sub_microbatch_sizes.insert(encoder_id, sub_size);
         let plan = partitioner.sub_microbatch_plan(&out, &batches);
-        let builder = StageGraphBuilder::new(&spec, &out.placement, &cluster);
+        let builder = StageGraphBuilder::new_on(&spec, &out.placement, &cluster);
         let graph = builder.build(&batches, &plan).unwrap();
-        let budget: Vec<u64> = graph
-            .static_memory
-            .iter()
-            .map(|s| cluster.gpu.usable_memory().saturating_sub(*s))
-            .collect();
+        let budget = cluster.activation_budget(&graph.static_memory, parallel.tp);
 
         // Best and worst schedules over a set of segment orderings: evaluate
         // several priority assignments for the encoder segments.
@@ -58,7 +54,7 @@ fn main() {
             let outcome = execute(
                 &graph,
                 &orders,
-                &cluster.topology(),
+                &cluster,
                 &timing,
                 &ExecutorConfig::new(parallel),
             )

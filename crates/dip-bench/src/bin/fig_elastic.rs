@@ -18,8 +18,7 @@
 
 use dip_bench::{fmt_s, print_table, BenchReport, ExperimentScale, MetricKind};
 use dip_core::{
-    DipPlanner, ElasticCandidate, ElasticConfig, PlanRequest, PlanTier, PlanningSession,
-    SessionConfig,
+    ElasticCandidate, ElasticConfig, PlanRequest, PlanTier, PlanningSession, SessionConfig,
 };
 use dip_data::{
     BatchGenerator, DatasetMix, DynamicWorkloadController, FailureSchedule, ImageBoundSchedule,
@@ -64,10 +63,7 @@ fn sweep(
     };
 
     let session_on = |topology: &ClusterTopology, cache: SessionConfig| {
-        PlanningSession::from_planner(
-            DipPlanner::on_topology(spec, parallel, topology.clone(), config.clone()),
-            cache,
-        )
+        PlanningSession::with_config(spec, parallel, topology, config.clone(), cache)
     };
 
     let mut topology = base.clone();

@@ -15,7 +15,7 @@
 use dip_bench::{
     fmt_ratio, fmt_s, print_table, vlm_batch, BenchReport, ExperimentScale, MetricKind,
 };
-use dip_core::{DipPlanner, PlanRequest, PlannerConfig, PlanningSession, SessionConfig};
+use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
 use dip_models::{zoo, BatchWorkload};
 use dip_pipeline::{ParallelConfig, PlacementMode};
 use dip_sim::ClusterTopology;
@@ -49,10 +49,7 @@ fn run(
     let parallel = ParallelConfig::new(4, 4, 1);
     let mut config: PlannerConfig = scale.planner_config();
     config.partitioner.placement = placement;
-    let session = PlanningSession::from_planner(
-        DipPlanner::on_topology(&spec, parallel, topology, config),
-        SessionConfig::default(),
-    );
+    let session = PlanningSession::new(&spec, parallel, &topology, config);
     let request = PlanRequest::new(batches(scale.microbatches));
     let (outcome, execution) = session.plan_and_simulate(&request).unwrap();
     Row {

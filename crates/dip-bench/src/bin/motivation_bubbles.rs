@@ -6,12 +6,12 @@ use dip_bench::{fmt_ratio, print_table, vlm_batch, ExperimentScale};
 use dip_models::zoo;
 use dip_pipeline::baselines::{nnscaler_static_plan, simulate_nnscaler, BaselineContext};
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 
 fn main() {
     let scale = ExperimentScale::from_env();
     let spec = zoo::vlm_37b();
-    let cluster = ClusterSpec::h800_cluster(4);
+    let cluster = ClusterTopology::h800_cluster(4);
     // 16 pipeline stages as in §2.3 (TP2 to fit in 32 GPUs of the simulation).
     let parallel = ParallelConfig::new(2, 16, 1);
     let ctx = BaselineContext::new(&spec, parallel, &cluster);

@@ -5,7 +5,7 @@ use dip_bench::{fmt_ratio, fmt_s, print_table, vlm_batch, ExperimentScale};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::baselines::{simulate_megatron, BaselineContext};
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 
 fn text_batch(tokens: u64) -> BatchWorkload {
     BatchWorkload::new().with(Modality::Text, ModalityWorkload::new(tokens, 1))
@@ -13,7 +13,7 @@ fn text_batch(tokens: u64) -> BatchWorkload {
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    let cluster = ClusterSpec::h800_cluster(1);
+    let cluster = ClusterTopology::h800_cluster(1);
     let parallel = ParallelConfig::new(2, 4, 1);
     let n = scale.microbatches;
 

@@ -6,12 +6,12 @@ use dip_core::{PlanRequest, PlanningSession};
 use dip_models::zoo;
 use dip_pipeline::baselines::{simulate_fsdp, simulate_megatron, BaselineContext};
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 
 fn main() {
     let scale = ExperimentScale::from_env();
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h20_cluster(2);
+    let cluster = ClusterTopology::h20_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let batches = vlm_batches_from_datasets(scale.microbatches, 21);
 

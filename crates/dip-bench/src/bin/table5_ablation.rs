@@ -7,13 +7,13 @@ use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
 use dip_models::zoo;
 use dip_pipeline::baselines::{simulate_megatron, BaselineContext};
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 use std::time::Duration;
 
 fn main() {
     let scale = ExperimentScale::from_env();
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let batches = vlm_batches_from_datasets(scale.microbatches, 33);
 

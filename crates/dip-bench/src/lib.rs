@@ -20,7 +20,7 @@ use dip_pipeline::baselines::{
     nnscaler_static_plan, simulate_megatron, simulate_nnscaler, simulate_optimus, BaselineContext,
 };
 use dip_pipeline::ParallelConfig;
-use dip_sim::{ClusterSpec, IterationMetrics};
+use dip_sim::{ClusterTopology, IterationMetrics};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -190,7 +190,7 @@ pub struct SystemResult {
 pub fn run_all_systems(
     spec: &LmmSpec,
     parallel: ParallelConfig,
-    cluster: &ClusterSpec,
+    cluster: &ClusterTopology,
     batches: &[BatchWorkload],
     scale: &ExperimentScale,
 ) -> Vec<SystemResult> {
@@ -554,7 +554,7 @@ mod tests {
     #[test]
     fn run_all_systems_covers_the_four_vlm_systems() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let scale = ExperimentScale {
             microbatches: 4,
             iterations: 1,

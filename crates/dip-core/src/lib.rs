@@ -24,10 +24,10 @@
 //!   plans reach callers: a four-tier plan lookup (exact signature hit →
 //!   elastic replan after a topology change → fuzzy bucketed hit served by
 //!   a reprice plus one interleave pass → cold plan) over concurrent LRU
-//!   caches whose hits are checked against the request's microbatches,
-//!   with the cluster-topology fingerprint folded into every cache key,
-//!   single-flight planning through a per-key in-flight table (a stampeded
-//!   fresh shape runs the planner exactly once), and a
+//!   caches that hold only the current topology's plans and whose hits
+//!   are checked against the request's microbatches, single-flight
+//!   planning through a per-key in-flight table (a stampeded fresh shape
+//!   runs the planner exactly once), and a
 //!   [`PlanningSession::plan_many`] worker pool for planning independent
 //!   requests concurrently;
 //! * [`elastic`] — the elastic scenario layer: after
@@ -50,10 +50,10 @@
 //! use dip_core::{PlanRequest, PlanTier, PlanningSession, PlannerConfig};
 //! use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 //! use dip_pipeline::ParallelConfig;
-//! use dip_sim::ClusterSpec;
+//! use dip_sim::ClusterTopology;
 //!
 //! let spec = zoo::vlm_s();
-//! let cluster = ClusterSpec::h800_cluster(2);
+//! let cluster = ClusterTopology::h800_cluster(2);
 //! let session = PlanningSession::new(&spec, ParallelConfig::new(4, 4, 1), &cluster,
 //!                                    PlannerConfig::fast());
 //! let batch = BatchWorkload::new()
@@ -68,9 +68,11 @@
 //! assert_eq!(repeat.tier, PlanTier::Exact);
 //! ```
 //!
-//! A [`DipPlanner`] holds the model, layout and topology a session plans
-//! on; build one with [`DipPlanner::on_topology`] for a heterogeneous
-//! cluster and wrap it with [`PlanningSession::from_planner`].
+//! One type describes the machine: a [`dip_sim::ClusterTopology`], uniform
+//! (`h800_cluster`, `h20_cluster`, `h100_cluster`) or heterogeneous
+//! (`mixed_h800_h20`, or any node list). The session builds its
+//! [`DipPlanner`], which holds the model, layout and topology it plans on,
+//! with [`DipPlanner::on_topology`].
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

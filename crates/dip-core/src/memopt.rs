@@ -385,14 +385,14 @@ mod tests {
         balanced_param_placement, dual_queue, DualQueueConfig, ParallelConfig, StageGraphBuilder,
         SubMicrobatchPlan,
     };
-    use dip_sim::ClusterSpec;
+    use dip_sim::ClusterTopology;
 
     fn graph_and_orders(num_microbatches: usize) -> (StageGraph, RankOrders) {
         let spec = zoo::vlm_s();
         let parallel = ParallelConfig::new(4, 4, 1);
         let placement = balanced_param_placement(&spec, parallel, 1);
-        let cluster = ClusterSpec::h800_cluster(2);
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let cluster = ClusterTopology::h800_cluster(2);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let batch = BatchWorkload::new()
             .with(Modality::Text, ModalityWorkload::new(6502, 1))
             .with(Modality::Image, ModalityWorkload::new(1690, 10));

@@ -1489,7 +1489,7 @@ mod tests {
     use super::*;
     use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
     use dip_pipeline::{separated_placement, ParallelConfig, StageGraphBuilder, SubMicrobatchPlan};
-    use dip_sim::ClusterSpec;
+    use dip_sim::ClusterTopology;
     use std::collections::BTreeMap;
 
     fn vlm_graph(num_microbatches: usize) -> (StageGraph, usize) {
@@ -1498,8 +1498,8 @@ mod tests {
         let mut k = BTreeMap::new();
         k.insert(spec.backbone_id().unwrap(), 2usize);
         let placement = separated_placement(&spec, parallel, &k);
-        let cluster = ClusterSpec::h800_cluster(2);
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let cluster = ClusterTopology::h800_cluster(2);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let batch = BatchWorkload::new()
             .with(Modality::Text, ModalityWorkload::new(6502, 1))
             .with(Modality::Image, ModalityWorkload::new(1690, 10));
@@ -2006,8 +2006,8 @@ mod tests {
         let spec = zoo::lm_7b();
         let parallel = ParallelConfig::new(2, 2, 1);
         let placement = dip_pipeline::balanced_param_placement(&spec, parallel, 1);
-        let cluster = ClusterSpec::h800_cluster(1);
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let cluster = ClusterTopology::h800_cluster(1);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let batch = BatchWorkload::new().with(Modality::Text, ModalityWorkload::from_tokens(4096));
         let plan = SubMicrobatchPlan::uniform(1, 1);
         let graph = builder.build(&[batch], &plan).unwrap();

@@ -284,11 +284,11 @@ impl<'a> ModalityAwarePartitioner<'a> {
 mod tests {
     use super::*;
     use dip_models::{zoo, Modality};
-    use dip_sim::{ClusterSpec, EfficiencyModel, TimingModel};
+    use dip_sim::{ClusterTopology, EfficiencyModel, TimingModel};
 
     fn partitioner(spec: &LmmSpec) -> ModalityAwarePartitioner<'_> {
-        let cluster = ClusterSpec::h800_cluster(2);
-        let timing = TimingModel::new(cluster.gpu, EfficiencyModel::default());
+        let cluster = ClusterTopology::h800_cluster(2);
+        let timing = TimingModel::new(cluster.reference_device(), EfficiencyModel::default());
         ModalityAwarePartitioner::new(
             spec,
             ParallelConfig::new(4, 4, 1),

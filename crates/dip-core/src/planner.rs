@@ -15,8 +15,7 @@ use dip_pipeline::{
     ParallelConfig, Placement, RankOrders, StageGraph, StageGraphBuilder, SubMicrobatchPlan,
 };
 use dip_sim::{
-    CalibrationRegistry, CalibrationSource, ClusterSpec, ClusterTopology, EfficiencyModel,
-    TimingModel,
+    CalibrationRegistry, CalibrationSource, ClusterTopology, EfficiencyModel, TimingModel,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -258,12 +257,19 @@ pub struct DipPlan {
     pub stats: PlannerStats,
 }
 
-/// Rejects a request with no microbatches: there is nothing to plan.
+/// Rejects a request with no microbatches, or with a microbatch of zero
+/// tokens (naming its index): there is nothing to plan, and a planned
+/// iteration made only of fixed overheads would be a wrong answer.
 pub(crate) fn require_microbatches(microbatches: &[BatchWorkload]) -> Result<(), DipError> {
     if microbatches.is_empty() {
         return Err(DipError::invalid_request(
             "cannot plan an iteration with zero microbatches",
         ));
+    }
+    if let Some(index) = microbatches.iter().position(|mb| mb.total_tokens() == 0) {
+        return Err(DipError::invalid_request(format!(
+            "microbatch {index} has zero tokens; every microbatch needs work to plan"
+        )));
     }
     Ok(())
 }
@@ -341,8 +347,8 @@ pub(crate) fn request_modalities(microbatches: &[BatchWorkload]) -> Vec<Modality
 /// topology, and the pipeline that plans an iteration on them.
 ///
 /// Plans reach callers through a [`crate::PlanningSession`], which owns a
-/// planner and serves every tier (exact, elastic, fuzzy and cold); wrap a
-/// planner built here with [`crate::PlanningSession::from_planner`].
+/// planner and serves every tier (exact, elastic, fuzzy and cold), and
+/// builds it with [`DipPlanner::on_topology`].
 #[derive(Debug)]
 pub struct DipPlanner<'a> {
     pub(crate) spec: &'a LmmSpec,
@@ -355,22 +361,12 @@ pub struct DipPlanner<'a> {
 }
 
 impl<'a> DipPlanner<'a> {
-    /// Creates a planner for a homogeneous cluster. The offline model-chunk
-    /// partitioning happens on the first planned iteration (or via
-    /// [`DipPlanner::offline_partition`]).
-    pub fn new(
-        spec: &'a LmmSpec,
-        parallel: ParallelConfig,
-        cluster: &ClusterSpec,
-        config: PlannerConfig,
-    ) -> Self {
-        Self::on_topology(spec, parallel, cluster.topology(), config)
-    }
-
-    /// Creates a planner over an explicit (possibly heterogeneous) cluster
-    /// topology: stage timings are priced on each rank's own device,
-    /// per-rank memory budgets follow the hosting device's capacity, and
-    /// the capacity-aware placement mode distributes layers by device
+    /// Creates a planner over a (possibly heterogeneous) cluster topology.
+    /// The offline model-chunk partitioning happens on the first planned
+    /// iteration (or via [`DipPlanner::offline_partition`]). Stage
+    /// timings are priced on each rank's own device, per-rank memory
+    /// budgets follow the hosting device's capacity, and the
+    /// capacity-aware placement mode distributes layers by device
     /// capability.
     pub fn on_topology(
         spec: &'a LmmSpec,
@@ -511,11 +507,11 @@ impl<'a> DipPlanner<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`DipError::InvalidRequest`] for an empty request, a
-    /// parallel configuration with a zero degree or a set
-    /// `search.seed_ordering` (the message names the field), otherwise
-    /// [`DipError`] wrapping failures from partitioning, stage-graph
-    /// construction or memory optimisation.
+    /// Returns [`DipError::InvalidRequest`] for an empty request or a
+    /// microbatch of zero tokens, a parallel configuration with a zero
+    /// degree or a set `search.seed_ordering` (the message names the
+    /// field), otherwise [`DipError`] wrapping failures from partitioning,
+    /// stage-graph construction or memory optimisation.
     pub fn plan_iteration(&self, microbatches: &[BatchWorkload]) -> Result<DipPlan, DipError> {
         self.plan_with(microbatches, Reuse::Cold)
     }
@@ -616,10 +612,11 @@ impl<'a> DipPlanner<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`DipError::InvalidRequest`] for an empty request, a
-    /// parallel configuration with a zero degree or a set
-    /// `search.seed_ordering`, otherwise [`DipError`] wrapping failures
-    /// from partitioning, stage-graph construction or memory optimisation.
+    /// Returns [`DipError::InvalidRequest`] for an empty request or a
+    /// microbatch of zero tokens, a parallel configuration with a zero
+    /// degree or a set `search.seed_ordering`, otherwise [`DipError`]
+    /// wrapping failures from partitioning, stage-graph construction or
+    /// memory optimisation.
     pub(crate) fn plan_with(
         &self,
         microbatches: &[BatchWorkload],
@@ -850,7 +847,7 @@ mod tests {
     fn plan_and_simulate(
         spec: &LmmSpec,
         parallel: ParallelConfig,
-        cluster: &ClusterSpec,
+        cluster: &ClusterTopology,
         config: PlannerConfig,
         batches: &[BatchWorkload],
     ) -> (DipPlan, ExecutionOutcome) {
@@ -862,7 +859,7 @@ mod tests {
     #[test]
     fn planner_produces_a_valid_plan_and_simulation() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = PlanningSession::new(
             &spec,
             ParallelConfig::new(4, 4, 1),
@@ -883,7 +880,7 @@ mod tests {
     #[test]
     fn a_set_seed_ordering_is_rejected_by_name() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let mut config = PlannerConfig::fast();
         config.search.seed_ordering = Some(vec![1, 0]);
         let session = PlanningSession::new(&spec, ParallelConfig::new(4, 4, 1), &cluster, config);
@@ -903,14 +900,15 @@ mod tests {
     #[test]
     fn zero_parallel_degrees_are_rejected_by_name() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let batches: Vec<BatchWorkload> = [10u64, 40].iter().map(|&i| vlm_batch(i)).collect();
         for (parallel, field) in [
             (ParallelConfig::new(0, 4, 1), "tp = 0"),
             (ParallelConfig::new(4, 0, 1), "pp = 0"),
             (ParallelConfig::new(4, 4, 0), "dp = 0"),
         ] {
-            let planner = DipPlanner::new(&spec, parallel, &cluster, PlannerConfig::fast());
+            let planner =
+                DipPlanner::on_topology(&spec, parallel, cluster.clone(), PlannerConfig::fast());
             match planner.plan_iteration(&batches) {
                 Err(DipError::InvalidRequest(message)) => {
                     assert!(message.contains(field), "{parallel}: {message}")
@@ -923,11 +921,11 @@ mod tests {
     #[test]
     fn num_threads_knob_reaches_search_and_worker_stats() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let config = PlannerConfig::fast().with_num_threads(2);
         assert_eq!(config.num_threads, 2);
         assert_eq!(config.search.workers, 2);
-        let planner = DipPlanner::new(&spec, ParallelConfig::new(4, 4, 1), &cluster, config);
+        let planner = DipPlanner::on_topology(&spec, ParallelConfig::new(4, 4, 1), cluster, config);
         let batches: Vec<BatchWorkload> = [10u64, 40].iter().map(|&i| vlm_batch(i)).collect();
         let plan = planner.plan_iteration(&batches).unwrap();
         assert_eq!(plan.stats.search_worker_evaluations.len(), 2);
@@ -939,7 +937,7 @@ mod tests {
     #[test]
     fn dip_outperforms_megatron_on_dynamic_vlm_workloads() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let parallel = ParallelConfig::new(4, 4, 1);
         let counts = [2u64, 40, 10, 30, 0, 44, 16, 24, 4, 36, 20, 12];
         let batches: Vec<BatchWorkload> = counts.iter().map(|&i| vlm_batch(i)).collect();
@@ -961,7 +959,7 @@ mod tests {
     #[test]
     fn full_dip_is_at_least_as_fast_as_no_opt() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let parallel = ParallelConfig::new(4, 4, 1);
         let batches: Vec<BatchWorkload> =
             [24u64, 8, 40, 16].iter().map(|&i| vlm_batch(i)).collect();
@@ -982,7 +980,7 @@ mod tests {
     #[test]
     fn planner_works_for_t2v_models() {
         let spec = zoo::t2v_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let batch = BatchWorkload::new()
             .with(Modality::Text, ModalityWorkload::new(900, 6))
             .with(Modality::Video, ModalityWorkload::new(16 * 1560, 4));
@@ -999,7 +997,7 @@ mod tests {
     #[test]
     fn peak_memory_stays_within_gpu_capacity() {
         let spec = zoo::vlm_m();
-        let cluster = ClusterSpec::h800_cluster(4);
+        let cluster = ClusterTopology::h800_cluster(4);
         let batches: Vec<BatchWorkload> = [30u64, 45, 20, 40, 10, 48]
             .iter()
             .map(|&i| vlm_batch(i))
@@ -1012,10 +1010,10 @@ mod tests {
             &batches,
         );
         assert!(
-            outcome.metrics.peak_memory_bytes <= cluster.gpu.mem_capacity as i64,
+            outcome.metrics.peak_memory_bytes <= cluster.reference_device().mem_capacity as i64,
             "peak {} exceeds capacity {}",
             outcome.metrics.peak_memory_bytes,
-            cluster.gpu.mem_capacity
+            cluster.reference_device().mem_capacity
         );
     }
 }

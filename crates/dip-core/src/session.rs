@@ -8,10 +8,8 @@
 //!
 //! * every [`PlanRequest`] is keyed by its exact [`CanonicalSignature`]
 //!   (bucketing [`BucketingConfig::exact`]) over the per-modality
-//!   token/sequence counts of its microbatches; the cache key additionally
-//!   folds in the cluster-topology fingerprint
-//!   ([`CanonicalSignature::with_topology`]), so plans produced for
-//!   different clusters never collide;
+//!   token/sequence counts of its microbatches (see the key checks below
+//!   on why no key folds in the topology);
 //! * plans for already-seen signatures are served from an LRU cache in
 //!   microseconds instead of re-running the MCTS ordering search and the
 //!   memory ILP (the [`SessionStats`] per-tier counters make the saving
@@ -48,15 +46,19 @@
 //!
 //! # Key checks
 //!
-//! The tables key on 64-bit hashes. The exact cache and the elastic
-//! anchors also store the microbatches each plan was made for, and a hit
-//! whose microbatches differ from the request's is a miss: a hash
-//! collision never serves another request's plan. The in-flight table
-//! needs no check of its own, since a waiter that finds no matching plan
-//! takes the lead and plans. Fuzzy anchors stay hash-keyed: a collision
-//! there only picks an anchor that [`DipPlanner`]'s structural check then
-//! accepts or rejects, and that is repriced against the request's real
-//! shape.
+//! The tables key on 64-bit hashes of the request alone. None folds in
+//! the cluster topology, because a session's tables only ever hold plans
+//! for its current topology: [`PlanningSession::retarget`] moves the exact
+//! cache into the elastic anchors and empties the fuzzy table, and
+//! [`PlanningSession::offline_partition`] and [`PlanningSession::clear`]
+//! empty both. The exact cache and the elastic anchors also store the
+//! microbatches each plan was made for, and a hit whose microbatches
+//! differ from the request's is a miss: a hash collision never serves
+//! another request's plan. The in-flight table needs no check of its
+//! own, since a waiter that finds no matching plan takes the lead and
+//! plans. Fuzzy anchors stay hash-keyed: a collision there only picks an
+//! anchor that [`DipPlanner`]'s structural check then accepts or rejects,
+//! and that is repriced against the request's real shape.
 //!
 //! Once the placement is pinned (by [`PlanningSession::offline_partition`]
 //! or by the first request), no plan depends on request history: a cold
@@ -86,10 +88,10 @@
 //! use dip_core::{PlanRequest, PlanTier, PlanningSession, PlannerConfig};
 //! use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 //! use dip_pipeline::ParallelConfig;
-//! use dip_sim::ClusterSpec;
+//! use dip_sim::ClusterTopology;
 //!
 //! let spec = zoo::vlm_s();
-//! let cluster = ClusterSpec::h800_cluster(2);
+//! let cluster = ClusterTopology::h800_cluster(2);
 //! let session = PlanningSession::new(
 //!     &spec,
 //!     ParallelConfig::new(4, 4, 1),
@@ -115,7 +117,7 @@ use crate::planner::{
 use dip_models::{BatchWorkload, BucketingConfig, CanonicalSignature, LmmSpec};
 use dip_pipeline::par::parallel_map_indexed;
 use dip_pipeline::{ExecutionOutcome, ParallelConfig};
-use dip_sim::{ClusterSpec, ClusterTopology};
+use dip_sim::ClusterTopology;
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -142,8 +144,8 @@ impl PlanRequest {
     }
 
     /// The request's exact workload signature: equal exactly when the
-    /// microbatch workloads are equal, in the same order. The session's
-    /// plan-cache key is this signature with the topology folded in.
+    /// microbatch workloads are equal, in the same order. It keys the
+    /// session's exact cache, elastic anchors and in-flight table.
     pub fn signature(&self) -> CanonicalSignature {
         CanonicalSignature::of(&self.microbatches, &BucketingConfig::exact())
     }
@@ -402,9 +404,6 @@ fn serve(plan: &DipPlan, tier: PlanTier) -> DipPlan {
 pub struct PlanningSession<'a> {
     planner: DipPlanner<'a>,
     config: SessionConfig,
-    /// Fingerprint of the planner's cluster topology, folded into every
-    /// cache key so plans for different clusters never collide.
-    topology_fingerprint: u64,
     cache: Mutex<LruCache>,
     /// Fuzzy anchor cache: canonical (bucketed) key → the bucket's anchor
     /// plan. The *first* cold plan of a bucket becomes its anchor and is
@@ -431,8 +430,7 @@ struct ElasticAnchors {
     old_topology: ClusterTopology,
     /// The replan settings passed to `retarget`.
     config: ElasticConfig,
-    /// The old topology's exact-cache plans, keyed by their request's exact
-    /// signature without the topology folded in.
+    /// The old topology's exact-cache plans, under their exact-cache keys.
     plans: HashMap<u64, Arc<CachedPlan>>,
 }
 
@@ -466,41 +464,30 @@ impl<'a> PlanningSession<'a> {
     pub fn new(
         spec: &'a LmmSpec,
         parallel: ParallelConfig,
-        cluster: &'a ClusterSpec,
+        topology: &ClusterTopology,
         planner_config: PlannerConfig,
     ) -> Self {
         Self::with_config(
             spec,
             parallel,
-            cluster,
+            topology,
             planner_config,
             SessionConfig::default(),
         )
     }
 
-    /// Creates a session with an explicit [`SessionConfig`].
+    /// Creates a session with an explicit [`SessionConfig`]. Its planner is
+    /// the one [`DipPlanner::on_topology`] builds over `topology`.
     pub fn with_config(
         spec: &'a LmmSpec,
         parallel: ParallelConfig,
-        cluster: &'a ClusterSpec,
+        topology: &ClusterTopology,
         planner_config: PlannerConfig,
         config: SessionConfig,
     ) -> Self {
-        Self::from_planner(
-            DipPlanner::new(spec, parallel, cluster, planner_config),
-            config,
-        )
-    }
-
-    /// Wraps an existing planner into a session (the entry point for
-    /// heterogeneous clusters: build the planner with
-    /// [`DipPlanner::on_topology`] first).
-    pub fn from_planner(planner: DipPlanner<'a>, config: SessionConfig) -> Self {
-        let topology_fingerprint = planner.topology().fingerprint();
         Self {
-            planner,
+            planner: DipPlanner::on_topology(spec, parallel, topology.clone(), planner_config),
             config,
-            topology_fingerprint,
             cache: Mutex::new(LruCache::default()),
             fuzzy: Mutex::new(LruCache::default()),
             elastic: None,
@@ -510,33 +497,11 @@ impl<'a> PlanningSession<'a> {
         }
     }
 
-    /// The plan-cache key of a request: its exact signature
-    /// ([`PlanRequest::signature`]) with the session's cluster-topology
-    /// fingerprint folded in, so equal workloads planned for different
-    /// clusters key differently.
-    pub fn cache_key(&self, request: &PlanRequest) -> u64 {
-        self.signed_key(request, &BucketingConfig::exact()).1
-    }
-
-    /// The fuzzy-cache key of a request: the same derivation as
-    /// [`PlanningSession::cache_key`] under the session's bucketing config.
-    /// `None` when the fuzzy tier is disabled.
+    /// The fuzzy-cache key of a request: its signature under the session's
+    /// bucketing config. `None` when the fuzzy tier is disabled.
     pub fn fuzzy_key(&self, request: &PlanRequest) -> Option<u64> {
         let bucketing = self.config.bucketing?;
-        Some(self.signed_key(request, &bucketing).1)
-    }
-
-    /// The one key derivation behind both cache tiers: the request's
-    /// signature under `bucketing`, and that signature with the topology
-    /// fingerprint folded in.
-    fn signed_key(
-        &self,
-        request: &PlanRequest,
-        bucketing: &BucketingConfig,
-    ) -> (CanonicalSignature, u64) {
-        let signature = CanonicalSignature::of(request.microbatches(), bucketing);
-        let key = signature.with_topology(self.topology_fingerprint);
-        (signature, key.as_u64())
+        Some(CanonicalSignature::of(request.microbatches(), &bucketing).as_u64())
     }
 
     /// The underlying planner, for read access (timing model, partition
@@ -611,13 +576,12 @@ impl<'a> PlanningSession<'a> {
     /// The new planner is built exactly as [`DipPlanner::on_topology`]
     /// builds one from this session's model, parallel layout and planner
     /// configuration; a calibration registry resolves again on the new
-    /// topology. Every plan in the exact cache becomes an elastic anchor,
-    /// keyed by its request's exact signature without the topology folded
-    /// in, and the old topology is kept beside them. The next
-    /// [`PlanningSession::plan`] of such a request replans it elastically
-    /// under `elastic` and books it as [`PlanTier::Elastic`]. The exact
-    /// cache and the fuzzy table start empty, because their plans belong to
-    /// the old topology.
+    /// topology. Every plan in the exact cache becomes an elastic anchor
+    /// under its exact-cache key, and the old topology is kept beside
+    /// them. The next [`PlanningSession::plan`] of such a request replans
+    /// it elastically under `elastic` and books it as
+    /// [`PlanTier::Elastic`]. The exact cache and the fuzzy table start
+    /// empty, because their plans belong to the old topology.
     ///
     /// A second `retarget` replaces the anchors with the exact cache of the
     /// topology it leaves, so an anchor that was not planned again in
@@ -632,17 +596,12 @@ impl<'a> PlanningSession<'a> {
             self.planner.config.clone(),
         );
         let old = std::mem::replace(&mut self.planner, planner);
-        self.topology_fingerprint = self.planner.topology().fingerprint();
         let plans = self
             .cache
             .get_mut()
             .entries
             .drain()
-            .map(|(_, (cached, _))| {
-                let signature =
-                    CanonicalSignature::of(&cached.microbatches, &BucketingConfig::exact());
-                (signature.as_u64(), cached)
-            })
+            .map(|(key, (cached, _))| (key, cached))
             .collect();
         self.fuzzy.get_mut().clear();
         self.elastic = Some(ElasticAnchors {
@@ -667,25 +626,31 @@ impl<'a> PlanningSession<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`DipError::InvalidRequest`] for an empty request, otherwise
+    /// Returns [`DipError::InvalidRequest`] for an empty request or one
+    /// with a microbatch of zero tokens (naming its index), otherwise
     /// propagates the planner's [`DipError`]. An elastic anchor that fails
     /// the planner's structural check is an error, not a fall-through: the
     /// anchor is the request's own plan, so a mismatch is a fault.
     pub fn plan(&self, request: &PlanRequest) -> Result<PlanOutcome, DipError> {
         let microbatches = request.microbatches();
-        require_microbatches(microbatches)?;
         let start = Instant::now();
-        let (signature, key) = self.signed_key(request, &BucketingConfig::exact());
+        let signature = request.signature();
+        let key = signature.as_u64();
+
+        // The request checks run after the exact lookup: a hit equals a
+        // request that passed them, since no other request is ever cached.
+        if self.config.cache_capacity > 0 {
+            if let Some(outcome) = self.try_cached(request, key, signature, start) {
+                return Ok(outcome);
+            }
+        }
+        require_microbatches(microbatches)?;
 
         if self.config.cache_capacity == 0 {
             // Caching disabled: nothing to deduplicate or anchor against.
             let planned = self.planner.plan_with(microbatches, Reuse::Cold);
             let planned = planned.map(|plan| (plan, None));
             return self.finish(request, planned, signature, key, None, start);
-        }
-
-        if let Some(outcome) = self.try_cached(request, key, signature, start) {
-            return Ok(outcome);
         }
 
         // Single-flight on the exact key: become the planning leader, or
@@ -727,7 +692,7 @@ impl<'a> PlanningSession<'a> {
         // Elastic tier: the request's own plan on the old topology, with
         // its microbatches checked, is replanned onto the new one.
         let elastic = self.elastic.as_ref().and_then(|elastic| {
-            let anchor = elastic.plans.get(&signature.as_u64())?;
+            let anchor = elastic.plans.get(&key)?;
             (anchor.microbatches == microbatches).then_some((elastic, anchor))
         });
         if let Some((elastic, anchor)) = elastic {
@@ -756,8 +721,9 @@ impl<'a> PlanningSession<'a> {
         let anchor = fuzzy_key
             .and_then(|fuzzy_key| self.fuzzy.lock().get(fuzzy_key))
             .filter(|anchor| {
+                let planned_on = self.planner.topology().fingerprint();
                 self.planner
-                    .check_anchor(microbatches, &anchor.plan, self.topology_fingerprint)
+                    .check_anchor(microbatches, &anchor.plan, planned_on)
                     .is_ok()
             });
         if let Some(anchor) = anchor {
@@ -971,23 +937,19 @@ impl<'a> PlanningSession<'a> {
     /// Convenience: plan one request and simulate the resulting plan.
     ///
     /// ```
-    /// use dip_core::{DipPlanner, PlanRequest, PlannerConfig, PlanningSession, SessionConfig};
+    /// use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
     /// use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
     /// use dip_pipeline::ParallelConfig;
     /// use dip_sim::ClusterTopology;
     ///
     /// let spec = zoo::vlm_s();
-    /// // A heterogeneous cluster: 8 H800s plus 8 H20s. (For uniform clusters,
-    /// // `PlanningSession::new` over a `ClusterSpec` is equivalent.)
+    /// // A heterogeneous cluster: 8 H800s plus 8 H20s.
     /// let topology = ClusterTopology::mixed_h800_h20(1, 1);
-    /// let session = PlanningSession::from_planner(
-    ///     DipPlanner::on_topology(
-    ///         &spec,
-    ///         ParallelConfig::new(4, 4, 1),
-    ///         topology,
-    ///         PlannerConfig::fast(),
-    ///     ),
-    ///     SessionConfig::default(),
+    /// let session = PlanningSession::new(
+    ///     &spec,
+    ///     ParallelConfig::new(4, 4, 1),
+    ///     &topology,
+    ///     PlannerConfig::fast(),
     /// );
     /// let batch = BatchWorkload::new()
     ///     .with(Modality::Text, ModalityWorkload::new(6502, 1))
@@ -1033,7 +995,7 @@ mod tests {
 
     fn session<'a>(
         spec: &'a LmmSpec,
-        cluster: &'a ClusterSpec,
+        cluster: &ClusterTopology,
         config: SessionConfig,
     ) -> PlanningSession<'a> {
         PlanningSession::with_config(
@@ -1046,11 +1008,11 @@ mod tests {
     }
 
     /// A stand-in plan for LRU unit tests (never simulated).
-    fn dummy_plan(spec: &LmmSpec, cluster: &ClusterSpec) -> Arc<CachedPlan> {
-        let planner = DipPlanner::new(
+    fn dummy_plan(spec: &LmmSpec, cluster: &ClusterTopology) -> Arc<CachedPlan> {
+        let planner = DipPlanner::on_topology(
             spec,
             ParallelConfig::new(4, 4, 1),
-            cluster,
+            cluster.clone(),
             PlannerConfig::no_opt(),
         );
         let microbatches = vec![vlm_batch(4)];
@@ -1067,7 +1029,7 @@ mod tests {
     #[test]
     fn lru_cache_evicts_the_least_recently_used_entry() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let plan = dummy_plan(&spec, &cluster);
         let mut lru = LruCache::default();
 
@@ -1108,7 +1070,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
 
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let plan = dummy_plan(&spec, &cluster);
         const KEYS: u64 = 8;
         let mut rng = StdRng::seed_from_u64(0x1a2b);
@@ -1159,7 +1121,7 @@ mod tests {
     #[test]
     fn repeated_reinsertion_does_not_skew_evictions() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let plan = dummy_plan(&spec, &cluster);
         let mut lru = LruCache::default();
         let mut evictions = 0u64;
@@ -1194,7 +1156,7 @@ mod tests {
     #[test]
     fn cache_hit_returns_an_identical_plan() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::default());
         let req = request(&[10, 40, 2, 30]);
 
@@ -1235,7 +1197,7 @@ mod tests {
     #[test]
     fn exact_hits_report_no_phase_time_but_their_own_lookup() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::default());
         let req = request(&[10, 40, 2, 30]);
 
@@ -1262,7 +1224,7 @@ mod tests {
     #[test]
     fn session_totals_are_the_sums_of_the_served_plans() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::fuzzy());
         let base = request(&[8, 32]);
         let neighbour = PlanRequest::new(vec![vlm_batch_jittered(8, 7), vlm_batch_jittered(32, 3)]);
@@ -1290,7 +1252,7 @@ mod tests {
     #[test]
     fn repeated_shapes_plan_at_least_twice_as_fast_with_the_cache() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         // A repeated-shape trace: two distinct shapes, each seen four times.
         let trace: Vec<PlanRequest> = (0..8)
             .map(|i| request(if i % 2 == 0 { &[8, 32] } else { &[40, 4] }))
@@ -1328,7 +1290,7 @@ mod tests {
     #[test]
     fn lru_eviction_respects_capacity() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let config = SessionConfig {
             cache_capacity: 1,
             ..SessionConfig::default()
@@ -1356,7 +1318,7 @@ mod tests {
     #[test]
     fn clear_drops_every_cached_plan() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let mut session = session(&spec, &cluster, SessionConfig::default());
 
         session.plan(&request(&[8, 32])).unwrap();
@@ -1372,7 +1334,7 @@ mod tests {
     #[test]
     fn re_partitioning_invalidates_the_cache() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let mut session = session(&spec, &cluster, SessionConfig::default());
         let req = request(&[10, 40]);
         assert_ne!(session.plan(&req).unwrap().tier, PlanTier::Exact);
@@ -1388,7 +1350,7 @@ mod tests {
     #[test]
     fn empty_requests_are_rejected() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::default());
         let err = session.plan(&PlanRequest::default()).unwrap_err();
         assert!(matches!(err, DipError::InvalidRequest(_)));
@@ -1396,9 +1358,36 @@ mod tests {
     }
 
     #[test]
+    fn zero_token_microbatches_are_rejected_by_index() {
+        let spec = zoo::vlm_s();
+        let cluster = ClusterTopology::h800_cluster(2);
+        let session = session(&spec, &cluster, SessionConfig::fuzzy());
+        let no_work = BatchWorkload::new();
+        let zero_text = BatchWorkload::new().with(Modality::Text, ModalityWorkload::new(0, 1));
+        for (index, microbatches) in [
+            (1, vec![vlm_batch(8), no_work]),
+            (0, vec![zero_text, vlm_batch(8)]),
+        ] {
+            let request = PlanRequest::new(microbatches);
+            let message = format!("microbatch {index} has zero tokens");
+            let err = session.plan(&request).unwrap_err();
+            assert!(matches!(err, DipError::InvalidRequest(_)));
+            assert!(err.to_string().contains(&message), "{err}");
+            let err = session
+                .planner()
+                .plan_with(request.microbatches(), Reuse::Cold)
+                .unwrap_err();
+            assert!(err.to_string().contains(&message), "{err}");
+        }
+        // Rejected before any tier runs: nothing was planned or booked.
+        assert_eq!(session.stats().requests, 0);
+        assert_eq!(session.cached_plans(), 0);
+    }
+
+    #[test]
     fn zero_capacity_disables_caching() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::cold());
         let req = request(&[8, 32]);
         assert_ne!(session.plan(&req).unwrap().tier, PlanTier::Exact);
@@ -1409,7 +1398,7 @@ mod tests {
     #[test]
     fn single_flight_plans_a_stampeded_signature_once() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::default());
         // Pin the placement so the workers don't race the offline phase.
         session
@@ -1454,7 +1443,7 @@ mod tests {
     #[test]
     fn fuzzy_hit_adopts_the_anchor_in_one_pass_without_memory_ilp() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::fuzzy());
         let base = request(&[8, 32]);
         let neighbour = PlanRequest::new(vec![vlm_batch_jittered(8, 7), vlm_batch_jittered(32, 3)]);
@@ -1519,7 +1508,7 @@ mod tests {
     #[test]
     fn incompatible_anchor_falls_back_to_a_cold_plan() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::fuzzy());
         let base = request(&[8, 32]);
         let neighbour = PlanRequest::new(vec![vlm_batch_jittered(8, 7), vlm_batch_jittered(32, 3)]);
@@ -1557,7 +1546,7 @@ mod tests {
     #[test]
     fn single_flight_plans_each_stampeded_key_once() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::default());
         // Pin the placement so the workers don't race the offline phase.
         session
@@ -1601,7 +1590,7 @@ mod tests {
     #[test]
     fn cache_hit_takes_exactly_one_cache_lock_acquisition() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::default());
         let req = request(&[8, 32]);
         session.plan(&req).unwrap();
@@ -1616,28 +1605,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_keys_fold_in_the_topology_fingerprint() {
-        let spec = zoo::vlm_s();
-        let h800 = ClusterSpec::h800_cluster(2);
-        let h20 = ClusterSpec::h20_cluster(2);
-        let on_h800 = session(&spec, &h800, SessionConfig::default());
-        let on_h800_again = session(&spec, &h800, SessionConfig::default());
-        let on_h20 = session(&spec, &h20, SessionConfig::default());
-        let req = request(&[8, 32]);
-        // Same workload, same cluster → same key; different cluster →
-        // different key, so plans for different topologies never collide.
-        assert_eq!(on_h800.cache_key(&req), on_h800_again.cache_key(&req));
-        assert_ne!(on_h800.cache_key(&req), on_h20.cache_key(&req));
-        // The workload signature itself stays cluster-independent.
-        let outcome = on_h800.plan(&req).unwrap();
-        assert_eq!(outcome.signature, req.signature());
-        assert_ne!(outcome.signature.as_u64(), on_h800.cache_key(&req));
-    }
-
-    #[test]
     fn plan_many_matches_sequential_planning() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let mut parallel = session(&spec, &cluster, SessionConfig::default());
         parallel.offline_partition(&vlm_batch(40)).unwrap();
         let requests: Vec<PlanRequest> = [&[8u64, 32][..], &[40, 4], &[10, 20], &[8, 32]]
@@ -1666,7 +1636,7 @@ mod tests {
     #[test]
     fn plan_many_pins_one_placement_for_heterogeneous_first_batches() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         // Fresh session: no offline partition yet.
         let session = session(&spec, &cluster, SessionConfig::default());
         assert!(session.planner().partition_output().is_none());
@@ -1693,7 +1663,7 @@ mod tests {
     #[test]
     fn plan_many_reports_per_request_errors() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = session(&spec, &cluster, SessionConfig::default());
         let requests = vec![request(&[8, 32]), PlanRequest::default()];
         let outcomes = session.plan_many(&requests);
@@ -1733,18 +1703,18 @@ mod tests {
     #[test]
     fn a_key_collision_is_planned_not_served() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let mut session = session(&spec, &cluster, SessionConfig::default());
         let a = request(&[8, 32]);
         let b = request(&[40, 4]);
         let planned_a = session.plan(&a).unwrap();
 
         // File a's plan under b's key, as a 64-bit hash collision would.
-        let entry = session.cache.lock().get(session.cache_key(&a)).unwrap();
+        let entry = session.cache.lock().get(a.signature().as_u64()).unwrap();
         session
             .cache
             .lock()
-            .insert(session.cache_key(&b), Arc::clone(&entry), 64);
+            .insert(b.signature().as_u64(), Arc::clone(&entry), 64);
         let served = session.plan(&b).unwrap();
         assert_eq!(served.tier, PlanTier::Cold, "a colliding entry is a miss");
         assert_ne!(served.plan.graph, planned_a.plan.graph);
@@ -1788,8 +1758,11 @@ mod tests {
 
         // The session route: plan, retarget, plan again, and repeat.
         let run = || {
-            let mut session = PlanningSession::from_planner(
-                DipPlanner::on_topology(&spec, parallel, old_topology.clone(), config.clone()),
+            let mut session = PlanningSession::with_config(
+                &spec,
+                parallel,
+                &old_topology,
+                config.clone(),
                 SessionConfig::fuzzy(),
             );
             let cold = session.plan(&req).unwrap();
@@ -1858,8 +1831,11 @@ mod tests {
         let config =
             PlannerConfig::fast().with_calibration(CalibrationRegistry::new(vec![on_old, fleet]));
 
-        let mut session = PlanningSession::from_planner(
-            DipPlanner::on_topology(&spec, parallel, old_topology, config.clone()),
+        let mut session = PlanningSession::with_config(
+            &spec,
+            parallel,
+            &old_topology,
+            config.clone(),
             SessionConfig::default(),
         );
         let before = session.planner().config().clone();
@@ -1876,17 +1852,12 @@ mod tests {
             &before,
             "the calibration resolved again on the new topology"
         );
-        assert_eq!(
-            session.cache_key(&request(&[8])),
-            PlanningSession::from_planner(direct, SessionConfig::default())
-                .cache_key(&request(&[8]))
-        );
     }
 
     #[test]
     fn without_a_cache_a_retarget_leaves_no_anchors() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let mut session = session(&spec, &cluster, SessionConfig::cold());
         let req = request(&[8, 32]);
         session.plan(&req).unwrap();
@@ -1902,7 +1873,7 @@ mod tests {
     #[test]
     fn a_second_retarget_anchors_on_the_topology_it_leaves() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let mut session = session(&spec, &cluster, SessionConfig::default());
         let (a, b) = (request(&[8, 32]), request(&[40, 4]));
         session.plan(&a).unwrap();
@@ -1932,11 +1903,11 @@ mod tests {
     #[test]
     fn retargeting_onto_the_same_topology_serves_the_old_plan() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let mut session = session(&spec, &cluster, SessionConfig::default());
         let req = request(&[8, 32]);
         let cold = session.plan(&req).unwrap();
-        session.retarget(cluster.topology(), ElasticConfig::default());
+        session.retarget(cluster.clone(), ElasticConfig::default());
         let same = session.plan(&req).unwrap();
         assert_eq!(same.tier, PlanTier::Elastic);
         assert_eq!(same.plan.stats.tier, PlanTier::Elastic);

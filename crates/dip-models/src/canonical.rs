@@ -126,12 +126,6 @@ impl CanonicalSignature {
         Self(acc)
     }
 
-    /// Folds a topology fingerprint into the signature, so plans for the
-    /// same bucketed shape on different clusters never alias.
-    pub fn with_topology(self, fingerprint: u64) -> Self {
-        Self(fold(self.0, fingerprint))
-    }
-
     /// The raw 64-bit key.
     pub fn as_u64(&self) -> u64 {
         self.0
@@ -232,14 +226,6 @@ mod tests {
             CanonicalSignature::of(&[text(8192, 1)], &narrow),
             CanonicalSignature::of(&[text(8192, 1)], &wide)
         );
-    }
-
-    #[test]
-    fn topology_fingerprint_separates_clusters() {
-        let config = BucketingConfig::default();
-        let sig = CanonicalSignature::of(&[text(8192, 1)], &config);
-        assert_ne!(sig.with_topology(1), sig.with_topology(2));
-        assert_ne!(sig.with_topology(1), sig);
     }
 
     proptest! {

@@ -82,7 +82,7 @@ mod tests {
     use super::*;
     use crate::placement::ParallelConfig;
     use dip_models::{zoo, Modality, ModalityWorkload};
-    use dip_sim::ClusterSpec;
+    use dip_sim::ClusterTopology;
 
     fn batches(n: usize) -> Vec<BatchWorkload> {
         (0..n)
@@ -97,7 +97,7 @@ mod tests {
     #[test]
     fn fsdp_iteration_time_is_positive_and_mfu_reasonable() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h20_cluster(2);
+        let cluster = ClusterTopology::h20_cluster(2);
         let ctx = BaselineContext::new(&spec, ParallelConfig::new(4, 4, 1), &cluster);
         let metrics = simulate_fsdp(&ctx, &batches(16));
         assert!(metrics.iteration_time_s > 0.0);
@@ -111,7 +111,7 @@ mod tests {
     #[test]
     fn iteration_time_scales_with_microbatch_count() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h20_cluster(2);
+        let cluster = ClusterTopology::h20_cluster(2);
         let ctx = BaselineContext::new(&spec, ParallelConfig::new(4, 4, 1), &cluster);
         let few = simulate_fsdp(&ctx, &batches(4)).iteration_time_s;
         let many = simulate_fsdp(&ctx, &batches(16)).iteration_time_s;
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn empty_batch_list_yields_optimizer_only_time() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h20_cluster(2);
+        let cluster = ClusterTopology::h20_cluster(2);
         let ctx = BaselineContext::new(&spec, ParallelConfig::new(4, 4, 1), &cluster);
         let metrics = simulate_fsdp(&ctx, &[]);
         assert!(metrics.iteration_time_s > 0.0);

@@ -55,7 +55,7 @@ mod tests {
     use super::*;
     use crate::placement::ParallelConfig;
     use dip_models::{zoo, Modality, ModalityWorkload};
-    use dip_sim::ClusterSpec;
+    use dip_sim::ClusterTopology;
 
     fn vlm_batches(n: usize, images: u64) -> Vec<BatchWorkload> {
         (0..n)
@@ -73,7 +73,7 @@ mod tests {
     #[test]
     fn simulates_vlm_s_iteration() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let ctx = BaselineContext::new(&spec, ParallelConfig::new(4, 4, 1), &cluster);
         let outcome = simulate_megatron(&ctx, &vlm_batches(8, 10), 1).unwrap();
         assert!(outcome.metrics.iteration_time_s > 0.0);
@@ -86,7 +86,7 @@ mod tests {
         // layers more evenly across ranks (even though the greedy scheduler
         // does not reproduce Megatron's hand-crafted VPP order exactly).
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let ctx = BaselineContext::new(&spec, ParallelConfig::new(4, 4, 1), &cluster);
         let batches = vlm_batches(8, 8);
         let plain = simulate_megatron(&ctx, &batches, 1).unwrap();
@@ -104,7 +104,7 @@ mod tests {
     #[test]
     fn image_heavy_batches_increase_iteration_time() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let ctx = BaselineContext::new(&spec, ParallelConfig::new(4, 4, 1), &cluster);
         let light = simulate_megatron(&ctx, &vlm_batches(4, 1), 1).unwrap();
         let heavy = simulate_megatron(&ctx, &vlm_batches(4, 40), 1).unwrap();

@@ -21,7 +21,7 @@ pub use optimus::simulate_optimus;
 
 use crate::placement::ParallelConfig;
 use dip_models::LmmSpec;
-use dip_sim::{ClusterSpec, ClusterTopology, EfficiencyModel, TimingModel};
+use dip_sim::{ClusterTopology, EfficiencyModel, TimingModel};
 
 /// Shared context for simulating one training iteration of a baseline.
 #[derive(Debug, Clone)]
@@ -38,23 +38,14 @@ pub struct BaselineContext<'a> {
 }
 
 impl<'a> BaselineContext<'a> {
-    /// A context for a homogeneous cluster with default (calibrated)
-    /// efficiency factors.
-    pub fn new(spec: &'a LmmSpec, parallel: ParallelConfig, cluster: &'a ClusterSpec) -> Self {
-        Self::on_topology(spec, parallel, cluster.topology())
-    }
-
-    /// A context over an explicit (possibly heterogeneous) topology.
-    pub fn on_topology(
-        spec: &'a LmmSpec,
-        parallel: ParallelConfig,
-        topology: ClusterTopology,
-    ) -> Self {
+    /// A context over a (possibly heterogeneous) topology with default
+    /// (calibrated) efficiency factors.
+    pub fn new(spec: &'a LmmSpec, parallel: ParallelConfig, topology: &ClusterTopology) -> Self {
         let timing = TimingModel::new(topology.reference_device(), EfficiencyModel::default());
         Self {
             spec,
             parallel,
-            topology,
+            topology: topology.clone(),
             timing,
         }
     }

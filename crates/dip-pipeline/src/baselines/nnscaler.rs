@@ -69,7 +69,7 @@ mod tests {
     use crate::baselines::simulate_megatron;
     use crate::placement::ParallelConfig;
     use dip_models::{zoo, Modality, ModalityWorkload};
-    use dip_sim::ClusterSpec;
+    use dip_sim::ClusterTopology;
 
     fn vlm_batch(images: u64) -> BatchWorkload {
         BatchWorkload::new()
@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn static_plan_matches_representative_workload_better_than_megatron() {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let ctx = BaselineContext::new(&spec, ParallelConfig::new(4, 4, 1), &cluster);
         let representative = vlm_batch(10);
         let placement = nnscaler_static_plan(&ctx, &representative, 1);
@@ -104,7 +104,7 @@ mod tests {
         // batches: the image-encoder-heavy ranks idle (the 50.5% degradation
         // the paper reports in Fig. 8b for iterations 15–20).
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let ctx = BaselineContext::new(&spec, ParallelConfig::new(4, 4, 1), &cluster);
         let placement = nnscaler_static_plan(&ctx, &vlm_batch(30), 1);
         let text_only = vec![vlm_batch(0); 6];

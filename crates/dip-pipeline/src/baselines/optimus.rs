@@ -84,7 +84,7 @@ mod tests {
     use crate::baselines::simulate_megatron;
     use crate::placement::ParallelConfig;
     use dip_models::{zoo, Modality, ModalityWorkload};
-    use dip_sim::ClusterSpec;
+    use dip_sim::ClusterTopology;
 
     fn vlm_batches(n: usize, images: u64) -> Vec<BatchWorkload> {
         (0..n)
@@ -106,7 +106,7 @@ mod tests {
         // (the paper reports a clear win once DIP-style load balancing is
         // added on top; Optimus alone mainly fixes the partitioning).
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let ctx = BaselineContext::new(&spec, ParallelConfig::new(4, 4, 1), &cluster);
         let counts = [2u64, 40, 10, 30, 0, 44, 16, 24, 4, 36, 20, 12, 8, 28, 48, 1];
         let batches: Vec<BatchWorkload> = counts
@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn optimus_rejects_t2v_models() {
         let spec = zoo::t2v_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let ctx = BaselineContext::new(&spec, ParallelConfig::new(4, 4, 1), &cluster);
         let err = simulate_optimus(&ctx, &vlm_batches(2, 0)).unwrap_err();
         assert!(matches!(err, PipelineError::InvalidConfig(_)));
@@ -137,7 +137,7 @@ mod tests {
         // Executing every encoder stage up front stores the encoder
         // activations of all microbatches simultaneously (Fig. 10).
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let ctx = BaselineContext::new(&spec, ParallelConfig::new(4, 4, 1), &cluster);
         let batches = vlm_batches(12, 24);
         let optimus = simulate_optimus(&ctx, &batches).unwrap();

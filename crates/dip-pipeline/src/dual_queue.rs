@@ -1194,7 +1194,7 @@ mod tests {
     use crate::partition::balanced_param_placement;
     use crate::placement::ParallelConfig;
     use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
-    use dip_sim::ClusterSpec;
+    use dip_sim::ClusterTopology;
 
     fn lm_graph(num_microbatches: usize, pp: usize) -> StageGraph {
         vpp_graph(num_microbatches, pp, 1)
@@ -1206,8 +1206,8 @@ mod tests {
         let spec = zoo::lm_7b();
         let parallel = ParallelConfig::new(2, pp, 1);
         let placement = balanced_param_placement(&spec, parallel, vpp);
-        let cluster = ClusterSpec::h800_cluster(1);
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let cluster = ClusterTopology::h800_cluster(1);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let batch = BatchWorkload::new().with(Modality::Text, ModalityWorkload::from_tokens(8192));
         let batches = vec![batch; num_microbatches];
         let plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
@@ -1290,8 +1290,8 @@ mod tests {
         let spec = zoo::lm_7b();
         let parallel = ParallelConfig::new(2, 2, 1);
         let placement = balanced_param_placement(&spec, parallel, 2);
-        let cluster = ClusterSpec::h800_cluster(1);
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let cluster = ClusterTopology::h800_cluster(1);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let batch = BatchWorkload::new().with(Modality::Text, ModalityWorkload::from_tokens(8192));
         let batches = vec![batch; 4];
         let plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
@@ -1422,12 +1422,12 @@ mod tests {
             let mut k = std::collections::BTreeMap::new();
             k.insert(spec.backbone_id().unwrap(), 2usize);
             let placement = crate::separated_placement(&spec, parallel, &k);
-            let cluster = ClusterSpec::h800_cluster(2);
+            let cluster = ClusterTopology::h800_cluster(2);
             let batch = BatchWorkload::new()
                 .with(Modality::Text, ModalityWorkload::new(6502, 1))
                 .with(Modality::Image, ModalityWorkload::new(1690, 10));
             let plan = SubMicrobatchPlan::uniform(placement.segments.len(), 3);
-            StageGraphBuilder::new(&spec, &placement, &cluster)
+            StageGraphBuilder::new_on(&spec, &placement, &cluster)
                 .build(&vec![batch; 3], &plan)
                 .unwrap()
         };

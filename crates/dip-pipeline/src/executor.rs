@@ -177,7 +177,7 @@ mod tests {
     use crate::graph::{StageGraphBuilder, SubMicrobatchPlan};
     use crate::partition::balanced_param_placement;
     use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
-    use dip_sim::{ClusterSpec, EfficiencyModel, GpuSpec};
+    use dip_sim::{ClusterTopology, EfficiencyModel, GpuSpec};
 
     fn setup(
         num_microbatches: usize,
@@ -185,14 +185,14 @@ mod tests {
         let spec = zoo::lm_7b();
         let parallel = ParallelConfig::new(2, 4, 1);
         let placement = balanced_param_placement(&spec, parallel, 1);
-        let cluster = ClusterSpec::h800_cluster(1);
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let cluster = ClusterTopology::h800_cluster(1);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let batch = BatchWorkload::new().with(Modality::Text, ModalityWorkload::from_tokens(8192));
         let batches = vec![batch; num_microbatches];
         let plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
         let graph = builder.build(&batches, &plan).unwrap();
-        let timing = TimingModel::new(cluster.gpu, EfficiencyModel::default());
-        (graph, cluster.topology(), timing, parallel)
+        let timing = TimingModel::new(cluster.reference_device(), EfficiencyModel::default());
+        (graph, cluster.clone(), timing, parallel)
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use crate::placement::{PipelineError, Placement, OPTIMIZER_STATE_BYTES_PER_PARAM};
 use crate::strategy::MemoryPlan;
 use dip_models::{BatchWorkload, LmmSpec, ModalityWorkload, ModuleId, BF16_BYTES};
-use dip_sim::{ClusterSpec, ClusterTopology, EfficiencyModel, StageTiming, TimingModel};
+use dip_sim::{ClusterTopology, EfficiencyModel, StageTiming, TimingModel};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -476,15 +476,8 @@ pub struct StageGraphBuilder<'a> {
 }
 
 impl<'a> StageGraphBuilder<'a> {
-    /// Creates a builder for a homogeneous cluster with the default
-    /// (keep-everything) memory plan. Equivalent to
-    /// [`StageGraphBuilder::new_on`] over [`ClusterSpec::topology`].
-    pub fn new(spec: &'a LmmSpec, placement: &'a Placement, cluster: &'a ClusterSpec) -> Self {
-        Self::new_on(spec, placement, &cluster.topology())
-    }
-
-    /// Creates a builder over an explicit (possibly heterogeneous) cluster
-    /// topology.
+    /// Creates a builder over a (possibly heterogeneous) cluster topology
+    /// with the default (keep-everything) memory plan.
     pub fn new_on(spec: &'a LmmSpec, placement: &'a Placement, topology: &ClusterTopology) -> Self {
         Self {
             spec,
@@ -893,8 +886,8 @@ mod tests {
             .with(Modality::Image, ModalityWorkload::new(1690, 10))
     }
 
-    fn cluster() -> ClusterSpec {
-        ClusterSpec::h800_cluster(2)
+    fn cluster() -> ClusterTopology {
+        ClusterTopology::h800_cluster(2)
     }
 
     #[test]
@@ -903,7 +896,7 @@ mod tests {
         let parallel = ParallelConfig::new(4, 4, 1);
         let placement = balanced_param_placement(&spec, parallel, 1);
         let cluster = cluster();
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let batches = vec![vlm_batch(); 4];
         let plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
         let graph = builder.build(&batches, &plan).unwrap();
@@ -925,7 +918,7 @@ mod tests {
         k.insert(spec.backbone_id().unwrap(), 2usize);
         let placement = separated_placement(&spec, parallel, &k);
         let cluster = cluster();
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let batches = vec![vlm_batch(); 2];
         let mut plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
         // Split the ViT encoder segment (index 0) into 3 sub-microbatches.
@@ -948,7 +941,7 @@ mod tests {
         k.insert(spec.backbone_id().unwrap(), 2usize);
         let placement = separated_placement(&spec, parallel, &k);
         let cluster = cluster();
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let batches = vec![vlm_batch()];
         let mut plan = SubMicrobatchPlan::uniform(placement.segments.len(), 1);
         // Backbone segments are indices 2 and 3; give them different splits.
@@ -966,7 +959,7 @@ mod tests {
         let parallel = ParallelConfig::new(4, 4, 1);
         let placement = balanced_param_placement(&spec, parallel, 1);
         let cluster = cluster();
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let plan = SubMicrobatchPlan::uniform(1, 0);
         assert!(builder.build(&[], &plan).is_err());
     }
@@ -977,7 +970,7 @@ mod tests {
         let parallel = ParallelConfig::new(2, 2, 1);
         let placement = balanced_param_placement(&spec, parallel, 1);
         let cluster = cluster();
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let batches =
             vec![BatchWorkload::new().with(Modality::Text, ModalityWorkload::from_tokens(4096))];
         let plan = SubMicrobatchPlan::uniform(1, 1);
@@ -1006,7 +999,7 @@ mod tests {
         k.insert(spec.backbone_id().unwrap(), 2usize);
         let placement = separated_placement(&spec, parallel, &k);
         let cluster = cluster();
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let batches = vec![vlm_batch(); 3];
         let mut plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
         plan.set(0, 1, 2);
@@ -1042,7 +1035,7 @@ mod tests {
         let cluster = cluster();
         let batches = vec![vlm_batch(); 3];
         let plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let base = builder.build(&batches, &plan).unwrap();
         // A mixed memory plan across the ladder, including untouched pairs.
         let ladder = MemoryStrategy::ladder(6);
@@ -1052,7 +1045,7 @@ mod tests {
                 memory_plan.set(pair, ladder[pair % ladder.len()]);
             }
         }
-        let rebuilt = StageGraphBuilder::new(&spec, &placement, &cluster)
+        let rebuilt = StageGraphBuilder::new_on(&spec, &placement, &cluster)
             .with_memory_plan(memory_plan.clone())
             .build(&batches, &plan)
             .unwrap();
@@ -1084,7 +1077,7 @@ mod tests {
         let cluster = cluster();
         let batches = vec![vlm_batch(); 2];
         let plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
-        let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+        let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
         let prepared = builder.prepare(&batches, &plan).unwrap();
         let (once, _) = builder.build_prepared(&prepared);
         let (twice, _) = builder.build_prepared(&prepared);
@@ -1100,7 +1093,7 @@ mod tests {
         let cluster = cluster();
         let batches = vec![vlm_batch(); 2];
         let plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
-        let graph = StageGraphBuilder::new(&spec, &placement, &cluster)
+        let graph = StageGraphBuilder::new_on(&spec, &placement, &cluster)
             .build(&batches, &plan)
             .unwrap();
         let total: usize = (0..graph.len())
@@ -1129,7 +1122,7 @@ mod tests {
         plan.set(0, 0, 2);
         plan.set(0, 1, 2);
         plan.set(0, 2, 2);
-        let mut graph = StageGraphBuilder::new(&spec, &placement, &cluster)
+        let mut graph = StageGraphBuilder::new_on(&spec, &placement, &cluster)
             .build(&batches, &plan)
             .unwrap();
         // Rebuild the reference transpose the way the scheduler used to.

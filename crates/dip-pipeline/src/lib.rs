@@ -40,7 +40,7 @@
 //! use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 //! use dip_pipeline::{separated_placement, ParallelConfig, StageGraphBuilder,
 //!                    SubMicrobatchPlan};
-//! use dip_sim::ClusterSpec;
+//! use dip_sim::ClusterTopology;
 //! use std::collections::BTreeMap;
 //!
 //! let spec = zoo::vlm_s();
@@ -48,8 +48,8 @@
 //! let placement = separated_placement(&spec, parallel, &BTreeMap::new());
 //! placement.validate(&spec).unwrap();
 //!
-//! let cluster = ClusterSpec::h800_cluster(2);
-//! let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+//! let cluster = ClusterTopology::h800_cluster(2);
+//! let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
 //! let batch = BatchWorkload::new()
 //!     .with(Modality::Text, ModalityWorkload::new(6502, 1))
 //!     .with(Modality::Image, ModalityWorkload::new(1690, 10));

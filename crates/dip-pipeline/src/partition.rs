@@ -622,7 +622,7 @@ mod tests {
         let parallel = ParallelConfig::new(4, 4, 1);
         let mut k = BTreeMap::new();
         k.insert(spec.backbone_id().unwrap(), 3usize);
-        let topo = dip_sim::ClusterSpec::h800_cluster(2).topology();
+        let topo = dip_sim::ClusterTopology::h800_cluster(2);
         let equal = separated_placement(&spec, parallel, &k);
         let aware = capacity_aware_separated_placement(&spec, parallel, &k, &topo);
         assert_eq!(equal, aware);

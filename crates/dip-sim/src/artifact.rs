@@ -489,7 +489,6 @@ impl ResolvedCalibration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hardware::ClusterSpec;
 
     #[test]
     fn json_round_trip_is_bit_exact() {
@@ -540,8 +539,8 @@ mod tests {
 
     #[test]
     fn fallback_chain_resolves_most_specific_first() {
-        let topo = ClusterTopology::uniform(&ClusterSpec::h800_cluster(2));
-        let other = ClusterTopology::uniform(&ClusterSpec::h20_cluster(2));
+        let topo = ClusterTopology::h800_cluster(2);
+        let other = ClusterTopology::h20_cluster(2);
 
         // Empty registry → built-in tier.
         let empty = CalibrationRegistry::default();
@@ -589,7 +588,7 @@ mod tests {
 
     #[test]
     fn measured_artifact_rewrites_timing_but_not_capacity() {
-        let topo = ClusterTopology::uniform(&ClusterSpec::h800_cluster(1));
+        let topo = ClusterTopology::h800_cluster(1);
         let mut artifact = CalibrationArtifact::builtin_for(&topo);
         let h800_key = GpuSpec::preset(GpuGeneration::H800).device_key();
         let entry = artifact

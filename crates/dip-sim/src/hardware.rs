@@ -1,6 +1,5 @@
-//! GPU and cluster hardware specifications.
+//! GPU hardware specifications.
 
-use crate::topology::ClusterTopology;
 use serde::{Deserialize, Serialize};
 
 /// The GPU generations used in the paper's evaluation.
@@ -71,7 +70,7 @@ impl GpuSpec {
     /// fold over all five spec fields (timing fields by `f64` bit pattern).
     /// Two `GpuSpec`s share a key exactly when they are byte-identical, so
     /// the calibration registry can match artifact entries to the devices of
-    /// a [`ClusterTopology`] without naming GPU generations.
+    /// a [`crate::ClusterTopology`] without naming GPU generations.
     pub fn device_key(&self) -> u64 {
         let mut acc = 0x5851_F42D_4C95_7F2Du64;
         let mut mix = |value: u64| {
@@ -89,70 +88,6 @@ impl GpuSpec {
     }
 }
 
-/// A homogeneous GPU cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ClusterSpec {
-    /// The GPU model installed in every node.
-    pub gpu: GpuSpec,
-    /// Number of nodes.
-    pub num_nodes: usize,
-    /// GPUs per node.
-    pub gpus_per_node: usize,
-    /// CPU cores per node. Cluster description only: it is folded into the
-    /// topology fingerprint, but the planner does not read it (its CPU
-    /// budget is the planner's own thread count).
-    pub cpu_cores_per_node: usize,
-}
-
-impl ClusterSpec {
-    /// The paper's main testbed: 8 nodes × 8 H800, 128 CPU cores per node.
-    pub fn h800_cluster(num_nodes: usize) -> Self {
-        Self {
-            gpu: GpuSpec::preset(GpuGeneration::H800),
-            num_nodes,
-            gpus_per_node: 8,
-            cpu_cores_per_node: 128,
-        }
-    }
-
-    /// The comparison testbed: 2 nodes × 8 H20.
-    pub fn h20_cluster(num_nodes: usize) -> Self {
-        Self {
-            gpu: GpuSpec::preset(GpuGeneration::H20),
-            num_nodes,
-            gpus_per_node: 8,
-            cpu_cores_per_node: 128,
-        }
-    }
-
-    /// A large-scale H100 cluster (§7.5).
-    pub fn h100_cluster(num_nodes: usize) -> Self {
-        Self {
-            gpu: GpuSpec::preset(GpuGeneration::H100),
-            num_nodes,
-            gpus_per_node: 8,
-            cpu_cores_per_node: 128,
-        }
-    }
-
-    /// Total GPUs in the cluster.
-    pub fn num_gpus(&self) -> usize {
-        self.num_nodes * self.gpus_per_node
-    }
-
-    /// Aggregate peak FLOP/s of the cluster (used for MFU).
-    pub fn peak_flops(&self) -> f64 {
-        self.gpu.peak_flops * self.num_gpus() as f64
-    }
-
-    /// The uniform [`ClusterTopology`] equivalent to this spec. All
-    /// topology-aware entry points accept a `&ClusterSpec` through this
-    /// conversion and produce identical plans.
-    pub fn topology(&self) -> ClusterTopology {
-        ClusterTopology::uniform(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,19 +101,5 @@ mod tests {
         assert!(h20.mem_capacity > h800.mem_capacity);
         assert!(h100.nvlink_bandwidth >= h800.nvlink_bandwidth);
         assert!(h800.usable_memory() < h800.mem_capacity);
-    }
-
-    #[test]
-    fn cluster_aggregates() {
-        let c = ClusterSpec::h800_cluster(8);
-        assert_eq!(c.num_gpus(), 64);
-        assert!((c.peak_flops() - 64.0 * 989e12).abs() < 1e9);
-    }
-
-    #[test]
-    fn h20_cluster_matches_table4_testbed() {
-        let c = ClusterSpec::h20_cluster(2);
-        assert_eq!(c.num_gpus(), 16);
-        assert_eq!(c.gpu.mem_capacity, 96 * (1 << 30));
     }
 }

@@ -7,14 +7,14 @@
 //! iteration time, per-rank bubbles, memory timelines and MFU. This crate
 //! implements that simulator:
 //!
-//! * [`hardware`] — GPU and cluster specifications (H800, H20, H100 presets
-//!   matching the paper's testbeds);
+//! * [`hardware`] — GPU specifications (H800, H20, H100 presets matching
+//!   the paper's testbeds);
 //! * [`topology`] — heterogeneous cluster topologies: per-node device
 //!   groups, the rank-pair link model (NVLink vs RoCE per edge), the
 //!   per-device latency query ([`ClusterTopology::rank_timing`]) behind
-//!   latency-balanced placement, stable topology fingerprints for
-//!   plan-cache keys, and [`TopologyDelta`] diffing with stable rank
-//!   remapping (the elastic-replanning substrate);
+//!   latency-balanced placement, stable topology fingerprints that plans
+//!   and calibration artifacts carry, and [`TopologyDelta`] diffing with
+//!   stable rank remapping (the elastic-replanning substrate);
 //! * [`efficiency`] — efficiency scaling factors plus a utilisation curve
 //!   that models the drop-off for very small kernels (the effect behind the
 //!   95%-of-peak sub-microbatch sizing rule, §4 / Fig. 9);
@@ -68,7 +68,11 @@ pub use artifact::{
 pub use calibration::{calibrate, CalibrationSample, CostModel, CostSample};
 pub use efficiency::{EfficiencyModel, RooflineBound, RooflineBreakdown};
 pub use engine::{EngineError, EngineReport, RankTimeline, SimEngine, Task, TaskId, TaskKind};
-pub use hardware::{ClusterSpec, GpuGeneration, GpuSpec};
+pub use hardware::{GpuGeneration, GpuSpec};
 pub use metrics::{mfu, IterationMetrics};
 pub use timing::{StageTiming, TimingModel};
 pub use topology::{ClusterTopology, NodeSpec, TopologyDelta};
+
+/// The planner benchmark's name for [`ClusterTopology`]; nothing else uses
+/// it. It goes with the benchmark's next rewrite (ROADMAP item 3).
+pub type ClusterSpec = ClusterTopology;

@@ -12,16 +12,17 @@
 //! * what link connects two pipeline ranks ([`ClusterTopology::link_bandwidth`]),
 //!   so communication edges are charged at NVLink or RoCE bandwidth depending
 //!   on whether the ranks share a node;
-//! * a stable [`ClusterTopology::fingerprint`] folded into plan-cache keys,
-//!   so plans produced for different clusters never collide.
+//! * a stable [`ClusterTopology::fingerprint`] that every plan carries, so
+//!   a plan reused as an anchor is checked against the cluster it was made
+//!   for, and that keys calibration artifacts.
 //!
-//! A homogeneous [`crate::ClusterSpec`] converts losslessly via
-//! [`ClusterTopology::uniform`] (or [`crate::ClusterSpec::topology`]); every
-//! aggregate (peak FLOP/s, planner cores, usable memory) reduces to the same
-//! value, so uniform-topology plans are identical to the spec-based path.
+//! The paper's homogeneous testbeds are presets
+//! ([`ClusterTopology::h800_cluster`], [`ClusterTopology::h20_cluster`],
+//! [`ClusterTopology::h100_cluster`]); the Table 4 mixed testbed is
+//! [`ClusterTopology::mixed_h800_h20`].
 
 use crate::efficiency::EfficiencyModel;
-use crate::hardware::{ClusterSpec, GpuGeneration, GpuSpec};
+use crate::hardware::{GpuGeneration, GpuSpec};
 use crate::timing::TimingModel;
 use serde::{Deserialize, Serialize};
 
@@ -54,8 +55,13 @@ impl NodeSpec {
 /// A (possibly heterogeneous) GPU cluster: an ordered list of nodes, each a
 /// group of identical devices. GPUs are globally indexed in node order; a
 /// pipeline rank `r` of a job with tensor-parallel degree `tp` occupies GPUs
-/// `r*tp .. (r+1)*tp` (the rail-optimised mapping the paper describes, with
-/// indices wrapping modulo the cluster size for oversubscribed jobs).
+/// `r*tp .. (r+1)*tp` (the rail-optimised mapping the paper describes).
+///
+/// GPU indices past the cluster size wrap modulo `num_gpus`. This is a
+/// known defect (ROADMAP item 1(a)), not a feature: a job needing more
+/// than `num_gpus` GPUs for one replica is planned as if several ranks
+/// shared a device, each with that device's full HBM, and nothing prices
+/// the sharing.
 ///
 /// Data parallelism: the rank mapping describes **replica 0**; a job with
 /// `dp > 1` is assumed to place every other data-parallel replica on a
@@ -83,17 +89,40 @@ impl ClusterTopology {
         Self { nodes }
     }
 
-    /// The uniform topology equivalent to a homogeneous [`ClusterSpec`].
-    pub fn uniform(spec: &ClusterSpec) -> Self {
-        Self::new(
-            (0..spec.num_nodes.max(1))
-                .map(|_| NodeSpec {
-                    gpu: spec.gpu,
-                    gpus: spec.gpus_per_node,
-                    cpu_cores: spec.cpu_cores_per_node,
-                })
-                .collect(),
-        )
+    /// `num_nodes` nodes of 8 identical `generation` devices, 128 CPU cores
+    /// each (the paper's node configuration).
+    fn preset(generation: GpuGeneration, num_nodes: usize) -> Self {
+        let gpu = GpuSpec::preset(generation);
+        Self::new((0..num_nodes).map(|_| NodeSpec::new(gpu, 8)).collect())
+    }
+
+    /// The paper's main testbed: `num_nodes` nodes × 8 H800 (8 nodes in
+    /// the paper).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_nodes` is zero.
+    pub fn h800_cluster(num_nodes: usize) -> Self {
+        Self::preset(GpuGeneration::H800, num_nodes)
+    }
+
+    /// The comparison testbed: `num_nodes` nodes × 8 H20 (2 nodes in the
+    /// paper).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_nodes` is zero.
+    pub fn h20_cluster(num_nodes: usize) -> Self {
+        Self::preset(GpuGeneration::H20, num_nodes)
+    }
+
+    /// A large-scale cluster of `num_nodes` nodes × 8 H100 (§7.5).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_nodes` is zero.
+    pub fn h100_cluster(num_nodes: usize) -> Self {
+        Self::preset(GpuGeneration::H100, num_nodes)
     }
 
     /// The paper's Table 4 mixed testbed shape: `h800_nodes` nodes of 8×H800
@@ -129,7 +158,8 @@ impl ClusterTopology {
         self.nodes.windows(2).all(|w| w[0].gpu == w[1].gpu)
     }
 
-    /// The device at a global GPU index (wrapping modulo the cluster size).
+    /// The device at a global GPU index. An index past the cluster size
+    /// wraps modulo `num_gpus`: ROADMAP item 1(a)'s known defect.
     pub fn gpu(&self, index: usize) -> GpuSpec {
         let index = index % self.num_gpus();
         let mut offset = 0;
@@ -142,8 +172,8 @@ impl ClusterTopology {
         unreachable!("index wrapped into range")
     }
 
-    /// The node hosting a global GPU index (wrapping modulo the cluster
-    /// size).
+    /// The node hosting a global GPU index. An index past the cluster size
+    /// wraps modulo `num_gpus`: ROADMAP item 1(a)'s known defect.
     pub fn node_of(&self, index: usize) -> usize {
         let index = index % self.num_gpus();
         let mut offset = 0;
@@ -154,14 +184,6 @@ impl ClusterTopology {
             offset += node.gpus;
         }
         unreachable!("index wrapped into range")
-    }
-
-    /// Aggregate peak FLOP/s of the whole cluster.
-    pub fn peak_flops(&self) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| n.gpu.peak_flops * n.gpus as f64)
-            .sum()
     }
 
     /// Aggregate peak FLOP/s of the first `num_gpus` devices (the GPUs a job
@@ -262,8 +284,9 @@ impl ClusterTopology {
 
     /// A stable fingerprint of the topology: every per-rank device spec and
     /// the node grouping contribute, so two topologies fingerprint equal
-    /// exactly when they describe the same cluster. Folded into plan-cache
-    /// keys so plans for different clusters never collide.
+    /// exactly when they describe the same cluster. Every plan carries it,
+    /// so an anchor planned for another cluster is rejected, and
+    /// calibration artifacts are keyed by it.
     ///
     /// # Ordering contract
     ///
@@ -297,8 +320,8 @@ impl ClusterTopology {
 
     /// Number of *physical* pipeline-rank slots the cluster offers at
     /// tensor-parallel degree `tp`: `num_gpus / tp`, at least one. Logical
-    /// pipeline ranks beyond this count wrap onto the same devices (the
-    /// oversubscription rule of [`ClusterTopology::rank_device`]).
+    /// pipeline ranks beyond this count wrap onto the same devices
+    /// ([`ClusterTopology::gpu`]): ROADMAP item 1(a)'s known defect.
     pub fn physical_ranks(&self, tp: usize) -> usize {
         (self.num_gpus() / tp.max(1)).max(1)
     }
@@ -430,32 +453,44 @@ impl TopologyDelta {
     }
 }
 
-impl From<&ClusterSpec> for ClusterTopology {
-    fn from(spec: &ClusterSpec) -> Self {
-        Self::uniform(spec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn h800_spec() -> ClusterSpec {
-        ClusterSpec::h800_cluster(2)
+    #[test]
+    fn presets_are_uniform_eight_gpu_nodes() {
+        let topo = ClusterTopology::h800_cluster(2);
+        let h800 = GpuSpec::preset(GpuGeneration::H800);
+        assert_eq!(topo.num_gpus(), 16);
+        assert_eq!(topo.num_nodes(), 2);
+        assert!(topo.is_uniform());
+        assert_eq!(topo.reference_device(), h800);
+        assert!((topo.peak_flops_of(16) - 16.0 * 989e12).abs() < 1e3);
+        for g in 0..topo.num_gpus() {
+            assert_eq!(topo.gpu(g), h800);
+            assert_eq!(topo.node_of(g), g / 8);
+        }
+        assert!(topo.nodes().iter().all(|n| n.cpu_cores == 128));
+        let h20 = ClusterTopology::h20_cluster(2);
+        assert_eq!(h20.num_gpus(), 16);
+        assert_eq!(h20.reference_device().mem_capacity, 96 * (1 << 30));
+        assert_eq!(
+            ClusterTopology::h100_cluster(8).reference_device(),
+            GpuSpec::preset(GpuGeneration::H100)
+        );
     }
 
     #[test]
-    fn uniform_topology_mirrors_the_cluster_spec() {
-        let spec = h800_spec();
-        let topo = ClusterTopology::uniform(&spec);
-        assert_eq!(topo.num_gpus(), spec.num_gpus());
-        assert_eq!(topo.num_nodes(), spec.num_nodes);
-        assert!(topo.is_uniform());
-        assert!((topo.peak_flops() - spec.peak_flops()).abs() < 1e3);
-        assert_eq!(topo.reference_device(), spec.gpu);
-        for g in 0..topo.num_gpus() {
-            assert_eq!(topo.gpu(g), spec.gpu);
-            assert_eq!(topo.node_of(g), g / spec.gpus_per_node);
+    fn preset_fingerprints_are_pinned() {
+        // Plans and calibration artifacts carry these values, so a preset
+        // must keep describing the same machine.
+        for (topology, fingerprint) in [
+            (ClusterTopology::h800_cluster(1), 0x747d_c1fa_9361_fbcb),
+            (ClusterTopology::h800_cluster(2), 0x445e_d7b4_d349_276d),
+            (ClusterTopology::h20_cluster(2), 0xc979_2dee_de57_4bab),
+            (ClusterTopology::h100_cluster(8), 0xcc71_a1fe_6e30_9bbc),
+        ] {
+            assert_eq!(topology.fingerprint(), fingerprint);
         }
     }
 
@@ -463,7 +498,7 @@ mod tests {
     fn link_bandwidth_switches_exactly_at_the_node_boundary() {
         // 2 nodes × 8 GPUs, TP=4 → 2 pipeline ranks per node. Ranks 0 and 1
         // share node 0; ranks 1 and 2 straddle the boundary.
-        let topo = ClusterTopology::uniform(&h800_spec());
+        let topo = ClusterTopology::h800_cluster(2);
         let tp = 4;
         assert!(topo.ranks_share_node(0, 1, tp));
         assert!(!topo.ranks_share_node(1, 2, tp));
@@ -501,8 +536,9 @@ mod tests {
     }
 
     #[test]
-    fn rank_indices_wrap_for_oversubscribed_jobs() {
-        let topo = ClusterTopology::uniform(&ClusterSpec::h800_cluster(1));
+    fn rank_indices_wrap_modulo_the_cluster_size() {
+        // ROADMAP item 1(a)'s known defect, pinned until it is fixed.
+        let topo = ClusterTopology::h800_cluster(1);
         // 8 GPUs; rank 5 at TP=2 starts at GPU 10 → wraps to GPU 2.
         assert_eq!(topo.rank_device(5, 2), topo.gpu(2));
         assert_eq!(topo.node_of(17), 0);
@@ -510,10 +546,10 @@ mod tests {
 
     #[test]
     fn fingerprints_separate_different_clusters() {
-        let h800 = ClusterTopology::uniform(&ClusterSpec::h800_cluster(2));
-        let h800_again = ClusterTopology::uniform(&ClusterSpec::h800_cluster(2));
-        let h800_bigger = ClusterTopology::uniform(&ClusterSpec::h800_cluster(4));
-        let h20 = ClusterTopology::uniform(&ClusterSpec::h20_cluster(2));
+        let h800 = ClusterTopology::h800_cluster(2);
+        let h800_again = ClusterTopology::h800_cluster(2);
+        let h800_bigger = ClusterTopology::h800_cluster(4);
+        let h20 = ClusterTopology::h20_cluster(2);
         let mixed = ClusterTopology::mixed_h800_h20(1, 1);
         assert_eq!(h800.fingerprint(), h800_again.fingerprint());
         assert_ne!(h800.fingerprint(), h800_bigger.fingerprint());

@@ -17,7 +17,7 @@
 //! latency priced on each hosting rank's own device, which also captures
 //! memory-bound layers and small-kernel efficiency roll-off.
 
-use dip_core::{DipPlanner, PlanRequest, PlannerConfig, PlanningSession, SessionConfig};
+use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{ParallelConfig, PlacementMode};
 use dip_sim::ClusterTopology;
@@ -96,10 +96,7 @@ fn main() {
     for placement in modes {
         let mut config = PlannerConfig::fast();
         config.partitioner.placement = placement;
-        let session = PlanningSession::from_planner(
-            DipPlanner::on_topology(&spec, parallel, topology.clone(), config),
-            SessionConfig::default(),
-        );
+        let session = PlanningSession::new(&spec, parallel, &topology, config);
         let (_, execution) = session.plan_and_simulate(&request).unwrap();
         println!(
             "placement {:<16}: iteration {:.3} s, MFU {:.3}",

@@ -8,11 +8,11 @@ use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
 use dip_data::{BatchGenerator, DatasetMix};
 use dip_models::zoo;
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 
 fn main() {
     let spec = zoo::vlm_m();
-    let cluster = ClusterSpec::h800_cluster(8);
+    let cluster = ClusterTopology::h800_cluster(8);
     let mut generator = BatchGenerator::vlm(DatasetMix::vlm_default(), 8, 3);
     let request = PlanRequest::new(generator.next_batch().workloads());
 

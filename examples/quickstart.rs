@@ -7,7 +7,7 @@ use dip_core::{PlanRequest, PlanTier, PlannerConfig, PlanningSession};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::baselines::{simulate_megatron, BaselineContext};
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 
 fn vlm_batch(images: u64) -> BatchWorkload {
     BatchWorkload::new()
@@ -21,7 +21,7 @@ fn vlm_batch(images: u64) -> BatchWorkload {
 fn main() {
     // VLM-S (ViT 5B + Llama3 8B) on 16 simulated H800 GPUs, TP4 / PP4.
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
 
     // One iteration of eight microbatches with fluctuating image counts —

@@ -8,11 +8,11 @@ use dip_data::{BatchGenerator, DatasetMix};
 use dip_models::zoo;
 use dip_pipeline::baselines::{simulate_megatron, BaselineContext};
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 
 fn main() {
     let spec = zoo::t2v_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
 
     let mut generator = BatchGenerator::t2v(DatasetMix::t2v_default(), 8, 7);

@@ -9,12 +9,12 @@ use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
 use dip_data::{BatchGenerator, DatasetMix};
 use dip_models::zoo;
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 use std::time::Duration;
 
 fn main() {
     let spec = zoo::vlm_m();
-    let cluster = ClusterSpec::h800_cluster(4);
+    let cluster = ClusterTopology::h800_cluster(4);
     let parallel = ParallelConfig::new(8, 4, 1);
     let mut config = PlannerConfig::fast();
     config.search.time_budget = Duration::from_millis(200);
@@ -65,7 +65,8 @@ fn main() {
     println!(
         "trained {iterations} iterations: avg {:.3} s/iter, aggregate MFU {:.3}",
         total_time / iterations as f64,
-        total_flops / (total_time * cluster.gpu.peak_flops * parallel.num_gpus() as f64)
+        total_flops
+            / (total_time * cluster.reference_device().peak_flops * parallel.num_gpus() as f64)
     );
     let stats = session.stats();
     println!(

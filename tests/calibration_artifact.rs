@@ -5,25 +5,19 @@
 //! artifact carrying genuinely different measurements must change the
 //! simulated outcome (otherwise calibration would be dead weight).
 
-use dip_core::{DipPlan, DipPlanner, PlanRequest, PlannerConfig, PlanningSession, SessionConfig};
-use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
+mod common;
+
+use common::assert_plans_bit_identical;
+use dip_bench::vlm_batch;
+use dip_core::{DipPlanner, PlanRequest, PlannerConfig, PlanningSession};
+use dip_models::zoo;
 use dip_pipeline::ParallelConfig;
 use dip_sim::{
-    CalibrationArtifact, CalibrationRegistry, CalibrationSource, ClusterSpec, GpuGeneration,
+    CalibrationArtifact, CalibrationRegistry, CalibrationSource, ClusterTopology, GpuGeneration,
     GpuSpec,
 };
 use proptest::prelude::*;
 use std::time::Duration;
-
-fn vlm_batch(images: u64) -> BatchWorkload {
-    let images = images.min(48);
-    BatchWorkload::new()
-        .with(
-            Modality::Text,
-            ModalityWorkload::new(8192 - images * 169, 1),
-        )
-        .with(Modality::Image, ModalityWorkload::new(images * 169, images))
-}
 
 /// An evaluation-bounded (hence deterministic at fixed worker count) planner
 /// configuration.
@@ -32,14 +26,6 @@ fn deterministic_config() -> PlannerConfig {
     config.search.time_budget = Duration::from_secs(3600);
     config.search.max_evaluations = Some(96);
     config
-}
-
-fn assert_plans_bit_identical(a: &DipPlan, b: &DipPlan) {
-    assert_eq!(a.graph, b.graph, "stage graphs differ");
-    assert_eq!(a.orders, b.orders, "rank orders differ");
-    assert_eq!(a.segment_priorities, b.segment_priorities);
-    assert_eq!(a.memory_plan, b.memory_plan);
-    assert_eq!(a.sub_microbatches, b.sub_microbatches);
 }
 
 proptest! {
@@ -57,14 +43,11 @@ proptest! {
     ) {
         let spec = zoo::vlm_s();
         let parallel = ParallelConfig::new(4, 4, 1);
-        let topology = ClusterSpec::h800_cluster(nodes).topology();
+        let topology = ClusterTopology::h800_cluster(nodes);
         let request = PlanRequest::new(vec![vlm_batch(images_a), vlm_batch(images_b)]);
 
         let session_for = |config: PlannerConfig| {
-            PlanningSession::from_planner(
-                DipPlanner::on_topology(&spec, parallel, topology.clone(), config),
-                SessionConfig::default(),
-            )
+            PlanningSession::new(&spec, parallel, &topology, config)
         };
         let plain = session_for(deterministic_config());
 
@@ -95,8 +78,8 @@ proptest! {
         let c = kind.plan(&request).unwrap();
         prop_assert_eq!(a.signature, b.signature);
         prop_assert_eq!(a.signature, c.signature);
-        assert_plans_bit_identical(&a.plan, &b.plan);
-        assert_plans_bit_identical(&a.plan, &c.plan);
+        assert_plans_bit_identical(&a.plan, &b.plan, "exact-fingerprint artifact");
+        assert_plans_bit_identical(&a.plan, &c.plan, "device-kind artifact");
 
         let ta = plain.simulate(&a.plan).unwrap().metrics.iteration_time_s;
         let tb = exact.simulate(&b.plan).unwrap().metrics.iteration_time_s;
@@ -116,36 +99,18 @@ proptest! {
     ) {
         let spec = zoo::vlm_s();
         let parallel = ParallelConfig::new(4, 4, 1);
-        let topology = ClusterSpec::h800_cluster(nodes).topology();
+        let topology = ClusterTopology::h800_cluster(nodes);
         let request = PlanRequest::new(vec![vlm_batch(images)]);
 
         let artifact = CalibrationArtifact::builtin_for(&topology);
         let reloaded = CalibrationArtifact::from_json(&artifact.to_json()).unwrap();
         prop_assert_eq!(&reloaded, &artifact);
 
-        let direct = PlanningSession::from_planner(
-            DipPlanner::on_topology(
-                &spec,
-                parallel,
-                topology.clone(),
-                deterministic_config()
-                    .with_calibration(CalibrationRegistry::from_artifact(artifact)),
-            ),
-            SessionConfig::default(),
-        );
-        let via_json = PlanningSession::from_planner(
-            DipPlanner::on_topology(
-                &spec,
-                parallel,
-                topology,
-                deterministic_config()
-                    .with_calibration(CalibrationRegistry::from_artifact(reloaded)),
-            ),
-            SessionConfig::default(),
-        );
+        let direct = PlanningSession::new(&spec, parallel, &topology, deterministic_config().with_calibration(CalibrationRegistry::from_artifact(artifact)));
+        let via_json = PlanningSession::new(&spec, parallel, &topology, deterministic_config().with_calibration(CalibrationRegistry::from_artifact(reloaded)));
         let a = direct.plan(&request).unwrap();
         let b = via_json.plan(&request).unwrap();
-        assert_plans_bit_identical(&a.plan, &b.plan);
+        assert_plans_bit_identical(&a.plan, &b.plan, "JSON round trip");
     }
 }
 
@@ -156,7 +121,7 @@ proptest! {
 fn measured_artifact_changes_the_simulated_outcome() {
     let spec = zoo::vlm_s();
     let parallel = ParallelConfig::new(4, 4, 1);
-    let topology = ClusterSpec::h800_cluster(2).topology();
+    let topology = ClusterTopology::h800_cluster(2);
     let request = PlanRequest::new(vec![vlm_batch(10)]);
 
     let mut artifact = CalibrationArtifact::builtin_for(&topology);
@@ -169,18 +134,17 @@ fn measured_artifact_changes_the_simulated_outcome() {
     // "Measured": this fleet only sustains half the spec-sheet FLOP/s.
     entry.peak_flops *= 0.5;
 
-    let plain = PlanningSession::from_planner(
-        DipPlanner::on_topology(&spec, parallel, topology.clone(), deterministic_config()),
-        SessionConfig::default(),
-    );
-    let planner = DipPlanner::on_topology(
+    let plain = PlanningSession::new(&spec, parallel, &topology, deterministic_config());
+    let calibrated = PlanningSession::new(
         &spec,
         parallel,
-        topology,
+        &topology,
         deterministic_config().with_calibration(CalibrationRegistry::from_artifact(artifact)),
     );
-    assert_eq!(planner.calibration_source(), CalibrationSource::Exact);
-    let calibrated = PlanningSession::from_planner(planner, SessionConfig::default());
+    assert_eq!(
+        calibrated.planner().calibration_source(),
+        CalibrationSource::Exact
+    );
 
     let a = plain.plan(&request).unwrap();
     let b = calibrated.plan(&request).unwrap();

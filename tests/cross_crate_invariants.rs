@@ -3,22 +3,13 @@
 //! critical-path lower bound, and DIP's memory optimiser never violates the
 //! GPU budget it was given.
 
+use dip_bench::vlm_batch;
 use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
-use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
+use dip_models::{zoo, BatchWorkload};
 use dip_pipeline::baselines::{simulate_megatron, simulate_optimus, BaselineContext};
 use dip_pipeline::{Direction, ParallelConfig};
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 use proptest::prelude::*;
-
-fn vlm_batch(images: u64) -> BatchWorkload {
-    let images = images.min(48);
-    BatchWorkload::new()
-        .with(
-            Modality::Text,
-            ModalityWorkload::new(8192 - images * 169, 1),
-        )
-        .with(Modality::Image, ModalityWorkload::new(images * 169, images))
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -31,7 +22,7 @@ proptest! {
         counts in prop::collection::vec(0u64..=48, 2..6),
     ) {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let parallel = ParallelConfig::new(4, 4, 1);
         let session = PlanningSession::new(&spec, parallel, &cluster, PlannerConfig::no_opt());
         let request = PlanRequest::new(counts.iter().map(|&i| vlm_batch(i)).collect());
@@ -64,7 +55,7 @@ proptest! {
         seed in 0u64..4,
     ) {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let parallel = ParallelConfig::new(4, 4, 1);
         let ctx = BaselineContext::new(&spec, parallel, &cluster);
         let mut batches: Vec<BatchWorkload> = counts.iter().map(|&i| vlm_batch(i)).collect();
@@ -86,7 +77,7 @@ proptest! {
 #[test]
 fn planning_is_deterministic_for_identical_inputs() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let request = PlanRequest::new([8u64, 32, 0, 44].iter().map(|&i| vlm_batch(i)).collect());
     // The no-opt planner is deterministic (no time-budgeted search).

@@ -5,29 +5,23 @@
 //! serial and parallel memory-optimisation paths — the guarantee the
 //! bench-JSON CI gate's determinism metrics rely on.
 
+mod common;
+
+use common::assert_plans_bit_identical;
+use dip_bench::vlm_batch;
 use dip_core::{
     optimize_memory_detailed, DipPlan, MemoryOptConfig, PlanRequest, PlannerConfig,
     PlanningSession, SessionConfig,
 };
-use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
+use dip_models::{zoo, BatchWorkload};
 use dip_pipeline::{
     dual_queue, separated_placement, DualQueueConfig, MemoryPlan, MemoryStrategy, ParallelConfig,
     StageGraphBuilder, SubMicrobatchPlan,
 };
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-fn vlm_batch(images: u64) -> BatchWorkload {
-    let images = images.min(48);
-    BatchWorkload::new()
-        .with(
-            Modality::Text,
-            ModalityWorkload::new(8192 - images * 169, 1),
-        )
-        .with(Modality::Image, ModalityWorkload::new(images * 169, images))
-}
 
 /// A planner configuration with a pure **time** budget (no evaluation cap):
 /// determinism must come from the virtual-time schedule alone.
@@ -40,18 +34,10 @@ fn time_budgeted_config(workers: usize, budget_ms: u64, seed: u64) -> PlannerCon
     config
 }
 
-fn assert_plans_bit_identical(a: &DipPlan, b: &DipPlan, what: &str) {
-    assert_eq!(a.graph, b.graph, "{what}: stage graphs differ");
-    assert_eq!(a.orders, b.orders, "{what}: rank orders differ");
-    assert_eq!(
-        a.segment_priorities, b.segment_priorities,
-        "{what}: priorities differ"
-    );
-    assert_eq!(a.memory_plan, b.memory_plan, "{what}: memory plans differ");
-    assert_eq!(
-        a.sub_microbatches, b.sub_microbatches,
-        "{what}: sub-microbatch plans differ"
-    );
+/// The same plan, from the same search work: equal evaluation counts in
+/// total and per search stream.
+fn assert_same_plan_and_work(a: &DipPlan, b: &DipPlan, what: &str) {
+    assert_plans_bit_identical(a, b, what);
     assert_eq!(
         a.stats.search_evaluations, b.stats.search_evaluations,
         "{what}: evaluation counts differ"
@@ -59,11 +45,6 @@ fn assert_plans_bit_identical(a: &DipPlan, b: &DipPlan, what: &str) {
     assert_eq!(
         a.stats.search_worker_evaluations, b.stats.search_worker_evaluations,
         "{what}: per-stream evaluation counts differ"
-    );
-    assert_eq!(
-        a.stats.planned_time_s.to_bits(),
-        b.stats.planned_time_s.to_bits(),
-        "{what}: planned times differ bit-wise"
     );
 }
 
@@ -86,7 +67,7 @@ proptest! {
     ) {
         let spec = zoo::vlm_s();
         let parallel = ParallelConfig::new(4, 4, 1);
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let request = PlanRequest::new(
             (0..microbatches)
                 .map(|i| vlm_batch(if i % 2 == 0 { images_a } else { images_b }))
@@ -106,11 +87,11 @@ proptest! {
         let reference = plan_at(1);
         for workers in [2usize, 4, 8] {
             let plan = plan_at(workers);
-            assert_plans_bit_identical(&reference, &plan, &format!("{workers} workers"));
+            assert_same_plan_and_work(&reference, &plan, &format!("{workers} workers"));
         }
         // Repeated run at the same worker count: bit-identical too.
         let again = plan_at(4);
-        assert_plans_bit_identical(&reference, &again, "repeated run");
+        assert_same_plan_and_work(&reference, &again, "repeated run");
     }
 
     /// The session layer preserves the guarantee end to end (cache keys
@@ -123,19 +104,13 @@ proptest! {
     ) {
         let spec = zoo::vlm_s();
         let parallel = ParallelConfig::new(4, 4, 1);
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let requests = [
             PlanRequest::new(vec![vlm_batch(images), vlm_batch(images / 2)]),
             PlanRequest::new(vec![vlm_batch(48 - images), vlm_batch(images)]),
         ];
         let run = |workers: usize| -> Vec<DipPlan> {
-            let session = PlanningSession::with_config(
-                &spec,
-                parallel,
-                &cluster,
-                time_budgeted_config(workers, 10, seed),
-                SessionConfig::default(),
-            );
+            let session = PlanningSession::new(&spec, parallel, &cluster, time_budgeted_config(workers, 10, seed));
             requests
                 .iter()
                 .map(|r| session.plan(r).expect("plans").plan)
@@ -144,7 +119,7 @@ proptest! {
         let narrow = run(1);
         let wide = run(8);
         for (a, b) in narrow.iter().zip(&wide) {
-            assert_plans_bit_identical(a, b, "session width");
+            assert_same_plan_and_work(a, b, "session width");
         }
     }
 
@@ -160,7 +135,7 @@ proptest! {
     ) {
         let spec = zoo::vlm_s();
         let parallel = ParallelConfig::new(4, 4, 1);
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let session = PlanningSession::new(
             &spec,
             parallel,
@@ -211,12 +186,12 @@ proptest! {
     ) {
         let spec = zoo::vlm_s();
         let parallel = ParallelConfig::new(4, 4, 1);
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let placement = separated_placement(&spec, parallel, &BTreeMap::new());
         let batches: Vec<BatchWorkload> =
             (0..microbatches).map(|i| vlm_batch(images + 2 * i as u64)).collect();
         let plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
-        let base = StageGraphBuilder::new(&spec, &placement, &cluster)
+        let base = StageGraphBuilder::new_on(&spec, &placement, &cluster)
             .build(&batches, &plan)
             .expect("builds");
 
@@ -231,7 +206,7 @@ proptest! {
             }
         }
 
-        let rebuilt = StageGraphBuilder::new(&spec, &placement, &cluster)
+        let rebuilt = StageGraphBuilder::new_on(&spec, &placement, &cluster)
             .with_memory_plan(memory_plan.clone())
             .build(&batches, &plan)
             .expect("builds");
@@ -257,7 +232,7 @@ proptest! {
 fn deterministic_counters_are_profile_stable() {
     let spec = zoo::vlm_s();
     let parallel = ParallelConfig::new(4, 4, 1);
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     // Caching off, so the repeat is planned again rather than served.
     let session = PlanningSession::with_config(
         &spec,
@@ -269,7 +244,7 @@ fn deterministic_counters_are_profile_stable() {
     let request = PlanRequest::new(vec![vlm_batch(12), vlm_batch(30), vlm_batch(3)]);
     let a = session.plan(&request).expect("plans").plan;
     let b = session.plan(&request).expect("plans").plan;
-    assert_plans_bit_identical(&a, &b, "repeated cold plan");
+    assert_same_plan_and_work(&a, &b, "repeated cold plan");
     // The quota is the only stopping rule: every stream either hit it
     // exactly or (DFS-like corner cases aside) stopped at it.
     assert!(a

@@ -6,10 +6,13 @@
 //! replan (while beating its recovery bill), and a fixed seed + failure
 //! schedule replays a bit-identical recovery sequence at any worker count.
 
+mod common;
+
+use common::assert_plans_bit_identical;
 use dip_bench::vlm_batch;
 use dip_core::{
-    DipPlan, DipPlanner, ElasticCandidate, ElasticConfig, PlanOutcome, PlanRequest, PlanTier,
-    PlannerConfig, PlanningSession, SessionConfig,
+    DipPlan, ElasticCandidate, ElasticConfig, PlanOutcome, PlanRequest, PlanTier, PlannerConfig,
+    PlanningSession, SessionConfig,
 };
 use dip_data::FailureSchedule;
 use dip_models::{zoo, LmmSpec};
@@ -47,10 +50,7 @@ fn session_on(
     config: PlannerConfig,
     session: SessionConfig,
 ) -> PlanningSession<'_> {
-    PlanningSession::from_planner(
-        DipPlanner::on_topology(spec, parallel(), topology, config),
-        session,
-    )
+    PlanningSession::with_config(spec, parallel(), &topology, config, session)
 }
 
 /// The running plan of `request` on `old`, and its elastic replan after
@@ -70,30 +70,6 @@ fn replan_across<'a>(
     let outcome = session.plan(request).unwrap();
     assert_eq!(outcome.tier, PlanTier::Elastic);
     (old_plan, outcome, session)
-}
-
-fn assert_plans_bit_identical(a: &DipPlan, b: &DipPlan, what: &str) {
-    assert_eq!(a.graph, b.graph, "{what}: stage graphs differ");
-    assert_eq!(a.orders, b.orders, "{what}: rank orders differ");
-    assert_eq!(
-        a.segment_priorities, b.segment_priorities,
-        "{what}: priorities differ"
-    );
-    assert_eq!(a.memory_plan, b.memory_plan, "{what}: memory plans differ");
-    assert_eq!(
-        a.sub_microbatches, b.sub_microbatches,
-        "{what}: sub-microbatch plans differ"
-    );
-    assert_eq!(a.placement, b.placement, "{what}: placements differ");
-    assert_eq!(
-        a.topology_fingerprint, b.topology_fingerprint,
-        "{what}: topology fingerprints differ"
-    );
-    assert_eq!(
-        a.stats.planned_time_s.to_bits(),
-        b.stats.planned_time_s.to_bits(),
-        "{what}: planned times differ bit-wise"
-    );
 }
 
 proptest! {

@@ -8,7 +8,7 @@ use dip_data::{BatchGenerator, DatasetMix, DynamicWorkloadController, ImageBound
 use dip_models::zoo;
 use dip_pipeline::baselines::{simulate_megatron, BaselineContext};
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 
 fn quick_scale() -> ExperimentScale {
     ExperimentScale {
@@ -23,7 +23,7 @@ fn quick_scale() -> ExperimentScale {
 fn dip_beats_every_baseline_on_vlm_s_dataset_batches() {
     let scale = quick_scale();
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let batches = vlm_batches_from_datasets(scale.microbatches, 2024);
     let results = run_all_systems(
         &spec,
@@ -49,7 +49,7 @@ fn dip_beats_every_baseline_on_vlm_s_dataset_batches() {
 #[test]
 fn dip_advantage_grows_with_image_count_under_the_fig8b_envelope() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let ctx = BaselineContext::new(&spec, parallel, &cluster);
     let session = PlanningSession::new(&spec, parallel, &cluster, PlannerConfig::fast());
@@ -86,7 +86,7 @@ fn dip_advantage_grows_with_image_count_under_the_fig8b_envelope() {
 #[test]
 fn t2v_pipeline_runs_end_to_end_from_dataset_to_metrics() {
     let spec = zoo::t2v_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let mut generator = BatchGenerator::t2v(DatasetMix::t2v_default(), 6, 5);
     let batches = generator.next_batch().workloads();
@@ -108,7 +108,7 @@ fn t2v_pipeline_runs_end_to_end_from_dataset_to_metrics() {
 fn every_table3_setup_plans_and_simulates() {
     for setup in zoo::table3_setups() {
         let parallel = ParallelConfig::new(setup.tp, setup.pp, setup.dp);
-        let cluster = ClusterSpec::h800_cluster((setup.num_gpus() / 8).max(1));
+        let cluster = ClusterTopology::h800_cluster((setup.num_gpus() / 8).max(1));
         let is_t2v = setup.name.starts_with("T2V");
         let batches = if is_t2v {
             dip_bench::t2v_batches_from_datasets(4, 31)
@@ -125,7 +125,7 @@ fn every_table3_setup_plans_and_simulates() {
             setup.name
         );
         assert!(
-            outcome.metrics.peak_memory_bytes <= cluster.gpu.mem_capacity as i64,
+            outcome.metrics.peak_memory_bytes <= cluster.reference_device().mem_capacity as i64,
             "{} exceeds GPU memory",
             setup.name
         );

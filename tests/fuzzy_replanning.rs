@@ -6,13 +6,16 @@
 //! stream replays bit-identically at any search-worker count — the
 //! guarantees the fig8b `zipf.*` CI gate metrics rely on.
 
+mod common;
+
+use common::assert_plans_bit_identical;
 use dip_bench::{vlm_batch_jittered, zipf_request_stream};
 use dip_core::{
     BucketingConfig, DipPlan, PlanRequest, PlanTier, PlannerConfig, PlanningSession, SessionConfig,
 };
 use dip_models::zoo;
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -35,30 +38,11 @@ fn time_budgeted_config(workers: usize, budget_ms: u64, seed: u64) -> PlannerCon
 
 fn session<'a>(
     spec: &'a dip_models::LmmSpec,
-    cluster: &'a ClusterSpec,
+    cluster: &ClusterTopology,
     planner: PlannerConfig,
     config: SessionConfig,
 ) -> PlanningSession<'a> {
     PlanningSession::with_config(spec, ParallelConfig::new(4, 4, 1), cluster, planner, config)
-}
-
-fn assert_plans_bit_identical(a: &DipPlan, b: &DipPlan, what: &str) {
-    assert_eq!(a.graph, b.graph, "{what}: stage graphs differ");
-    assert_eq!(a.orders, b.orders, "{what}: rank orders differ");
-    assert_eq!(
-        a.segment_priorities, b.segment_priorities,
-        "{what}: priorities differ"
-    );
-    assert_eq!(a.memory_plan, b.memory_plan, "{what}: memory plans differ");
-    assert_eq!(
-        a.sub_microbatches, b.sub_microbatches,
-        "{what}: sub-microbatch plans differ"
-    );
-    assert_eq!(
-        a.stats.planned_time_s.to_bits(),
-        b.stats.planned_time_s.to_bits(),
-        "{what}: planned times differ bit-wise"
-    );
 }
 
 proptest! {
@@ -79,7 +63,7 @@ proptest! {
         seed in 0u64..=1000,
     ) {
         let spec = zoo::vlm_s();
-        let cluster = ClusterSpec::h800_cluster(2);
+        let cluster = ClusterTopology::h800_cluster(2);
         let bucketing = BucketingConfig::default();
         let base = PlanRequest::new(vec![
             vlm_batch_jittered(images_a, 0, &bucketing),
@@ -143,7 +127,7 @@ proptest! {
 #[test]
 fn zipf_replay_is_bit_identical_across_worker_counts() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let bucketing = BucketingConfig::default();
     let stream = zipf_request_stream(24, 6, 3, 2, 1.1, 0x5eed, &bucketing);
 
@@ -191,7 +175,7 @@ fn zipf_replay_is_bit_identical_across_worker_counts() {
 #[test]
 fn fuzzy_hits_adopt_the_anchor_verbatim() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let bucketing = BucketingConfig::default();
     let planner_config = time_budgeted_config(2, 40, 11);
     let session = session(&spec, &cluster, planner_config, SessionConfig::fuzzy());

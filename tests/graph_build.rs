@@ -18,7 +18,7 @@ use dip_pipeline::{
     balanced_param_placement, separated_placement, Direction, MemoryPlan, MemoryStrategy,
     ParallelConfig, Placement, StageGraph, StageGraphBuilder, StageId, SubMicrobatchPlan,
 };
-use dip_sim::{ClusterSpec, ClusterTopology};
+use dip_sim::ClusterTopology;
 use std::collections::BTreeMap;
 
 fn fold(hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
@@ -100,7 +100,7 @@ fn all_builds_digest() -> u64 {
     let mut plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
     plan.set(0, 0, 3);
     plan.set(0, 2, 2);
-    let graph = StageGraphBuilder::new(&vlm, &placement, &ClusterSpec::h800_cluster(2))
+    let graph = StageGraphBuilder::new_on(&vlm, &placement, &ClusterTopology::h800_cluster(2))
         .build(&batches, &plan)
         .expect("VLM-S builds");
     digest = graph_digest(&graph, digest);
@@ -126,7 +126,7 @@ fn all_builds_digest() -> u64 {
     for pair in (0..placement.segments.len() * batches.len() * 4).step_by(2) {
         memory_plan.set(pair, ladder[pair % ladder.len()]);
     }
-    let graph = StageGraphBuilder::new(&vlm, &placement, &ClusterSpec::h800_cluster(2))
+    let graph = StageGraphBuilder::new_on(&vlm, &placement, &ClusterTopology::h800_cluster(2))
         .with_memory_plan(memory_plan)
         .build(&batches, &plan)
         .expect("balanced builds");

@@ -2,21 +2,12 @@
 //! planning end to end on a mixed H800+H20 cluster, capacity-aware
 //! placement against naive round-robin, and per-device memory budgets.
 
-use dip_core::{DipPlanner, PlanRequest, PlanTier, PlannerConfig, PlanningSession, SessionConfig};
-use dip_models::{zoo, BatchWorkload, LmmSpec, Modality, ModalityWorkload};
+use dip_bench::vlm_batch;
+use dip_core::{PlanRequest, PlanTier, PlannerConfig, PlanningSession};
+use dip_models::{zoo, BatchWorkload, LmmSpec};
 use dip_pipeline::{ExecutionOutcome, ParallelConfig, PlacementMode};
 use dip_sim::ClusterTopology;
 use std::time::Duration;
-
-fn vlm_batch(images: u64) -> BatchWorkload {
-    let images = images.min(48);
-    BatchWorkload::new()
-        .with(
-            Modality::Text,
-            ModalityWorkload::new(8192 - images * 169, 1),
-        )
-        .with(Modality::Image, ModalityWorkload::new(images * 169, images))
-}
 
 fn batches() -> Vec<BatchWorkload> {
     [24u64, 8, 40, 2, 32, 16]
@@ -39,10 +30,7 @@ fn simulate_on(
     topology: ClusterTopology,
     config: PlannerConfig,
 ) -> ExecutionOutcome {
-    let session = PlanningSession::from_planner(
-        DipPlanner::on_topology(spec, ParallelConfig::new(4, 4, 1), topology, config),
-        SessionConfig::default(),
-    );
+    let session = PlanningSession::new(spec, ParallelConfig::new(4, 4, 1), &topology, config);
     let (_, execution) = session
         .plan_and_simulate(&PlanRequest::new(batches()))
         .unwrap();
@@ -71,10 +59,7 @@ fn heterogeneous_sessions_cache_and_respect_per_device_memory() {
     let spec = zoo::vlm_s();
     let parallel = ParallelConfig::new(4, 4, 1);
     let topology = ClusterTopology::mixed_h800_h20(1, 1);
-    let session = PlanningSession::from_planner(
-        DipPlanner::on_topology(&spec, parallel, topology.clone(), PlannerConfig::fast()),
-        SessionConfig::default(),
-    );
+    let session = PlanningSession::new(&spec, parallel, &topology, PlannerConfig::fast());
 
     let request = PlanRequest::new(batches());
     let (first, execution) = session.plan_and_simulate(&request).unwrap();
@@ -112,10 +97,7 @@ fn latency_balanced_sessions_respect_per_device_memory_end_to_end() {
     let topology = ClusterTopology::mixed_h800_h20(1, 1);
     let mut config = PlannerConfig::fast();
     config.partitioner.placement = PlacementMode::LatencyBalanced;
-    let session = PlanningSession::from_planner(
-        DipPlanner::on_topology(&spec, parallel, topology.clone(), config),
-        SessionConfig::default(),
-    );
+    let session = PlanningSession::new(&spec, parallel, &topology, config);
     let (_, execution) = session
         .plan_and_simulate(&PlanRequest::new(batches()))
         .unwrap();

@@ -22,7 +22,7 @@ use dip_pipeline::{
     balanced_param_placement, dual_queue, DualQueueConfig, ParallelConfig, PassGraph, PassPrefix,
     PassRecord, ScheduleWorkspace, StageGraph, StageGraphBuilder, SubMicrobatchPlan,
 };
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -33,8 +33,8 @@ fn lm_graph(microbatches: usize, pp: usize, vpp: usize, tokens: u64) -> (StageGr
     let spec = zoo::lm_7b();
     let parallel = ParallelConfig::new(2, pp, 1);
     let placement = balanced_param_placement(&spec, parallel, vpp);
-    let cluster = ClusterSpec::h800_cluster(1);
-    let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+    let cluster = ClusterTopology::h800_cluster(1);
+    let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
     let batch = BatchWorkload::new().with(Modality::Text, ModalityWorkload::from_tokens(tokens));
     let batches = vec![batch; microbatches];
     let plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
@@ -52,8 +52,8 @@ fn vlm_graph(microbatches: usize, images: u64, backbone_segments: usize) -> (Sta
     let mut k = BTreeMap::new();
     k.insert(spec.backbone_id().unwrap(), backbone_segments);
     let placement = dip_pipeline::separated_placement(&spec, parallel, &k);
-    let cluster = ClusterSpec::h800_cluster(2);
-    let builder = StageGraphBuilder::new(&spec, &placement, &cluster);
+    let cluster = ClusterTopology::h800_cluster(2);
+    let builder = StageGraphBuilder::new_on(&spec, &placement, &cluster);
     let images = images.clamp(1, 32);
     let batch = BatchWorkload::new()
         .with(
@@ -413,7 +413,9 @@ fn record_covers(record: PassRecord<'_>, ordering: &[usize]) -> bool {
 fn six_segment_setup() -> (StageGraph, Vec<(&'static str, DualQueueConfig)>) {
     let (graph, n) = vlm_graph(12, 10, 4);
     assert_eq!(n, 6);
-    let usable = ClusterSpec::h800_cluster(2).gpu.usable_memory();
+    let usable = ClusterTopology::h800_cluster(2)
+        .reference_device()
+        .usable_memory();
     let activation_budgets: Vec<u64> = graph
         .static_memory
         .iter()

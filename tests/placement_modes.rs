@@ -4,8 +4,9 @@
 //! good as capacity-aware placement end to end on the mixed H800+H20
 //! testbed.
 
-use dip_core::{DipPlanner, PlanRequest, PlannerConfig, PlanningSession, SessionConfig};
-use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
+use dip_bench::vlm_batch;
+use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
+use dip_models::zoo;
 use dip_pipeline::{
     capacity_aware_separated_placement, latency_balanced_separated_placement, ModelChunk,
     ParallelConfig, PlacementMode,
@@ -14,16 +15,6 @@ use dip_sim::{ClusterTopology, EfficiencyModel, GpuGeneration, GpuSpec, NodeSpec
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::time::Duration;
-
-fn vlm_batch(images: u64) -> BatchWorkload {
-    let images = images.min(48);
-    BatchWorkload::new()
-        .with(
-            Modality::Text,
-            ModalityWorkload::new(8192 - images * 169, 1),
-        )
-        .with(Modality::Image, ModalityWorkload::new(images * 169, images))
-}
 
 fn generation(kind: usize) -> GpuGeneration {
     match kind % 3 {
@@ -189,10 +180,7 @@ fn latency_balanced_is_at_least_as_good_as_capacity_aware_on_the_mixed_cluster()
     let run = |placement: PlacementMode| {
         let mut config = deterministic_config();
         config.partitioner.placement = placement;
-        let session = PlanningSession::from_planner(
-            DipPlanner::on_topology(&spec, parallel, topology.clone(), config),
-            SessionConfig::default(),
-        );
+        let session = PlanningSession::new(&spec, parallel, &topology, config);
         let (_, outcome) = session.plan_and_simulate(&request).unwrap();
         outcome.metrics.iteration_time_s
     };

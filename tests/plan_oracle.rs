@@ -21,7 +21,7 @@ use dip_core::{
 use dip_data::{BatchGenerator, DatasetMix, FailureSchedule};
 use dip_models::zoo;
 use dip_pipeline::{execute, ExecutorConfig, ParallelConfig};
-use dip_sim::{ClusterSpec, ClusterTopology};
+use dip_sim::ClusterTopology;
 use std::time::Duration;
 
 /// One planning thread and a small virtual search budget, so the test's
@@ -57,7 +57,7 @@ fn assert_engine_replays_the_planned_time(planner: &DipPlanner<'_>, plan: &DipPl
 #[test]
 fn vlm_zipf_session_plans_replay_to_their_planned_time_on_every_tier() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let bucketing = BucketingConfig::default();
     let stream = zipf_request_stream(160, 8, 4, 4, 1.1, 0x0a11, &bucketing);
     let session = PlanningSession::with_config(
@@ -98,13 +98,8 @@ fn t2v_base_and_elastic_plans_replay_to_their_planned_time() {
     for (j, request) in requests.iter().enumerate() {
         for seed in [0x5eed_u64, 0xfa11, 0xb0a7, 0xd1ce] {
             let schedule = FailureSchedule::seeded(&base, 8, 3, seed + j as u64);
-            let planner = DipPlanner::on_topology(
-                &spec,
-                ParallelConfig::new(4, 4, 1),
-                base.clone(),
-                config(10),
-            );
-            let mut session = PlanningSession::from_planner(planner, SessionConfig::default());
+            let mut session =
+                PlanningSession::new(&spec, ParallelConfig::new(4, 4, 1), &base, config(10));
             let plan = session.plan(request).unwrap().plan;
             let what = format!("request {j}, schedule {seed:#x}: base plan");
             assert_engine_replays_the_planned_time(session.planner(), &plan, &what);

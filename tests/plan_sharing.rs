@@ -8,12 +8,12 @@
 
 use dip_bench::{vlm_batch, vlm_batch_jittered};
 use dip_core::{
-    BucketingConfig, DipPlan, DipPlanner, ElasticCandidate, ElasticConfig, PlanRequest, PlanTier,
+    BucketingConfig, DipPlan, ElasticCandidate, ElasticConfig, PlanRequest, PlanTier,
     PlannerConfig, PlanningSession, SessionConfig,
 };
 use dip_models::{zoo, Modality};
 use dip_pipeline::ParallelConfig;
-use dip_sim::{ClusterSpec, ClusterTopology};
+use dip_sim::ClusterTopology;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
@@ -106,7 +106,7 @@ fn shares_every_part(a: &DipPlan, b: &DipPlan) -> bool {
 #[test]
 fn exact_hits_share_every_part_with_the_cached_plan() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let session = PlanningSession::new(&spec, parallel(), &cluster, planner_config());
     let request = request(&[12, 30]);
 
@@ -127,7 +127,7 @@ fn exact_hits_share_every_part_with_the_cached_plan() {
 #[test]
 fn fuzzy_plans_share_the_anchor_parts_they_adopt_and_their_cache_entry() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let session = PlanningSession::with_config(
         &spec,
         parallel(),
@@ -175,8 +175,7 @@ fn fuzzy_plans_share_the_anchor_parts_they_adopt_and_their_cache_entry() {
 fn elastic_plans_share_their_anchor_and_their_cache_entry() {
     let spec = zoo::vlm_s();
     let old = ClusterTopology::mixed_h800_h20(1, 1);
-    let planner = DipPlanner::on_topology(&spec, parallel(), old.clone(), planner_config());
-    let mut session = PlanningSession::from_planner(planner, SessionConfig::default());
+    let mut session = PlanningSession::new(&spec, parallel(), &old, planner_config());
     let request = request(&[6, 40]);
     let running = session.plan(&request).unwrap().plan;
 
@@ -226,7 +225,7 @@ fn elastic_plans_share_their_anchor_and_their_cache_entry() {
 #[test]
 fn an_exact_hit_allocates_only_the_plans_plain_vectors() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let session = PlanningSession::new(&spec, parallel(), &cluster, planner_config());
     let request = request(&[12, 30]);
     let cold = session.plan(&request).unwrap().plan;

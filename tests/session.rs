@@ -10,7 +10,7 @@ use dip_core::{
 use dip_data::{BatchGenerator, DatasetMix, DynamicWorkloadController, ImageBoundSchedule};
 use dip_models::zoo;
 use dip_pipeline::ParallelConfig;
-use dip_sim::ClusterSpec;
+use dip_sim::ClusterTopology;
 use std::time::Duration;
 
 /// A short repeated-shape dynamic trace: one recorded pass over a
@@ -43,7 +43,7 @@ fn planner_config() -> PlannerConfig {
 #[test]
 fn second_pass_over_a_replayed_trace_is_served_from_the_cache() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let requests = replayed_requests(4, 2);
 
@@ -84,7 +84,7 @@ fn second_pass_over_a_replayed_trace_is_served_from_the_cache() {
 #[test]
 fn plan_cache_cuts_total_planning_time_at_least_2x_on_a_repeated_trace() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     // 3 shapes × 3 passes: 3 misses, 6 hits with the cache enabled.
     let requests = replayed_requests(3, 3);
@@ -138,7 +138,7 @@ fn workload_signatures_of_a_replayed_trace_repeat_exactly() {
 #[test]
 fn shared_session_serves_eight_threads_with_exact_totals() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let session = PlanningSession::new(&spec, parallel, &cluster, planner_config());
 
@@ -191,7 +191,7 @@ fn fuzzy_tier_totals_partition_requests_under_contention() {
     use dip_core::BucketingConfig;
 
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let session = PlanningSession::with_config(
         &spec,
@@ -252,7 +252,7 @@ fn fuzzy_tier_totals_partition_requests_under_contention() {
 #[test]
 fn plan_many_plans_a_trace_concurrently_in_request_order() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let mut config = planner_config();
     config.num_threads = 4;
@@ -292,7 +292,7 @@ fn plan_many_plans_a_trace_concurrently_in_request_order() {
 #[test]
 fn cold_plans_do_not_depend_on_request_history() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let requests = replayed_requests(2, 1);
     let (a, b) = (&requests[0], &requests[1]);
@@ -305,13 +305,7 @@ fn cold_plans_do_not_depend_on_request_history() {
         .max_by_key(|microbatch| microbatch.total_tokens())
         .unwrap();
     let fresh_session = || {
-        let mut session = PlanningSession::with_config(
-            &spec,
-            parallel,
-            &cluster,
-            planner_config(),
-            SessionConfig::default(),
-        );
+        let mut session = PlanningSession::new(&spec, parallel, &cluster, planner_config());
         session.offline_partition(representative).unwrap();
         session
     };
@@ -351,7 +345,7 @@ fn cold_plans_do_not_depend_on_request_history() {
 #[test]
 fn exact_hits_share_the_cached_graph_and_equal_the_cold_plan() {
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let request = &replayed_requests(1, 1)[0];
     let session = PlanningSession::new(&spec, parallel, &cluster, planner_config());
@@ -380,7 +374,7 @@ fn fuzzy_delta_replan_leaves_its_anchor_untouched() {
     use dip_core::BucketingConfig;
 
     let spec = zoo::vlm_s();
-    let cluster = ClusterSpec::h800_cluster(2);
+    let cluster = ClusterTopology::h800_cluster(2);
     let parallel = ParallelConfig::new(4, 4, 1);
     let session = PlanningSession::with_config(
         &spec,

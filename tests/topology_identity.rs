@@ -1,26 +1,19 @@
-//! Topology-refactor identity properties: a uniform [`ClusterTopology`]
-//! built from any [`ClusterSpec`] must plan bit-identically to the
-//! spec-based path (the pre-refactor entry point), every placement mode
+//! Topology identity properties: a preset cluster plans bit-identically
+//! to the same cluster spelled out node by node, every placement mode
 //! must reduce to that same plan on uniform topologies, and topology
 //! fingerprints must separate any two clusters that differ in any rank's
 //! device.
 
-use dip_core::{DipPlan, DipPlanner, PlanRequest, PlannerConfig, PlanningSession, SessionConfig};
-use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
+mod common;
+
+use common::assert_plans_bit_identical;
+use dip_bench::vlm_batch;
+use dip_core::{PlanRequest, PlannerConfig, PlanningSession};
+use dip_models::zoo;
 use dip_pipeline::{ParallelConfig, PlacementMode};
-use dip_sim::{ClusterSpec, ClusterTopology, GpuGeneration, GpuSpec, NodeSpec};
+use dip_sim::{ClusterTopology, GpuGeneration, GpuSpec, NodeSpec};
 use proptest::prelude::*;
 use std::time::Duration;
-
-fn vlm_batch(images: u64) -> BatchWorkload {
-    let images = images.min(48);
-    BatchWorkload::new()
-        .with(
-            Modality::Text,
-            ModalityWorkload::new(8192 - images * 169, 1),
-        )
-        .with(Modality::Image, ModalityWorkload::new(images * 169, images))
-}
 
 /// An evaluation-bounded (hence deterministic at fixed worker count) planner
 /// configuration.
@@ -31,55 +24,42 @@ fn deterministic_config() -> PlannerConfig {
     config
 }
 
-fn assert_plans_bit_identical(a: &DipPlan, b: &DipPlan) {
-    assert_eq!(a.graph, b.graph, "stage graphs differ");
-    assert_eq!(a.orders, b.orders, "rank orders differ");
-    assert_eq!(a.segment_priorities, b.segment_priorities);
-    assert_eq!(a.memory_plan, b.memory_plan);
-    assert_eq!(a.sub_microbatches, b.sub_microbatches);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The `ClusterSpec` constructor path and an explicit uniform
-    /// `ClusterTopology` must produce bit-identical `PlanOutcome`s: same
-    /// signature, same graph (durations, lags, memory), same schedule,
-    /// same memory plan.
+    /// A preset (`ClusterTopology::h800_cluster`) and the same cluster
+    /// built from its node list must be one cluster: equal fingerprints,
+    /// and bit-identical `PlanOutcome`s (same signature, graph, schedule
+    /// and memory plan) that simulate to the same iteration time.
     #[test]
-    fn uniform_topology_plans_bit_identically_to_the_cluster_spec_path(
+    fn preset_topology_plans_bit_identically_to_its_node_list(
         nodes in 2usize..5,
         images_a in 0u64..49,
         images_b in 0u64..49,
     ) {
         let spec = zoo::vlm_s();
         let parallel = ParallelConfig::new(4, 4, 1);
-        let cluster = ClusterSpec::h800_cluster(nodes);
+        let preset = ClusterTopology::h800_cluster(nodes);
+        let gpu = GpuSpec::preset(GpuGeneration::H800);
+        let spelled_out = ClusterTopology::new(vec![NodeSpec::new(gpu, 8); nodes]);
+        prop_assert_eq!(preset.fingerprint(), spelled_out.fingerprint());
         let request = PlanRequest::new(vec![vlm_batch(images_a), vlm_batch(images_b)]);
 
-        let via_spec = PlanningSession::with_config(
-            &spec,
-            parallel,
-            &cluster,
-            deterministic_config(),
-            SessionConfig::default(),
-        );
-        let via_topology = PlanningSession::from_planner(
-            DipPlanner::on_topology(&spec, parallel, cluster.topology(), deterministic_config()),
-            SessionConfig::default(),
-        );
+        let session_on = |topology: &ClusterTopology| {
+            PlanningSession::new(&spec, parallel, topology, deterministic_config())
+        };
+        let via_preset = session_on(&preset);
+        let via_nodes = session_on(&spelled_out);
 
-        let a = via_spec.plan(&request).unwrap();
-        let b = via_topology.plan(&request).unwrap();
+        let a = via_preset.plan(&request).unwrap();
+        let b = via_nodes.plan(&request).unwrap();
         prop_assert_eq!(a.signature, b.signature);
         prop_assert_eq!(a.tier, b.tier);
-        assert_plans_bit_identical(&a.plan, &b.plan);
-        // Both paths key their caches identically, too.
-        prop_assert_eq!(via_spec.cache_key(&request), via_topology.cache_key(&request));
+        assert_plans_bit_identical(&a.plan, &b.plan, "preset vs node list");
 
         // And both simulate to the exact same iteration time.
-        let ta = via_spec.simulate(&a.plan).unwrap().metrics.iteration_time_s;
-        let tb = via_topology.simulate(&b.plan).unwrap().metrics.iteration_time_s;
+        let ta = via_preset.simulate(&a.plan).unwrap().metrics.iteration_time_s;
+        let tb = via_nodes.simulate(&b.plan).unwrap().metrics.iteration_time_s;
         prop_assert_eq!(ta.to_bits(), tb.to_bits());
     }
 
@@ -97,16 +77,13 @@ proptest! {
     ) {
         let spec = zoo::vlm_s();
         let parallel = ParallelConfig::new(4, 4, 1);
-        let topology = ClusterSpec::h800_cluster(nodes).topology();
+        let topology = ClusterTopology::h800_cluster(nodes);
         let request = PlanRequest::new(vec![vlm_batch(images_a), vlm_batch(images_b)]);
 
         let session_for = |placement: PlacementMode| {
             let mut config = deterministic_config();
             config.partitioner.placement = placement;
-            PlanningSession::from_planner(
-                DipPlanner::on_topology(&spec, parallel, topology.clone(), config),
-                SessionConfig::default(),
-            )
+            PlanningSession::new(&spec, parallel, &topology, config)
         };
         let aware = session_for(PlacementMode::CapacityAware);
         let balanced = session_for(PlacementMode::LatencyBalanced);
@@ -114,7 +91,7 @@ proptest! {
         let a = aware.plan(&request).unwrap();
         let b = balanced.plan(&request).unwrap();
         prop_assert_eq!(a.signature, b.signature);
-        assert_plans_bit_identical(&a.plan, &b.plan);
+        assert_plans_bit_identical(&a.plan, &b.plan, "capacity-aware vs latency-balanced");
 
         let ta = aware.simulate(&a.plan).unwrap().metrics.iteration_time_s;
         let tb = balanced.simulate(&b.plan).unwrap().metrics.iteration_time_s;
