@@ -23,8 +23,7 @@
 //! search — time to re-run `dip-calibrate` and ship a fresh artifact
 //! (`bench_check` prints a warning when the ratio leaves a sane band).
 
-use dip_bench::{print_table, BenchReport, MetricKind};
-use dip_core::calibrate_eval_cost;
+use dip_bench::{calibrate_eval_cost, print_table, BenchReport, MetricKind};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{
     separated_placement, DualQueueConfig, ParallelConfig, StageGraphBuilder, SubMicrobatchPlan,

@@ -14,8 +14,9 @@
 //! the memo answered them. Every other pass resumes where the ordering
 //! stops agreeing with the best earlier pass: live steps per pass counts
 //! the stages a pass decided, and the replayed share the stages passes
-//! replayed instead. The kernel wall per pass divides the summed stream
-//! time by the interleave passes the streams actually ran. The pass and
+//! replayed instead. No stream reads a clock: the one wall number is the
+//! search's own wall time behind Evaluations/sec, and per-pass kernel cost
+//! belongs in a min-of-k measurement, not in this table. The pass and
 //! step counts can vary with thread timing when several workers share the
 //! memo, so they are reported as info — except for one extra cold MCTS
 //! run at one worker (`mcts_w1`), whose counts repeat exactly and are
@@ -131,13 +132,8 @@ fn main() {
         // the seeded ordering, both evaluated before the streams start.
         let start_incumbent = best_within(0);
         let halfway = best_within(result.evaluation_quota / 2);
-        // Kernel throughput: evaluations over the search's wall time, and
-        // the mean kernel wall per pass from the summed per-stream task
-        // time (memo hits run no pass, so dividing by evaluations would
-        // understate what one pass costs a worker).
+        // Kernel throughput: evaluations over the search's wall time.
         let evals_per_sec = result.evaluations as f64 / wall.as_secs_f64().max(1e-9);
-        let eval_wall_us =
-            result.cpu_time.as_secs_f64() / (result.work.interleave_passes.max(1) as f64) * 1e6;
         let memo_hit_ratio =
             1.0 - result.work.interleave_passes as f64 / result.evaluations.max(1) as f64;
         let live_per_pass =
@@ -158,7 +154,6 @@ fn main() {
             format!("{replayed_pct:.1}"),
             result.progress.len().to_string(),
             format!("{evals_per_sec:.0}"),
-            format!("{eval_wall_us:.1}"),
         ]);
 
         report.push(
@@ -224,12 +219,6 @@ fn main() {
             "1/s",
             evals_per_sec,
         );
-        report.push(
-            format!("search.{key}.eval_wall_us"),
-            MetricKind::Info,
-            "us",
-            eval_wall_us,
-        );
     }
     report.push_flag("search.kernel_identity", kernel_identity);
     print_table(
@@ -248,7 +237,6 @@ fn main() {
             "Replayed %",
             "Improvements",
             "Evals/s",
-            "Kernel wall/pass (µs)",
         ],
         &rows,
     );

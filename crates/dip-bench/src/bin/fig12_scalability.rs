@@ -12,10 +12,12 @@
 //! exported as a determinism witness for the CI gate) while the wall
 //! clock shows how much of the hardware the engine converts into planning
 //! throughput (≈1.0 speedup on a single-core machine, approaching the
-//! worker count on dedicated cores). The memopt columns expose the
-//! formerly serial memory-ILP phase: its per-rank solves now run on the
-//! same worker pool, so its share of the plan wall clock drops as workers
-//! are added on multi-core machines.
+//! worker count on dedicated cores). The memopt columns expose the memory
+//! ILP phase: its per-rank solves run on the same worker pool, so its
+//! share of the plan wall clock drops as workers are added on multi-core
+//! machines. Every wall column is read at a phase boundary on the planning
+//! thread; no search stream or per-rank solve reads a clock, so the
+//! "Speedup" column is the one measure of how the phases scale.
 //!
 //! With `DIP_BENCH_JSON=path` the run additionally emits a machine-readable
 //! [`BenchReport`] for the `bench_check` CI gate.
@@ -79,10 +81,6 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
         let build_wall = stats.phases.graph_build.as_secs_f64();
         let memopt_wall = stats.phases.memopt.as_secs_f64();
         let memopt_share = memopt_wall / wall.max(f64::MIN_POSITIVE);
-        let search_ratio =
-            stats.phases.search_cpu.as_secs_f64() / stats.phases.search.as_secs_f64().max(1e-12);
-        let memopt_ratio =
-            stats.phases.memopt_cpu.as_secs_f64() / stats.phases.memopt.as_secs_f64().max(1e-12);
         let single = *single_thread.get_or_insert(wall);
         iteration_bits.push(execution.metrics.iteration_time_s.to_bits());
         rows.push(vec![
@@ -92,8 +90,6 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
             format!("{build_wall:.5}"),
             format!("{memopt_wall:.4}"),
             format!("{:.1}%", memopt_share * 100.0),
-            format!("{search_ratio:.2}"),
-            format!("{memopt_ratio:.2}"),
             stats.search_evaluations.to_string(),
             format!("{:.3}", execution.metrics.iteration_time_s),
         ]);
@@ -116,18 +112,6 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
             MetricKind::Info,
             "ratio",
             memopt_share,
-        );
-        report.push(
-            format!("{prefix}.search_cpu_over_wall"),
-            MetricKind::Info,
-            "ratio",
-            search_ratio,
-        );
-        report.push(
-            format!("{prefix}.memopt_cpu_over_wall"),
-            MetricKind::Info,
-            "ratio",
-            memopt_ratio,
         );
         report.push(
             format!("{prefix}.evaluations"),
@@ -158,8 +142,6 @@ fn worker_scaling(scale: &ExperimentScale, report: &mut BenchReport) {
             "Build wall (s)",
             "Memopt wall (s)",
             "Memopt share",
-            "Search CPU/wall",
-            "Memopt CPU/wall",
             "Evaluations",
             "Iteration (s)",
         ],

@@ -207,7 +207,9 @@ fn percentile(values: &[f64], q: f64) -> f64 {
 /// section reports per-tier planning-latency percentiles, the
 /// simulated-regret envelope of the fuzzy-served plans against fresh cold
 /// plans, and a cross-worker bit-identity witness; CI gates the tier
-/// counts, the regret bound and `delta p99 < cold p50`.
+/// counts, the regret bound, `delta p99 < cold p50` and
+/// `check.interleaver_equals_engine` (every served plan's planned time
+/// equals its optimizer-free engine replay, bit for bit).
 fn zipf_dynamic_traffic(
     spec: &dip_models::LmmSpec,
     parallel: ParallelConfig,
@@ -273,10 +275,13 @@ fn zipf_dynamic_traffic(
     // hand out that cached storage, not a copy of it.
     let mut planned_graphs = std::collections::HashMap::<_, dip_pipeline::StageGraph>::new();
     let mut exact_hits_share_graph = true;
+    let mut interleaver_equals_engine = true;
     for request in &stream {
         let start = Instant::now();
         let outcome = session.plan(request).expect("zipf stream plans");
         let latency_ms = start.elapsed().as_secs_f64() * 1e3;
+        interleaver_equals_engine &=
+            dip_bench::interleaver_equals_engine(session.planner(), &outcome.plan);
         let tier_idx = match outcome.tier {
             // The stream never retargets the session, so no request is
             // served by the elastic tier; it is binned with cold plans.
@@ -373,6 +378,15 @@ fn zipf_dynamic_traffic(
     report.push_flag(
         "zipf.exact_hits_share_graph",
         !latencies[2].is_empty() && exact_hits_share_graph,
+    );
+    report.push_flag("check.interleaver_equals_engine", interleaver_equals_engine);
+    println!(
+        "zipf: planned time == optimizer-free engine replay on every served plan: {}",
+        if interleaver_equals_engine {
+            "OK"
+        } else {
+            "MISMATCH"
+        }
     );
     let delta_fast = !latencies[1].is_empty()
         && !latencies[0].is_empty()

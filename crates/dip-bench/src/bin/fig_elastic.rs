@@ -12,11 +12,15 @@
 //! time + state-transfer time), bytes of state moved, and the steady-state
 //! simulated iteration time of the recovered plan against the cold plan's.
 //! The CI gate pins the aggregate recovery times (SimTime), the exact bytes
-//! moved and event count (Determinism), and a cross-worker bit-identity
-//! witness: the whole recovery sequence replays identically at different
-//! search-worker counts.
+//! moved and event count (Determinism), a cross-worker bit-identity
+//! witness (the whole recovery sequence replays identically at different
+//! search-worker counts), and `check.interleaver_equals_engine`: every
+//! elastic plan's planned time equals its optimizer-free engine replay,
+//! bit for bit.
 
-use dip_bench::{fmt_s, print_table, BenchReport, ExperimentScale, MetricKind};
+use dip_bench::{
+    fmt_s, interleaver_equals_engine, print_table, BenchReport, ExperimentScale, MetricKind,
+};
 use dip_core::{
     ElasticCandidate, ElasticConfig, PlanRequest, PlanTier, PlanningSession, SessionConfig,
 };
@@ -41,6 +45,9 @@ struct EventOutcome {
     steady_cold_s: f64,
     /// Bit-level witness of the served plan, for the cross-worker check.
     plan_bits: (u64, u64),
+    /// Whether the served plan's planned time equals its optimizer-free
+    /// engine replay bit for bit.
+    interleaver_equals_engine: bool,
 }
 
 /// Replays the failure schedule at the given search-worker count: at every
@@ -82,6 +89,7 @@ fn sweep(
             .expect("elastic replan onto the new topology");
         assert_eq!(outcome.tier, PlanTier::Elastic);
         let report = outcome.elastic.as_ref().expect("elastic report");
+        let engine_equal = interleaver_equals_engine(session.planner(), &outcome.plan);
 
         let cold = session_on(&new_topology, SessionConfig::cold());
         let cold_plan = cold
@@ -114,6 +122,7 @@ fn sweep(
                 outcome.plan.stats.planned_time_s.to_bits(),
                 outcome.plan.graph.len() as u64,
             ),
+            interleaver_equals_engine: engine_equal,
         });
         topology = new_topology;
     }
@@ -284,5 +293,11 @@ fn main() {
         mean_regression,
     );
     report.push_flag("elastic.cross_worker_identical", identical);
+    let engine_equal = events.iter().all(|event| event.interleaver_equals_engine);
+    println!(
+        "elastic: planned time == optimizer-free engine replay on every elastic plan: {}",
+        if engine_equal { "OK" } else { "MISMATCH" }
+    );
+    report.push_flag("check.interleaver_equals_engine", engine_equal);
     report.write_if_requested();
 }

@@ -130,7 +130,7 @@ fn main() {
 
     print_table(
         "Table 4 (heterogeneous) — DIP across device mixes, VLM-S, TP4 PP4",
-        &["Cluster", "Placement", "Iteration (s)", "MFU", "Plan (s)"],
+        &["Cluster", "Placement", "Iteration (s)", "MFU"],
         &rows
             .iter()
             .map(|r| {
@@ -139,7 +139,6 @@ fn main() {
                     r.placement.to_string(),
                     fmt_s(r.iteration_s),
                     fmt_ratio(r.mfu),
-                    fmt_s(r.plan_s),
                 ]
             })
             .collect::<Vec<_>>(),

@@ -13,16 +13,19 @@
 pub use dip_models::json;
 
 use crate::json::JsonValue;
-use dip_core::{BucketingConfig, PlanRequest, PlannerConfig, PlanningSession};
+use dip_core::{BucketingConfig, DipPlan, DipPlanner, PlanRequest, PlannerConfig, PlanningSession};
 use dip_data::{BatchGenerator, DatasetMix, ZipfSampler};
 use dip_models::{BatchWorkload, LmmSpec, Modality, ModalityWorkload};
 use dip_pipeline::baselines::{
     nnscaler_static_plan, simulate_megatron, simulate_nnscaler, simulate_optimus, BaselineContext,
 };
-use dip_pipeline::ParallelConfig;
-use dip_sim::{ClusterTopology, IterationMetrics};
+use dip_pipeline::{
+    dual_queue, execute, DualQueueConfig, ExecutorConfig, ParallelConfig, PassGraph, PassPrefix,
+    ScheduleWorkspace, StageGraph,
+};
+use dip_sim::{ClusterTopology, CostModel, CostSample, IterationMetrics};
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Scaling of the experiments: `quick` finishes in seconds, `full`
 /// approaches the paper's microbatch counts and search budgets.
@@ -453,6 +456,90 @@ impl BenchReport {
     }
 }
 
+/// The differential oracle the bench gate checks on served plans: replays
+/// `plan`'s graph and orders on the discrete-event engine without the
+/// optimizer step, on `planner`'s topology and timing model, and returns
+/// whether the engine's iteration time equals the plan's planned time (the
+/// interleaver's makespan) bit for bit. An engine error is a mismatch.
+pub fn interleaver_equals_engine(planner: &DipPlanner<'_>, plan: &DipPlan) -> bool {
+    let config = ExecutorConfig {
+        include_optimizer: false,
+        ..ExecutorConfig::new(plan.placement.parallel)
+    };
+    execute(
+        &plan.graph,
+        &plan.orders,
+        planner.topology(),
+        planner.timing(),
+        &config,
+    )
+    .is_ok_and(|outcome| {
+        outcome.metrics.iteration_time_s.to_bits() == plan.stats.planned_time_s.to_bits()
+    })
+}
+
+/// Measures the wall time of one ordering evaluation on `graph` and fits a
+/// [`CostModel`] from the samples: the calibration hook that aligns the
+/// ordering search's virtual clock
+/// ([`dip_core::OrderingSearchConfig::eval_cost`]) with the machine it
+/// runs on, as the simulator's efficiency factors are aligned with
+/// measured kernels (§6.1 / Fig. 13).
+///
+/// It times the steady-state kernel a search stream runs: one packed
+/// [`PassGraph`] and one warmed-up [`ScheduleWorkspace`] reused for
+/// `evaluations` full interleave passes under the identity ordering
+/// (segment `i` at priority `n − i`), with no cutoff and no replayed
+/// prefix. The first, allocating pass is left out of the samples. A
+/// search's quota charges a memo hit or a resumed pass the price of a full
+/// pass, so the model prices full passes.
+///
+/// This is an **offline** utility: its output varies with the machine.
+/// Feed the fitted model into the search config *before* planning and the
+/// planning itself stays deterministic (the model only scales the quota;
+/// for reproducible plans across a fleet, distribute one fitted model to
+/// every machine). Returns `None` when `evaluations == 0` or the
+/// measurements are degenerate.
+///
+/// All samples share one problem size (this graph's item count), so the
+/// fit goes **through the origin** ([`CostModel::fit_through_origin`]):
+/// the measured mean becomes a per-item rate that extrapolates
+/// proportionally to other graph sizes. To recover the fixed overhead
+/// too, time graphs of several sizes and hand the pooled samples to
+/// [`CostModel::fit`].
+pub fn calibrate_eval_cost(
+    graph: &StageGraph,
+    num_segments: usize,
+    base: &DualQueueConfig,
+    evaluations: u32,
+) -> Option<CostModel> {
+    let view = PassGraph::new(graph);
+    let mut ws = ScheduleWorkspace::new();
+    let config = DualQueueConfig {
+        segment_priorities: (0..num_segments)
+            .map(|i| (num_segments - i) as i64)
+            .collect(),
+        ..base.clone()
+    };
+    let mut pass = || {
+        dual_queue::schedule_resumed(&view, &config, &mut ws, f64::INFINITY, PassPrefix::EMPTY)
+            .expect("an infinite cutoff never aborts")
+    };
+    if evaluations > 0 {
+        pass();
+    }
+    let samples: Vec<CostSample> = (0..evaluations)
+        .map(|_| {
+            let start = Instant::now();
+            pass();
+            CostSample {
+                units: graph.len() as u64,
+                seconds: start.elapsed().as_secs_f64(),
+            }
+        })
+        .collect();
+    CostModel::fit_through_origin(&samples)
+}
+
 /// Prints a GitHub-flavoured markdown table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n## {title}\n");
@@ -481,6 +568,8 @@ pub fn fmt_ratio(x: f64) -> String {
 mod tests {
     use super::*;
     use dip_models::zoo;
+    use dip_pipeline::{separated_placement, StageGraphBuilder, SubMicrobatchPlan};
+    use std::collections::BTreeMap;
 
     #[test]
     fn scale_defaults_to_quick() {
@@ -549,6 +638,29 @@ mod tests {
         // Schema errors are reported, not panicked.
         assert!(BenchReport::from_json("{\"bench\": 3}").is_err());
         assert!(BenchReport::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn calibrate_eval_cost_fits_a_usable_model() {
+        let spec = zoo::vlm_s();
+        let mut k = BTreeMap::new();
+        k.insert(spec.backbone_id().unwrap(), 2usize);
+        let placement = separated_placement(&spec, ParallelConfig::new(4, 4, 1), &k);
+        let cluster = ClusterTopology::h800_cluster(2);
+        let batches = vec![vlm_batch(10); 2];
+        let plan = SubMicrobatchPlan::uniform(placement.segments.len(), batches.len());
+        let graph = StageGraphBuilder::new_on(&spec, &placement, &cluster)
+            .build(&batches, &plan)
+            .unwrap();
+        let n = placement.segments.len();
+        let base = DualQueueConfig::default();
+        assert!(calibrate_eval_cost(&graph, n, &base, 0).is_none());
+        let model =
+            calibrate_eval_cost(&graph, n, &base, 8).expect("calibration succeeds on a real graph");
+        assert!(model.seconds(graph.len() as u64) > 0.0);
+        // The fitted model converts budgets into finite quotas.
+        let quota = model.quota(Duration::from_millis(100), graph.len() as u64);
+        assert!(quota > 0 && quota < u64::MAX);
     }
 
     #[test]

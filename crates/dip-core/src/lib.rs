@@ -93,8 +93,8 @@ pub use error::DipError;
 pub use memopt::{optimize_memory_detailed, MemoryOptConfig, MemoryOptOutcome};
 pub use monolithic::{monolithic_ilp_search, MonolithicResult};
 pub use ordering::{
-    calibrate_eval_cost, ordering_from_priorities, search_ordering, OrderingResult,
-    OrderingSearchConfig, SearchProgressPoint, SearchStrategy, SearchWork,
+    ordering_from_priorities, search_ordering, OrderingResult, OrderingSearchConfig,
+    SearchProgressPoint, SearchStrategy, SearchWork,
 };
 pub use partitioner::{ModalityAwarePartitioner, PartitionerConfig, PartitionerOutput};
 pub use planner::{DipPlan, DipPlanner, PhaseTimes, PlanTier, PlannerConfig, PlannerStats};

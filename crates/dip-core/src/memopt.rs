@@ -41,7 +41,7 @@ use dip_sim::{CostModel, StageTiming};
 use dip_solver::{Candidate, GroupChoiceProblem, SolveOptions};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Relative optimality gap at which a rank's ILP stops early (§5.3).
 const OPTIMALITY_GAP: f64 = 0.05;
@@ -86,10 +86,6 @@ impl MemoryOptConfig {
 pub struct MemoryOptOutcome {
     /// The chosen per-stage-pair strategies.
     pub plan: MemoryPlan,
-    /// Summed per-rank solve wall time (equals CPU time on unloaded
-    /// cores). Compared with the caller's wall-clock measurement this
-    /// exposes the parallel speedup of the phase.
-    pub cpu_time: Duration,
     /// Constraint entries the per-rank ILPs stored, summed over ranks (see
     /// [`dip_solver::GroupChoiceProblem::constraint_entries`]).
     pub constraint_entries: u64,
@@ -100,12 +96,13 @@ pub struct MemoryOptOutcome {
 type RankSolve = (Vec<(usize, MemoryStrategy)>, u64);
 
 /// Runs per-rank memory optimisation over a stage graph and a fixed
-/// interleaving, returning the chosen [`MemoryPlan`] and the summed solve
-/// time. The independent per-rank ILP subproblems are dispatched across up
-/// to `threads` scoped worker threads; their selections are merged in rank
-/// order — exactly the order a serial loop applies them — and every solve
-/// is node-budgeted rather than clocked, so the result is
-/// **byte-identical to the serial path** at any thread count.
+/// interleaving, returning the chosen [`MemoryPlan`] and the constraint
+/// entries its ILPs stored. The independent per-rank ILP subproblems are
+/// dispatched across up to `threads` scoped worker threads; their
+/// selections are merged in rank order — exactly the order a serial loop
+/// applies them — and every solve is node-budgeted and reads no clock, so
+/// the result is **byte-identical to the serial path** at any thread
+/// count.
 ///
 /// `capacity_per_rank` is the activation-memory budget of each rank (GPU
 /// memory minus the static parameter/optimizer footprint). Ranks whose
@@ -140,21 +137,19 @@ pub fn optimize_memory_detailed(
     // The shared work-stealing fork-join helper: rank → thread assignment
     // cannot influence the per-rank results, which are pure functions of
     // the rank index.
-    let per_rank: Vec<(RankSolve, Duration)> = parallel_map_indexed(
+    let per_rank: Vec<RankSolve> = parallel_map_indexed(
         num_ranks,
         threads,
         || (),
         |_, rank| {
-            let start = Instant::now();
-            let selections = solve_rank(
+            solve_rank(
                 graph,
                 orders.rank(rank),
                 capacity_per_rank,
                 rank,
                 config,
                 &ladder,
-            );
-            (selections, start.elapsed())
+            )
         },
     );
 
@@ -162,18 +157,15 @@ pub fn optimize_memory_detailed(
     // the exact order the serial loop would have written them, so the
     // parallel path produces a byte-identical plan.
     let mut plan = MemoryPlan::new();
-    let mut cpu_time = Duration::ZERO;
     let mut constraint_entries = 0;
-    for ((selections, entries), cpu) in per_rank {
+    for (selections, entries) in per_rank {
         for (stage_pair, strategy) in selections {
             plan.set(stage_pair, strategy);
         }
-        cpu_time += cpu;
         constraint_entries += entries;
     }
     Ok(MemoryOptOutcome {
         plan,
-        cpu_time,
         constraint_entries,
     })
 }

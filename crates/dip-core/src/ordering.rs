@@ -80,9 +80,17 @@
 //! orderings whose evaluation completed. The memo's scope is one search,
 //! because the graph and the [`DualQueueConfig`] are fixed only within one
 //! call.
-//! [`OrderingSearchConfig::eval_cost`] and [`calibrate_eval_cost`] price
-//! and time *full* passes: calibration never goes through the memo and
-//! never resumes.
+//! [`OrderingSearchConfig::eval_cost`] prices *full* passes, and the
+//! calibration that fits it (`dip_bench::calibrate_eval_cost`) times them:
+//! it never goes through the memo and never resumes.
+//!
+//! No stream reads a clock. What a search did is counted
+//! deterministically: [`OrderingResult::evaluations`] is `1 + warm +
+//! streams × quota` for MCTS and random search, `1 + warm + min(quota,
+//! n!)` for DFS, and `1 + warm` on a single-segment graph (`warm` is 1
+//! when a valid seed ordering was evaluated), and
+//! [`OrderingResult::progress`] places every improvement by its
+//! evaluation index.
 //!
 //! The streams keep priorities, never orders, so the winner's orders come
 //! from one more pass over its priorities once the streams finish. The
@@ -97,7 +105,7 @@ use dip_pipeline::{
     dual_queue, DualQueueConfig, PassGraph, PassPrefix, PassRecord, RankOrders, RequirementEvent,
     ScheduleWorkspace, StageGraph, NO_REQUIREMENT,
 };
-use dip_sim::{CostModel, CostSample};
+use dip_sim::CostModel;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -106,7 +114,7 @@ use std::collections::HashMap;
 use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which exploration strategy drives the ordering search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -145,8 +153,8 @@ pub struct OrderingSearchConfig {
     /// quota. Memo hits and resumed passes are not cheaper in virtual
     /// time — they count in full against the quota — so the budget buys
     /// the same evaluations whether or not they repeat. Calibrate it with
-    /// [`calibrate_eval_cost`]; the default is the paper's reference-CPU
-    /// model.
+    /// `dip_bench::calibrate_eval_cost` (the `dip-calibrate` bin); the
+    /// default is the paper's reference-CPU model.
     pub eval_cost: CostModel,
     /// Number of independent root-parallel search streams. The stream
     /// count — not the thread count — determines which orderings get
@@ -221,58 +229,6 @@ impl OrderingSearchConfig {
     }
 }
 
-/// Measures the actual per-evaluation cost of the ordering search on
-/// `graph` and fits a [`CostModel`] from the samples — the calibration hook
-/// that aligns the virtual clock with the machine it runs on, exactly as
-/// the simulator's efficiency factors are aligned with measured kernels
-/// (§6.1 / Fig. 13).
-///
-/// Every sample is a full interleave pass, never a lookup in a search's
-/// pass memo nor a resumed pass: a quota charges a memo hit the price of a
-/// full pass, so the model must price full passes.
-///
-/// This is an **offline** utility: it times real evaluations, so its output
-/// varies with the machine — feed the fitted model into
-/// [`OrderingSearchConfig::eval_cost`] *before* planning and the planning
-/// itself stays deterministic (the model only scales the quota; for
-/// reproducible plans across a fleet, distribute one fitted model to every
-/// machine). Returns `None` when `evaluations == 0` or the measurements
-/// are degenerate.
-///
-/// All samples share one problem size (this graph's item count), so the
-/// fit goes **through the origin** ([`CostModel::fit_through_origin`]):
-/// the measured mean becomes a per-item rate that extrapolates
-/// proportionally to other graph sizes, rather than a constant that would
-/// silently under-budget larger graphs. To recover the fixed overhead
-/// too, time graphs of several sizes and hand the pooled samples to
-/// [`CostModel::fit`] yourself.
-pub fn calibrate_eval_cost(
-    graph: &StageGraph,
-    num_segments: usize,
-    base: &DualQueueConfig,
-    evaluations: u32,
-) -> Option<CostModel> {
-    let mut samples = Vec::new();
-    let ordering: Vec<usize> = (0..num_segments).collect();
-    // Time the steady-state kernel the search workers actually run: one
-    // packed view and one warmed-up workspace reused across evaluations
-    // (the first, allocating pass is deliberately left out of the samples).
-    let view = PassGraph::new(graph);
-    let mut ctx = EvalContext::new(base);
-    if evaluations > 0 {
-        evaluate_into(&view, &ordering, &mut ctx);
-    }
-    for _ in 0..evaluations {
-        let start = Instant::now();
-        let _ = evaluate_into(&view, &ordering, &mut ctx);
-        samples.push(CostSample {
-            units: graph.len() as u64,
-            seconds: start.elapsed().as_secs_f64(),
-        });
-    }
-    CostModel::fit_through_origin(&samples)
-}
-
 /// Converts segment priorities (higher = earlier) back into the ordering
 /// that produced them — the inverse of the search's priority assignment.
 /// Elastic replans seed their search from the anchor's
@@ -298,12 +254,9 @@ fn is_permutation(ordering: &[usize], num_segments: usize) -> bool {
     true
 }
 
-/// A point on the best-score-versus-time curve (Fig. 11).
+/// A point on the best-score-versus-evaluations curve (Fig. 11).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SearchProgressPoint {
-    /// Elapsed search time when the improvement was found (wall clock,
-    /// informational).
-    pub elapsed: Duration,
     /// The stream-local evaluation count at which the improvement was
     /// found, counting the improving evaluation itself; 0 for the
     /// incumbents evaluated before the streams start (identity and warm
@@ -338,7 +291,7 @@ pub struct SearchWork {
     /// Interleave passes the search actually ran, completed or aborted by
     /// the cutoff, resumed or fresh (identity and warm seed included; the
     /// winner's final re-interleave, booked in
-    /// [`Self::winner_live_steps`], and [`calibrate_eval_cost`] are not).
+    /// [`Self::winner_live_steps`], is not).
     /// At most `distinct_orderings + pruned_evaluations`; the gap to
     /// `distinct_orderings` is what records answered whole. Repeats
     /// exactly at one worker; at more workers it can vary with thread
@@ -389,24 +342,16 @@ pub struct OrderingResult {
     /// Number of orderings evaluated (all streams plus the incumbents).
     /// A quota counts evaluations, and memo hits — exact or record — count
     /// in full, so this is the quota-accounted work, not the number of
-    /// interleave passes run (see [`Self::work`]).
+    /// interleave passes run (see [`Self::work`]). Fixed by the strategy,
+    /// the stream count and the quota (see the module docs), never by
+    /// the worker count.
     pub evaluations: u64,
-    /// Orderings evaluated by each search stream, in stream-index order.
-    /// Empty when the search was skipped (single-segment graphs).
-    pub worker_evaluations: Vec<u64>,
     /// The kernel work the evaluations took: pruned evaluations, distinct
     /// orderings, interleave passes and their live and replayed steps.
     pub work: SearchWork,
     /// The deterministic per-stream evaluation quota the search ran under
     /// (0 when the search was skipped).
     pub evaluation_quota: u64,
-    /// Summed per-stream **task wall time** (each stream's elapsed time,
-    /// added up). On unloaded cores this equals CPU time and
-    /// `cpu_time / wall` approaches the worker count when the streams
-    /// scale; when workers oversubscribe the physical cores a descheduled
-    /// stream's wait time is included, so the ratio overstates real
-    /// scaling there.
-    pub cpu_time: Duration,
     /// Progress curve (monotonically decreasing best time, merged across
     /// streams in [`SearchProgressPoint::evaluation`] order, so it is the
     /// same at any worker count).
@@ -465,21 +410,6 @@ impl EvalContext {
     fn priorities(&self) -> &[i64] {
         &self.config.segment_priorities
     }
-}
-
-/// Evaluates one ordering through the reusable workspace, returning the
-/// estimated iteration time. Always a full pass, never a resumed one:
-/// [`calibrate_eval_cost`] times this.
-fn evaluate_into(graph: &PassGraph<'_>, ordering: &[usize], ctx: &mut EvalContext) -> f64 {
-    ctx.set_ordering(ordering);
-    dual_queue::schedule_resumed(
-        graph,
-        &ctx.config,
-        &mut ctx.ws,
-        f64::INFINITY,
-        PassPrefix::EMPTY,
-    )
-    .expect("an infinite cutoff never aborts")
 }
 
 /// One search's pass memo, shared by every stream of one
@@ -936,9 +866,6 @@ struct WorkerOutcome {
     /// How many of `evaluations` the cutoff bound aborted early. Pruned
     /// evaluations still count fully against the quota.
     pruned: u64,
-    /// CPU time the stream's task took to execute (filled by the runner;
-    /// informational only — never consulted by the search itself).
-    cpu: Duration,
 }
 
 impl WorkerOutcome {
@@ -949,25 +876,17 @@ impl WorkerOutcome {
             progress: Vec::new(),
             evaluations: 0,
             pruned: 0,
-            cpu: Duration::ZERO,
         }
     }
 
     /// Records `(time_s, priorities)` found at stream-local `evaluation`
     /// when it strictly improves on this stream's best.
-    fn record_if_better(
-        &mut self,
-        start: Instant,
-        evaluation: u64,
-        time_s: f64,
-        priorities: &[i64],
-    ) {
+    fn record_if_better(&mut self, evaluation: u64, time_s: f64, priorities: &[i64]) {
         if time_s < self.time_s {
             self.time_s = time_s;
             self.priorities.clear();
             self.priorities.extend_from_slice(priorities);
             self.progress.push(SearchProgressPoint {
-                elapsed: start.elapsed(),
                 evaluation,
                 best_time_s: time_s,
             });
@@ -988,7 +907,6 @@ pub fn search_ordering(
     num_segments: usize,
     config: &OrderingSearchConfig,
 ) -> OrderingResult {
-    let start = Instant::now();
     let quota = config.evaluation_quota(graph.len());
     let view = PassGraph::new(graph);
     let memo = PassMemo::new(graph);
@@ -1000,13 +918,11 @@ pub fn search_ordering(
         time_s: t0,
         priorities: ctx.priorities().to_vec(),
         progress: vec![SearchProgressPoint {
-            elapsed: start.elapsed(),
             evaluation: 0,
             best_time_s: t0,
         }],
         evaluations: 1,
         pruned: 0,
-        cpu: Duration::ZERO,
     };
 
     // Warm start: evaluate the seeded ordering (typically the elastic
@@ -1020,59 +936,61 @@ pub fn search_ordering(
         let t = evaluate(&view, seed, &mut ctx, &memo, f64::INFINITY)
             .expect("an infinite cutoff never aborts");
         incumbent.evaluations += 1;
-        incumbent.record_if_better(start, 0, t, ctx.priorities());
+        incumbent.record_if_better(0, t, ctx.priorities());
         warm_time = Some(t);
     }
 
-    let mut outcomes: Vec<WorkerOutcome> = Vec::new();
-    if num_segments > 1 {
+    let outcomes = if num_segments <= 1 {
+        Vec::new()
+    } else {
         let search = Search {
             graph: &view,
             num_segments,
             config,
             quota,
             memo: &memo,
-            start,
         };
         match config.strategy {
-            SearchStrategy::Mcts => {
-                outcomes = run_streams(config, |ctx, stream| {
-                    let mut local = WorkerOutcome::starting_from(&incumbent);
-                    mcts_worker(&search, ctx, warm.zip(warm_time), &mut local, stream);
-                    local
-                });
-            }
-            SearchStrategy::Random => {
-                outcomes = run_streams(config, |ctx, stream| {
-                    let mut local = WorkerOutcome::starting_from(&incumbent);
-                    random_worker(&search, ctx, &mut local, stream);
-                    local
-                });
-            }
+            // DFS is a deterministic lexicographic enumeration; it runs as
+            // a single stream regardless of the configured count.
             SearchStrategy::Dfs => {
-                // DFS is a deterministic lexicographic enumeration; it runs
-                // as a single stream regardless of the configured count.
-                let dfs_start = Instant::now();
                 let mut local = WorkerOutcome::starting_from(&incumbent);
                 dfs_search(&search, &mut ctx, &mut local);
-                local.cpu = dfs_start.elapsed();
-                outcomes = vec![local];
+                vec![local]
             }
+            // The streams run on `config.workers` threads through the
+            // shared work-stealing fork-join helper, each thread with one
+            // `EvalContext` for every stream it runs. A stream's work is a
+            // pure function of its index, and the outcomes come back in
+            // stream-index order, whichever thread ran which stream.
+            strategy => parallel_map_indexed(
+                config.streams.max(1),
+                config.workers,
+                || EvalContext::new(&config.dual_queue),
+                |ctx, stream| {
+                    let mut local = WorkerOutcome::starting_from(&incumbent);
+                    if strategy == SearchStrategy::Mcts {
+                        mcts_worker(&search, ctx, warm.zip(warm_time), &mut local, stream);
+                    } else {
+                        random_worker(&search, ctx, &mut local, stream);
+                    }
+                    local
+                },
+            ),
         }
-    }
+    };
 
     merge_outcomes(&view, &mut ctx, incumbent, outcomes, quota, memo)
 }
 
 /// What every stream of one search shares: the packed graph, the search's
-/// configuration and quota, its pass memo and its start.
+/// configuration and quota, and its pass memo.
 struct Search<'a> {
     graph: &'a PassGraph<'a>,
     num_segments: usize,
     config: &'a OrderingSearchConfig,
     quota: u64,
     memo: &'a PassMemo,
-    start: Instant,
 }
 
 impl Search<'_> {
@@ -1092,30 +1010,6 @@ impl Search<'_> {
     }
 }
 
-/// Executes the configured number of independent search streams on
-/// `config.workers` physical threads (via the shared work-stealing
-/// fork-join helper), each thread with one [`EvalContext`] for every
-/// stream it runs, and returns the outcomes in stream-index order. Every
-/// stream's work is a pure function of its index, so the returned vector
-/// is identical no matter which thread ran which stream.
-fn run_streams<F>(config: &OrderingSearchConfig, work: F) -> Vec<WorkerOutcome>
-where
-    F: Fn(&mut EvalContext, usize) -> WorkerOutcome + Sync + Send,
-{
-    let streams = config.streams.max(1);
-    parallel_map_indexed(
-        streams,
-        config.workers,
-        || EvalContext::new(&config.dual_queue),
-        |ctx, stream| {
-            let task_start = Instant::now();
-            let mut outcome = work(ctx, stream);
-            outcome.cpu = task_start.elapsed();
-            outcome
-        },
-    )
-}
-
 /// Merges the incumbent and every stream outcome into the final result.
 ///
 /// Streams are visited in index order and only a *strictly* better time
@@ -1133,18 +1027,14 @@ fn merge_outcomes(
     memo: PassMemo,
 ) -> OrderingResult {
     let mut evaluations = incumbent.evaluations;
-    let mut worker_evaluations = Vec::with_capacity(outcomes.len());
     let mut progress = incumbent.progress;
     let mut best_time = incumbent.time_s;
     let mut best_priorities = incumbent.priorities;
-    let mut cpu_time = Duration::ZERO;
     let mut pruned = 0;
     for outcome in &outcomes {
         evaluations += outcome.evaluations;
-        worker_evaluations.push(outcome.evaluations);
         pruned += outcome.pruned;
         progress.extend(outcome.progress.iter().copied());
-        cpu_time += outcome.cpu;
         if outcome.time_s < best_time {
             best_time = outcome.time_s;
             best_priorities = outcome.priorities.clone();
@@ -1209,10 +1099,8 @@ fn merge_outcomes(
         segment_priorities: std::mem::take(&mut ctx.config.segment_priorities),
         best_time_s: best_time,
         evaluations,
-        worker_evaluations,
         work,
         evaluation_quota: if outcomes.is_empty() { 0 } else { quota },
-        cpu_time,
         progress: merged,
     }
 }
@@ -1245,7 +1133,7 @@ fn random_worker(
         // against the quota exactly like a finished one.
         local.evaluations += 1;
         match search.evaluate(&ordering, ctx, cutoff) {
-            Some(t) => local.record_if_better(search.start, local.evaluations, t, ctx.priorities()),
+            Some(t) => local.record_if_better(local.evaluations, t, ctx.priorities()),
             None => local.pruned += 1,
         }
     }
@@ -1275,9 +1163,7 @@ fn dfs_search(search: &Search<'_>, ctx: &mut EvalContext, local: &mut WorkerOutc
             let cutoff = search.cutoff(local);
             local.evaluations += 1;
             match search.evaluate(prefix, ctx, cutoff) {
-                Some(t) => {
-                    local.record_if_better(search.start, local.evaluations, t, ctx.priorities())
-                }
+                Some(t) => local.record_if_better(local.evaluations, t, ctx.priorities()),
                 None => local.pruned += 1,
             }
             return;
@@ -1471,7 +1357,7 @@ fn mcts_worker(
                 .evaluate(&ordering, ctx, f64::INFINITY)
                 .expect("an infinite cutoff never aborts");
             local.evaluations += 1;
-            local.record_if_better(search.start, local.evaluations, t, ctx.priorities());
+            local.record_if_better(local.evaluations, t, ctx.priorities());
             local_best = local_best.min(t);
         }
 
@@ -1491,6 +1377,21 @@ mod tests {
     use dip_pipeline::{separated_placement, ParallelConfig, StageGraphBuilder, SubMicrobatchPlan};
     use dip_sim::ClusterTopology;
     use std::collections::BTreeMap;
+
+    /// Evaluates one ordering through a reusable workspace in one full
+    /// pass, never a resumed one and never through a memo: the reference
+    /// every memoised evaluation must reproduce.
+    fn evaluate_into(graph: &PassGraph<'_>, ordering: &[usize], ctx: &mut EvalContext) -> f64 {
+        ctx.set_ordering(ordering);
+        dual_queue::schedule_resumed(
+            graph,
+            &ctx.config,
+            &mut ctx.ws,
+            f64::INFINITY,
+            PassPrefix::EMPTY,
+        )
+        .expect("an infinite cutoff never aborts")
+    }
 
     fn vlm_graph(num_microbatches: usize) -> (StageGraph, usize) {
         let spec = zoo::vlm_s();
@@ -1560,21 +1461,46 @@ mod tests {
         }
     }
 
+    /// A search's evaluation count is fixed by its strategy, stream count,
+    /// quota and seed ordering alone: the identity incumbent, the warm seed
+    /// when it is a permutation, then every stream's full quota (MCTS and
+    /// random) or the quota-capped enumeration (DFS), at any worker count.
     #[test]
-    fn all_strategies_count_evaluations() {
+    fn evaluations_follow_the_strategy_streams_and_quota_exactly() {
         let (graph, n) = vlm_graph(2);
-        for strategy in [
-            SearchStrategy::Mcts,
-            SearchStrategy::Random,
-            SearchStrategy::Dfs,
-        ] {
-            let result = search_ordering(&graph, n, &quick_config(strategy));
-            assert!(result.evaluations >= 1, "{strategy:?}");
-            let worker_total: u64 = result.worker_evaluations.iter().sum();
-            assert!(
-                result.evaluations > worker_total,
-                "{strategy:?}: the incumbent evaluations are counted too"
-            );
+        let permutations: u64 = (1..=n as u64).product();
+        let streams = 3u64;
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        for quota in [5u64, permutations + 3] {
+            for strategy in [
+                SearchStrategy::Mcts,
+                SearchStrategy::Random,
+                SearchStrategy::Dfs,
+            ] {
+                for workers in [1usize, 4] {
+                    for (seed, warm) in [(None, 0u64), (Some(reversed.clone()), 1)] {
+                        let config = OrderingSearchConfig {
+                            time_budget: Duration::from_secs(3600),
+                            max_evaluations: Some(quota),
+                            streams: streams as usize,
+                            workers,
+                            seed_ordering: seed,
+                            ..quick_config(strategy)
+                        };
+                        let result = search_ordering(&graph, n, &config);
+                        assert_eq!(result.evaluation_quota, quota);
+                        let searched = match strategy {
+                            SearchStrategy::Dfs => quota.min(permutations),
+                            _ => streams * quota,
+                        };
+                        assert_eq!(
+                            result.evaluations,
+                            1 + warm + searched,
+                            "{strategy:?}, quota {quota}, {workers} workers, warm {warm}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1675,7 +1601,6 @@ mod tests {
     fn plans_are_bit_identical_across_worker_counts() {
         let (graph, n) = vlm_graph(4);
         let reference = search_ordering(&graph, n, &bounded_config(1, 30));
-        assert_eq!(reference.worker_evaluations.len(), 4, "4 streams");
         for workers in [2usize, 4, 8] {
             let parallel = search_ordering(&graph, n, &bounded_config(workers, 30));
             assert_eq!(
@@ -1684,7 +1609,7 @@ mod tests {
             );
             assert_eq!(parallel.orders, reference.orders, "{workers} workers");
             assert_eq!(parallel.evaluations, reference.evaluations);
-            assert_eq!(parallel.worker_evaluations, reference.worker_evaluations);
+            assert_eq!(parallel.progress, reference.progress, "{workers} workers");
             assert_eq!(
                 parallel.best_time_s.to_bits(),
                 reference.best_time_s.to_bits(),
@@ -1699,20 +1624,19 @@ mod tests {
     #[test]
     fn progress_points_are_identical_across_worker_counts() {
         let (graph, n) = vlm_graph(4);
-        let points = |workers: usize| {
-            let result = search_ordering(&graph, n, &bounded_config(workers, 30));
-            let mut points: Vec<(u64, u64)> = result
-                .progress
-                .iter()
-                .map(|p| (p.evaluation, p.best_time_s.to_bits()))
-                .collect();
-            points.sort_unstable();
-            (points, result.work.distinct_orderings)
-        };
-        let (reference, distinct) = points(1);
-        assert_eq!(reference[0].0, 0, "the identity incumbent comes first");
-        assert!(reference.len() > 1, "the streams improved on the incumbent");
-        assert_eq!(points(4), (reference, distinct));
+        let reference = search_ordering(&graph, n, &bounded_config(1, 30));
+        let progress = &reference.progress;
+        assert_eq!(
+            progress[0].evaluation, 0,
+            "the identity incumbent comes first"
+        );
+        assert!(progress.len() > 1, "the streams improved on the incumbent");
+        let parallel = search_ordering(&graph, n, &bounded_config(4, 30));
+        assert_eq!(&parallel.progress, progress);
+        assert_eq!(
+            parallel.work.distinct_orderings,
+            reference.work.distinct_orderings
+        );
     }
 
     #[test]
@@ -1774,39 +1698,6 @@ mod tests {
     }
 
     #[test]
-    fn max_evaluations_caps_each_stream() {
-        let (graph, n) = vlm_graph(3);
-        for strategy in [
-            SearchStrategy::Mcts,
-            SearchStrategy::Random,
-            SearchStrategy::Dfs,
-        ] {
-            for workers in [1usize, 3] {
-                let config = OrderingSearchConfig {
-                    time_budget: Duration::from_secs(3600),
-                    max_evaluations: Some(10),
-                    streams: 3,
-                    workers,
-                    ..quick_config(strategy)
-                };
-                let result = search_ordering(&graph, n, &config);
-                assert_eq!(result.evaluation_quota, 10, "{strategy:?}/{workers}");
-                assert!(
-                    result.worker_evaluations.iter().all(|&e| e <= 10),
-                    "{strategy:?}/{workers}: per-stream counts {:?}",
-                    result.worker_evaluations
-                );
-                let cap = 1 + 10 * result.worker_evaluations.len() as u64;
-                assert!(
-                    result.evaluations <= cap,
-                    "{strategy:?}/{workers} ran {} evaluations (cap {cap})",
-                    result.evaluations
-                );
-            }
-        }
-    }
-
-    #[test]
     fn evaluation_quota_follows_budget_and_graph_size() {
         let config = OrderingSearchConfig::default();
         // Bigger budgets buy more evaluations; bigger graphs fewer.
@@ -1831,17 +1722,6 @@ mod tests {
             ..config
         };
         assert_eq!(zero.evaluation_quota(50), 0);
-    }
-
-    #[test]
-    fn calibrate_eval_cost_fits_a_usable_model() {
-        let (graph, n) = vlm_graph(2);
-        let model = calibrate_eval_cost(&graph, n, &DualQueueConfig::default(), 8)
-            .expect("calibration succeeds on a real graph");
-        assert!(model.seconds(graph.len() as u64) > 0.0);
-        // The fitted model converts budgets into finite quotas.
-        let quota = model.quota(Duration::from_millis(100), graph.len() as u64);
-        assert!(quota > 0 && quota < u64::MAX);
     }
 
     /// Every stored record rebuilds, at every resume step up to its
@@ -2011,9 +1891,18 @@ mod tests {
         let batch = BatchWorkload::new().with(Modality::Text, ModalityWorkload::from_tokens(4096));
         let plan = SubMicrobatchPlan::uniform(1, 1);
         let graph = builder.build(&[batch], &plan).unwrap();
-        let result = search_ordering(&graph, 1, &quick_config(SearchStrategy::Mcts));
-        assert_eq!(result.evaluations, 1);
-        assert_eq!(result.segment_priorities.len(), 1);
-        assert!(result.worker_evaluations.is_empty());
+        for workers in [1usize, 4] {
+            for (seed, warm) in [(None, 0u64), (Some(vec![0]), 1)] {
+                let config = OrderingSearchConfig {
+                    workers,
+                    seed_ordering: seed,
+                    ..quick_config(SearchStrategy::Mcts)
+                };
+                let result = search_ordering(&graph, 1, &config);
+                assert_eq!(result.evaluations, 1 + warm, "{workers} workers");
+                assert_eq!(result.evaluation_quota, 0);
+                assert_eq!(result.segment_priorities.len(), 1);
+            }
+        }
     }
 }

@@ -153,17 +153,13 @@ pub enum PlanTier {
     Elastic,
 }
 
-/// Wall time per planning phase (§3.2). A plan's phases are its own; a
-/// session or an elastic replan sums them over plans with `+=`.
-///
-/// The two parallel phases, search and memopt, also carry a `*_cpu` field
-/// that sums the phase's parallel task wall times (each task's elapsed
-/// time, added up). On unloaded cores that equals CPU time, so `cpu /
-/// wall` is the phase's parallel speedup: it approaches the worker count
-/// when the phase scales on dedicated cores, and overstates it when
-/// workers oversubscribe the machine (a descheduled task's wait is
-/// included). The other phases are serial: their CPU time is their wall
-/// time.
+/// Wall time per planning phase (§3.2), read at the phase boundaries on
+/// the planning thread; no search stream or per-rank ILP reads a clock. A
+/// plan's phases are its own; a session or an elastic replan sums them
+/// over plans with `+=`. The work a phase did is counted apart and
+/// deterministically ([`PlannerStats::search_evaluations`],
+/// [`PlannerStats::search_work`],
+/// [`PlannerStats::memopt_constraint_entries`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PhaseTimes {
     /// The partitioning phase: sub-microbatch planning, plus the offline
@@ -176,15 +172,9 @@ pub struct PhaseTimes {
     pub graph_build: Duration,
     /// The schedule-search phase (§5.1–5.2).
     pub search: Duration,
-    /// Summed per-stream task wall time of the search (see
-    /// [`crate::OrderingResult::cpu_time`]).
-    pub search_cpu: Duration,
     /// The memory-optimisation phase (§5.3): the reprice under the chosen
     /// (or adopted) strategies, the per-rank ILPs and the re-interleave.
     pub memopt: Duration,
-    /// Summed per-rank ILP solve wall time: `memopt_cpu / memopt` shows how
-    /// much of the phase the rank-parallel decomposition overlaps.
-    pub memopt_cpu: Duration,
 }
 
 impl AddAssign for PhaseTimes {
@@ -192,9 +182,7 @@ impl AddAssign for PhaseTimes {
         self.partition += other.partition;
         self.graph_build += other.graph_build;
         self.search += other.search;
-        self.search_cpu += other.search_cpu;
         self.memopt += other.memopt;
-        self.memopt_cpu += other.memopt_cpu;
     }
 }
 
@@ -211,10 +199,6 @@ pub struct PlannerStats {
     /// The kernel work behind `search_evaluations` (see
     /// [`crate::OrderingResult::work`]); zero on an exact cache hit.
     pub search_work: SearchWork,
-    /// Schedule candidates evaluated by each parallel search worker, in
-    /// worker-index order (empty when the search was skipped, the graph
-    /// has a single segment, or the plan is an exact cache hit).
-    pub search_worker_evaluations: Vec<u64>,
     /// Constraint entries the memory ILPs stored (see
     /// [`crate::MemoryOptOutcome::constraint_entries`]); zero when no
     /// memory ILP ran.
@@ -718,8 +702,8 @@ impl<'a> DipPlanner<'a> {
         // rebuild (memory strategies only retime stages; dependencies and
         // lags are untouched) at a fraction of the cost.
         let memopt_start = Instant::now();
-        let (memory_plan, memopt_cpu, memopt_constraint_entries) = match anchor {
-            Some(anchor) => (anchor.memory_plan.clone(), Duration::ZERO, 0),
+        let (memory_plan, memopt_constraint_entries) = match anchor {
+            Some(anchor) => (anchor.memory_plan.clone(), 0),
             None if self.config.enable_memory_opt => {
                 let memopt = optimize_memory_detailed(
                     &graph,
@@ -734,9 +718,9 @@ impl<'a> DipPlanner<'a> {
                     ..queue
                 };
                 (ordering.orders, ordering.best_time_s) = dual_queue::schedule(&graph, &queue);
-                (memopt.plan, memopt.cpu_time, memopt.constraint_entries)
+                (memopt.plan, memopt.constraint_entries)
             }
-            None => (MemoryPlan::new(), Duration::ZERO, 0),
+            None => (MemoryPlan::new(), 0),
         };
         let memopt_time = reprice_time + memopt_start.elapsed();
 
@@ -755,13 +739,10 @@ impl<'a> DipPlanner<'a> {
                     partition,
                     graph_build,
                     search: search_time,
-                    search_cpu: ordering.cpu_time,
                     memopt: memopt_time,
-                    memopt_cpu,
                 },
                 search_evaluations: ordering.evaluations,
                 search_work: ordering.work,
-                search_worker_evaluations: ordering.worker_evaluations,
                 memopt_constraint_entries,
                 planned_time_s: ordering.best_time_s,
                 tier,
@@ -794,7 +775,6 @@ impl<'a> DipPlanner<'a> {
             segment_priorities,
             best_time_s,
             evaluations: 1,
-            worker_evaluations: Vec::new(),
             work: SearchWork {
                 distinct_orderings: 1,
                 interleave_passes: 1,
@@ -802,7 +782,6 @@ impl<'a> DipPlanner<'a> {
                 ..SearchWork::default()
             },
             evaluation_quota: 0,
-            cpu_time: Duration::ZERO,
             progress: Vec::new(),
             orders,
         }
@@ -919,19 +898,28 @@ mod tests {
     }
 
     #[test]
-    fn num_threads_knob_reaches_search_and_worker_stats() {
+    fn num_threads_knob_reaches_search_and_leaves_the_plan_unchanged() {
         let spec = zoo::vlm_s();
         let cluster = ClusterTopology::h800_cluster(2);
-        let config = PlannerConfig::fast().with_num_threads(2);
-        assert_eq!(config.num_threads, 2);
-        assert_eq!(config.search.workers, 2);
-        let planner = DipPlanner::on_topology(&spec, ParallelConfig::new(4, 4, 1), cluster, config);
+        let parallel = ParallelConfig::new(4, 4, 1);
         let batches: Vec<BatchWorkload> = [10u64, 40].iter().map(|&i| vlm_batch(i)).collect();
-        let plan = planner.plan_iteration(&batches).unwrap();
-        assert_eq!(plan.stats.search_worker_evaluations.len(), 2);
-        // The total includes the incumbent evaluations on top of the
-        // per-worker counts.
-        assert!(plan.stats.search_evaluations > plan.stats.search_worker_evaluations.iter().sum());
+        let plan_on = |threads: usize| {
+            let config = PlannerConfig::fast().with_num_threads(threads);
+            let planner = DipPlanner::on_topology(&spec, parallel, cluster.clone(), config);
+            assert_eq!(planner.config().num_threads, threads);
+            assert_eq!(planner.config().search.workers, threads);
+            planner.plan_iteration(&batches).unwrap()
+        };
+        let (two, one) = (plan_on(2), plan_on(1));
+        assert_eq!(two.graph, one.graph);
+        assert_eq!(two.orders, one.orders);
+        assert_eq!(two.segment_priorities, one.segment_priorities);
+        assert_eq!(two.memory_plan, one.memory_plan);
+        assert_eq!(two.stats.search_evaluations, one.stats.search_evaluations);
+        assert_eq!(
+            two.stats.planned_time_s.to_bits(),
+            one.stats.planned_time_s.to_bits()
+        );
     }
 
     #[test]

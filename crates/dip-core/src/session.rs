@@ -1202,11 +1202,8 @@ mod tests {
         let req = request(&[10, 40, 2, 30]);
 
         let cold = session.plan(&req).unwrap().plan.stats;
-        assert!(cold.phases.search_cpu > Duration::ZERO);
-        assert!(cold.phases.memopt_cpu > Duration::ZERO);
         assert!(cold.search_evaluations > 1);
         assert!(cold.search_work.interleave_passes > 0);
-        assert!(!cold.search_worker_evaluations.is_empty());
 
         let hit = session.plan(&req).unwrap().plan.stats;
         assert_eq!(hit.tier, PlanTier::Exact);
@@ -1218,7 +1215,6 @@ mod tests {
         // Nor did it search: the cold plan's search is not the hit's.
         assert_eq!(hit.search_evaluations, 0);
         assert_eq!(hit.search_work, SearchWork::default());
-        assert!(hit.search_worker_evaluations.is_empty());
     }
 
     #[test]
@@ -1466,7 +1462,7 @@ mod tests {
         assert_eq!(fuzzy.plan.segment_priorities, cold.plan.segment_priorities);
         assert_eq!(fuzzy.plan.memory_plan, cold.plan.memory_plan);
         assert_eq!(fuzzy.plan.sub_microbatches, cold.plan.sub_microbatches);
-        assert_eq!(fuzzy.plan.stats.phases.memopt_cpu, Duration::ZERO);
+        assert_eq!(fuzzy.plan.stats.memopt_constraint_entries, 0);
         // One interleave pass over the repriced graph, and nothing else.
         let graph = &fuzzy.plan.graph;
         assert_eq!(fuzzy.plan.stats.search_evaluations, 1);

@@ -1,10 +1,8 @@
 //! The Megatron-LM baseline: balanced-parameter partitioning (optionally
 //! interleaved into virtual pipeline chunks) with the 1F1B schedule.
 
-use super::BaselineContext;
-use crate::dual_queue::{schedule, DualQueueConfig};
-use crate::executor::{execute, ExecutionOutcome, ExecutorConfig};
-use crate::graph::{StageGraphBuilder, SubMicrobatchPlan};
+use super::{simulate_pipeline, BaselineContext};
+use crate::executor::ExecutionOutcome;
 use crate::partition::balanced_param_placement;
 use crate::placement::PipelineError;
 use dip_models::BatchWorkload;
@@ -25,28 +23,16 @@ pub fn simulate_megatron(
     virtual_chunks: usize,
 ) -> Result<ExecutionOutcome, PipelineError> {
     let placement = balanced_param_placement(ctx.spec, ctx.parallel, virtual_chunks.max(1));
-    placement.validate(ctx.spec)?;
-
-    let builder = StageGraphBuilder::new_on(ctx.spec, &placement, &ctx.topology)
-        .with_efficiency(ctx.timing.efficiency);
-    let plan = SubMicrobatchPlan::uniform(placement.segments.len(), microbatches.len());
-    let graph = builder.build(microbatches, &plan)?;
-
-    let config = DualQueueConfig {
-        // Equal segment priorities: 1F1B orders stages by microbatch index,
-        // interleaving virtual chunks round-robin.
-        segment_priorities: vec![0; placement.segments.len()],
-        // 1F1B warm-up bound: at most `pp` in-flight microbatches per rank.
-        max_inflight: Some(ctx.parallel.pp),
-        memory_limit: Some(ctx.activation_budget(&graph.static_memory)),
-    };
-    let (orders, _) = schedule(&graph, &config);
-    execute(
-        &graph,
-        &orders,
-        &ctx.topology,
-        &ctx.timing,
-        &ExecutorConfig::new(ctx.parallel),
+    // Equal segment priorities: 1F1B orders stages by microbatch index,
+    // interleaving virtual chunks round-robin, with the 1F1B warm-up bound
+    // of at most `pp` in-flight microbatches per rank.
+    let priorities = vec![0; placement.segments.len()];
+    simulate_pipeline(
+        ctx,
+        &placement,
+        microbatches,
+        priorities,
+        Some(ctx.parallel.pp),
     )
 }
 

@@ -19,8 +19,11 @@ pub use megatron::simulate_megatron;
 pub use nnscaler::{nnscaler_static_plan, simulate_nnscaler};
 pub use optimus::simulate_optimus;
 
-use crate::placement::ParallelConfig;
-use dip_models::LmmSpec;
+use crate::dual_queue::{schedule, DualQueueConfig};
+use crate::executor::{execute, ExecutionOutcome, ExecutorConfig};
+use crate::graph::{StageGraphBuilder, SubMicrobatchPlan};
+use crate::placement::{ParallelConfig, PipelineError, Placement};
+use dip_models::{BatchWorkload, LmmSpec};
 use dip_sim::{ClusterTopology, EfficiencyModel, TimingModel};
 
 /// Shared context for simulating one training iteration of a baseline.
@@ -65,4 +68,36 @@ impl<'a> BaselineContext<'a> {
         self.topology
             .activation_budget(static_memory, self.parallel.tp)
     }
+}
+
+/// The one body every pipeline baseline shares: validates `placement`,
+/// builds its stage graph over one sub-microbatch per microbatch,
+/// interleaves it under `segment_priorities` and `max_inflight` within each
+/// rank's activation budget, and executes the result. The baselines differ
+/// only in these three inputs.
+fn simulate_pipeline(
+    ctx: &BaselineContext<'_>,
+    placement: &Placement,
+    microbatches: &[BatchWorkload],
+    segment_priorities: Vec<i64>,
+    max_inflight: Option<usize>,
+) -> Result<ExecutionOutcome, PipelineError> {
+    placement.validate(ctx.spec)?;
+    let builder = StageGraphBuilder::new_on(ctx.spec, placement, &ctx.topology)
+        .with_efficiency(ctx.timing.efficiency);
+    let plan = SubMicrobatchPlan::uniform(placement.segments.len(), microbatches.len());
+    let graph = builder.build(microbatches, &plan)?;
+    let config = DualQueueConfig {
+        segment_priorities,
+        max_inflight,
+        memory_limit: Some(ctx.activation_budget(&graph.static_memory)),
+    };
+    let (orders, _) = schedule(&graph, &config);
+    execute(
+        &graph,
+        &orders,
+        &ctx.topology,
+        &ctx.timing,
+        &ExecutorConfig::new(ctx.parallel),
+    )
 }

@@ -8,10 +8,8 @@
 //! and reused unchanged for every iteration, which is what makes it brittle
 //! under dynamic multimodal workloads (Fig. 8b, iterations 15–20).
 
-use super::BaselineContext;
-use crate::dual_queue::{schedule, DualQueueConfig};
-use crate::executor::{execute, ExecutionOutcome, ExecutorConfig};
-use crate::graph::{StageGraphBuilder, SubMicrobatchPlan};
+use super::{simulate_pipeline, BaselineContext};
+use crate::executor::ExecutionOutcome;
 use crate::partition::balanced_latency_placement;
 use crate::placement::{PipelineError, Placement};
 use dip_models::BatchWorkload;
@@ -42,24 +40,13 @@ pub fn simulate_nnscaler(
     placement: &Placement,
     microbatches: &[BatchWorkload],
 ) -> Result<ExecutionOutcome, PipelineError> {
-    placement.validate(ctx.spec)?;
-    let builder = StageGraphBuilder::new_on(ctx.spec, placement, &ctx.topology)
-        .with_efficiency(ctx.timing.efficiency);
-    let plan = SubMicrobatchPlan::uniform(placement.segments.len(), microbatches.len());
-    let graph = builder.build(microbatches, &plan)?;
-
-    let config = DualQueueConfig {
-        segment_priorities: vec![0; placement.segments.len()],
-        max_inflight: Some(ctx.parallel.pp),
-        memory_limit: Some(ctx.activation_budget(&graph.static_memory)),
-    };
-    let (orders, _) = schedule(&graph, &config);
-    execute(
-        &graph,
-        &orders,
-        &ctx.topology,
-        &ctx.timing,
-        &ExecutorConfig::new(ctx.parallel),
+    let priorities = vec![0; placement.segments.len()];
+    simulate_pipeline(
+        ctx,
+        placement,
+        microbatches,
+        priorities,
+        Some(ctx.parallel.pp),
     )
 }
 

@@ -9,10 +9,8 @@
 //! does not support diffusion decoders, so the paper (and this reproduction)
 //! only evaluates it on VLM setups.
 
-use super::BaselineContext;
-use crate::dual_queue::{schedule, DualQueueConfig};
-use crate::executor::{execute, ExecutionOutcome, ExecutorConfig};
-use crate::graph::{StageGraphBuilder, SubMicrobatchPlan};
+use super::{simulate_pipeline, BaselineContext};
+use crate::executor::ExecutionOutcome;
 use crate::partition::separated_placement;
 use crate::placement::PipelineError;
 use dip_models::{BatchWorkload, ModuleRole};
@@ -37,13 +35,6 @@ pub fn simulate_optimus(
     }
     // One dedicated segment per module (K_i = 1 everywhere).
     let placement = separated_placement(ctx.spec, ctx.parallel, &BTreeMap::new());
-    placement.validate(ctx.spec)?;
-
-    let builder = StageGraphBuilder::new_on(ctx.spec, &placement, &ctx.topology)
-        .with_efficiency(ctx.timing.efficiency);
-    let plan = SubMicrobatchPlan::uniform(placement.segments.len(), microbatches.len());
-    let graph = builder.build(microbatches, &plan)?;
-
     // Coarse-grained ordering: encoder (and adapter) segments get strictly
     // higher priority than the backbone so that every encoder stage of every
     // microbatch is scheduled before backbone work when both are ready.
@@ -62,20 +53,7 @@ pub fn simulate_optimus(
             }
         })
         .collect();
-
-    let config = DualQueueConfig {
-        segment_priorities,
-        memory_limit: Some(ctx.activation_budget(&graph.static_memory)),
-        max_inflight: None,
-    };
-    let (orders, _) = schedule(&graph, &config);
-    execute(
-        &graph,
-        &orders,
-        &ctx.topology,
-        &ctx.timing,
-        &ExecutorConfig::new(ctx.parallel),
-    )
+    simulate_pipeline(ctx, &placement, microbatches, segment_priorities, None)
 }
 
 #[cfg(test)]

@@ -190,7 +190,6 @@ fn pruned_search_returns_the_same_best_plan_as_unpruned() {
             // Pruned evaluations still count against the quota, so the
             // exploration accounting is identical too.
             assert_eq!(pruned.evaluations, reference.evaluations);
-            assert_eq!(pruned.worker_evaluations, reference.worker_evaluations);
             total_pruned += pruned.work.pruned_evaluations;
         }
     }
