@@ -20,7 +20,7 @@ use dip_pipeline::baselines::{
     nnscaler_static_plan, simulate_megatron, simulate_nnscaler, simulate_optimus, BaselineContext,
 };
 use dip_pipeline::{
-    dual_queue, execute, DualQueueConfig, ExecutorConfig, ParallelConfig, PassGraph, PassPrefix,
+    dual_queue, execute, DualQueueConfig, ExecutorConfig, ParallelConfig, PassGraph,
     ScheduleWorkspace, StageGraph,
 };
 use dip_sim::{ClusterTopology, CostModel, CostSample, IterationMetrics};
@@ -488,10 +488,11 @@ pub fn interleaver_equals_engine(planner: &DipPlanner<'_>, plan: &DipPlan) -> bo
 /// It times the steady-state kernel a search stream runs: one packed
 /// [`PassGraph`] and one warmed-up [`ScheduleWorkspace`] reused for
 /// `evaluations` full interleave passes under the identity ordering
-/// (segment `i` at priority `n − i`), with no cutoff and no replayed
-/// prefix. The first, allocating pass is left out of the samples. A
-/// search's quota charges a memo hit or a resumed pass the price of a full
-/// pass, so the model prices full passes.
+/// (segment `i` at priority `n − i`), through
+/// [`dual_queue::schedule_bounded`] with no cutoff: no memo, no replayed
+/// prefix and no per-call pack. The first, allocating pass is left out of
+/// the samples. A search's quota charges a memo hit or a resumed pass the
+/// price of a full pass, so the model prices full passes.
 ///
 /// This is an **offline** utility: its output varies with the machine.
 /// Feed the fitted model into the search config *before* planning and the
@@ -521,7 +522,7 @@ pub fn calibrate_eval_cost(
         ..base.clone()
     };
     let mut pass = || {
-        dual_queue::schedule_resumed(&view, &config, &mut ws, f64::INFINITY, PassPrefix::EMPTY)
+        dual_queue::schedule_bounded(&view, &config, &mut ws, f64::INFINITY)
             .expect("an infinite cutoff never aborts")
     };
     if evaluations > 0 {

@@ -12,6 +12,7 @@
 //! The search is bounded by a budget of branch-and-bound nodes, not by a
 //! clock, so its result and node count are the same on any machine.
 
+use crate::ordering::next_permutation;
 use dip_pipeline::{dual_queue, Direction, DualQueueConfig, MemoryStrategy, StageGraph};
 use dip_sim::StageTiming;
 use dip_solver::{Candidate, GroupChoiceProblem, SolveOptions};
@@ -60,11 +61,8 @@ pub fn monolithic_ilp_search(
     let mut ilp_nodes = 0u64;
     let mut constraint_entries = 0u64;
 
-    let mut orderings = Permutations::new(num_segments.max(1));
+    let mut ordering: Vec<usize> = (0..num_segments.max(1)).collect();
     while ilp_nodes < node_budget {
-        let Some(ordering) = orderings.next_permutation() else {
-            break;
-        };
         // Fix the interleaving implied by this ordering.
         let n = ordering.len();
         let mut priorities = vec![0i64; n];
@@ -149,6 +147,9 @@ pub fn monolithic_ilp_search(
             let extra = (solution.objective - baseline_latency).max(0.0);
             best_time = best_time.min(makespan + extra / graph.num_ranks.max(1) as f64);
         }
+        if !next_permutation(&mut ordering) {
+            break;
+        }
     }
 
     MonolithicResult {
@@ -158,56 +159,6 @@ pub fn monolithic_ilp_search(
         subproblems_solved: subproblems,
         ilp_nodes,
         constraint_entries,
-    }
-}
-
-/// Plain lexicographic permutation generator (avoids allocating all `n!`
-/// permutations up front).
-struct Permutations {
-    current: Vec<usize>,
-    first: bool,
-    done: bool,
-}
-
-impl Permutations {
-    fn new(n: usize) -> Self {
-        Self {
-            current: (0..n).collect(),
-            first: true,
-            done: false,
-        }
-    }
-
-    fn next_permutation(&mut self) -> Option<Vec<usize>> {
-        if self.done {
-            return None;
-        }
-        if self.first {
-            self.first = false;
-            return Some(self.current.clone());
-        }
-        // Standard next-permutation algorithm.
-        let v = &mut self.current;
-        let n = v.len();
-        if n < 2 {
-            self.done = true;
-            return None;
-        }
-        let mut i = n - 1;
-        while i > 0 && v[i - 1] >= v[i] {
-            i -= 1;
-        }
-        if i == 0 {
-            self.done = true;
-            return None;
-        }
-        let mut j = n - 1;
-        while v[j] <= v[i - 1] {
-            j -= 1;
-        }
-        v.swap(i - 1, j);
-        v[i..].reverse();
-        Some(v.clone())
     }
 }
 
@@ -234,19 +185,6 @@ mod tests {
             .unwrap();
         let n = placement.segments.len();
         (g, n)
-    }
-
-    #[test]
-    fn permutation_generator_enumerates_all_orderings() {
-        let mut p = Permutations::new(3);
-        let mut count = 0;
-        while p.next_permutation().is_some() {
-            count += 1;
-        }
-        assert_eq!(count, 6);
-        let mut single = Permutations::new(1);
-        assert_eq!(single.next_permutation(), Some(vec![0]));
-        assert_eq!(single.next_permutation(), None);
     }
 
     /// Searches under a binding activation budget — a quarter of the

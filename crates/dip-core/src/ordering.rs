@@ -25,11 +25,10 @@
 //! are merged by best simulated iteration time with a stable tie-break
 //! (the lowest stream index wins ties).
 //!
-//! A search packs its graph once into a [`PassGraph`] that every pass
-//! reads, and each worker thread holds one evaluation context (a
-//! [`ScheduleWorkspace`] and its scratch) for every stream it runs; the
-//! search's own thread holds one more for the incumbents, DFS and the
-//! winner. All of them are dropped with the search.
+//! Each worker thread holds one evaluation context (a [`ScheduleWorkspace`]
+//! and the config its priorities are written into) for every stream it
+//! runs; the search's own thread holds one more for the incumbents, DFS and
+//! the winner. All of them are dropped with the search.
 //!
 //! Search budgets are **virtual time**, never wall clock: the
 //! [`OrderingSearchConfig::time_budget`] is converted into a deterministic
@@ -47,39 +46,21 @@
 //! only changes if the *quota* changes, never with the machine.)
 //!
 //! A quota counts **evaluations**, not interleave passes. Each
-//! [`search_ordering`] call owns a pass memo, shared by all of its streams,
-//! with two tables. The exact map sends a segment ordering to the makespan
-//! of its completed evaluation. The record list keeps, for every completed
-//! pass, its decision record (see [`dip_pipeline::dual_queue`]): its
-//! requirement table, its pop log and requirement events (cut at the
-//! largest finite requirement step, past which nothing is ever replayed)
-//! and its makespan. An evaluation first looks the ordering up in the
-//! exact map, then scans every record for the ordering's largest resume
-//! point `j`. At `j = ∞` the ordering reproduces that pass bit for bit, and
-//! the lookup returns exactly what the pass would have returned. Otherwise
-//! the pass runs resumed at `j`: it replays the recorded pass's first `j`
-//! pops and decides only the rest (`j = 0` is a fresh pass). A resumed pass
-//! is still one pass, bit-identical to a fresh one.
-//!
-//! The scan reads the requirement tables in the layout its inner loop
-//! streams: column-major, one column per ordered segment pair holding that
-//! pair's step for every record (two bytes a step when the graph's steps
-//! fit, four otherwise). It folds the columns of the ordering's unranked
-//! pairs into a per-record minimum, branch-free and without a per-record
-//! early stop, then takes the first record holding the largest minimum —
-//! the origin the record-by-record scan it replaced picks, ties included
-//! (a proptest keeps that scan as its reference).
+//! [`search_ordering`] call owns one [`PassMemo`], shared by all of its
+//! streams, through which every evaluation runs. The memo protocol —
+//! decision records written by the interleave kernel, stored, scanned and
+//! copied back by the memo — lives wholly in `dip-pipeline` (see
+//! [`dip_pipeline::memo`] and [`dip_pipeline::dual_queue`]); this module
+//! owns neither half. It chooses which priorities to evaluate and maps the
+//! memo's [`dip_pipeline::MemoWork`] to [`SearchWork`]. A memo answer —
+//! from its exact map, from a record the priorities reproduce whole, or
+//! from a pass resumed where they stop agreeing with the best earlier pass
+//! — is exactly what a fresh bounded pass would return.
 //!
 //! Every evaluation, a memo hit or not, counts in full against the
 //! stream's quota (and as pruned when it loses to the stream's cutoff). So
 //! the memo changes neither which orderings are explored nor which plan
-//! wins, only how much kernel work runs:
-//! [`SearchWork::interleave_passes`] counts the passes,
-//! [`SearchWork::live_steps`] and [`SearchWork::replayed_steps`] the steps
-//! they decided and replayed, and [`SearchWork::distinct_orderings`] the
-//! orderings whose evaluation completed. The memo's scope is one search,
-//! because the graph and the [`DualQueueConfig`] are fixed only within one
-//! call.
+//! wins, only how much kernel work runs, which [`SearchWork`] counts.
 //! [`OrderingSearchConfig::eval_cost`] prices *full* passes, and the
 //! calibration that fits it (`dip_bench::calibrate_eval_cost`) times them:
 //! it never goes through the memo and never resumes.
@@ -93,27 +74,20 @@
 //! evaluation index.
 //!
 //! The streams keep priorities, never orders, so the winner's orders come
-//! from one more pass over its priorities once the streams finish. The
-//! winner's evaluation completed, so some record reproduces it whole: that
-//! pass resumes from the record, replaying every pop the memo stores for it
-//! (up to the record's horizon) and deciding only the rest. Its steps are
-//! booked apart, in [`SearchWork::winner_live_steps`] and
+//! from one more pass over its priorities once the streams finish
+//! ([`PassMemo::interleave_winner`]), resumed from the memo record the
+//! winner reproduces whole. Its steps are booked apart, in
+//! [`SearchWork::winner_live_steps`] and
 //! [`SearchWork::winner_replayed_steps`].
 
 use dip_pipeline::par::parallel_map_indexed;
-use dip_pipeline::{
-    dual_queue, DualQueueConfig, PassGraph, PassPrefix, PassRecord, RankOrders, RequirementEvent,
-    ScheduleWorkspace, StageGraph, NO_REQUIREMENT,
-};
+use dip_pipeline::{DualQueueConfig, PassMemo, RankOrders, ScheduleWorkspace, StageGraph};
 use dip_sim::CostModel;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::ops::AddAssign;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Which exploration strategy drives the ordering search.
@@ -171,7 +145,7 @@ pub struct OrderingSearchConfig {
     /// segment priorities override its `segment_priorities`.
     pub dual_queue: DualQueueConfig,
     /// Whether the random and DFS workers bound each evaluation by their
-    /// stream's incumbent via [`dip_pipeline::schedule_resumed`], aborting
+    /// stream's incumbent (see [`dip_pipeline::schedule_bounded`]), aborting
     /// an interleave pass the moment any stage end time exceeds the best
     /// time the stream has seen. The bound is exact (the makespan is a
     /// monotone max of stage end times), the incumbent is **per stream**,
@@ -374,13 +348,6 @@ pub struct OrderingResult {
 struct EvalContext {
     config: DualQueueConfig,
     ws: ScheduleWorkspace,
-    /// Requirement-table indices `s * n + t` of the segment pairs the
-    /// current priorities do not rank strictly `s` over `t`.
-    unranked: Vec<u32>,
-    /// The prefix the next pass replays, copied out of the pass memo.
-    prefix_pops: Vec<u32>,
-    /// The requirement events below that prefix.
-    prefix_events: Vec<RequirementEvent>,
 }
 
 impl EvalContext {
@@ -388,9 +355,6 @@ impl EvalContext {
         Self {
             config: base.clone(),
             ws: ScheduleWorkspace::new(),
-            unranked: Vec::new(),
-            prefix_pops: Vec::new(),
-            prefix_events: Vec::new(),
         }
     }
 
@@ -410,449 +374,14 @@ impl EvalContext {
     fn priorities(&self) -> &[i64] {
         &self.config.segment_priorities
     }
-}
 
-/// One search's pass memo, shared by every stream of one
-/// [`search_ordering`] call and dropped with it (the graph and dual-queue
-/// config are fixed only within a call). It holds makespans and decision
-/// records, never orders.
-struct PassMemo {
-    tables: Mutex<MemoTables>,
-    /// Interleave passes run through [`evaluate`], aborted ones included.
-    passes: AtomicU64,
-    /// Steps those passes decided live.
-    live_steps: AtomicU64,
-    /// Steps those passes replayed from an earlier pass.
-    replayed_steps: AtomicU64,
-}
-
-struct MemoTables {
-    /// Segment ordering → makespan, for every ordering whose evaluation
-    /// completed (by a pass or a record hit).
-    exact: HashMap<Vec<usize>, f64>,
-    /// The decision record of every completed pass.
-    records: PassRecords,
-}
-
-/// The decision records of a search's completed passes (one record per
-/// pass, in completion order), so storing a record costs no allocation of
-/// its own once the arenas have grown. A pass resumed at step `j` made the
-/// same first `j` pops, and lowered its requirement steps at them in the
-/// same events, as the pass it resumed from, so its record stores only
-/// what follows step `j` and points at that pass for the rest.
-struct PassRecords {
-    /// Per pass: its makespan, origin and where its own parts end.
-    passes: Vec<StoredPass>,
-    /// The requirement tables, column-major: one column per ordered
-    /// segment pair, holding that pair's step for every record.
-    requirements: Requirements,
-    /// Each pass's own pops, from its resume step up to its horizon (no
-    /// resume replays past the horizon), back to back.
-    pops: Compact,
-    /// Each pass's own requirement events, at pop steps from its resume
-    /// step up to its horizon, back to back.
-    events: Vec<RequirementEvent>,
-}
-
-/// The fixed-size part of a stored record.
-struct StoredPass {
-    makespan: f64,
-    origin: Origin,
-    /// Where the pass's own pops end in [`PassRecords::pops`].
-    pops_end: u32,
-    /// Where the pass's own events end in [`PassRecords::events`].
-    events_end: u32,
-}
-
-/// The start of a stored record: it shares its first `resumed` pops and
-/// the events below them with record `source`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Origin {
-    source: u32,
-    resumed: u32,
-}
-
-/// The best an earlier pass offers an ordering.
-#[derive(Debug, PartialEq, Eq)]
-enum Resume {
-    /// The index of a pass the ordering reproduces whole (`j = ∞`).
-    Hit(u32),
-    /// The pass with the largest resume point `j`, and `j` (0 when no pass
-    /// agrees on even one step).
-    At(Origin),
-}
-
-impl PassRecords {
-    fn new(graph: &StageGraph) -> Self {
-        let pairs = graph.num_segments() * graph.num_segments();
-        Self {
-            passes: Vec::new(),
-            requirements: Requirements::for_graph(graph.len(), pairs),
-            pops: Compact::for_graph(graph.len()),
-            events: Vec::new(),
-        }
+    /// Evaluates one ordering under `cutoff` through the search's memo —
+    /// the single path every search evaluation takes (see
+    /// [`PassMemo::evaluate`]).
+    fn evaluate(&mut self, memo: &PassMemo<'_>, ordering: &[usize], cutoff: f64) -> Option<f64> {
+        self.set_ordering(ordering);
+        memo.evaluate(&self.config, &mut self.ws, cutoff)
     }
-
-    /// The largest resume point any record offers an ordering whose
-    /// unranked pairs are `unranked`: the first record holding it, and a
-    /// [`Resume::Hit`] when it is `j = ∞` (every record the ordering
-    /// reproduces carries the same makespan bits).
-    fn best_resume(&mut self, unranked: &[u32]) -> Resume {
-        match self.requirements.best(unranked, self.passes.len()) {
-            Some((pass, NO_REQUIREMENT)) => Resume::Hit(pass as u32),
-            Some((pass, resumed)) => Resume::At(Origin {
-                source: pass as u32,
-                resumed,
-            }),
-            None => Resume::At(Origin {
-                source: 0,
-                resumed: 0,
-            }),
-        }
-    }
-
-    /// The makespan of `pass`.
-    fn makespan(&self, pass: u32) -> f64 {
-        self.passes[pass as usize].makespan
-    }
-
-    /// The longest prefix of `pass` the records hold: its resume step and
-    /// its own pops after it, up to its horizon.
-    fn stored_prefix(&self, pass: u32) -> Origin {
-        let stored = &self.passes[pass as usize];
-        let (pops_start, _) = self.starts(pass as usize);
-        Origin {
-            source: pass,
-            resumed: stored.origin.resumed + (stored.pops_end - pops_start as u32),
-        }
-    }
-
-    /// Where the own parts of `pass` start: after those of the pass
-    /// before it.
-    fn starts(&self, pass: usize) -> (usize, usize) {
-        pass.checked_sub(1).map_or((0, 0), |prev| {
-            let prev = &self.passes[prev];
-            (prev.pops_end as usize, prev.events_end as usize)
-        })
-    }
-
-    /// Copies the first `origin.resumed` pops of pass `origin.source`, and
-    /// its events below them, into the reused buffers: each pass along the
-    /// chain of passes it resumed from contributes its own part.
-    fn copy_prefix(&self, origin: Origin, pops: &mut Vec<u32>, events: &mut Vec<RequirementEvent>) {
-        pops.clear();
-        pops.resize(origin.resumed as usize, 0);
-        let mut total = 0;
-        for (pass, resumed, end) in self.chain(origin) {
-            let (pops_start, _) = self.starts(pass);
-            self.pops.copy_to(
-                pops_start..pops_start + end - resumed,
-                &mut pops[resumed..end],
-            );
-            total += self.own_events_below(pass, end).len();
-        }
-        // The chain yields later steps first, and each part's events are in
-        // recorded order, so writing the parts back to front restores the
-        // recorded order exactly.
-        events.clear();
-        let blank = RequirementEvent {
-            pair: 0,
-            pop_step: 0,
-            push_step: 0,
-        };
-        events.resize(total, blank);
-        for (pass, _, end) in self.chain(origin) {
-            let part = self.own_events_below(pass, end);
-            total -= part.len();
-            events[total..total + part.len()].copy_from_slice(part);
-        }
-    }
-
-    /// The passes along the chain that holds the first `origin.resumed`
-    /// pops of pass `origin.source`, latest first, each with the steps
-    /// `resumed..end` its own part contributes.
-    fn chain(&self, origin: Origin) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        let (mut pass, mut end) = (origin.source as usize, origin.resumed as usize);
-        std::iter::from_fn(move || {
-            while end > 0 {
-                let stored = &self.passes[pass];
-                let resumed = stored.origin.resumed as usize;
-                let part = (pass, resumed, end);
-                (pass, end) = (stored.origin.source as usize, end.min(resumed));
-                if part.2 > resumed {
-                    return Some(part);
-                }
-            }
-            None
-        })
-    }
-
-    /// The own events of `pass` at pop steps below `end` (they are stored
-    /// in pop-step order).
-    fn own_events_below(&self, pass: usize, end: usize) -> &[RequirementEvent] {
-        let (_, events_start) = self.starts(pass);
-        let own = &self.events[events_start..self.passes[pass].events_end as usize];
-        &own[..own.partition_point(|e| (e.pop_step as usize) < end)]
-    }
-
-    /// Stores the record of a completed pass that resumed at `origin`.
-    fn push(&mut self, record: PassRecord<'_>, makespan: f64, origin: Origin) {
-        let horizon = record.horizon();
-        let resumed = origin.resumed as usize;
-        self.requirements.push(record.requirements());
-        if horizon > resumed {
-            self.pops.extend(&record.pops()[resumed..horizon]);
-        }
-        // Events come in pop-step order, so those at steps `resumed..horizon`
-        // are one run.
-        let events = record.events();
-        let below = |step: usize| events.partition_point(|e| (e.pop_step as usize) < step);
-        let (lo, hi) = (below(resumed), below(horizon));
-        self.events.extend_from_slice(&events[lo..hi.max(lo)]);
-        self.passes.push(StoredPass {
-            makespan,
-            origin,
-            pops_end: self.pops.len() as u32,
-            events_end: self.events.len() as u32,
-        });
-    }
-}
-
-/// Whether every stage id and requirement step of a graph fits in two
-/// bytes (ids and steps stay below its item count), with the largest
-/// two-byte value left free to stand for [`NO_REQUIREMENT`].
-fn fits_narrow(len: usize) -> bool {
-    len < usize::from(u16::MAX)
-}
-
-/// A value as two bytes, [`NO_REQUIREMENT`] as the largest one.
-fn narrow(value: u32) -> u16 {
-    value.min(u32::from(u16::MAX)) as u16
-}
-
-/// A narrow stored value as four bytes.
-fn widen(value: u16) -> u32 {
-    if value == u16::MAX {
-        NO_REQUIREMENT
-    } else {
-        u32::from(value)
-    }
-}
-
-/// The memo's requirement columns, two bytes per step when the graph's
-/// steps fit (see [`fits_narrow`]), four otherwise.
-enum Requirements {
-    Narrow(Columns<u16>),
-    Wide(Columns<u32>),
-}
-
-impl Requirements {
-    fn for_graph(len: usize, pairs: usize) -> Self {
-        if fits_narrow(len) {
-            Self::Narrow(Columns::new(pairs))
-        } else {
-            Self::Wide(Columns::new(pairs))
-        }
-    }
-
-    /// Appends one record's row-major requirement table.
-    fn push(&mut self, table: &[u32]) {
-        match self {
-            Self::Narrow(columns) => columns.push(table.iter().map(|&v| narrow(v))),
-            Self::Wide(columns) => columns.push(table.iter().copied()),
-        }
-    }
-
-    /// The first of the `records` records holding the largest minimum over
-    /// the `pairs` columns, and that minimum; `None` without records.
-    fn best(&mut self, pairs: &[u32], records: usize) -> Option<(usize, u32)> {
-        match self {
-            Self::Narrow(columns) => columns
-                .best(pairs, records, u16::MAX)
-                .map(|(record, j)| (record, widen(j))),
-            Self::Wide(columns) => columns.best(pairs, records, NO_REQUIREMENT),
-        }
-    }
-}
-
-/// Per-record values stored column by column, plus the reused row the
-/// scan folds them into.
-struct Columns<T> {
-    columns: Vec<Vec<T>>,
-    mins: Vec<T>,
-}
-
-impl<T: Copy + Ord> Columns<T> {
-    fn new(pairs: usize) -> Self {
-        Self {
-            columns: (0..pairs).map(|_| Vec::new()).collect(),
-            mins: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, row: impl Iterator<Item = T>) {
-        for (column, value) in self.columns.iter_mut().zip(row) {
-            column.push(value);
-        }
-    }
-
-    /// Takes the elementwise minimum of the `pairs` columns over all
-    /// `records` records, without stopping early, then returns the first
-    /// record holding the maximum of those minima. A record's minimum is
-    /// `none` when `pairs` is empty.
-    fn best(&mut self, pairs: &[u32], records: usize, none: T) -> Option<(usize, T)> {
-        let mins = &mut self.mins;
-        mins.clear();
-        mins.resize(records, none);
-        for &pair in pairs {
-            for (min, &value) in mins.iter_mut().zip(&self.columns[pair as usize][..records]) {
-                *min = (*min).min(value);
-            }
-        }
-        let best = *mins.iter().max()?;
-        let record = mins.iter().position(|&min| min == best)?;
-        Some((record, best))
-    }
-}
-
-/// Stage ids, two bytes each when the graph's ids fit (see
-/// [`fits_narrow`]), four otherwise.
-enum Compact {
-    Narrow(Vec<u16>),
-    Wide(Vec<u32>),
-}
-
-impl Compact {
-    fn for_graph(len: usize) -> Self {
-        if fits_narrow(len) {
-            Self::Narrow(Vec::new())
-        } else {
-            Self::Wide(Vec::new())
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Self::Narrow(values) => values.len(),
-            Self::Wide(values) => values.len(),
-        }
-    }
-
-    fn extend(&mut self, values: &[u32]) {
-        match self {
-            Self::Narrow(narrow_values) => narrow_values.extend(values.iter().map(|&v| narrow(v))),
-            Self::Wide(wide) => wide.extend_from_slice(values),
-        }
-    }
-
-    fn copy_to(&self, range: std::ops::Range<usize>, out: &mut [u32]) {
-        match self {
-            Self::Narrow(values) => {
-                for (out, &v) in out.iter_mut().zip(&values[range]) {
-                    *out = widen(v);
-                }
-            }
-            Self::Wide(values) => out.copy_from_slice(&values[range]),
-        }
-    }
-}
-
-impl PassMemo {
-    fn new(graph: &StageGraph) -> Self {
-        Self {
-            tables: Mutex::new(MemoTables {
-                exact: HashMap::new(),
-                records: PassRecords::new(graph),
-            }),
-            passes: AtomicU64::new(0),
-            live_steps: AtomicU64::new(0),
-            replayed_steps: AtomicU64::new(0),
-        }
-    }
-
-    fn tables(&self) -> std::sync::MutexGuard<'_, MemoTables> {
-        self.tables
-            .lock()
-            .expect("a search stream panicked holding the pass memo")
-    }
-
-    /// The work the finished search counted; `pruned_evaluations` is the
-    /// streams' to fill.
-    fn into_work(self) -> SearchWork {
-        let tables = self
-            .tables
-            .into_inner()
-            .expect("a search stream panicked holding the pass memo");
-        SearchWork {
-            distinct_orderings: tables.exact.len() as u64,
-            interleave_passes: self.passes.into_inner(),
-            live_steps: self.live_steps.into_inner(),
-            replayed_steps: self.replayed_steps.into_inner(),
-            ..SearchWork::default()
-        }
-    }
-}
-
-/// Evaluates one ordering under `cutoff` — the single path every search
-/// evaluation takes. Writes the ordering's priorities into `ctx`, then
-/// answers from `memo` when it can: first from the exact map, then from
-/// any completed pass the ordering reproduces whole (resume point `j = ∞`;
-/// every such pass carries the same makespan bits, so the scan order does
-/// not matter). An answer `m` returns `Some(m)` when `m <= cutoff` and
-/// `None` otherwise, which is exactly what a fresh
-/// [`dip_pipeline::schedule_resumed`] pass returns for that ordering (the
-/// bound is exact, see there); a record answer within the cutoff joins the
-/// exact map as a completed evaluation. Otherwise the bounded pass runs, resumed
-/// at the largest resume point any record offers, and only a completed
-/// pass is memoised, in both tables. `ctx.ws` holds a pop log only after
-/// a pass, so callers keep priorities, never orders.
-fn evaluate(
-    graph: &PassGraph<'_>,
-    ordering: &[usize],
-    ctx: &mut EvalContext,
-    memo: &PassMemo,
-    cutoff: f64,
-) -> Option<f64> {
-    ctx.set_ordering(ordering);
-    let origin = {
-        let mut tables = memo.tables();
-        if let Some(&makespan) = tables.exact.get(ordering) {
-            return (makespan <= cutoff).then_some(makespan);
-        }
-        dual_queue::unranked_pairs(
-            &ctx.config.segment_priorities,
-            graph.graph().num_segments(),
-            &mut ctx.unranked,
-        );
-        match tables.records.best_resume(&ctx.unranked) {
-            Resume::Hit(pass) => {
-                let makespan = tables.records.makespan(pass);
-                if makespan <= cutoff {
-                    tables.exact.insert(ordering.to_vec(), makespan);
-                }
-                return (makespan <= cutoff).then_some(makespan);
-            }
-            Resume::At(origin) => {
-                tables
-                    .records
-                    .copy_prefix(origin, &mut ctx.prefix_pops, &mut ctx.prefix_events);
-                origin
-            }
-        }
-    };
-    let prefix = PassPrefix::new(&ctx.prefix_pops, &ctx.prefix_events);
-    let result = dual_queue::schedule_resumed(graph, &ctx.config, &mut ctx.ws, cutoff, prefix);
-    memo.passes.fetch_add(1, AtomicOrdering::Relaxed);
-    memo.live_steps
-        .fetch_add(ctx.ws.live_steps() as u64, AtomicOrdering::Relaxed);
-    memo.replayed_steps
-        .fetch_add(ctx.ws.replayed_steps() as u64, AtomicOrdering::Relaxed);
-    if let Some(makespan) = result {
-        let mut tables = memo.tables();
-        tables.exact.insert(ordering.to_vec(), makespan);
-        tables.records.push(ctx.ws.record(), makespan, origin);
-    }
-    result
 }
 
 /// One stream's private best-so-far state plus its bookkeeping. Streams
@@ -908,11 +437,11 @@ pub fn search_ordering(
     config: &OrderingSearchConfig,
 ) -> OrderingResult {
     let quota = config.evaluation_quota(graph.len());
-    let view = PassGraph::new(graph);
     let memo = PassMemo::new(graph);
     let mut ctx = EvalContext::new(&config.dual_queue);
     let identity: Vec<usize> = (0..num_segments).collect();
-    let t0 = evaluate(&view, &identity, &mut ctx, &memo, f64::INFINITY)
+    let t0 = ctx
+        .evaluate(&memo, &identity, f64::INFINITY)
         .expect("an infinite cutoff never aborts");
     let mut incumbent = WorkerOutcome {
         time_s: t0,
@@ -933,7 +462,8 @@ pub fn search_ordering(
         .filter(|seed| is_permutation(seed, num_segments));
     let mut warm_time = None;
     if let Some(seed) = warm {
-        let t = evaluate(&view, seed, &mut ctx, &memo, f64::INFINITY)
+        let t = ctx
+            .evaluate(&memo, seed, f64::INFINITY)
             .expect("an infinite cutoff never aborts");
         incumbent.evaluations += 1;
         incumbent.record_if_better(0, t, ctx.priorities());
@@ -944,7 +474,6 @@ pub fn search_ordering(
         Vec::new()
     } else {
         let search = Search {
-            graph: &view,
             num_segments,
             config,
             quota,
@@ -980,25 +509,19 @@ pub fn search_ordering(
         }
     };
 
-    merge_outcomes(&view, &mut ctx, incumbent, outcomes, quota, memo)
+    merge_outcomes(graph, &mut ctx, incumbent, outcomes, quota, memo)
 }
 
-/// What every stream of one search shares: the packed graph, the search's
-/// configuration and quota, and its pass memo.
+/// What every stream of one search shares: the search's configuration and
+/// quota, and its pass memo.
 struct Search<'a> {
-    graph: &'a PassGraph<'a>,
     num_segments: usize,
     config: &'a OrderingSearchConfig,
     quota: u64,
-    memo: &'a PassMemo,
+    memo: &'a PassMemo<'a>,
 }
 
 impl Search<'_> {
-    /// Evaluates `ordering` for a stream under `cutoff` (see [`evaluate`]).
-    fn evaluate(&self, ordering: &[usize], ctx: &mut EvalContext, cutoff: f64) -> Option<f64> {
-        evaluate(self.graph, ordering, ctx, self.memo, cutoff)
-    }
-
     /// The cutoff a random or DFS evaluation runs under: the stream's
     /// incumbent when bounded evaluations are on.
     fn cutoff(&self, local: &WorkerOutcome) -> f64 {
@@ -1019,12 +542,12 @@ impl Search<'_> {
 /// from one more pass over its priorities through `ctx`, resumed from the
 /// memo record the winner reproduces whole.
 fn merge_outcomes(
-    graph: &PassGraph<'_>,
+    graph: &StageGraph,
     ctx: &mut EvalContext,
     incumbent: WorkerOutcome,
     outcomes: Vec<WorkerOutcome>,
     quota: u64,
-    memo: PassMemo,
+    memo: PassMemo<'_>,
 ) -> OrderingResult {
     let mut evaluations = incumbent.evaluations;
     let mut progress = incumbent.progress;
@@ -1056,46 +579,24 @@ fn merge_outcomes(
             merged.push(point);
         }
     }
-    // The winner's evaluation completed, so a record reproduces it whole;
-    // replay everything the memo stores of that record.
     ctx.config.segment_priorities = best_priorities;
-    dual_queue::unranked_pairs(
-        &ctx.config.segment_priorities,
-        graph.graph().num_segments(),
-        &mut ctx.unranked,
-    );
-    {
-        let mut tables = memo.tables();
-        let origin = match tables.records.best_resume(&ctx.unranked) {
-            Resume::Hit(pass) => tables.records.stored_prefix(pass),
-            // Never for a completed winner; a resumed pass is exact anyway.
-            Resume::At(origin) => origin,
-        };
-        tables
-            .records
-            .copy_prefix(origin, &mut ctx.prefix_pops, &mut ctx.prefix_events);
-    }
-    let prefix = PassPrefix::new(&ctx.prefix_pops, &ctx.prefix_events);
-    let makespan =
-        dual_queue::schedule_resumed(graph, &ctx.config, &mut ctx.ws, f64::INFINITY, prefix);
-    debug_assert_eq!(
-        makespan.map(f64::to_bits),
-        Some(best_time.to_bits()),
-        "the winner re-interleaves to its searched makespan"
-    );
-    // Every completed evaluation's ordering is in the exact map once, and
-    // which evaluations complete does not depend on which stream ran first,
-    // so its final size is deterministic. The pass and step counts are
-    // not: which records exist when a stream scans depends on thread
+    let memo = memo.interleave_winner(&ctx.config, &mut ctx.ws);
+    // Every completed evaluation's priorities are in the exact map once,
+    // and which evaluations complete does not depend on which stream ran
+    // first, so its final size is deterministic. The pass and step counts
+    // are not: which records exist when a stream scans depends on thread
     // timing.
     let work = SearchWork {
         pruned_evaluations: pruned,
-        winner_live_steps: ctx.ws.live_steps() as u64,
-        winner_replayed_steps: ctx.ws.replayed_steps() as u64,
-        ..memo.into_work()
+        distinct_orderings: memo.distinct_priorities,
+        interleave_passes: memo.passes,
+        live_steps: memo.live_steps,
+        replayed_steps: memo.replayed_steps,
+        winner_live_steps: memo.winner_live_steps,
+        winner_replayed_steps: memo.winner_replayed_steps,
     };
     OrderingResult {
-        orders: ctx.ws.orders(graph.graph()),
+        orders: ctx.ws.orders(graph),
         segment_priorities: std::mem::take(&mut ctx.config.segment_priorities),
         best_time_s: best_time,
         evaluations,
@@ -1132,7 +633,7 @@ fn random_worker(
         // A pruned evaluation (provably worse than the incumbent) counts
         // against the quota exactly like a finished one.
         local.evaluations += 1;
-        match search.evaluate(&ordering, ctx, cutoff) {
+        match ctx.evaluate(search.memo, &ordering, cutoff) {
             Some(t) => local.record_if_better(local.evaluations, t, ctx.priorities()),
             None => local.pruned += 1,
         }
@@ -1143,42 +644,46 @@ fn random_worker(
 // DFS enumeration
 // ---------------------------------------------------------------------------
 
+/// Lexicographic enumeration of the orderings from the identity on,
+/// stopping at the quota.
 fn dfs_search(search: &Search<'_>, ctx: &mut EvalContext, local: &mut WorkerOutcome) {
-    // Lexicographic enumeration of permutations via recursion with an
-    // explicit prefix stack, stopping at the quota.
-    fn recurse(
-        search: &Search<'_>,
-        ctx: &mut EvalContext,
-        local: &mut WorkerOutcome,
-        prefix: &mut Vec<usize>,
-        remaining: &mut Vec<usize>,
-    ) {
+    let mut ordering: Vec<usize> = (0..search.num_segments).collect();
+    loop {
         if local.budget_exhausted(search.quota) {
             return;
         }
-        if remaining.is_empty() {
-            // DFS only reports its single best ordering, so (like the
-            // random worker) each leaf evaluation is bounded by the
-            // incumbent — exact pruning, identical best plan.
-            let cutoff = search.cutoff(local);
-            local.evaluations += 1;
-            match search.evaluate(prefix, ctx, cutoff) {
-                Some(t) => local.record_if_better(local.evaluations, t, ctx.priorities()),
-                None => local.pruned += 1,
-            }
+        // DFS only reports its single best ordering, so (like the random
+        // worker) each evaluation is bounded by the incumbent — exact
+        // pruning, identical best plan.
+        let cutoff = search.cutoff(local);
+        local.evaluations += 1;
+        match ctx.evaluate(search.memo, &ordering, cutoff) {
+            Some(t) => local.record_if_better(local.evaluations, t, ctx.priorities()),
+            None => local.pruned += 1,
+        }
+        if !next_permutation(&mut ordering) {
             return;
         }
-        for i in 0..remaining.len() {
-            let seg = remaining.remove(i);
-            prefix.push(seg);
-            recurse(search, ctx, local, prefix, remaining);
-            prefix.pop();
-            remaining.insert(i, seg);
-        }
     }
-    let mut prefix = Vec::new();
-    let mut remaining: Vec<usize> = (0..search.num_segments).collect();
-    recurse(search, ctx, local, &mut prefix, &mut remaining);
+}
+
+/// Rearranges `values` into the next permutation in lexicographic order,
+/// returning false (and leaving them as they are) at the last one.
+pub(crate) fn next_permutation(values: &mut [usize]) -> bool {
+    // The longest non-increasing suffix starts at `i`; nothing follows
+    // the last permutation, which is all suffix.
+    let Some(i) = (1..values.len()).rev().find(|&i| values[i - 1] < values[i]) else {
+        return false;
+    };
+    // Swap the pivot with the rightmost larger value, then make the suffix
+    // ascending: the smallest arrangement after the pivot's new value.
+    let j = (i..values.len())
+        .rev()
+        .find(|&j| values[j] > values[i - 1])
+        .expect("the suffix holds a value above the pivot");
+    values.swap(i - 1, j);
+    values[i..].reverse();
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -1353,8 +858,8 @@ fn mcts_worker(
             // than the incumbent — a cutoff-aborted rollout would yield no
             // value and change how the tree grows. A repeated rollout is a
             // memo lookup of that same true time.
-            let t = search
-                .evaluate(&ordering, ctx, f64::INFINITY)
+            let t = ctx
+                .evaluate(search.memo, &ordering, f64::INFINITY)
                 .expect("an infinite cutoff never aborts");
             local.evaluations += 1;
             local.record_if_better(local.evaluations, t, ctx.priorities());
@@ -1381,16 +886,9 @@ mod tests {
     /// Evaluates one ordering through a reusable workspace in one full
     /// pass, never a resumed one and never through a memo: the reference
     /// every memoised evaluation must reproduce.
-    fn evaluate_into(graph: &PassGraph<'_>, ordering: &[usize], ctx: &mut EvalContext) -> f64 {
+    fn evaluate_into(graph: &StageGraph, ordering: &[usize], ctx: &mut EvalContext) -> f64 {
         ctx.set_ordering(ordering);
-        dual_queue::schedule_resumed(
-            graph,
-            &ctx.config,
-            &mut ctx.ws,
-            f64::INFINITY,
-            PassPrefix::EMPTY,
-        )
-        .expect("an infinite cutoff never aborts")
+        dip_pipeline::schedule_into(graph, &ctx.config, &mut ctx.ws)
     }
 
     fn vlm_graph(num_microbatches: usize) -> (StageGraph, usize) {
@@ -1442,7 +940,7 @@ mod tests {
         let (graph, n) = vlm_graph(6);
         let identity: Vec<usize> = (0..n).collect();
         let identity_time = evaluate_into(
-            &PassGraph::new(&graph),
+            &graph,
             &identity,
             &mut EvalContext::new(&DualQueueConfig::default()),
         );
@@ -1522,7 +1020,7 @@ mod tests {
         let cold = search_ordering(&graph, n, &quick_config(SearchStrategy::Mcts));
         let seed = ordering_from_priorities(&cold.segment_priorities);
         let seed_time = evaluate_into(
-            &PassGraph::new(&graph),
+            &graph,
             &seed,
             &mut EvalContext::new(&DualQueueConfig::default()),
         );
@@ -1724,160 +1222,21 @@ mod tests {
         assert_eq!(zero.evaluation_quota(50), 0);
     }
 
-    /// Every stored record rebuilds, at every resume step up to its
-    /// horizon and over its whole stored prefix, exactly the pops and
-    /// events of a fresh pass over its ordering, although resumed passes
-    /// store only their own part.
+    /// DFS and the monolithic baseline enumerate permutations in
+    /// lexicographic order from the identity, every one exactly once.
     #[test]
-    fn stored_records_rebuild_every_prefix() {
-        let (graph, n) = vlm_graph(6);
-        let view = PassGraph::new(&graph);
-        let memo = PassMemo::new(&graph);
-        let mut ctx = EvalContext::new(&DualQueueConfig::default());
-        let mut rng = worker_rng(3, 0);
-        let mut ordering: Vec<usize> = (0..n).collect();
-        // The ordering behind each stored record, in storage order.
-        let mut stored = Vec::new();
-        for _ in 0..40 {
-            ordering.shuffle(&mut rng);
-            let passes = memo.passes.load(AtomicOrdering::Relaxed);
-            evaluate(&view, &ordering, &mut ctx, &memo, f64::INFINITY);
-            if memo.passes.load(AtomicOrdering::Relaxed) > passes {
-                stored.push(ordering.clone());
+    fn permutation_generator_enumerates_all_orderings() {
+        for n in 0..6 {
+            let mut values: Vec<usize> = (0..n).collect();
+            let mut seen = vec![values.clone()];
+            while next_permutation(&mut values) {
+                assert!(seen.last().unwrap() < &values, "{n}: out of order");
+                seen.push(values.clone());
             }
-        }
-        let tables = memo.tables();
-        let records = &tables.records;
-        assert!(
-            records.passes.iter().any(|p| p.origin.resumed > 0),
-            "no stored pass resumed"
-        );
-        let (mut fresh, mut pops, mut events) = (
-            EvalContext::new(&DualQueueConfig::default()),
-            Vec::new(),
-            Vec::new(),
-        );
-        for (pass, ordering) in stored.iter().enumerate() {
-            evaluate_into(&view, ordering, &mut fresh);
-            let record = fresh.ws.record();
-            // The winner's re-interleave replays a record's whole stored
-            // prefix: at least up to its horizon, and its own pops.
-            let whole = records.stored_prefix(pass as u32);
-            assert!(whole.resumed as usize >= record.horizon(), "pass {pass}");
-            records.copy_prefix(whole, &mut pops, &mut events);
-            assert_eq!(pops, record.pops()[..whole.resumed as usize], "pass {pass}");
-            for steps in 0..=record.horizon() {
-                records.copy_prefix(
-                    Origin {
-                        source: pass as u32,
-                        resumed: steps as u32,
-                    },
-                    &mut pops,
-                    &mut events,
-                );
-                assert_eq!(pops, record.pops()[..steps], "pass {pass}, {steps} steps");
-                let below: Vec<RequirementEvent> = record
-                    .events()
-                    .iter()
-                    .copied()
-                    .filter(|e| (e.pop_step as usize) < steps)
-                    .collect();
-                assert_eq!(events, below, "pass {pass}, {steps} steps");
-            }
-        }
-    }
-
-    /// The record-major scan the column-major one replaced: records in
-    /// completion order, each one's pair loop stopping once its running
-    /// minimum is at or below the best point so far, the scan stopping at
-    /// the first record the ordering reproduces.
-    fn record_major_resume(tables: &[Vec<u32>], unranked: &[u32]) -> Resume {
-        let mut best = Origin {
-            source: 0,
-            resumed: 0,
-        };
-        for (pass, table) in tables.iter().enumerate() {
-            let mut j = NO_REQUIREMENT;
-            for &pair in unranked {
-                j = j.min(table[pair as usize]);
-                if j <= best.resumed {
-                    break;
-                }
-            }
-            if j == NO_REQUIREMENT {
-                return Resume::Hit(pass as u32);
-            }
-            if j > best.resumed {
-                best = Origin {
-                    source: pass as u32,
-                    resumed: j,
-                };
-            }
-        }
-        Resume::At(best)
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3000))]
-        /// The column-major scan returns exactly the record-major scan's
-        /// `Resume` (variant, record and step) at both storage widths, on
-        /// memos from empty to a few dozen records whose steps come from a
-        /// small set (so equal `j` ties are common), with whole rows of
-        /// "none" and orderings that leave no pair unranked.
-        #[test]
-        fn column_major_resume_matches_the_record_major_scan(
-            shape in (1usize..6, 0u8..2),
-            cells in proptest::prelude::prop::collection::vec(0u8..16, 0..600),
-            priorities in proptest::prelude::prop::collection::vec(0u8..4, 5..6),
-        ) {
-            let (segments, wide) = (shape.0, shape.1 == 1);
-            let pairs = segments * segments;
-            // The graph length fixes the width; steps stay below it.
-            let len = if wide { 100_000 } else { 60_000 };
-            let steps = [0, 1, 2, 2, 5, 5, 9, len as u32 - 1];
-            let tables: Vec<Vec<u32>> = cells
-                .chunks_exact(pairs)
-                .map(|row| {
-                    // A row led by 15 is all "none".
-                    let all_none = row[0] == 15;
-                    row.iter()
-                        .map(|&c| match c {
-                            _ if all_none => NO_REQUIREMENT,
-                            0..=7 => steps[usize::from(c)],
-                            _ => NO_REQUIREMENT,
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut records = PassRecords {
-                passes: Vec::new(),
-                requirements: Requirements::for_graph(len, pairs),
-                pops: Compact::for_graph(len),
-                events: Vec::new(),
-            };
-            proptest::prop_assert_eq!(matches!(records.requirements, Requirements::Wide(_)), wide);
-            for table in &tables {
-                records.requirements.push(table);
-                records.passes.push(StoredPass {
-                    makespan: 0.0,
-                    origin: Origin {
-                        source: 0,
-                        resumed: 0,
-                    },
-                    pops_end: 0,
-                    events_end: 0,
-                });
-            }
-            let priorities: Vec<i64> = priorities[..segments].iter().map(|&p| i64::from(p)).collect();
-            let mut unranked = Vec::new();
-            dual_queue::unranked_pairs(&priorities, segments, &mut unranked);
-            proptest::prop_assert_eq!(
-                records.best_resume(&unranked),
-                record_major_resume(&tables, &unranked),
-                "{} records, unranked {:?}",
-                tables.len(),
-                unranked
-            );
+            let count: usize = (1..=n).product();
+            assert_eq!(seen.len(), count, "{n} values");
+            // The last permutation is left as it is.
+            assert_eq!(values, (0..n).rev().collect::<Vec<_>>());
         }
     }
 

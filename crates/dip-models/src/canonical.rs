@@ -26,8 +26,9 @@ use std::fmt;
 const CANONICAL_SEED: u64 = 0xb0c4_e7ab_u64.wrapping_mul(0x9e37_79b9_7f4a_7c15);
 
 /// Folds one word into the accumulator with the SplitMix64 finaliser, so
-/// the word's order in the sequence matters and words do not cancel.
-fn fold(acc: u64, word: u64) -> u64 {
+/// the word's order in the sequence matters and words do not cancel. The
+/// simulator's device keys and topology fingerprints fold with it too.
+pub fn fold(acc: u64, word: u64) -> u64 {
     let mut z = acc.wrapping_add(word);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -30,7 +30,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod canonical;
+pub mod canonical;
 mod cost;
 mod error;
 mod layer;

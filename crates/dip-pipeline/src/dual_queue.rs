@@ -16,6 +16,11 @@
 //!
 //! # Decision record and prefix resume
 //!
+//! This module owns the writing half of the pass memo's protocol: every
+//! pass leaves a decision record in its workspace, and replays whatever
+//! prefix of an earlier pass's record its workspace holds when it starts.
+//! [`crate::memo`] owns the other half: storing, scanning and copying back.
+//!
 //! Segment priorities enter a pass in one place only: reading the top of a
 //! (rank, direction) queue. A queue orders its entries by priority first and
 //! then by microbatch, sub-microbatch, ready time and id, none of which
@@ -27,7 +32,7 @@
 //! A pass runs in *steps*, one pop each. The *push step* of a queue entry
 //! is the number of pops completed when it entered its queue; the *pop
 //! step* of a pop is the number completed before it. Every pass leaves a
-//! **decision record** ([`ScheduleWorkspace::record`], a [`PassRecord`]):
+//! **decision record** in its workspace:
 //!
 //! - its **pop log**: the stages in the global order it popped them;
 //! - a **requirement step** `R[s][t]` per ordered segment pair: the smallest
@@ -38,9 +43,9 @@
 //!   stood before any step can be rebuilt.
 //!
 //! The **resume point** of other priorities against a completed pass is
-//! `j = min R[s][t]` over the pairs they do not rank strictly `s` over `t`
-//! ([`PassRecord::resume_point`]); with no such finite pair, `j = ∞` and
-//! the priorities reproduce the whole pass.
+//! `j = min R[s][t]` over the pairs they do not rank strictly `s` over `t`;
+//! with no such finite pair, `j = ∞` and the priorities reproduce the whole
+//! pass.
 //!
 //! **Soundness.** Under the new priorities, every step below `j` makes the
 //! same pops as the recorded pass. By induction, suppose the steps before
@@ -65,9 +70,10 @@
 //! (always so in the ordering search); with ties it may keep a bit set,
 //! which only lowers `R`, and a lower `R` only resumes earlier.
 //!
-//! [`schedule_resumed`] turns the record into work saved. Handed the first
-//! `j` pops of a completed pass ([`PassRecord::prefix`]), it replays them
-//! with no queue operation and no per-rank pick: a replayed stage starts at
+//! A resumed pass turns the record into work saved. Its workspace's record
+//! starts out holding the first `j` pops of a completed pass and that
+//! pass's events below step `j`. The pass replays those pops with no queue
+//! operation and no per-rank pick: a replayed stage starts at
 //! `max(ready, rank free)`, exactly where the live loop starts a popped
 //! entry, and the cutoff applies to every replayed end, so a bounded pass
 //! aborts exactly where a fresh one would. It then rebuilds the queues
@@ -75,8 +81,7 @@
 //! and runs the live loop from step `j`. The prefix's part of the table is
 //! rebuilt from the recorded pass's events (the prefix's queues were that
 //! pass's queues), so a resumed pass leaves exactly the record a fresh pass
-//! would. The ordering search resumes every pass at the largest `j` any
-//! earlier pass of the same search offers.
+//! would.
 //!
 //! # Live steps
 //!
@@ -102,7 +107,7 @@
 //! position, rank, segment and direction, and each item's dependency
 //! count. A [`PassGraph`] packs exactly that into one 32-byte record per
 //! item (a [`crate::WorkItem`] is 88 bytes) plus a count array, built once
-//! and shared by every pass of a search; [`schedule_resumed`] reads only
+//! and shared by every pass of a search; [`schedule_bounded`] reads only
 //! the view, and the graph itself only for its reverse CSR.
 //!
 //! The view *borrows* its graph, and nothing is cached by address.
@@ -252,7 +257,7 @@ const _: () = assert!(std::mem::size_of::<PassItem>() == 32);
 /// A packed, read-only view of a [`StageGraph`] for the passes of one
 /// search: a 32-byte record per item and every item's dependency count,
 /// next to the borrowed graph, whose reverse CSR the passes walk. Build it
-/// once per search and hand it to every [`schedule_resumed`] pass; it
+/// once per search and hand it to every [`schedule_bounded`] pass; it
 /// borrows the graph so that no view outlives a [`StageGraph::reprice`]
 /// (see the module docs).
 #[derive(Debug, Clone)]
@@ -297,18 +302,8 @@ impl<'g> PassGraph<'g> {
     }
 
     /// The graph this view packs.
-    pub fn graph(&self) -> &'g StageGraph {
+    pub(crate) fn graph(&self) -> &'g StageGraph {
         self.graph
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when the graph has no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 }
 
@@ -443,21 +438,21 @@ const EXECUTED: u32 = u32::MAX;
 const NO_PICK: u32 = u32::MAX;
 
 /// The requirement step of a segment pair no pop constrained (`R = ∞`).
-pub const NO_REQUIREMENT: u32 = u32::MAX;
+pub(crate) const NO_REQUIREMENT: u32 = u32::MAX;
 
-/// One lowering of a requirement step in a [`PassRecord`]: the pop at
+/// One lowering of a requirement step in a decision record: the pop at
 /// `pop_step` lowered the requirement step of `pair` to `push_step`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequirementEvent {
+pub(crate) struct RequirementEvent {
     /// The ordered segment pair `(s, t)`, as `s * num_segments + t`.
-    pub pair: u32,
+    pub(crate) pair: u32,
     /// Pops completed before the pop that lowered it.
-    pub pop_step: u32,
+    pub(crate) pop_step: u32,
     /// The pair's new requirement step.
-    pub push_step: u32,
+    pub(crate) push_step: u32,
 }
 
-/// Reusable scratch state for [`schedule_into`] / [`schedule_resumed`]:
+/// Reusable scratch state for [`schedule_into`] / [`schedule_bounded`]:
 /// every queue and vector one interleave pass needs, hoisted out of the
 /// call so a search worker evaluating thousands of orderings performs
 /// **zero heap allocations after warm-up**. The reset is clear-don't-drop —
@@ -470,7 +465,8 @@ pub struct RequirementEvent {
 /// only the buffers of the view it packs per call). The ordering search
 /// gives each of its worker threads one workspace, reused for every pass
 /// of every stream the thread runs (see `dip-core`'s ordering search), and
-/// shares one [`PassGraph`] between them.
+/// shares one [`crate::PassMemo`], which packs one [`PassGraph`], between
+/// them.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleWorkspace {
     /// Unsatisfied dependency count per item, `EXECUTED` once the item has
@@ -486,12 +482,16 @@ pub struct ScheduleWorkspace {
     ranks: Vec<RankState>,
     /// The in-flight count at which every rank's forward queue stops.
     inflight_cap: usize,
-    /// Decision record of the most recent pass.
-    record: RecordState,
-    /// Steps the most recent pass replayed from its prefix.
-    replayed_steps: usize,
-    /// Steps the most recent pass popped from its queues.
-    live_steps: usize,
+    /// Decision record of the most recent pass; before a pass, the prefix
+    /// it replays (see the module docs).
+    pub(crate) record: RecordState,
+    /// Steps the most recent pass replayed from its prefix, the aborting
+    /// step included when the cutoff fell inside the prefix.
+    pub(crate) replayed_steps: usize,
+    /// Steps the most recent pass decided live, popping from its queues,
+    /// the aborting step included. A completed pass over `n` stages has
+    /// `replayed_steps + live_steps == n`.
+    pub(crate) live_steps: usize,
     /// The buffers of the view [`schedule_into`] packs per call.
     view_items: Vec<PassItem>,
     view_deps: Vec<u32>,
@@ -511,35 +511,17 @@ impl ScheduleWorkspace {
         RankOrders::group_by_rank(&self.record.pops, graph)
     }
 
-    /// The decision record of the most recent pass (see the module docs).
-    /// It vouches for the pass only when the pass completed: after an
-    /// aborted bounded pass it is partial and vouches for nothing.
-    pub fn record(&self) -> PassRecord<'_> {
-        PassRecord {
-            num_segments: self.record.num_segments,
-            requirements: &self.record.requirements,
-            pops: &self.record.pops,
-            events: &self.record.events,
-        }
-    }
-
-    /// Steps the most recent pass replayed from its prefix, the aborting
-    /// step included when the cutoff fell inside the prefix.
-    pub fn replayed_steps(&self) -> usize {
-        self.replayed_steps
-    }
-
-    /// Steps the most recent pass decided live, popping from its queues,
-    /// the aborting step included. A completed pass over `n` stages has
-    /// `replayed_steps() + live_steps() == n`.
-    pub fn live_steps(&self) -> usize {
-        self.live_steps
+    /// The stage ids the most recent pass popped, in pop order (empty
+    /// before the first pass; partial after an aborted bounded pass).
+    pub fn pop_log(&self) -> &[u32] {
+        &self.record.pops
     }
 
     /// Clear-don't-drop reset for a pass under `config` over a graph of
     /// `n` items, `num_ranks` ranks and `num_segments` segments: every
     /// vector is cleared and refilled in place, every queue keeps its
-    /// buffer, and the forward caps are resolved per rank.
+    /// buffer, and the forward caps are resolved per rank. The record
+    /// keeps the prefix it holds (see [`RecordState::reset`]).
     fn reset(&mut self, n: usize, num_ranks: usize, num_segments: usize, config: &DualQueueConfig) {
         debug_assert!(u32::try_from(n).is_ok(), "stage ids are logged as u32");
         self.remaining_deps.clear();
@@ -585,134 +567,14 @@ impl ScheduleWorkspace {
         sig
     }
 }
-/// The decision record of one pass, borrowed from its
-/// [`ScheduleWorkspace`] (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PassRecord<'a> {
-    num_segments: usize,
-    requirements: &'a [u32],
-    pops: &'a [u32],
-    events: &'a [RequirementEvent],
-}
-
-impl<'a> PassRecord<'a> {
-    /// `R[segment][other]`: the smallest push step of any popped entry of
-    /// `segment` whose queue held an entry of `other` at that pop, or
-    /// `None` when no such pop happened.
-    pub fn requirement(&self, segment: usize, other: usize) -> Option<usize> {
-        let r = self.requirements[segment * self.num_segments + other];
-        (r != NO_REQUIREMENT).then_some(r as usize)
-    }
-
-    /// The whole requirement table, row-major (`s * num_segments + t`),
-    /// with [`NO_REQUIREMENT`] where there is none.
-    pub fn requirements(&self) -> &'a [u32] {
-        self.requirements
-    }
-
-    /// The pop log: the popped stage ids, in pop order.
-    pub fn pops(&self) -> &'a [u32] {
-        self.pops
-    }
-
-    /// The requirement events, in pop-step order.
-    pub fn events(&self) -> &'a [RequirementEvent] {
-        self.events
-    }
-
-    /// The largest finite requirement step, 0 when there is none. Every
-    /// finite resume point is at most this, so no resume ever replays the
-    /// pop log, or needs an event, from this step on.
-    pub fn horizon(&self) -> usize {
-        self.requirements
-            .iter()
-            .filter(|&&r| r != NO_REQUIREMENT)
-            .max()
-            .map_or(0, |&r| r as usize)
-    }
-
-    /// The resume point of `priorities` against this pass: the smallest
-    /// requirement step over the segment pairs `(s, t)` they do not rank
-    /// strictly `s` over `t`. `None` means `j = ∞`: the priorities
-    /// reproduce the whole pass. Missing priorities count as zero, as in
-    /// the interleaver.
-    pub fn resume_point(&self, priorities: &[i64]) -> Option<usize> {
-        let mut pairs = Vec::new();
-        unranked_pairs(priorities, self.num_segments, &mut pairs);
-        let j = pairs
-            .iter()
-            .map(|&pair| self.requirements[pair as usize])
-            .fold(NO_REQUIREMENT, u32::min);
-        (j != NO_REQUIREMENT).then_some(j as usize)
-    }
-
-    /// The first `steps` pops of this pass with the events below them,
-    /// for [`schedule_resumed`].
-    ///
-    /// # Panics
-    ///
-    /// When `steps` exceeds the pop log.
-    pub fn prefix(&self, steps: usize) -> PassPrefix<'a> {
-        PassPrefix::new(&self.pops[..steps], self.events)
-    }
-}
-
-/// Writes into `out` the requirement-table index `s * num_segments + t`
-/// of every ordered segment pair `(s, t)`, `s ≠ t`, that `priorities` do
-/// not rank strictly `s` over `t`: the pairs a resume point minimises
-/// over. Missing priorities count as zero, as in the interleaver.
-pub fn unranked_pairs(priorities: &[i64], num_segments: usize, out: &mut Vec<u32>) {
-    let priority = |seg: usize| priorities.get(seg).copied().unwrap_or(0);
-    out.clear();
-    for s in 0..num_segments {
-        for t in (0..num_segments).filter(|&t| t != s && priority(t) >= priority(s)) {
-            out.push((s * num_segments + t) as u32);
-        }
-    }
-}
-
-/// The steps a [`schedule_resumed`] pass replays instead of deciding: the
-/// first pops of an earlier completed pass over the same graph and
-/// [`DualQueueConfig`] apart from the priorities, with that pass's
-/// requirement events. The empty prefix is a full pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PassPrefix<'a> {
-    pops: &'a [u32],
-    events: &'a [RequirementEvent],
-}
-
-impl<'a> PassPrefix<'a> {
-    /// The empty prefix: a full pass.
-    pub const EMPTY: PassPrefix<'static> = PassPrefix {
-        pops: &[],
-        events: &[],
-    };
-
-    /// The prefix `pops` of a completed pass and that pass's requirement
-    /// events, in pop-step order; events at pop steps past the prefix are
-    /// ignored.
-    pub fn new(pops: &'a [u32], events: &'a [RequirementEvent]) -> Self {
-        Self { pops, events }
-    }
-
-    /// Steps the prefix replays.
-    pub fn len(&self) -> usize {
-        self.pops.len()
-    }
-
-    /// True for the empty prefix.
-    pub fn is_empty(&self) -> bool {
-        self.pops.is_empty()
-    }
-}
-
 /// Decision-record bookkeeping of one pass: which segments have entries in
 /// each queue, the requirement table, its events and the pop log. Sized
 /// from the graph's segment and rank counts only, never from the
 /// priorities. Queue `2 * rank` is the rank's forward queue, `2 * rank + 1`
-/// its backward queue.
+/// its backward queue. It vouches for its pass only when the pass
+/// completed: after an aborted bounded pass it is partial.
 #[derive(Debug, Clone, Default)]
-struct RecordState {
+pub(crate) struct RecordState {
     num_segments: usize,
     /// `u64` words per segment bitset.
     words: usize,
@@ -720,9 +582,9 @@ struct RecordState {
     /// words per queue; exact when no two segments share a priority.
     present: Vec<u64>,
     /// `R[s][t]` at `s * num_segments + t`.
-    requirements: Vec<u32>,
+    pub(crate) requirements: Vec<u32>,
     /// Every lowering of `requirements`, in pop order.
-    events: Vec<RequirementEvent>,
+    pub(crate) events: Vec<RequirementEvent>,
     /// Per segment `s`, when sets fit one word: the segments `t` with a
     /// finite `R[s][t]`, and an upper bound on those steps. A pop of `s`
     /// whose other segments are all in its set, pushed at or above its
@@ -730,10 +592,15 @@ struct RecordState {
     finite: Vec<u64>,
     ceiling: Vec<u32>,
     /// Popped stage ids, in pop order.
-    pops: Vec<u32>,
+    pub(crate) pops: Vec<u32>,
 }
 
 impl RecordState {
+    /// Resets the record for a pass over `n` items, keeping the prefix it
+    /// holds: its pops are the steps the pass replays, and its events,
+    /// those of the pass the pops come from below the prefix's end, are
+    /// applied to the fresh requirement table. Empty both for a fresh
+    /// pass.
     fn reset(&mut self, n: usize, num_segments: usize, num_queues: usize) {
         self.num_segments = num_segments;
         self.words = num_segments.div_ceil(64);
@@ -742,27 +609,68 @@ impl RecordState {
         self.requirements.clear();
         self.requirements
             .resize(num_segments * num_segments, NO_REQUIREMENT);
-        self.events.clear();
-        self.pops.clear();
-        self.pops.reserve(n);
+        self.pops.reserve(n.saturating_sub(self.pops.len()));
         self.finite.clear();
         self.ceiling.clear();
         if self.words == 1 {
             self.finite.resize(num_segments, 0);
             self.ceiling.resize(num_segments, 0);
         }
+        for i in 0..self.events.len() {
+            let event = self.events[i];
+            debug_assert!(
+                (event.pop_step as usize) < self.pops.len(),
+                "a prefix's events lie below its end"
+            );
+            self.apply(event);
+        }
     }
 
     /// Applies an event of the pass a resumed pass replays.
-    fn replay(&mut self, event: RequirementEvent) {
+    fn apply(&mut self, event: RequirementEvent) {
         let pair = event.pair as usize;
         self.requirements[pair] = event.push_step;
-        self.events.push(event);
         if self.words == 1 {
             let (segment, other) = (pair / self.num_segments, pair % self.num_segments);
             self.finite[segment] |= 1 << other;
             self.ceiling[segment] = self.ceiling[segment].max(event.push_step);
         }
+    }
+
+    /// The largest finite requirement step, 0 when there is none. Every
+    /// finite resume point is at most this, so no resume ever replays the
+    /// pop log, or needs an event, from this step on.
+    pub(crate) fn horizon(&self) -> usize {
+        self.requirements
+            .iter()
+            .filter(|&&r| r != NO_REQUIREMENT)
+            .max()
+            .map_or(0, |&r| r as usize)
+    }
+
+    /// The resume point of `priorities` against this completed pass: the
+    /// smallest requirement step over the segment pairs they do not rank
+    /// strictly. `None` means `j = ∞`: they reproduce the whole pass.
+    #[cfg(test)]
+    pub(crate) fn resume_point(&self, priorities: &[i64]) -> Option<usize> {
+        let j = crate::memo::unranked_pairs(priorities, self.num_segments)
+            .map(|pair| self.requirements[pair])
+            .fold(NO_REQUIREMENT, u32::min);
+        (j != NO_REQUIREMENT).then_some(j as usize)
+    }
+
+    /// Loads the first `steps` pops of `source`'s pass, and its events
+    /// below them, as the prefix the next pass replays.
+    #[cfg(test)]
+    pub(crate) fn load_prefix(&mut self, source: &RecordState, steps: usize) {
+        self.pops.clear();
+        self.pops.extend_from_slice(&source.pops[..steps]);
+        self.events.clear();
+        let below = source
+            .events
+            .iter()
+            .filter(|e| (e.pop_step as usize) < steps);
+        self.events.extend(below);
     }
 
     /// Lowers `R` at `pair` to `push_step` if that is lower, noting the
@@ -870,8 +778,8 @@ fn push_entry(ws: &mut ScheduleWorkspace, graph: &PassGraph<'_>, priorities: &[i
 ///
 /// This is the allocating convenience wrapper around [`schedule_into`]: it
 /// builds a fresh [`ScheduleWorkspace`] per call. Hot paths that evaluate
-/// many orderings (the planner's search workers) hold a workspace and a
-/// [`PassGraph`] and call [`schedule_resumed`] directly.
+/// many orderings (the planner's search workers) hold a workspace and
+/// evaluate through a [`crate::PassMemo`].
 pub fn schedule(graph: &StageGraph, config: &DualQueueConfig) -> (RankOrders, f64) {
     let mut ws = ScheduleWorkspace::new();
     let makespan = schedule_into(graph, config, &mut ws);
@@ -884,7 +792,7 @@ pub fn schedule(graph: &StageGraph, config: &DualQueueConfig) -> (RankOrders, f6
 /// Bit-identical to [`schedule`] (the wrapper delegates here), but performs
 /// zero heap allocations once the workspace has warmed up on the graph's
 /// shape: it packs the graph's [`PassGraph`] into buffers the workspace
-/// keeps, and runs one full [`schedule_resumed`] pass over it.
+/// keeps, and runs one [`schedule_bounded`] pass over it with no cutoff.
 ///
 /// A graph with an unsatisfiable dependency (never built by
 /// [`crate::StageGraphBuilder`]) cannot be fully scheduled: the pass trips
@@ -900,15 +808,13 @@ pub fn schedule_into(
         std::mem::take(&mut ws.view_items),
         std::mem::take(&mut ws.view_deps),
     );
-    let makespan = schedule_resumed(&view, config, ws, f64::INFINITY, PassPrefix::EMPTY);
+    let makespan = schedule_bounded(&view, config, ws, f64::INFINITY);
     (ws.view_items, ws.view_deps) = (view.items, view.deps);
     makespan.expect("an infinite cutoff never aborts")
 }
 
 /// Like [`schedule_into`] over the graph `graph` packs, but aborts as soon
-/// as any scheduled stage's end time exceeds `cutoff`, returning `None`,
-/// and replays `prefix` instead of deciding its steps, then decides the
-/// rest live (see the module docs).
+/// as any scheduled stage's end time exceeds `cutoff`, returning `None`.
 ///
 /// The bound is **exact**, never heuristic: the makespan is the monotone
 /// maximum of all stage end times, so the first end time past the cutoff
@@ -917,24 +823,36 @@ pub fn schedule_into(
 /// `m <= cutoff`. Callers that only care about better-than-incumbent
 /// orderings (the random and DFS search workers) pass their incumbent as
 /// the cutoff and skip the tail of every losing evaluation.
-///
-/// [`PassPrefix::EMPTY`] replays nothing: every step is decided live, a
-/// fresh bounded pass. Otherwise the result, the orders and the record
-/// left in `ws` are bit-identical to a fresh bounded pass under `config`
-/// whenever the prefix is no longer than the resume point of
-/// `config.segment_priorities` against the pass it came from
-/// ([`PassRecord::resume_point`]) and that pass ran on the same graph
-/// under the same config apart from the priorities. A prefix that breaks
-/// this contract yields an arbitrary schedule, and trips a debug assertion
-/// when it replays a stage that is not ready.
-pub fn schedule_resumed(
+pub fn schedule_bounded(
     graph: &PassGraph<'_>,
     config: &DualQueueConfig,
     ws: &mut ScheduleWorkspace,
     cutoff: f64,
-    prefix: PassPrefix<'_>,
 ) -> Option<f64> {
-    let n = graph.len();
+    ws.record.pops.clear();
+    ws.record.events.clear();
+    resume(graph, config, ws, cutoff)
+}
+
+/// Like [`schedule_bounded`], but replays the prefix `ws`'s record holds
+/// instead of deciding its steps, then decides the rest live (see the
+/// module docs): the first pops of an earlier completed pass and that
+/// pass's requirement events below them.
+///
+/// The result, the orders and the record left in `ws` are bit-identical
+/// to a fresh bounded pass under `config` whenever the prefix is no longer
+/// than the resume point of `config.segment_priorities` against the pass
+/// it came from and that pass ran on the same graph under the same config
+/// apart from the priorities. A prefix that breaks this contract yields an
+/// arbitrary schedule, and trips a debug assertion when it replays a stage
+/// that is not ready.
+pub(crate) fn resume(
+    graph: &PassGraph<'_>,
+    config: &DualQueueConfig,
+    ws: &mut ScheduleWorkspace,
+    cutoff: f64,
+) -> Option<f64> {
+    let n = graph.items.len();
     let num_ranks = graph.graph.num_ranks;
     ws.reset(n, num_ranks, graph.graph.num_segments(), config);
     let priorities = config.segment_priorities.as_slice();
@@ -946,9 +864,12 @@ pub fn schedule_resumed(
     let mut makespan = 0.0f64;
 
     // Replay the prefix: each step pops the logged stage, which starts
-    // where the live loop would start it. No queue exists yet.
-    for (step, &id) in prefix.pops.iter().enumerate() {
-        let id = id as usize;
+    // where the live loop would start it. No queue exists yet. The record
+    // already holds the prefix's pops, and its table the prefix's part as
+    // the source pass built it (see `RecordState::reset`).
+    let resume = ws.record.pops.len();
+    for step in 0..resume {
+        let id = ws.record.pops[step] as usize;
         debug_assert_eq!(
             ws.remaining_deps[id], 0,
             "replayed stage {id} is not ready at step {step}"
@@ -956,15 +877,6 @@ pub fn schedule_resumed(
         let start = ws.ready_time[id].max(ws.ranks[usize::from(graph.items[id].rank)].t_last);
         ws.replayed_steps += 1;
         makespan = makespan.max(run_stage(graph, ws, id, start, step, cutoff, None)?);
-    }
-    // The prefix's part of the record, as the source pass built it.
-    let resume = prefix.len();
-    for event in prefix
-        .events
-        .iter()
-        .take_while(|e| (e.pop_step as usize) < resume)
-    {
-        ws.record.replay(*event);
     }
     // The queues at the resume step, under these priorities: every entry
     // released but not yet popped (at step 0, the stages without
@@ -1080,11 +992,12 @@ pub fn schedule_resumed(
 }
 
 /// Executes stage `id` from `start` as the pass's pop at `step`, unless it
-/// would end past `cutoff`: updates the rank state and the pop log, and
-/// releases every dependent this makes ready, with push step `step + 1`.
-/// A live step enqueues them under `priorities` (`Some`); a replayed step
-/// leaves them for the queue rebuild (`None`). Returns the stage's end, or
-/// `None` past the cutoff.
+/// would end past `cutoff`: updates the rank state, and releases every
+/// dependent this makes ready, with push step `step + 1`. A live step
+/// logs the pop and enqueues the released stages under `priorities`
+/// (`Some`); a replayed step, whose pop the log already holds, leaves them
+/// for the queue rebuild (`None`). Returns the stage's end, or `None` past
+/// the cutoff.
 #[inline(always)]
 fn run_stage(
     graph: &PassGraph<'_>,
@@ -1110,7 +1023,9 @@ fn run_stage(
     state.t_last = end;
     state.last_dir = Some(item.direction);
     state.dirty = true;
-    ws.record.pops.push(id as u32);
+    if priorities.is_some() {
+        ws.record.pops.push(id as u32);
+    }
     match item.direction {
         Direction::Forward => {
             state.mem_used = state.mem_used.saturating_add(item.activation_bytes);
@@ -1188,13 +1103,34 @@ fn fresh_pick(ws: &ScheduleWorkspace, rank: usize) -> (f64, u32) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::{StageGraphBuilder, SubMicrobatchPlan};
     use crate::partition::balanced_param_placement;
     use crate::placement::ParallelConfig;
     use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
     use dip_sim::ClusterTopology;
+
+    /// A VLM-S graph (tp4 pp4 on two H800 nodes, separated placement, the
+    /// backbone split in `backbone_segments`) over `microbatches` copies of
+    /// one microbatch of 6502 text tokens and ten 169-token images, and
+    /// its segment count.
+    pub(crate) fn vlm_graph(microbatches: usize, backbone_segments: usize) -> (StageGraph, usize) {
+        let spec = zoo::vlm_s();
+        let parallel = ParallelConfig::new(4, 4, 1);
+        let mut k = std::collections::BTreeMap::new();
+        k.insert(spec.backbone_id().unwrap(), backbone_segments);
+        let placement = crate::separated_placement(&spec, parallel, &k);
+        let cluster = ClusterTopology::h800_cluster(2);
+        let batch = BatchWorkload::new()
+            .with(Modality::Text, ModalityWorkload::new(6502, 1))
+            .with(Modality::Image, ModalityWorkload::new(1690, 10));
+        let plan = SubMicrobatchPlan::uniform(placement.segments.len(), microbatches);
+        let graph = StageGraphBuilder::new_on(&spec, &placement, &cluster)
+            .build(&vec![batch; microbatches], &plan)
+            .unwrap();
+        (graph, placement.segments.len())
+    }
 
     fn lm_graph(num_microbatches: usize, pp: usize) -> StageGraph {
         vpp_graph(num_microbatches, pp, 1)
@@ -1356,7 +1292,7 @@ mod tests {
             // A separate pass whose record the resumed passes replay.
             let mut source = ScheduleWorkspace::new();
             schedule_into(&graph, &DualQueueConfig::default(), &mut source);
-            let record = source.record();
+            let record = &source.record;
             // Steady state: repeated passes (including under varying
             // priorities and caps, an aborted bounded pass and resumed
             // passes, one of them aborted inside its replay) must not
@@ -1377,9 +1313,7 @@ mod tests {
                     ws.capacity_signature(),
                     "round {round} allocated"
                 );
-                assert!(
-                    schedule_resumed(&view, &config, &mut ws, 1e-9, PassPrefix::EMPTY).is_none()
-                );
+                assert!(schedule_bounded(&view, &config, &mut ws, 1e-9).is_none());
                 assert_eq!(
                     signature,
                     ws.capacity_signature(),
@@ -1390,17 +1324,18 @@ mod tests {
                     max_inflight: None,
                     ..config
                 };
-                let resume = record
+                let steps = record
                     .resume_point(&config.segment_priorities)
                     .unwrap_or(graph.len() / 2);
-                let prefix = record.prefix(resume);
-                schedule_resumed(&view, &config, &mut ws, f64::INFINITY, prefix);
+                ws.record.load_prefix(record, steps);
+                resume(&view, &config, &mut ws, f64::INFINITY);
                 assert_eq!(
                     signature,
                     ws.capacity_signature(),
                     "resumed round {round} allocated"
                 );
-                assert!(schedule_resumed(&view, &config, &mut ws, 1e-9, prefix).is_none());
+                ws.record.load_prefix(record, steps);
+                assert!(resume(&view, &config, &mut ws, 1e-9).is_none());
                 assert_eq!(
                     signature,
                     ws.capacity_signature(),
@@ -1416,21 +1351,7 @@ mod tests {
     /// a T2V-S graph with uneven sub-microbatch splits.
     #[test]
     fn pass_graph_packs_every_item_field() {
-        let vlm = {
-            let spec = zoo::vlm_s();
-            let parallel = ParallelConfig::new(4, 4, 1);
-            let mut k = std::collections::BTreeMap::new();
-            k.insert(spec.backbone_id().unwrap(), 2usize);
-            let placement = crate::separated_placement(&spec, parallel, &k);
-            let cluster = ClusterTopology::h800_cluster(2);
-            let batch = BatchWorkload::new()
-                .with(Modality::Text, ModalityWorkload::new(6502, 1))
-                .with(Modality::Image, ModalityWorkload::new(1690, 10));
-            let plan = SubMicrobatchPlan::uniform(placement.segments.len(), 3);
-            StageGraphBuilder::new_on(&spec, &placement, &cluster)
-                .build(&vec![batch; 3], &plan)
-                .unwrap()
-        };
+        let (vlm, _) = vlm_graph(3, 2);
         let t2v = {
             let spec = zoo::t2v_s();
             let parallel = ParallelConfig::new(4, 4, 1);
@@ -1448,7 +1369,7 @@ mod tests {
         };
         for graph in [&vlm, &t2v] {
             let view = PassGraph::new(graph);
-            assert_eq!(view.len(), graph.len());
+            assert_eq!(view.items.len(), graph.len());
             for (packed, item) in view.items.iter().zip(graph.items()) {
                 assert_eq!(packed.duration.to_bits(), item.duration.to_bits());
                 assert_eq!(packed.activation_bytes, item.activation_bytes);
@@ -1474,10 +1395,9 @@ mod tests {
         let mut view = PassGraph::new(&graph);
         let free = |view: &PassGraph<'_>, config: &DualQueueConfig| {
             let mut ws = ScheduleWorkspace::new();
-            let makespan =
-                schedule_resumed(view, config, &mut ws, f64::INFINITY, PassPrefix::EMPTY)
-                    .expect("an infinite cutoff never aborts");
-            (makespan.to_bits(), ws.record().pops().to_vec())
+            let makespan = schedule_bounded(view, config, &mut ws, f64::INFINITY)
+                .expect("an infinite cutoff never aborts");
+            (makespan.to_bits(), ws.pop_log().to_vec())
         };
         for item in &mut view.items {
             item.activation_bytes = 0;
@@ -1517,17 +1437,15 @@ mod tests {
         assert_eq!(state.present, [1 << 3, 0, 0, 0]);
         state.pop(0, 3, true, 0, 14);
         assert!(state.present.iter().all(|&word| word == 0));
-        let record = PassRecord {
-            num_segments: 70,
-            requirements: &state.requirements,
-            pops: &state.pops,
-            events: &state.events,
+        let requirement = |s: usize, t: usize| {
+            let r = state.requirements[s * 70 + t];
+            (r != NO_REQUIREMENT).then_some(r)
         };
-        assert_eq!(record.requirement(69, 3), Some(4));
-        assert_eq!(record.requirement(69, 65), Some(4));
-        assert_eq!(record.requirement(65, 3), Some(2));
-        assert_eq!(record.requirement(3, 65), None);
-        assert_eq!(record.horizon(), 4);
+        assert_eq!(requirement(69, 3), Some(4));
+        assert_eq!(requirement(69, 65), Some(4));
+        assert_eq!(requirement(65, 3), Some(2));
+        assert_eq!(requirement(3, 65), None);
+        assert_eq!(state.horizon(), 4);
         let pairs: Vec<(u32, u32, u32)> = state
             .events
             .iter()
@@ -1546,9 +1464,9 @@ mod tests {
         priorities[69] = 3;
         priorities[65] = 2;
         priorities[3] = 1;
-        assert_eq!(record.resume_point(&priorities), None);
+        assert_eq!(state.resume_point(&priorities), None);
         priorities[65] = 4;
-        assert_eq!(record.resume_point(&priorities), Some(4));
+        assert_eq!(state.resume_point(&priorities), Some(4));
     }
 
     #[test]
@@ -1601,24 +1519,21 @@ mod tests {
         let mut replayed = 0;
         for from in &permutations {
             schedule_into(&graph, &config(from), &mut source);
-            let record = source.record();
+            let record = &source.record;
             for to in &permutations {
                 let config = config(to);
                 let makespan = schedule_into(&graph, &config, &mut fresh);
                 let j = record.resume_point(&config.segment_priorities);
                 let steps = j.unwrap_or(graph.len());
-                let result = schedule_resumed(
-                    &view,
-                    &config,
-                    &mut resumed,
-                    f64::INFINITY,
-                    record.prefix(steps),
-                );
+                resumed.record.load_prefix(record, steps);
+                let result = resume(&view, &config, &mut resumed, f64::INFINITY);
                 assert_eq!(result.map(f64::to_bits), Some(makespan.to_bits()));
                 assert_eq!(resumed.orders(&graph), fresh.orders(&graph));
-                assert_eq!(resumed.record(), fresh.record());
-                assert_eq!(resumed.replayed_steps(), steps);
-                assert_eq!(resumed.live_steps(), graph.len() - steps);
+                assert_eq!(resumed.record.requirements, fresh.record.requirements);
+                assert_eq!(resumed.record.pops, fresh.record.pops);
+                assert_eq!(resumed.record.events, fresh.record.events);
+                assert_eq!(resumed.replayed_steps, steps);
+                assert_eq!(resumed.live_steps, graph.len() - steps);
                 replayed += steps;
             }
         }
@@ -1654,7 +1569,7 @@ mod tests {
         let mut ws = ScheduleWorkspace::new();
         let makespan = schedule_into(&graph, &config, &mut ws);
         let orders = ws.orders(&graph);
-        let bounded = schedule_resumed(&view, &config, &mut ws, f64::INFINITY, PassPrefix::EMPTY)
+        let bounded = schedule_bounded(&view, &config, &mut ws, f64::INFINITY)
             .expect("infinite cutoff never aborts");
         assert_eq!(makespan.to_bits(), bounded.to_bits());
         assert_eq!(orders, ws.orders(&graph));
@@ -1669,13 +1584,13 @@ mod tests {
         let makespan = schedule_into(&graph, &config, &mut ws);
         // Cutoff exactly at the makespan: the pass completes (end > cutoff
         // is strict) and returns the same bits.
-        let at = schedule_resumed(&view, &config, &mut ws, makespan, PassPrefix::EMPTY)
+        let at = schedule_bounded(&view, &config, &mut ws, makespan)
             .expect("cutoff == makespan must complete");
         assert_eq!(at.to_bits(), makespan.to_bits());
         // Cutoff just below: the pass must abort.
         let below = makespan * (1.0 - 1e-12);
         assert!(below < makespan);
-        assert!(schedule_resumed(&view, &config, &mut ws, below, PassPrefix::EMPTY).is_none());
+        assert!(schedule_bounded(&view, &config, &mut ws, below).is_none());
     }
 
     #[test]
@@ -1690,7 +1605,7 @@ mod tests {
         // makespan of the stages that did run.
         assert!(schedule_into(&graph, &config, &mut ws).is_infinite());
         assert!(ws.orders(&graph).num_stages() < graph.len());
-        assert!(schedule_resumed(&view, &config, &mut ws, 1e9, PassPrefix::EMPTY).is_none());
+        assert!(schedule_bounded(&view, &config, &mut ws, 1e9).is_none());
         let (orders, makespan) = schedule(&graph, &config);
         assert!(makespan.is_infinite());
         assert!(orders.num_stages() < graph.len());
@@ -1700,7 +1615,7 @@ mod tests {
     /// became one slab: the pop log filtered by rank, one vector per rank.
     fn filtered_pop_log(ws: &ScheduleWorkspace, graph: &StageGraph) -> Vec<Vec<StageId>> {
         let mut orders = vec![Vec::new(); graph.num_ranks];
-        for &id in ws.record().pops() {
+        for &id in ws.pop_log() {
             let id = StageId(id as usize);
             orders[graph.item(id).rank].push(id);
         }
@@ -1734,9 +1649,7 @@ mod tests {
                 assert_eq!(orders.num_stages(), graph.len());
                 // An aborted pass leaves a partial log, grouped the same way.
                 let cutoff = makespan / 2.0;
-                assert!(
-                    schedule_resumed(&view, config, &mut ws, cutoff, PassPrefix::EMPTY).is_none()
-                );
+                assert!(schedule_bounded(&view, config, &mut ws, cutoff).is_none());
                 let partial = ws.orders(&graph);
                 assert_eq!(
                     partial.ranks().collect::<Vec<_>>(),

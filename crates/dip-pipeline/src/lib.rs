@@ -22,6 +22,9 @@
 //! * [`dual_queue`] — the greedy dual-queue stage interleaver (§5.2), shared
 //!   by the baselines (with fixed priorities it degenerates to 1F1B) and by
 //!   the DIP planner (which feeds it MCTS-derived segment priorities);
+//! * [`memo`] — the pass memo one ordering search shares between its
+//!   streams: it answers a repeated evaluation from a table and resumes
+//!   every other pass from the decision record of an earlier one;
 //! * [`executor`] — turns a stage graph plus per-rank orders into
 //!   [`dip_sim::SimEngine`] tasks and reports iteration metrics;
 //! * [`par`] — the deterministic fork-join helper behind the planner's
@@ -65,6 +68,7 @@ pub mod baselines;
 pub mod dual_queue;
 pub mod executor;
 pub mod graph;
+pub mod memo;
 pub mod migration;
 pub mod par;
 pub mod partition;
@@ -72,14 +76,14 @@ pub mod placement;
 pub mod strategy;
 
 pub use dual_queue::{
-    schedule_into, schedule_resumed, DualQueueConfig, PassGraph, PassPrefix, PassRecord,
-    RankOrders, RequirementEvent, ScheduleWorkspace, NO_REQUIREMENT,
+    schedule_bounded, schedule_into, DualQueueConfig, PassGraph, RankOrders, ScheduleWorkspace,
 };
 pub use executor::{execute, ExecutionOutcome, ExecutorConfig};
 pub use graph::{
     Direction, GraphBuildStats, PreparedWorkloads, StageGraph, StageGraphBuilder, StageId,
     SubMicrobatchPlan, WorkItem,
 };
+pub use memo::{MemoWork, PassMemo};
 pub use migration::{full_restore_cost, migration_cost, MigrationCost};
 pub use partition::{
     balanced_latency_placement, balanced_param_placement, capacity_aware_separated_placement,

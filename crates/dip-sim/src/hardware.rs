@@ -1,5 +1,6 @@
 //! GPU hardware specifications.
 
+use dip_models::canonical::fold;
 use serde::{Deserialize, Serialize};
 
 /// The GPU generations used in the paper's evaluation.
@@ -72,25 +73,45 @@ impl GpuSpec {
     /// the calibration registry can match artifact entries to the devices of
     /// a [`crate::ClusterTopology`] without naming GPU generations.
     pub fn device_key(&self) -> u64 {
-        let mut acc = 0x5851_F42D_4C95_7F2Du64;
-        let mut mix = |value: u64| {
-            let mut z = acc.wrapping_add(value).wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            acc = z ^ (z >> 31);
-        };
-        mix(self.peak_flops.to_bits());
-        mix(self.mem_bandwidth.to_bits());
-        mix(self.mem_capacity);
-        mix(self.nvlink_bandwidth.to_bits());
-        mix(self.net_bandwidth.to_bits());
-        acc
+        [
+            self.peak_flops.to_bits(),
+            self.mem_bandwidth.to_bits(),
+            self.mem_capacity,
+            self.nvlink_bandwidth.to_bits(),
+            self.net_bandwidth.to_bits(),
+        ]
+        .into_iter()
+        .fold(0x5851_F42D_4C95_7F2D, mix)
     }
+}
+
+/// Folds `value` into `acc` for a device key or topology fingerprint:
+/// the SplitMix64 fold of [`dip_models::canonical::fold`], with the golden
+/// ratio added to every word.
+pub(crate) fn mix(acc: u64, value: u64) -> u64 {
+    fold(acc, value.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn preset_device_keys_are_pinned() {
+        // The calibration artifact (`CALIBRATION_default.json`) matches its
+        // device entries to a topology's devices by these keys.
+        for (generation, key) in [
+            (GpuGeneration::H800, 0x4233_cc50_d837_ebd8),
+            (GpuGeneration::H20, 0x2b7a_e03a_0823_bb73),
+            (GpuGeneration::H100, 0x6a71_778d_faee_c3d4),
+        ] {
+            assert_eq!(
+                GpuSpec::preset(generation).device_key(),
+                key,
+                "{generation:?}"
+            );
+        }
+    }
 
     #[test]
     fn presets_have_sensible_orderings() {

@@ -22,7 +22,7 @@
 //! [`ClusterTopology::mixed_h800_h20`].
 
 use crate::efficiency::EfficiencyModel;
-use crate::hardware::{GpuGeneration, GpuSpec};
+use crate::hardware::{mix, GpuGeneration, GpuSpec};
 use crate::timing::TimingModel;
 use serde::{Deserialize, Serialize};
 
@@ -299,23 +299,20 @@ impl ClusterTopology {
     /// different fingerprint. Only permutations that exchange byte-identical
     /// nodes (which change nothing observable) fingerprint equal.
     pub fn fingerprint(&self) -> u64 {
-        let mut acc = 0xA076_1D64_78BD_642Fu64 ^ (self.nodes.len() as u64);
-        let mut mix = |value: u64| {
-            let mut z = acc.wrapping_add(value).wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            acc = z ^ (z >> 31);
-        };
-        for node in &self.nodes {
-            mix(node.gpus as u64);
-            mix(node.cpu_cores as u64);
-            mix(node.gpu.peak_flops.to_bits());
-            mix(node.gpu.mem_bandwidth.to_bits());
-            mix(node.gpu.mem_capacity);
-            mix(node.gpu.nvlink_bandwidth.to_bits());
-            mix(node.gpu.net_bandwidth.to_bits());
-        }
-        acc
+        let seed = 0xA076_1D64_78BD_642Fu64 ^ (self.nodes.len() as u64);
+        self.nodes.iter().fold(seed, |acc, node| {
+            [
+                node.gpus as u64,
+                node.cpu_cores as u64,
+                node.gpu.peak_flops.to_bits(),
+                node.gpu.mem_bandwidth.to_bits(),
+                node.gpu.mem_capacity,
+                node.gpu.nvlink_bandwidth.to_bits(),
+                node.gpu.net_bandwidth.to_bits(),
+            ]
+            .into_iter()
+            .fold(acc, mix)
+        })
     }
 
     /// Number of *physical* pipeline-rank slots the cluster offers at

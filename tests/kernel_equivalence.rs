@@ -1,7 +1,6 @@
 //! Evaluation-kernel equivalence properties: the reusable-workspace
 //! interleaver (`schedule_into`), its cutoff-bounded variant
-//! (`schedule_resumed` with an empty prefix) and the incumbent-pruned
-//! search paths must all be
+//! (`schedule_bounded`) and the incumbent-pruned search paths must all be
 //! *behaviour-preserving* rewrites of the allocating originals — same
 //! orders, same makespan bits, same best plan — across random workloads,
 //! topologies and priority assignments. The workspace is deliberately
@@ -14,13 +13,15 @@
 //! covers whole, is served from the memo, and any other ordering runs a
 //! pass resumed where it stops agreeing with the best earlier pass. The
 //! result must be exactly what a fresh pass over the winning priorities
-//! produces, and a resumed pass must be bit-identical to a fresh one.
+//! produces. (The memo's own properties — whole-pass reuse, bit-identical
+//! resumed passes, every answer equal to a fresh pass — are unit tests of
+//! `dip_pipeline::memo`, which owns the decision-record protocol.)
 
 use dip_core::ordering::{search_ordering, OrderingResult, OrderingSearchConfig, SearchStrategy};
 use dip_models::{zoo, BatchWorkload, Modality, ModalityWorkload};
 use dip_pipeline::{
-    balanced_param_placement, dual_queue, DualQueueConfig, ParallelConfig, PassGraph, PassPrefix,
-    PassRecord, ScheduleWorkspace, StageGraph, StageGraphBuilder, SubMicrobatchPlan,
+    balanced_param_placement, dual_queue, DualQueueConfig, ParallelConfig, PassGraph,
+    ScheduleWorkspace, StageGraph, StageGraphBuilder, SubMicrobatchPlan,
 };
 use dip_sim::ClusterTopology;
 use proptest::prelude::*;
@@ -102,7 +103,7 @@ proptest! {
         prop_assert_eq!(orders, ws.orders(&graph));
     }
 
-    /// A fresh `schedule_resumed` pass with an infinite cutoff is exactly
+    /// A `schedule_bounded` pass with an infinite cutoff is exactly
     /// `schedule_into`, and a cutoff at the true makespan still completes
     /// with the same bits (the abort condition is strictly-greater).
     #[test]
@@ -122,16 +123,14 @@ proptest! {
         let makespan = dual_queue::schedule_into(&graph, &config, &mut ws);
         let orders = ws.orders(&graph);
         let view = PassGraph::new(&graph);
-        let empty = PassPrefix::EMPTY;
-        let unbounded =
-            dual_queue::schedule_resumed(&view, &config, &mut ws, f64::INFINITY, empty);
+        let unbounded = dual_queue::schedule_bounded(&view, &config, &mut ws, f64::INFINITY);
         prop_assert_eq!(unbounded.map(f64::to_bits), Some(makespan.to_bits()));
         prop_assert_eq!(orders, ws.orders(&graph));
-        let at_makespan = dual_queue::schedule_resumed(&view, &config, &mut ws, makespan, empty);
+        let at_makespan = dual_queue::schedule_bounded(&view, &config, &mut ws, makespan);
         prop_assert_eq!(at_makespan.map(f64::to_bits), Some(makespan.to_bits()));
         // Just below the makespan the pass must abort.
         let below = makespan * (1.0 - 1e-12);
-        let aborted = dual_queue::schedule_resumed(&view, &config, &mut ws, below, empty);
+        let aborted = dual_queue::schedule_bounded(&view, &config, &mut ws, below);
         prop_assert!(aborted.is_none());
     }
 }
@@ -361,24 +360,18 @@ fn mcts_memo_is_hit_on_a_six_segment_graph() {
     );
 }
 
-/// Every ordering of `segments` segments, in lexicographic order.
+/// Every ordering of `segments` segments, in lexicographic order: each
+/// prefix extended by every segment it lacks, in ascending order.
 fn all_orderings(segments: usize) -> Vec<Vec<usize>> {
-    fn extend(prefix: &mut Vec<usize>, segments: usize, out: &mut Vec<Vec<usize>>) {
-        if prefix.len() == segments {
-            out.push(prefix.clone());
-            return;
-        }
-        for seg in 0..segments {
-            if !prefix.contains(&seg) {
-                prefix.push(seg);
-                extend(prefix, segments, out);
-                prefix.pop();
-            }
-        }
-    }
-    let mut out = Vec::new();
-    extend(&mut Vec::new(), segments, &mut out);
-    out
+    (0..segments).fold(vec![Vec::new()], |prefixes, _| {
+        let extend = |prefix: &Vec<usize>| {
+            let unused = (0..segments).filter(|seg| !prefix.contains(seg));
+            unused
+                .map(|seg| [prefix.as_slice(), &[seg]].concat())
+                .collect::<Vec<_>>()
+        };
+        prefixes.iter().flat_map(extend).collect()
+    })
 }
 
 /// The search's priority assignment: position `i` of `ordering` gets
@@ -390,19 +383,6 @@ fn priorities_of(ordering: &[usize]) -> Vec<i64> {
         priorities[seg] = (n - pos) as i64;
     }
     priorities
-}
-
-/// True when `ordering` puts every segment `s` ahead of every segment `t`
-/// the record has a requirement step for: the pairs the pass had to rank.
-fn record_covers(record: PassRecord<'_>, ordering: &[usize]) -> bool {
-    let mut position = vec![0usize; ordering.len()];
-    for (pos, &seg) in ordering.iter().enumerate() {
-        position[seg] = pos;
-    }
-    (0..ordering.len()).all(|s| {
-        (0..ordering.len())
-            .all(|t| s == t || record.requirement(s, t).is_none() || position[s] < position[t])
-    })
 }
 
 /// The 6-segment VLM-S graph (tp4 pp4, separated placement, 12
@@ -439,171 +419,6 @@ fn six_segment_setup() -> (StageGraph, Vec<(&'static str, DualQueueConfig)>) {
     (graph, configs)
 }
 
-/// The identity plus orderings whose records leave some segment pairs
-/// unranked under the activation budgets.
-const REFERENCES: [[usize; 6]; 5] = [
-    [0, 1, 2, 3, 4, 5],
-    [0, 4, 1, 5, 3, 2],
-    [1, 5, 4, 3, 0, 2],
-    [0, 5, 3, 4, 1, 2],
-    [4, 0, 3, 5, 2, 1],
-];
-
-/// Whole-pass reuse, exhaustively on the 6-segment VLM-S graph: for
-/// several reference orderings and every one of the 720 orderings, the
-/// resume point against the reference pass is `j = ∞` exactly when the
-/// ordering ranks every pair the record constrains, and every such
-/// ordering reproduces the reference's makespan bits and per-rank orders
-/// in a fresh `schedule`. It runs under activation budgets and 1-byte
-/// budgets. Covered orderings other than the reference must exist, or a
-/// record demanding the full order would pass vacuously.
-#[test]
-fn decision_witness_covers_only_orderings_that_reproduce_the_pass() {
-    let (graph, configs) = six_segment_setup();
-    let orderings = all_orderings(6);
-    let mut ws = ScheduleWorkspace::new();
-    for (label, base) in configs {
-        let mut others_covered = 0usize;
-        for reference in &REFERENCES {
-            let config = DualQueueConfig {
-                segment_priorities: priorities_of(reference),
-                ..base.clone()
-            };
-            let makespan = dual_queue::schedule_into(&graph, &config, &mut ws);
-            let orders = ws.orders(&graph);
-            let record = ws.record();
-            assert!(record_covers(record, reference), "{label}: {reference:?}");
-            for ordering in &orderings {
-                let covered = record_covers(record, ordering);
-                let j = record.resume_point(&priorities_of(ordering));
-                assert_eq!(
-                    j.is_none(),
-                    covered,
-                    "{label}: {ordering:?} against {reference:?} resumes at {j:?}"
-                );
-                if !covered {
-                    continue;
-                }
-                let (fresh_orders, fresh_makespan) = dual_queue::schedule(
-                    &graph,
-                    &DualQueueConfig {
-                        segment_priorities: priorities_of(ordering),
-                        ..base.clone()
-                    },
-                );
-                assert_eq!(
-                    fresh_makespan.to_bits(),
-                    makespan.to_bits(),
-                    "{label}: {ordering:?} covered by {reference:?}"
-                );
-                assert_eq!(
-                    fresh_orders, orders,
-                    "{label}: {ordering:?} covered by {reference:?}"
-                );
-                others_covered += usize::from(ordering != reference);
-            }
-        }
-        assert!(
-            others_covered > 0,
-            "{label}: no record covered an ordering besides its own"
-        );
-    }
-}
-
-/// Prefix-resume soundness, exhaustively on the 6-segment VLM-S graph: for
-/// every reference pass and each of the 720 orderings with a finite resume
-/// point `j`, the pass resumed at `j` reproduces, bit for bit, a fresh
-/// pass's makespan, per-rank orders, pop log and requirement table. With a
-/// cutoff just below the makespan, or at half of it, the resumed pass
-/// aborts exactly where a fresh bounded pass does. Some `j` must fall
-/// strictly inside the pass, and some abort inside a replayed prefix, or
-/// the property would hold vacuously.
-#[test]
-fn resumed_passes_reproduce_fresh_passes_bit_for_bit() {
-    let (graph, configs) = six_segment_setup();
-    let view = PassGraph::new(&graph);
-    let orderings = all_orderings(6);
-    let (mut source, mut fresh, mut resumed) = (
-        ScheduleWorkspace::new(),
-        ScheduleWorkspace::new(),
-        ScheduleWorkspace::new(),
-    );
-    for (label, base) in configs {
-        let (mut inside, mut aborted_in_replay) = (0usize, 0usize);
-        for reference in &REFERENCES {
-            let config = DualQueueConfig {
-                segment_priorities: priorities_of(reference),
-                ..base.clone()
-            };
-            dual_queue::schedule_into(&graph, &config, &mut source);
-            let record = source.record();
-            for ordering in &orderings {
-                let config = DualQueueConfig {
-                    segment_priorities: priorities_of(ordering),
-                    ..base.clone()
-                };
-                let Some(j) = record.resume_point(&config.segment_priorities) else {
-                    continue;
-                };
-                inside += usize::from(0 < j && j < graph.len());
-                let prefix = record.prefix(j);
-                let makespan = dual_queue::schedule_into(&graph, &config, &mut fresh);
-                // Independently of how the record was built: the fresh
-                // pass pops exactly like the reference below `j`.
-                assert_eq!(
-                    fresh.record().pops()[..j],
-                    record.pops()[..j],
-                    "{label}: {ordering:?} diverges from {reference:?} before step {j}"
-                );
-                let result = dual_queue::schedule_resumed(
-                    &view,
-                    &config,
-                    &mut resumed,
-                    f64::INFINITY,
-                    prefix,
-                );
-                let what = format!("{label}: {ordering:?} resumed at {j} from {reference:?}");
-                assert_eq!(result.map(f64::to_bits), Some(makespan.to_bits()), "{what}");
-                assert_eq!(resumed.orders(&graph), fresh.orders(&graph), "{what}");
-                assert_eq!(resumed.record().pops(), fresh.record().pops(), "{what}");
-                assert_eq!(
-                    resumed.record().requirements(),
-                    fresh.record().requirements(),
-                    "{what}"
-                );
-                assert_eq!(resumed.record().events(), fresh.record().events(), "{what}");
-                assert_eq!(
-                    (resumed.replayed_steps(), resumed.live_steps()),
-                    (j, graph.len() - j),
-                    "{what}"
-                );
-                // Just below the makespan, and at half of it, which
-                // often aborts inside the replayed prefix.
-                for cutoff in [makespan * (1.0 - 1e-12), makespan * 0.5] {
-                    for (ws, prefix) in [(&mut fresh, PassPrefix::EMPTY), (&mut resumed, prefix)] {
-                        assert!(
-                            dual_queue::schedule_resumed(&view, &config, ws, cutoff, prefix)
-                                .is_none(),
-                            "{what}"
-                        );
-                    }
-                    assert_eq!(
-                        resumed.replayed_steps() + resumed.live_steps(),
-                        fresh.live_steps(),
-                        "{what}: aborted at a different step under cutoff {cutoff}"
-                    );
-                    aborted_in_replay += usize::from(resumed.live_steps() == 0);
-                }
-            }
-        }
-        assert!(inside > 0, "{label}: no resume point fell inside a pass");
-        assert!(
-            aborted_in_replay > 0,
-            "{label}: no bounded resumed pass aborted inside its replay"
-        );
-    }
-}
-
 /// Folds `words` into `hash` (FNV-1a over 64-bit words).
 fn fold(hash: u64, words: impl IntoIterator<Item = u64>) -> u64 {
     words
@@ -628,7 +443,7 @@ fn kernel_output_matches_the_pinned_digest() {
     let mut pass = |config: &DualQueueConfig, digest: &mut u64| {
         let makespan = dual_queue::schedule_into(&graph, config, &mut ws);
         *digest = fold(*digest, [makespan.to_bits()]);
-        *digest = fold(*digest, ws.record().pops().iter().map(|&id| u64::from(id)));
+        *digest = fold(*digest, ws.pop_log().iter().map(|&id| u64::from(id)));
     };
     for (_, base) in &configs {
         for ordering in all_orderings(6) {
