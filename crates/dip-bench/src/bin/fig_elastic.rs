@@ -215,9 +215,10 @@ fn main() {
         mean_regression,
     );
     println!(
-        "Expected shape: elastic recovery undercuts cold on every event — the delta-budget \
-         search replaces the full-budget one and only displaced state moves, while the \
-         steady-state ratio stays near 1.0."
+        "Expected shape: elastic recovery undercuts cold on every event — one pass prices \
+         each candidate and a delta-budget search of the leader alone replaces the \
+         full-budget one, and only displaced state moves, while the steady-state ratio \
+         stays near 1.0."
     );
     assert!(
         recovery_elastic < recovery_cold,

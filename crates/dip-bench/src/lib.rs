@@ -502,11 +502,11 @@ pub fn interleaver_equals_engine(planner: &DipPlanner<'_>, plan: &DipPlan) -> bo
 /// measurements are degenerate.
 ///
 /// All samples share one problem size (this graph's item count), so the
-/// fit goes **through the origin** ([`CostModel::fit_through_origin`]):
-/// the measured mean becomes a per-item rate that extrapolates
-/// proportionally to other graph sizes. To recover the fixed overhead
-/// too, time graphs of several sizes and hand the pooled samples to
-/// [`CostModel::fit`].
+/// fit goes **through the origin**, on the samples' median
+/// ([`fit_pass_cost`]): the median pass becomes a per-item rate that
+/// extrapolates proportionally to other graph sizes. To recover the fixed
+/// overhead too, time graphs of several sizes and hand the pooled samples
+/// to [`CostModel::fit`].
 pub fn calibrate_eval_cost(
     graph: &StageGraph,
     num_segments: usize,
@@ -528,17 +528,38 @@ pub fn calibrate_eval_cost(
     if evaluations > 0 {
         pass();
     }
-    let samples: Vec<CostSample> = (0..evaluations)
+    let seconds: Vec<f64> = (0..evaluations)
         .map(|_| {
             let start = Instant::now();
             pass();
-            CostSample {
-                units: graph.len() as u64,
-                seconds: start.elapsed().as_secs_f64(),
-            }
+            start.elapsed().as_secs_f64()
         })
         .collect();
-    CostModel::fit_through_origin(&samples)
+    fit_pass_cost(graph.len() as u64, &seconds)
+}
+
+/// Fits a per-pass cost model through the origin from wall-clock samples
+/// of single passes over one graph of `units` items, on their **median**.
+/// A least-squares fit through the origin at one size is the samples'
+/// mean, which one preempted pass can double; the median ignores it.
+/// Returns `None` without samples, for `units == 0`, or when the median
+/// is not positive.
+pub fn fit_pass_cost(units: u64, seconds: &[f64]) -> Option<CostModel> {
+    let mut sorted = seconds.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    if n == 0 {
+        return None;
+    }
+    let median = if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    };
+    CostModel::fit_through_origin(&[CostSample {
+        units,
+        seconds: median,
+    }])
 }
 
 /// Prints a GitHub-flavoured markdown table.
@@ -662,6 +683,31 @@ mod tests {
         // The fitted model converts budgets into finite quotas.
         let quota = model.quota(Duration::from_millis(100), graph.len() as u64);
         assert!(quota > 0 && quota < u64::MAX);
+    }
+
+    #[test]
+    fn one_outlier_pass_leaves_the_fit_within_five_percent() {
+        let units = 256;
+        let mut seconds = vec![10e-6; 31];
+        seconds.push(300e-6);
+        let fit = fit_pass_cost(units, &seconds).expect("positive samples fit");
+        let clean = 10e-6 / units as f64;
+        assert_eq!(fit.base_s, 0.0);
+        assert!(
+            (fit.per_unit_s / clean - 1.0).abs() <= 0.05,
+            "fit {} against {clean}",
+            fit.per_unit_s
+        );
+        // The mean of the same samples, which a least-squares fit through
+        // the origin returns, is 1.9 times the clean pass.
+        let samples: Vec<CostSample> = seconds
+            .iter()
+            .map(|&seconds| CostSample { units, seconds })
+            .collect();
+        let mean = CostModel::fit_through_origin(&samples).unwrap();
+        assert!(mean.per_unit_s > 1.8 * clean);
+        assert!(fit_pass_cost(units, &[]).is_none());
+        assert!(fit_pass_cost(0, &seconds).is_none());
     }
 
     #[test]

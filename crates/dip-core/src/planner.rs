@@ -148,8 +148,9 @@ pub enum PlanTier {
     /// Elastically replanned across a cluster-topology change (the first
     /// plan of a request after [`crate::PlanningSession::retarget`]): the
     /// old plan's sub-microbatch table and memory plan are reused,
-    /// candidate placements are priced against a migration-cost objective,
-    /// and only a small seeded ordering search runs per candidate.
+    /// candidate placements are priced with one interleave pass each
+    /// against a migration-cost objective, and only the leader (with a
+    /// runner-up priced close to it) runs a small seeded ordering search.
     Elastic,
 }
 
@@ -286,7 +287,7 @@ pub(crate) fn heaviest<'b>(
 
 /// What a plan takes from an earlier plan — the one axis along which the
 /// cold, fuzzy and elastic tiers differ. Everything else is the single
-/// pipeline of [`DipPlanner::plan_with`].
+/// pipeline of [`DipPlanner::price`] and [`DipPlanner::finish`].
 pub(crate) enum Reuse<'p> {
     /// Adopts nothing: the full-budget unseeded search, then the memory
     /// ILP, reprice and re-interleave.
@@ -295,15 +296,14 @@ pub(crate) enum Reuse<'p> {
     /// priorities, reprices, and runs one interleave pass: no search.
     Fuzzy(&'p DipPlan),
     /// Adopts the anchor's splits and memory plan over a candidate
-    /// placement, reprices, and searches under the elastic replanner's
-    /// delta budget, seeded from the anchor's priorities.
+    /// placement and reprices. The elastic replanner orders it: one pass
+    /// under the anchor's priorities ranks it, and the leader is searched
+    /// ([`DipPlanner::search_seeded`]).
     Elastic {
         /// The plan running before the topology change.
         anchor: &'p DipPlan,
         /// The candidate placement on the new topology.
         placement: Placement,
-        /// Virtual-time search budget ([`crate::ElasticConfig::delta_budget`]).
-        budget: Duration,
     },
 }
 
@@ -314,6 +314,57 @@ impl Reuse<'_> {
             Self::Cold => PlanTier::Cold,
             Self::Fuzzy(_) => PlanTier::Fuzzy,
             Self::Elastic { .. } => PlanTier::Elastic,
+        }
+    }
+}
+
+/// A request's stage graph built and repriced under a reuse policy: a plan
+/// before its ordering step. [`DipPlanner::price`] makes one, and
+/// [`DipPlanner::finish`] turns it and an ordering into a plan.
+pub(crate) struct Priced<'p> {
+    anchor: Option<&'p DipPlan>,
+    placement: Placement,
+    sub_plan: SubMicrobatchPlan,
+    pub(crate) graph: StageGraph,
+    /// The per-rank activation budget.
+    budget: Vec<u64>,
+    /// What every ordering of `graph` runs under: `budget` as the
+    /// interleaver's memory limits.
+    queue: DualQueueConfig,
+    tier: PlanTier,
+    start: Instant,
+    /// Wall time so far: partition, graph build, and the reprice under
+    /// `memopt`. The ordering step adds its own under `search`.
+    pub(crate) phases: PhaseTimes,
+}
+
+impl Priced<'_> {
+    /// Schedules the graph in one deterministic interleave pass under a
+    /// verbatim ordering: the anchor's priorities on an anchored plan,
+    /// priority zero for every segment on a cold one.
+    pub(crate) fn one_pass(&self) -> OrderingResult {
+        let num_segments = self.placement.segments.len();
+        let segment_priorities = self
+            .anchor
+            .map_or_else(|| vec![0; num_segments], |a| a.segment_priorities.clone());
+        let queue = DualQueueConfig {
+            segment_priorities: segment_priorities.clone(),
+            ..self.queue.clone()
+        };
+        let (orders, best_time_s) = dual_queue::schedule(&self.graph, &queue);
+        OrderingResult {
+            segment_priorities,
+            best_time_s,
+            evaluations: 1,
+            work: SearchWork {
+                distinct_orderings: 1,
+                interleave_passes: 1,
+                live_steps: self.graph.len() as u64,
+                ..SearchWork::default()
+            },
+            evaluation_quota: 0,
+            progress: Vec::new(),
+            orders,
         }
     }
 }
@@ -586,26 +637,54 @@ impl<'a> DipPlanner<'a> {
         Err(DipError::invalid_request(mismatch))
     }
 
-    /// The one planning pipeline behind every tier: placement and splits
+    /// The one planning pipeline behind the cold and fuzzy tiers:
+    /// [`DipPlanner::price`], the ordering step — the full-budget search on
+    /// a cold plan, one pass under the anchor's priorities on an anchored
+    /// one — and [`DipPlanner::finish`]. Callers with an anchor run
+    /// [`DipPlanner::check_anchor`] first.
+    ///
+    /// # Errors
+    ///
+    /// As [`DipPlanner::price`] and [`DipPlanner::finish`].
+    pub(crate) fn plan_with(
+        &self,
+        microbatches: &[BatchWorkload],
+        reuse: Reuse<'_>,
+    ) -> Result<DipPlan, DipError> {
+        let mut priced = self.price(microbatches, reuse)?;
+        // Phase ①+②: segment reordering + stage interleaving. No search
+        // runs with search disabled.
+        let search_start = Instant::now();
+        let ordering = match priced.anchor {
+            None if self.config.enable_search => {
+                let search = OrderingSearchConfig {
+                    dual_queue: priced.queue.clone(),
+                    ..self.config.search.clone()
+                };
+                search_ordering(&priced.graph, priced.placement.segments.len(), &search)
+            }
+            _ => priced.one_pass(),
+        };
+        priced.phases.search += search_start.elapsed();
+        self.finish(microbatches, priced, ordering)
+    }
+
+    /// The front half of every tier's pipeline: placement and splits
     /// (planned, or adopted from the anchor), one stage-graph expansion,
-    /// the reprice under an adopted memory plan, the activation budget, the
-    /// ordering step and — cold plans only — the memory ILP with its
-    /// reprice and re-interleave. `reuse` decides what comes from an
-    /// earlier plan; callers with an anchor run [`DipPlanner::check_anchor`]
-    /// first.
+    /// the reprice under an adopted memory plan and the activation budget.
+    /// `reuse` decides what comes from an earlier plan.
     ///
     /// # Errors
     ///
     /// Returns [`DipError::InvalidRequest`] for an empty request or a
     /// microbatch of zero tokens, a parallel configuration with a zero
     /// degree or a set `search.seed_ordering`, otherwise [`DipError`]
-    /// wrapping failures from partitioning, stage-graph construction or
-    /// memory optimisation.
-    pub(crate) fn plan_with(
+    /// wrapping failures from partitioning or stage-graph construction.
+    pub(crate) fn price<'p>(
         &self,
         microbatches: &[BatchWorkload],
-        reuse: Reuse<'_>,
-    ) -> Result<DipPlan, DipError> {
+        reuse: Reuse<'p>,
+    ) -> Result<Priced<'p>, DipError> {
         require_microbatches(microbatches)?;
         require_parallel_degrees(self.parallel)?;
         if self.config.search.seed_ordering.is_some() {
@@ -616,30 +695,21 @@ impl<'a> DipPlanner<'a> {
         }
         let start = Instant::now();
         let tier = reuse.tier();
-        // The ordering search's budget, or `None` to serve one ordering
-        // verbatim.
-        let (anchor, placement, sub_plan, search) = match reuse {
+        let (anchor, placement, sub_plan) = match reuse {
             Reuse::Cold => {
                 let partition = self.ensure_partition(microbatches)?;
                 let sub_plan = self
                     .partitioner()
                     .sub_microbatch_plan(&partition, microbatches);
-                let budget = self.config.search.time_budget;
-                (None, partition.placement, sub_plan, Some(budget))
+                (None, partition.placement, sub_plan)
             }
             Reuse::Fuzzy(anchor) => (
                 Some(anchor),
                 anchor.placement.clone(),
                 anchor.sub_microbatches.clone(),
-                None,
             ),
-            Reuse::Elastic {
-                anchor,
-                placement,
-                budget,
-            } => {
-                let sub_plan = anchor.sub_microbatches.clone();
-                (Some(anchor), placement, sub_plan, Some(budget))
+            Reuse::Elastic { anchor, placement } => {
+                (Some(anchor), placement, anchor.sub_microbatches.clone())
             }
         };
         let partition = start.elapsed();
@@ -672,28 +742,71 @@ impl<'a> DipPlanner<'a> {
             memory_limit: Some(budget.clone()),
             ..DualQueueConfig::default()
         };
-        // No search runs with search disabled, nor on an anchored plan whose
-        // budget buys no evaluation.
-        let search = search
-            .map(|time_budget| OrderingSearchConfig {
-                time_budget,
-                // Only an anchored search (elastic) is seeded: from the
-                // anchor's ordering. A cold search starts from no plan.
-                seed_ordering: anchor.map(|a| ordering_from_priorities(&a.segment_priorities)),
-                dual_queue: queue.clone(),
-                ..self.config.search.clone()
-            })
-            .filter(|search| {
-                self.config.enable_search
-                    && (anchor.is_none() || search.evaluation_quota(graph.len()) > 0)
-            });
+        Ok(Priced {
+            anchor,
+            placement,
+            sub_plan,
+            graph,
+            budget,
+            queue,
+            tier,
+            start,
+            phases: PhaseTimes {
+                partition,
+                graph_build,
+                search: Duration::ZERO,
+                memopt: reprice_time,
+            },
+        })
+    }
 
-        // Phase ①+②: segment reordering + stage interleaving.
-        let search_start = Instant::now();
-        let segments = placement.segments.len();
-        let mut ordering = Self::order(&graph, segments, search.as_ref(), &queue, anchor);
-        let search_time = search_start.elapsed();
+    /// The elastic tier's search, applied to an already-priced candidate:
+    /// a seeded ordering search on its own graph under `budget` (virtual
+    /// time, [`crate::ElasticConfig::delta_budget`]), seeded from the
+    /// anchor's priorities. The search evaluates its seed as an incumbent,
+    /// so it never returns a worse time than one pass under the anchor's
+    /// priorities. `None` on a cold plan, with search disabled, or when the
+    /// budget buys no evaluation.
+    pub(crate) fn search_seeded(
+        &self,
+        priced: &Priced<'_>,
+        budget: Duration,
+    ) -> Option<OrderingResult> {
+        let anchor = priced.anchor?;
+        let search = OrderingSearchConfig {
+            time_budget: budget,
+            seed_ordering: Some(ordering_from_priorities(&anchor.segment_priorities)),
+            dual_queue: priced.queue.clone(),
+            ..self.config.search.clone()
+        };
+        (self.config.enable_search && search.evaluation_quota(priced.graph.len()) > 0)
+            .then(|| search_ordering(&priced.graph, priced.placement.segments.len(), &search))
+    }
 
+    /// The back half of every tier's pipeline: phase ③ on a cold plan,
+    /// then the plan itself. `ordering` is the ordering step's result on
+    /// `priced`'s graph; an anchored plan adopts its anchor's memory plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DipError`] wrapping failures from memory optimisation.
+    pub(crate) fn finish(
+        &self,
+        microbatches: &[BatchWorkload],
+        priced: Priced<'_>,
+        mut ordering: OrderingResult,
+    ) -> Result<DipPlan, DipError> {
+        let Priced {
+            anchor,
+            placement,
+            sub_plan,
+            mut graph,
+            budget,
+            queue,
+            tier,
+            start,
+            mut phases,
+        } = priced;
         // Phase ③ (cold plans): per-layer memory optimisation — the
         // per-rank ILPs run on this plan's CPU-thread share (`search.workers`,
         // the same budget the search phase just released) — then reprice
@@ -722,7 +835,7 @@ impl<'a> DipPlanner<'a> {
             }
             None => (MemoryPlan::new(), 0),
         };
-        let memopt_time = reprice_time + memopt_start.elapsed();
+        phases.memopt += memopt_start.elapsed();
 
         Ok(DipPlan {
             graph,
@@ -735,12 +848,7 @@ impl<'a> DipPlanner<'a> {
             topology_fingerprint: self.topology.fingerprint(),
             stats: PlannerStats {
                 planning_time: start.elapsed(),
-                phases: PhaseTimes {
-                    partition,
-                    graph_build,
-                    search: search_time,
-                    memopt: memopt_time,
-                },
+                phases,
                 search_evaluations: ordering.evaluations,
                 search_work: ordering.work,
                 memopt_constraint_entries,
@@ -748,43 +856,6 @@ impl<'a> DipPlanner<'a> {
                 tier,
             },
         })
-    }
-
-    /// Phase ①+②: searches a segment ordering under `search`, or, without
-    /// one, schedules a verbatim ordering in one deterministic interleave
-    /// pass under `queue`: the anchor's priorities on an anchored plan
-    /// (every fuzzy hit), priority zero for every segment on a cold one.
-    fn order(
-        graph: &StageGraph,
-        num_segments: usize,
-        search: Option<&OrderingSearchConfig>,
-        queue: &DualQueueConfig,
-        anchor: Option<&DipPlan>,
-    ) -> OrderingResult {
-        if let Some(search) = search {
-            return search_ordering(graph, num_segments, search);
-        }
-        let segment_priorities =
-            anchor.map_or_else(|| vec![0; num_segments], |a| a.segment_priorities.clone());
-        let queue = DualQueueConfig {
-            segment_priorities: segment_priorities.clone(),
-            ..queue.clone()
-        };
-        let (orders, best_time_s) = dual_queue::schedule(graph, &queue);
-        OrderingResult {
-            segment_priorities,
-            best_time_s,
-            evaluations: 1,
-            work: SearchWork {
-                distinct_orderings: 1,
-                interleave_passes: 1,
-                live_steps: graph.len() as u64,
-                ..SearchWork::default()
-            },
-            evaluation_quota: 0,
-            progress: Vec::new(),
-            orders,
-        }
     }
 
     /// Simulates the deployment of a plan (workflow step ④), returning the
