@@ -963,7 +963,7 @@ mod tests {
     /// measured on the objective, or on the planned time when nothing
     /// moved differently.
     #[test]
-    fn leader_only_search_matches_searching_every_candidate() {
+    fn one_pass_ranking_against_searching_every_candidate() {
         const CASES: u64 = 48;
         let (mut ranked, mut runner_ups, mut leader_agreed, mut agreed) = (0u32, 0, 0, 0);
         let mut worst_loss = 0.0f64;
