@@ -12,7 +12,9 @@
 //! time + state-transfer time), bytes of state moved, and the steady-state
 //! simulated iteration time of the recovered plan against the cold plan's.
 //! The CI gate pins the aggregate recovery times (SimTime), the exact bytes
-//! moved and event count (Determinism), a cross-worker bit-identity
+//! moved, event count and the served plans' interleave evaluations
+//! (Determinism: every candidate's ranking pass and the searches, the work
+//! the recovery's planning time prices), a cross-worker bit-identity
 //! witness (the whole recovery sequence replays identically at different
 //! search-worker counts), and `check.interleaver_equals_engine`: every
 //! elastic plan's planned time equals its optimizer-free engine replay,
@@ -40,6 +42,8 @@ struct EventOutcome {
     bytes_moved: u64,
     transfer_s: f64,
     planning_virtual_s: f64,
+    /// Interleave evaluations the replan ran over all its candidates.
+    search_evaluations: u64,
     recovery_cold_s: f64,
     steady_elastic_s: f64,
     steady_cold_s: f64,
@@ -115,6 +119,7 @@ fn sweep(
             bytes_moved: report.migration.bytes_moved,
             transfer_s: report.migration.transfer_time_s,
             planning_virtual_s: report.planning_virtual_s,
+            search_evaluations: outcome.plan.stats.search_evaluations,
             recovery_cold_s: cold.planner().cold_recovery_time_s(&cold_plan),
             steady_elastic_s,
             steady_cold_s,
@@ -167,12 +172,14 @@ fn main() {
     let mut recovery_elastic = 0.0f64;
     let mut recovery_cold = 0.0f64;
     let mut bytes_moved = 0u64;
+    let mut search_evaluations = 0u64;
     let mut regression = 0.0f64;
     for event in &events {
         let elastic_s = event.planning_virtual_s + event.transfer_s;
         recovery_elastic += elastic_s;
         recovery_cold += event.recovery_cold_s;
         bytes_moved += event.bytes_moved;
+        search_evaluations += event.search_evaluations;
         regression += event.steady_elastic_s / event.steady_cold_s;
         rows.push(vec![
             event.iteration.to_string(),
@@ -242,6 +249,7 @@ fn main() {
         && events.iter().zip(&replay).all(|(a, b)| {
             a.candidate == b.candidate
                 && a.bytes_moved == b.bytes_moved
+                && a.search_evaluations == b.search_evaluations
                 && a.plan_bits == b.plan_bits
                 && a.planning_virtual_s.to_bits() == b.planning_virtual_s.to_bits()
         });
@@ -274,6 +282,12 @@ fn main() {
         MetricKind::Determinism,
         "count",
         bytes_moved as f64,
+    );
+    report.push(
+        "elastic.search_evaluations",
+        MetricKind::Determinism,
+        "count",
+        search_evaluations as f64,
     );
     report.push(
         "elastic.events",

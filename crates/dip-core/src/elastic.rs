@@ -29,15 +29,17 @@
 //! * **Rebalance** — re-run placement for all modules: the best steady-state
 //!   plan, and the most state moved.
 //!
-//! Every candidate is priced with one interleave pass under the old plan's
-//! priorities, and ranked by its objective after that pass. Only the
-//! leader runs an ordering search — and the runner-up too when its
-//! one-pass objective is within 0.5% of the leader's (`RUNNER_UP_MARGIN`) —
-//! seeded from the old plan's ordering and budgeted in *virtual time* by
-//! [`ElasticConfig::delta_budget`] on the calibrated evaluation cost
-//! model, so a fixed seed yields a bit-identical recovery sequence at any
-//! worker count on any machine. A lone candidate needs no ranking and is
-//! searched directly.
+//! Every candidate, a lone one included, is priced with one interleave
+//! pass under the old plan's priorities, and ranked by its objective after
+//! that pass. Only the leader runs an ordering search — and the runner-up
+//! too when its one-pass objective is within 0.5% of the leader's
+//! (`RUNNER_UP_MARGIN`) — seeded from the old plan's ordering and budgeted
+//! in *virtual time* by [`ElasticConfig::delta_budget`] on the calibrated
+//! evaluation cost model, so a fixed seed yields a bit-identical recovery
+//! sequence at any worker count on any machine. The search's pass memo
+//! adopts the ranking pass, which is the seed's evaluation unless the old
+//! priorities are tied, so no ordering is evaluated twice for one
+//! candidate.
 //!
 //! The one-pass ranking is an empirical rule, not a bound: search gains
 //! mostly move together across the candidates of one replan, but a
@@ -51,7 +53,9 @@ use crate::error::DipError;
 use crate::ordering::{OrderingResult, SearchWork};
 use crate::planner::{heaviest, DipPlan, DipPlanner, PhaseTimes, Priced, Reuse};
 use dip_models::{BatchWorkload, ModuleId};
-use dip_pipeline::{full_restore_cost, migration_cost, MigrationCost, Placement};
+use dip_pipeline::{
+    full_restore_cost, migration_cost, MigrationCost, Placement, ScheduleWorkspace,
+};
 use dip_sim::{ClusterTopology, TopologyDelta};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -119,9 +123,7 @@ pub struct CandidateReport {
     /// State movement this candidate pays.
     pub migration: MigrationCost,
     /// The candidate's iteration time (seconds) after one interleave pass
-    /// under the old plan's priorities: the price it was ranked by. A lone
-    /// candidate is not ranked and runs no such pass; its price is its
-    /// searched plan's.
+    /// under the old plan's priorities: the price it was ranked by.
     pub planned_time_s: f64,
     /// The one-pass objective, `planned_time_s + migration_weight ·
     /// transfer_time_s` (infinite weight: infinite unless nothing moves).
@@ -133,11 +135,13 @@ pub struct CandidateReport {
     /// below the served searched one is where leader-only search may have
     /// lost.
     pub searched_objective: Option<f64>,
-    /// Interleave evaluations this candidate cost: one for a candidate
-    /// priced by one pass only, and its ranking pass plus its search
-    /// evaluations for a searched one. On a replan they sum to the served
-    /// plan's [`crate::PlannerStats::search_evaluations`]; the unchanged
-    /// fast path evaluates nothing and reports zero.
+    /// Interleave evaluations this candidate cost: its ranking pass, and
+    /// on a searched candidate the search's identity incumbent and every
+    /// stream's quota too (the ranking pass is the seed's evaluation, or
+    /// the search evaluates the seed once more when the old priorities are
+    /// tied). On a replan they sum to the served plan's
+    /// [`crate::PlannerStats::search_evaluations`]; the unchanged fast path
+    /// evaluates nothing and reports zero.
     pub evaluations: u64,
 }
 
@@ -172,9 +176,7 @@ impl CandidateReport {
             self.objective < other.objective
         }
     }
-}
 
-impl CandidateReport {
     /// True when this candidate, ranked below `leader`, is priced within
     /// [`RUNNER_UP_MARGIN`] of it: of its objective or, at infinite
     /// weight, of its planned time at an equal transfer time.
@@ -212,10 +214,11 @@ pub struct ElasticReport {
     pub candidate: ElasticCandidate,
     /// The winning candidate's objective value, after its search.
     pub objective: f64,
-    /// Deterministic virtual planning time of the whole replan: one
-    /// ranking pass per candidate plus the searched candidates' evaluations,
-    /// priced on the calibrated evaluation cost model. Together with
-    /// `migration.transfer_time_s` this is the recovery bill.
+    /// Deterministic virtual planning time of the whole replan: every
+    /// candidate's [`CandidateReport::evaluations`] (one ranking pass each,
+    /// plus the searched candidates' searches), priced on the calibrated
+    /// evaluation cost model. Together with `migration.transfer_time_s`
+    /// this is the recovery bill.
     pub planning_virtual_s: f64,
     /// Every evaluated candidate, in evaluation order.
     pub candidates: Vec<CandidateReport>,
@@ -250,22 +253,53 @@ impl Deref for ElasticOutcome {
 const RUNNER_UP_MARGIN: f64 = 0.005;
 
 /// A candidate still in contention after the one-pass ranking: its index
-/// in the report table, its priced graph and its ranking pass (`None` for
-/// a lone candidate, which runs none).
+/// in the report table, its priced graph, and its ranking pass with the
+/// workspace holding the pass's record.
 struct Contender<'p> {
     index: usize,
     priced: Priced<'p>,
-    one_pass: Option<OrderingResult>,
+    pass: (OrderingResult, ScheduleWorkspace),
 }
 
-/// What the candidates that were not served cost, billed to the served
-/// plan.
+/// What a replan's candidates cost together, all billed to the served
+/// plan: their wall time, evaluations, kernel work and virtual planning
+/// time.
 #[derive(Default)]
-struct Beaten {
+struct Bill {
     phases: PhaseTimes,
     evaluations: u64,
     work: SearchWork,
     virtual_s: f64,
+}
+
+impl Bill {
+    /// Adds one candidate: the `phases` it ran through, and `evaluations`
+    /// of its graph of `items` items with the kernel `work` they took.
+    fn add(
+        &mut self,
+        planner: &DipPlanner<'_>,
+        phases: PhaseTimes,
+        items: usize,
+        evaluations: u64,
+        work: SearchWork,
+    ) {
+        self.phases += phases;
+        self.evaluations += evaluations;
+        self.work += work;
+        self.virtual_s += planner.virtual_search_s(items, evaluations);
+    }
+
+    /// Adds a candidate the ranking beat, and drops its graph.
+    fn add_beaten(&mut self, planner: &DipPlanner<'_>, beaten: Contender<'_>) {
+        let (priced, (pass, _)) = (&beaten.priced, &beaten.pass);
+        self.add(
+            planner,
+            priced.phases,
+            priced.graph.len(),
+            pass.evaluations,
+            pass.work,
+        );
+    }
 }
 
 impl DipPlanner<'_> {
@@ -278,19 +312,18 @@ impl DipPlanner<'_> {
     /// `old_plan` is the plan running when the change hit (produced by this
     /// crate on `old_topology`); `self` is a planner constructed on the
     /// *new* topology. The old plan's sub-microbatch table and memory plan
-    /// are reused. Every candidate placement (see the [module docs](self))
-    /// is priced with one stage-graph expansion, a reprice under the old
-    /// memory plan and one interleave pass under the old priorities, and
-    /// ranked by `planned_time + migration_weight · transfer_time` after
-    /// that pass. Ties keep the earlier candidate, so at infinite weight the
-    /// movement-minimal **Stay** candidate leads unless strictly beaten on
-    /// transfer time. A beaten candidate's graph is dropped at once. The
-    /// leader runs the seeded ordering search under
+    /// are reused. Every candidate placement (see the [module docs](self)),
+    /// a lone one included, is priced with one stage-graph expansion, a
+    /// reprice under the old memory plan and one interleave pass under the
+    /// old priorities, and ranked by `planned_time + migration_weight ·
+    /// transfer_time` after that pass. Ties keep the earlier candidate, so
+    /// at infinite weight the movement-minimal **Stay** candidate leads
+    /// unless strictly beaten on transfer time. A beaten candidate's graph
+    /// is dropped at once. The leader runs the seeded ordering search under
     /// [`ElasticConfig::delta_budget`] on the graph its ranking pass
-    /// already built, and so does the runner-up when it is priced within
-    /// 0.5% of the leader; the better searched plan is
-    /// served, ties keeping the leader. A lone candidate is searched
-    /// without a ranking pass.
+    /// already built, taking that pass as its seed's evaluation, and so
+    /// does the runner-up when it is priced within 0.5% of the leader; the
+    /// better searched plan is served, ties keeping the leader.
     ///
     /// If the topology did not change at all, the old plan is returned
     /// byte-identical with a zero [`MigrationCost`]
@@ -344,12 +377,11 @@ impl DipPlanner<'_> {
         let delta = old_topology.delta_to(&self.topology, tp);
         let weight = config.migration_weight;
         let candidates = self.candidate_placements(microbatches, old_plan);
-        let lone = candidates.len() == 1;
         let mut reports: Vec<CandidateReport> = Vec::with_capacity(candidates.len());
         // The leader and the runner-up so far, best first. Every other
         // candidate is billed and its graph dropped at once.
         let mut top: Vec<Contender<'_>> = Vec::with_capacity(3);
-        let mut beaten = Beaten::default();
+        let mut bill = Bill::default();
         for (candidate, placement) in candidates {
             let migration = migration_cost(
                 self.spec,
@@ -366,28 +398,11 @@ impl DipPlanner<'_> {
                 },
             )?;
             let index = reports.len();
-            if lone {
-                // Priced once the search has run.
-                reports.push(CandidateReport::priced(
-                    candidate, migration, 0.0, 0, weight,
-                ));
-                top.push(Contender {
-                    index,
-                    priced,
-                    one_pass: None,
-                });
-                break;
-            }
             let pass_start = Instant::now();
-            let one_pass = priced.one_pass();
+            let pass = priced.one_pass();
             priced.phases.search += pass_start.elapsed();
-            let report = CandidateReport::priced(
-                candidate,
-                migration,
-                one_pass.best_time_s,
-                one_pass.evaluations,
-                weight,
-            );
+            let report =
+                CandidateReport::priced(candidate, migration, pass.0.best_time_s, 1, weight);
             let rank = top
                 .iter()
                 .position(|c| report.beats(&reports[c.index], weight))
@@ -396,18 +411,16 @@ impl DipPlanner<'_> {
             let contender = Contender {
                 index,
                 priced,
-                one_pass: Some(one_pass),
+                pass,
             };
             top.insert(rank, contender);
             if top.len() > 2 {
-                let third = top.pop().expect("three contenders");
-                self.bill_pass(&mut beaten, third);
+                bill.add_beaten(self, top.pop().expect("three contenders"));
             }
         }
         let leader = top.first().expect("Stay is always a candidate").index;
         if top.len() == 2 && !reports[top[1].index].within_margin(&reports[leader], weight) {
-            let runner_up = top.pop().expect("two contenders");
-            self.bill_pass(&mut beaten, runner_up);
+            bill.add_beaten(self, top.pop().expect("two contenders"));
         }
 
         // Each contender's search, on the graph its ranking pass priced;
@@ -416,22 +429,16 @@ impl DipPlanner<'_> {
         for Contender {
             index,
             mut priced,
-            one_pass,
+            pass,
         } in top
         {
             let search_start = Instant::now();
-            let ordering = match self.search_seeded(&priced, config.delta_budget) {
-                Some(mut searched) => {
-                    if let Some(one_pass) = one_pass {
-                        searched.evaluations += one_pass.evaluations;
-                        searched.work += one_pass.work;
-                    }
-                    searched
-                }
-                None => one_pass.unwrap_or_else(|| priced.one_pass()),
-            };
+            let ordering = self.search_seeded(&priced, pass, config.delta_budget);
             priced.phases.search += search_start.elapsed();
             let plan = self.finish(microbatches, priced, ordering)?;
+            let stats = &plan.stats;
+            let (evaluations, work) = (stats.search_evaluations, stats.search_work);
+            bill.add(self, stats.phases, plan.graph.len(), evaluations, work);
 
             let report = &mut reports[index];
             let price = CandidateReport::priced(
@@ -441,10 +448,6 @@ impl DipPlanner<'_> {
                 plan.stats.search_evaluations,
                 weight,
             );
-            if lone {
-                report.planned_time_s = price.planned_time_s;
-                report.objective = price.objective;
-            }
             debug_assert!(
                 price.planned_time_s <= report.planned_time_s,
                 "{}: the search planned {} s, above its one-pass {} s",
@@ -454,13 +457,11 @@ impl DipPlanner<'_> {
             );
             report.searched_objective = Some(price.objective);
             report.evaluations = price.evaluations;
-            match &served {
-                Some((best, _)) if !price.beats(best, weight) => self.bill_plan(&mut beaten, &plan),
-                _ => {
-                    if let Some((_, beaten_plan)) = served.replace((price, plan)) {
-                        self.bill_plan(&mut beaten, &beaten_plan);
-                    }
-                }
+            if served
+                .as_ref()
+                .is_none_or(|(best, _)| price.beats(best, weight))
+            {
+                served = Some((price, plan));
             }
         }
         let (price, mut plan) = served.expect("the leader is searched");
@@ -473,12 +474,11 @@ impl DipPlanner<'_> {
 
         // The replan's bill covers every candidate; the planned time stays
         // the served plan's own.
-        let planning_virtual_s = beaten.virtual_s + self.virtual_planning_s(&plan);
         let stats = &mut plan.stats;
         stats.planning_time = start.elapsed();
-        stats.phases += beaten.phases;
-        stats.search_evaluations += beaten.evaluations;
-        stats.search_work += beaten.work;
+        stats.phases = bill.phases;
+        stats.search_evaluations = bill.evaluations;
+        stats.search_work = bill.work;
         Ok(ElasticOutcome {
             plan,
             report: ElasticReport {
@@ -486,31 +486,10 @@ impl DipPlanner<'_> {
                 candidate: price.candidate,
                 objective: price.objective,
                 delta,
-                planning_virtual_s,
+                planning_virtual_s: bill.virtual_s,
                 candidates: reports,
             },
         })
-    }
-
-    /// Bills a candidate the ranking beat: its wall time, its ranking pass
-    /// and their virtual planning time. Its graph is dropped.
-    fn bill_pass(&self, beaten: &mut Beaten, loser: Contender<'_>) {
-        let Contender {
-            priced, one_pass, ..
-        } = loser;
-        let one_pass = one_pass.expect("only ranked candidates are beaten");
-        beaten.phases += priced.phases;
-        beaten.evaluations += one_pass.evaluations;
-        beaten.work += one_pass.work;
-        beaten.virtual_s += self.virtual_search_s(priced.graph.len(), one_pass.evaluations);
-    }
-
-    /// Bills a searched contender that was not served.
-    fn bill_plan(&self, beaten: &mut Beaten, loser: &DipPlan) {
-        beaten.phases += loser.stats.phases;
-        beaten.evaluations += loser.stats.search_evaluations;
-        beaten.work += loser.stats.search_work;
-        beaten.virtual_s += self.virtual_planning_s(loser);
     }
 
     /// The recovery bill of a *cold* restart on this planner's topology:
@@ -521,13 +500,9 @@ impl DipPlanner<'_> {
     /// [`ElasticReport::planning_virtual_s`]` + migration.transfer_time_s`.
     pub fn cold_recovery_time_s(&self, cold_plan: &DipPlan) -> f64 {
         let restore = full_restore_cost(self.spec, &cold_plan.placement, &self.topology);
-        self.virtual_planning_s(cold_plan) + restore.transfer_time_s
-    }
-
-    /// The virtual planning time of `plan`'s search: its evaluations priced
-    /// on the calibrated evaluation cost model at the plan's graph size.
-    fn virtual_planning_s(&self, plan: &DipPlan) -> f64 {
-        self.virtual_search_s(plan.graph.len(), plan.stats.search_evaluations)
+        let planning_s =
+            self.virtual_search_s(cold_plan.graph.len(), cold_plan.stats.search_evaluations);
+        planning_s + restore.transfer_time_s
     }
 
     /// `evaluations` interleave evaluations of a graph of `items` items,
@@ -629,7 +604,7 @@ mod tests {
     use crate::PlannerConfig;
     use dip_data::{BatchGenerator, DatasetMix, FailureSchedule};
     use dip_models::{zoo, LmmSpec, Modality, ModalityWorkload};
-    use dip_pipeline::ParallelConfig;
+    use dip_pipeline::{DualQueueConfig, ParallelConfig};
     use proptest::{Strategy, TestRng};
 
     fn parallel() -> ParallelConfig {
@@ -835,11 +810,29 @@ mod tests {
             .workloads()
     }
 
+    /// The evaluations a searched elastic candidate reports: its ranking
+    /// pass, the search's identity incumbent and every stream's quota (the
+    /// ranking pass stands in for the seed), plus `seed` when the search
+    /// evaluates its seed itself.
+    fn searched_evaluations(planner: &DipPlanner<'_>, items: usize, seed: u64) -> u64 {
+        let search = crate::OrderingSearchConfig {
+            time_budget: ElasticConfig::default().delta_budget,
+            ..planner.config.search.clone()
+        };
+        let quota = search.evaluation_quota(items);
+        assert!(quota > 0, "the delta budget buys evaluations");
+        1 + 1 + seed + search.streams as u64 * quota
+    }
+
     /// A four-candidate replan searches only its leader, and its
     /// runner-up too when that is priced within [`RUNNER_UP_MARGIN`]: every
     /// other candidate reports one evaluation and no searched objective,
     /// and the per-candidate evaluations sum to the plan's. Batch seed 1
-    /// has a clear leader; seed 0's runner-up is within the margin.
+    /// has a clear leader; seed 0's runner-up is within the margin. A
+    /// searched candidate reports its ranking pass, the identity and the
+    /// streams' quotas, and so does a lone one (a uniform cluster
+    /// rebalances to the old boundaries): every candidate is ranked by one
+    /// pass, and the search takes that pass as its seed.
     #[test]
     fn a_four_candidate_replan_searches_only_its_leader() {
         let spec = zoo::t2v_s();
@@ -866,6 +859,7 @@ mod tests {
 
             let candidates = &outcome.candidates;
             assert_eq!(candidates.len(), 4);
+            let items = outcome.plan.graph.len();
             let mut ranked: Vec<&CandidateReport> = candidates.iter().collect();
             ranked.sort_by(|a, b| a.objective.total_cmp(&b.objective));
             let searched: Vec<&CandidateReport> = candidates
@@ -880,7 +874,12 @@ mod tests {
             );
             for (contender, searched) in ranked.iter().zip(&searched) {
                 assert_eq!(contender.candidate, searched.candidate);
-                assert!(searched.evaluations > 1, "the search ran");
+                assert_eq!(
+                    searched.evaluations,
+                    searched_evaluations(&planner, items, 0),
+                    "{}: one ranking pass, the identity and the quotas",
+                    searched.candidate
+                );
                 assert!(searched.searched_objective.unwrap() <= searched.objective);
             }
             for other in &ranked[contenders..] {
@@ -894,14 +893,104 @@ mod tests {
             assert_eq!(served.searched_objective, Some(outcome.objective));
             assert!(outcome.objective <= ranked[0].objective);
             let evaluations: u64 = candidates.iter().map(|c| c.evaluations).sum();
-            assert_eq!(evaluations, outcome.plan.stats.search_evaluations);
-            let items = outcome.plan.graph.len();
+            let stats = &outcome.plan.stats;
+            assert_eq!(evaluations, stats.search_evaluations);
+            // The adopted ranking pass is one evaluation and one ordering.
+            let work = stats.search_work;
+            assert!(work.distinct_orderings <= evaluations - work.pruned_evaluations);
             let virtual_s: f64 = candidates
                 .iter()
                 .map(|c| planner.virtual_search_s(items, c.evaluations))
                 .sum();
             assert!((outcome.planning_virtual_s - virtual_s).abs() <= 1e-12 * virtual_s);
         }
+
+        let spec = zoo::vlm_s();
+        let old_topology = ClusterTopology::mixed_h800_h20(2, 0);
+        let batches = vec![vlm_batch(8), vlm_batch(24)];
+        let old_plan =
+            DipPlanner::on_topology(&spec, parallel(), old_topology.clone(), config.clone())
+                .plan_iteration(&batches)
+                .unwrap();
+        let planner = DipPlanner::on_topology(
+            &spec,
+            parallel(),
+            ClusterTopology::mixed_h800_h20(1, 0),
+            config,
+        );
+        let outcome = planner
+            .replan_elastic(
+                &batches,
+                &old_plan,
+                &old_topology,
+                &ElasticConfig::default(),
+            )
+            .unwrap();
+        let [lone] = outcome.candidates.as_slice() else {
+            panic!("{} candidates, not one", outcome.candidates.len());
+        };
+        let items = outcome.plan.graph.len();
+        assert_eq!(lone.evaluations, searched_evaluations(&planner, items, 0));
+        assert_eq!(lone.evaluations, outcome.plan.stats.search_evaluations);
+        assert_eq!(lone.searched_objective, Some(outcome.objective));
+        assert!(outcome.plan.stats.planned_time_s <= lone.planned_time_s);
+    }
+
+    /// The ranking pass stands in for the search's seed only when the
+    /// anchor's priorities are the search's assignment of the seed
+    /// ordering. An anchor planned without search holds tied priorities (a
+    /// zero for every segment), whose ordering the search assigns distinct
+    /// ones: the search evaluates that seed itself, and the served plan
+    /// replays to its planned time.
+    #[test]
+    fn a_tied_anchor_is_searched_from_its_own_seed_evaluation() {
+        let spec = zoo::vlm_s();
+        let old_topology = ClusterTopology::mixed_h800_h20(2, 0);
+        let config = time_budgeted_config(1, 40, 3);
+        let batches = vec![vlm_batch(8), vlm_batch(24)];
+        let unsearched = PlannerConfig {
+            enable_search: false,
+            ..config.clone()
+        };
+        let old_plan = DipPlanner::on_topology(&spec, parallel(), old_topology.clone(), unsearched)
+            .plan_iteration(&batches)
+            .unwrap();
+        let priorities = &old_plan.segment_priorities;
+        assert!(
+            priorities.len() > 1 && priorities.iter().all(|&p| p == priorities[0]),
+            "an unsearched plan ties every segment: {priorities:?}"
+        );
+        let planner = DipPlanner::on_topology(
+            &spec,
+            parallel(),
+            ClusterTopology::mixed_h800_h20(1, 0),
+            config,
+        );
+        let outcome = planner
+            .replan_elastic(
+                &batches,
+                &old_plan,
+                &old_topology,
+                &ElasticConfig::default(),
+            )
+            .unwrap();
+        let plan = &outcome.plan;
+        let [lone] = outcome.candidates.as_slice() else {
+            panic!("{} candidates, not one", outcome.candidates.len());
+        };
+        assert_eq!(
+            lone.evaluations,
+            searched_evaluations(&planner, plan.graph.len(), 1),
+            "the search evaluates the seed the tied ranking pass did not run"
+        );
+        let queue = DualQueueConfig {
+            segment_priorities: plan.segment_priorities.clone(),
+            memory_limit: Some(planner.activation_budget(&plan.graph.static_memory)),
+            ..DualQueueConfig::default()
+        };
+        let (orders, makespan) = dip_pipeline::dual_queue::schedule(&plan.graph, &queue);
+        assert_eq!(plan.stats.planned_time_s.to_bits(), makespan.to_bits());
+        assert_eq!(plan.orders, orders);
     }
 
     /// The replan this module made before the one-pass ranking: every
@@ -933,9 +1022,8 @@ mod tests {
                     },
                 )
                 .unwrap();
-            let ordering = planner
-                .search_seeded(&priced, config.delta_budget)
-                .unwrap_or_else(|| priced.one_pass());
+            let pass = priced.one_pass();
+            let ordering = planner.search_seeded(&priced, pass, config.delta_budget);
             let report = CandidateReport::priced(
                 candidate,
                 migration,

@@ -71,7 +71,10 @@
 //! n!)` for DFS, and `1 + warm` on a single-segment graph (`warm` is 1
 //! when a valid seed ordering was evaluated), and
 //! [`OrderingResult::progress`] places every improvement by its
-//! evaluation index.
+//! evaluation index. An elastic candidate's search starts from a memo
+//! that adopted the candidate's ranking pass; when that pass ran under
+//! the search's own priorities for the seed, it is the seed's evaluation
+//! and the search's `warm` is 0.
 //!
 //! The streams keep priorities, never orders, so the winner's orders come
 //! from one more pass over its priorities once the streams finish
@@ -436,9 +439,29 @@ pub fn search_ordering(
     num_segments: usize,
     config: &OrderingSearchConfig,
 ) -> OrderingResult {
+    search_from(graph, num_segments, config, PassMemo::new(graph))
+}
+
+/// The search behind [`search_ordering`], through `memo`. A memo that
+/// adopted a pass under the seed ordering's priorities
+/// ([`PassMemo::adopting`]) knows the seed's time: that pass is the seed's
+/// evaluation, and the search does not count or run it again.
+pub(crate) fn search_from(
+    graph: &StageGraph,
+    num_segments: usize,
+    config: &OrderingSearchConfig,
+    memo: PassMemo<'_>,
+) -> OrderingResult {
     let quota = config.evaluation_quota(graph.len());
-    let memo = PassMemo::new(graph);
     let mut ctx = EvalContext::new(&config.dual_queue);
+    let seed = config
+        .seed_ordering
+        .as_deref()
+        .filter(|seed| is_permutation(seed, num_segments));
+    let known = seed.and_then(|seed| {
+        ctx.set_ordering(seed);
+        memo.makespan_of(ctx.priorities())
+    });
     let identity: Vec<usize> = (0..num_segments).collect();
     let t0 = ctx
         .evaluate(&memo, &identity, f64::INFINITY)
@@ -454,21 +477,19 @@ pub fn search_ordering(
         pruned: 0,
     };
 
-    // Warm start: evaluate the seeded ordering (typically the elastic
-    // anchor's) so the incumbent is at least as good as the anchor.
-    let warm = config
-        .seed_ordering
-        .as_deref()
-        .filter(|seed| is_permutation(seed, num_segments));
-    let mut warm_time = None;
-    if let Some(seed) = warm {
-        let t = ctx
-            .evaluate(&memo, seed, f64::INFINITY)
-            .expect("an infinite cutoff never aborts");
-        incumbent.evaluations += 1;
+    // Warm start: the seeded ordering (typically the elastic anchor's),
+    // evaluated unless its time is known, so the incumbent is at least as
+    // good as the anchor.
+    let warm = seed.map(|seed| {
+        let t = known.unwrap_or_else(|| {
+            incumbent.evaluations += 1;
+            let t = ctx.evaluate(&memo, seed, f64::INFINITY);
+            t.expect("an infinite cutoff never aborts")
+        });
+        ctx.set_ordering(seed);
         incumbent.record_if_better(0, t, ctx.priorities());
-        warm_time = Some(t);
-    }
+        (seed, t)
+    });
 
     let outcomes = if num_segments <= 1 {
         Vec::new()
@@ -499,7 +520,7 @@ pub fn search_ordering(
                 |ctx, stream| {
                     let mut local = WorkerOutcome::starting_from(&incumbent);
                     if strategy == SearchStrategy::Mcts {
-                        mcts_worker(&search, ctx, warm.zip(warm_time), &mut local, stream);
+                        mcts_worker(&search, ctx, warm, &mut local, stream);
                     } else {
                         random_worker(&search, ctx, &mut local, stream);
                     }

@@ -6,13 +6,15 @@
 use crate::error::{DipError, ResultExt};
 use crate::memopt::{optimize_memory_detailed, MemoryOptConfig};
 use crate::ordering::{
-    ordering_from_priorities, search_ordering, OrderingResult, OrderingSearchConfig, SearchWork,
+    ordering_from_priorities, search_from, search_ordering, OrderingResult, OrderingSearchConfig,
+    SearchWork,
 };
 use crate::partitioner::{ModalityAwarePartitioner, PartitionerConfig, PartitionerOutput};
 use dip_models::{BatchWorkload, LmmSpec, Modality};
 use dip_pipeline::{
     dual_queue, execute, DualQueueConfig, ExecutionOutcome, ExecutorConfig, MemoryPlan,
-    ParallelConfig, Placement, RankOrders, StageGraph, StageGraphBuilder, SubMicrobatchPlan,
+    ParallelConfig, PassMemo, Placement, RankOrders, ScheduleWorkspace, StageGraph,
+    StageGraphBuilder, SubMicrobatchPlan,
 };
 use dip_sim::{
     CalibrationRegistry, CalibrationSource, ClusterTopology, EfficiencyModel, TimingModel,
@@ -297,8 +299,8 @@ pub(crate) enum Reuse<'p> {
     Fuzzy(&'p DipPlan),
     /// Adopts the anchor's splits and memory plan over a candidate
     /// placement and reprices. The elastic replanner orders it: one pass
-    /// under the anchor's priorities ranks it, and the leader is searched
-    /// ([`DipPlanner::search_seeded`]).
+    /// under the anchor's priorities ranks it, and the leader's search
+    /// starts from that pass ([`DipPlanner::search_seeded`]).
     Elastic {
         /// The plan running before the topology change.
         anchor: &'p DipPlan,
@@ -341,19 +343,22 @@ pub(crate) struct Priced<'p> {
 impl Priced<'_> {
     /// Schedules the graph in one deterministic interleave pass under a
     /// verbatim ordering: the anchor's priorities on an anchored plan,
-    /// priority zero for every segment on a cold one.
-    pub(crate) fn one_pass(&self) -> OrderingResult {
+    /// priority zero for every segment on a cold one. The workspace the
+    /// pass ran in holds its record, which an elastic candidate's search
+    /// adopts ([`DipPlanner::search_seeded`]).
+    pub(crate) fn one_pass(&self) -> (OrderingResult, ScheduleWorkspace) {
         let num_segments = self.placement.segments.len();
         let segment_priorities = self
             .anchor
             .map_or_else(|| vec![0; num_segments], |a| a.segment_priorities.clone());
         let queue = DualQueueConfig {
-            segment_priorities: segment_priorities.clone(),
+            segment_priorities,
             ..self.queue.clone()
         };
-        let (orders, best_time_s) = dual_queue::schedule(&self.graph, &queue);
-        OrderingResult {
-            segment_priorities,
+        let mut ws = ScheduleWorkspace::new();
+        let best_time_s = dual_queue::schedule_into(&self.graph, &queue, &mut ws);
+        let pass = OrderingResult {
+            segment_priorities: queue.segment_priorities,
             best_time_s,
             evaluations: 1,
             work: SearchWork {
@@ -364,8 +369,9 @@ impl Priced<'_> {
             },
             evaluation_quota: 0,
             progress: Vec::new(),
-            orders,
-        }
+            orders: ws.orders(&self.graph),
+        };
+        (pass, ws)
     }
 }
 
@@ -663,7 +669,7 @@ impl<'a> DipPlanner<'a> {
                 };
                 search_ordering(&priced.graph, priced.placement.segments.len(), &search)
             }
-            _ => priced.one_pass(),
+            _ => priced.one_pass().0,
         };
         priced.phases.search += search_start.elapsed();
         self.finish(microbatches, priced, ordering)
@@ -760,27 +766,38 @@ impl<'a> DipPlanner<'a> {
         })
     }
 
-    /// The elastic tier's search, applied to an already-priced candidate:
-    /// a seeded ordering search on its own graph under `budget` (virtual
-    /// time, [`crate::ElasticConfig::delta_budget`]), seeded from the
-    /// anchor's priorities. The search evaluates its seed as an incumbent,
-    /// so it never returns a worse time than one pass under the anchor's
-    /// priorities. `None` on a cold plan, with search disabled, or when the
-    /// budget buys no evaluation.
+    /// The elastic tier's ordering step after a candidate's ranking pass
+    /// under the anchor's priorities: the ordering search seeded from them,
+    /// under `budget` (virtual time, [`crate::ElasticConfig::delta_budget`]),
+    /// through a memo that adopts the pass from `ws`. The pass is the
+    /// seed's evaluation unless the priorities are tied; the result counts
+    /// it too. With search disabled, or when the budget buys no
+    /// evaluation, the pass is the result.
     pub(crate) fn search_seeded(
         &self,
         priced: &Priced<'_>,
+        (pass, ws): (OrderingResult, ScheduleWorkspace),
         budget: Duration,
-    ) -> Option<OrderingResult> {
-        let anchor = priced.anchor?;
+    ) -> OrderingResult {
+        let graph = &priced.graph;
         let search = OrderingSearchConfig {
             time_budget: budget,
-            seed_ordering: Some(ordering_from_priorities(&anchor.segment_priorities)),
+            seed_ordering: Some(ordering_from_priorities(&pass.segment_priorities)),
             dual_queue: priced.queue.clone(),
             ..self.config.search.clone()
         };
-        (self.config.enable_search && search.evaluation_quota(priced.graph.len()) > 0)
-            .then(|| search_ordering(&priced.graph, priced.placement.segments.len(), &search))
+        if !self.config.enable_search || search.evaluation_quota(graph.len()) == 0 {
+            return pass;
+        }
+        let memo = PassMemo::adopting(graph, &pass.segment_priorities, &ws, pass.best_time_s);
+        let mut searched = search_from(graph, priced.placement.segments.len(), &search, memo);
+        searched.evaluations += pass.evaluations;
+        // The memo's distinct orderings already count the adopted pass's.
+        searched.work += SearchWork {
+            distinct_orderings: 0,
+            ..pass.work
+        };
+        searched
     }
 
     /// The back half of every tier's pipeline: phase ③ on a cold plan,

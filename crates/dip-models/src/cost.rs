@@ -65,19 +65,6 @@ impl LayerCost {
         }
         self.bwd_flops / mem as f64
     }
-
-    /// Scales every extensive quantity by `factor` (used when a workload is
-    /// split into sub-microbatches while the parameters stay resident).
-    pub fn scale_activations(&self, factor: f64) -> LayerCost {
-        LayerCost {
-            fwd_flops: self.fwd_flops * factor,
-            bwd_flops: self.bwd_flops * factor,
-            activation_bytes: (self.activation_bytes as f64 * factor) as u64,
-            fwd_mem_bytes: (self.fwd_mem_bytes as f64 * factor) as u64,
-            tp_comm_bytes: (self.tp_comm_bytes as f64 * factor) as u64,
-            ..*self
-        }
-    }
 }
 
 impl Add for LayerCost {
@@ -147,25 +134,6 @@ mod tests {
     fn sum_of_empty_iterator_is_default() {
         let total: LayerCost = std::iter::empty().sum();
         assert_eq!(total, LayerCost::default());
-    }
-
-    #[test]
-    fn scale_activations_leaves_static_memory_alone() {
-        let a = LayerCost {
-            fwd_flops: 10.0,
-            bwd_flops: 20.0,
-            param_bytes: 100,
-            grad_bytes: 100,
-            optimizer_bytes: 600,
-            activation_bytes: 50,
-            fwd_mem_bytes: 40,
-            tp_comm_bytes: 8,
-        };
-        let half = a.scale_activations(0.5);
-        assert_eq!(half.param_bytes, 100);
-        assert_eq!(half.optimizer_bytes, 600);
-        assert_eq!(half.activation_bytes, 25);
-        assert_eq!(half.fwd_flops, 5.0);
     }
 
     #[test]

@@ -20,11 +20,6 @@ pub enum ModelError {
         /// Number of key/value groups requested.
         num_kv_groups: usize,
     },
-    /// A module name was referenced but not present in the specification.
-    UnknownModule {
-        /// Name of the missing module.
-        module: String,
-    },
     /// The specification declared more than one backbone module.
     MultipleBackbones,
     /// A tensor-parallel degree that does not divide the attention heads was requested.
@@ -52,9 +47,6 @@ impl fmt::Display for ModelError {
                 "invalid attention configuration: embed_dim={embed_dim}, \
                  num_heads={num_heads}, num_kv_groups={num_kv_groups}"
             ),
-            ModelError::UnknownModule { module } => {
-                write!(f, "unknown module `{module}`")
-            }
             ModelError::MultipleBackbones => {
                 write!(
                     f,

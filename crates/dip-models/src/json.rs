@@ -9,7 +9,6 @@
 //! `str::parse::<f64>`, so a determinism gate can compare values bit for
 //! bit across machines.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value. Object keys keep their insertion order so emitted files
@@ -59,20 +58,6 @@ impl JsonValue {
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The members as a map, if this is an object (drops duplicate keys,
-    /// last wins — the writer never emits duplicates).
-    pub fn as_map(&self) -> Option<BTreeMap<&str, &JsonValue>> {
-        match self {
-            JsonValue::Object(members) => Some(
-                members
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v))
-                    .collect::<BTreeMap<_, _>>(),
-            ),
             _ => None,
         }
     }
@@ -443,7 +428,6 @@ mod tests {
         assert_eq!(doc.get("c").unwrap().as_str(), Some("x"));
         assert_eq!(doc.get("b").unwrap().as_array().unwrap().len(), 2);
         assert_eq!(doc.get("missing"), None);
-        assert!(doc.as_map().unwrap().contains_key("a"));
         assert_eq!(doc.get("a").unwrap().get("nested"), None);
     }
 }

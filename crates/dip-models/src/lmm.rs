@@ -79,11 +79,6 @@ impl LmmSpec {
         &self.modules
     }
 
-    /// Number of modules.
-    pub fn num_modules(&self) -> usize {
-        self.modules.len()
-    }
-
     /// The module with the given id.
     ///
     /// # Panics
@@ -132,15 +127,6 @@ impl LmmSpec {
     /// The decoder modules (in execution order).
     pub fn decoders(&self) -> impl Iterator<Item = (ModuleId, &ModalityModule)> {
         self.iter().filter(|(_, m)| m.role() == ModuleRole::Decoder)
-    }
-
-    /// Looks a module up by name.
-    pub fn module_by_name(&self, name: &str) -> Result<(ModuleId, &ModalityModule), ModelError> {
-        self.iter()
-            .find(|(_, m)| m.name() == name)
-            .ok_or_else(|| ModelError::UnknownModule {
-                module: name.to_owned(),
-            })
     }
 
     /// Total parameter count across all modules.
@@ -296,16 +282,6 @@ mod tests {
         let (_, lm_wl) = workloads[1];
         assert_eq!(vit_wl.tokens, 2000);
         assert_eq!(lm_wl.tokens, 8000);
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        let vlm = tiny_vlm();
-        assert!(vlm.module_by_name("vit").is_ok());
-        assert!(matches!(
-            vlm.module_by_name("nonexistent"),
-            Err(ModelError::UnknownModule { .. })
-        ));
     }
 
     #[test]

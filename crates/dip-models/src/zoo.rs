@@ -531,7 +531,7 @@ mod tests {
     #[test]
     fn vlm_specs_have_encoder_adapter_backbone() {
         for spec in [vlm_s(), vlm_m(), vlm_l(), vlm_xl()] {
-            assert_eq!(spec.num_modules(), 3, "{}", spec.name());
+            assert_eq!(spec.modules().len(), 3, "{}", spec.name());
             assert!(spec.backbone().is_some(), "{}", spec.name());
             assert_eq!(spec.encoders().count(), 1, "{}", spec.name());
         }

@@ -103,24 +103,6 @@ impl SubMicrobatchPlan {
         }
     }
 
-    /// Builds a plan from an explicit table, one row per segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows differ in length.
-    pub fn from_table(splits: Vec<Vec<usize>>) -> Self {
-        let num_microbatches = splits.first().map_or(0, Vec::len);
-        assert!(
-            splits.iter().all(|row| row.len() == num_microbatches),
-            "every segment's row covers the same microbatches"
-        );
-        Self {
-            num_segments: splits.len(),
-            num_microbatches,
-            splits: splits.concat().into(),
-        }
-    }
-
     /// Number of sub-microbatches for `(segment, microbatch)`; defaults to 1
     /// outside the table.
     pub fn splits(&self, segment: usize, microbatch: usize) -> usize {
@@ -987,8 +969,6 @@ mod tests {
         assert_eq!(plan.splits(0, 0), 1);
         assert_eq!(plan.splits(5, 9), 1);
         assert_eq!(plan.num_segments(), 2);
-        let table = SubMicrobatchPlan::from_table(vec![vec![4, 2]]);
-        assert_eq!(table.splits(0, 1), 2);
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //! otherwise the pass runs resumed at `j` (`j = 0` is a fresh pass). A pass
 //! resumed at `j` shares its first `j` pops and their events with its
 //! *origin*, so its record stores only the rest, and copying a prefix back
-//! walks the chain of origins.
+//! walks the chain of origins. A memo may start out holding one completed
+//! pass that ran before it ([`PassMemo::adopting`]): an elastic
+//! candidate's ranking pass, which its search takes as its seed's
+//! evaluation.
 //!
 //! The scan reads the requirement tables column-major, one column per
 //! ordered segment pair holding that pair's step for every record (two
@@ -49,7 +52,7 @@ pub struct PassMemo<'g> {
     view: PassGraph<'g>,
     tables: Mutex<MemoTables>,
     /// Interleave passes run through [`PassMemo::evaluate`], aborted ones
-    /// included.
+    /// included (an adopted pass is not).
     passes: AtomicU64,
     /// Steps those passes decided live.
     live_steps: AtomicU64,
@@ -62,10 +65,12 @@ pub struct PassMemo<'g> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoWork {
     /// Distinct priority vectors whose evaluation completed, by a pass or
-    /// a record hit: the final size of the exact map.
+    /// a record hit: the final size of the exact map, an adopted pass's
+    /// priorities included.
     pub distinct_priorities: u64,
     /// Interleave passes run, completed or aborted by the cutoff, resumed
-    /// or fresh (the winner's re-interleave not included).
+    /// or fresh (neither an adopted pass nor the winner's re-interleave
+    /// included).
     pub passes: u64,
     /// Stages those passes decided live, popping them from the queues.
     pub live_steps: u64,
@@ -99,6 +104,43 @@ impl<'g> PassMemo<'g> {
             live_steps: AtomicU64::new(0),
             replayed_steps: AtomicU64::new(0),
         }
+    }
+
+    /// A memo holding one pass that ran before it: the last pass `ws` ran,
+    /// over `graph` under `priorities`, whose makespan was `makespan`. The
+    /// memo answers those priorities and resumes from the pass's record as
+    /// if it had run the pass, but counts no pass or step of it. Every
+    /// later evaluation's config must equal that pass's apart from the
+    /// priorities.
+    ///
+    /// # Panics
+    ///
+    /// When that pass did not pop every stage of `graph` (a bounded pass
+    /// the cutoff aborted, say): its record would make later answers
+    /// silently wrong. The check runs in release builds too.
+    pub fn adopting(
+        graph: &'g StageGraph,
+        priorities: &[i64],
+        ws: &ScheduleWorkspace,
+        makespan: f64,
+    ) -> Self {
+        assert_eq!(
+            ws.record.pops.len(),
+            graph.len(),
+            "the adopted pass did not complete"
+        );
+        let mut memo = Self::new(graph);
+        let tables = memo.tables.get_mut().expect("a new memo is unshared");
+        // A fresh pass: it resumed from no record, at step 0.
+        tables.records.push(&ws.record, makespan, Origin::default());
+        tables.exact.insert(priorities.to_vec(), makespan);
+        memo
+    }
+
+    /// The makespan of `priorities` if their evaluation completed, or the
+    /// memo adopted their pass.
+    pub fn makespan_of(&self, priorities: &[i64]) -> Option<f64> {
+        self.tables().exact.get(priorities).copied()
     }
 
     fn tables(&self) -> MutexGuard<'_, MemoTables> {
@@ -249,7 +291,7 @@ struct StoredPass {
 /// record with the largest resume point `resumed` (0 when no record agrees
 /// on even one step), which is [`NO_REQUIREMENT`] when the priorities
 /// reproduce the record whole.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Origin {
     source: u32,
     resumed: u32,
@@ -892,12 +934,15 @@ mod tests {
         /// priorities: its makespan bits when the makespan is at most the
         /// cutoff, an abort exactly when it is above. The sequences repeat
         /// priorities (24 orderings of 4 segments), and their cutoffs fall
-        /// below, at and above each makespan. The winner's re-interleave
-        /// then yields a fresh pass's orders, and every counter adds up.
+        /// below, at and above each makespan. Half the memos start out
+        /// adopting one pass, which no counter of passes or steps includes.
+        /// The winner's re-interleave then yields a fresh pass's orders, and
+        /// every counter adds up.
         #[test]
         fn every_memo_answer_equals_a_fresh_pass(
             evaluations in prop::collection::vec((0usize..24, 0u8..4, 0.5f64..1.5), 1..40),
             memory_bound in 0u8..2,
+            adopt in 0usize..48,
         ) {
             let (graph, n) = vlm_graph(4, 2);
             prop_assert_eq!(n, 4);
@@ -910,9 +955,17 @@ mod tests {
                 segment_priorities: priorities_of(ordering),
                 ..base.clone()
             };
-            let memo = PassMemo::new(&graph);
             let (mut ws, mut fresh) = (ScheduleWorkspace::new(), ScheduleWorkspace::new());
-            let mut winner = None;
+            let adopted = orderings.get(adopt).map(|_| adopt);
+            let memo = match adopted {
+                Some(index) => {
+                    let config = config(&orderings[index]);
+                    let makespan = schedule_into(&graph, &config, &mut fresh);
+                    PassMemo::adopting(&graph, &config.segment_priorities, &fresh, makespan)
+                }
+                None => PassMemo::new(&graph),
+            };
+            let mut winner = adopted;
             let mut aborted = 0;
             for &(index, kind, factor) in &evaluations {
                 let config = config(&orderings[index]);
@@ -938,9 +991,26 @@ mod tests {
                 prop_assert_eq!(ws.orders(&graph), orders);
                 let len = graph.len() as u64;
                 prop_assert_eq!(work.winner_live_steps + work.winner_replayed_steps, len);
-                prop_assert!(work.passes <= work.distinct_priorities + aborted);
+                let adopted = u64::from(adopted.is_some());
+                prop_assert!(work.passes + adopted <= work.distinct_priorities + aborted);
                 prop_assert!(work.live_steps + work.replayed_steps <= work.passes * len);
             }
         }
+    }
+
+    /// A memo adopts only a pass that completed over its graph: a bounded
+    /// pass the cutoff aborted holds a partial record, and answers seeded
+    /// from it would be wrong. The check holds in release builds.
+    #[test]
+    #[should_panic(expected = "the adopted pass did not complete")]
+    fn adoption_rejects_a_pass_that_did_not_complete() {
+        let (graph, _) = vlm_graph(4, 2);
+        let config = DualQueueConfig::default();
+        let mut ws = ScheduleWorkspace::new();
+        let makespan = schedule_into(&graph, &config, &mut ws);
+        let view = PassGraph::new(&graph);
+        let cutoff = makespan * 0.5;
+        assert!(schedule_bounded(&view, &config, &mut ws, cutoff).is_none());
+        PassMemo::adopting(&graph, &config.segment_priorities, &ws, makespan);
     }
 }

@@ -265,11 +265,6 @@ impl SimEngine {
         self.num_ranks
     }
 
-    /// Number of tasks added so far.
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Sets the static memory baseline (parameters, gradients, optimizer
     /// state) of a rank.
     ///
@@ -598,7 +593,6 @@ mod tests {
     fn labels_and_kinds_are_preserved() {
         let mut e = SimEngine::new(1);
         let id = e.add_task(Task::compute(0, 1.0, TaskKind::Optimizer).with_label("opt step"));
-        assert_eq!(e.num_tasks(), 1);
         assert_eq!(id, TaskId(0));
         assert_eq!(e.num_ranks(), 1);
     }

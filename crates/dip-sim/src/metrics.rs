@@ -48,15 +48,6 @@ impl IterationMetrics {
         }
     }
 
-    /// Iteration time of `self` relative to `baseline` (1.0 = same speed,
-    /// below 1.0 = faster than the baseline), as plotted in Fig. 8a.
-    pub fn relative_time(&self, baseline: &IterationMetrics) -> f64 {
-        if baseline.iteration_time_s <= 0.0 {
-            return 0.0;
-        }
-        self.iteration_time_s / baseline.iteration_time_s
-    }
-
     /// Throughput improvement of `self` over `other` in percent
     /// (the "+97.3%" style numbers of the abstract).
     pub fn speedup_percent_over(&self, other: &IterationMetrics) -> f64 {
@@ -80,12 +71,10 @@ mod tests {
     }
 
     #[test]
-    fn relative_time_and_speedup_are_consistent() {
+    fn speedup_doubles_at_half_the_iteration_time() {
         let baseline = IterationMetrics::new(10.0, 1e15, 1e15, 0.3, 0);
         let faster = IterationMetrics::new(5.0, 1e15, 1e15, 0.1, 0);
-        assert!((faster.relative_time(&baseline) - 0.5).abs() < 1e-12);
         assert!((faster.speedup_percent_over(&baseline) - 100.0).abs() < 1e-9);
-        assert_eq!(faster.relative_time(&IterationMetrics::default()), 0.0);
     }
 
     #[test]

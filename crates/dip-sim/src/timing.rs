@@ -140,17 +140,6 @@ impl TimingModel {
         }
     }
 
-    /// Latency of a point-to-point transfer of `bytes` between pipeline
-    /// ranks (`same_node` selects NVLink vs the inter-node network).
-    pub fn p2p_latency(&self, bytes: u64, same_node: bool) -> f64 {
-        let bandwidth = if same_node {
-            self.gpu.nvlink_bandwidth
-        } else {
-            self.gpu.net_bandwidth
-        };
-        self.p2p_latency_at(bytes, bandwidth)
-    }
-
     /// Latency of a point-to-point transfer of `bytes` over a link of the
     /// given raw `bandwidth` (bytes/s). Topology-aware callers resolve the
     /// link between the two endpoint devices (e.g.
@@ -231,8 +220,9 @@ mod tests {
     fn p2p_prefers_nvlink() {
         let t = model();
         let bytes = 64 * 1024 * 1024;
-        assert!(t.p2p_latency(bytes, true) < t.p2p_latency(bytes, false));
-        assert_eq!(t.p2p_latency(0, true), 0.0);
+        let (nvlink, net) = (t.gpu.nvlink_bandwidth, t.gpu.net_bandwidth);
+        assert!(t.p2p_latency_at(bytes, nvlink) < t.p2p_latency_at(bytes, net));
+        assert_eq!(t.p2p_latency_at(0, nvlink), 0.0);
     }
 
     #[test]

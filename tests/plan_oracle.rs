@@ -8,6 +8,11 @@
 //! start, on any tier, fails here even when it moves every entry point of
 //! the kernel alike.
 //!
+//! Every checked plan also respects a lower bound: a rank never runs two
+//! stages at once, so no planned time is below the busiest rank's total
+//! stage time (`StageGraph::critical_rank_time`), up to a relative 1e-12
+//! for summation order.
+//!
 //! Covered: the cold, fuzzy and exact plans a session serves for a VLM-S
 //! Zipf request stream, and T2V-S base plans and the elastic replans a
 //! session serves on `ClusterTopology::mixed_h800_h20(2, 1)` under seeded
@@ -32,8 +37,15 @@ fn config(budget_ms: u64) -> PlannerConfig {
     config
 }
 
-/// Asserts the oracle on `plan`, served by `planner`'s topology.
+/// Asserts the oracle and the lower bound on `plan`, served by `planner`'s
+/// topology.
 fn assert_engine_replays_the_planned_time(planner: &DipPlanner<'_>, plan: &DipPlan, what: &str) {
+    let bound = plan.graph.critical_rank_time();
+    assert!(
+        plan.stats.planned_time_s >= bound * (1.0 - 1e-12),
+        "{what}: planned {} s, below the busiest rank's {bound} s of stage time",
+        plan.stats.planned_time_s
+    );
     let outcome = execute(
         &plan.graph,
         &plan.orders,
